@@ -19,9 +19,22 @@ from .choose import ChooseOperator
 from .dataflow import DataflowGraph
 from .explore import ExploreOperator
 from .mdf import MDF
-from .operators import Operator
+from .operators import Join, Operator, Source
 
 _stage_counter = itertools.count()
+
+
+def _kind_of(head: Operator) -> str:
+    """The one stage-kind decision: everything downstream reads ``Stage.kind``."""
+    if isinstance(head, ExploreOperator):
+        return "explore"
+    if isinstance(head, ChooseOperator):
+        return "choose"
+    if isinstance(head, Source):
+        return "source"
+    if isinstance(head, Join):
+        return "join"
+    return "narrow" if head.narrow else "wide"
 
 
 class Stage:
@@ -33,6 +46,12 @@ class Stage:
         The operator chain in execution order.
     branch_id:
         Innermost branch the stage belongs to (None outside explore scopes).
+    kind:
+        ``source | narrow | wide | join | explore | choose`` — fixed by the
+        head operator (only narrow operators are ever appended behind it).
+        ``explore`` and ``choose`` are the paper's two special stages;
+        ``source`` reads the job input, ``narrow`` pipelines its one
+        input partition-wise, ``wide`` and ``join`` shuffle theirs first.
     """
 
     def __init__(self, ops: List[Operator], branch_id: Optional[str] = None):
@@ -40,6 +59,7 @@ class Stage:
         self.id = f"stage-{self.index}"
         self.ops = ops
         self.branch_id = branch_id
+        self.kind = _kind_of(ops[0])
 
     @property
     def head(self) -> Operator:
@@ -51,11 +71,11 @@ class Stage:
 
     @property
     def is_choose(self) -> bool:
-        return len(self.ops) == 1 and isinstance(self.ops[0], ChooseOperator)
+        return self.kind == "choose"
 
     @property
     def is_explore(self) -> bool:
-        return len(self.ops) == 1 and isinstance(self.ops[0], ExploreOperator)
+        return self.kind == "explore"
 
     def __repr__(self) -> str:  # pragma: no cover
         names = "+".join(op.name for op in self.ops)

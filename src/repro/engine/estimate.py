@@ -22,11 +22,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..cluster.costmodel import CostModel
-from ..core.choose import ChooseOperator
 from ..core.explore import ExploreOperator
 from ..core.mdf import MDF
-from ..core.operators import Join, Source
-from ..core.stages import Stage, StageGraph
+from ..core.stages import StageGraph
 
 
 @dataclass
@@ -111,7 +109,7 @@ def estimate_mdf(
 
     for stage in order:
         head = stage.head
-        if isinstance(head, ChooseOperator):
+        if stage.kind == "choose":
             # selection is master-side metadata work; the kept dataset is
             # an alias of a branch output (size of one branch, optimistic)
             branch_sizes = [
@@ -119,16 +117,16 @@ def estimate_mdf(
             ]
             output_bytes[head.name] = max(branch_sizes, default=1)
             continue
-        if stage.is_explore:
+        if stage.kind == "explore":
             (pred,) = mdf.pre(head)
             output_bytes[head.name] = output_bytes.get(pred.name, 0)
             continue
 
-        if isinstance(head, Source):
+        if stage.kind == "source":
             in_bytes = int(head.nominal_bytes or 1)
             chain = stage.ops[1:]
             source_read = in_bytes
-        elif isinstance(head, Join):
+        elif stage.kind == "join":
             in_bytes = sum(
                 output_bytes.get(name, 0) for name in head.input_names
             ) or 1
@@ -151,7 +149,7 @@ def estimate_mdf(
         total_compute += compute
         total_read += in_bytes
         total_write += out_bytes
-        is_wide = not head.narrow
+        is_wide = stage.kind in ("wide", "join")
 
         compute_wall = cost_model.compute_time(compute / workers)
         overhead = tasks_per_stage * task_overhead

@@ -2,13 +2,18 @@
 
 A stage is a pipelined chain of narrow operators, optionally headed by a
 source (which reads the job input from distributed storage) or a wide
-operator (which shuffles all partitions).  Execution
+operator or join (which shuffle all partitions).  Whatever its
+:attr:`~repro.core.stages.Stage.kind`, :meth:`StageExecutor.execute` runs
+it through the same three steps:
 
-1. loads the input partitions — memory hits cost memory-read time, misses
-   cost disk-read time plus promotion (which may trigger evictions),
-2. runs the real operator functions partition by partition, charging the
-   operator cost model against the node's compute rate, and
-3. stores the output partitions, which may again evict under pressure.
+1. **gather** the input partitions — memory hits cost memory-read time,
+   misses cost disk-read time (a source has none to gather and reads the
+   job input instead),
+2. **compute**: run the real operator functions partition by partition
+   (after the shuffle and the global head, if the head is wide), charging
+   the operator cost model against the node's compute rate, and
+3. **land** the output partitions — stored, which may evict under
+   pressure, or handed back unstored for the choose to judge first.
 
 Per-node times are combined into stage *wall* times (the slowest node
 gates the stage), after straggler stretching and speculative mitigation.
@@ -17,14 +22,15 @@ gates the stage), after straggler stretching and speculative mitigation.
 from __future__ import annotations
 
 import pickle
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..cluster.cluster import Cluster
 from ..cluster.stragglers import apply_stragglers
-from ..core.datasets import Dataset, Partition, split_payload
+from ..core.datasets import Dataset, Partition, concat_payloads, split_payload
 from ..core.errors import SchedulingError
-from ..core.operators import Join, Operator, Sink, Source
+from ..core.operators import Operator
 from ..core.stages import Stage
 from .backends import ExecutionBackend, make_backend
 from .job import EngineConfig
@@ -75,10 +81,41 @@ class StageOutcome:
     times: StageTimes
     num_tasks: int
     pending: Optional[Dataset] = None
-    #: lineage fingerprint of the produced output (None = uncacheable).
-    #: Carried on deferred outcomes so the master can admit the output to
-    #: the result cache when ``commit_store`` materialises it.
-    fingerprint: Optional[str] = None
+
+
+#: one gathered (or source-read, or shuffled) partition: payload, nominal
+#: bytes, and the node it is charged on
+_Part = Tuple[Any, int, str]
+
+
+class _Tally:
+    """Per-node charges of one stage, in the order they were incurred.
+
+    Float accumulation order per node is part of the byte-identity
+    contract, so every step of a stage adds to the one tally in execution
+    order and :meth:`StageExecutor._wall` closes it.
+    """
+
+    def __init__(self) -> None:
+        self.io: Dict[str, float] = {}
+        self.compute: Dict[str, float] = {}
+        self.tasks: Dict[str, int] = {}
+        self.network = 0.0
+
+    def add_io(self, node_id: str, seconds: float) -> None:
+        self.io[node_id] = self.io.get(node_id, 0.0) + seconds
+
+    def add_compute(self, node_id: str, seconds: float) -> None:
+        self.compute[node_id] = self.compute.get(node_id, 0.0) + seconds
+
+    def read(self, node_id: str, seconds: float) -> None:
+        """One input partition read on ``node_id``: its I/O plus one task."""
+        self.add_io(node_id, seconds)
+        self.tasks[node_id] = self.tasks.get(node_id, 0) + 1
+
+    @property
+    def num_tasks(self) -> int:
+        return sum(self.tasks.values())
 
 
 class StageExecutor:
@@ -111,15 +148,7 @@ class StageExecutor:
             )
 
     # ------------------------------------------------------------- helpers
-    def _wall(
-        self,
-        per_node_io: Dict[str, float],
-        per_node_compute: Dict[str, float],
-        network: float,
-        num_tasks: int,
-        per_node_tasks: Optional[Dict[str, int]] = None,
-        consume_faults: bool = False,
-    ) -> StageTimes:
+    def _wall(self, tally: _Tally, consume_faults: bool = False) -> StageTimes:
         """Combine per-node times into stage walls, honouring stragglers.
 
         Also attributes the (straggler-adjusted) per-node times, the task
@@ -128,9 +157,10 @@ class StageExecutor:
 
         ``consume_faults`` is True only for real stage-execution walls:
         injected transient task failures are scheduled "for the next
-        executed stage" and must not be drained by choose evaluations,
-        cache-hit serving or sink finalisation walls in between.
+        executed stage" and must not be drained by choose evaluations or
+        cache-hit serving walls in between.
         """
+        per_node_io, per_node_compute = tally.io, tally.compute
         profile = self.config.stragglers
         if profile is not None:
             per_node_io = apply_stragglers(
@@ -164,7 +194,7 @@ class StageExecutor:
                 )
         io = max(per_node_io.values(), default=0.0)
         compute = max(per_node_compute.values(), default=0.0)
-        overhead = num_tasks * self.config.task_overhead
+        overhead = tally.num_tasks * self.config.task_overhead
         obs = self.cluster.obs
         for node_id, seconds in per_node_io.items():
             obs.counter("time_io", node=node_id).inc(seconds)
@@ -172,67 +202,46 @@ class StageExecutor:
         for node_id, seconds in per_node_compute.items():
             obs.counter("time_compute", node=node_id).inc(seconds)
             self.cluster.note_busy(node_id, seconds)
-        if network:
-            obs.counter("time_network").inc(network)
-        attributed = 0
-        if per_node_tasks:
-            for node_id, count in per_node_tasks.items():
-                if count <= 0:
-                    continue
-                obs.counter("tasks_executed", node=node_id).inc(count)
-                attributed += count
-                per_task = (
-                    per_node_io.get(node_id, 0.0) + per_node_compute.get(node_id, 0.0)
-                ) / count
-                histogram = obs.histogram("task_seconds", node=node_id)
-                for _ in range(count):
-                    histogram.observe(per_task)
-        if num_tasks > attributed:
-            obs.counter("tasks_executed").inc(num_tasks - attributed)
+        if tally.network:
+            obs.counter("time_network").inc(tally.network)
+        for node_id, count in tally.tasks.items():
+            if count <= 0:
+                continue
+            obs.counter("tasks_executed", node=node_id).inc(count)
+            per_task = (
+                per_node_io.get(node_id, 0.0) + per_node_compute.get(node_id, 0.0)
+            ) / count
+            histogram = obs.histogram("task_seconds", node=node_id)
+            for _ in range(count):
+                histogram.observe(per_task)
         return StageTimes(
             io=io,
             compute=compute,
-            network=network,
+            network=tally.network,
             overhead=overhead,
             per_node_io=dict(per_node_io),
             per_node_compute=dict(per_node_compute),
         )
 
     def _charge_chain(
-        self,
-        ops: List[Operator],
-        nbytes: int,
-        node_id: str,
-        per_node_compute: Dict[str, float],
+        self, ops: List[Operator], nbytes: int, node_id: str, tally: _Tally
     ) -> int:
         """Charge a narrow chain's modelled compute for one partition.
 
-        Control-plane half of the old inline chain loop: accumulates the
-        per-operator compute times in the same order as before (float
-        accumulation order is part of the byte-identity contract) and
-        returns the chain's nominal output bytes.  The data-plane half —
-        actually transforming the payloads — runs in :meth:`_apply_chain`.
+        Control-plane half of a chain: accumulates the per-operator compute
+        times operator by operator (float accumulation order is part of
+        the byte-identity contract) and returns the chain's nominal output
+        bytes.  The data-plane half — actually transforming the payloads —
+        runs on the backend (``map_chain``, or a prefetch taken in
+        :meth:`execute`).
         """
         cur_bytes = nbytes
         for op in ops:
-            cost = op.compute_cost(cur_bytes)
-            per_node_compute[node_id] = per_node_compute.get(node_id, 0.0) + (
-                self.cluster.cost_model.compute_time(cost)
+            tally.add_compute(
+                node_id, self.cluster.cost_model.compute_time(op.compute_cost(cur_bytes))
             )
             cur_bytes = op.output_bytes(cur_bytes)
         return cur_bytes
-
-    def _apply_chain(
-        self, stage_id: str, ops: List[Operator], payloads: List[Any]
-    ) -> List[Any]:
-        """Run the pure payload transform, consuming a prefetch if present."""
-        if self.backend.has_prefetched(stage_id):
-            prefetched = self.backend.take_prefetched(stage_id)
-            if prefetched is not None:
-                return prefetched
-        if not ops:
-            return list(payloads)
-        return self.backend.map_chain(ops, payloads)
 
     # ------------------------------------------------------ result cache
     def _note_miss(self, stage: Stage, fingerprint: Optional[str], reason: str) -> None:
@@ -280,7 +289,7 @@ class StageExecutor:
         """
         cost_model = self.cluster.cost_model
         head = stage.head
-        if isinstance(head, Source):
+        if stage.kind == "source":
             if head.nominal_bytes is None:
                 return None
             nparts = self.cluster.num_workers * self.config.partitions_per_worker
@@ -291,7 +300,7 @@ class StageExecutor:
             )
         records = [self.cluster.record(i) for i in input_ids]
         total = sum(self._input_read_estimate(r) for r in records)
-        if head.narrow:
+        if stage.kind == "narrow":
             for nbytes in records[0].partition_bytes:
                 total += self._chain_cost_estimate(stage.ops, nbytes)
             return total
@@ -363,68 +372,35 @@ class StageExecutor:
         output is a fresh first-class dataset: it stores (and evicts)
         exactly like a cold stage's output would.
         """
-        cache = self.config.cache
         cluster = self.cluster
-        per_node_io: Dict[str, float] = {}
-        per_node_tasks: Dict[str, int] = {}
-        out_parts: List[Partition] = []
-        store_seconds: Dict[str, float] = {}
-        if hit.tier == "cluster":
-            owners = sorted({owner for owner, _ in hit.locations})
-            with cluster.protect(owners):
-                for index, (owner, pos) in enumerate(hit.locations):
+        tally = _Tally()
+        payloads: List[Any] = []
+        owners = sorted({owner for owner, _ in hit.locations or ()})
+        with cluster.protect(owners):
+            if hit.tier == "cluster":
+                for owner, pos in hit.locations:
                     payload, seconds, node_id = cluster.load_partition(owner, pos)
-                    per_node_io[node_id] = per_node_io.get(node_id, 0.0) + seconds
-                    per_node_tasks[node_id] = per_node_tasks.get(node_id, 0) + 1
-                    out_parts.append(
-                        Partition("", index, payload, hit.partition_bytes[index])
+                    tally.read(node_id, seconds)
+                    payloads.append(payload)
+            else:
+                self.config.cache.stats.store_hits += 1
+                for index, payload in enumerate(hit.payloads):
+                    tally.read(
+                        cluster.node_for_partition(index).id,
+                        cluster.cost_model.disk_read_time(hit.partition_bytes[index]),
                     )
-                output = Dataset(
-                    out_parts,
-                    dataset_id=f"d:{stage.tail.name}",
-                    producer=stage.tail.name,
-                )
-                self._emit_hit(stage, output.id, hit, saved_seconds)
-                if not defer_store:
-                    store_seconds = cluster.register_dataset(output)
-                    cache.admit(hit.fingerprint, output, cluster)
-        else:
-            cache.stats.store_hits += 1
-            for index, payload in enumerate(hit.payloads):
-                node = cluster.node_for_partition(index)
-                nbytes = hit.partition_bytes[index]
-                per_node_io[node.id] = per_node_io.get(node.id, 0.0) + (
-                    cluster.cost_model.disk_read_time(nbytes)
-                )
-                per_node_tasks[node.id] = per_node_tasks.get(node.id, 0) + 1
-                # copy on serve: the hit's payloads belong to the cache
-                # blob — aliasing them into a live dataset would let any
-                # downstream in-place mutation corrupt every later hit
-                payload = pickle.loads(
-                    pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-                )
-                out_parts.append(Partition("", index, payload, nbytes))
-            output = Dataset(
-                out_parts, dataset_id=f"d:{stage.tail.name}", producer=stage.tail.name
+                    # copy on serve: the hit's payloads belong to the cache
+                    # blob — aliasing them into a live dataset would let any
+                    # downstream in-place mutation corrupt every later hit
+                    payloads.append(
+                        pickle.loads(
+                            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+                        )
+                    )
+            self._emit_hit(stage, f"d:{stage.tail.name}", hit, saved_seconds)
+            return self._land(
+                stage, payloads, hit.partition_bytes, tally, defer_store, hit.fingerprint
             )
-            self._emit_hit(stage, output.id, hit, saved_seconds)
-            if not defer_store:
-                store_seconds = cluster.register_dataset(output)
-                cache.admit(hit.fingerprint, output, cluster)
-        num_tasks = hit.num_partitions
-        if defer_store:
-            times = self._wall(per_node_io, {}, 0.0, num_tasks, per_node_tasks)
-            return StageOutcome(
-                output.id,
-                times,
-                num_tasks,
-                pending=output,
-                fingerprint=hit.fingerprint,
-            )
-        for node_id, seconds in store_seconds.items():
-            per_node_io[node_id] = per_node_io.get(node_id, 0.0) + seconds
-        times = self._wall(per_node_io, {}, 0.0, num_tasks, per_node_tasks)
-        return StageOutcome(output.id, times, num_tasks, fingerprint=hit.fingerprint)
 
     def _emit_hit(self, stage: Stage, dataset_id: str, hit, saved_seconds: float) -> None:
         cache = self.config.cache
@@ -467,131 +443,190 @@ class StageExecutor:
     def execute(
         self,
         stage: Stage,
-        input_dataset_id: Optional[str],
+        input_ids: List[str],
         defer_store: bool = False,
         fingerprint: Optional[str] = None,
     ) -> StageOutcome:
-        """Run one non-choose stage; returns its output dataset and times."""
-        head = stage.head
-        if isinstance(head, Source):
-            cached = self._try_cache(stage, fingerprint, [], defer_store)
-            if cached is not None:
-                self.backend.drop_prefetched(stage.id)
-                return cached
-            return self._execute_source_stage(stage, fingerprint)
-        if input_dataset_id is None:
+        """Run one stage that is neither explore nor choose.
+
+        ``input_ids`` are the datasets the head reads: none for a source,
+        one for a narrow or wide head, ``[left, right]`` for a join.  The
+        stage is served from the result cache when ``fingerprint`` hits;
+        otherwise its inputs are gathered, the chain is computed — behind
+        the shuffle and the global head when the head is wide or a join —
+        and the output lands.
+        """
+        if not input_ids and stage.kind != "source":
             raise SchedulingError(f"stage {stage.id} has no input dataset")
-        cached = self._try_cache(stage, fingerprint, [input_dataset_id], defer_store)
+        cached = self._try_cache(stage, fingerprint, input_ids, defer_store)
         if cached is not None:
             self.backend.drop_prefetched(stage.id)
             return cached
-        if head.narrow:
-            return self._execute_narrow_stage(
-                stage, input_dataset_id, defer_store, fingerprint
+        tally = _Tally()
+        with self._gather(input_ids, tally) as operands:
+            # data plane: a prefetched stage already ran its whole chain
+            # (global head included) off-turn, so only the identical
+            # charges remain to be made
+            done = self.backend.take_prefetched(stage.id)
+            if stage.kind == "source":
+                parts, chain = self._read_source(stage, tally), stage.ops[1:]
+            elif stage.kind == "narrow":
+                (parts,), chain = operands, stage.ops
+            else:
+                parts = self._shuffle(stage, operands, tally, done)
+                chain = stage.ops[1:]
+            out_bytes = [
+                self._charge_chain(chain, nbytes, node_id, tally)
+                for _, nbytes, node_id in parts
+            ]
+            if done is None:
+                done = [payload for payload, _, _ in parts]
+                if chain:
+                    done = self.backend.map_chain(chain, done)
+            return self._land(
+                stage, done, out_bytes, tally, defer_store, fingerprint, consume_faults=True
             )
-        return self._execute_wide_stage(
-            stage, input_dataset_id, defer_store, fingerprint
-        )
 
-    def execute_join(
-        self,
-        stage: Stage,
-        left_id: str,
-        right_id: str,
-        defer_store: bool = False,
-        fingerprint: Optional[str] = None,
-    ) -> StageOutcome:
-        """Run a stage headed by a two-input :class:`Join` operator.
+    @contextmanager
+    def _gather(
+        self, input_ids: List[str], tally: _Tally
+    ) -> Iterator[List[List[_Part]]]:
+        """Read every partition of every input, one list per input dataset.
 
-        Both operands are gathered (each partition read where it lives,
-        bytes crossing the network once), the join function runs over the
-        concatenated payloads, and the result is re-partitioned and fed
-        through the rest of the stage's narrow chain.
+        Each partition is read where it lives (normal hit/miss accounting)
+        and counts as one task on that node.  The inputs stay shielded from
+        eviction until the ``with`` block exits, so storing the stage's
+        own output cannot spill what it is still reading.
         """
-        cached = self._try_cache(stage, fingerprint, [left_id, right_id], defer_store)
-        if cached is not None:
-            return cached
-        head, rest = stage.ops[0], stage.ops[1:]
-        assert isinstance(head, Join)
-        per_node_io: Dict[str, float] = {}
-        per_node_compute: Dict[str, float] = {}
-        per_node_tasks: Dict[str, int] = {}
-        operands = []
-        total_bytes = 0
-        with self.cluster.protect([left_id, right_id]):
-            for dataset_id in (left_id, right_id):
+        with self.cluster.protect(input_ids):
+            operands: List[List[_Part]] = []
+            for dataset_id in input_ids:
                 record = self.cluster.record(dataset_id)
-                payloads = []
+                parts: List[_Part] = []
                 for index in range(record.num_partitions):
                     payload, seconds, node_id = self.cluster.load_partition(
                         dataset_id, index
                     )
-                    per_node_io[node_id] = per_node_io.get(node_id, 0.0) + seconds
-                    per_node_tasks[node_id] = per_node_tasks.get(node_id, 0) + 1
-                    payloads.append(payload)
-                total_bytes += record.nbytes
-                operands.append(payloads)
-            share = total_bytes / max(1, self.cluster.num_workers)
-            network = self.cluster.cost_model.network_time(int(share))
-            per_worker_compute = self.cluster.cost_model.compute_time(
-                head.compute_cost(total_bytes) / self.cluster.num_workers
-            )
-            for node in self.cluster.alive_nodes:
-                per_node_compute[node.id] = (
-                    per_node_compute.get(node.id, 0.0) + per_worker_compute
-                )
-            from ..core.datasets import concat_payloads
+                    tally.read(node_id, seconds)
+                    parts.append((payload, record.partition_bytes[index], node_id))
+                operands.append(parts)
+            yield operands
 
-            left_payload = concat_payloads(operands[0])
-            right_payload = concat_payloads(operands[1])
-            joined = self.backend.run_join(head, left_payload, right_payload)
-            out_payloads = split_payload(joined, self.cluster.num_workers)
-            out_total = head.output_bytes(total_bytes)
-            part_bytes = _split_bytes(out_total, len(out_payloads))
-            out_bytes_list = [
-                self._charge_chain(
-                    rest,
-                    part_bytes[index],
-                    self.cluster.node_for_partition(index).id,
-                    per_node_compute,
-                )
-                for index in range(len(out_payloads))
-            ]
-            out_payloads = self._apply_chain(stage.id, rest, out_payloads)
-            out_parts: List[Partition] = [
-                Partition("", index, payload, out_bytes_list[index])
-                for index, payload in enumerate(out_payloads)
-            ]
-            output = Dataset(
-                out_parts, dataset_id=f"d:{stage.tail.name}", producer=stage.tail.name
+    def _read_source(self, stage: Stage, tally: _Tally) -> List[_Part]:
+        """Read the job input from distributed storage: one disk read a task."""
+        nparts = self.cluster.num_workers * self.config.partitions_per_worker
+        raw = stage.head.generate(nparts, producer=stage.tail.name)
+        parts: List[_Part] = []
+        for partition in raw.partitions:
+            node = self.cluster.node_for_partition(partition.index)
+            self.cluster.obs.counter(
+                "bytes_read_disk", node=node.id, dataset=raw.id
+            ).inc(partition.nominal_bytes)
+            self.cluster.trace.emit(
+                "source_read",
+                dataset=raw.id,
+                index=partition.index,
+                node=node.id,
+                nbytes=partition.nominal_bytes,
             )
-            if not defer_store:
-                store_seconds = self.cluster.register_dataset(output)
-        num_tasks = sum(len(p) for p in operands)
-        if defer_store:
-            times = self._wall(
-                per_node_io,
-                per_node_compute,
-                network,
-                num_tasks,
-                per_node_tasks,
-                consume_faults=True,
+            tally.read(
+                node.id, self.cluster.cost_model.disk_read_time(partition.nominal_bytes)
             )
-            return StageOutcome(
-                output.id, times, num_tasks, pending=output, fingerprint=fingerprint
-            )
-        self._maybe_admit(fingerprint, output)
-        for node_id, seconds in store_seconds.items():
-            per_node_io[node_id] = per_node_io.get(node_id, 0.0) + seconds
-        times = self._wall(
-            per_node_io,
-            per_node_compute,
-            network,
-            num_tasks,
-            per_node_tasks,
-            consume_faults=True,
+            parts.append((partition.data, partition.nominal_bytes, node.id))
+        return parts
+
+    def _shuffle(
+        self,
+        stage: Stage,
+        operands: List[List[_Part]],
+        tally: _Tally,
+        prefetched: Optional[List[Any]],
+    ) -> List[_Part]:
+        """Wide or join head: shuffle all inputs, run the global computation.
+
+        Returns the head's output re-partitioned across the workers, ready
+        for the rest of the chain.  A join is a wide head with two inputs:
+        each operand is concatenated and the join function runs over the
+        pair.  With ``prefetched`` payloads (head and rest already applied
+        off-turn) only the charges are made and the payload slots stay
+        empty.
+        """
+        cluster = self.cluster
+        head = stage.head
+        total_bytes = sum(nbytes for parts in operands for _, nbytes, _ in parts)
+        # all-to-all shuffle: every byte crosses the network once; each
+        # node sends its share in parallel
+        share = total_bytes / max(1, cluster.num_workers)
+        tally.network = cluster.cost_model.network_time(int(share))
+        # global computation is spread across the workers
+        per_worker_compute = cluster.cost_model.compute_time(
+            head.compute_cost(total_bytes) / cluster.num_workers
         )
-        return StageOutcome(output.id, times, num_tasks, fingerprint=fingerprint)
+        for node in cluster.alive_nodes:
+            tally.add_compute(node.id, per_worker_compute)
+        if prefetched is not None:
+            mid: List[Any] = [None] * len(prefetched)
+        elif stage.kind == "join":
+            left, right = (
+                concat_payloads([payload for payload, _, _ in parts])
+                for parts in operands
+            )
+            mid = split_payload(
+                self.backend.run_join(head, left, right), cluster.num_workers
+            )
+        else:
+            mid = self.backend.run_global(
+                head, [payload for payload, _, _ in operands[0]]
+            )
+        part_bytes = _split_bytes(head.output_bytes(total_bytes), len(mid))
+        return [
+            (payload, part_bytes[index], cluster.node_for_partition(index).id)
+            for index, payload in enumerate(mid)
+        ]
+
+    def _land(
+        self,
+        stage: Stage,
+        payloads: List[Any],
+        part_bytes: List[int],
+        tally: _Tally,
+        defer_store: bool,
+        fingerprint: Optional[str],
+        consume_faults: bool = False,
+    ) -> StageOutcome:
+        """Turn computed payloads into the stage's output and close its wall.
+
+        Stored, the output is a first-class dataset (its store may evict,
+        the result cache admits it under ``fingerprint``); deferred, it is
+        handed back in ``pending`` untouched by the cluster.
+        """
+        output = Dataset(
+            [
+                Partition("", index, payload, part_bytes[index])
+                for index, payload in enumerate(payloads)
+            ],
+            dataset_id=f"d:{stage.tail.name}",
+            producer=stage.tail.name,
+        )
+        if not defer_store:
+            store_seconds = self.cluster.register_dataset(output)
+            self._maybe_admit(fingerprint, output)
+            for node_id, seconds in store_seconds.items():
+                tally.add_io(node_id, seconds)
+        times = self._wall(tally, consume_faults)
+        return StageOutcome(
+            output.id, times, tally.num_tasks, pending=output if defer_store else None
+        )
+
+    def _store_times(self, store_seconds: Dict[str, float]) -> StageTimes:
+        """Charge a store made outside any stage wall (commit / restore)."""
+        for node_id, seconds in store_seconds.items():
+            self.cluster.obs.counter("time_io", node=node_id).inc(seconds)
+            self.cluster.note_busy(node_id, seconds)
+        return StageTimes(
+            io=max(store_seconds.values(), default=0.0),
+            per_node_io=dict(store_seconds),
+        )
 
     def commit_store(
         self, dataset: Dataset, fingerprint: Optional[str] = None
@@ -599,11 +634,7 @@ class StageExecutor:
         """Materialise a deferred stage output (charge the store)."""
         store_seconds = self.cluster.register_dataset(dataset)
         self._maybe_admit(fingerprint, dataset)
-        io = max(store_seconds.values(), default=0.0)
-        for node_id, seconds in store_seconds.items():
-            self.cluster.obs.counter("time_io", node=node_id).inc(seconds)
-            self.cluster.note_busy(node_id, seconds)
-        return StageTimes(io=io, per_node_io=dict(store_seconds))
+        return self._store_times(store_seconds)
 
     def commit_restore(
         self,
@@ -618,234 +649,9 @@ class StageExecutor:
         written back into their original slots, so surviving partitions
         keep their residency and the record's identity is preserved.
         """
-        store_seconds = self.cluster.restore_partitions(dataset, into=into, keys=keys)
-        io = max(store_seconds.values(), default=0.0)
-        for node_id, seconds in store_seconds.items():
-            self.cluster.obs.counter("time_io", node=node_id).inc(seconds)
-            self.cluster.note_busy(node_id, seconds)
-        return StageTimes(io=io, per_node_io=dict(store_seconds))
-
-    def _execute_source_stage(
-        self, stage: Stage, fingerprint: Optional[str] = None
-    ) -> StageOutcome:
-        source = stage.head
-        assert isinstance(source, Source)
-        nparts = self.cluster.num_workers * self.config.partitions_per_worker
-        raw = source.generate(nparts, producer=stage.tail.name)
-        per_node_io: Dict[str, float] = {}
-        per_node_compute: Dict[str, float] = {}
-        per_node_tasks: Dict[str, int] = {}
-        # Reading the job input from distributed storage is a disk read.
-        chain = stage.ops[1:]
-        in_payloads: List[Any] = []
-        out_bytes_list: List[int] = []
-        for partition in raw.partitions:
-            node = self.cluster.node_for_partition(partition.index)
-            self.cluster.obs.counter(
-                "bytes_read_disk", node=node.id, dataset=raw.id
-            ).inc(partition.nominal_bytes)
-            self.cluster.trace.emit(
-                "source_read",
-                dataset=raw.id,
-                index=partition.index,
-                node=node.id,
-                nbytes=partition.nominal_bytes,
-            )
-            per_node_io[node.id] = per_node_io.get(node.id, 0.0) + (
-                self.cluster.cost_model.disk_read_time(partition.nominal_bytes)
-            )
-            per_node_tasks[node.id] = per_node_tasks.get(node.id, 0) + 1
-            out_bytes_list.append(
-                self._charge_chain(
-                    chain, partition.nominal_bytes, node.id, per_node_compute
-                )
-            )
-            in_payloads.append(partition.data)
-        out_payloads = self._apply_chain(stage.id, chain, in_payloads)
-        out_parts: List[Partition] = [
-            Partition(raw.id, partition.index, out_payloads[i], out_bytes_list[i])
-            for i, partition in enumerate(raw.partitions)
-        ]
-        output = Dataset(out_parts, dataset_id=f"d:{stage.tail.name}", producer=stage.tail.name)
-        store_seconds = self.cluster.register_dataset(output)
-        self._maybe_admit(fingerprint, output)
-        for node_id, seconds in store_seconds.items():
-            per_node_io[node_id] = per_node_io.get(node_id, 0.0) + seconds
-        times = self._wall(
-            per_node_io,
-            per_node_compute,
-            0.0,
-            len(out_parts),
-            per_node_tasks,
-            consume_faults=True,
+        return self._store_times(
+            self.cluster.restore_partitions(dataset, into=into, keys=keys)
         )
-        return StageOutcome(output.id, times, len(out_parts), fingerprint=fingerprint)
-
-    def _execute_narrow_stage(
-        self,
-        stage: Stage,
-        input_dataset_id: str,
-        defer_store: bool = False,
-        fingerprint: Optional[str] = None,
-    ) -> StageOutcome:
-        record = self.cluster.record(input_dataset_id)
-        per_node_io: Dict[str, float] = {}
-        per_node_compute: Dict[str, float] = {}
-        per_node_tasks: Dict[str, int] = {}
-        with self.cluster.protect([input_dataset_id]):
-            in_payloads: List[Any] = []
-            out_bytes_list: List[int] = []
-            for index in range(record.num_partitions):
-                payload, seconds, node_id = self.cluster.load_partition(
-                    input_dataset_id, index
-                )
-                per_node_io[node_id] = per_node_io.get(node_id, 0.0) + seconds
-                per_node_tasks[node_id] = per_node_tasks.get(node_id, 0) + 1
-                nbytes = record.partition_bytes[index]
-                out_bytes_list.append(
-                    self._charge_chain(stage.ops, nbytes, node_id, per_node_compute)
-                )
-                in_payloads.append(payload)
-            out_payloads = self._apply_chain(stage.id, stage.ops, in_payloads)
-            out_parts: List[Partition] = [
-                Partition("", index, payload, out_bytes_list[index])
-                for index, payload in enumerate(out_payloads)
-            ]
-            output = Dataset(
-                out_parts, dataset_id=f"d:{stage.tail.name}", producer=stage.tail.name
-            )
-            if not defer_store:
-                store_seconds = self.cluster.register_dataset(output)
-        if defer_store:
-            times = self._wall(
-                per_node_io,
-                per_node_compute,
-                0.0,
-                len(out_parts),
-                per_node_tasks,
-                consume_faults=True,
-            )
-            return StageOutcome(
-                output.id,
-                times,
-                len(out_parts),
-                pending=output,
-                fingerprint=fingerprint,
-            )
-        self._maybe_admit(fingerprint, output)
-        for node_id, seconds in store_seconds.items():
-            per_node_io[node_id] = per_node_io.get(node_id, 0.0) + seconds
-        times = self._wall(
-            per_node_io,
-            per_node_compute,
-            0.0,
-            len(out_parts),
-            per_node_tasks,
-            consume_faults=True,
-        )
-        return StageOutcome(output.id, times, len(out_parts), fingerprint=fingerprint)
-
-    def _execute_wide_stage(
-        self,
-        stage: Stage,
-        input_dataset_id: str,
-        defer_store: bool = False,
-        fingerprint: Optional[str] = None,
-    ) -> StageOutcome:
-        """Wide head: gather all partitions (shuffle), then pipeline the rest."""
-        record = self.cluster.record(input_dataset_id)
-        head, rest = stage.ops[0], stage.ops[1:]
-        per_node_io: Dict[str, float] = {}
-        per_node_compute: Dict[str, float] = {}
-        per_node_tasks: Dict[str, int] = {}
-        payloads: List[Any] = []
-        total_bytes = 0
-        with self.cluster.protect([input_dataset_id]):
-            for index in range(record.num_partitions):
-                payload, seconds, node_id = self.cluster.load_partition(
-                    input_dataset_id, index
-                )
-                per_node_io[node_id] = per_node_io.get(node_id, 0.0) + seconds
-                per_node_tasks[node_id] = per_node_tasks.get(node_id, 0) + 1
-                payloads.append(payload)
-                total_bytes += record.partition_bytes[index]
-            # all-to-all shuffle: every byte crosses the network once; each
-            # node sends its share in parallel
-            share = total_bytes / max(1, self.cluster.num_workers)
-            network = self.cluster.cost_model.network_time(int(share))
-            head_cost = head.compute_cost(total_bytes)
-            # global computation is spread across the workers
-            per_worker_compute = self.cluster.cost_model.compute_time(
-                head_cost / self.cluster.num_workers
-            )
-            for node in self.cluster.alive_nodes:
-                per_node_compute[node.id] = (
-                    per_node_compute.get(node.id, 0.0) + per_worker_compute
-                )
-            # data plane: a prefetched wide stage already ran head + rest
-            # off-turn, so only the (identical) charges remain to be made
-            final_payloads: Optional[List[Any]] = None
-            if self.backend.has_prefetched(stage.id):
-                final_payloads = self.backend.take_prefetched(stage.id)
-            if final_payloads is None:
-                mid_payloads = self.backend.run_global(head, payloads)
-                nout = len(mid_payloads)
-            else:
-                nout = len(final_payloads)
-            out_total = head.output_bytes(total_bytes)
-            part_bytes = _split_bytes(out_total, nout)
-            out_bytes_list = [
-                self._charge_chain(
-                    rest,
-                    part_bytes[index],
-                    self.cluster.node_for_partition(index).id,
-                    per_node_compute,
-                )
-                for index in range(nout)
-            ]
-            if final_payloads is None:
-                final_payloads = (
-                    self.backend.map_chain(rest, mid_payloads)
-                    if rest
-                    else list(mid_payloads)
-                )
-            out_parts: List[Partition] = [
-                Partition("", index, payload, out_bytes_list[index])
-                for index, payload in enumerate(final_payloads)
-            ]
-            output = Dataset(
-                out_parts, dataset_id=f"d:{stage.tail.name}", producer=stage.tail.name
-            )
-            if not defer_store:
-                store_seconds = self.cluster.register_dataset(output)
-        if defer_store:
-            times = self._wall(
-                per_node_io,
-                per_node_compute,
-                network,
-                len(payloads),
-                per_node_tasks,
-                consume_faults=True,
-            )
-            return StageOutcome(
-                output.id,
-                times,
-                len(payloads),
-                pending=output,
-                fingerprint=fingerprint,
-            )
-        self._maybe_admit(fingerprint, output)
-        for node_id, seconds in store_seconds.items():
-            per_node_io[node_id] = per_node_io.get(node_id, 0.0) + seconds
-        times = self._wall(
-            per_node_io,
-            per_node_compute,
-            network,
-            len(payloads),
-            per_node_tasks,
-            consume_faults=True,
-        )
-        return StageOutcome(output.id, times, len(payloads), fingerprint=fingerprint)
 
     # ------------------------------------------------------------ evaluate
     def evaluate_pipelined(self, evaluator, dataset: Dataset) -> Tuple[float, StageTimes]:
@@ -858,13 +664,11 @@ class StageExecutor:
         re-read (they may not even be stored yet).  Only the evaluator's
         compute cost is charged.
         """
-        per_node_compute: Dict[str, float] = {}
+        tally = _Tally()
         for partition in dataset.partitions:
             node = self.cluster.node_for_partition(partition.index)
             cost = evaluator.cost_factor * partition.nominal_bytes
-            per_node_compute[node.id] = per_node_compute.get(node.id, 0.0) + (
-                self.cluster.cost_model.compute_time(cost)
-            )
+            tally.add_compute(node.id, self.cluster.cost_model.compute_time(cost))
         score = evaluator.score(dataset)
         self.cluster.obs.counter("choose_evaluations", dataset=dataset.id).inc()
         self.cluster.trace.emit(
@@ -873,7 +677,7 @@ class StageExecutor:
             dataset=dataset.id,
             pipelined=True,
         )
-        times = self._wall({}, per_node_compute, 0.0, 0)
+        times = self._wall(tally)
         self.cluster.obs.histogram(
             "choose_evaluation_seconds", dataset=dataset.id
         ).observe(times.total)
@@ -889,30 +693,20 @@ class StageExecutor:
         there.
         """
         record = self.cluster.record(dataset_id)
-        per_node_io: Dict[str, float] = {}
-        per_node_compute: Dict[str, float] = {}
-        per_node_tasks: Dict[str, int] = {}
+        tally = _Tally()
         parts: List[Partition] = []
-        with self.cluster.protect([dataset_id]):
-            for index in range(record.num_partitions):
-                payload, seconds, node_id = self.cluster.load_partition(dataset_id, index)
-                per_node_io[node_id] = per_node_io.get(node_id, 0.0) + seconds
-                per_node_tasks[node_id] = per_node_tasks.get(node_id, 0) + 1
-                nbytes = record.partition_bytes[index]
+        with self._gather([dataset_id], tally) as (loaded,):
+            for index, (payload, nbytes, node_id) in enumerate(loaded):
                 parts.append(Partition(dataset_id, index, payload, nbytes))
                 cost = evaluator.cost_factor * nbytes
-                per_node_compute[node_id] = per_node_compute.get(node_id, 0.0) + (
-                    self.cluster.cost_model.compute_time(cost)
-                )
+                tally.add_compute(node_id, self.cluster.cost_model.compute_time(cost))
         dataset = Dataset(parts, dataset_id=dataset_id, producer=record.producer)
         score = evaluator.score(dataset)
-        network = 0.0
         if self.config.evaluator_on_master:
             # ship the branch result to the master and evaluate serially
-            network = self.cluster.cost_model.network_time(record.nbytes)
-            serial = sum(per_node_compute.values())
-            per_node_compute = {"master": serial}
-            per_node_tasks = {"master": record.num_partitions}
+            tally.network = self.cluster.cost_model.network_time(record.nbytes)
+            tally.compute = {"master": sum(tally.compute.values())}
+            tally.tasks = {"master": record.num_partitions}
         self.cluster.obs.counter("choose_evaluations", dataset=dataset_id).inc()
         self.cluster.trace.emit(
             "choose_evaluation",
@@ -920,27 +714,8 @@ class StageExecutor:
             dataset=dataset_id,
             pipelined=False,
         )
-        times = self._wall(
-            per_node_io, per_node_compute, network, record.num_partitions, per_node_tasks
-        )
+        times = self._wall(tally)
         self.cluster.obs.histogram(
             "choose_evaluation_seconds", dataset=dataset_id
         ).observe(times.total)
         return score, times
-
-    def finalize_sink(self, sink: Sink, dataset_id: str) -> Tuple[Any, StageTimes]:
-        """Collect a dataset at the sink and run the sink function."""
-        record = self.cluster.record(dataset_id)
-        per_node_io: Dict[str, float] = {}
-        per_node_tasks: Dict[str, int] = {}
-        parts: List[Partition] = []
-        with self.cluster.protect([dataset_id]):
-            for index in range(record.num_partitions):
-                payload, seconds, node_id = self.cluster.load_partition(dataset_id, index)
-                per_node_io[node_id] = per_node_io.get(node_id, 0.0) + seconds
-                per_node_tasks[node_id] = per_node_tasks.get(node_id, 0) + 1
-                parts.append(Partition(dataset_id, index, payload, record.partition_bytes[index]))
-        dataset = Dataset(parts, dataset_id=dataset_id, producer=record.producer)
-        value = sink.finalize(dataset)
-        times = self._wall(per_node_io, {}, 0.0, record.num_partitions, per_node_tasks)
-        return value, times

@@ -14,6 +14,7 @@ master exactly as in the SEEP implementation.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -30,7 +31,7 @@ from ..core.datasets import Dataset, Partition
 from ..core.errors import FaultError, SchedulingError
 from ..core.explore import Branch, ExploreOperator
 from ..core.mdf import MDF, Scope
-from ..core.operators import Join, Operator, Sink, Source
+from ..core.operators import Operator, Sink
 from ..core.optimizations import make_pruner, plan_optimizations
 from ..core.stages import Stage, StageGraph
 from ..prof.spans import registry_categories
@@ -138,9 +139,11 @@ class Master:
         #: acc(d) must resolve a node slot's dataset to its live composite)
         self._composite_of: Dict[str, str] = {}
         #: dataset id -> lineage fingerprint of its content (result cache);
-        #: absent = uncacheable.  Rebuilt per run — entries in the shared
-        #: :class:`~repro.cache.ResultCache` are what survives across runs.
-        self._fp_of: Dict[str, str] = {}
+        #: None or absent = uncacheable.  Written where outputs are
+        #: registered (:meth:`_register_output`) and rebuilt per run —
+        #: entries in the shared :class:`~repro.cache.ResultCache` are what
+        #: survives across runs.
+        self._fp_of: Dict[str, Optional[str]] = {}
         #: operator name -> its fingerprint (None = unfingerprintable), so
         #: each operator's attributes/bytecode are hashed once per run
         self._op_fps: Dict[str, Optional[str]] = {}
@@ -269,9 +272,13 @@ class Master:
                 out.add(succ.name)
         return out
 
-    def _register_output(self, tail: Operator, dataset_id: str) -> None:
+    def _register_output(
+        self, tail: Operator, dataset_id: str, fingerprint: Optional[str]
+    ) -> None:
+        """Publish a stored dataset as ``tail``'s output, with its lineage."""
         self._output_of[tail.name] = dataset_id
         self._producer_op[dataset_id] = tail.name
+        self._fp_of[dataset_id] = fingerprint
         existing = self._consumers.get(dataset_id, set())
         self._consumers[dataset_id] = existing | self._effective_consumers(tail)
         if tail.name in self.config.pin_producers:
@@ -326,56 +333,31 @@ class Master:
         uncacheable, recorded as a ``cache_miss`` with reason
         ``"unfingerprintable"``.
         """
-        cache = self.config.cache
-        if cache is None:
+        if self.config.cache is None:
             return None
-        input_fps: List[str] = []
-        for input_id in input_ids:
-            fp = self._fp_of.get(input_id)
+        # inputs first, then the chain, stopping at the first hole (lazily:
+        # nothing behind an unfingerprintable input is ever hashed)
+        fps: List[str] = []
+        for fp in itertools.chain(
+            map(self._fp_of.get, input_ids), map(self._operator_fp, stage.ops)
+        ):
             if fp is None:
-                self._note_uncacheable(stage)
+                self.executor._note_miss(stage, None, "unfingerprintable")
                 return None
-            input_fps.append(fp)
-        op_fps: List[str] = []
-        for op in stage.ops:
-            fp = self._operator_fp(op)
-            if fp is None:
-                self._note_uncacheable(stage)
-                return None
-            op_fps.append(fp)
-        head = stage.head
-        if isinstance(head, Source):
-            kind = "source"
+            fps.append(fp)
+        input_fps, op_fps = fps[: len(input_ids)], fps[len(input_ids) :]
+        if stage.kind == "source":
             layout = self.cluster.num_workers * self.config.partitions_per_worker
-        elif isinstance(head, Join):
-            kind, layout = "join", self.cluster.num_workers
-        elif head.narrow:
+        elif stage.kind == "narrow":
             # narrow stages inherit their input's partitioning untouched
-            kind, layout = "narrow", None
+            layout = None
         else:
-            kind, layout = "wide", self.cluster.num_workers
-        return stage_fingerprint(kind, op_fps, input_fps, layout)
+            layout = self.cluster.num_workers
+        return stage_fingerprint(stage.kind, op_fps, input_fps, layout)
 
-    def _note_uncacheable(self, stage: Stage) -> None:
-        cache = self.config.cache
-        cache.stats.misses += 1
-        self.cluster.obs.counter("cache_misses").inc()
-        self.cluster.trace.emit(
-            "cache_miss", stage=stage.id, fingerprint=None, reason="unfingerprintable"
-        )
-
-    def _note_fingerprint(self, dataset_id: Optional[str], fingerprint: Optional[str]) -> None:
-        """Record (or clear) the fingerprint of a just-produced dataset."""
-        if dataset_id is None:
-            return
-        if fingerprint is None:
-            self._fp_of.pop(dataset_id, None)
-        else:
-            self._fp_of[dataset_id] = fingerprint
-
-    def _note_choose_fingerprint(
-        self, output_id: str, kept_ids: List[str], runtime: "_ScopeRuntime"
-    ) -> None:
+    def _choose_fingerprint(
+        self, kept_ids: List[str], runtime: "_ScopeRuntime"
+    ) -> Optional[str]:
         """Derive a choose output's fingerprint from its kept members.
 
         The choose itself moves no data (Definition 3.3), so its output's
@@ -384,19 +366,12 @@ class Master:
         layout depends on the cluster rather than on lineage — makes the
         output uncacheable downstream.
         """
-        if self.config.cache is None:
-            return
-        member_fps: List[str] = []
-        for branch_id in kept_ids:
-            fp = self._fp_of.get(runtime.tail_dataset[branch_id])
-            if fp is None:
-                member_fps = []
-                break
-            member_fps.append(fp)
-        if not member_fps:
-            self._fp_of.pop(output_id, None)
-        else:
-            self._fp_of[output_id] = choose_fingerprint(member_fps)
+        member_fps = [
+            self._fp_of.get(runtime.tail_dataset[branch_id]) for branch_id in kept_ids
+        ]
+        if not member_fps or None in member_fps:
+            return None
+        return choose_fingerprint(member_fps)
 
     # ------------------------------------------------------------ main loop
     def run(self) -> JobResult:
@@ -479,22 +454,15 @@ class Master:
         if not backend.supports_prefetch or self.config.failures is not None:
             return
         for stage in ready:
-            if stage.id == chosen.id or stage.is_choose or stage.is_explore:
-                continue
-            head = stage.head
-            if isinstance(head, (Source, Join)):
+            if stage.id == chosen.id or stage.kind not in ("narrow", "wide"):
                 continue
             if backend.has_prefetched(stage.id):
                 continue
-            preds = list(self.mdf.pre(head))
-            if len(preds) != 1:
-                continue
-            input_id = self._output_of.get(preds[0].name)
-            if input_id is None or not self.cluster.has_dataset(input_id):
+            (input_id,) = self._stage_inputs(stage)
+            if not self.cluster.has_dataset(input_id):
                 continue
             payloads = self.cluster.peek_payloads(input_id)
-            kind = "narrow" if head.narrow else "wide"
-            backend.prefetch_stage(stage.id, kind, stage.ops, payloads)
+            backend.prefetch_stage(stage.id, stage.kind, stage.ops, payloads)
 
     def _maybe_fail(self, stage_index: int) -> None:
         """Fire due injected failures and *pay* for them (§5).
@@ -552,28 +520,51 @@ class Master:
             raise FaultError(f"injected failure(s) never fired: {detail}")
 
     # --------------------------------------------------------- stage kinds
+    def _stage_inputs(self, stage: Stage) -> List[str]:
+        """Dataset ids the stage's head reads, in operand order.
+
+        ``[]`` for a source, ``[pred]`` for every single-input head
+        (explore included) and ``[left, right]`` for a join.  The one place
+        that knows where a stage's inputs come from: execution, prefetch,
+        fingerprinting and recovery re-execution all ask here.
+        """
+        head = stage.head
+        if stage.kind == "join":
+            if len(head.input_names) != 2:
+                raise SchedulingError(
+                    f"join {head.name!r} was not wired through Pipe.join"
+                )
+            names = head.input_names
+        else:
+            names = [pred.name for pred in self.mdf.pre(head)]
+            if len(names) > 1:
+                raise SchedulingError(
+                    f"non-choose operator {head.name!r} has multiple inputs"
+                )
+        try:
+            return [self._output_of[name] for name in names]
+        except KeyError as exc:
+            raise SchedulingError(
+                f"input {exc} of stage {stage.id} not yet produced"
+            ) from None
+
     def _execute_stage(self, stage: Stage) -> None:
         started = self.cluster.clock.now
         head = stage.head
-        if stage.is_explore:
+        input_ids = self._stage_inputs(stage)
+        if stage.kind == "explore":
             # Definition 3.2: explore forwards its input dataset zero-copy.
-            (pred,) = self.mdf.pre(head)
-            self._output_of[head.name] = self._output_of[pred.name]
+            (self._output_of[head.name],) = input_ids
             self._advance(StageTimes(overhead=self.config.task_overhead), stage, started)
             self._mark_done(stage)
             return
-        if isinstance(head, Join):
-            self._execute_join_stage(stage, started)
-            return
-        input_id = self._stage_input(stage)
         # A branch-tail stage under incremental choose defers its store:
         # the evaluator pipelines with the stage (§4.2) and losing results
         # are never materialised at all (R3).
-        entry = self._tail_stage_to_branch.get(stage.id)
         defer = (
-            entry is not None
+            stage.id in self._tail_stage_to_branch
             and self.config.incremental_choose
-            and input_id is not None
+            and bool(input_ids)
         )
         # AMM must see the future consumers of the output *while* it is
         # being stored, or the store itself would evict the fresh
@@ -581,83 +572,25 @@ class Master:
         self._consumers.setdefault(
             f"d:{stage.tail.name}", set()
         ).update(self._effective_consumers(stage.tail))
-        fingerprint = self._stage_fingerprint(
-            stage, [input_id] if input_id is not None else []
-        )
+        fingerprint = self._stage_fingerprint(stage, input_ids)
         outcome = self.executor.execute(
-            stage, input_id, defer_store=defer, fingerprint=fingerprint
+            stage, input_ids, defer_store=defer, fingerprint=fingerprint
         )
         self.cluster.trace.emit(
             "task_dispatched", stage=stage.id, num_tasks=outcome.num_tasks
         )
         self._advance(outcome.times, stage, started)
-        self.cluster.metrics.stages_executed += 1
-        if input_id is not None:
+        self.cluster.obs.counter("stages_executed").inc()
+        for input_id in input_ids:
             self._consume(input_id, head)
         self._mark_done(stage)
         if defer:
-            self._settle_deferred_tail(stage, outcome)
+            self._settle_deferred_tail(stage, outcome, fingerprint)
             return
-        self._register_output(stage.tail, outcome.output_dataset_id)
-        self._note_fingerprint(outcome.output_dataset_id, outcome.fingerprint)
+        self._register_output(stage.tail, outcome.output_dataset_id, fingerprint)
         self._maybe_checkpoint(outcome.output_dataset_id)
-        self._finalize_sinks(stage, outcome.output_dataset_id)
+        self._collect_sink_outputs(stage, outcome.output_dataset_id)
         self._after_stage(stage, outcome.output_dataset_id)
-
-    def _execute_join_stage(self, stage: Stage, started: float) -> None:
-        head = stage.head
-        assert isinstance(head, Join)
-        if len(head.input_names) != 2:
-            raise SchedulingError(
-                f"join {head.name!r} was not wired through Pipe.join"
-            )
-        try:
-            left_id, right_id = (self._output_of[n] for n in head.input_names)
-        except KeyError as exc:
-            raise SchedulingError(
-                f"join input {exc} of stage {stage.id} not yet produced"
-            ) from None
-        entry = self._tail_stage_to_branch.get(stage.id)
-        defer = entry is not None and self.config.incremental_choose
-        self._consumers.setdefault(
-            f"d:{stage.tail.name}", set()
-        ).update(self._effective_consumers(stage.tail))
-        fingerprint = self._stage_fingerprint(stage, [left_id, right_id])
-        outcome = self.executor.execute_join(
-            stage, left_id, right_id, defer_store=defer, fingerprint=fingerprint
-        )
-        self.cluster.trace.emit(
-            "task_dispatched", stage=stage.id, num_tasks=outcome.num_tasks
-        )
-        self._advance(outcome.times, stage, started)
-        self.cluster.metrics.stages_executed += 1
-        for input_id in (left_id, right_id):
-            self._consume(input_id, head)
-        self._mark_done(stage)
-        if defer:
-            self._settle_deferred_tail(stage, outcome)
-            return
-        self._register_output(stage.tail, outcome.output_dataset_id)
-        self._note_fingerprint(outcome.output_dataset_id, outcome.fingerprint)
-        self._maybe_checkpoint(outcome.output_dataset_id)
-        self._finalize_sinks(stage, outcome.output_dataset_id)
-        self._after_stage(stage, outcome.output_dataset_id)
-
-    def _stage_input(self, stage: Stage) -> Optional[str]:
-        preds = self.mdf.pre(stage.head)
-        if not preds:
-            return None
-        if len(preds) > 1:
-            raise SchedulingError(
-                f"non-choose operator {stage.head.name!r} has multiple inputs"
-            )
-        (pred,) = preds
-        try:
-            return self._output_of[pred.name]
-        except KeyError:
-            raise SchedulingError(
-                f"input of stage {stage.id} ({pred.name!r}) not yet produced"
-            ) from None
 
     def _maybe_checkpoint(self, output_dataset_id: Optional[str]) -> None:
         """Charge the periodic checkpoint write of a stage output (§5)."""
@@ -688,13 +621,17 @@ class Master:
             StageTimes(io=seconds), None, self.cluster.clock.now, activity="checkpoint"
         )
 
-    def _finalize_sinks(self, stage: Stage, output_dataset_id: Optional[str]) -> None:
+    def _collect_sink_outputs(
+        self, stage: Stage, output_dataset_id: Optional[str]
+    ) -> None:
         for op in stage.ops:
             if isinstance(op, Sink) and output_dataset_id is not None:
                 dataset = self.cluster.materialize(output_dataset_id)
                 self.result.outputs[op.name] = op.finalize(dataset)
 
-    def _settle_deferred_tail(self, stage: Stage, outcome) -> None:
+    def _settle_deferred_tail(
+        self, stage: Stage, outcome, fingerprint: Optional[str]
+    ) -> None:
         """Score a just-produced branch result and store it only if kept.
 
         The evaluator runs in-flight on the pending dataset; the master's
@@ -746,7 +683,7 @@ class Master:
             runtime.alive.add(branch.id)
             store_started = self.cluster.clock.now
             store_times = self.executor.commit_store(
-                outcome.pending, fingerprint=outcome.fingerprint
+                outcome.pending, fingerprint=fingerprint
             )
             self._advance(
                 store_times,
@@ -756,8 +693,7 @@ class Master:
                 branch=branch.id,
             )
             runtime.tail_dataset[branch.id] = outcome.pending.id
-            self._register_output(stage.tail, outcome.pending.id)
-            self._note_fingerprint(outcome.pending.id, outcome.fingerprint)
+            self._register_output(stage.tail, outcome.pending.id, fingerprint)
             self._maybe_checkpoint(outcome.pending.id)
         ordered = runtime.note_evaluation_order(branch.index)
         can_prune = self.config.pruning and runtime.plan.prune_superfluous
@@ -995,10 +931,12 @@ class Master:
         """Concatenate the kept branch datasets (Definition 3.3's ``⊕``)."""
         choose = runtime.choose
         downstream = self._effective_consumers(choose)
+        fingerprint = self._choose_fingerprint(kept_ids, runtime)
         if len(kept_ids) == 1:
-            # single winner: alias the dataset, no copy
+            # single winner: alias the dataset, no copy — only its lineage
+            # changes (downstream now reads it as the choose's output)
             dataset_id = runtime.tail_dataset[kept_ids[0]]
-            self._note_choose_fingerprint(dataset_id, kept_ids, runtime)
+            self._fp_of[dataset_id] = fingerprint
             consumers = self._consumers.setdefault(dataset_id, set())
             consumers.discard(choose.name)
             consumers |= downstream
@@ -1014,8 +952,7 @@ class Master:
                 Partition(empty.id, p.index, p.data, 1) for p in empty.partitions
             ]
             self.cluster.register_dataset(empty)
-            self._register_output(choose, empty.id)
-            self._note_choose_fingerprint(empty.id, kept_ids, runtime)
+            self._register_output(choose, empty.id, fingerprint)
             return empty.id
         # multiple winners: fuse the kept datasets into one zero-copy
         # composite — the selection function runs at the master and only
@@ -1031,8 +968,7 @@ class Master:
             self._composite_of[base] = comp_id
         for member_id in member_ids:
             self._consumers.pop(member_id, None)
-        self._register_output(choose, comp_id)
-        self._note_choose_fingerprint(comp_id, kept_ids, runtime)
+        self._register_output(choose, comp_id, fingerprint)
         return comp_id
 
     # ------------------------------------------------------------- timing

@@ -35,7 +35,6 @@ from typing import Dict, List, Optional, Set, TYPE_CHECKING
 from ..cluster.cluster import FailureReport
 from ..cluster.node import PartitionKey
 from ..core.errors import FaultError
-from ..core.operators import Join, Source
 from ..core.stages import Stage
 from .executor import StageTimes
 
@@ -273,24 +272,20 @@ class RecoveryManager:
     ) -> str:
         """Re-run one stage and land its output in the existing record.
 
-        Inputs are secured *first* (recursively recomputing or transiently
-        rebuilding them), then ``stage_reexecuted`` is emitted, so by the
-        time the bridge re-attributes metrics to this stage every read it
-        performs is backed by real data — exactly what
+        Re-enters the very :meth:`StageExecutor.execute` a first-class
+        stage runs through, over the inputs the master's ``_stage_inputs``
+        names.  Those are secured *first* (recursively recomputing or
+        transiently rebuilding them), then ``stage_reexecuted`` is emitted,
+        so by the time the bridge re-attributes metrics to this stage every
+        read it performs is backed by real data — exactly what
         ``check_recovery_sound`` verifies.
         """
         master = self.master
         cluster = self.cluster
-        head = stage.head
-        input_ids: List[str] = []
-        if isinstance(head, Source):
-            pass
-        elif isinstance(head, Join):
-            for name in head.input_names:
-                input_ids.append(self._ensure_available(master._output_of[name]))
-        else:
-            (pred,) = master.mdf.pre(head)
-            input_ids.append(self._ensure_available(master._output_of[pred.name]))
+        input_ids = [
+            self._ensure_available(input_id)
+            for input_id in master._stage_inputs(stage)
+        ]
         cluster.trace.emit(
             "stage_reexecuted",
             stage=stage.id,
@@ -312,23 +307,16 @@ class RecoveryManager:
         with cluster.obs.label_context(stage=stage.id, branch=stage.branch_id):
             cluster.obs.counter("stages_reexecuted").inc()
             started = cluster.clock.now
-            if isinstance(head, Source):
+            if stage.kind == "source":
                 # sources re-read the job input and re-register wholesale
                 # (the partition count may have changed after a decommission);
                 # drop the holed record first so no surviving slot leaks
                 if cluster.has_dataset(into_id):
                     cluster.discard_dataset(into_id)
-                outcome = self.executor.execute(stage, None)
+                outcome = self.executor.execute(stage, input_ids)
                 produced_id = outcome.output_dataset_id
             else:
-                if isinstance(head, Join):
-                    outcome = self.executor.execute_join(
-                        stage, input_ids[0], input_ids[1], defer_store=True
-                    )
-                else:
-                    outcome = self.executor.execute(
-                        stage, input_ids[0], defer_store=True
-                    )
+                outcome = self.executor.execute(stage, input_ids, defer_store=True)
                 if transient:
                     store_times = self.executor.commit_store(outcome.pending)
                     self._transients.append(outcome.pending.id)
@@ -342,7 +330,7 @@ class RecoveryManager:
             cluster.trace.emit(
                 "task_dispatched", stage=stage.id, num_tasks=outcome.num_tasks
             )
-            cluster.metrics.stages_executed += 1
+            cluster.obs.counter("stages_executed").inc()
             master._advance(outcome.times, stage, started)
             if missing:
                 self._note_recovered(into_id, missing)

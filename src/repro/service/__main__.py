@@ -46,7 +46,7 @@ import sys
 import time
 from typing import Any, Dict, List, Optional, TextIO
 
-from .jobs import DONE, FAILED
+from .jobs import DONE, FAILED, check_backend
 from .service import JobService
 
 USAGE = """\
@@ -64,7 +64,6 @@ serve options:
   --slots N             admission window (default: workers)
   --tenant NAME:WEIGHT  pre-register a tenant weight (repeatable)
   --quota-bytes N       per-tenant shared-cache byte quota
-  --backend NAME        default execution backend (serial|mp)
   --max-idle SECONDS    exit after this much inbox+queue silence (default 5)
   --once                drain the current inbox, then exit
   --no-validate         skip the per-job trace validators
@@ -74,7 +73,8 @@ submit options:
   --workload NAME       lab-zoo workload name (required)
   --scheduler NAME      scheduler policy (default bas)
   --memory NAME         eviction policy (default amm)
-  --backend NAME        execution backend (default serial)
+  --backend NAME        execution backend (default serial; mp is
+                        rejected: pool workers cannot fork a pool)
   --cost X              fair-share cost hint (default 1.0)
 
 status options:
@@ -161,7 +161,11 @@ def _ingest(service: JobService, spool: str, out: TextIO) -> int:
         if not workload:
             out.write(f"bad ticket {name}: no workload\n")
             continue
-        job_id = service.submit(tenant, workload, **ticket)
+        try:
+            job_id = service.submit(tenant, workload, **ticket)
+        except ValueError as exc:
+            out.write(f"bad ticket {name}: {exc}\n")
+            continue
         out.write(f"{job_id}  tenant={tenant}  workload={workload}\n")
         count += 1
     return count
@@ -172,7 +176,6 @@ def cmd_serve(argv: List[str], spool: str, out: TextIO) -> int:
     workers = int(_pop_opt(argv, "--workers") or 2)
     slots = _pop_opt(argv, "--slots")
     quota = _pop_opt(argv, "--quota-bytes")
-    backend = _pop_opt(argv, "--backend")
     max_idle = float(_pop_opt(argv, "--max-idle") or 5.0)
     once = _pop_flag(argv, "--once")
     validate = not _pop_flag(argv, "--no-validate")
@@ -236,6 +239,11 @@ def cmd_submit(argv: List[str], spool: str, out: TextIO) -> int:
         ticket["cost"] = float(cost)
     if argv:
         out.write(f"unknown submit arguments: {argv}\n")
+        return 2
+    try:
+        check_backend(ticket.get("backend", "serial"))
+    except ValueError as exc:
+        out.write(f"{exc}\n")
         return 2
     path = _write_ticket(spool, ticket)
     out.write(f"queued ticket {os.path.basename(path)}\n")

@@ -18,12 +18,35 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Optional
 
-__all__ = ["JobRecord", "JobSpec", "QUEUED", "RUNNING", "DONE", "FAILED"]
+__all__ = [
+    "JobRecord",
+    "JobSpec",
+    "check_backend",
+    "QUEUED",
+    "RUNNING",
+    "DONE",
+    "FAILED",
+]
 
 QUEUED = "queued"
 RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
+
+
+def check_backend(backend: str) -> None:
+    """Reject an execution backend no service job can run under.
+
+    Jobs run in daemonic pool workers, and a daemonic process may not
+    fork the ``mp`` backend's process pool ("daemonic processes are not
+    allowed to have children") — refuse at submission rather than fail
+    the job with that traceback.
+    """
+    if backend == "mp":
+        raise ValueError(
+            "backend 'mp' cannot run inside a service job: pool workers are "
+            "daemonic and may not start a process pool of their own"
+        )
 
 
 @dataclass

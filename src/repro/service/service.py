@@ -4,8 +4,10 @@
 them through the weighted fair-share queue
 (:class:`~repro.service.queue.FairShareQueue`), and runs up to
 ``workers`` jobs **concurrently in real processes** (a fork-context
-pool; each job is one ``run_mdf`` call in a worker — the PR8 ``mp``
-backend can additionally parallelise *within* a job).  All jobs share
+pool; each job is one ``run_mdf`` call in a worker, on the ``serial``
+backend — the ``mp`` backend is rejected at :meth:`JobService.submit`,
+because a daemonic pool worker may not fork a pool of its own).  All
+jobs share
 one :class:`~repro.cache.SharedCacheStore` directory, so one tenant's
 exploration warms every other tenant's cache, deduplicated in flight
 and bounded per tenant by byte quotas.
@@ -32,7 +34,7 @@ import tempfile
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from .jobs import DONE, FAILED, QUEUED, RUNNING, JobRecord, JobSpec
+from .jobs import DONE, FAILED, QUEUED, RUNNING, JobRecord, JobSpec, check_backend
 from .obs import ServiceObs
 from .queue import FairShareQueue, QueuedJob
 from .worker import run_job
@@ -122,9 +124,11 @@ class JobService:
         **overrides: Any,
     ) -> str:
         """Queue one job; returns its id.  ``overrides`` patch the spec
-        (``scheduler``, ``memory``, ``backend``, ``validate``, ...)."""
+        (``scheduler``, ``memory``, ``validate``, ...); ``backend="mp"``
+        raises :class:`ValueError` (see :func:`~.jobs.check_backend`)."""
         if self._closed:
             raise RuntimeError("service is closed")
+        check_backend(overrides.get("backend", "serial"))
         self._next_id += 1
         job_id = f"job-{self._next_id:04d}"
         spec = JobSpec(

@@ -237,3 +237,33 @@ class TestResultCacheIntegration:
             obs.value("cache_cross_tenant_hits", policy="alice->bob")
             == warm_cache.stats.cross_tenant_hits
         )
+
+    def test_unfingerprintable_miss_counts_for_the_tenant(self, tmp_path):
+        """Every miss moves the tenant series — including the stage that
+        cannot be fingerprinted at all — so per-tenant hits + misses sum
+        to the job's."""
+        from repro import MB, MDFBuilder
+
+        handle = (x for x in range(3))  # no canonical content: uncacheable
+
+        def with_handle(xs):
+            return [x + 1 for x in xs if handle is not None]
+
+        b = MDFBuilder("opaque")
+        (
+            b.read_data(list(range(40)), name="src", nominal_bytes=8 * MB)
+            .transform(lambda xs: [x * 2 for x in xs], name="dbl")
+            .aggregate(with_handle, name="opaque")
+            .write(name="out")
+        )
+        cache = ResultCache(store=SharedCacheStore(str(tmp_path), tenant="alice"))
+        cluster = fresh_cluster()
+        run_mdf(b.build(), cluster, config=EngineConfig(cache=cache), validate=True)
+        events = cluster.trace.filter("cache_miss")
+        assert "unfingerprintable" in {e.data["reason"] for e in events}
+        obs = cluster.obs
+        tenant_total = obs.value("cache_tenant_hits", policy="alice") + obs.value(
+            "cache_tenant_misses", policy="alice"
+        )
+        assert tenant_total == cache.stats.hits + cache.stats.misses
+        assert obs.value("cache_tenant_misses", policy="alice") == cache.stats.misses

@@ -196,12 +196,12 @@ class TestFaultDrainScope:
         cluster = Cluster(2, 1 * GB)
         sg = StageGraph(_wide_mdf())
         executor = StageExecutor(cluster, EngineConfig())
-        first = executor.execute(sg.stages[0], None)
+        first = executor.execute(sg.stages[0], [])
         executor.inject_task_faults({"worker-0": 2})
         evaluator = CallableEvaluator(lambda xs: float(len(xs)), name="count")
         executor.evaluate_branch(evaluator, first.output_dataset_id)
         assert executor._pending_task_faults == {"worker-0": 2}
-        second = executor.execute(sg.stages[1], first.output_dataset_id)
+        second = executor.execute(sg.stages[1], [first.output_dataset_id])
         assert executor._pending_task_faults == {}
         assert second.times.compute > 0
 
@@ -209,19 +209,19 @@ class TestFaultDrainScope:
         clean_cluster = Cluster(2, 1 * GB)
         clean_sg = StageGraph(_wide_mdf())
         clean_exec = StageExecutor(clean_cluster, EngineConfig())
-        clean_first = clean_exec.execute(clean_sg.stages[0], None)
+        clean_first = clean_exec.execute(clean_sg.stages[0], [])
         clean_second = clean_exec.execute(
-            clean_sg.stages[1], clean_first.output_dataset_id
+            clean_sg.stages[1], [clean_first.output_dataset_id]
         )
 
         cluster = Cluster(2, 1 * GB)
         sg = StageGraph(_wide_mdf())
         executor = StageExecutor(cluster, EngineConfig())
-        first = executor.execute(sg.stages[0], None)
+        first = executor.execute(sg.stages[0], [])
         executor.inject_task_faults({"worker-0": 2})
         evaluator = CallableEvaluator(lambda xs: float(len(xs)), name="count")
         executor.evaluate_branch(evaluator, first.output_dataset_id)
-        second = executor.execute(sg.stages[1], first.output_dataset_id)
+        second = executor.execute(sg.stages[1], [first.output_dataset_id])
         # the retried attempts + backoff land on the stage, not the choose
         assert second.times.compute > clean_second.times.compute
         retried = [e for e in cluster.trace.events if e.kind == "task_retried"]
@@ -297,8 +297,8 @@ class TestByteSplit:
         )
         sg = StageGraph(b.build())
         executor = StageExecutor(cluster, EngineConfig())
-        first = executor.execute(sg.stages[0], None)
-        second = executor.execute(sg.stages[1], first.output_dataset_id)
+        first = executor.execute(sg.stages[0], [])
+        second = executor.execute(sg.stages[1], [first.output_dataset_id])
         record = cluster.record(second.output_dataset_id)
         assert record.num_partitions == 3
         assert sum(record.partition_bytes) == 10  # == output_bytes(100)

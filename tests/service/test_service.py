@@ -97,6 +97,29 @@ class TestJobService:
             with pytest.raises(TypeError):
                 service.submit("t", "filter_min", not_a_field=1)
 
+    def test_mp_backend_rejected_at_submission(self, tmp_path):
+        """A daemonic pool worker cannot fork the mp backend's own pool:
+        refused up front (API, CLI flag, hand-written ticket) with a
+        one-line reason, not run into a 20-frame traceback."""
+        spool = str(tmp_path)
+        with JobService(workers=1, spool=spool) as service:
+            with pytest.raises(ValueError, match="daemonic"):
+                service.submit("t", "filter_min", backend="mp")
+            assert not service.records and not service.queue.backlog
+        out = io.StringIO()
+        argv = ["--spool", spool, "--workload", "filter_min", "--backend", "mp"]
+        assert service_main(["submit"] + argv, out=out) == 2
+        assert "daemonic" in out.getvalue()
+        inbox = os.path.join(spool, "inbox")
+        assert not os.path.isdir(inbox) or not os.listdir(inbox)
+        os.makedirs(inbox, exist_ok=True)
+        with open(os.path.join(inbox, "t.json"), "w") as fh:
+            json.dump({"workload": "filter_min", "backend": "mp"}, fh)
+        out = io.StringIO()
+        assert service_main(["serve", "--spool", spool, "--once"], out=out) == 0
+        assert "bad ticket t.json" in out.getvalue()
+        assert "served 0 job(s)" in out.getvalue()
+
     def test_submit_after_close_rejected(self, tmp_path):
         service = JobService(workers=1, spool=str(tmp_path))
         service.close()
