@@ -1,5 +1,5 @@
 """Command-line entry: ``python -m repro.bench [--validate] [--telemetry]
-[--wallclock] [--wallclock-backends] [--loadgen] [figure ...]``.
+[--profile] [--live] [figure ...]``.
 
 Regenerates the requested tables/figures (all of them by default),
 printing the paper-style rows and the shape-check verdicts.  With
@@ -8,19 +8,7 @@ figures additionally runs the paper-invariant trace validators
 (:mod:`repro.trace.validate`) and aborts on the first violation.  With
 ``--telemetry``, prints the observability demo report (Fig 17-style
 timelines, per-branch/node attribution, Prometheus and JSON expositions)
-— on its own it replaces the figure run.  With ``--wallclock``, runs the
-result-cache cold/warm wall-clock microbenchmark and writes
-``BENCH_pr4.json`` — on its own it replaces the figure run.  With
-``--wallclock-backends``, runs the serial-vs-mp execution-backend
-comparison on the compute-dominated figures and writes ``BENCH_pr8.json``
-— on its own it replaces the figure run, and any simulated divergence
-between the backends fails the bench.  With ``--loadgen`` (or the
-CI-sized ``--loadgen-quick``), drives the multi-tenant job service with
-a mixed-tenant load and writes ``BENCH_pr10.json`` (per-tenant fairness
-shares, SLO attainment, replay-parity verdicts included) — on its own
-it replaces the figure run, and any solo-run identity breach, validator
-violation, missing cross-tenant reuse, service replay-parity mismatch
-or fairness alert fails the bench.  With
+— on its own it replaces the figure run.  With
 ``--profile``, every figure run is profiled (:mod:`repro.prof`): a
 per-figure makespan-attribution table is printed after each figure and a
 speedscope flamegraph of each figure's longest run is written to
@@ -29,7 +17,8 @@ streams its trace through :mod:`repro.live` (progress/ETA estimator +
 watchdogs): the stream/batch byte-identity verdict, final progress line
 and alert summary are printed per figure and the longest run's NDJSON is
 written to ``LIVE_<figure>.ndjson``; a byte-identity mismatch fails the
-bench.
+bench.  Everything here is on the simulated clock; wall-clock numbers
+come from ``python benchmarks/wall/run.py``.
 """
 
 from __future__ import annotations
@@ -51,55 +40,6 @@ def main(argv) -> int:
         from .telemetry import telemetry_report
 
         print(telemetry_report())
-        if not argv:
-            return 0
-    wallclock = "--wallclock" in argv
-    if wallclock:
-        argv = [a for a in argv if a != "--wallclock"]
-        from .wallclock import render_wallclock, run_wallclock
-
-        report = run_wallclock()
-        print(render_wallclock(report))
-        print("wrote BENCH_pr4.json")
-        if report["wall_reduction_pct_overall"] <= 0.0:
-            print("wall-clock regression: warm run was not faster")
-            return 1
-        if not argv:
-            return 0
-    loadgen = "--loadgen" in argv or "--loadgen-quick" in argv
-    if loadgen:
-        quick = "--loadgen-quick" in argv
-        argv = [a for a in argv if a not in ("--loadgen", "--loadgen-quick")]
-        from .loadgen import render_loadgen, run_loadgen
-
-        if quick:  # CI-sized: 2 tenants, smoke-scale job counts
-            report = run_loadgen(
-                tenants=(2,), jobs_per_tenant=2, overlaps=(0.0, 1.0)
-            )
-        else:
-            report = run_loadgen()
-        print(render_loadgen(report))
-        print("wrote BENCH_pr10.json")
-        if not report["ok"]:
-            print(
-                "loadgen failure: identity breach, validator violation, "
-                "no cross-tenant reuse, replay-parity mismatch, or "
-                "fairness alert"
-            )
-            return 1
-        if not argv:
-            return 0
-    wallclock_backends = "--wallclock-backends" in argv
-    if wallclock_backends:
-        argv = [a for a in argv if a != "--wallclock-backends"]
-        from .parallel import render_backend_wallclock, run_backend_wallclock
-
-        report = run_backend_wallclock()
-        print(render_backend_wallclock(report))
-        print("wrote BENCH_pr8.json")
-        if not report["all_identical"]:
-            print("backend identity violation: mp diverged from serial")
-            return 1
         if not argv:
             return 0
     profile = "--profile" in argv

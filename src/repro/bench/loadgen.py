@@ -1,433 +1,17 @@
-"""Load generator for the multi-tenant job service (PR9).
+"""Exact percentile on the 0-100 scale.
 
-Drives :class:`~repro.service.JobService` the way real tenants would —
-many submissions, mixed workloads, a shared cross-tenant cache — and
-measures what a service operator cares about:
-
-* **throughput** — jobs/sec over the whole run;
-* **latency** — exact (nearest-rank) p50/p99 submission-to-completion
-  wall seconds;
-* **cross-tenant reuse** — shared-store hits on entries another tenant
-  computed, as a function of tenant count and workload *overlap* (the
-  fraction of each tenant's jobs that target the shared compute-heavy
-  ``dl_grid`` workload instead of the tenant's private one);
-* **concurrency** — the same job set run serially vs on a worker pool
-  (honest about ``os.cpu_count()``: a 1-core box shows no speedup).
-
-With the PR10 observability plane on (the default), every scenario also
-reports the service-altitude verdicts:
-
-* **replay parity** — the service registry rebuilt from
-  ``service_events.ndjson`` + the per-job NDJSON streams must satisfy
-  ``diff_registries == []`` on every scenario;
-* **fairness** — per-tenant achieved vs entitled weighted share from
-  the SFQ virtual-clock audit, with zero fairness alerts on clean runs;
-* **SLO attainment** — per-tenant attainment against the loadgen's
-  default objective (:data:`DEFAULT_SLOS`).
-
-The two hard invariants are asserted on every single job and reported
-as verdict lines (CI greps them):
-
-* every job's sink outputs are **byte-identical to a solo run** of the
-  same workload (:func:`~repro.service.worker.outputs_digest`);
-* every job's trace passes **all seven paper validators** (zero
-  violations).
-
-``python -m repro.bench --loadgen`` runs everything and writes
-``BENCH_pr10.json``; ``--loadgen-quick`` is the CI-sized variant.
+The module keeps this name because ``benchmarks/wall/test_harness.py``
+checks the harness's own percentile against
+``repro.bench.loadgen.percentile``.
 """
 
-from __future__ import annotations
+from typing import Optional, Sequence
 
-import json
-import math
-import os
-import time
-from typing import Any, Dict, List, Optional, Sequence
+from ..obs.registry import nearest_rank
 
-from ..lab.workloads import get_workload
-from ..service import (
-    DONE,
-    JobService,
-    replay_service_registry,
-    service_registry_diff,
-)
-
-__all__ = ["DEFAULT_SLOS", "percentile", "run_loadgen", "render_loadgen"]
-
-SHARED_WORKLOAD = "dl_grid"
-PRIVATE_WORKLOADS = [f"svc_private_t{i}" for i in range(4)]
-
-#: the loadgen's default per-tenant objective — generous latency bound,
-#: so a clean run attains 1.0 and any burn alert is a real regression
-DEFAULT_SLOS = {"*": {"latency_s": 300.0, "target": 0.9}}
+__all__ = ["percentile"]
 
 
 def percentile(values: Sequence[float], q: float) -> Optional[float]:
-    """Exact nearest-rank percentile (no interpolation, no numpy)."""
-    if not values:
-        return None
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
-
-
-def _obs_verdict(service: JobService) -> Dict[str, Any]:
-    """The service-plane verdicts of one drained run: replay parity,
-    per-tenant fairness shares, SLO attainment, alert counts."""
-    obs = service.obs
-    if obs is None:
-        return {"enabled": False}
-    replayed = replay_service_registry(service.spool)
-    parity = service_registry_diff(obs, replayed)
-    return {
-        "enabled": True,
-        "replay_parity": not parity,
-        "replay_parity_failures": parity[:20],
-        "fairness": obs.fairness.shares(),
-        "fairness_alerts": sum(1 for a in obs.alerts if a.kind == "fairness"),
-        "slo": obs.slo.attainment(),
-        "slo_alerts": sum(1 for a in obs.alerts if a.kind == "slo"),
-    }
-
-
-def _drain(service: JobService, timeout: float = 600.0):
-    records = service.drain(timeout=timeout)
-    bad = [r for r in records if r.status != DONE]
-    if bad:
-        raise RuntimeError(
-            f"loadgen job(s) failed: "
-            + "; ".join(f"{r.job_id}: {r.error}" for r in bad)
-        )
-    return records
-
-
-def _job_summary(records) -> Dict[str, Any]:
-    """Aggregate a drained job set: latency, identity, cache, validators."""
-    latencies = [r.latency for r in records]
-    cache_totals: Dict[str, float] = {}
-    violations = 0
-    for r in records:
-        violations += r.result.get("violations", 0)
-        for key, value in (r.result.get("cache") or {}).items():
-            cache_totals[key] = cache_totals.get(key, 0) + value
-    first_submit = min(r.submitted_at for r in records)
-    last_finish = max(r.finished_at for r in records)
-    makespan = max(1e-9, last_finish - first_submit)
-    hits = cache_totals.get("hits", 0)
-    lookups = hits + cache_totals.get("misses", 0)
-    return {
-        "jobs": len(records),
-        "makespan_s": makespan,
-        "jobs_per_sec": len(records) / makespan,
-        "latency_p50_s": percentile(latencies, 50),
-        "latency_p99_s": percentile(latencies, 99),
-        "latency_mean_s": sum(latencies) / len(latencies),
-        "validator_violations": violations,
-        "cache": cache_totals,
-        "hit_rate": (hits / lookups) if lookups else 0.0,
-        "cross_tenant_hits": cache_totals.get("cross_tenant_hits", 0),
-        "cross_tenant_hit_rate": (
-            cache_totals.get("cross_tenant_hits", 0) / hits if hits else 0.0
-        ),
-    }
-
-
-def _check_identity(records, solo_digests: Dict[str, str]) -> List[str]:
-    """Per-job byte-identity against the solo reference; returns breaches."""
-    breaches = []
-    for r in records:
-        digest = r.result.get("outputs_digest")
-        expected = solo_digests[r.spec.workload]
-        if digest != expected:
-            breaches.append(
-                f"{r.job_id} ({r.spec.workload}): {digest} != solo {expected}"
-            )
-    return breaches
-
-
-# ------------------------------------------------------------- scenarios
-def _solo_baselines(workloads: Sequence[str]) -> Dict[str, Dict[str, Any]]:
-    """Run each workload once, alone, cache off — the identity/latency
-    reference every service-run job is compared against."""
-    baselines: Dict[str, Dict[str, Any]] = {}
-    for name in workloads:
-        get_workload(name)  # fail fast on unknown names
-        with JobService(workers=1, cache=False, slos=DEFAULT_SLOS) as service:
-            service.submit("solo", name)
-            record = _drain(service)[0]
-        baselines[name] = {
-            "workload": name,
-            "outputs_digest": record.result["outputs_digest"],
-            "wall_s": record.result["wall_s"],
-            "latency_s": record.latency,
-            "validator_violations": record.result["violations"],
-            "obs": _obs_verdict(service),
-        }
-    return baselines
-
-
-def _concurrency_scenario(workers: int, jobs: int) -> Dict[str, Any]:
-    """The same job set serially (1 worker) vs on a pool — cache off in
-    both runs, so any wall-clock difference is pure concurrency."""
-    job_set = [PRIVATE_WORKLOADS[i % len(PRIVATE_WORKLOADS)] for i in range(jobs)]
-    job_set += [SHARED_WORKLOAD] * min(2, jobs)
-    timings = {}
-    obs_verdicts = {}
-    for label, pool in (("serial", 1), ("concurrent", workers)):
-        started = time.perf_counter()
-        with JobService(workers=pool, cache=False, slos=DEFAULT_SLOS) as service:
-            for i, workload in enumerate(job_set):
-                service.submit(f"t{i % 2}", workload)
-            _drain(service)
-        timings[label] = time.perf_counter() - started
-        obs_verdicts[label] = _obs_verdict(service)
-    return {
-        "obs": obs_verdicts,
-        "jobs": len(job_set),
-        "workers": workers,
-        "cpu_count": os.cpu_count(),
-        "wall_serial_s": timings["serial"],
-        "wall_concurrent_s": timings["concurrent"],
-        "speedup": timings["serial"] / timings["concurrent"],
-    }
-
-
-def _overlap_cell(
-    tenants: int,
-    jobs_per_tenant: int,
-    overlap: float,
-    workers: int,
-    solo_digests: Dict[str, str],
-) -> Dict[str, Any]:
-    """One grid cell: ``tenants`` tenants, each submitting
-    ``jobs_per_tenant`` jobs of which ``round(overlap * J)`` target the
-    shared workload and the rest the tenant's private one."""
-    shared_jobs = round(overlap * jobs_per_tenant)
-    with JobService(
-        workers=workers,
-        tenants={f"tenant-{i}": 1.0 for i in range(tenants)},
-        slos=DEFAULT_SLOS,
-    ) as service:
-        for j in range(jobs_per_tenant):
-            for i in range(tenants):
-                workload = (
-                    SHARED_WORKLOAD
-                    if j < shared_jobs
-                    else PRIVATE_WORKLOADS[i % len(PRIVATE_WORKLOADS)]
-                )
-                service.submit(f"tenant-{i}", workload)
-        records = _drain(service)
-        shares = service.queue.admission_shares()
-    obs = _obs_verdict(service)
-    cell = _job_summary(records)
-    cell.update(
-        tenants=tenants,
-        jobs_per_tenant=jobs_per_tenant,
-        overlap=overlap,
-        workers=workers,
-        admission_shares=shares,
-        identity_breaches=_check_identity(records, solo_digests),
-        obs=obs,
-        # per-tenant observability columns (flattened for easy plotting);
-        # the fair bound is the pairwise SFQ lag bound for *ragged*
-        # admission windows: the tenant's own granule plus the largest
-        # granule among its competitors
-        fairness={
-            name: {
-                "achieved_share": share["achieved_share"],
-                "entitled_share": share["entitled_share"],
-                "within_fair_bound": (
-                    abs(share["achieved_cost"] - share["entitled_cost"])
-                    <= share["granule"]
-                    + max(
-                        s["granule"]
-                        for s in obs.get("fairness", {}).values()
-                    )
-                    + 1e-9
-                ),
-            }
-            for name, share in obs.get("fairness", {}).items()
-        },
-        slo_attainment={
-            name: slo["attained"] for name, slo in obs.get("slo", {}).items()
-        },
-    )
-    return cell
-
-
-def _warm_reuse_scenario(
-    workers: int, solo_digests: Dict[str, str]
-) -> Dict[str, Any]:
-    """Cold tenant populates the shared store; a *different* tenant then
-    runs the same workload and must be faster with nonzero cross-tenant
-    hits — the service's whole reason to share the cache."""
-    with JobService(workers=workers, slos=DEFAULT_SLOS) as service:
-        service.submit("cold-tenant", SHARED_WORKLOAD)
-        cold = _drain(service)[0]
-        service.submit("warm-tenant", SHARED_WORKLOAD)
-        warm = [r for r in _drain(service) if r.tenant == "warm-tenant"][0]
-    warm_cache = warm.result["cache"]
-    return {
-        "obs": _obs_verdict(service),
-        "workload": SHARED_WORKLOAD,
-        "cold_latency_s": cold.latency,
-        "warm_latency_s": warm.latency,
-        "warm_speedup": cold.latency / max(1e-9, warm.latency),
-        "warm_store_hits": warm_cache.get("store_hits", 0),
-        "warm_cross_tenant_hits": warm_cache.get("cross_tenant_hits", 0),
-        "warm_compute_seconds_saved": warm_cache.get("compute_seconds_saved", 0.0),
-        "identity_breaches": _check_identity([cold, warm], solo_digests),
-        "validator_violations": (
-            cold.result["violations"] + warm.result["violations"]
-        ),
-    }
-
-
-# ------------------------------------------------------------ entry point
-def run_loadgen(
-    out_path: str = "BENCH_pr10.json",
-    tenants: Sequence[int] = (2, 3),
-    jobs_per_tenant: int = 3,
-    overlaps: Sequence[float] = (0.0, 0.5, 1.0),
-    workers: int = 2,
-) -> Dict[str, Any]:
-    """Run every scenario and write the JSON report."""
-    used = sorted({SHARED_WORKLOAD, *PRIVATE_WORKLOADS})
-    baselines = _solo_baselines(used)
-    solo_digests = {n: b["outputs_digest"] for n, b in baselines.items()}
-
-    cells = [
-        _overlap_cell(t, jobs_per_tenant, overlap, workers, solo_digests)
-        for t in tenants
-        for overlap in overlaps
-    ]
-    warm = _warm_reuse_scenario(workers, solo_digests)
-    concurrency = _concurrency_scenario(workers, jobs=2 * workers)
-
-    breaches = [b for cell in cells for b in cell["identity_breaches"]]
-    breaches += warm["identity_breaches"]
-    violations = sum(c["validator_violations"] for c in cells)
-    violations += warm["validator_violations"]
-    violations += sum(b["validator_violations"] for b in baselines.values())
-
-    # service-plane verdicts, aggregated over every scenario's service run
-    obs_verdicts = (
-        [b["obs"] for b in baselines.values()]
-        + [c["obs"] for c in cells]
-        + [warm["obs"]]
-        + list(concurrency["obs"].values())
-    )
-    replay_failures = [
-        failure
-        for verdict in obs_verdicts
-        for failure in verdict.get("replay_parity_failures", [])
-    ]
-    fairness_alerts = sum(v.get("fairness_alerts", 0) for v in obs_verdicts)
-    slo_alerts = sum(v.get("slo_alerts", 0) for v in obs_verdicts)
-
-    report = {
-        "benchmark": "pr10-service-observability-loadgen",
-        "created_unix": time.time(),
-        "cpu_count": os.cpu_count(),
-        "workers": workers,
-        "slos": DEFAULT_SLOS,
-        "solo_baselines": baselines,
-        "overlap_grid": cells,
-        "warm_reuse": warm,
-        "concurrency": concurrency,
-        "identity_breaches": breaches,
-        "outputs_identical": not breaches,
-        "validator_violations": violations,
-        "replay_parity": not replay_failures,
-        "replay_parity_failures": replay_failures[:50],
-        "fairness_alerts": fairness_alerts,
-        "slo_alerts": slo_alerts,
-        "ok": (
-            not breaches
-            and violations == 0
-            and warm["warm_cross_tenant_hits"] > 0
-            and warm["warm_latency_s"] < warm["cold_latency_s"]
-            and not replay_failures
-            and fairness_alerts == 0
-        ),
-    }
-    if out_path:
-        with open(out_path, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-    return report
-
-
-def render_loadgen(report: Dict[str, Any]) -> str:
-    lines = ["multi-tenant service loadgen", "=" * 42]
-    lines.append(
-        f"host: {report['cpu_count']} cores, {report['workers']} service workers"
-    )
-    lines.append("")
-    lines.append("tenants  overlap  jobs  jobs/sec   p50      p99      "
-                 "hit-rate  x-tenant-hits")
-    for cell in report["overlap_grid"]:
-        lines.append(
-            f"{cell['tenants']:>7}  {cell['overlap']:>7.2f}  {cell['jobs']:>4}"
-            f"  {cell['jobs_per_sec']:>8.2f}  {cell['latency_p50_s']:>6.3f}s"
-            f"  {cell['latency_p99_s']:>6.3f}s  {cell['hit_rate']:>8.2f}"
-            f"  {cell['cross_tenant_hits']:>13}"
-        )
-    warm = report["warm_reuse"]
-    concurrency = report["concurrency"]
-    lines.append("")
-    lines.append(
-        f"warm reuse ({warm['workload']}): cold {warm['cold_latency_s']:.3f}s"
-        f" -> warm {warm['warm_latency_s']:.3f}s"
-        f" ({warm['warm_speedup']:.1f}x,"
-        f" {warm['warm_compute_seconds_saved']:.1f} modelled compute-s saved)"
-    )
-    lines.append(
-        f"concurrency: {concurrency['jobs']} jobs,"
-        f" serial {concurrency['wall_serial_s']:.3f}s vs"
-        f" {concurrency['workers']} workers {concurrency['wall_concurrent_s']:.3f}s"
-        f" -> {concurrency['speedup']:.2f}x on {concurrency['cpu_count']} core(s)"
-    )
-    # per-tenant fairness / SLO columns of the busiest overlap cell
-    audited = [c for c in report["overlap_grid"] if c.get("fairness")]
-    if audited:
-        cell = audited[-1]
-        lines.append("")
-        lines.append(
-            f"fairness/SLO ({cell['tenants']} tenants, "
-            f"overlap {cell['overlap']:.2f}):"
-        )
-        lines.append("  tenant      achieved  entitled  fair-bound  slo-attained")
-        for name in sorted(cell["fairness"]):
-            fair = cell["fairness"][name]
-            attained = cell.get("slo_attainment", {}).get(name)
-            lines.append(
-                f"  {name:<10}  {fair['achieved_share']:>8.2f}"
-                f"  {fair['entitled_share']:>8.2f}"
-                f"  {'yes' if fair['within_fair_bound'] else 'NO':>10}"
-                f"  {attained if attained is None else format(attained, '.2f'):>12}"
-            )
-    lines.append("")
-    # verdict lines — CI greps these exact prefixes
-    lines.append(
-        "outputs identical to solo: "
-        + ("yes" if report["outputs_identical"] else "NO")
-    )
-    for breach in report["identity_breaches"]:
-        lines.append(f"  identity breach: {breach}")
-    lines.append(f"validator violations: {report['validator_violations']}")
-    lines.append(
-        f"cross-tenant hits (warm tenant): {warm['warm_cross_tenant_hits']}"
-    )
-    lines.append(
-        "warm tenant faster than cold: "
-        + ("yes" if warm["warm_latency_s"] < warm["cold_latency_s"] else "NO")
-    )
-    lines.append(
-        "service replay parity: " + ("yes" if report["replay_parity"] else "NO")
-    )
-    for failure in report["replay_parity_failures"][:10]:
-        lines.append(f"  replay mismatch: {failure}")
-    lines.append(f"fairness alerts: {report['fairness_alerts']}")
-    lines.append(f"slo alerts: {report['slo_alerts']}")
-    return "\n".join(lines)
+    """Nearest-rank ``q``-th percentile (0 <= q <= 100); ``None`` when empty."""
+    return nearest_rank(values, q / 100.0) if values else None

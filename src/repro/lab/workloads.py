@@ -191,8 +191,9 @@ def _threshold_keepers_mdf(
 def _dl_grid_mdf() -> MDF:
     """Compute-heavy hyper-parameter grid: real SGD training per branch.
 
-    The service/loadgen shared workload.  Four distinct (rate, momentum)
-    combinations give distinct validation accuracies (seeded training),
+    The service's shared workload (any tenant may submit it).  Four
+    distinct (rate, momentum) combinations give distinct validation
+    accuracies (seeded training),
     and re-training a branch is far costlier than a modelled disk read —
     so *store-tier* hits pass the profitability gate, which the cheap
     filter workloads never do.  Pair with the materialised-choose config
@@ -347,7 +348,7 @@ register_workload(
         make_config=_dl_grid_config,
     )
 )
-# Per-tenant private workloads for the loadgen's overlap control: same
+# Per-tenant private workloads, the zero-overlap side of a job mix: same
 # shape as filter_min but distinct thresholds *and* data sizes, so no two
 # tenants' private fingerprints collide (zero cross-tenant overlap).
 for _i, (_thresholds, _data_n) in enumerate(

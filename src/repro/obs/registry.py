@@ -40,7 +40,7 @@ from __future__ import annotations
 import bisect
 import contextlib
 import math
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: the default (engine) label dimensions, in canonical order
 LABEL_NAMES: Tuple[str, ...] = ("node", "branch", "stage", "dataset", "policy")
@@ -186,14 +186,23 @@ class Histogram:
         self.count += other.count
 
 
+def nearest_rank(values: Sequence[float], q: float) -> float:
+    """Exact nearest-rank ``q``-quantile (0 <= q <= 1) of non-empty ``values``:
+    no interpolation, no numpy — the one percentile the service plane, the
+    bench reports and the wall-clock harness all quote."""
+    ordered = sorted(values)
+    rank = max(1, math.ceil(q * len(ordered)))
+    return ordered[min(rank, len(ordered)) - 1]
+
+
 class ExactHistogram(Histogram):
     """A histogram that additionally retains every observation.
 
     The service-plane latency/queue-wait series need *exact* nearest-rank
-    percentiles (matching the load generator's reporting), which bucketed
-    estimates cannot give.  Service job counts are small (thousands, not
-    billions), so keeping the raw values is cheap; the bucketed view is
-    still maintained for the Prometheus exposition.
+    percentiles (:func:`nearest_rank`, as the benchmarks report), which
+    bucketed estimates cannot give.  Service job counts are small
+    (thousands, not billions), so keeping the raw values is cheap; the
+    bucketed view is still maintained for the Prometheus exposition.
     """
 
     __slots__ = ("values",)
@@ -212,9 +221,7 @@ class ExactHistogram(Histogram):
             raise ValueError(f"quantile must be in [0, 1], got {q}")
         if not self.values:
             return float("nan")
-        ordered = sorted(self.values)
-        rank = max(1, math.ceil(q * len(ordered)))
-        return ordered[min(rank, len(ordered)) - 1]
+        return nearest_rank(self.values, q)
 
     def merge(self, other: "Histogram") -> None:
         super().merge(other)

@@ -14,8 +14,8 @@ byte quotas, and tenant-labelled hit/miss observability.
 Per-job determinism is the load-bearing invariant: concurrency and cache
 sharing change *real time only*; every job's sink outputs stay
 byte-identical to a solo run and its trace passes all seven paper
-validators.  The load generator (``python -m repro.bench --loadgen``)
-measures throughput, latency percentiles and cross-tenant hit rates;
+validators.  ``python benchmarks/wall/run.py`` (``service_paced``,
+``service_burst``) measures throughput, latency and cross-tenant hits;
 ``python -m repro.service`` is the spool-directory CLI
 (serve/submit/status/follow).  See ``docs/service.md``.
 """

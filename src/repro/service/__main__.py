@@ -47,6 +47,7 @@ import time
 from typing import Any, Dict, List, Optional, TextIO
 
 from .jobs import DONE, FAILED, check_backend
+from .obs import _atomic_text
 from .service import JobService
 
 USAGE = """\
@@ -130,13 +131,9 @@ def _inbox(spool: str) -> str:
 
 def _write_ticket(spool: str, payload: Dict[str, Any]) -> str:
     """Atomically drop one submission ticket into the inbox."""
-    inbox = _inbox(spool)
-    name = f"{time.time():.6f}-{os.getpid()}.json"
-    tmp = os.path.join(inbox, f".{name}.tmp")
-    with open(tmp, "w") as fh:
+    final = os.path.join(_inbox(spool), f"{time.time():.6f}-{os.getpid()}.json")
+    with _atomic_text(final) as fh:
         json.dump(payload, fh, sort_keys=True)
-    final = os.path.join(inbox, name)
-    os.replace(tmp, final)
     return final
 
 
@@ -155,15 +152,18 @@ def _ingest(service: JobService, spool: str, out: TextIO) -> int:
             out.write(f"bad ticket {name}: {exc}\n")
             os.unlink(path)
             continue
+        os.unlink(path)
+        if not isinstance(ticket, dict):
+            out.write(f"bad ticket {name}: not a JSON object\n")
+            continue
         tenant = ticket.pop("tenant", "default")
         workload = ticket.pop("workload", None)
-        os.unlink(path)
         if not workload:
             out.write(f"bad ticket {name}: no workload\n")
             continue
         try:
             job_id = service.submit(tenant, workload, **ticket)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:  # unknown field / bad value
             out.write(f"bad ticket {name}: {exc}\n")
             continue
         out.write(f"{job_id}  tenant={tenant}  workload={workload}\n")

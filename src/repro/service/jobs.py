@@ -9,7 +9,7 @@ the process boundary to the worker pool and land in the spool's
 
 A :class:`JobRecord` is the service-side lifecycle of one submission:
 queued → running → done/failed, with real (wall-clock) timestamps from
-which the load generator derives submission-to-completion latency.
+which submission-to-completion latency is derived.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ profile-category seconds and cache/store counters back to the
 dispatcher, which folds them into one long-lived
 :class:`~repro.obs.registry.MetricsRegistry` labeled with the service
 dimensions ``{tenant, workload, status, policy}`` — plus service-native
-series: exact (nearest-rank, matching the load generator) queue-wait
+series: exact (nearest-rank, as the benchmarks report) queue-wait
 and end-to-end latency histograms, pool-slot gauges, per-state job
 gauges and tenant-labeled shared-cache counters.
 
@@ -39,6 +39,7 @@ PR2 bridge guarantee for the job-view families.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -111,6 +112,19 @@ SERVICE_CONSISTENCY_VIEWS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     + tuple((f"service_store_{key}", ("tenant",)) for key in STORE_COUNTER_KEYS)
     + tuple((name, ("tenant", "workload")) for name in JOB_VIEW_FAMILIES)
 )
+
+
+@contextlib.contextmanager
+def _atomic_text(path: str):
+    """Open a text file that appears at ``path`` only when the block ends
+    cleanly, so a concurrent reader sees the old or the new file, never a
+    torn one (per-pid tmp + ``os.replace``) — the package's one text
+    publish: tickets, ``state.json``, metric exports.  Callers stream into
+    it: the buffer's flushes release the GIL to the pool's pipe threads."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "w") as fh:
+        yield fh
+    os.replace(tmp, path)
 
 
 # ------------------------------------------------------------- auditors
@@ -532,11 +546,8 @@ class ServiceObs:
             ("metrics.prom", prometheus_text(self.registry)),
             ("metrics.json", registry_json(self.registry)),
         ):
-            path = os.path.join(directory, name)
-            tmp = f"{path}.{os.getpid()}.tmp"
-            with open(tmp, "w") as fh:
+            with _atomic_text(os.path.join(directory, name)) as fh:
                 fh.write(text if text.endswith("\n") else text + "\n")
-            os.replace(tmp, path)
 
     def summary(self) -> Dict[str, Any]:
         """The JSON-ready obs block embedded in ``state.json``."""

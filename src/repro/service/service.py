@@ -22,7 +22,7 @@ The dispatcher is a single-threaded pump — :meth:`pump` collects
 finished jobs and admits queued ones; :meth:`drain` pumps until idle.
 Determinism note: *which* jobs run concurrently affects only real time
 and cache hit timing; each job's sink outputs stay byte-identical to a
-solo run (asserted by the load generator and ``tests/service``).
+solo run (asserted by ``benchmarks/wall`` and ``tests/service``).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from .jobs import DONE, FAILED, QUEUED, RUNNING, JobRecord, JobSpec, check_backend
-from .obs import ServiceObs
+from .obs import ServiceObs, _atomic_text
 from .queue import FairShareQueue, QueuedJob
 from .worker import run_job
 
@@ -278,11 +278,8 @@ class JobService:
 
     def write_state(self) -> None:
         """Mirror the snapshot to ``<spool>/state.json`` (atomic)."""
-        path = os.path.join(self.spool, "state.json")
-        tmp = f"{path}.{os.getpid()}.tmp"
         payload = dict(self.status(), updated_unix=time.time())
-        with open(tmp, "w") as fh:
+        with _atomic_text(os.path.join(self.spool, "state.json")) as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
-        os.replace(tmp, path)
         if self.obs is not None:
             self.obs.export(self.spool)

@@ -16,7 +16,7 @@ Two invariants the service asserts on top:
   outputs); cache hits change *when* bytes are produced, never *what*.
 * **Validator cleanliness** — with ``spec.validate`` the seven paper
   invariants run over the recorded trace and the violation count is
-  reported (the load generator and CI require zero).
+  reported (``benchmarks/wall`` and ``tests/service`` require zero).
 """
 
 from __future__ import annotations

@@ -1,11 +1,7 @@
-"""Tests for the cache benchmark surfaces: the ``cache_reuse`` figure and
-the ``--wallclock`` cold/warm harness (scaled far below the defaults so
-the suite stays fast)."""
+"""Tests for the cache benchmark surface: the ``cache_reuse`` figure
+(scaled far below the defaults so the suite stays fast)."""
 
-import json
-
-from repro.bench import ALL_FIGURES, cache_reuse, run_wallclock
-from repro.bench.wallclock import render_wallclock
+from repro.bench import ALL_FIGURES, cache_reuse
 
 
 class TestCacheReuseFigure:
@@ -18,36 +14,3 @@ class TestCacheReuseFigure:
         assert len(result.rows) == 2
         # warm hits recorded for both choose modes
         assert all(row[4] > 0 for row in result.rows)
-
-
-class TestWallclockHarness:
-    def test_report_shape_and_artifact(self, tmp_path):
-        out = tmp_path / "BENCH_pr4.json"
-        report = run_wallclock(
-            out_path=str(out),
-            samples=60,
-            features=16,
-            trace_n=2_000,
-            branch_count=4,
-        )
-        assert out.exists()
-        on_disk = json.loads(out.read_text())
-        assert on_disk["benchmark"] == report["benchmark"]
-        for bench in report["benches"].values():
-            assert bench["wall_cold_s"] > 0
-            assert bench["warm_hits"] > 0
-            assert bench["outputs_identical"]
-            assert bench["sim_reduction_pct"] > 0
-        assert report["wall_reduction_pct_overall"] == (
-            100.0
-            * (1.0 - report["wall_warm_total_s"] / report["wall_cold_total_s"])
-        )
-
-    def test_render_mentions_every_bench(self, tmp_path):
-        report = run_wallclock(
-            out_path="", samples=60, features=16, trace_n=2_000, branch_count=4
-        )
-        text = render_wallclock(report)
-        for name in report["benches"]:
-            assert name in text
-        assert "overall" in text

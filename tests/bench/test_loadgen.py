@@ -1,13 +1,6 @@
-"""Tests for the multi-tenant service load generator (PR9).
+"""The exact nearest-rank percentile the wall-clock harness reports with."""
 
-A tiny parameterisation runs the real scenarios end to end; the report
-must carry the acceptance evidence (identity, validators, cross-tenant
-reuse) and the exact percentiles must be exact.
-"""
-
-import json
-
-from repro.bench.loadgen import percentile, render_loadgen, run_loadgen
+from repro.bench.loadgen import percentile
 
 
 class TestPercentile:
@@ -24,68 +17,3 @@ class TestPercentile:
 
     def test_empty(self):
         assert percentile([], 50) is None
-
-
-class TestLoadgen:
-    def test_tiny_run_report_and_verdicts(self, tmp_path):
-        out = str(tmp_path / "BENCH_pr10.json")
-        report = run_loadgen(
-            out_path=out,
-            tenants=(2,),
-            jobs_per_tenant=1,
-            overlaps=(1.0,),
-            workers=2,
-        )
-        # the acceptance invariants
-        assert report["ok"], report
-        assert report["outputs_identical"]
-        assert report["identity_breaches"] == []
-        assert report["validator_violations"] == 0
-        # warm reuse: the second tenant rode the first tenant's work
-        warm = report["warm_reuse"]
-        assert warm["warm_cross_tenant_hits"] > 0
-        assert warm["warm_latency_s"] < warm["cold_latency_s"]
-        # grid shape
-        (cell,) = report["overlap_grid"]
-        assert cell["tenants"] == 2 and cell["overlap"] == 1.0
-        assert cell["jobs"] == 2
-        assert cell["jobs_per_sec"] > 0
-        assert cell["latency_p50_s"] <= cell["latency_p99_s"]
-        # full overlap with 2 tenants: somebody reused somebody's entries
-        assert cell["cross_tenant_hits"] > 0
-        # concurrency is honest about the host
-        assert report["concurrency"]["cpu_count"] >= 1
-        assert report["concurrency"]["wall_serial_s"] > 0
-        # report persisted
-        persisted = json.load(open(out))
-        assert persisted["benchmark"] == report["benchmark"]
-
-        # PR10: the obs plane audited every scenario
-        assert report["replay_parity"]
-        assert report["replay_parity_failures"] == []
-        assert report["fairness_alerts"] == 0
-        assert report["slo_alerts"] == 0
-        for name, share in cell["fairness"].items():
-            assert share["within_fair_bound"], (name, share)
-
-        rendered = render_loadgen(report)
-        assert "outputs identical to solo: yes" in rendered
-        assert "validator violations: 0" in rendered
-        assert "cross-tenant hits (warm tenant):" in rendered
-        assert "warm tenant faster than cold: yes" in rendered
-        assert "service replay parity: yes" in rendered
-        assert "fairness alerts: 0" in rendered
-        assert "slo alerts: 0" in rendered
-
-    def test_zero_overlap_has_no_cross_tenant_hits(self, tmp_path):
-        report = run_loadgen(
-            out_path=str(tmp_path / "r.json"),
-            tenants=(2,),
-            jobs_per_tenant=1,
-            overlaps=(0.0,),
-            workers=1,
-        )
-        (cell,) = report["overlap_grid"]
-        assert cell["cross_tenant_hits"] == 0
-        assert cell["hit_rate"] == 0.0
-        assert report["outputs_identical"]

@@ -127,22 +127,28 @@ class TestJobService:
             service.submit("t", "filter_min")
 
     def test_shared_cache_cross_tenant_reuse(self, tmp_path):
-        """Sequential tenants on the compute-heavy workload: the second
-        run hits entries the first tenant owns."""
-        with JobService(workers=1, spool=str(tmp_path)) as service:
-            service.submit("cold", "dl_grid")
-            service.drain(timeout=240)
-            service.submit("warm", "dl_grid")
-            records = service.drain(timeout=240)
-        by_tenant = {r.tenant: r for r in records}
-        cold_cache = by_tenant["cold"].result["cache"]
-        warm_cache = by_tenant["warm"].result["cache"]
-        assert cold_cache["store_writes"] > 0
-        assert warm_cache["cross_tenant_hits"] > 0
-        assert (
-            by_tenant["warm"].result["outputs_digest"]
-            == by_tenant["cold"].result["outputs_digest"]
+        """Sequential tenants: on the shared compute-heavy workload the
+        second run hits entries the first tenant owns; on their own
+        private workloads (zero overlap) nobody reuses anybody's."""
+        cases = (  # kept as rows of one test so its id stays stable
+            ("overlap", ("dl_grid", "dl_grid"), True),
+            ("disjoint", ("svc_private_t0", "svc_private_t1"), False),
         )
+        for case, workloads, reuse in cases:
+            spool = str(tmp_path / case)
+            with JobService(workers=1, spool=spool) as service:
+                for tenant, workload in zip(("cold", "warm"), workloads):
+                    service.submit(tenant, workload)
+                    records = service.drain(timeout=240)
+            assert [r.status for r in records] == [DONE, DONE], case
+            cold, warm = sorted(records, key=lambda r: r.tenant)
+            assert cold.result["cache"]["store_writes"] > 0, case
+            assert cold.result["cache"]["cross_tenant_hits"] == 0, case
+            assert (warm.result["cache"]["cross_tenant_hits"] > 0) == reuse, case
+            if reuse:
+                assert (
+                    warm.result["outputs_digest"] == cold.result["outputs_digest"]
+                )
 
 
 class TestOutputsDigest:
@@ -201,12 +207,21 @@ class TestCLI:
         spool = str(tmp_path)
         inbox = os.path.join(spool, "inbox")
         os.makedirs(inbox)
-        with open(os.path.join(inbox, "bad.json"), "w") as fh:
-            fh.write("{not json")
+        bad = {
+            "bad.json": "{not json",
+            # hand-written tickets: an unknown key, a value that is not an object
+            "key.json": '{"tenant":"a","workload":"synthetic_grid","priority":3}',
+            "list.json": "[1,2]",
+        }
+        for name, body in bad.items():
+            with open(os.path.join(inbox, name), "w") as fh:
+                fh.write(body)
         self.run_cli("submit", "--spool", spool, "--workload", "filter_min")
         code, text = self.run_cli("serve", "--spool", spool, "--once")
         assert code == 0
-        assert "bad ticket" in text and "served 1 job(s)" in text
+        for name in bad:
+            assert f"bad ticket {name}: " in text
+        assert "served 1 job(s)" in text
 
     def test_usage_and_errors(self, tmp_path):
         code, text = self.run_cli("--help")
