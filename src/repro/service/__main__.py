@@ -9,7 +9,8 @@ protocol, so clients and the server only need a shared filesystem.
       inbox/      submission tickets (JSON, written atomically by `submit`)
       streams/    one live NDJSON trace per job (PR7 StreamWriter format)
       cache/      the shared cross-tenant result store (default location)
-      state.json  full service snapshot, atomically replaced on change
+      state.json  derived view of service_events.ndjson: current once `serve`
+                  is idle, else <= max(0.25 s, 10 x publish time) behind
 
 commands:
 
@@ -210,7 +211,7 @@ def cmd_serve(argv: List[str], spool: str, out: TextIO) -> int:
                 break
             if not busy and time.monotonic() - last_activity >= max_idle:
                 break
-            time.sleep(0.02 if busy else 0.1)
+            service.wait(0.02 if busy else 0.1)  # a completion ends it early
         service.drain()
     done = sum(1 for r in service.records.values() if r.status == DONE)
     failed = sum(1 for r in service.records.values() if r.status == FAILED)

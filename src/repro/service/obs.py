@@ -122,9 +122,14 @@ def _atomic_text(path: str):
     publish: tickets, ``state.json``, metric exports.  Callers stream into
     it: the buffer's flushes release the GIL to the pool's pipe threads."""
     tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "w") as fh:
-        yield fh
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 # ------------------------------------------------------------- auditors
@@ -379,8 +384,9 @@ class ServiceObs:
             window=slo_window,
             burn_threshold=burn_threshold,
         )
-        if events_path is not None and os.path.exists(events_path):
-            os.unlink(events_path)  # one log per service lifetime
+        # one log, one handle per service lifetime; line-buffered (1), so an
+        # event is on disk before ``apply`` folds it and replay works mid-run
+        self._log = None if events_path is None else open(events_path, "w", 1)
         config = {
             "event": "config",
             "slots": slots,
@@ -399,10 +405,14 @@ class ServiceObs:
     # ------------------------------------------------------- event intake
     def record(self, event: Dict[str, Any], job_registry=None) -> None:
         """Append one event to the log, then fold it into the registry."""
-        if self.events_path is not None:
-            with open(self.events_path, "a") as fh:
-                fh.write(json.dumps(event, sort_keys=True) + "\n")
+        if self._log is not None:
+            self._log.write(json.dumps(event, sort_keys=True) + "\n")
         self.apply(event, job_registry=job_registry)
+
+    def close(self) -> None:
+        """Close the event log; nothing may be recorded afterwards."""
+        if self._log is not None:
+            self._log.close()
 
     def apply(self, event: Dict[str, Any], job_registry=None) -> None:
         """Fold one service event into the registry (live *and* replay)."""

@@ -15,8 +15,10 @@ and bounded per tenant by byte quotas.
 Every running job streams its trace to ``<spool>/streams/<job>.ndjson``
 through the PR7 :class:`~repro.live.stream.StreamWriter`, so clients can
 follow per-submission progress/ETA live (``python -m repro.service
-follow``); the service mirrors its full state to ``<spool>/state.json``
-(atomic replace) for out-of-process ``status`` queries.
+follow``).  ``<spool>/state.json`` and the metric exports are derived
+views of the event log for out-of-process ``status`` queries: current
+once :meth:`drain` has returned or the service is closed, otherwise at
+most one publish interval behind (atomic replace).
 
 The dispatcher is a single-threaded pump — :meth:`pump` collects
 finished jobs and admits queued ones; :meth:`drain` pumps until idle.
@@ -31,7 +33,9 @@ import json
 import multiprocessing
 import os
 import tempfile
+import threading
 import time
+from collections import deque
 from typing import Any, Dict, List, Optional, Tuple
 
 from .jobs import DONE, FAILED, QUEUED, RUNNING, JobRecord, JobSpec, check_backend
@@ -40,6 +44,11 @@ from .queue import FairShareQueue, QueuedJob
 from .worker import run_job
 
 __all__ = ["JobService"]
+
+#: the next publish of the views comes no sooner than max(PUBLISH_MIN_S,
+#: PUBLISH_COST_X × the last one's duration) after it: ~1/10 of the time
+PUBLISH_MIN_S = 0.25
+PUBLISH_COST_X = 10.0
 
 
 class JobService:
@@ -75,9 +84,13 @@ class JobService:
         self.singleflight_wait = float(singleflight_wait)
         self.records: Dict[str, JobRecord] = {}
         self._running: Dict[str, Tuple[JobRecord, QueuedJob, Any]] = {}
+        self._landed: deque = deque()  # ids whose result is in (pool thread)
+        self._wake = threading.Event()
         self._pool = None
         self._next_id = 0
         self._closed = False
+        self._dirty = False  # the views lag the live state
+        self._publish_due = 0.0  # time.monotonic() of the next due publish
         #: the service observability plane (None = obs off, PR9 behaviour)
         self.obs: Optional[ServiceObs] = None
         if obs:
@@ -108,6 +121,8 @@ class JobService:
             self._pool.join()
             self._pool = None
         self.write_state()
+        if self.obs is not None:
+            self.obs.close()
 
     def __enter__(self) -> "JobService":
         return self
@@ -152,7 +167,8 @@ class JobService:
         queued = self.queue.put(tenant, record, cost=spec.cost)
         if self.obs is not None:
             self.obs.job_submitted(record, queued, self.queue.vtime)
-        self.write_state()
+        self._dirty = True
+        self._publish()
         return job_id
 
     # --------------------------------------------------------- dispatcher
@@ -162,19 +178,21 @@ class JobService:
         Returns the number of state transitions (0 = nothing changed —
         callers may sleep).  Never blocks on a running job.
         """
-        transitions = self._collect()
-        transitions += self._admit()
-        if transitions:
-            self.write_state()
+        transitions = self._collect() + self._admit()
+        self._dirty = self._dirty or transitions > 0
+        self._publish()
         return transitions
+
+    def wait(self, timeout: float) -> bool:
+        """Sleep ``timeout`` seconds, or less if a result lands (``True``)."""
+        return self._wake.wait(timeout)
 
     def _collect(self) -> int:
         transitions = 0
-        for job_id in sorted(self._running):
-            record, queued, async_result = self._running[job_id]
-            if not async_result.ready():
-                continue
-            del self._running[job_id]
+        self._wake.clear()  # before the scan: a result landing now re-sets it
+        while self._landed:
+            # landed, not yet ``ready()``: ``get`` waits out the instant between
+            record, queued, async_result = self._running.pop(self._landed.popleft())
             self.queue.release(queued)
             record.finished_at = time.time()
             snapshot = None
@@ -216,8 +234,14 @@ class JobService:
                 self.obs.job_admitted(
                     record, queued, heads, self.queue.weights(), self.queue.vtime
                 )
-            async_result = pool.apply_async(run_job, (record.spec.as_dict(),))
-            self._running[record.job_id] = (record, queued, async_result)
+
+            def land(_, job_id=record.job_id):  # in the pool's result thread
+                self._landed.append(job_id)
+                self._wake.set()
+
+            args = (record.spec.as_dict(),)
+            result = pool.apply_async(run_job, args, callback=land, error_callback=land)
+            self._running[record.job_id] = (record, queued, result)
             transitions += 1
         return transitions
 
@@ -235,12 +259,9 @@ class JobService:
                     f"drain timed out with {self.queue.backlog} queued, "
                     f"{len(self._running)} running"
                 )
-            time.sleep(poll)
-        return [
-            self.records[job_id]
-            for job_id in sorted(self.records)
-            if self.records[job_id].status in (DONE, FAILED)
-        ]
+            self.wait(poll)
+        self._publish(force=True)
+        return [r for r in self.records.values() if r.status in (DONE, FAILED)]
 
     # -------------------------------------------------------------- state
     def record(self, job_id: str) -> JobRecord:
@@ -271,10 +292,16 @@ class JobService:
             "cache_dir": self.cache_dir,
             "spool": self.spool,
             "obs": self.obs.summary() if self.obs is not None else None,
-            "jobs": [
-                self.records[job_id].as_dict() for job_id in sorted(self.records)
-            ],
+            "jobs": [record.as_dict() for record in self.records.values()],
         }
+
+    def _publish(self, force: bool = False) -> None:
+        """Refresh the views if they lag and a publish is due (or ``force``)."""
+        if self._dirty and (force or time.monotonic() >= self._publish_due):
+            start = time.monotonic()
+            self.write_state()
+            now = time.monotonic()
+            self._publish_due = now + max(PUBLISH_MIN_S, PUBLISH_COST_X * (now - start))
 
     def write_state(self) -> None:
         """Mirror the snapshot to ``<spool>/state.json`` (atomic)."""
@@ -283,3 +310,4 @@ class JobService:
             json.dump(payload, fh, indent=2, sort_keys=True)
         if self.obs is not None:
             self.obs.export(self.spool)
+        self._dirty = False

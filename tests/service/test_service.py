@@ -8,11 +8,15 @@ parseable, spool state queryable, failures contained.
 import io
 import json
 import os
+import sys
+import time
 
 import pytest
 
+from repro.obs.export import registry_json
 from repro.service import DONE, FAILED, JobService, JobSpec, outputs_digest
 from repro.service.__main__ import main as service_main
+from repro.service.obs import _atomic_text
 
 
 def solo_digest(workload_name):
@@ -149,6 +153,139 @@ class TestJobService:
                 assert (
                     warm.result["outputs_digest"] == cold.result["outputs_digest"]
                 )
+
+
+def published_state(spool):
+    """``state.json`` as published, split into (snapshot, updated_unix)."""
+    with open(os.path.join(spool, "state.json")) as fh:
+        state = json.load(fh)
+    return state, state.pop("updated_unix")
+
+
+def live_state(service):
+    """``status()`` as JSON would carry it."""
+    return json.loads(json.dumps(service.status()))
+
+
+def assert_views_current(service, spool):
+    assert published_state(spool)[0] == live_state(service)
+    if service.obs is None:
+        return
+    with open(os.path.join(spool, "metrics.json")) as fh:
+        assert fh.read() == registry_json(service.obs.registry) + "\n"
+
+
+class TestDerivedViews:
+    """``state.json`` and the metric exports are coalesced views: cheap
+    while the dispatcher is busy, current whenever a caller may look."""
+
+    def test_back_to_back_submits_coalesce_publishes(self, tmp_path):
+        class Counting(JobService):
+            writes = 0
+
+            def write_state(self):
+                self.writes += 1
+                super().write_state()
+
+        with Counting(workers=1, spool=str(tmp_path)) as service:
+            for _ in range(500):
+                service.submit("t", "filter_min")
+            assert service.writes <= 3
+            assert service.status()["counts"]["queued"] == 500  # status() is live
+
+    def test_submit_cost_flat_in_queue_depth(self, tmp_path):
+        """A ratio inside one process, not absolute seconds."""
+
+        def mean_submit_s(depth, attempt):
+            spool = str(tmp_path / f"{depth}-{attempt}")
+            with JobService(workers=1, spool=spool) as service:
+                start = time.perf_counter()
+                for _ in range(depth):
+                    service.submit("t", "filter_min")
+                return (time.perf_counter() - start) / depth
+
+        shallow = min(mean_submit_s(20, attempt) for attempt in range(3))
+        deep = min(mean_submit_s(2000, attempt) for attempt in range(3))
+        assert deep <= 3 * shallow
+
+    def test_views_current_after_drain_and_after_close(self, tmp_path):
+        for obs in (True, False):
+            spool = str(tmp_path / f"obs-{obs}")
+            with JobService(workers=2, spool=spool, obs=obs) as service:
+                for tenant in ("alice", "bob", "alice", "bob"):
+                    service.submit(tenant, "filter_min")
+                service.drain(timeout=120)
+                assert_views_current(service, spool)
+                assert published_state(spool)[0]["counts"]["done"] == 4
+                service.submit("alice", "filter_min")  # abandoned by close()
+            assert_views_current(service, spool)
+            assert published_state(spool)[0]["counts"]["done"] == 4
+            if not obs:
+                for name in ("service_events.ndjson", "metrics.prom", "metrics.json"):
+                    assert not os.path.exists(os.path.join(spool, name)), name
+
+    def test_staleness_bounded_while_busy(self, tmp_path):
+        spool = str(tmp_path)
+        with JobService(workers=1, spool=spool) as service:
+            for _ in range(12):
+                service.submit("t", "filter_min")
+            while service.status()["counts"]["done"] < 12:
+                service.pump()
+                state, updated = published_state(spool)
+                if state != live_state(service):
+                    assert time.time() - updated < 1.0
+                service.wait(0.005)
+        assert_views_current(service, spool)
+
+    def test_ids_past_9999_keep_submission_order(self, tmp_path):
+        with JobService(workers=1, spool=str(tmp_path)) as service:
+            service._next_id = 9998
+            ids = [service.submit("t", "filter_min") for _ in range(3)]
+            assert ids == ["job-9999", "job-10000", "job-10001"]
+            assert [r.job_id for r in service.drain(timeout=120)] == ids
+            assert [j["spec"]["job_id"] for j in service.status()["jobs"]] == ids
+
+    def test_atomic_text_failure_leaves_target_and_no_tmp(self, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text("old")
+        with pytest.raises(TypeError):
+            with _atomic_text(str(path)) as fh:
+                json.dump({"result": object()}, fh)
+        assert path.read_text() == "old"
+        assert os.listdir(tmp_path) == ["state.json"]
+
+
+class TestWake:
+    """A completion, not the poll period, ends the dispatcher's wait."""
+
+    @pytest.mark.parametrize("workload", ["filter_min", "no-such-workload"])
+    def test_drain_returns_on_completion_not_on_poll(self, tmp_path, workload):
+        with JobService(workers=1, spool=str(tmp_path)) as service:
+            service.submit("t", workload)
+            start = time.perf_counter()
+            (record,) = service.drain(timeout=120, poll=5.0)
+            assert time.perf_counter() - start < 3.0
+        assert record.status == (DONE if workload == "filter_min" else FAILED)
+
+    def test_no_completion_lost_between_result_thread_and_dispatcher(self, tmp_path):
+        """More workers than cores, threads switching every few bytecodes:
+        a completion the dispatcher lost would cost a whole 5 s poll."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with JobService(workers=4, spool=str(tmp_path)) as service:
+                for _ in range(40):
+                    service.submit("t", "filter_min")
+                start = time.perf_counter()
+                records = service.drain(timeout=60, poll=5.0)
+                assert time.perf_counter() - start < 4.5
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.status for r in records] == [DONE] * 40
+
+    def test_wait_with_nothing_running_times_out(self, tmp_path):
+        with JobService(workers=1, spool=str(tmp_path)) as service:
+            assert service.wait(0.01) is False
 
 
 class TestOutputsDigest:

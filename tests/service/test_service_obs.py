@@ -282,6 +282,22 @@ class TestServiceObsEndToEnd:
         replayed = replay_service_registry(spool)
         assert service_registry_diff(service.obs, replayed) == []
 
+    def test_replay_parity_mid_run(self, tmp_path):
+        """The log is line-buffered: every event applied live is already
+        on disk, so a replay beside a running service agrees with it."""
+        spool = str(tmp_path)
+        with JobService(workers=1, spool=spool) as service:
+            first, _, last = [service.submit("alice", "filter_min") for _ in range(3)]
+            while service.record(first).status != DONE:
+                service.pump()
+                service.wait(0.05)
+            assert service.record(last).status == "queued"
+            replayed = replay_service_registry(spool)
+            assert service_registry_diff(service.obs, replayed) == []
+            service.drain(timeout=120)
+        assert service_registry_diff(service.obs, replay_service_registry(spool)) == []
+        assert service.obs.alerts == []
+
     def test_obs_off_restores_pr9_behaviour(self, tmp_path):
         """obs=False: no obs plane, no event log, no metrics exports,
         and the worker payload carries no observability keys."""
