@@ -23,32 +23,45 @@ come from ``python benchmarks/wall/run.py``.
 
 from __future__ import annotations
 
+import argparse
 import sys
 
 from ..trace.validate import set_auto_validate
 from .figures import ALL_FIGURES
 
 
+def make_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.bench",
+        usage="python -m repro.bench [--validate] [--telemetry] [--profile] "
+        "[--live] [figure ...]",
+        description="regenerate the paper's tables/figures on the simulated clock",
+        allow_abbrev=False,
+    )
+    parser.add_argument("figures", nargs="*", metavar="figure",
+                        help=f"figures to run (default: all of {', '.join(ALL_FIGURES)})")
+    parser.add_argument("--validate", action="store_true",
+                        help="check every run against the paper-invariant validators")
+    parser.add_argument("--telemetry", action="store_true",
+                        help="print the observability demo report (alone: replaces "
+                        "the figure run)")
+    parser.add_argument("--profile", action="store_true",
+                        help="per-figure attribution tables + speedscope artifacts")
+    parser.add_argument("--live", action="store_true",
+                        help="stream every run through repro.live; NDJSON artifacts")
+    return parser
+
+
 def main(argv) -> int:
-    argv = list(argv)
-    validate = "--validate" in argv
-    if validate:
-        argv = [a for a in argv if a != "--validate"]
-    telemetry = "--telemetry" in argv
-    if telemetry:
-        argv = [a for a in argv if a != "--telemetry"]
+    args = make_parser().parse_intermixed_args(list(argv))
+    validate, profile, live = args.validate, args.profile, args.live
+    if args.telemetry:
         from .telemetry import telemetry_report
 
         print(telemetry_report())
-        if not argv:
+        if not args.figures:
             return 0
-    profile = "--profile" in argv
-    if profile:
-        argv = [a for a in argv if a != "--profile"]
-    live = "--live" in argv
-    if live:
-        argv = [a for a in argv if a != "--live"]
-    names = argv or list(ALL_FIGURES)
+    names = args.figures or list(ALL_FIGURES)
     unknown = [n for n in names if n not in ALL_FIGURES]
     if unknown:
         print(f"unknown figures: {unknown}")

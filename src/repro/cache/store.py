@@ -728,9 +728,6 @@ class ResultCache:
             # for good) — stop holding concurrent jobs back either way
             self._release_flight(fingerprint)
         self.stats.admissions += 1
-        cluster.obs.counter(
-            "cache_admissions", dataset=dataset.id, policy=tier
-        ).inc()
         cluster.trace.emit(
             "cache_admit",
             fingerprint=fingerprint,
@@ -768,9 +765,6 @@ class ResultCache:
             if not members:
                 self._by_dataset.pop(entry.dataset_id, None)
         self.stats.invalidations += 1
-        cluster.obs.counter(
-            "cache_invalidations", dataset=entry.dataset_id
-        ).inc()
         cluster.trace.emit(
             "cache_invalidate",
             fingerprint=fingerprint,

@@ -21,6 +21,7 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 from ..core.datasets import Dataset, Partition
 from ..core.errors import FaultError
 from ..core.state import ExecutionState
+from ..obs.bridge import TraceFold
 from ..obs.registry import MetricsRegistry
 from ..trace import Trace
 from .clock import SimClock
@@ -133,13 +134,16 @@ class Cluster:
             node.observer()
 
     def _wire_trace(self) -> None:
-        """Count detached live subscribers in the metrics registry.
+        """Derive the registry's counters from the trace.
 
-        A raising trace subscriber is detached by the bus (never fatal to
-        the job); this hook makes the failure visible as the
-        ``live_subscriber_errors`` counter so dashboards and CI can spot
-        a broken monitor.
+        Every replayable counter is a fold of the committed events
+        (:class:`~repro.obs.bridge.TraceFold`), applied by the trace itself.
+        The one thing the trace cannot say about itself is counted here: a
+        raising subscriber is detached by the bus (never fatal to the job)
+        and shows up as ``live_subscriber_errors`` so dashboards and CI can
+        spot a broken monitor.
         """
+        self.trace.fold = TraceFold(self.obs).apply
         counter = self.obs.counter("live_subscriber_errors")
         self.trace.on_subscriber_error = (
             lambda callback, exc, c=counter: c.inc()
@@ -196,9 +200,6 @@ class Cluster:
         self._records[dataset.id] = DatasetRecord(
             dataset.id, dataset.producer, nodes, [p.nominal_bytes for p in dataset.partitions]
         )
-        self.metrics.peak_datasets_stored = max(
-            self.metrics.peak_datasets_stored, len(self._records)
-        )
         self.trace.emit(
             "dataset_registered",
             dataset=dataset.id,
@@ -211,36 +212,20 @@ class Cluster:
     def _store(self, node: Node, partition: Partition) -> float:
         nbytes = partition.nominal_bytes
         key = partition.key
-        seconds = 0.0
-        if nbytes > node.mem_capacity:
-            node.put(key, partition.data, nbytes, self.clock.now, in_memory=False)
-            self.obs.counter(
-                "bytes_written_disk", node=node.id, dataset=key[0]
-            ).inc(nbytes)
-            self.trace.emit(
-                "partition_stored",
-                dataset=key[0],
-                index=key[1],
-                node=node.id,
-                nbytes=nbytes,
-                tier="disk",
-            )
-            return self.cost_model.disk_write_time(nbytes)
-        seconds += self._ensure_space(node, nbytes)
-        node.put(key, partition.data, nbytes, self.clock.now, in_memory=True)
-        self.obs.counter(
-            "bytes_written_memory", node=node.id, dataset=key[0]
-        ).inc(nbytes)
+        in_memory = nbytes <= node.mem_capacity
+        seconds = self._ensure_space(node, nbytes) if in_memory else 0.0
+        node.put(key, partition.data, nbytes, self.clock.now, in_memory=in_memory)
         self.trace.emit(
             "partition_stored",
             dataset=key[0],
             index=key[1],
             node=node.id,
             nbytes=nbytes,
-            tier="memory",
+            tier="memory" if in_memory else "disk",
         )
-        seconds += self.cost_model.mem_write_time(nbytes)
-        return seconds
+        if in_memory:
+            return seconds + self.cost_model.mem_write_time(nbytes)
+        return self.cost_model.disk_write_time(nbytes)
 
     def register_composite(
         self, dataset_id: str, member_ids: List[str], producer: Optional[str] = None
@@ -263,9 +248,6 @@ class Cluster:
         self._records[dataset_id] = DatasetRecord(
             dataset_id, producer, nodes, sizes, partition_keys=keys
         )
-        self.metrics.peak_datasets_stored = max(
-            self.metrics.peak_datasets_stored, len(self._records)
-        )
         self.trace.emit(
             "composite_registered",
             dataset=dataset_id,
@@ -285,42 +267,27 @@ class Cluster:
         key: PartitionKey = record.partition_keys[index]
         slot = node.slot(key)
         nbytes = slot.nbytes
-        if slot.in_memory:
-            node.touch(key, self.clock.now)
-            access = dict(node=node.id, dataset=dataset_id)
-            self.obs.counter("partition_hits", **access).inc()
-            self.obs.counter("bytes_read_memory", **access).inc(nbytes)
-            seconds = self.cost_model.mem_read_time(nbytes)
-            self.trace.emit(
-                "dataset_access",
-                dataset=dataset_id,
-                index=index,
-                node=node.id,
-                hit=True,
-                nbytes=nbytes,
-                seconds=seconds,
-                reload=False,
-            )
-            return slot.payload, seconds, node.id
-        # miss: stream the partition from disk.  It is *not* promoted back
+        hit = slot.in_memory
+        node.touch(key, self.clock.now)
+        # a miss streams the partition from disk.  It is *not* promoted back
         # into memory — tasks stream spilled inputs (as Spark does); data
         # only re-enters memory as part of newly produced outputs.  An
         # eviction of still-needed data therefore costs one disk read per
         # future access, which is exactly what AMM's preference weighs.
-        access = dict(node=node.id, dataset=dataset_id)
-        self.obs.counter("partition_misses", **access).inc()
-        self.obs.counter("bytes_read_disk", **access).inc(nbytes)
-        node.touch(key, self.clock.now)
-        seconds = self.cost_model.disk_read_time(nbytes)
+        seconds = (
+            self.cost_model.mem_read_time(nbytes)
+            if hit
+            else self.cost_model.disk_read_time(nbytes)
+        )
         self.trace.emit(
             "dataset_access",
             dataset=dataset_id,
             index=index,
             node=node.id,
-            hit=False,
+            hit=hit,
             nbytes=nbytes,
             seconds=seconds,
-            reload=slot.evicted,
+            reload=not hit and slot.evicted,
         )
         return slot.payload, seconds, node.id
 
@@ -354,7 +321,6 @@ class Cluster:
             return
         for key, node_id in zip(record.partition_keys, record.partition_nodes):
             self.node(node_id).remove(key)
-        self.obs.counter("datasets_discarded", dataset=dataset_id).inc()
         self.trace.emit("dataset_discarded", dataset=dataset_id)
 
     def pin_dataset(self, dataset_id: str) -> None:
@@ -407,7 +373,6 @@ class Cluster:
                 ranking=ranking,
             )
             node.demote(victim.key).evicted = True
-            self.policy.record_eviction(self.obs, node, victim, spilled)
             if spilled:
                 seconds += self.cost_model.disk_write_time(victim.nbytes)
             # else: the policy knows the data is dead — dropped for free
@@ -565,10 +530,6 @@ class Cluster:
             return 0.0
         slot = node.slot(key)
         seconds = self.cost_model.disk_read_time(slot.nbytes)
-        self.obs.counter(
-            "bytes_read_disk", node=node.id, dataset=record.dataset_id
-        ).inc(slot.nbytes)
-        self.obs.counter("recoveries", node=node.id).inc()
         if promote and not slot.in_memory:
             seconds += self._ensure_space(node, slot.nbytes)
             if node.free_memory() >= slot.nbytes:

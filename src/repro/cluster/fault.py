@@ -194,16 +194,8 @@ def recover_partitions(cluster: Cluster, lost: List[PartitionKey]) -> float:
         node_id = record.partition_nodes[index]
         key = record.partition_keys[index]
         seconds += cluster.cost_model.disk_read_time(nbytes)
-        cluster.obs.counter("recoveries", node=node_id).inc()
-        if cluster.node(node_id).has(key):
-            # a disk copy survives: reload it, no upstream work needed
-            cluster.obs.counter(
-                "bytes_read_disk", node=node_id, dataset=dataset_id
-            ).inc(nbytes)
-            action = "reload"
-        else:
-            cluster.obs.counter("recovery_reexecutions", node=node_id).inc()
-            action = "recompute"
+        # a surviving disk copy reloads — no upstream work needed
+        action = "reload" if cluster.node(node_id).has(key) else "recompute"
         cluster.trace.emit(
             "recovery",
             dataset=dataset_id,

@@ -115,27 +115,6 @@ class MemoryPolicy:
         """
         return True
 
-    def record_eviction(self, registry, node: Node, victim: Slot, spilled: bool) -> None:
-        """Account one eviction into the labeled metrics registry.
-
-        Called by the cluster right after it demotes ``victim``.  The
-        policy's name is the ``policy`` label, so eviction hotspots can be
-        broken down per node/dataset *and* compared across policies; a
-        spill additionally counts the victim's bytes as disk writes, while
-        a free drop (AMM's ``acc = 0`` case, R4) lands in the separate
-        ``evictions_free`` counter.
-        """
-        if registry is None:
-            return
-        labels = dict(node=node.id, dataset=victim.dataset_id, policy=self.name)
-        registry.counter("evictions", **labels).inc()
-        if spilled:
-            registry.counter(
-                "bytes_written_disk", node=node.id, dataset=victim.dataset_id
-            ).inc(victim.nbytes)
-        else:
-            registry.counter("evictions_free", **labels).inc()
-
     def ranking_snapshot(self, candidates: List[Slot]) -> List[Dict[str, Any]]:
         """What this policy ranked an eviction's candidates by.
 

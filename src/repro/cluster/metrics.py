@@ -6,14 +6,14 @@ This module tracks both, plus eviction counts, byte volumes, per-category
 time breakdowns, and pruning statistics, so every figure of §6.2–§6.4 can
 be regenerated.
 
-Since the labeled registry landed (:mod:`repro.obs.registry`), a cluster's
-``Metrics`` is a *derived view*: :meth:`Metrics.bind` attaches it to the
-cluster's :class:`~repro.obs.registry.MetricsRegistry`, after which every
-field read aggregates the labeled series (sum for counters, max for
-peaks) and every field write is forwarded as a counter increment / gauge
-ratchet.  Existing callers — ``as_dict()`` consumers, ``merge()`` over
-baseline runs, plain ``Metrics()`` literals in tests — keep working
-unchanged: an unbound instance behaves exactly as the old dataclass did.
+A cluster's ``Metrics`` is a *derived view*: :meth:`Metrics.bind` attaches
+it to the cluster's :class:`~repro.obs.registry.MetricsRegistry`, after
+which every field read aggregates the labeled series (sum for counters,
+max for peaks) and the fields are read-only — the registry is written by
+the trace fold (:mod:`repro.obs.bridge`) and a few direct counters, never
+through the view.  ``as_dict()`` consumers, ``merge()`` over baseline runs
+and plain ``Metrics()`` literals keep working: an unbound instance is an
+ordinary dataclass.
 """
 
 from __future__ import annotations
@@ -60,38 +60,15 @@ class Metrics:
 
     # --------------------------------------------------------- registry view
     def bind(self, registry) -> "Metrics":
-        """Turn this instance into a live view over a metrics registry.
+        """Turn this instance into a read-only live view over a registry.
 
         Bound, every field read aggregates the registry's labeled series
-        under the same name and every write forwards the delta, so the two
-        observability layers cannot drift apart.
+        under the same name, so the two observability layers cannot drift
+        apart; assigning a field raises ``AttributeError``.
         """
-        object.__setattr__(self, "_registry", registry)
+        self.__class__ = _BoundMetrics
+        self.__dict__["_registry"] = registry
         return self
-
-    def __getattribute__(self, name: str):
-        if name in _FIELD_NAMES:
-            registry = object.__getattribute__(self, "__dict__").get("_registry")
-            if registry is not None:
-                if name in _MAX_FIELDS:
-                    value = registry.max_value(name)
-                else:
-                    value = registry.value(name)
-                return value if name in _FLOAT_FIELDS else int(value)
-        return object.__getattribute__(self, name)
-
-    def __setattr__(self, name: str, value) -> None:
-        if name in _FIELD_NAMES:
-            registry = object.__getattribute__(self, "__dict__").get("_registry")
-            if registry is not None:
-                if name in _MAX_FIELDS:
-                    registry.gauge(name).set_max(value)
-                else:
-                    delta = value - registry.value(name)
-                    if delta:
-                        registry.counter(name).inc(delta)
-                return
-        object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------ aggregates
     @property
@@ -116,7 +93,7 @@ class Metrics:
         for name in _FIELD_NAMES:
             mine, theirs = getattr(self, name), getattr(other, name)
             combined = max(mine, theirs) if name in _MAX_FIELDS else mine + theirs
-            object.__setattr__(merged, name, combined)
+            setattr(merged, name, combined)
         return merged
 
     def as_dict(self) -> Dict[str, float]:
@@ -128,3 +105,23 @@ class Metrics:
 
 
 _FIELD_NAMES = tuple(f.name for f in fields(Metrics))
+
+
+class _BoundMetrics(Metrics):
+    """What :meth:`Metrics.bind` turns an instance into: every field a
+    read-only property aggregating the bound registry."""
+
+
+def _registry_view(name: str) -> property:
+    def read(self):
+        registry = self.__dict__["_registry"]
+        value = (
+            registry.max_value(name) if name in _MAX_FIELDS else registry.value(name)
+        )
+        return value if name in _FLOAT_FIELDS else int(value)
+
+    return property(read, doc=f"``{name}`` aggregated over the bound registry")
+
+
+for _name in _FIELD_NAMES:
+    setattr(_BoundMetrics, _name, _registry_view(_name))

@@ -48,8 +48,6 @@ class BackendStats:
     prefetch_hits: int = 0
     #: prefetched stages dropped unused (pruned branch or cache hit)
     prefetch_drops: int = 0
-    #: payloads that crossed a process boundary via shared memory
-    shm_transfers: int = 0
     #: payloads that crossed a process boundary via pickle protocol 5
     pickle_transfers: int = 0
 
@@ -60,7 +58,6 @@ class BackendStats:
             "prefetches": self.prefetches,
             "prefetch_hits": self.prefetch_hits,
             "prefetch_drops": self.prefetch_drops,
-            "shm_transfers": self.shm_transfers,
             "pickle_transfers": self.pickle_transfers,
         }
 
@@ -93,7 +90,7 @@ class ExecutionBackend:
         """
 
     def close(self) -> None:
-        """Release any resources (pools, shared memory).  Idempotent."""
+        """Release any resources (process pools).  Idempotent."""
 
     # ---------------------------------------------------------- data plane
     def map_chain(self, ops: List[Operator], payloads: List[Any]) -> List[Any]:

@@ -12,9 +12,7 @@ constraints shape everything here:
   introduces operators the current workers have never seen, the pool is
   re-forked — at most once per run, amortised over every dispatch.
 * **Payloads are produced after the fork**, so they must cross the
-  process boundary explicitly: large contiguous numpy arrays travel via
-  :mod:`multiprocessing.shared_memory` (one copy each way, no pickling of
-  the bulk), everything else via pickle protocol 5.  A payload that
+  process boundary explicitly, via pickle protocol 5.  A payload that
   cannot be pickled at all falls back to in-process execution — identical
   results, just without the parallelism (``stats.fallbacks`` counts it).
 
@@ -30,23 +28,13 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-from multiprocessing import shared_memory
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ...core.errors import ExecutionError
 from ...core.operators import Operator
 from .base import ExecutionBackend
 
-try:  # numpy is a hard dependency of the repo, but stay import-safe
-    import numpy as np
-except Exception:  # pragma: no cover - numpy is always present in CI
-    np = None
-
 __all__ = ["MPBackend"]
-
-#: arrays at or above this size travel through shared memory; below it the
-#: pickle-5 path is cheaper than two extra syscalls and a segment create
-SHM_MIN_BYTES = 256 * 1024
 
 #: operator token -> operator, inherited by pool workers at fork time.
 #: Written only in the parent, immediately before the pool is (re)forked.
@@ -54,38 +42,12 @@ _WORKER_OPS: Dict[int, Operator] = {}
 
 
 # ---------------------------------------------------------------- transport
-def _encode(obj: Any) -> Tuple:
-    """Parent/worker -> wire. ``("shm", ...)`` for big arrays else pickle-5."""
-    if (
-        np is not None
-        and isinstance(obj, np.ndarray)
-        and obj.nbytes >= SHM_MIN_BYTES
-    ):
-        data = np.ascontiguousarray(obj)
-        seg = shared_memory.SharedMemory(create=True, size=data.nbytes)
-        view = np.ndarray(data.shape, dtype=data.dtype, buffer=seg.buf)
-        view[...] = data
-        name = seg.name
-        seg.close()  # receiver copies out and unlinks
-        return ("shm", name, data.dtype.str, data.shape)
-    return ("pkl", pickle.dumps(obj, protocol=5))
+def _encode(obj: Any) -> bytes:
+    """Parent/worker -> wire (pickle protocol 5)."""
+    return pickle.dumps(obj, protocol=5)
 
 
-def _decode(wire: Tuple) -> Any:
-    """Wire -> object.  Shared-memory segments are consumed (unlinked)."""
-    if wire[0] == "shm":
-        _, name, dtype, shape = wire
-        seg = shared_memory.SharedMemory(name=name)
-        try:
-            out = np.ndarray(shape, dtype=np.dtype(dtype), buffer=seg.buf).copy()
-        finally:
-            seg.close()
-            try:
-                seg.unlink()
-            except FileNotFoundError:  # pragma: no cover - already reaped
-                pass
-        return out
-    return pickle.loads(wire[1])
+_decode = pickle.loads
 
 
 def _encode_error(exc: BaseException) -> Tuple:
@@ -162,9 +124,6 @@ class MPBackend(ExecutionBackend):
         self._ops: Dict[int, Operator] = {}
         self._stale = False
         self._prefetched: Dict[str, _Prefetch] = {}
-        #: dropped-but-unfinished futures; reaped so their shared-memory
-        #: segments are consumed instead of leaked
-        self._zombies: List = []
 
     # ----------------------------------------------------------- lifecycle
     def prepare(self, ops: Iterable[Operator]) -> None:
@@ -190,7 +149,6 @@ class MPBackend(ExecutionBackend):
     def _shutdown_pool(self) -> None:
         if self._pool is None:
             return
-        self._drain_zombies(block=True)
         self._pool.close()
         self._pool.join()
         self._pool = None
@@ -199,24 +157,6 @@ class MPBackend(ExecutionBackend):
         for key in list(self._prefetched):
             self.drop_prefetched(key)
         self._shutdown_pool()
-        self._drain_zombies(block=True)
-
-    def _drain_zombies(self, block: bool = False) -> None:
-        """Consume finished dropped futures (frees their shm segments)."""
-        remaining = []
-        for async_result in self._zombies:
-            if block or async_result.ready():
-                try:
-                    result = async_result.get()
-                    if result[0] == "ok":
-                        wires = result[1]
-                        for wire in wires if isinstance(wires, list) else [wires]:
-                            _decode(wire)
-                except Exception:  # noqa: BLE001 - dropped work, best effort
-                    pass
-            else:
-                remaining.append(async_result)
-        self._zombies = remaining
 
     # ------------------------------------------------------------- helpers
     def _tokens(self, ops: List[Operator]) -> List[int]:
@@ -228,17 +168,14 @@ class MPBackend(ExecutionBackend):
             payload = op.apply_partition(payload)
         return payload
 
-    def _count_wire(self, wire: Tuple) -> Tuple:
-        if wire[0] == "shm":
-            self.stats.shm_transfers += 1
-        else:
-            self.stats.pickle_transfers += 1
+    def _wire(self, payload: Any) -> bytes:
+        wire = _encode(payload)
+        self.stats.pickle_transfers += 1
         return wire
 
     # ---------------------------------------------------------- data plane
     def map_chain(self, ops: List[Operator], payloads: List[Any]) -> List[Any]:
         pool = self._ensure_pool()
-        self._drain_zombies()
         if pool is None:
             self.stats.fallbacks += len(payloads)
             self.stats.chains_run += len(payloads)
@@ -247,7 +184,7 @@ class MPBackend(ExecutionBackend):
         if self._stale:
             pool = self._ensure_pool()
         try:
-            wires = [self._count_wire(_encode(p)) for p in payloads]
+            wires = [self._wire(p) for p in payloads]
         except Exception:  # unpicklable payload: run the whole map inline
             self.stats.fallbacks += len(payloads)
             self.stats.chains_run += len(payloads)
@@ -281,14 +218,13 @@ class MPBackend(ExecutionBackend):
         if key in self._prefetched:
             return True
         pool = self._ensure_pool()
-        self._drain_zombies()
         if pool is None:
             return False
         tokens = self._tokens(ops)
         if self._stale:
             pool = self._ensure_pool()
         try:
-            wires = [self._count_wire(_encode(p)) for p in payloads]
+            wires = [self._wire(p) for p in payloads]
         except Exception:  # unpicklable input: execute normally later
             return False
         if kind == "narrow":
@@ -344,8 +280,6 @@ class MPBackend(ExecutionBackend):
         entry = self._prefetched.pop(key, None)
         if entry is None:
             return
+        # don't block a prune on wasted work: the pool discards the
+        # results of futures nobody holds
         self.stats.prefetch_drops += 1
-        # don't block a prune on wasted work: park the futures and reap
-        # them opportunistically so their shm segments are still consumed
-        self._zombies.extend(entry.asyncs)
-        self._drain_zombies()

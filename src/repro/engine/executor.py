@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..cluster.cluster import Cluster
+from ..cluster.metrics import Metrics
 from ..cluster.stragglers import apply_stragglers
 from ..core.datasets import Dataset, Partition, concat_payloads, split_payload
 from ..core.errors import SchedulingError
@@ -34,6 +35,10 @@ from ..core.operators import Operator
 from ..core.stages import Stage
 from .backends import ExecutionBackend, make_backend
 from .job import EngineConfig
+
+#: base of the exponential backoff charged between task retry attempts
+#: (seconds; attempt i waits ``RETRY_BACKOFF · 2^i``)
+RETRY_BACKOFF = 0.05
 
 
 def _split_bytes(total: int, count: int) -> List[int]:
@@ -136,7 +141,7 @@ class StageExecutor:
         self._owns_backend = not isinstance(spec, ExecutionBackend)
 
     def close(self) -> None:
-        """Release backend resources (process pools, shared memory)."""
+        """Release backend resources (process pools)."""
         if self._owns_backend:
             self.backend.close()
 
@@ -161,14 +166,18 @@ class StageExecutor:
         cache-hit serving walls in between.
         """
         per_node_io, per_node_compute = tally.io, tally.compute
+        obs = self.cluster.obs
         profile = self.config.stragglers
         if profile is not None:
+            backups = Metrics()
             per_node_io = apply_stragglers(
-                per_node_io, profile, self.config.speculation, self.cluster.metrics
+                per_node_io, profile, self.config.speculation, backups
             )
             per_node_compute = apply_stragglers(
-                per_node_compute, profile, self.config.speculation, self.cluster.metrics
+                per_node_compute, profile, self.config.speculation, backups
             )
+            if backups.speculative_tasks:
+                obs.counter("speculative_tasks").inc(backups.speculative_tasks)
         if consume_faults and self._pending_task_faults:
             faults, self._pending_task_faults = self._pending_task_faults, {}
             per_node_io = dict(per_node_io)
@@ -181,11 +190,10 @@ class StageExecutor:
                 node_io = per_node_io.get(node_id, 0.0)
                 node_compute = per_node_compute.get(node_id, 0.0)
                 backoff = sum(
-                    self.config.retry_backoff * (2 ** i) for i in range(attempts)
+                    RETRY_BACKOFF * (2 ** i) for i in range(attempts)
                 )
                 per_node_io[node_id] = node_io * (1 + attempts)
                 per_node_compute[node_id] = node_compute * (1 + attempts) + backoff
-                self.cluster.obs.counter("task_retries", node=node_id).inc(attempts)
                 self.cluster.trace.emit(
                     "task_retried",
                     node=node_id,
@@ -195,7 +203,6 @@ class StageExecutor:
         io = max(per_node_io.values(), default=0.0)
         compute = max(per_node_compute.values(), default=0.0)
         overhead = tally.num_tasks * self.config.task_overhead
-        obs = self.cluster.obs
         for node_id, seconds in per_node_io.items():
             obs.counter("time_io", node=node_id).inc(seconds)
             self.cluster.note_busy(node_id, seconds)
@@ -248,7 +255,6 @@ class StageExecutor:
         """Account one consulted-but-executed stage (cache off stays silent)."""
         cache = self.config.cache
         cache.stats.misses += 1
-        self.cluster.obs.counter("cache_misses").inc()
         tenant = getattr(cache, "tenant", None)
         if tenant:
             self.cluster.obs.counter("cache_tenant_misses", policy=tenant).inc()
@@ -408,12 +414,8 @@ class StageExecutor:
         cache.stats.bytes_saved += hit.total_bytes
         cache.stats.compute_seconds_saved += saved_seconds
         obs = self.cluster.obs
-        labels = dict(dataset=dataset_id, policy=hit.tier)
-        obs.counter("cache_hits", **labels).inc()
-        obs.counter("cache_bytes_saved", **labels).inc(hit.total_bytes)
-        obs.counter("cache_compute_seconds_saved", **labels).inc(saved_seconds)
-        # tenant-labelled accounting (shared cross-tenant stores only; these
-        # counters are additive — not part of the bridge's replay views)
+        # tenant-labelled accounting (shared cross-tenant stores only): the
+        # trace does not know tenants, so these stay direct
         tenant = getattr(cache, "tenant", None)
         if tenant:
             obs.counter("cache_tenant_hits", policy=tenant).inc()
@@ -519,9 +521,6 @@ class StageExecutor:
         parts: List[_Part] = []
         for partition in raw.partitions:
             node = self.cluster.node_for_partition(partition.index)
-            self.cluster.obs.counter(
-                "bytes_read_disk", node=node.id, dataset=raw.id
-            ).inc(partition.nominal_bytes)
             self.cluster.trace.emit(
                 "source_read",
                 dataset=raw.id,
@@ -670,7 +669,6 @@ class StageExecutor:
             cost = evaluator.cost_factor * partition.nominal_bytes
             tally.add_compute(node.id, self.cluster.cost_model.compute_time(cost))
         score = evaluator.score(dataset)
-        self.cluster.obs.counter("choose_evaluations", dataset=dataset.id).inc()
         self.cluster.trace.emit(
             "choose_evaluation",
             evaluator=evaluator.name,
@@ -707,7 +705,6 @@ class StageExecutor:
             tally.network = self.cluster.cost_model.network_time(record.nbytes)
             tally.compute = {"master": sum(tally.compute.values())}
             tally.tasks = {"master": record.num_partitions}
-        self.cluster.obs.counter("choose_evaluations", dataset=dataset_id).inc()
         self.cluster.trace.emit(
             "choose_evaluation",
             evaluator=evaluator.name,

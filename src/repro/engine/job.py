@@ -32,9 +32,6 @@ class EngineConfig:
     pruning: bool = True
     hint: SchedulingHint = field(default_factory=SortedHint)
     partitions_per_worker: int = 1
-    #: master-side cost per selection-function invocation (§5 reports the
-    #: master sustaining 2M invocations/s on low-end hardware)
-    master_selection_cost: float = 5e-7
     #: serial master overhead per task (drives sublinear worker scaling)
     task_overhead: float = 0.0005
     #: run the evaluator at the master instead of the workers (ablation of
@@ -49,9 +46,6 @@ class EngineConfig:
     #: and be retried this many times, each attempt charged in full, before
     #: its node is declared dead and decommissioned
     max_task_retries: int = 3
-    #: base of the exponential backoff charged between task retry attempts
-    #: (seconds; attempt i waits ``retry_backoff · 2^i``)
-    retry_backoff: float = 0.05
     #: raise instead of tracing ``failure_unfired`` when an injected
     #: failure is scheduled past the last stage index and never fires
     strict_failures: bool = False

@@ -34,11 +34,14 @@ from ..core.mdf import MDF, Scope
 from ..core.operators import Operator, Sink
 from ..core.optimizations import make_pruner, plan_optimizations
 from ..core.stages import Stage, StageGraph
-from ..prof.spans import registry_categories
 from .executor import StageExecutor, StageTimes
 from .job import ChooseDecision, EngineConfig, JobResult, StageTrace
 from .recovery import RecoveryManager
 from .scheduler import BFSScheduler, Scheduler, SchedulerContext
+
+#: master-side cost per selection-function invocation (§5 reports the
+#: master sustaining 2M invocations/s on low-end hardware)
+MASTER_SELECTION_COST = 5e-7
 
 #: ready-queue depths are small integers; the default log-scale latency
 #: buckets would lump them all together
@@ -153,7 +156,6 @@ class Master:
         self._branch_stage_ids: Dict[str, Set[str]] = {}
         self._tail_stage_to_branch: Dict[str, Tuple[str, Branch]] = {}
         self._context = SchedulerContext()
-        self._context.registry = cluster.obs
         self._context.stage_graph = self.stage_graph
         self._context.num_workers = cluster.num_workers
         if getattr(self.scheduler, "needs_estimates", False):
@@ -171,11 +173,6 @@ class Master:
             self._context.stage_costs = {
                 e.stage_id: e.pessimistic_seconds for e in estimate.stages
             }
-        #: set by the RecoveryManager around §5 failure handling, so stage
-        #: re-executions are attributed to "recovery" rather than their
-        #: normal component split (the profiler applies the same rule by
-        #: pairing stage_reexecuted announcements with completions)
-        self._in_recovery = False
         self._prepare_scopes()
         self._prepare_schedule()
         self._bind_policy()
@@ -414,9 +411,10 @@ class Master:
             )
             self._prefetch_siblings(stage, ready)
             # Everything the stage causes — loads, stores, evictions, the
-            # deferred choose evaluation — is attributed to it through the
-            # ambient label context (the trace→metrics bridge applies the
-            # same rule: events after a stage_scheduled belong to it).
+            # deferred choose evaluation — is attributed to it: the trace
+            # fold files events after a stage_scheduled under that stage,
+            # and the ambient label context does the same for the direct
+            # instruments (histograms, per-node times and task counts).
             with obs.label_context(stage=stage.id, branch=stage.branch_id):
                 if stage.is_choose:
                     self._execute_choose_stage(stage)
@@ -580,7 +578,6 @@ class Master:
             "task_dispatched", stage=stage.id, num_tasks=outcome.num_tasks
         )
         self._advance(outcome.times, stage, started)
-        self.cluster.obs.counter("stages_executed").inc()
         for input_id in input_ids:
             self._consume(input_id, head)
         self._mark_done(stage)
@@ -608,9 +605,6 @@ class Master:
             self.cluster.cost_model.disk_write_time(record.nbytes)
             * config.overhead_fraction
         )
-        self.cluster.obs.counter(
-            "bytes_written_disk", dataset=output_dataset_id
-        ).inc(int(record.nbytes * config.overhead_fraction))
         self.cluster.trace.emit(
             "checkpoint_written",
             dataset=output_dataset_id,
@@ -642,11 +636,10 @@ class Master:
         """
         explore_name, branch = self._tail_stage_to_branch[stage.id]
         runtime = self._scopes[explore_name]
-        self.cluster.obs.counter("branches_executed", branch=branch.id).inc()
         choose = runtime.choose
         started = self.cluster.clock.now
         score, times = self.executor.evaluate_pipelined(choose.evaluator, outcome.pending)
-        times.overhead += self.config.master_selection_cost
+        times.overhead += MASTER_SELECTION_COST
         self._advance(
             times, None, started, activity="choose_evaluation", branch=branch.id
         )
@@ -722,7 +715,6 @@ class Master:
         explore_name, branch = entry
         runtime = self._scopes[explore_name]
         runtime.tail_dataset[branch.id] = output_dataset_id
-        self.cluster.obs.counter("branches_executed", branch=branch.id).inc()
         if self.config.incremental_choose:
             self._evaluate_branch(runtime, branch)
             self._maybe_finalize(runtime)
@@ -758,7 +750,7 @@ class Master:
         started = self.cluster.clock.now
         score, times = self.executor.evaluate_branch(choose.evaluator, dataset_id)
         # master runs the selection function (§5): tiny but accounted
-        times.overhead += self.config.master_selection_cost
+        times.overhead += MASTER_SELECTION_COST
         self._advance(
             times, None, started, activity="choose_evaluation", branch=branch.id
         )
@@ -843,7 +835,6 @@ class Master:
 
     def _prune_branch(self, runtime: _ScopeRuntime, branch: Branch, reason: str) -> None:
         runtime.pruned.add(branch.id)
-        self.cluster.obs.counter("branches_pruned", branch=branch.id).inc()
         pruned_ops: Set[str] = set()
         pruned_stage_ids: List[str] = []
         for stage_id in self._branch_stage_ids[branch.id]:
@@ -995,15 +986,6 @@ class Master:
         self.result.wall_io += times.io
         self.result.wall_network += times.network
         finished = self.cluster.clock.now
-        for category, seconds in registry_categories(
-            times.io,
-            times.compute,
-            times.network,
-            times.overhead,
-            activity=activity,
-            recovery=self._in_recovery and stage is not None,
-        ).items():
-            self.cluster.obs.counter(f"profile_{category}_seconds").inc(seconds)
         if stage is not None:
             self.cluster.obs.histogram(
                 "stage_seconds", stage=stage.id, branch=stage.branch_id

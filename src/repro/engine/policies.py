@@ -65,10 +65,10 @@ class ListScheduler(Scheduler):
         chooses = _choose_candidates(ready)
         if chooses:
             self.last_rationale = "choose-first"
-            return self._record(context, min(chooses, key=lambda s: s.index))
+            return min(chooses, key=lambda s: s.index)
         best = max(ready, key=lambda s: (context.upward_rank(s), -s.index))
         self.last_rationale = "max-upward-rank"
-        return self._record(context, best)
+        return best
 
 
 class SpeculativeScheduler(Scheduler):
@@ -87,10 +87,10 @@ class SpeculativeScheduler(Scheduler):
     def __init__(self):
         self._started: set = set()  # branch ids with at least one stage run
 
-    def _pick(self, context: SchedulerContext, stage: Stage) -> Stage:
+    def _pick(self, stage: Stage) -> Stage:
         if stage.branch_id is not None:
             self._started.add(stage.branch_id)
-        return self._record(context, stage)
+        return stage
 
     def _depth(self, context: SchedulerContext, stage: Stage) -> int:
         info = context.branch_info(stage)
@@ -107,10 +107,10 @@ class SpeculativeScheduler(Scheduler):
         chooses = _choose_candidates(candidates)
         if chooses:
             self.last_rationale = "choose-first"
-            return self._pick(context, chooses[0])
+            return self._pick(chooses[0])
         if not fell_back:
             self.last_rationale = "dfs-successor"
-            return self._pick(context, candidates[0])
+            return self._pick(candidates[0])
         committed = [
             s
             for s in candidates
@@ -123,7 +123,7 @@ class SpeculativeScheduler(Scheduler):
             self.last_rationale = "speculate-sibling"
             pool = candidates
         best = max(pool, key=lambda s: (self._depth(context, s), -s.index))
-        return self._pick(context, best)
+        return self._pick(best)
 
 
 class WorkStealingScheduler(Scheduler):
@@ -156,7 +156,7 @@ class WorkStealingScheduler(Scheduler):
             self.last_rationale = "steal-largest"
         lane = min(range(len(self._lane_load)), key=lambda i: (self._lane_load[i], i))
         self._lane_load[lane] += context.stage_cost(stage)
-        return self._record(context, stage)
+        return stage
 
 
 class RandomScheduler(Scheduler):
@@ -174,7 +174,7 @@ class RandomScheduler(Scheduler):
 
     def select(self, ready, last_executed, successors_of_last, context) -> Stage:
         self.last_rationale = "uniform-random"
-        return self._record(context, ready[int(self.rng.integers(len(ready)))])
+        return ready[int(self.rng.integers(len(ready)))]
 
 
 # ------------------------------------------------------------------ registry

@@ -67,22 +67,10 @@ class RecoveryManager:
         """Recover from one node failure; returns the charged seconds."""
         cluster = self.cluster
         master = self.master
+        # everything the clock pays for until we return is §5 recovery: the
+        # profiler and the profile counters both recognise it from the
+        # trace (stage_reexecuted announcements, recovery_reload spans)
         started = cluster.clock.now
-        # everything the clock pays for until we return is §5 recovery:
-        # the profiler's "recovery" category and the live profile counters
-        # both key off this flag (re-executed stages) plus the
-        # recovery_reload activity tag (checkpoint reloads)
-        master._in_recovery = True
-        try:
-            return self._handle_failure(report, stage_index, started)
-        finally:
-            master._in_recovery = False
-
-    def _handle_failure(
-        self, report: FailureReport, stage_index: int, started: float
-    ) -> float:
-        cluster = self.cluster
-        master = self.master
         dropped: Dict[Optional[str], List[PartitionKey]] = {}
         recompute: Dict[str, List[PartitionKey]] = {}
         for key in report.lost:
@@ -305,7 +293,6 @@ class RecoveryManager:
             ]
         )
         with cluster.obs.label_context(stage=stage.id, branch=stage.branch_id):
-            cluster.obs.counter("stages_reexecuted").inc()
             started = cluster.clock.now
             if stage.kind == "source":
                 # sources re-read the job input and re-register wholesale
@@ -330,7 +317,6 @@ class RecoveryManager:
             cluster.trace.emit(
                 "task_dispatched", stage=stage.id, num_tasks=outcome.num_tasks
             )
-            cluster.obs.counter("stages_executed").inc()
             master._advance(outcome.times, stage, started)
             if missing:
                 self._note_recovered(into_id, missing)
@@ -396,8 +382,6 @@ class RecoveryManager:
             except ValueError:
                 continue  # record was replaced wholesale (repartitioned)
             node_id = record.partition_nodes[pos]
-            self.cluster.obs.counter("recoveries", node=node_id).inc()
-            self.cluster.obs.counter("recovery_reexecutions", node=node_id).inc()
             self.cluster.trace.emit(
                 "recovery",
                 dataset=into_id,

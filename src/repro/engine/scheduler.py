@@ -46,9 +46,6 @@ class SchedulerContext:
         self.observed_scores: Dict[str, List[Tuple[dict, float]]] = {}
         #: explore_name -> nesting depth (deeper scopes scheduled first)
         self.scope_depth: Dict[str, int] = {}
-        #: the job's metrics registry (set by the master); schedulers record
-        #: their selections into it with the rationale as the policy label
-        self.registry = None
         #: the job's :class:`~repro.core.stages.StageGraph` (set by the
         #: master); lets list schedulers walk successor chains
         self.stage_graph = None
@@ -112,7 +109,8 @@ class Scheduler:
 
     name = "base"
     #: why the last ``select`` picked its stage — recorded into the
-    #: ``stage_scheduled`` trace event for observability
+    #: ``stage_scheduled`` trace event (and, from there, the ``policy``
+    #: label of the ``scheduler_selections`` counter)
     last_rationale: Optional[str] = None
     #: set True on policies that rank by modelled stage cost: the master
     #: then runs the static estimator once and fills
@@ -128,18 +126,6 @@ class Scheduler:
     ) -> Stage:
         raise NotImplementedError
 
-    def _record(self, context: SchedulerContext, stage: Stage) -> Stage:
-        """Count the selection under its rationale; returns the stage."""
-        registry = getattr(context, "registry", None)
-        if registry is not None:
-            registry.counter(
-                "scheduler_selections",
-                stage=stage.id,
-                branch=stage.branch_id,
-                policy=self.last_rationale,
-            ).inc()
-        return stage
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}()"
 
@@ -152,7 +138,7 @@ class BFSScheduler(Scheduler):
     def select(self, ready, last_executed, successors_of_last, context) -> Stage:
         # `ready` is maintained in became-ready order by the master.
         self.last_rationale = "fifo"
-        return self._record(context, ready[0])
+        return ready[0]
 
 
 class BranchAwareScheduler(Scheduler):
@@ -173,9 +159,9 @@ class BranchAwareScheduler(Scheduler):
         chooses = [s for s in candidates if s.is_choose]
         if chooses:
             self.last_rationale = "choose-first"
-            return self._record(context, chooses[0])
+            return chooses[0]
         self.last_rationale = "open-queue" if fell_back else "dfs-successor"
-        return self._record(context, self._hinted(candidates, context))
+        return self._hinted(candidates, context)
 
     def _hinted(self, candidates: List[Stage], context: SchedulerContext) -> Stage:
         """Rank candidates: deepest scope first (finish inner explores

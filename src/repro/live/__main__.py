@@ -17,6 +17,7 @@ progress counts, per-branch status and the plan-free watchdogs
 
 from __future__ import annotations
 
+import argparse
 import sys
 from typing import List, Optional, TextIO
 
@@ -30,59 +31,44 @@ from .watchdogs import (
     Watchdog,
 )
 
-USAGE = """\
-usage: python -m repro.live <trace.ndjson> [options]
 
-options:
-  --follow, -f          tail the file, redrawing as events arrive
-  --interval SECONDS    poll interval while following (default 0.2)
-  --idle-timeout SECS   stop following after this much silence (default 5.0)
-  --stall-seconds SECS  stall-watchdog threshold while following (default 10.0)
-  --refresh N           redraw every N events while following (default 25)
-  --plain               append progress lines instead of redrawing
-  --fail-on-alert       exit 1 if any alert was raised
-"""
-
-
-def _pop_value(argv: List[str], flag: str, default: float) -> float:
-    if flag not in argv:
-        return default
-    i = argv.index(flag)
-    try:
-        value = float(argv[i + 1])
-    except (IndexError, ValueError):
-        raise SystemExit(f"{flag} needs a numeric argument")
-    del argv[i : i + 2]
-    return value
+def make_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.live",
+        usage="python -m repro.live <trace.ndjson> [options]",
+        description="terminal progress dashboard over a streamed NDJSON trace",
+        allow_abbrev=False,
+    )
+    parser.add_argument("trace", metavar="<trace.ndjson>", help="the trace file")
+    parser.add_argument("--follow", "-f", action="store_true",
+                        help="tail the file, redrawing as events arrive")
+    parser.add_argument("--interval", type=float, default=0.2, metavar="SECONDS",
+                        help="poll interval while following (default 0.2)")
+    parser.add_argument("--idle-timeout", type=float, default=5.0, metavar="SECS",
+                        help="stop following after this much silence (default 5.0)")
+    parser.add_argument("--stall-seconds", type=float, default=10.0, metavar="SECS",
+                        help="stall-watchdog threshold while following (default 10.0)")
+    parser.add_argument("--refresh", type=int, default=25, metavar="N",
+                        help="redraw every N events while following (default 25)")
+    parser.add_argument("--plain", action="store_true",
+                        help="append progress lines instead of redrawing")
+    parser.add_argument("--fail-on-alert", action="store_true",
+                        help="exit 1 if any alert was raised")
+    return parser
 
 
 def main(argv: Optional[List[str]] = None, out: TextIO = sys.stdout) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    parser = make_parser()
     if "--help" in argv or "-h" in argv or not argv:
-        out.write(USAGE)
+        parser.print_help(out)
         return 0 if argv else 2
-    follow = False
-    for flag in ("--follow", "-f"):
-        if flag in argv:
-            follow = True
-            argv.remove(flag)
-    plain = "--plain" in argv
-    if plain:
-        argv.remove("--plain")
-    fail_on_alert = "--fail-on-alert" in argv
-    if fail_on_alert:
-        argv.remove("--fail-on-alert")
-    interval = _pop_value(argv, "--interval", 0.2)
-    idle_timeout = _pop_value(argv, "--idle-timeout", 5.0)
-    stall_seconds = _pop_value(argv, "--stall-seconds", 10.0)
-    refresh = int(_pop_value(argv, "--refresh", 25))
-    if len(argv) != 1:
-        out.write(USAGE)
-        return 2
-    path = argv[0]
+    # a malformed value exits 2 here, with one usage line on stderr
+    args = parser.parse_args(argv)
+    path = args.trace
 
     progress = ProgressEstimator()  # trace-only: no plan, ETA n/a
-    stall = StallWatchdog(threshold_seconds=stall_seconds)
+    stall = StallWatchdog(threshold_seconds=args.stall_seconds)
     watchdogs: List[Watchdog] = [
         MemoryPressureWatchdog(),
         RetryStormWatchdog(),
@@ -100,7 +86,7 @@ def main(argv: Optional[List[str]] = None, out: TextIO = sys.stdout) -> int:
         snap.alerts = len(alerts())
         if final:
             out.write(render_dashboard(snap, alerts()) + "\n")
-        elif plain:
+        elif args.plain:
             out.write(progress_line(snap) + "\n")
         else:
             # redraw in place: clear screen, home cursor
@@ -110,9 +96,9 @@ def main(argv: Optional[List[str]] = None, out: TextIO = sys.stdout) -> int:
     try:
         events = follow_events(
             path,
-            follow=follow,
-            poll_interval=interval,
-            idle_timeout=idle_timeout,
+            follow=args.follow,
+            poll_interval=args.interval,
+            idle_timeout=args.idle_timeout,
         )
         since_draw = 0
         for event in events:
@@ -121,7 +107,7 @@ def main(argv: Optional[List[str]] = None, out: TextIO = sys.stdout) -> int:
                 dog.on_event(event)
             stall.poll()
             since_draw += 1
-            if follow and since_draw >= refresh:
+            if args.follow and since_draw >= args.refresh:
                 draw()
                 since_draw = 0
     except FileNotFoundError:
@@ -135,7 +121,7 @@ def main(argv: Optional[List[str]] = None, out: TextIO = sys.stdout) -> int:
     raised = alerts()
     if raised:
         out.write(f"{len(raised)} alert(s) raised\n")
-    return 1 if (fail_on_alert and raised) else 0
+    return 1 if (args.fail_on_alert and raised) else 0
 
 
 if __name__ == "__main__":

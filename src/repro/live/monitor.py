@@ -36,7 +36,6 @@ class LiveMonitor:
         self,
         stream: Union[StreamWriter, str, "os.PathLike[str]", io.TextIOBase, None] = None,
         watchdogs: Optional[List[Watchdog]] = None,
-        straggler_factor: float = 1.5,
         node_factor: Optional[float] = None,
     ):
         if stream is not None and not isinstance(stream, StreamWriter):
@@ -47,7 +46,6 @@ class LiveMonitor:
         #: explicit watchdog list, or None to build the default set (which
         #: needs the plan, so it is deferred to ``attach``)
         self._watchdogs = watchdogs
-        self._straggler_factor = straggler_factor
         self._node_factor = node_factor
         self.watchdogs: List[Watchdog] = watchdogs or []
         self._trace: Optional[Trace] = None
@@ -68,7 +66,6 @@ class LiveMonitor:
             self.watchdogs = default_watchdogs(
                 plan=plan,
                 registry=registry,
-                straggler_factor=self._straggler_factor,
                 node_factor=self._node_factor,
             )
         else:

@@ -32,14 +32,13 @@ class StreamWriter:
 
     Accepts a path (the writer opens and owns the file) or any writable
     text file object (the caller keeps ownership; ``close()`` only closes
-    handles the writer opened).  Lines are flushed per event by default
+    handles the writer opened).  Lines are flushed per event
     so a follower process observes committed events promptly.
     """
 
     def __init__(
         self,
         target: Union[str, "os.PathLike[str]", io.TextIOBase],
-        autoflush: bool = True,
     ):
         if hasattr(target, "write"):
             self._fh = target
@@ -49,7 +48,6 @@ class StreamWriter:
             self.path = os.fspath(target)
             self._fh = open(self.path, "w")
             self._owns = True
-        self.autoflush = autoflush
         self.events_written = 0
         self.bytes_written = 0
         self.closed = False
@@ -63,8 +61,7 @@ class StreamWriter:
             raise ValueError("StreamWriter is closed")
         line = event.to_json() + "\n"
         self._fh.write(line)
-        if self.autoflush:
-            self._fh.flush()
+        self._fh.flush()
         self.events_written += 1
         self.bytes_written += len(line.encode("utf-8"))
 

@@ -324,16 +324,12 @@ class StallWatchdog(Watchdog):
 def default_watchdogs(
     plan: Optional[LivePlan] = None,
     registry=None,
-    straggler_factor: float = 1.5,
     node_factor: Optional[float] = None,
 ) -> List[Watchdog]:
     """The standard in-run watchdog set (stall excluded — it needs a
     wall-clock poll loop, which an in-process run does not have)."""
     return [
-        StragglerWatchdog(
-            plan=plan, registry=registry, factor=straggler_factor,
-            node_factor=node_factor,
-        ),
+        StragglerWatchdog(plan=plan, registry=registry, node_factor=node_factor),
         MemoryPressureWatchdog(registry=registry),
         RetryStormWatchdog(registry=registry),
     ]

@@ -1,30 +1,33 @@
-"""Trace→metrics bridge: rebuild a registry from a PR-1 decision trace.
+"""Counters are a fold of the trace: the one event→counter mapping.
 
 The decision trace (:mod:`repro.trace`) and the metrics registry
 (:mod:`repro.obs.registry`) observe the same execution at different
-altitudes — one event per decision vs labeled aggregates.  This module
-replays a trace and reconstructs the registry, which keeps the two layers
-honest: golden-trace tests assert the rebuilt registry equals the live one
-on every granularity the trace can express.
+altitudes — one event per decision vs labeled aggregates.  Every counter
+family the trace can express is *derived* from it by :class:`TraceFold`:
+the cluster's trace applies the fold to each committed event (so the live
+registry moves exactly when the trace does), and
+:func:`registry_from_trace` replays a recorded trace through the same
+fold — which is how the service rebuilds a job's registry from its NDJSON
+stream.  Live == replay holds by construction; the pinned
+``tests/golden/*.registry.json`` files keep the fold itself honest.
 
-Attribution mirrors the engine exactly: the master wraps each scheduled
-stage (including its deferred choose evaluation and selection) in a
-``{stage, branch}`` label context, so the bridge attributes every event to
-the most recent ``stage_scheduled`` event.  Quantities the trace does not
-record (per-node time breakdowns, latency histograms) are left empty;
-:data:`CONSISTENCY_VIEWS` lists exactly the instrument/granularity pairs
-the bridge guarantees.
+To add a counter, add an event field and a fold arm — not a call site.
+
+Attribution follows the master's stage loop: every event belongs to the
+most recent ``stage_scheduled`` (or ``stage_reexecuted``) event.
+Quantities the trace does not record (per-node time breakdowns, latency
+histograms, gauges) stay direct instrumentation; :data:`CONSISTENCY_VIEWS`
+lists the instrument/granularity pairs a replay guarantees.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..prof.spans import registry_categories
-from .registry import MetricsRegistry
+from .registry import LABEL_NAMES, MetricsRegistry
 
-#: (instrument, label dimensions) pairs on which a bridged registry must
-#: equal the live registry of the run that recorded the trace.
+#: (instrument, label dimensions) pairs on which a replayed registry equals
+#: the live registry of the run that recorded the trace.
 CONSISTENCY_VIEWS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("evictions", ("node", "branch", "stage", "dataset", "policy")),
     ("evictions_free", ("node", "branch", "stage", "dataset", "policy")),
@@ -50,14 +53,10 @@ CONSISTENCY_VIEWS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("cache_bytes_saved", ("branch", "stage", "dataset", "policy")),
     ("cache_compute_seconds_saved", ("branch", "stage", "dataset", "policy")),
     ("cache_admissions", ("branch", "stage", "dataset", "policy")),
-    # post-recovery revalidation invalidates entries outside any stage's
-    # label context while the bridge's ambient is the last re-executed
-    # stage, so only the dataset dimension is trace-reconstructible
     ("cache_invalidations", ("dataset",)),
-    # profiler category totals (repro.prof): replayed from the extended
-    # stage_completed / span events through the same category mapping the
-    # live counters use ("reload" is a profiler-only refinement of "io",
-    # so it has no counter here)
+    # profiler category totals (repro.prof), folded from the extended
+    # stage_completed / span events ("reload" is a profiler-only
+    # refinement of "io", so it has no counter here)
     ("profile_compute_seconds", ("branch", "stage")),
     ("profile_io_seconds", ("branch", "stage")),
     ("profile_network_seconds", ("branch", "stage")),
@@ -67,224 +66,238 @@ CONSISTENCY_VIEWS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
 )
 
 
+#: families the live engine still writes at a call site, because the trace
+#: cannot express their finer grain (``tasks_executed`` carries the node
+#: each task ran on; ``task_dispatched`` only a per-stage count).  The fold
+#: produces them on replay only — live, they would be counted twice.
+DIRECT_FAMILIES: Tuple[str, ...] = ("tasks_executed",)
+
+
+def registry_categories(
+    io: float,
+    compute: float,
+    network: float,
+    overhead: float,
+    activity: Optional[str] = None,
+    recovery: bool = False,
+) -> Dict[str, float]:
+    """Map one span's components to the coarse registry categories.
+
+    The single source of truth shared by the fold's profile counters and
+    the profiler: recovery time (a re-executed stage or a checkpoint
+    reload) is charged whole to ``recovery``, choose evaluation +
+    selection whole to ``evaluator``, and everything else splits by
+    component.  The finer io/reload split (which needs per-access reload
+    annotations) happens only in :mod:`repro.prof.attribution`.
+    """
+    total = io + compute + network + overhead
+    if recovery or activity == "recovery_reload":
+        return {"recovery": total} if total else {}
+    if activity == "choose_evaluation":
+        return {"evaluator": total} if total else {}
+    out: Dict[str, float] = {}
+    if compute:
+        out["compute"] = compute
+    if io:
+        out["io"] = io
+    if network:
+        out["network"] = network
+    if overhead:
+        out["overhead"] = overhead
+    return out
+
+
+class TraceFold:
+    """The counters as a streaming fold of the decision trace.
+
+    ``apply(event)`` is the one description of which event moves which
+    counter.  A cluster's :class:`~repro.trace.events.Trace` calls it on
+    every committed event (the live write path); :func:`registry_from_trace`
+    loops it over a recorded trace (``replay=True`` adds the
+    :data:`DIRECT_FAMILIES` the live engine writes itself).
+
+    Attribution: every event belongs to the most recent ``stage_scheduled``
+    / ``stage_reexecuted`` event — the master's stage loop in event form.
+    The fold writes exact label tuples; the registry's ambient label
+    context is for the instruments that stay direct.
+    """
+
+    def __init__(self, registry: MetricsRegistry, replay: bool = False):
+        if registry.label_names != LABEL_NAMES:
+            raise ValueError(
+                f"the trace fold writes the engine dimensions {LABEL_NAMES}, "
+                f"not {registry.label_names}"
+            )
+        self.registry = registry
+        self.replay = replay
+        self.stage: Optional[str] = None
+        self.branch: Optional[str] = None
+        #: dataset id -> partition count (a composite's is its members' sum)
+        self.partitions: Dict[str, int] = {}
+        self.live: set = set()
+        #: stage id -> outstanding stage_reexecuted announcements: the next
+        #: stage_completed of that stage is recovery work (same pairing the
+        #: profiler uses — inputs are secured before the announcement)
+        self.reexec_pending: Dict[str, int] = {}
+
+    def _inc(
+        self,
+        name: str,
+        amount: float = 1.0,
+        node: str = "",
+        dataset: str = "",
+        policy: Optional[str] = None,
+        stage: Optional[str] = None,
+        branch: Optional[str] = None,
+    ) -> None:
+        """Add to one counter child; stage/branch default to the fold's."""
+        labels = (
+            node,
+            branch or self.branch or "",
+            stage or self.stage or "",
+            dataset,
+            policy or "",
+        )
+        self.registry.counter_child(name, labels).inc(amount)
+
+    def _profile(
+        self, data: Dict, activity: Optional[str] = None, recovery: bool = False
+    ) -> None:
+        """One span's category split into the profile counters."""
+        for category, seconds in registry_categories(
+            data["io"],
+            data["compute"],
+            data["network"],
+            data["overhead"],
+            activity=activity,
+            recovery=recovery,
+        ).items():
+            self._inc(f"profile_{category}_seconds", seconds)
+
+    def apply(self, event) -> None:
+        data = event.data
+        kind = event.kind
+        if kind == "dataset_access":
+            node, dataset, nbytes = data["node"], data["dataset"], data["nbytes"]
+            if data["hit"]:
+                self._inc("partition_hits", node=node, dataset=dataset)
+                self._inc("bytes_read_memory", nbytes, node=node, dataset=dataset)
+            else:
+                self._inc("partition_misses", node=node, dataset=dataset)
+                self._inc("bytes_read_disk", nbytes, node=node, dataset=dataset)
+        elif kind == "partition_stored":
+            self._inc(
+                f"bytes_written_{data['tier']}",
+                data["nbytes"],
+                node=data["node"],
+                dataset=data["dataset"],
+            )
+        elif kind == "stage_scheduled":
+            self.stage = data["stage"]
+            self.branch = data.get("branch")
+            self._inc("scheduler_selections", policy=data.get("rationale"))
+        elif kind == "task_dispatched":
+            if self.replay:
+                self._inc("tasks_executed", data["num_tasks"], stage=data["stage"])
+            self._inc("stages_executed", stage=data["stage"])
+        elif kind == "stage_completed":
+            if "io" in data and "per_node_io" in data:
+                recovery = self.reexec_pending.get(data["stage"], 0) > 0
+                if recovery:
+                    self.reexec_pending[data["stage"]] -= 1
+                self._profile(data, recovery=recovery)
+        elif kind == "span":
+            self._profile(data, activity=data["activity"])
+        elif kind == "source_read":
+            self._inc(
+                "bytes_read_disk", data["nbytes"], node=data["node"], dataset=data["dataset"]
+            )
+        elif kind == "partition_evicted":
+            node, dataset, policy = data["node"], data["dataset"], data["policy"]
+            self._inc("evictions", node=node, dataset=dataset, policy=policy)
+            if data["spilled"]:
+                self._inc("bytes_written_disk", data["nbytes"], node=node, dataset=dataset)
+            else:
+                self._inc("evictions_free", node=node, dataset=dataset, policy=policy)
+        elif kind == "checkpoint_written":
+            self._inc("bytes_written_disk", data["nbytes"], dataset=data["dataset"])
+        elif kind == "dataset_registered" or kind == "composite_registered":
+            dataset = data["dataset"]
+            self.live.add(dataset)
+            if kind == "composite_registered":
+                self.live.difference_update(data["members"])
+                self.partitions[dataset] = sum(
+                    self.partitions.get(member, 0) for member in data["members"]
+                )
+            else:
+                self.partitions[dataset] = data["partitions"]
+            self.registry.gauge("peak_datasets_stored").set_max(len(self.live))
+        elif kind == "dataset_discarded":
+            self.live.discard(data["dataset"])
+            self._inc("datasets_discarded", dataset=data["dataset"])
+        elif kind == "choose_evaluation":
+            self._inc("choose_evaluations", dataset=data["dataset"])
+            if self.replay and not data["pipelined"]:
+                # a non-pipelined evaluation re-reads every partition of the
+                # branch dataset as one task each (executor.evaluate_branch)
+                self._inc("tasks_executed", self.partitions.get(data["dataset"], 0))
+        elif kind == "branch_evaluated":
+            self._inc("branches_executed", branch=data["branch"])
+        elif kind == "branch_pruned":
+            self._inc("branches_pruned", branch=data["branch"])
+        elif kind in ("node_failed", "recovery_started"):
+            # recovery work before the first re-executed stage (reloads,
+            # free drops) belongs to no stage
+            self.stage = None
+            self.branch = None
+        elif kind == "stage_reexecuted":
+            stage = self.stage = data["stage"]
+            self.branch = data["branch"]
+            self.reexec_pending[stage] = self.reexec_pending.get(stage, 0) + 1
+            self._inc("stages_reexecuted")
+        elif kind == "recovery":
+            action = data["action"]
+            if action in ("reload", "recompute"):
+                self._inc("recoveries", node=data["node"])
+            if action == "recompute":
+                self._inc("recovery_reexecutions", node=data["node"])
+            elif action == "reload":
+                self._inc(
+                    "bytes_read_disk",
+                    data["nbytes"],
+                    node=data["node"],
+                    dataset=data["dataset"],
+                )
+        elif kind == "task_retried":
+            self._inc("task_retries", data["attempts"], node=data["node"])
+        elif kind == "cache_hit":
+            dataset, tier = data["dataset"], data["tier"]
+            self._inc("cache_hits", dataset=dataset, policy=tier)
+            self._inc("cache_bytes_saved", data["nbytes"], dataset=dataset, policy=tier)
+            self._inc(
+                "cache_compute_seconds_saved",
+                data["saved_seconds"],
+                dataset=dataset,
+                policy=tier,
+            )
+        elif kind == "cache_miss":
+            self._inc("cache_misses")
+        elif kind == "cache_admit":
+            self._inc("cache_admissions", dataset=data["dataset"], policy=data["tier"])
+        elif kind == "cache_invalidate":
+            self._inc("cache_invalidations", dataset=data["dataset"])
+
+
 def registry_from_trace(trace) -> MetricsRegistry:
     """Replay a :class:`~repro.trace.events.Trace` into a fresh registry.
 
     Accepts a live trace or one rebuilt from JSONL
     (:meth:`~repro.trace.events.Trace.load_jsonl`).
     """
-    registry = MetricsRegistry()
-    stage: Optional[str] = None
-    branch: Optional[str] = None
-    #: dataset id -> partition count (evaluate_branch task accounting)
-    partitions: Dict[str, int] = {}
-    live: set = set()
-    #: stage id -> outstanding stage_reexecuted announcements: the next
-    #: stage_completed of that stage is recovery work (same pairing the
-    #: profiler uses — inputs are secured before the announcement)
-    reexec_pending: Dict[str, int] = {}
+    fold = TraceFold(MetricsRegistry(), replay=True)
     for event in trace:
-        data = event.data
-        kind = event.kind
-        if kind == "stage_scheduled":
-            stage = data["stage"]
-            branch = data.get("branch")
-            registry.counter(
-                "scheduler_selections",
-                stage=stage,
-                branch=branch,
-                policy=data.get("rationale"),
-            ).inc()
-        elif kind == "task_dispatched":
-            registry.counter(
-                "tasks_executed", stage=data["stage"], branch=branch
-            ).inc(data["num_tasks"])
-            registry.counter(
-                "stages_executed", stage=data["stage"], branch=branch
-            ).inc()
-        elif kind == "dataset_access":
-            labels = dict(
-                node=data["node"], dataset=data["dataset"], stage=stage, branch=branch
-            )
-            if data["hit"]:
-                registry.counter("partition_hits", **labels).inc()
-                registry.counter("bytes_read_memory", **labels).inc(data["nbytes"])
-            else:
-                registry.counter("partition_misses", **labels).inc()
-                registry.counter("bytes_read_disk", **labels).inc(data["nbytes"])
-        elif kind == "source_read":
-            registry.counter(
-                "bytes_read_disk",
-                node=data["node"],
-                dataset=data["dataset"],
-                stage=stage,
-                branch=branch,
-            ).inc(data["nbytes"])
-        elif kind == "partition_stored":
-            tier = "memory" if data["tier"] == "memory" else "disk"
-            registry.counter(
-                f"bytes_written_{tier}",
-                node=data["node"],
-                dataset=data["dataset"],
-                stage=stage,
-                branch=branch,
-            ).inc(data["nbytes"])
-        elif kind == "partition_evicted":
-            labels = dict(
-                node=data["node"],
-                dataset=data["dataset"],
-                policy=data["policy"],
-                stage=stage,
-                branch=branch,
-            )
-            registry.counter("evictions", **labels).inc()
-            if data["spilled"]:
-                registry.counter(
-                    "bytes_written_disk",
-                    node=data["node"],
-                    dataset=data["dataset"],
-                    stage=stage,
-                    branch=branch,
-                ).inc(data["nbytes"])
-            else:
-                registry.counter("evictions_free", **labels).inc()
-        elif kind == "checkpoint_written":
-            registry.counter(
-                "bytes_written_disk", dataset=data["dataset"], stage=stage, branch=branch
-            ).inc(data["nbytes"])
-        elif kind == "dataset_registered" or kind == "composite_registered":
-            live.add(data["dataset"])
-            if kind == "composite_registered":
-                for member in data["members"]:
-                    live.discard(member)
-            else:
-                partitions[data["dataset"]] = data["partitions"]
-            registry.gauge("peak_datasets_stored").set_max(len(live))
-        elif kind == "dataset_discarded":
-            live.discard(data["dataset"])
-            registry.counter("datasets_discarded", dataset=data["dataset"]).inc()
-        elif kind == "choose_evaluation":
-            registry.counter(
-                "choose_evaluations", dataset=data["dataset"], stage=stage, branch=branch
-            ).inc()
-            if not data["pipelined"]:
-                # a non-pipelined evaluation re-reads every partition of the
-                # branch dataset as one task each (executor.evaluate_branch)
-                registry.counter(
-                    "tasks_executed", stage=stage, branch=branch
-                ).inc(_partition_count(data["dataset"], partitions, trace))
-        elif kind == "branch_evaluated":
-            registry.counter("branches_executed", branch=data["branch"], stage=stage).inc()
-        elif kind == "branch_pruned":
-            registry.counter("branches_pruned", branch=data["branch"], stage=stage).inc()
-        elif kind in ("node_failed", "recovery_started"):
-            # recovery work before the first re-executed stage (reloads,
-            # free drops) runs outside any stage's label context
-            stage = None
-            branch = None
-        elif kind == "stage_reexecuted":
-            stage = data["stage"]
-            branch = data["branch"]
-            reexec_pending[stage] = reexec_pending.get(stage, 0) + 1
-            registry.counter("stages_reexecuted", stage=stage, branch=branch).inc()
-        elif kind == "stage_completed":
-            if "io" in data and "per_node_io" in data:
-                recovery = reexec_pending.get(data["stage"], 0) > 0
-                if recovery:
-                    reexec_pending[data["stage"]] -= 1
-                _bridge_profile(registry, data, stage, branch, recovery=recovery)
-        elif kind == "span":
-            _bridge_profile(
-                registry, data, stage, branch, activity=data["activity"]
-            )
-        elif kind == "recovery":
-            action = data["action"]
-            if action in ("reload", "recompute"):
-                registry.counter(
-                    "recoveries", node=data["node"], stage=stage, branch=branch
-                ).inc()
-            if action == "recompute":
-                registry.counter(
-                    "recovery_reexecutions",
-                    node=data["node"],
-                    stage=stage,
-                    branch=branch,
-                ).inc()
-            elif action == "reload":
-                registry.counter(
-                    "bytes_read_disk",
-                    node=data["node"],
-                    dataset=data["dataset"],
-                    stage=stage,
-                    branch=branch,
-                ).inc(data["nbytes"])
-        elif kind == "task_retried":
-            registry.counter(
-                "task_retries", node=data["node"], stage=stage, branch=branch
-            ).inc(data["attempts"])
-        elif kind == "cache_hit":
-            labels = dict(
-                dataset=data["dataset"],
-                policy=data["tier"],
-                stage=stage,
-                branch=branch,
-            )
-            registry.counter("cache_hits", **labels).inc()
-            registry.counter("cache_bytes_saved", **labels).inc(data["nbytes"])
-            registry.counter("cache_compute_seconds_saved", **labels).inc(
-                data["saved_seconds"]
-            )
-        elif kind == "cache_miss":
-            registry.counter("cache_misses", stage=stage, branch=branch).inc()
-        elif kind == "cache_admit":
-            registry.counter(
-                "cache_admissions",
-                dataset=data["dataset"],
-                policy=data["tier"],
-                stage=stage,
-                branch=branch,
-            ).inc()
-        elif kind == "cache_invalidate":
-            registry.counter(
-                "cache_invalidations", dataset=data["dataset"], stage=stage, branch=branch
-            ).inc()
-    return registry
-
-
-def _bridge_profile(
-    registry: MetricsRegistry,
-    data: Dict,
-    stage: Optional[str],
-    branch: Optional[str],
-    activity: Optional[str] = None,
-    recovery: bool = False,
-) -> None:
-    """Replay one span's category split into the profile counters."""
-    for category, seconds in registry_categories(
-        data["io"],
-        data["compute"],
-        data["network"],
-        data["overhead"],
-        activity=activity,
-        recovery=recovery,
-    ).items():
-        registry.counter(
-            f"profile_{category}_seconds", stage=stage, branch=branch
-        ).inc(seconds)
-
-
-def _partition_count(dataset_id: str, partitions: Dict[str, int], trace) -> int:
-    """Partition count of a dataset, resolving composites via their members."""
-    count = partitions.get(dataset_id)
-    if count is not None:
-        return count
-    for event in trace:
-        if event.kind == "composite_registered" and event.data["dataset"] == dataset_id:
-            return sum(
-                _partition_count(member, partitions, trace)
-                for member in event.data["members"]
-            )
-    return 0
+        fold.apply(event)
+    return fold.registry
 
 
 def diff_registries(
@@ -311,4 +324,11 @@ def diff_registries(
     return problems
 
 
-__all__ = ["CONSISTENCY_VIEWS", "diff_registries", "registry_from_trace"]
+__all__ = [
+    "CONSISTENCY_VIEWS",
+    "DIRECT_FAMILIES",
+    "TraceFold",
+    "diff_registries",
+    "registry_categories",
+    "registry_from_trace",
+]

@@ -321,6 +321,11 @@ class MetricsRegistry:
         family = self._family(name, "counter", Counter)
         return family.child(self._resolve(labels, ambient=True))
 
+    def counter_child(self, name: str, labels: LabelValues) -> Counter:
+        """The counter child at exactly ``labels`` — a full tuple in
+        ``label_names`` order, no ambient merge (the trace fold's write path)."""
+        return self._family(name, "counter", Counter).child(labels)
+
     def gauge(self, name: str, **labels: Optional[str]) -> Gauge:
         """The gauge child for exactly the given labels (no ambient merge)."""
         family = self._family(name, "gauge", Gauge)

@@ -15,11 +15,14 @@ CLI::
     python -m repro.prof --gate benchmarks/baselines.json
 
 The CI perf-regression gate lives in :mod:`repro.prof.gate`; it imports
-the engine, so it is intentionally not re-exported here (the engine
-imports :mod:`repro.prof.spans` for the shared category mapping, and a
-package-level gate import would create a cycle).
+the engine, so it is intentionally not re-exported here (the engine's
+runner imports :mod:`repro.prof.collect`, and a package-level gate import
+would create a cycle).  The span → category mapping
+(``registry_categories``) lives beside the counters' trace fold in
+:mod:`repro.obs.bridge` and is re-exported here.
 """
 
+from ..obs.bridge import registry_categories
 from .attribution import (
     BranchCost,
     CONSERVATION_TOL,
@@ -48,7 +51,6 @@ from .spans import (
     SpanProfile,
     build_profile,
     profile_from_result,
-    registry_categories,
 )
 from .whatif import WhatIf, parse_factors, render_whatif, reprice
 

@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .spans import CATEGORIES, Span, SpanProfile, registry_categories
+from ..obs.bridge import registry_categories
+from .spans import CATEGORIES, Span, SpanProfile
 
 CONSERVATION_TOL = 1e-9
 

@@ -36,41 +36,6 @@ CATEGORIES = (
 )
 
 
-def registry_categories(
-    io: float,
-    compute: float,
-    network: float,
-    overhead: float,
-    activity: Optional[str] = None,
-    recovery: bool = False,
-) -> Dict[str, float]:
-    """Map one span's components to the coarse registry categories.
-
-    This is the single source of truth shared by the live counters
-    (``Master._advance``), the trace→metrics bridge and the profiler:
-    recovery time (a re-executed stage or a checkpoint reload) is charged
-    whole to ``recovery``, choose evaluation + selection whole to
-    ``evaluator``, and everything else splits by component.  The finer
-    io/reload split (which needs per-access reload annotations) happens
-    only in :mod:`repro.prof.attribution`.
-    """
-    total = io + compute + network + overhead
-    if recovery or activity == "recovery_reload":
-        return {"recovery": total} if total else {}
-    if activity == "choose_evaluation":
-        return {"evaluator": total} if total else {}
-    out: Dict[str, float] = {}
-    if compute:
-        out["compute"] = compute
-    if io:
-        out["io"] = io
-    if network:
-        out["network"] = network
-    if overhead:
-        out["overhead"] = overhead
-    return out
-
-
 @dataclass
 class Span:
     """One clock advance: a half-open slice ``[started, finished)``."""
@@ -242,5 +207,4 @@ __all__ = [
     "SpanProfile",
     "build_profile",
     "profile_from_result",
-    "registry_categories",
 ]

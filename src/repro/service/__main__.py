@@ -41,87 +41,108 @@ commands:
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
 import time
-from typing import Any, Dict, List, Optional, TextIO
+from typing import Any, Dict, List, Optional, TextIO, Tuple
 
 from .jobs import DONE, FAILED, check_backend
 from .obs import _atomic_text
 from .service import JobService
 
-USAGE = """\
-usage: python -m repro.service <command> --spool DIR [options]
 
-commands:
-  serve     run the service over the spool directory
-  submit    queue one job (writes an inbox ticket)
-  status    print the latest service snapshot
-  follow    tail one job's live trace dashboard
-  top       follow-mode whole-service dashboard
-
-serve options:
-  --workers N           concurrent worker processes (default 2)
-  --slots N             admission window (default: workers)
-  --tenant NAME:WEIGHT  pre-register a tenant weight (repeatable)
-  --quota-bytes N       per-tenant shared-cache byte quota
-  --max-idle SECONDS    exit after this much inbox+queue silence (default 5)
-  --once                drain the current inbox, then exit
-  --no-validate         skip the per-job trace validators
-
-submit options:
-  --tenant NAME         submitting tenant (default "default")
-  --workload NAME       lab-zoo workload name (required)
-  --scheduler NAME      scheduler policy (default bas)
-  --memory NAME         eviction policy (default amm)
-  --backend NAME        execution backend (default serial; mp is
-                        rejected: pool workers cannot fork a pool)
-  --cost X              fair-share cost hint (default 1.0)
-
-status options:
-  --json                print the raw snapshot (age injected) as JSON
-  --metrics             print the service metrics export instead
-                        (Prometheus text; JSON with --json)
-  --stale-after S       age beyond which the snapshot is flagged STALE
-                        (default 30)
-
-follow options:
-  --job JOB_ID          job to follow (default: most recent)
-  (remaining flags pass through to `python -m repro.live`)
-
-top options:
-  --interval S          refresh period (default 2.0)
-  --iterations N        stop after N renders (default: until ^C)
-  --once                render a single frame and exit
-  --stale-after S       stale threshold, as in status (default 30)
-"""
-
-
-def _pop_flag(argv: List[str], flag: str) -> bool:
-    if flag in argv:
-        argv.remove(flag)
-        return True
-    return False
-
-
-def _pop_opt(argv: List[str], flag: str) -> Optional[str]:
-    if flag not in argv:
-        return None
-    i = argv.index(flag)
+def _tenant_weight(spec: str) -> Tuple[str, float]:
+    """``NAME[:WEIGHT]`` -> ``(name, weight)`` (weight defaults to 1)."""
+    name, _, weight = spec.partition(":")
     try:
-        value = argv[i + 1]
-    except IndexError:
-        raise SystemExit(f"{flag} needs an argument")
-    del argv[i : i + 2]
-    return value
+        return name, float(weight) if weight else 1.0
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid tenant weight: {weight!r}")
 
 
-def _pop_all(argv: List[str], flag: str) -> List[str]:
-    values = []
-    while flag in argv:
-        values.append(_pop_opt(argv, flag))
-    return values
+def make_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its per-command sub-parsers."""
+    prog = "python -m repro.service"
+    parser = argparse.ArgumentParser(
+        prog=prog,
+        usage=f"{prog} <command> --spool DIR [options]",
+        description="file-based multi-tenant MDF job service (the spool "
+        "directory is the whole protocol)",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(dest="command", metavar="<command>")
+
+    def command(name: str, handler, help: str) -> argparse.ArgumentParser:
+        sub = commands.add_parser(
+            name,
+            prog=f"{prog} {name}",
+            usage=f"{prog} {name} --spool DIR [options]",
+            help=help,
+            description=help,
+            allow_abbrev=False,
+        )
+        sub.add_argument("--spool", metavar="DIR", help="the spool directory")
+        sub.set_defaults(handler=handler)
+        return sub
+
+    serve = command("serve", cmd_serve, "run the service over the spool directory")
+    serve.add_argument("--workers", type=int, default=2, metavar="N",
+                       help="concurrent worker processes (default 2)")
+    serve.add_argument("--slots", type=int, metavar="N",
+                       help="admission window (default: workers)")
+    serve.add_argument("--tenant", type=_tenant_weight, action="append", default=[],
+                       metavar="NAME:WEIGHT", dest="tenants",
+                       help="pre-register a tenant weight (repeatable)")
+    serve.add_argument("--quota-bytes", type=int, metavar="N",
+                       help="per-tenant shared-cache byte quota")
+    serve.add_argument("--max-idle", type=float, default=5.0, metavar="SECONDS",
+                       help="exit after this much inbox+queue silence (default 5)")
+    serve.add_argument("--once", action="store_true",
+                       help="drain the current inbox, then exit")
+    serve.add_argument("--no-validate", action="store_true",
+                       help="skip the per-job trace validators")
+
+    submit = command("submit", cmd_submit, "queue one job (writes an inbox ticket)")
+    submit.add_argument("--tenant", default="default", metavar="NAME",
+                        help='submitting tenant (default "default")')
+    submit.add_argument("--workload", metavar="NAME",
+                        help="lab-zoo workload name (required)")
+    submit.add_argument("--scheduler", metavar="NAME",
+                        help="scheduler policy (default bas)")
+    submit.add_argument("--memory", metavar="NAME",
+                        help="eviction policy (default amm)")
+    submit.add_argument("--backend", metavar="NAME",
+                        help="execution backend (default serial; mp is "
+                        "rejected: pool workers cannot fork a pool)")
+    submit.add_argument("--cost", type=float, metavar="X",
+                        help="fair-share cost hint (default 1.0)")
+
+    status = command("status", cmd_status, "print the latest service snapshot")
+    status.add_argument("--json", action="store_true",
+                        help="print the raw snapshot (age injected) as JSON")
+    status.add_argument("--metrics", action="store_true",
+                        help="print the service metrics export instead "
+                        "(Prometheus text; JSON with --json)")
+
+    follow = command("follow", cmd_follow, "tail one job's live trace dashboard")
+    follow.add_argument("--job", metavar="JOB_ID",
+                        help="job to follow (default: most recent); remaining "
+                        "flags pass through to `python -m repro.live`")
+
+    top = command("top", cmd_top, "follow-mode whole-service dashboard")
+    top.add_argument("--interval", type=float, default=2.0, metavar="S",
+                     help="refresh period (default 2.0)")
+    top.add_argument("--iterations", type=int, default=0, metavar="N",
+                     help="stop after N renders (default: until ^C)")
+    top.add_argument("--once", action="store_true",
+                     help="render a single frame and exit")
+    for sub in (status, top):
+        sub.add_argument("--stale-after", type=float, default=30.0, metavar="S",
+                         help="age beyond which the snapshot is flagged STALE "
+                         "(default 30)")
+    return parser, commands.choices
 
 
 def _inbox(spool: str) -> str:
@@ -173,27 +194,15 @@ def _ingest(service: JobService, spool: str, out: TextIO) -> int:
 
 
 # ----------------------------------------------------------------- serve
-def cmd_serve(argv: List[str], spool: str, out: TextIO) -> int:
-    workers = int(_pop_opt(argv, "--workers") or 2)
-    slots = _pop_opt(argv, "--slots")
-    quota = _pop_opt(argv, "--quota-bytes")
-    max_idle = float(_pop_opt(argv, "--max-idle") or 5.0)
-    once = _pop_flag(argv, "--once")
-    validate = not _pop_flag(argv, "--no-validate")
-    tenants: Dict[str, float] = {}
-    for spec in _pop_all(argv, "--tenant"):
-        name, _, weight = spec.partition(":")
-        tenants[name] = float(weight) if weight else 1.0
-    if argv:
-        out.write(f"unknown serve arguments: {argv}\n")
-        return 2
+def cmd_serve(args: argparse.Namespace, out: TextIO) -> int:
+    spool = args.spool
     service = JobService(
-        workers=workers,
-        slots=int(slots) if slots else None,
-        tenants=tenants,
+        workers=args.workers,
+        slots=args.slots or None,
+        tenants=dict(args.tenants),
         spool=spool,
-        quota_bytes=int(quota) if quota else None,
-        validate=validate,
+        quota_bytes=args.quota_bytes or None,
+        validate=not args.no_validate,
     )
     out.write(
         f"serving spool={spool} workers={service.workers} "
@@ -207,9 +216,9 @@ def cmd_serve(argv: List[str], spool: str, out: TextIO) -> int:
             if moved:
                 last_activity = time.monotonic()
             busy = service.queue.backlog or service._running
-            if once and not busy:
+            if args.once and not busy:
                 break
-            if not busy and time.monotonic() - last_activity >= max_idle:
+            if not busy and time.monotonic() - last_activity >= args.max_idle:
                 break
             service.wait(0.02 if busy else 0.1)  # a completion ends it early
         service.drain()
@@ -220,33 +229,21 @@ def cmd_serve(argv: List[str], spool: str, out: TextIO) -> int:
 
 
 # ---------------------------------------------------------------- submit
-def cmd_submit(argv: List[str], spool: str, out: TextIO) -> int:
-    tenant = _pop_opt(argv, "--tenant") or "default"
-    workload = _pop_opt(argv, "--workload")
-    if not workload:
+def cmd_submit(args: argparse.Namespace, out: TextIO) -> int:
+    if not args.workload:
         out.write("submit requires --workload NAME\n")
         return 2
-    ticket: Dict[str, Any] = {"tenant": tenant, "workload": workload}
-    for flag, key in (
-        ("--scheduler", "scheduler"),
-        ("--memory", "memory"),
-        ("--backend", "backend"),
-    ):
-        value = _pop_opt(argv, flag)
+    ticket: Dict[str, Any] = {"tenant": args.tenant, "workload": args.workload}
+    for key in ("scheduler", "memory", "backend", "cost"):
+        value = getattr(args, key)
         if value is not None:
             ticket[key] = value
-    cost = _pop_opt(argv, "--cost")
-    if cost is not None:
-        ticket["cost"] = float(cost)
-    if argv:
-        out.write(f"unknown submit arguments: {argv}\n")
-        return 2
     try:
         check_backend(ticket.get("backend", "serial"))
     except ValueError as exc:
         out.write(f"{exc}\n")
         return 2
-    path = _write_ticket(spool, ticket)
+    path = _write_ticket(args.spool, ticket)
     out.write(f"queued ticket {os.path.basename(path)}\n")
     return 0
 
@@ -289,11 +286,9 @@ def _age_line(state: Dict[str, Any], stale_after: float) -> str:
     return f"snapshot age: {age:.1f}s{flag}\n"
 
 
-def cmd_status(argv: List[str], spool: str, out: TextIO) -> int:
-    as_json = _pop_flag(argv, "--json")
-    metrics = _pop_flag(argv, "--metrics")
-    stale_after = float(_pop_opt(argv, "--stale-after") or 30.0)
-    if metrics:
+def cmd_status(args: argparse.Namespace, out: TextIO) -> int:
+    spool, as_json, stale_after = args.spool, args.json, args.stale_after
+    if args.metrics:
         name = "metrics.json" if as_json else "metrics.prom"
         path = os.path.join(spool, name)
         try:
@@ -423,15 +418,9 @@ def _render_top(
     return "\n".join(lines) + "\n"
 
 
-def cmd_top(argv: List[str], spool: str, out: TextIO) -> int:
-    interval = float(_pop_opt(argv, "--interval") or 2.0)
-    iterations = int(_pop_opt(argv, "--iterations") or 0)
-    if _pop_flag(argv, "--once"):
-        iterations = 1
-    stale_after = float(_pop_opt(argv, "--stale-after") or 30.0)
-    if argv:
-        out.write(f"unknown top arguments: {argv}\n")
-        return 2
+def cmd_top(args: argparse.Namespace, out: TextIO) -> int:
+    spool, stale_after = args.spool, args.stale_after
+    iterations = 1 if args.once else args.iterations
     rendered = 0
     while True:
         state = _load_state(spool)
@@ -448,14 +437,14 @@ def cmd_top(argv: List[str], spool: str, out: TextIO) -> int:
         if iterations and rendered >= iterations:
             return 0
         try:
-            time.sleep(interval)
+            time.sleep(args.interval)
         except KeyboardInterrupt:  # pragma: no cover - interactive exit
             return 0
 
 
 # ---------------------------------------------------------------- follow
-def cmd_follow(argv: List[str], spool: str, out: TextIO) -> int:
-    job_id = _pop_opt(argv, "--job")
+def cmd_follow(args: argparse.Namespace, out: TextIO) -> int:
+    spool, job_id, argv = args.spool, args.job, args.passthrough
     state = _load_state(spool)
     stream = None
     if state is not None:
@@ -480,27 +469,24 @@ def cmd_follow(argv: List[str], spool: str, out: TextIO) -> int:
 
 def main(argv: Optional[List[str]] = None, out: TextIO = sys.stdout) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if not argv or "--help" in argv or "-h" in argv:
-        out.write(USAGE)
-        return 0 if argv else 2
-    command, argv = argv[0], argv[1:]
-    spool = _pop_opt(argv, "--spool")
-    if spool is None:
+    parser, commands = make_parser()
+    wants_help = "--help" in argv or "-h" in argv
+    command = commands.get(argv[0]) if argv else None
+    if wants_help or command is None:
+        (command or parser).print_help(out)
+        return 0 if wants_help else 2
+    # a malformed value exits 2 here, with one usage line on stderr
+    args, extra = parser.parse_known_args(argv)
+    if args.command == "follow":
+        args.passthrough = extra
+    elif extra:
+        out.write(f"unknown {args.command} arguments: {extra}\n")
+        return 2
+    if args.spool is None:
         out.write("every command needs --spool DIR\n")
         return 2
-    os.makedirs(spool, exist_ok=True)
-    handlers = {
-        "serve": cmd_serve,
-        "submit": cmd_submit,
-        "status": cmd_status,
-        "follow": cmd_follow,
-        "top": cmd_top,
-    }
-    handler = handlers.get(command)
-    if handler is None:
-        out.write(USAGE)
-        return 2
-    return handler(argv, spool, out)
+    os.makedirs(args.spool, exist_ok=True)
+    return args.handler(args, out)
 
 
 if __name__ == "__main__":

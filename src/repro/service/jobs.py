@@ -71,19 +71,14 @@ class JobSpec:
     validate: bool = True
     #: relative cost hint for fair-share admission (any positive unit)
     cost: float = 1.0
-    #: bounded real seconds a store miss waits on another job's in-flight
-    #: computation of the same fingerprint before recomputing
-    singleflight_wait: float = 5.0
-    #: ship the job's obs-registry snapshot / profile seconds / store
-    #: counters back to the service observability plane; off reproduces
-    #: the plain PR9 worker payload
-    obs: bool = True
 
     def as_dict(self) -> Dict[str, Any]:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: Dict[str, Any]) -> "JobSpec":
+        """Unknown keys are ignored, so tickets written for an older spec
+        (``"obs"``, ``"singleflight_wait"``) still load."""
         known = {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
         return cls(**{k: v for k, v in raw.items() if k in known})
 

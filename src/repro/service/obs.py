@@ -162,9 +162,11 @@ class FairnessAuditor(Watchdog):
     kind = "fairness"
     counter_name = "service_alerts"
 
-    def __init__(self, registry=None, slack: float = 2.0):
+    #: share-drift alert threshold, in units of the legitimate SFQ lag
+    slack = 2.0
+
+    def __init__(self, registry=None):
         super().__init__(registry)
-        self.slack = float(slack)
         self.achieved: Dict[str, float] = {}
         self.entitled: Dict[str, float] = {}
         #: total cost admitted while the tenant was backlogged

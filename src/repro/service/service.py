@@ -63,9 +63,7 @@ class JobService:
         spool: Optional[str] = None,
         quota_bytes: Optional[int] = None,
         validate: bool = True,
-        singleflight_wait: float = 5.0,
         cache: bool = True,
-        obs: bool = True,
         slos: Optional[Dict[str, Dict[str, Any]]] = None,
     ):
         self.workers = max(1, int(workers))
@@ -81,7 +79,6 @@ class JobService:
             self.cache_dir = None
         self.quota_bytes = quota_bytes
         self.validate = bool(validate)
-        self.singleflight_wait = float(singleflight_wait)
         self.records: Dict[str, JobRecord] = {}
         self._running: Dict[str, Tuple[JobRecord, QueuedJob, Any]] = {}
         self._landed: deque = deque()  # ids whose result is in (pool thread)
@@ -91,15 +88,13 @@ class JobService:
         self._closed = False
         self._dirty = False  # the views lag the live state
         self._publish_due = 0.0  # time.monotonic() of the next due publish
-        #: the service observability plane (None = obs off, PR9 behaviour)
-        self.obs: Optional[ServiceObs] = None
-        if obs:
-            self.obs = ServiceObs(
-                events_path=os.path.join(self.spool, "service_events.ndjson"),
-                slots=self.queue.slots,
-                weights=self.queue.weights(),
-                slos=slos,
-            )
+        #: the service observability plane; its event log is always written
+        self.obs = ServiceObs(
+            events_path=os.path.join(self.spool, "service_events.ndjson"),
+            slots=self.queue.slots,
+            weights=self.queue.weights(),
+            slos=slos,
+        )
 
     # ----------------------------------------------------------- lifecycle
     def _ensure_pool(self):
@@ -121,8 +116,7 @@ class JobService:
             self._pool.join()
             self._pool = None
         self.write_state()
-        if self.obs is not None:
-            self.obs.close()
+        self.obs.close()
 
     def __enter__(self) -> "JobService":
         return self
@@ -155,8 +149,6 @@ class JobService:
             stream_path=os.path.join(self.spool, "streams", f"{job_id}.ndjson"),
             validate=self.validate,
             cost=cost,
-            singleflight_wait=self.singleflight_wait,
-            obs=self.obs is not None,
         )
         for key, value in overrides.items():
             if not hasattr(spec, key):
@@ -165,8 +157,7 @@ class JobService:
         record = JobRecord(spec=spec)
         self.records[job_id] = record
         queued = self.queue.put(tenant, record, cost=spec.cost)
-        if self.obs is not None:
-            self.obs.job_submitted(record, queued, self.queue.vtime)
+        self.obs.job_submitted(record, queued, self.queue.vtime)
         self._dirty = True
         self._publish()
         return job_id
@@ -211,8 +202,7 @@ class JobService:
                 else:
                     record.status = FAILED
                     record.error = result.get("error")
-            if self.obs is not None:
-                self.obs.job_finished(record, snapshot)
+            self.obs.job_finished(record, snapshot)
             transitions += 1
         return transitions
 
@@ -222,7 +212,7 @@ class JobService:
         while self.queue.free_slots and self.queue.backlog:
             # snapshot the SFQ candidates *before* the pop: the fairness
             # auditor re-checks the min-finish-tag discipline against them
-            heads = self.queue.pending_heads() if self.obs is not None else {}
+            heads = self.queue.pending_heads()
             queued = self.queue.next_job()
             if queued is None:  # pragma: no cover - guarded by the while
                 break
@@ -230,10 +220,9 @@ class JobService:
             record: JobRecord = queued.payload
             record.status = RUNNING
             record.started_at = time.time()
-            if self.obs is not None:
-                self.obs.job_admitted(
-                    record, queued, heads, self.queue.weights(), self.queue.vtime
-                )
+            self.obs.job_admitted(
+                record, queued, heads, self.queue.weights(), self.queue.vtime
+            )
 
             def land(_, job_id=record.job_id):  # in the pool's result thread
                 self._landed.append(job_id)
@@ -291,7 +280,7 @@ class JobService:
             ],
             "cache_dir": self.cache_dir,
             "spool": self.spool,
-            "obs": self.obs.summary() if self.obs is not None else None,
+            "obs": self.obs.summary(),
             "jobs": [record.as_dict() for record in self.records.values()],
         }
 
@@ -308,6 +297,5 @@ class JobService:
         payload = dict(self.status(), updated_unix=time.time())
         with _atomic_text(os.path.join(self.spool, "state.json")) as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
-        if self.obs is not None:
-            self.obs.export(self.spool)
+        self.obs.export(self.spool)
         self._dirty = False

@@ -31,6 +31,7 @@ from ..cache import ResultCache, SharedCacheStore
 from ..engine.runner import run_mdf
 from ..trace.validate import validate_trace
 from .jobs import JobSpec
+from .obs import JOB_VIEW_FAMILIES, PROFILE_CATEGORIES
 
 __all__ = ["outputs_digest", "run_job"]
 
@@ -51,10 +52,7 @@ def outputs_digest(outputs: Dict[str, Any]) -> str:
 
 def _build_cache(spec: JobSpec) -> ResultCache:
     store = SharedCacheStore(
-        spec.cache_dir,
-        tenant=spec.tenant,
-        quota_bytes=spec.quota_bytes,
-        flight_wait=spec.singleflight_wait,
+        spec.cache_dir, tenant=spec.tenant, quota_bytes=spec.quota_bytes
     )
     return ResultCache(store=store)
 
@@ -119,18 +117,15 @@ def _run(spec: JobSpec, started: float) -> Dict[str, Any]:
         # a fresh cache per job makes totals == this run's deltas
         summary["cache"] = cache.stats.as_dict()
         store = getattr(cache, "store", None)
-        if spec.obs and store is not None and hasattr(store, "obs_counters"):
+        if store is not None and hasattr(store, "obs_counters"):
             summary["store"] = store.obs_counters()
-    if spec.obs:
-        from .obs import JOB_VIEW_FAMILIES, PROFILE_CATEGORIES
-
-        registry = cluster.obs
-        # only the trace-reconstructible counter families cross the pipe:
-        # that is what the service merges, and what replaying the job's
-        # NDJSON stream through the PR2 bridge can rebuild exactly
-        summary["obs"] = registry.snapshot(names=JOB_VIEW_FAMILIES)
-        summary["profile"] = {
-            category: registry.value(f"profile_{category}_seconds")
-            for category in PROFILE_CATEGORIES
-        }
+    registry = cluster.obs
+    # only the trace-reconstructible counter families cross the pipe: that
+    # is what the service merges, and what replaying the job's NDJSON
+    # stream through the trace fold rebuilds exactly
+    summary["obs"] = registry.snapshot(names=JOB_VIEW_FAMILIES)
+    summary["profile"] = {
+        category: registry.value(f"profile_{category}_seconds")
+        for category in PROFILE_CATEGORIES
+    }
     return summary

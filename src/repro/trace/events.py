@@ -173,6 +173,12 @@ class Trace:
     executor and memory manager all emit into it through the cluster.  A
     disabled trace (``enabled = False``) turns every emit into a no-op.
 
+    **Fold** (``repro.obs.bridge``): the owning cluster sets ``fold`` to its
+    metrics fold, which is applied to each event right after the append and
+    before any subscriber — so a subscriber handling event *N* reads
+    counters through *N*.  It is an internal step, not a subscriber: nothing
+    can detach it, and an exception in it is an engine bug that propagates.
+
     **Subscriber bus** (``repro.live``): callbacks registered with
     :meth:`subscribe` are invoked *after* each event is committed to
     ``self.events``, in registration order.  Because notification happens
@@ -193,6 +199,9 @@ class Trace:
         self.strict = strict
         self.enabled = True
         self._subscribers: List[Callable[[TraceEvent], None]] = []
+        #: applied to every committed event before the subscribers; set by
+        #: the owning cluster to its counters' ``TraceFold.apply``
+        self.fold: Optional[Callable[[TraceEvent], None]] = None
         #: called as ``hook(subscriber, exception)`` when a subscriber
         #: raises (after the subscriber has been detached); set by the
         #: owning cluster to count ``live_subscriber_errors``
@@ -285,6 +294,8 @@ class Trace:
         t = float(self._clock.now) if self._clock is not None else 0.0
         event = TraceEvent(len(self.events), t, kind, data)
         self.events.append(event)
+        if self.fold is not None:
+            self.fold(event)
         if self._subscribers:
             self._notify(event)
         return event

@@ -12,6 +12,13 @@ per-graph, and the JSONL encoding is canonical (sorted keys, compact
 separators).  Any engine change that alters a decision — scheduling
 order, eviction victim, pruning point — shows up as a byte diff.
 
+Beside each trace sits ``<name>.registry.json``: the run's metrics
+registry aggregated over every :data:`~repro.obs.CONSISTENCY_VIEWS` row
+(plus two registry-only scenarios, a node failure and a shared-store
+cache session, whose events the six traces never emit).  The counters are
+a fold of the trace, so these files pin the fold itself — comparing the
+live registry with a replay of its own trace would be a tautology.
+
 Regenerate after an *intended* decision change with::
 
     PYTHONPATH=src python -m tests.golden.regenerate
@@ -22,9 +29,22 @@ then review the diff like any other golden update.
 from __future__ import annotations
 
 import importlib.util
+import json
+import tempfile
 from pathlib import Path
 
 from repro import CallableEvaluator, Cluster, GB, MB, MDFBuilder, Min, run_mdf
+from repro.cache import ResultCache, SharedCacheStore
+from repro.cluster.fault import (
+    CheckpointConfig,
+    FailureEvent,
+    FailureInjector,
+    TaskFailureEvent,
+)
+from repro.engine import EngineConfig
+from repro.obs import CONSISTENCY_VIEWS
+
+from ..conftest import build_nested_mdf
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 REPO_ROOT = GOLDEN_DIR.parents[1]
@@ -77,23 +97,22 @@ def build_explore_choose_mdf():
 def record_quickstart():
     mdf = load_quickstart_module().build_quickstart_mdf()
     cluster = Cluster(num_workers=4, mem_per_worker=1 * GB)
-    return run_mdf(mdf, cluster, scheduler="bas", memory="amm", validate=True)
+    return run_mdf(mdf, cluster, scheduler="bas", memory="amm", validate=True), cluster
 
 
 def record_explore_choose():
     mdf = build_explore_choose_mdf()
     cluster = Cluster(num_workers=2, mem_per_worker=48 * MB)
-    return run_mdf(mdf, cluster, scheduler="bas", memory="amm", validate=True)
+    return run_mdf(mdf, cluster, scheduler="bas", memory="amm", validate=True), cluster
 
 
 def _record_lab_policy(workload_name: str, scheduler: str):
     """One lab-zoo workload under one contender scheduler (validated)."""
     from repro.lab.workloads import get_workload
 
-    result, _ = get_workload(workload_name).run(
+    return get_workload(workload_name).run(
         scheduler=scheduler, memory="amm", validate=True
     )
-    return result
 
 
 def record_policy_heft():
@@ -112,22 +131,92 @@ def record_policy_random():
     return _record_lab_policy("filter_min", "random")
 
 
-RECORDERS = {
+def record_failure_recovery():
+    """A transient task failure, then a node crash mid-explore, under
+    memory pressure with every second stage checkpointed: the lost
+    partitions split between checkpoint reloads and lineage recomputes."""
+    cluster = Cluster(num_workers=4, mem_per_worker=64 * MB)
+    config = EngineConfig(
+        checkpointing=CheckpointConfig(2, overhead_fraction=0.1),
+        failures=FailureInjector(
+            [FailureEvent(4, "worker-0")], [TaskFailureEvent(2, "worker-1", 2)]
+        ),
+    )
+    result = run_mdf(
+        build_nested_mdf(), cluster, memory="amm", config=config, validate=True
+    )
+    return result, cluster
+
+
+def record_shared_store_cache():
+    """The lab zoo's ``dl_grid`` cold into a shared store, then warm on a
+    fresh cluster served from it; the two registries are merged."""
+    from repro.lab.workloads import get_workload
+
+    workload = get_workload("dl_grid")
+    with tempfile.TemporaryDirectory() as store_dir:
+        clusters = []
+        for _ in ("cold", "warm"):
+            cluster = workload.make_cluster()
+            config = workload.make_config()
+            config.cache = ResultCache(
+                store=SharedCacheStore(store_dir, tenant="golden")
+            )
+            result = run_mdf(
+                workload.make_mdf(), cluster, memory="amm", config=config, validate=True
+            )
+            clusters.append(cluster)
+    cold, warm = clusters
+    cold.obs.merge(warm.obs)
+    return result, cold
+
+
+#: name -> () -> (result, cluster) for every recorded scenario
+SCENARIOS = {
     "quickstart": record_quickstart,
     "explore_choose": record_explore_choose,
     "policy_heft": record_policy_heft,
     "policy_speculative": record_policy_speculative,
     "policy_wsteal": record_policy_wsteal,
     "policy_random": record_policy_random,
+    "failure_recovery": record_failure_recovery,
+    "shared_store_cache": record_shared_store_cache,
 }
+
+#: the trace-golden scenarios as () -> result (what the trace tests call)
+RECORDERS = {
+    name: (lambda scenario=SCENARIOS[name]: scenario()[0]) for name in GOLDEN_FILES
+}
+
+REGISTRY_FILES = {name: GOLDEN_DIR / f"{name}.registry.json" for name in SCENARIOS}
+
+
+def registry_views_json(registry) -> str:
+    """The registry over every ``CONSISTENCY_VIEWS`` row, canonically.
+
+    Zero-valued series are dropped: an untouched child and an absent one
+    are the same fact (``diff_registries`` treats them alike).
+    """
+    lines = []
+    for name, dims in CONSISTENCY_VIEWS:
+        series = ",\n".join(
+            "  " + json.dumps([list(key), value])
+            for key, value in sorted(registry.aggregate(name, dims).items())
+            if value
+        )
+        body = f"[\n{series}\n ]" if series else "[]"
+        lines.append(f' "{name}": {{"dims": {json.dumps(list(dims))}, "series": {body}}}')
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def main() -> None:
-    for name, record in RECORDERS.items():
-        result = record()
-        path = GOLDEN_FILES[name]
-        result.events.save_jsonl(path)
-        print(f"{name}: {len(result.events)} events -> {path}")
+    for name, scenario in SCENARIOS.items():
+        result, cluster = scenario()
+        if name in GOLDEN_FILES:
+            result.events.save_jsonl(GOLDEN_FILES[name])
+            print(f"{name}: {len(result.events)} events -> {GOLDEN_FILES[name]}")
+        REGISTRY_FILES[name].write_text(registry_views_json(cluster.obs))
+        print(f"{name}: registry views -> {REGISTRY_FILES[name]}")
 
 
 if __name__ == "__main__":

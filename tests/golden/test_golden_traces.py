@@ -10,7 +10,13 @@ import pytest
 
 from repro.trace import Trace, validate_trace
 
-from .regenerate import GOLDEN_FILES, RECORDERS
+from .regenerate import (
+    GOLDEN_FILES,
+    RECORDERS,
+    REGISTRY_FILES,
+    SCENARIOS,
+    registry_views_json,
+)
 
 
 @pytest.mark.parametrize("name", sorted(RECORDERS))
@@ -32,6 +38,18 @@ class TestGoldenTraces:
         """The recordings themselves must pass all four validators."""
         trace = Trace.load_jsonl(GOLDEN_FILES[name])
         assert validate_trace(trace) == []
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_registry_views_reproduce_byte_for_byte(name):
+    """The counters are a fold of the trace; these files pin the fold
+    (recorded from the hand-instrumented engine before it was deleted)."""
+    _, cluster = SCENARIOS[name]()
+    assert registry_views_json(cluster.obs) == REGISTRY_FILES[name].read_text(), (
+        f"registry views of {name!r} drifted from the golden recording; "
+        f"if the change is intended, regenerate via "
+        f"`PYTHONPATH=src python -m tests.golden.regenerate` and review the diff"
+    )
 
 
 class TestGoldenCoverage:

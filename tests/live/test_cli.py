@@ -5,7 +5,7 @@ from __future__ import annotations
 import io
 import json
 
-from repro.live.__main__ import USAGE, main
+from repro.live.__main__ import main
 
 from ..golden.regenerate import GOLDEN_FILES
 
@@ -42,12 +42,13 @@ class TestBatchMode:
     def test_no_args_prints_usage(self):
         code, output = run_cli([])
         assert code == 2
-        assert output == USAGE
+        assert output.startswith("usage: python -m repro.live <trace.ndjson>")
 
     def test_help(self):
         code, output = run_cli(["--help"])
         assert code == 0
-        assert output == USAGE
+        assert output.startswith("usage: python -m repro.live <trace.ndjson>")
+        assert "--idle-timeout" in output
 
     def test_bad_numeric_flag(self):
         import pytest

@@ -31,25 +31,28 @@ class TestBound:
         assert m.evictions == 5
         assert isinstance(m.evictions, int)
 
-    def test_writes_forward_as_counter_delta(self):
+    def test_writes_to_a_bound_view_raise(self):
+        """The registry is written by the trace fold and the direct
+        counters, never through the view."""
         reg = MetricsRegistry()
         m = Metrics().bind(reg)
-        m.tasks_executed += 4
-        m.tasks_executed += 1
-        assert reg.value("tasks_executed") == 5.0
-        assert m.tasks_executed == 5
+        with pytest.raises(AttributeError):
+            m.tasks_executed += 4
+        with pytest.raises(AttributeError):
+            m.peak_datasets_stored = 2
+        assert reg.names() == []
 
     def test_peak_field_reads_max_and_ratchets(self):
         reg = MetricsRegistry()
         m = Metrics().bind(reg)
-        m.peak_datasets_stored = 4
-        m.peak_datasets_stored = 2  # ratchet: lower writes ignored
+        reg.gauge("peak_datasets_stored").set_max(4)
+        reg.gauge("peak_datasets_stored").set_max(2)  # ratchet: lower ignored
         assert m.peak_datasets_stored == 4
 
     def test_float_fields_stay_float(self):
         reg = MetricsRegistry()
         m = Metrics().bind(reg)
-        m.time_io += 0.25
+        reg.counter("time_io", node="w0").inc(0.25)
         assert m.time_io == pytest.approx(0.25)
 
     def test_hit_ratio_derives_from_registry(self):

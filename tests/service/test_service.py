@@ -169,8 +169,6 @@ def live_state(service):
 
 def assert_views_current(service, spool):
     assert published_state(spool)[0] == live_state(service)
-    if service.obs is None:
-        return
     with open(os.path.join(spool, "metrics.json")) as fh:
         assert fh.read() == registry_json(service.obs.registry) + "\n"
 
@@ -209,20 +207,16 @@ class TestDerivedViews:
         assert deep <= 3 * shallow
 
     def test_views_current_after_drain_and_after_close(self, tmp_path):
-        for obs in (True, False):
-            spool = str(tmp_path / f"obs-{obs}")
-            with JobService(workers=2, spool=spool, obs=obs) as service:
-                for tenant in ("alice", "bob", "alice", "bob"):
-                    service.submit(tenant, "filter_min")
-                service.drain(timeout=120)
-                assert_views_current(service, spool)
-                assert published_state(spool)[0]["counts"]["done"] == 4
-                service.submit("alice", "filter_min")  # abandoned by close()
+        spool = str(tmp_path)
+        with JobService(workers=2, spool=spool) as service:
+            for tenant in ("alice", "bob", "alice", "bob"):
+                service.submit(tenant, "filter_min")
+            service.drain(timeout=120)
             assert_views_current(service, spool)
             assert published_state(spool)[0]["counts"]["done"] == 4
-            if not obs:
-                for name in ("service_events.ndjson", "metrics.prom", "metrics.json"):
-                    assert not os.path.exists(os.path.join(spool, name)), name
+            service.submit("alice", "filter_min")  # abandoned by close()
+        assert_views_current(service, spool)
+        assert published_state(spool)[0]["counts"]["done"] == 4
 
     def test_staleness_bounded_while_busy(self, tmp_path):
         spool = str(tmp_path)

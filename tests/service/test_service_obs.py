@@ -298,43 +298,23 @@ class TestServiceObsEndToEnd:
         assert service_registry_diff(service.obs, replay_service_registry(spool)) == []
         assert service.obs.alerts == []
 
-    def test_obs_off_restores_pr9_behaviour(self, tmp_path):
-        """obs=False: no obs plane, no event log, no metrics exports,
-        and the worker payload carries no observability keys."""
-        spool = str(tmp_path)
-        with JobService(workers=1, spool=spool, obs=False) as service:
-            service.submit("t", "filter_min")
-            (record,) = service.drain(timeout=120)
-        assert service.obs is None
-        assert record.status == DONE
-        assert "profile" not in record.result
-        assert "store" not in record.result
-        for name in ("service_events.ndjson", "metrics.prom", "metrics.json"):
-            assert not os.path.exists(os.path.join(spool, name)), name
-        state = json.load(open(os.path.join(spool, "state.json")))
-        assert state["obs"] is None
-
-    def test_worker_payload_obs_keys_gated_by_spec(self, tmp_path):
+    def test_worker_payload_carries_obs_keys(self, tmp_path):
+        """Always — a ticket written when ``obs`` was still a spec field
+        loads, and the retired key changes nothing."""
         from repro.service.jobs import JobSpec
         from repro.service.worker import run_job
 
-        def spec(obs):
-            return JobSpec(
-                job_id="j1",
-                tenant="t",
-                workload="filter_min",
-                cache_dir=str(tmp_path / "cache"),
-                stream_path=str(tmp_path / f"j1-{obs}.ndjson"),
-                obs=obs,
-            ).as_dict()
-
-        with_obs = run_job(spec(True))
-        without = run_job(spec(False))
-        assert with_obs["ok"] and without["ok"]
-        assert "obs" in with_obs and "profile" in with_obs
-        assert with_obs["obs"]["families"]  # non-empty snapshot
-        assert "obs" not in without and "profile" not in without
-        assert "store" in with_obs and "store" not in without
+        spec = JobSpec(
+            job_id="j1",
+            tenant="t",
+            workload="filter_min",
+            cache_dir=str(tmp_path / "cache"),
+            stream_path=str(tmp_path / "j1.ndjson"),
+        ).as_dict()
+        payload = run_job(dict(spec, obs=False, singleflight_wait=0.5))
+        assert payload["ok"]
+        assert payload["obs"]["families"]  # non-empty snapshot
+        assert "profile" in payload and "store" in payload
 
     def test_snapshot_kept_out_of_state_json(self, tmp_path):
         _, spool = self.run_service(
