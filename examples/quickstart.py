@@ -13,9 +13,11 @@ from repro import (
     CallableEvaluator,
     Cluster,
     GB,
+    LiveMonitor,
     MB,
     MDFBuilder,
     Min,
+    TimelineSampler,
     run_mdf,
 )
 
@@ -51,10 +53,15 @@ def main() -> None:
     # 1. build the meta-dataflow -------------------------------------------
     mdf = build_quickstart_mdf()
 
-    # 2. execute on a simulated cluster, telemetry + live monitoring on ----
+    # 2. execute on a simulated cluster, watched by two observers: the -----
+    #    timeline sampler (job.telemetry) and the live monitor (job.live)
     cluster = Cluster(num_workers=4, mem_per_worker=1 * GB)
     job = run_mdf(
-        mdf, cluster, scheduler="bas", memory="amm", telemetry=True, live=True
+        mdf,
+        cluster,
+        scheduler="bas",
+        memory="amm",
+        observers=[TimelineSampler(), LiveMonitor()],
     )
 
     # the live monitor watched the run stream by: final progress line

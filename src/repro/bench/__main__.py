@@ -26,7 +26,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..trace.validate import set_auto_validate
+from ..engine.runner import observing
+from ..live import LiveHook
+from ..prof import ProfileCollector
+from ..trace.validate import Validator
 from .figures import ALL_FIGURES
 
 
@@ -68,7 +71,6 @@ def main(argv) -> int:
         print(f"available: {', '.join(ALL_FIGURES)}")
         return 2
     if validate:
-        set_auto_validate(True)
         print("trace validation: on (every run checked against the paper invariants)")
     if profile:
         print(
@@ -81,59 +83,25 @@ def main(argv) -> int:
             "repro.live; LIVE_<figure>.ndjson artifacts)"
         )
     failed = []
-    try:
-        for name in names:
-            collector = _install_collector() if profile else None
-            hook = _install_live_hook() if live else None
-            try:
-                result = ALL_FIGURES[name]()
-            finally:
-                if collector is not None:
-                    _uninstall_collector()
-                if hook is not None:
-                    _uninstall_live_hook()
-            print(result.render())
-            if collector is not None:
-                _report_profile(name, collector)
-            if hook is not None and not _report_live(name, hook):
-                failed.append(f"{name} (live)")
-            if not result.all_checks_pass:
-                failed.append(name)
-    finally:
-        if validate:
-            set_auto_validate(False)
+    for name in names:
+        # figures call run_mdf internally, so they are observed from out
+        # here; the validator goes first so that it ends (raises) last
+        collector = ProfileCollector() if profile else None
+        hook = LiveHook() if live else None
+        chosen = (Validator() if validate else None, collector, hook)
+        with observing(*(o for o in chosen if o is not None)):
+            result = ALL_FIGURES[name]()
+        print(result.render())
+        if collector is not None:
+            _report_profile(name, collector)
+        if hook is not None and not _report_live(name, hook):
+            failed.append(f"{name} (live)")
+        if not result.all_checks_pass:
+            failed.append(name)
     if failed:
         print(f"shape-check failures: {failed}")
         return 1
     return 0
-
-
-def _install_collector():
-    from ..prof import ProfileCollector, set_profile_collector
-
-    collector = ProfileCollector()
-    set_profile_collector(collector)
-    return collector
-
-
-def _uninstall_collector() -> None:
-    from ..prof import set_profile_collector
-
-    set_profile_collector(None)
-
-
-def _install_live_hook():
-    from ..live import LiveHook, set_live_hook
-
-    hook = LiveHook()
-    set_live_hook(hook)
-    return hook
-
-
-def _uninstall_live_hook() -> None:
-    from ..live import set_live_hook
-
-    set_live_hook(None)
 
 
 def _report_live(figure: str, hook) -> bool:
@@ -154,16 +122,10 @@ def _report_live(figure: str, hook) -> bool:
         f"[live] {figure}: {len(hook.runs)} run(s), "
         f"stream/batch byte-identical: {'yes' if identical else 'NO'}"
     )
-    last = hook.runs[-1].monitor
-    if last.progress is not None:
-        print(f"[live] {figure}: final {last.progress_line()}")
-    kinds = hook.alert_kinds()
-    if kinds:
-        counts = {}
-        for record in hook.runs:
-            for alert in record.monitor.alerts:
-                counts[alert.kind] = counts.get(alert.kind, 0) + 1
-        rendered = ", ".join(f"{k}x{counts[k]}" for k in kinds)
+    print(f"[live] {figure}: final {hook.runs[-1].monitor.progress_line()}")
+    counts = hook.alert_kinds()
+    if counts:
+        rendered = ", ".join(f"{k}x{n}" for k, n in sorted(counts.items()))
         print(f"[live] {figure}: alerts: {rendered}")
     else:
         print(f"[live] {figure}: alerts: none")
@@ -184,7 +146,7 @@ def _report_profile(figure: str, collector) -> None:
     """
     from ..prof import CATEGORIES, attribution, save_speedscope
 
-    profiles = [p for _, p in collector.profiles if p.has_spans]
+    profiles = [p for p in collector.profiles if p.has_spans]
     if not profiles:
         print(f"[profile] {figure}: no profiled runs")
         return

@@ -14,7 +14,7 @@ from typing import Any, Dict, List
 
 from ..cluster import GB, Cluster
 from ..engine import EngineConfig, run_mdf
-from ..obs import diff_registries, registry_from_trace
+from ..obs import TimelineSampler, diff_registries, registry_from_trace
 from ..workloads import string_int_pairs, synthetic_mdf
 from .report import render_table
 
@@ -41,7 +41,7 @@ def telemetry_report(
             scheduler="bas",
             memory=policy,
             config=config,
-            telemetry=sample_interval,
+            observers=[TimelineSampler(interval=sample_interval)],
         )
 
     sections: List[str] = []

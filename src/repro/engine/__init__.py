@@ -20,7 +20,7 @@ from .policies import (
     register_scheduler,
 )
 from .recovery import RecoveryManager
-from .runner import make_scheduler, run_mdf
+from .runner import RunObserver, make_scheduler, observing, run_mdf
 from .scheduler import (
     BFSScheduler,
     BranchAwareScheduler,
@@ -43,6 +43,7 @@ __all__ = [
     "RandomHint",
     "RandomScheduler",
     "RecoveryManager",
+    "RunObserver",
     "Scheduler",
     "SchedulerContext",
     "SchedulingHint",
@@ -59,6 +60,7 @@ __all__ = [
     "estimate_mdf",
     "expand_stage",
     "make_scheduler",
+    "observing",
     "register_scheduler",
     "run_mdf",
 ]

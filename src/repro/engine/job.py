@@ -113,11 +113,12 @@ class JobResult:
     #: cluster recorded no events (tracing disabled)
     events: Optional[Trace] = None
     #: :class:`~repro.obs.telemetry.Telemetry` bundle (labeled registry +
-    #: timeline samples + exporters); None unless ``run_mdf(telemetry=...)``
+    #: timeline samples + exporters); None unless a
+    #: :class:`~repro.obs.timeline.TimelineSampler` observed the run
     telemetry: Optional[Any] = None
     #: the :class:`~repro.live.monitor.LiveMonitor` that observed the run
-    #: (final progress snapshot, alerts, stream); None unless
-    #: ``run_mdf(live=...)`` attached one
+    #: (final progress snapshot, alerts, stream); None unless one was
+    #: among the run's observers
     live: Optional[Any] = None
 
     @property

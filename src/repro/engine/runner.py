@@ -15,26 +15,80 @@ the lab contenders (``"heft"``, ``"speculative"``, ``"wsteal"``,
 eviction policy by name (``"lru"``, ``"amm"``/Algorithm 2, or any name in
 :data:`repro.cluster.memory.EVICTION_POLICIES`).  The cluster is reset
 before the run (cold caches) unless ``reset=False``.
+
+Everything that *watches* a run — the trace validators, the timeline
+sampler, the live monitor, the NDJSON stream, the profile collector —
+is a :class:`RunObserver` passed through ``observers=`` or installed for
+a block with :func:`observing`; ``run_mdf`` knows the protocol, not the
+features (DESIGN.md, "One run seam").
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-from typing import Optional, Union
+import os
+from typing import Iterator, List, Optional, Protocol, Sequence, Union
 
 from ..cluster.cluster import Cluster
 from ..cluster.memory import MemoryPolicy, make_policy
 from ..core.mdf import MDF
-from ..obs.telemetry import Telemetry
-from ..obs.timeline import TelemetryConfig, TimelineSampler
-from ..prof.collect import active_profile_collector
-from ..trace.validate import assert_valid, auto_validate_enabled
 from .job import EngineConfig, JobResult
 from .master import Master
 from .policies import available_schedulers, make_scheduler, register_scheduler
 from .scheduler import Scheduler
 
 
+class RunObserver(Protocol):
+    """The one seam between ``run_mdf`` and anything that watches a run.
+
+    ``begin`` runs after the cluster reset and policy binding and before
+    the :class:`~repro.engine.master.Master` exists: subscribe to
+    ``cluster.trace`` / ``cluster.clock`` here.  ``end`` runs once for
+    every ``begin`` that returned, in reverse ``begin`` order, with the
+    :class:`~repro.engine.job.JobResult` — or ``None`` when construction
+    or the run raised: unsubscribe, close, and hang artifacts on the
+    result here.  Observers are pure: an observed run's trace is
+    byte-identical to an unobserved one.
+    """
+
+    def begin(self, mdf: MDF, cluster: Cluster, config: EngineConfig) -> None: ...
+
+    def end(self, result: Optional[JobResult]) -> None: ...
+
+
+#: the observers every ``run_mdf`` in this process begins before its own
+#: ``observers=`` — the one piece of ambient run state, managed by
+#: ``observing``.  It belongs to the process that filled it: observers hold
+#: that process's handles and buffers, so a forked child (a service pool
+#: worker) starts with none.
+_ambient: List[RunObserver] = []
+if hasattr(os, "register_at_fork"):  # no fork, no inheritance
+    os.register_at_fork(after_in_child=_ambient.clear)
+
+
+@contextlib.contextmanager
+def observing(*observers: RunObserver) -> Iterator[None]:
+    """Observe every ``run_mdf`` call made inside the block.
+
+    For callers that cannot reach the call site: ``python -m repro.bench
+    --validate/--profile/--live`` wraps a figure that calls ``run_mdf``
+    internally.  Blocks nest — an inner block adds to the outer one's
+    observers and leaving it, exception or not, restores them.
+    """
+    outer = len(_ambient)
+    _ambient.extend(observers)
+    try:
+        yield
+    finally:
+        del _ambient[outer:]
+
+
+# ``live`` and ``backend`` are not features of the runner: they are the two
+# spellings the frozen ``benchmarks/wall`` harness (and the service worker)
+# already pass.  ``backend=b`` is ``config.backend = b``; ``live=sink`` is
+# ``observers=[StreamWriter(sink)]``.  Nothing else belongs here — a new
+# way of watching a run is a new observer, not a new keyword.
 def run_mdf(
     mdf: MDF,
     cluster: Cluster,
@@ -42,8 +96,7 @@ def run_mdf(
     memory: Union[str, MemoryPolicy, None] = None,
     config: Optional[EngineConfig] = None,
     reset: bool = True,
-    validate: Optional[bool] = None,
-    telemetry: Union[bool, float, TelemetryConfig, None] = None,
+    observers: Sequence[RunObserver] = (),
     live=None,
     backend=None,
 ) -> JobResult:
@@ -72,33 +125,24 @@ def run_mdf(
         checkpoints or recompute from lineage
         (:class:`~repro.engine.recovery.RecoveryManager`), and the
         ``recovery_sound`` validator checks the replay discipline.
-    validate:
-        Run the paper-invariant checkers (:mod:`repro.trace.validate`)
-        over the recorded decision trace after the job finishes, raising
-        :class:`~repro.trace.validate.InvariantViolation` on any breach.
-        ``None`` (default) defers to the process-wide auto-validate flag
-        (``repro.trace.set_auto_validate`` / ``python -m repro.bench
-        --validate``).
-    telemetry:
-        Attach a :class:`~repro.obs.telemetry.Telemetry` bundle to the
-        result (labeled registry, simulated-clock timeline, exporters).
-        ``True`` samples at the default interval, a float sets the
-        sampling interval in simulated seconds, and a
-        :class:`~repro.obs.timeline.TelemetryConfig` gives full control.
-        ``None``/``False`` (default) skips the sampler; the registry is
-        always recorded and reachable as ``cluster.obs``.
+    observers:
+        :class:`RunObserver` objects for this run, begun after the ambient
+        ones (:func:`observing`) in list order and ended in reverse:
+        :class:`~repro.trace.validate.Validator` (raise
+        :class:`~repro.trace.validate.InvariantViolation` on a breached
+        paper invariant), :class:`~repro.obs.timeline.TimelineSampler`
+        (``result.telemetry``), :class:`~repro.live.monitor.LiveMonitor`
+        (``result.live``: progress/ETA, watchdog alerts),
+        :class:`~repro.live.stream.StreamWriter` (NDJSON trace stream),
+        :class:`~repro.prof.collect.ProfileCollector`,
+        :class:`~repro.live.hook.LiveHook` — or anything else with
+        ``begin``/``end``.
     live:
-        Attach a :class:`~repro.live.monitor.LiveMonitor` to the trace
-        bus for the run's duration (streaming NDJSON, online
-        progress/ETA, watchdogs; see ``docs/live_monitoring.md``).
-        ``True`` builds a default monitor, a string/path streams the
-        NDJSON there, a prebuilt monitor is attached as-is, and
-        ``None`` (default) attaches nothing unless a process-wide
-        :class:`~repro.live.hook.LiveHook` is installed (``python -m
-        repro.bench --live``); ``False`` forces monitoring off even
-        then.  The monitor is detached before returning and reachable
-        as ``result.live``.  Live subscribers are pure observers — a
-        monitored run's trace is byte-identical to an unmonitored one.
+        ``None`` (default) or an NDJSON sink — a path or writable text
+        stream — as shorthand for ``observers=[StreamWriter(sink)]``: the
+        trace is streamed there, byte-identical to the post-hoc
+        ``result.events.to_jsonl()``.  Anything else is a ``TypeError``;
+        monitors go through ``observers=[LiveMonitor(...)]``.
     backend:
         Execution backend for the real operator work: a registry name
         (``"serial"`` — the default — or ``"mp"``) or an
@@ -110,79 +154,29 @@ def run_mdf(
     config = config or EngineConfig()
     if backend is not None:
         config = dataclasses.replace(config, backend=backend)
+    if live is not None:
+        # lazy: repro.live imports the engine's estimator
+        from ..live.stream import StreamWriter
+
+        observers = (*observers, StreamWriter(live))
     if reset:
         cluster.reset()
     if memory is not None:
         cluster.policy = make_policy(memory) if isinstance(memory, str) else memory
     if isinstance(scheduler, str):
         scheduler = make_scheduler(scheduler, config)
-    sampler: Optional[TimelineSampler] = None
-    if telemetry is not None and telemetry is not False:
-        if isinstance(telemetry, TelemetryConfig):
-            tconfig = telemetry
-        elif telemetry is True:
-            tconfig = TelemetryConfig()
-        else:
-            tconfig = TelemetryConfig(interval=float(telemetry))
-        sampler = TimelineSampler(
-            cluster, interval=tconfig.interval, max_samples=tconfig.max_samples
-        ).attach()
-    # --- live monitoring (repro.live): attach after reset, detach always.
-    # Imported lazily — repro.live depends on the engine's estimator, so a
-    # module-level import here would be circular.
-    monitor = None
-    hook = hook_buffer = None
-    if live is None:
-        from ..live.hook import active_live_hook
-
-        hook = active_live_hook()
-        if hook is not None:
-            monitor, hook_buffer = hook.monitor_for_run()
-    elif live is not False:
-        from ..live.monitor import LiveMonitor
-
-        if isinstance(live, LiveMonitor):
-            monitor = live
-        elif live is True:
-            monitor = LiveMonitor()
-        else:  # a path or writable stream for the NDJSON sink
-            monitor = LiveMonitor(stream=live)
-    if monitor is not None:
-        from ..live.plan import LivePlan
-
-        plan = LivePlan.from_mdf(
-            mdf,
-            cluster.num_workers,
-            cost_model=cluster.cost_model,
-            task_overhead=config.task_overhead,
-            partitions_per_worker=config.partitions_per_worker,
-        )
-        monitor.attach(cluster.trace, plan=plan, registry=cluster.obs)
-    master = Master(mdf, cluster, scheduler=scheduler, config=config)
-    try:
-        result = master.run()
-    finally:
-        if sampler is not None:
-            sampler.detach()
-        if monitor is not None:
-            monitor.detach()
+    result: Optional[JobResult] = None
+    with contextlib.ExitStack() as stack:
+        for observer in (*_ambient, *observers):
+            observer.begin(mdf, cluster, config)
+            # reads ``result`` when it runs: None unless the run returned
+            stack.callback(lambda end=observer.end: end(result))
+        master = Master(mdf, cluster, scheduler=scheduler, config=config)
         # release single-flight leases a shared-store cache may still hold
         # (discarded deferred tails, failed runs) so concurrent jobs
         # waiting on them unblock promptly
         finish = getattr(config.cache, "finish_run", None)
         if finish is not None:
-            finish()
-    if monitor is not None:
-        result.live = monitor
-        if hook is not None:
-            hook.record(monitor, hook_buffer, result)
-    if sampler is not None:
-        result.telemetry = Telemetry(cluster.obs, sampler, metrics=cluster.metrics)
-    if validate is None:
-        validate = auto_validate_enabled()
-    if validate:
-        assert_valid(result.events)
-    collector = active_profile_collector()
-    if collector is not None:
-        collector.record(result)
+            stack.callback(finish)  # last in, so first out: before any ``end``
+        result = master.run()
     return result

@@ -48,13 +48,6 @@ class CellResult:
     profile: Dict[str, float] = field(default_factory=dict)
     #: trace-validator violations (must stay 0 for every policy)
     violations: int = 0
-    #: live-layer observations (``Experimentation(live=True)`` only):
-    #: watchdog alerts raised, final |ETA − completion_time| (must be 0
-    #: — the estimator converges exactly), and whether the streamed
-    #: NDJSON matched the post-hoc export byte-for-byte
-    live_alerts: int = 0
-    live_eta_error: Optional[float] = None
-    live_stream_identical: Optional[bool] = None
 
 
 @dataclass
@@ -143,11 +136,6 @@ class Experimentation:
     validate:
         Run the seven trace validators per cell and record the violation
         count (default True — the lab exists to prove policies safe).
-    live:
-        Monitor every cell with :mod:`repro.live` (default False) and
-        record per-cell ``live_alerts``, ``live_eta_error`` and
-        ``live_stream_identical`` — exercising the streaming layer
-        across the whole policy × workload matrix.
     backends:
         Execution backends crossed in (default: just ``"serial"``).
         Adding ``"mp"`` doubles the matrix and proves — cell by cell —
@@ -161,7 +149,6 @@ class Experimentation:
         workloads: Optional[Sequence[str]] = None,
         cluster_sizes: Sequence[Optional[int]] = (None,),
         validate: bool = True,
-        live: bool = False,
         backends: Sequence[str] = ("serial",),
     ):
         from ..engine.policies import available_schedulers
@@ -171,7 +158,6 @@ class Experimentation:
         self.workloads = list(workloads or available_workloads("smoke"))
         self.cluster_sizes = list(cluster_sizes)
         self.validate = validate
-        self.live = live
         self.backends = list(backends)
 
     def cells(self) -> List[Dict]:
@@ -195,31 +181,9 @@ class Experimentation:
     ) -> CellResult:
         """Execute one cell and collect its measurements."""
         subject: LabWorkload = get_workload(workload)
-        monitor = stream_buffer = None
-        if self.live:
-            import io
-
-            from ..live import LiveMonitor
-
-            stream_buffer = io.StringIO()
-            monitor = LiveMonitor(stream=stream_buffer)
         result, cluster = subject.run(
-            scheduler=scheduler, memory=memory, workers=workers,
-            live=monitor if monitor is not None else False,
-            backend=backend,
+            scheduler=scheduler, memory=memory, workers=workers, backend=backend
         )
-        live_alerts = 0
-        live_eta_error = None
-        live_stream_identical = None
-        if monitor is not None:
-            live_alerts = len(monitor.alerts)
-            snap = monitor.snapshot()
-            if snap.eta is not None:
-                live_eta_error = abs(snap.eta - result.completion_time)
-            live_stream_identical = (
-                result.events is not None
-                and stream_buffer.getvalue() == result.events.to_jsonl()
-            )
         registry = cluster.obs
         profile = {
             category: registry.value(f"profile_{category}_seconds")
@@ -246,9 +210,6 @@ class Experimentation:
             evictions=m.evictions,
             profile=profile,
             violations=violations,
-            live_alerts=live_alerts,
-            live_eta_error=live_eta_error,
-            live_stream_identical=live_stream_identical,
         )
 
     def run(

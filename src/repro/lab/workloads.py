@@ -59,21 +59,16 @@ class LabWorkload:
         scheduler: str = "bas",
         memory: str = "amm",
         workers: Optional[int] = None,
-        validate: bool = False,
-        live=None,
         backend=None,
     ) -> Tuple[JobResult, Cluster]:
         """Execute one cell and return the result with its cluster.
 
         The cluster is returned alongside so callers can read the live
         metrics registry (``cluster.obs``) — the differential matrix
-        replays the trace against it.  ``live`` passes straight through
-        to :func:`~repro.engine.runner.run_mdf` (a
-        :class:`~repro.live.monitor.LiveMonitor`, a stream target, or
-        ``True`` for the default monitor); the attached monitor comes
-        back as ``result.live``.  ``backend`` picks the execution
+        replays the trace against it.  ``backend`` picks the execution
         backend (``"serial"``/``"mp"`` or an instance); the simulated
-        result is byte-identical either way.
+        result is byte-identical either way.  To watch the run, wrap the
+        call in :func:`~repro.engine.runner.observing`.
         """
         cluster = self.make_cluster(workers)
         result = run_mdf(
@@ -82,8 +77,6 @@ class LabWorkload:
             scheduler=scheduler,
             memory=memory,
             config=self.make_config(),
-            validate=validate,
-            live=live,
             backend=backend,
         )
         return result, cluster

@@ -13,7 +13,8 @@ each committed event as it is emitted:
 * watchdogs (:class:`StragglerWatchdog`, :class:`MemoryPressureWatchdog`,
   :class:`RetryStormWatchdog`, :class:`StallWatchdog`) raising
   structured :class:`Alert` records;
-* :class:`LiveMonitor` — the bundle ``run_mdf(live=...)`` attaches;
+* :class:`LiveMonitor` — all of the above as one run observer
+  (``run_mdf(..., observers=[LiveMonitor()])``);
 * ``python -m repro.live <trace.ndjson>`` — the follow-mode dashboard.
 
 See ``docs/live_monitoring.md`` for the bus contract, the estimator
@@ -34,7 +35,7 @@ from .watchdogs import (
     Watchdog,
     default_watchdogs,
 )
-from .hook import LiveHook, active_live_hook, set_live_hook
+from .hook import LiveHook
 
 __all__ = [
     "ALERT_KINDS",
@@ -51,11 +52,9 @@ __all__ = [
     "StragglerWatchdog",
     "StreamWriter",
     "Watchdog",
-    "active_live_hook",
     "default_watchdogs",
     "follow_events",
     "progress_line",
     "read_events",
     "render_dashboard",
-    "set_live_hook",
 ]

@@ -12,7 +12,7 @@ The CLI is trace-only: it has the event stream but not the MDF, so the
 ETA column (which needs the cost-model plan) reads ``n/a`` while
 progress counts, per-branch status and the plan-free watchdogs
 (memory-pressure, retry-storm, stall) stay fully live.  In-process runs
-(``run_mdf(live=...)``) have the plan and show the full estimate.
+(``observers=[LiveMonitor()]``) have the plan and show the full estimate.
 """
 
 from __future__ import annotations
@@ -21,15 +21,9 @@ import argparse
 import sys
 from typing import List, Optional, TextIO
 
-from .monitor import progress_line, render_dashboard
-from .progress import ProgressEstimator
+from .monitor import LiveMonitor
 from .stream import follow_events
-from .watchdogs import (
-    MemoryPressureWatchdog,
-    RetryStormWatchdog,
-    StallWatchdog,
-    Watchdog,
-)
+from .watchdogs import MemoryPressureWatchdog, RetryStormWatchdog, StallWatchdog
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -67,30 +61,20 @@ def main(argv: Optional[List[str]] = None, out: TextIO = sys.stdout) -> int:
     args = parser.parse_args(argv)
     path = args.trace
 
-    progress = ProgressEstimator()  # trace-only: no plan, ETA n/a
     stall = StallWatchdog(threshold_seconds=args.stall_seconds)
-    watchdogs: List[Watchdog] = [
-        MemoryPressureWatchdog(),
-        RetryStormWatchdog(),
-        stall,
-    ]
-
-    def alerts():
-        return sorted(
-            (a for dog in watchdogs for a in dog.alerts),
-            key=lambda a: (a.t, a.kind, a.subject),
-        )
+    # never begun on a run: no plan, so ETA n/a and no straggler watchdog
+    monitor = LiveMonitor(
+        watchdogs=[MemoryPressureWatchdog(), RetryStormWatchdog(), stall]
+    )
 
     def draw(final: bool = False) -> None:
-        snap = progress.snapshot()
-        snap.alerts = len(alerts())
         if final:
-            out.write(render_dashboard(snap, alerts()) + "\n")
+            out.write(monitor.dashboard() + "\n")
         elif args.plain:
-            out.write(progress_line(snap) + "\n")
+            out.write(monitor.progress_line() + "\n")
         else:
             # redraw in place: clear screen, home cursor
-            out.write("\x1b[2J\x1b[H" + render_dashboard(snap, alerts()) + "\n")
+            out.write("\x1b[2J\x1b[H" + monitor.dashboard() + "\n")
         out.flush()
 
     try:
@@ -102,9 +86,7 @@ def main(argv: Optional[List[str]] = None, out: TextIO = sys.stdout) -> int:
         )
         since_draw = 0
         for event in events:
-            progress.on_event(event)
-            for dog in watchdogs:
-                dog.on_event(event)
+            monitor(event)
             stall.poll()
             since_draw += 1
             if args.follow and since_draw >= args.refresh:
@@ -115,10 +97,10 @@ def main(argv: Optional[List[str]] = None, out: TextIO = sys.stdout) -> int:
         return 2
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         pass
-    progress.mark_finished()
+    monitor.progress.mark_finished()
     stall.mark_finished()
     draw(final=True)
-    raised = alerts()
+    raised = monitor.alerts
     if raised:
         out.write(f"{len(raised)} alert(s) raised\n")
     return 1 if (args.fail_on_alert and raised) else 0

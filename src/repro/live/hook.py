@@ -1,21 +1,17 @@
-"""Process-wide live hook (mirrors ``repro.prof.collect``).
+"""The harness's live observer: a fresh monitor per run, with a verdict.
 
 Benchmark figures call :func:`repro.engine.runner.run_mdf` internally,
-so ``python -m repro.bench --live`` cannot pass ``live=`` through their
-signatures.  Instead it installs a :class:`LiveHook`: while installed,
-every ``run_mdf`` call with ``live=None`` (the default) attaches a fresh
-:class:`~repro.live.monitor.LiveMonitor` and records it — together with
+so ``python -m repro.bench --live`` wraps them in ``with
+observing(LiveHook()):``.  Every run inside gets its own buffered
+:class:`~repro.live.monitor.LiveMonitor` and is recorded — together with
 a per-run stream/batch byte-identity verdict — on the hook.
-
-An explicit ``live=False`` still wins over an installed hook, and an
-explicit monitor/path is used as-is (the hook never double-attaches).
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
 from .monitor import LiveMonitor
 
@@ -26,67 +22,39 @@ class LiveRunRecord:
 
     monitor: LiveMonitor
     streamed: str
-    batch: str
     #: streamed NDJSON == post-hoc ``Trace.to_jsonl()`` (the tentpole's
     #: byte-identity contract), checked the moment the run finishes
     byte_identical: bool
 
 
 class LiveHook:
-    """Attach a live monitor to every ``run_mdf`` while installed."""
+    """Run observer: monitor every observed run, keep one record each."""
 
-    def __init__(self, make_monitor: Optional[Callable[[], LiveMonitor]] = None):
-        self._make = make_monitor
+    def __init__(self) -> None:
         self.runs: List[LiveRunRecord] = []
 
-    def monitor_for_run(self) -> Tuple[LiveMonitor, io.StringIO]:
-        """A fresh monitor streaming into an in-memory buffer."""
-        buffer = io.StringIO()
-        if self._make is not None:
-            monitor = self._make()
-            if monitor.stream is None:
-                from .stream import StreamWriter
+    def begin(self, mdf, cluster, config) -> None:
+        self._buffer = io.StringIO()
+        self._monitor = LiveMonitor(stream=self._buffer)
+        self._monitor.begin(mdf, cluster, config)
 
-                monitor.stream = StreamWriter(buffer)
-        else:
-            monitor = LiveMonitor(stream=buffer)
-        return monitor, buffer
-
-    def record(self, monitor: LiveMonitor, buffer: io.StringIO, result) -> None:
-        batch = result.events.to_jsonl() if result.events is not None else ""
-        streamed = buffer.getvalue()
-        self.runs.append(
-            LiveRunRecord(
-                monitor=monitor,
-                streamed=streamed,
-                batch=batch,
-                byte_identical=streamed == batch,
-            )
-        )
+    def end(self, result) -> None:
+        monitor = self._monitor
+        monitor.end(result)
+        if result is not None:
+            batch = result.events.to_jsonl() if result.events is not None else ""
+            streamed = self._buffer.getvalue()
+            self.runs.append(LiveRunRecord(monitor, streamed, streamed == batch))
 
     # ------------------------------------------------------------ summaries
     @property
     def all_byte_identical(self) -> bool:
         return all(r.byte_identical for r in self.runs)
 
-    def total_alerts(self) -> int:
-        return sum(len(r.monitor.alerts) for r in self.runs)
-
-    def alert_kinds(self) -> List[str]:
-        kinds = set()
+    def alert_kinds(self) -> Dict[str, int]:
+        """Alerts raised across all recorded runs, counted by kind."""
+        counts: Dict[str, int] = {}
         for record in self.runs:
-            kinds.update(a.kind for a in record.monitor.alerts)
-        return sorted(kinds)
-
-
-_active_hook: Optional[LiveHook] = None
-
-
-def set_live_hook(hook: Optional[LiveHook]) -> None:
-    """Install (or clear, with ``None``) the process-wide live hook."""
-    global _active_hook
-    _active_hook = hook
-
-
-def active_live_hook() -> Optional[LiveHook]:
-    return _active_hook
+            for kind, n in record.monitor.alert_kinds().items():
+                counts[kind] = counts.get(kind, 0) + n
+        return counts

@@ -1,13 +1,14 @@
-""":class:`LiveMonitor` — one attachable bundle of live subscribers.
+""":class:`LiveMonitor` — the live consumers of one run, as one observer.
 
-``run_mdf(live=...)`` builds (or accepts) a monitor and attaches it to
-the cluster's trace for the duration of the run: the optional
-:class:`~repro.live.stream.StreamWriter` streams the NDJSON file, the
-:class:`~repro.live.progress.ProgressEstimator` folds progress/ETA, and
-the watchdogs scan for anomalies.  Attachment order is fixed — stream
-first (the file always reflects at least what the estimator has seen),
-then estimator, then watchdogs — and everything is detached in the
-runner's ``finally``, so a monitor never outlives its run.
+``run_mdf(..., observers=[LiveMonitor(...)])`` subscribes the monitor to
+the cluster's trace for the duration of the run and leaves it on
+``result.live``.  The monitor is one plain event callable: each
+committed event goes to the optional
+:class:`~repro.live.stream.StreamWriter` first (the file always reflects
+at least what the estimator has seen), then to the
+:class:`~repro.live.progress.ProgressEstimator`, then to the watchdogs —
+which is also how ``python -m repro.live`` feeds it from a file, without
+a run.
 
 Renderers live here too: :func:`progress_line` is the one-line summary
 (quickstart, bench), :func:`render_dashboard` the multi-line terminal
@@ -22,15 +23,15 @@ import io
 import os
 from typing import Dict, List, Optional, Union
 
-from ..trace.events import Trace
+from ..trace.events import Trace, TraceEvent
 from .plan import LivePlan
 from .progress import BRANCH_STATES, ProgressEstimator, ProgressSnapshot
-from .stream import StreamWriter
+from .stream import StreamWriter, catch_up
 from .watchdogs import Alert, Watchdog, default_watchdogs
 
 
 class LiveMonitor:
-    """Streaming trace consumers for one run, attached as one unit."""
+    """Stream, progress estimator and watchdogs for one run, as one unit."""
 
     def __init__(
         self,
@@ -41,75 +42,58 @@ class LiveMonitor:
         if stream is not None and not isinstance(stream, StreamWriter):
             stream = StreamWriter(stream)
         self.stream: Optional[StreamWriter] = stream
-        self.progress: Optional[ProgressEstimator] = None
         self.plan: Optional[LivePlan] = None
+        #: trace-only (no ETA) until ``begin`` has an MDF to plan from
+        self.progress = ProgressEstimator()
         #: explicit watchdog list, or None to build the default set (which
-        #: needs the plan, so it is deferred to ``attach``)
+        #: needs the plan, so it is deferred to ``begin``)
         self._watchdogs = watchdogs
         self._node_factor = node_factor
         self.watchdogs: List[Watchdog] = watchdogs or []
         self._trace: Optional[Trace] = None
 
+    def __call__(self, event: TraceEvent) -> None:
+        if self.stream is not None:
+            self.stream.on_event(event)
+        self.progress.on_event(event)
+        for dog in self.watchdogs:
+            dog.on_event(event)
+
     # ------------------------------------------------------------ lifecycle
-    def attach(
-        self,
-        trace: Trace,
-        plan: Optional[LivePlan] = None,
-        registry=None,
-    ) -> "LiveMonitor":
-        """Subscribe all consumers to ``trace`` (stream → progress → dogs)."""
+    def begin(self, mdf, cluster, config) -> None:
         if self._trace is not None:
-            raise RuntimeError("LiveMonitor is already attached")
-        self.plan = plan
-        self.progress = ProgressEstimator(plan=plan)
+            raise RuntimeError("LiveMonitor is already observing a run")
+        self.plan = LivePlan.from_mdf(
+            mdf,
+            cluster.num_workers,
+            cost_model=cluster.cost_model,
+            task_overhead=config.task_overhead,
+            partitions_per_worker=config.partitions_per_worker,
+        )
+        self.progress = ProgressEstimator(plan=self.plan)
         if self._watchdogs is None:
             self.watchdogs = default_watchdogs(
-                plan=plan,
-                registry=registry,
+                plan=self.plan,
+                registry=cluster.obs,
                 node_factor=self._node_factor,
             )
         else:
             for dog in self.watchdogs:
                 if dog.registry is None:
-                    dog.registry = registry
-        self._trace = trace
-        subscribers = []
+                    dog.registry = cluster.obs
         if self.stream is not None:
-            subscribers.append(self.stream)
-        subscribers.append(self.progress)
-        subscribers.extend(self.watchdogs)
-        # Catch-up replay: a warm-continuation run (``reset=False``) joins
-        # a trace that already holds committed events.  Delivering them
-        # first keeps the bus contract — every subscriber sees exactly the
-        # committed event sequence — so the streamed file stays
-        # byte-identical to the full post-hoc export.
-        for event in list(trace.events):
-            for subscriber in subscribers:
-                subscriber(event)
-        for subscriber in subscribers:
-            trace.subscribe(subscriber)
-        return self
+            self.stream.open()
+        self._trace = cluster.trace
+        catch_up(self._trace, self)
 
-    def detach(self) -> None:
-        """Unsubscribe everything and flush the stream (idempotent)."""
-        trace = self._trace
-        if trace is None:
-            return
-        self._trace = None
-        if self.stream is not None:
-            trace.unsubscribe(self.stream)
-        if self.progress is not None:
-            trace.unsubscribe(self.progress)
-        for dog in self.watchdogs:
-            trace.unsubscribe(dog)
-        if self.progress is not None:
-            self.progress.mark_finished()
+    def end(self, result) -> None:
+        trace, self._trace = self._trace, None
+        trace.unsubscribe(self)
+        self.progress.mark_finished()
         if self.stream is not None:
             self.stream.close()
-
-    @property
-    def attached(self) -> bool:
-        return self._trace is not None
+        if result is not None:
+            result.live = self
 
     # -------------------------------------------------------------- results
     @property
@@ -128,8 +112,6 @@ class LiveMonitor:
         return counts
 
     def snapshot(self) -> ProgressSnapshot:
-        if self.progress is None:
-            raise RuntimeError("LiveMonitor was never attached")
         snap = self.progress.snapshot()
         snap.alerts = len(self.alerts)
         return snap

@@ -34,23 +34,33 @@ class StreamWriter:
     text file object (the caller keeps ownership; ``close()`` only closes
     handles the writer opened).  Lines are flushed per event
     so a follower process observes committed events promptly.
+
+    A run observer (``run_mdf(live=sink)`` is ``observers=[StreamWriter
+    (sink)]``) and a plain event callable.  A path is opened by
+    :meth:`open` — ``begin`` calls it — not by the constructor, so a
+    writer whose run never started leaves no handle behind.
     """
 
     def __init__(
         self,
         target: Union[str, "os.PathLike[str]", io.TextIOBase],
     ):
-        if hasattr(target, "write"):
-            self._fh = target
-            self._owns = False
-            self.path: Optional[str] = getattr(target, "name", None)
+        self._owns = not hasattr(target, "write")
+        if self._owns:
+            if not isinstance(target, (str, os.PathLike)):
+                raise TypeError(
+                    "an NDJSON sink is a path or a writable text stream, got "
+                    f"{target!r} (monitors go through observers=[LiveMonitor(...)])"
+                )
+            self._fh = None
+            self.path: Optional[str] = os.fspath(target)
         else:
-            self.path = os.fspath(target)
-            self._fh = open(self.path, "w")
-            self._owns = True
+            self._fh = target
+            self.path = getattr(target, "name", None)
         self.events_written = 0
         self.bytes_written = 0
-        self.closed = False
+        self.closed = self._owns  # a path takes events once opened
+        self._trace: Optional[Trace] = None
 
     # The bus calls subscribers as plain callables.
     def __call__(self, event: TraceEvent) -> None:
@@ -65,17 +75,20 @@ class StreamWriter:
         self.events_written += 1
         self.bytes_written += len(line.encode("utf-8"))
 
-    def attach(self, trace: Trace) -> "StreamWriter":
-        """Subscribe to a trace (convenience for standalone use)."""
-        trace.subscribe(self)
-        return self
+    def open(self) -> None:
+        """Start taking events; an owned path is (re)created, truncated."""
+        if self._owns:
+            self._fh = open(self.path, "w")
+        self.closed = False
 
-    def detach(self, trace: Trace) -> bool:
-        return trace.unsubscribe(self)
+    def begin(self, mdf, cluster, config) -> None:
+        self.open()
+        self._trace = cluster.trace
+        catch_up(self._trace, self)
 
-    def flush(self) -> None:
-        if not self.closed:
-            self._fh.flush()
+    def end(self, result) -> None:
+        self._trace.unsubscribe(self)
+        self.close()
 
     def close(self) -> None:
         if self.closed:
@@ -88,6 +101,19 @@ class StreamWriter:
     def __repr__(self) -> str:  # pragma: no cover
         where = self.path or "<stream>"
         return f"StreamWriter({where!r}, events={self.events_written})"
+
+
+def catch_up(trace: Trace, subscriber: Callable[[TraceEvent], None]) -> None:
+    """Subscribe ``subscriber`` after replaying what ``trace`` already holds.
+
+    A warm-continuation run (``reset=False``) joins a trace that already
+    has committed events.  Delivering them first keeps the bus contract —
+    every subscriber sees exactly the committed event sequence — so a
+    streamed file stays byte-identical to the full post-hoc export.
+    """
+    for event in list(trace.events):
+        subscriber(event)
+    trace.subscribe(subscriber)
 
 
 def read_events(text: str) -> Iterator[TraceEvent]:

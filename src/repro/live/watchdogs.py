@@ -16,7 +16,7 @@ detector and raises :class:`Alert` records when a run misbehaves:
   CLI loop rather than reacting to events alone).
 
 Alerts are appended to the watchdog's ``alerts`` list and — when a
-metrics registry is wired (``run_mdf(live=...)`` wires the cluster's) —
+metrics registry is wired (``LiveMonitor.begin`` wires the cluster's) —
 counted under ``live_alerts`` with the alert kind as the ``policy``
 label, so post-run tooling and the trace→metrics bridge diff can see
 exactly what fired.  Watchdogs are observers: they never mutate engine

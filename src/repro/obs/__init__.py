@@ -10,7 +10,7 @@ The observability layer on top of the PR-1 decision trace:
 * :mod:`repro.obs.export` — deterministic Prometheus-text and JSON exports;
 * :mod:`repro.obs.bridge` — rebuilds a registry from a JSONL decision
   trace so both observability layers can be checked against each other;
-* :mod:`repro.obs.telemetry` — the bundle ``run_mdf(telemetry=...)``
+* :mod:`repro.obs.telemetry` — the bundle a ``TimelineSampler`` observer
   attaches to :class:`~repro.engine.job.JobResult`.
 """
 
@@ -32,7 +32,7 @@ from .registry import (
     labels_dict,
 )
 from .telemetry import Telemetry
-from .timeline import TelemetryConfig, TimelineSample, TimelineSampler
+from .timeline import TimelineSample, TimelineSampler
 
 __all__ = [
     "CONSISTENCY_VIEWS",
@@ -44,7 +44,6 @@ __all__ = [
     "LABEL_NAMES",
     "MetricsRegistry",
     "Telemetry",
-    "TelemetryConfig",
     "TimelineSample",
     "TimelineSampler",
     "diff_registries",

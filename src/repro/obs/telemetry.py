@@ -1,4 +1,5 @@
-"""The job-level telemetry bundle returned by ``run_mdf(telemetry=...)``.
+"""The job-level telemetry bundle a :class:`~repro.obs.timeline.TimelineSampler`
+observer hangs on ``result.telemetry``.
 
 One :class:`Telemetry` object packages the run's labeled metrics registry
 and the simulated-clock timeline into every export the benchmarks need:
@@ -10,11 +11,13 @@ Prometheus text, JSON, and the per-branch / per-node breakdown tables
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from .export import prometheus_text, registry_json, registry_to_dict
 from .registry import MetricsRegistry
-from .timeline import TimelineSampler
+
+if TYPE_CHECKING:  # the sampler builds the bundle, so it imports this module
+    from .timeline import TimelineSampler
 
 
 class Telemetry:

@@ -19,19 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
-
-@dataclass
-class TelemetryConfig:
-    """Knobs for ``run_mdf(telemetry=...)``.
-
-    ``interval`` is in simulated seconds.  When a run produces more than
-    ``max_samples`` samples the sampler thins itself (drops every other
-    sample and doubles the interval), so unexpectedly long jobs degrade
-    resolution instead of memory.
-    """
-
-    interval: float = 0.25
-    max_samples: int = 4096
+from .telemetry import Telemetry
 
 
 @dataclass
@@ -72,46 +60,49 @@ class TimelineSample:
 class TimelineSampler:
     """Samples cluster state at a fixed simulated-time interval.
 
-    Attach before the job runs, detach after; ``samples`` then holds the
-    series.  The sampler reads the cluster's nodes, metrics view and the
-    ``live_branches`` gauge from the cluster's registry — it never touches
-    the clock itself, so attaching it cannot perturb execution.
+    A run observer: ``run_mdf(..., observers=[TimelineSampler()])`` hangs
+    a :class:`~repro.obs.telemetry.Telemetry` bundle (labeled registry,
+    this timeline, exporters) on ``result.telemetry``; ``samples`` holds
+    the series.  ``interval`` is in simulated seconds.  When a run
+    produces more than ``max_samples`` samples the sampler thins itself
+    (drops every other sample and doubles the interval), so unexpectedly
+    long jobs degrade resolution instead of memory.  The sampler reads
+    the cluster's nodes, metrics view and the ``live_branches`` gauge
+    from the cluster's registry — it never touches the clock itself, so
+    observing cannot perturb execution.
     """
 
-    def __init__(self, cluster, interval: float = 0.25, max_samples: int = 4096):
+    def __init__(self, interval: float = 0.25, max_samples: int = 4096):
         if interval <= 0:
             raise ValueError(f"sampling interval must be positive, got {interval}")
         if max_samples < 2:
             raise ValueError("max_samples must be at least 2")
-        self.cluster = cluster
-        self.interval = float(interval)
+        self._requested_interval = float(interval)
+        self.interval = self._requested_interval
         self.max_samples = int(max_samples)
+        self.cluster = None
         self.samples: List[TimelineSample] = []
         self._next_t = 0.0
-        self._attached = False
 
     # ------------------------------------------------------------- lifecycle
-    def attach(self) -> "TimelineSampler":
-        if self._attached:
-            return self
-        self._next_t = self.cluster.clock.now
-        self.cluster.clock.subscribe(self._on_advance)
-        self._attached = True
+    def begin(self, mdf, cluster, config) -> None:
+        self.cluster = cluster
+        self.interval = self._requested_interval
         # the t=0 baseline (empty cluster / warm-cache starting point)
-        self._record(self._next_t)
-        self._next_t += self.interval
-        return self
+        self.samples = []
+        self._record(cluster.clock.now)
+        self._next_t = cluster.clock.now + self.interval
+        cluster.clock.subscribe(self._on_advance)
 
-    def detach(self) -> "TimelineSampler":
-        if not self._attached:
-            return self
-        self.cluster.clock.unsubscribe(self._on_advance)
-        self._attached = False
+    def end(self, result) -> None:
+        cluster = self.cluster
+        cluster.clock.unsubscribe(self._on_advance)
         # close the series with the job-end state
-        now = self.cluster.clock.now
-        if not self.samples or self.samples[-1].t < now:
+        now = cluster.clock.now
+        if self.samples[-1].t < now:
             self._record(now)
-        return self
+        if result is not None:
+            result.telemetry = Telemetry(cluster.obs, self, metrics=cluster.metrics)
 
     # -------------------------------------------------------------- sampling
     def _on_advance(self, now: float) -> None:

@@ -15,9 +15,8 @@ CLI::
     python -m repro.prof --gate benchmarks/baselines.json
 
 The CI perf-regression gate lives in :mod:`repro.prof.gate`; it imports
-the engine, so it is intentionally not re-exported here (the engine's
-runner imports :mod:`repro.prof.collect`, and a package-level gate import
-would create a cycle).  The span → category mapping
+the engine, so it is intentionally not re-exported here (the rest of the
+package works on recorded traces alone).  The span → category mapping
 (``registry_categories``) lives beside the counters' trace fold in
 :mod:`repro.obs.bridge` and is re-exported here.
 """
@@ -33,7 +32,7 @@ from .attribution import (
     per_node_attribution,
     span_attribution,
 )
-from .collect import ProfileCollector, active_profile_collector, set_profile_collector
+from .collect import ProfileCollector
 from .critical import Segment, critical_path, critical_path_length, top_segments
 from .export import (
     render_attribution,
@@ -64,7 +63,6 @@ __all__ = [
     "Span",
     "SpanProfile",
     "WhatIf",
-    "active_profile_collector",
     "attribution",
     "branch_attribution",
     "build_profile",
@@ -83,7 +81,6 @@ __all__ = [
     "reprice",
     "save_chrome_spans",
     "save_speedscope",
-    "set_profile_collector",
     "span_attribution",
     "to_chrome_spans",
     "to_speedscope",

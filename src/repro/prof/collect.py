@@ -1,48 +1,29 @@
-"""Profile collection hook for harness runs (``repro.bench --profile``).
+"""Profile collection for harness runs (``repro.bench --profile``).
 
-Mirrors the auto-validate hook in :mod:`repro.trace.validate`: the bench
-harness installs a :class:`ProfileCollector`, ``run_mdf`` offers every
-finished :class:`~repro.engine.runner.JobResult` to it, and the harness
-reads back the reconstructed profiles keyed by the label it set before
-each run.  Module-level state, same caveats as the validate hook — the
-harness is single-threaded.
+The bench harness wraps each figure in ``with
+observing(ProfileCollector()):`` — figures call ``run_mdf`` internally —
+and reads back one reconstructed profile per run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
 from .spans import SpanProfile, profile_from_result
 
 
 class ProfileCollector:
-    """Accumulates ``(label, SpanProfile)`` pairs across harness runs."""
+    """Run observer accumulating one :class:`SpanProfile` per finished run."""
 
     def __init__(self) -> None:
-        self.label: str = ""
-        self.profiles: List[Tuple[str, SpanProfile]] = []
+        self.profiles: List[SpanProfile] = []
 
-    def record(self, result) -> None:
-        self.profiles.append((self.label, profile_from_result(result)))
+    def begin(self, mdf, cluster, config) -> None:
+        pass
 
-    def by_label(self) -> Dict[str, List[SpanProfile]]:
-        out: Dict[str, List[SpanProfile]] = {}
-        for label, profile in self.profiles:
-            out.setdefault(label, []).append(profile)
-        return out
+    def end(self, result) -> None:
+        if result is not None:
+            self.profiles.append(profile_from_result(result))
 
 
-_collector: Optional[ProfileCollector] = None
-
-
-def set_profile_collector(collector: Optional[ProfileCollector]) -> None:
-    """Install (or with ``None`` remove) the active collector."""
-    global _collector
-    _collector = collector
-
-
-def active_profile_collector() -> Optional[ProfileCollector]:
-    return _collector
-
-
-__all__ = ["ProfileCollector", "active_profile_collector", "set_profile_collector"]
+__all__ = ["ProfileCollector"]

@@ -3,9 +3,9 @@
 Job-level observability (:mod:`repro.obs`) is born and dies inside one
 worker process; this module lifts it to the *service* altitude.  Each
 worker ships its finished job's registry snapshot (restricted to the
-trace-reconstructible counter families, :data:`JOB_VIEW_FAMILIES`),
-profile-category seconds and cache/store counters back to the
-dispatcher, which folds them into one long-lived
+trace-reconstructible counter families, :data:`JOB_VIEW_FAMILIES` —
+the profile-category seconds among them) and cache/store counters back
+to the dispatcher, which folds them into one long-lived
 :class:`~repro.obs.registry.MetricsRegistry` labeled with the service
 dimensions ``{tenant, workload, status, policy}`` — plus service-native
 series: exact (nearest-rank, as the benchmarks report) queue-wait
@@ -54,7 +54,6 @@ from ..obs.registry import MetricsRegistry
 
 __all__ = [
     "JOB_VIEW_FAMILIES",
-    "PROFILE_CATEGORIES",
     "SERVICE_CONSISTENCY_VIEWS",
     "SERVICE_LABEL_NAMES",
     "FairnessAuditor",
@@ -73,12 +72,6 @@ SERVICE_LABEL_NAMES: Tuple[str, ...] = ("tenant", "workload", "status", "policy"
 #: per-job NDJSON streams rebuilds identical totals
 JOB_VIEW_FAMILIES: Tuple[str, ...] = tuple(
     sorted({name for name, _ in CONSISTENCY_VIEWS})
-)
-
-#: profiler categories with a ``profile_<cat>_seconds`` counter ("reload"
-#: is a profiler-only refinement of "io" and has none)
-PROFILE_CATEGORIES: Tuple[str, ...] = (
-    "compute", "io", "network", "overhead", "evaluator", "recovery",
 )
 
 #: cache counters a finished job reports (CacheStats field names)
@@ -544,7 +537,6 @@ class ServiceObs:
                 "violations": result.get("violations", 0),
                 "cache": result.get("cache") or {},
                 "store": result.get("store") or {},
-                "profile": result.get("profile") or {},
                 "stream": record.spec.stream_path,
                 "merged": job_registry is not None,
             },

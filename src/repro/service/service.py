@@ -50,6 +50,13 @@ __all__ = ["JobService"]
 PUBLISH_MIN_S = 0.25
 PUBLISH_COST_X = 10.0
 
+#: what a submission may set beside tenant, workload and cost: the fields
+#: ``python -m repro.service submit`` writes into a ticket, plus
+#: ``validate``.  Tickets are outside input — every other ``JobSpec``
+#: attribute (its id, its stream and cache paths, its methods) is the
+#: service's to decide.
+TICKET_FIELDS = ("scheduler", "memory", "backend", "validate")
+
 
 class JobService:
     """Concurrent fair-share MDF job service over a shared result cache."""
@@ -133,10 +140,15 @@ class JobService:
         **overrides: Any,
     ) -> str:
         """Queue one job; returns its id.  ``overrides`` patch the spec
-        (``scheduler``, ``memory``, ``validate``, ...); ``backend="mp"``
-        raises :class:`ValueError` (see :func:`~.jobs.check_backend`)."""
+        (:data:`TICKET_FIELDS`; anything else is a :class:`TypeError`);
+        ``backend="mp"`` raises :class:`ValueError` (see
+        :func:`~.jobs.check_backend`).  A refused submission leaves no
+        record, queue entry or event behind."""
         if self._closed:
             raise RuntimeError("service is closed")
+        for key in overrides:
+            if key not in TICKET_FIELDS:
+                raise TypeError(f"unknown JobSpec field {key!r}")
         check_backend(overrides.get("backend", "serial"))
         self._next_id += 1
         job_id = f"job-{self._next_id:04d}"
@@ -151,12 +163,10 @@ class JobService:
             cost=cost,
         )
         for key, value in overrides.items():
-            if not hasattr(spec, key):
-                raise TypeError(f"unknown JobSpec field {key!r}")
             setattr(spec, key, value)
         record = JobRecord(spec=spec)
+        queued = self.queue.put(tenant, record, cost=spec.cost)  # checks cost
         self.records[job_id] = record
-        queued = self.queue.put(tenant, record, cost=spec.cost)
         self.obs.job_submitted(record, queued, self.queue.vtime)
         self._dirty = True
         self._publish()

@@ -31,7 +31,7 @@ from ..cache import ResultCache, SharedCacheStore
 from ..engine.runner import run_mdf
 from ..trace.validate import validate_trace
 from .jobs import JobSpec
-from .obs import JOB_VIEW_FAMILIES, PROFILE_CATEGORIES
+from .obs import JOB_VIEW_FAMILIES
 
 __all__ = ["outputs_digest", "run_job"]
 
@@ -87,13 +87,14 @@ def _run(spec: JobSpec, started: float) -> Dict[str, Any]:
     config = workload.make_config()
     if spec.cache_dir is not None:
         config.cache = _build_cache(spec)
+    # watched by its stream alone (a forked worker inherits no ambient
+    # observer); violations are *reported* below, not raised
     result = run_mdf(
         workload.make_mdf(),
         cluster,
         scheduler=spec.scheduler,
         memory=spec.memory,
         config=config,
-        validate=False,  # violations are *reported*, not raised
         live=spec.stream_path,
         backend=spec.backend,
     )
@@ -124,8 +125,4 @@ def _run(spec: JobSpec, started: float) -> Dict[str, Any]:
     # is what the service merges, and what replaying the job's NDJSON
     # stream through the trace fold rebuilds exactly
     summary["obs"] = registry.snapshot(names=JOB_VIEW_FAMILIES)
-    summary["profile"] = {
-        category: registry.value(f"profile_{category}_seconds")
-        for category in PROFILE_CATEGORIES
-    }
     return summary

@@ -8,9 +8,9 @@ from .events import EVENT_SCHEMA, Trace, TraceEvent
 from .validate import (
     ALL_CHECKS,
     InvariantViolation,
+    Validator,
     Violation,
     assert_valid,
-    auto_validate_enabled,
     check_amm_ranking,
     check_cache_sound,
     check_depth_first,
@@ -18,7 +18,6 @@ from .validate import (
     check_profile_conserved,
     check_pruning_sound,
     check_recovery_sound,
-    set_auto_validate,
     validate_trace,
 )
 
@@ -28,9 +27,9 @@ __all__ = [
     "InvariantViolation",
     "Trace",
     "TraceEvent",
+    "Validator",
     "Violation",
     "assert_valid",
-    "auto_validate_enabled",
     "check_amm_ranking",
     "check_cache_sound",
     "check_depth_first",
@@ -38,6 +37,5 @@ __all__ = [
     "check_profile_conserved",
     "check_pruning_sound",
     "check_recovery_sound",
-    "set_auto_validate",
     "validate_trace",
 ]

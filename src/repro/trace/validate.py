@@ -623,15 +623,18 @@ def assert_valid(
         raise InvariantViolation(violations)
 
 
-# Benchmark-harness hook: with auto-validation on, every ``run_mdf`` call
-# asserts the invariants after execution (``python -m repro.bench --validate``).
-_AUTO_VALIDATE = False
+class Validator:
+    """Run observer: every observed run must satisfy the paper invariants.
 
+    ``run_mdf(..., observers=[Validator()])`` — or ``with
+    observing(Validator()):`` around code that calls ``run_mdf``
+    internally (``python -m repro.bench --validate``) — raises
+    :class:`InvariantViolation` out of ``run_mdf`` once the job finished.
+    """
 
-def set_auto_validate(enabled: bool) -> None:
-    global _AUTO_VALIDATE
-    _AUTO_VALIDATE = bool(enabled)
+    def begin(self, mdf, cluster, config) -> None:
+        pass
 
-
-def auto_validate_enabled() -> bool:
-    return _AUTO_VALIDATE
+    def end(self, result) -> None:
+        if result is not None:
+            assert_valid(result.events)

@@ -103,7 +103,7 @@ class TestCliModule:
         self, capsys, tmp_path, monkeypatch
     ):
         from repro.bench.__main__ import main
-        from repro.prof import active_profile_collector
+        from repro.engine import runner
 
         monkeypatch.chdir(tmp_path)  # artifact lands in the scratch dir
         assert main(["--profile", "failure_recovery"]) == 0
@@ -113,5 +113,5 @@ class TestCliModule:
         assert "compute" in out
         artifact = tmp_path / "PROFILE_failure_recovery.speedscope.json"
         assert artifact.exists()
-        # the collector is uninstalled afterwards: plain runs stay unprofiled
-        assert active_profile_collector() is None
+        # nothing stays installed afterwards: plain runs stay unprofiled
+        assert runner._ambient == []

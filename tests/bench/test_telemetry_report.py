@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Cluster, GB, run_mdf
+from repro import Cluster, GB, TimelineSampler, run_mdf
 from repro.bench.report import telemetry_breakdown, timeline_table
 from repro.bench.telemetry import telemetry_report
 from ..conftest import build_filter_mdf
@@ -38,7 +38,7 @@ class TestTableBuilders:
     def test_breakdown_totals_match_metrics(self):
         result = run_mdf(
             build_filter_mdf(), Cluster(num_workers=2, mem_per_worker=1 * GB),
-            telemetry=True,
+            observers=[TimelineSampler()],
         )
         table = telemetry_breakdown(result.telemetry.registry, "node")
         total_row = next(
@@ -49,7 +49,7 @@ class TestTableBuilders:
     def test_breakdown_unattributed_bucket(self):
         result = run_mdf(
             build_filter_mdf(), Cluster(num_workers=2, mem_per_worker=1 * GB),
-            telemetry=True,
+            observers=[TimelineSampler()],
         )
         table = telemetry_breakdown(result.telemetry.registry, "branch")
         assert "(unattributed)" in table  # source stage runs outside any branch
@@ -57,7 +57,7 @@ class TestTableBuilders:
     def test_timeline_table_decimates(self):
         result = run_mdf(
             build_filter_mdf(), Cluster(num_workers=2, mem_per_worker=1 * GB),
-            telemetry=0.01,
+            observers=[TimelineSampler(interval=0.01)],
         )
         samples = result.telemetry.samples
         assert len(samples) > 6
@@ -67,7 +67,7 @@ class TestTableBuilders:
     def test_timeline_table_short_series_untouched(self):
         result = run_mdf(
             build_filter_mdf(), Cluster(num_workers=2, mem_per_worker=1 * GB),
-            telemetry=True,
+            observers=[TimelineSampler()],
         )
         table = timeline_table(result.telemetry.samples, max_rows=1000)
         assert "showing" not in table

@@ -8,7 +8,7 @@ the tenant-labelled hit/miss accounting the executor layers on top.
 import os
 import time
 
-from repro import Cluster, GB
+from repro import Cluster, GB, Validator
 from repro.cache import ResultCache, SharedCacheStore
 from repro.engine import EngineConfig, run_mdf
 from repro.lab.workloads import get_workload
@@ -221,7 +221,7 @@ class TestResultCacheIntegration:
             cluster = workload.make_cluster()
             result = run_mdf(
                 workload.make_mdf(), cluster, scheduler="bas", memory="amm",
-                config=EngineConfig(cache=cache), validate=True,
+                config=EngineConfig(cache=cache), observers=[Validator()],
             )
             return result, cache, cluster
 
@@ -258,7 +258,8 @@ class TestResultCacheIntegration:
         )
         cache = ResultCache(store=SharedCacheStore(str(tmp_path), tenant="alice"))
         cluster = fresh_cluster()
-        run_mdf(b.build(), cluster, config=EngineConfig(cache=cache), validate=True)
+        run_mdf(b.build(), cluster, config=EngineConfig(cache=cache),
+                observers=[Validator()])
         events = cluster.trace.filter("cache_miss")
         assert "unfingerprintable" in {e.data["reason"] for e in events}
         obs = cluster.obs

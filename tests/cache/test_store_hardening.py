@@ -8,7 +8,7 @@ writers are swept at store open and never served.
 import os
 import pickle
 
-from repro import Cluster, GB
+from repro import Cluster, GB, Validator
 from repro.cache import DiskCacheStore, ResultCache
 from repro.engine import EngineConfig, run_mdf
 from repro.lab.workloads import get_workload
@@ -122,7 +122,7 @@ class TestCorruptionRegression:
             config = EngineConfig(cache=cache)
             result = run_mdf(
                 workload.make_mdf(), cluster, scheduler="bas", memory="amm",
-                config=config, validate=True,
+                config=config, observers=[Validator()],
             )
             return result, cluster
 

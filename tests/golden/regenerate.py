@@ -33,7 +33,17 @@ import json
 import tempfile
 from pathlib import Path
 
-from repro import CallableEvaluator, Cluster, GB, MB, MDFBuilder, Min, run_mdf
+from repro import (
+    CallableEvaluator,
+    Cluster,
+    GB,
+    MB,
+    MDFBuilder,
+    Min,
+    Validator,
+    observing,
+    run_mdf,
+)
 from repro.cache import ResultCache, SharedCacheStore
 from repro.cluster.fault import (
     CheckpointConfig,
@@ -97,22 +107,27 @@ def build_explore_choose_mdf():
 def record_quickstart():
     mdf = load_quickstart_module().build_quickstart_mdf()
     cluster = Cluster(num_workers=4, mem_per_worker=1 * GB)
-    return run_mdf(mdf, cluster, scheduler="bas", memory="amm", validate=True), cluster
+    result = run_mdf(
+        mdf, cluster, scheduler="bas", memory="amm", observers=[Validator()]
+    )
+    return result, cluster
 
 
 def record_explore_choose():
     mdf = build_explore_choose_mdf()
     cluster = Cluster(num_workers=2, mem_per_worker=48 * MB)
-    return run_mdf(mdf, cluster, scheduler="bas", memory="amm", validate=True), cluster
+    result = run_mdf(
+        mdf, cluster, scheduler="bas", memory="amm", observers=[Validator()]
+    )
+    return result, cluster
 
 
 def _record_lab_policy(workload_name: str, scheduler: str):
     """One lab-zoo workload under one contender scheduler (validated)."""
     from repro.lab.workloads import get_workload
 
-    return get_workload(workload_name).run(
-        scheduler=scheduler, memory="amm", validate=True
-    )
+    with observing(Validator()):
+        return get_workload(workload_name).run(scheduler=scheduler, memory="amm")
 
 
 def record_policy_heft():
@@ -143,7 +158,8 @@ def record_failure_recovery():
         ),
     )
     result = run_mdf(
-        build_nested_mdf(), cluster, memory="amm", config=config, validate=True
+        build_nested_mdf(), cluster, memory="amm", config=config,
+        observers=[Validator()],
     )
     return result, cluster
 
@@ -163,7 +179,8 @@ def record_shared_store_cache():
                 store=SharedCacheStore(store_dir, tenant="golden")
             )
             result = run_mdf(
-                workload.make_mdf(), cluster, memory="amm", config=config, validate=True
+                workload.make_mdf(), cluster, memory="amm", config=config,
+                observers=[Validator()],
             )
             clusters.append(cluster)
     cold, warm = clusters

@@ -2,7 +2,9 @@
 
 import json
 
+from repro import observing
 from repro.lab import Experimentation, LabReport, get_workload
+from repro.live import LiveHook
 from repro.lab.workloads import available_workloads
 
 
@@ -73,20 +75,16 @@ class TestExperimentation:
         assert a.to_json() == b.to_json()
 
     def test_live_mode_monitors_every_cell(self):
-        exp = Experimentation(
-            schedulers=["bas", "heft"], workloads=["filter_min"], live=True
-        )
-        report = exp.run(progress=None)
-        for cell in report.cells:
-            assert cell.live_alerts == 0
-            assert cell.live_eta_error == 0.0
-            assert cell.live_stream_identical is True
-
-    def test_live_off_leaves_cells_unmonitored(self):
-        exp = Experimentation(schedulers=["bas"], workloads=["filter_min"])
-        cell = exp.run_cell("filter_min", "bas")
-        assert cell.live_eta_error is None
-        assert cell.live_stream_identical is None
+        """The lab has no live mode of its own: it is observed from
+        outside like any other code that calls ``run_mdf``."""
+        exp = Experimentation(schedulers=["bas", "heft"], workloads=["filter_min"])
+        hook = LiveHook()
+        with observing(hook):
+            report = exp.run(progress=None)
+        assert len(hook.runs) == len(report.cells) == 2
+        assert hook.all_byte_identical and hook.alert_kinds() == {}
+        for cell, run in zip(report.cells, hook.runs):
+            assert run.monitor.snapshot().eta == cell.completion_time
 
 
 class TestLabReport:

@@ -20,7 +20,7 @@ from repro.lab import (
     render_matrix,
 )
 from repro.obs.bridge import diff_registries, registry_from_trace
-from repro.trace.validate import validate_trace
+from repro.trace.validate import Validator, validate_trace
 
 SCHEDULERS = available_schedulers()
 SMOKE = available_workloads("smoke")
@@ -100,7 +100,7 @@ class TestBenchFigureMdfsDifferential:
                 string_int_pairs(n=100, seed=3), b1=2, b2=2, nominal_bytes=16 * MB
             )
             cluster = Cluster(num_workers=2, mem_per_worker=64 * MB)
-            return run_mdf(mdf, cluster, scheduler=sched, validate=True)
+            return run_mdf(mdf, cluster, scheduler=sched, observers=[Validator()])
 
         reference = run("bfs")
         contender = run(scheduler)

@@ -139,7 +139,7 @@ class TestExceptionIsolation:
         increments, and the trace bytes are unchanged."""
         mdf = build_filter_mdf()
         baseline = run_mdf(
-            mdf, Cluster(num_workers=4, mem_per_worker=1 * GB), live=False
+            mdf, Cluster(num_workers=4, mem_per_worker=1 * GB)
         )
 
         cluster = Cluster(num_workers=4, mem_per_worker=1 * GB)
@@ -150,7 +150,7 @@ class TestExceptionIsolation:
         # reset=False: run_mdf's cluster reset would recreate the trace
         # and silently drop the subscription made above
         cluster.trace.subscribe(bad)
-        result = run_mdf(mdf, cluster, live=False, reset=False)
+        result = run_mdf(mdf, cluster, reset=False)
         assert result.completion_time == baseline.completion_time
         assert result.events.to_jsonl() == baseline.events.to_jsonl()
         assert cluster.obs.value("live_subscriber_errors") == 1.0

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Cluster, GB, MB
-from repro.live import LivePlan, ProgressEstimator
-from repro.live.hook import LiveHook, set_live_hook
+from repro import Cluster, GB, MB, observing
+from repro.live import LiveMonitor, LivePlan, ProgressEstimator
+from repro.live.hook import LiveHook
 from repro.trace import Trace
 
 from ..conftest import build_filter_mdf
@@ -30,9 +30,8 @@ from ..golden.regenerate import (
 @pytest.fixture
 def live_hook():
     hook = LiveHook()
-    set_live_hook(hook)
-    yield hook
-    set_live_hook(None)
+    with observing(hook):
+        yield hook
 
 
 def explore_choose_plan():
@@ -161,7 +160,7 @@ class TestCalibration:
 
         mdf = build_filter_mdf()
         cluster = Cluster(num_workers=4, mem_per_worker=1 * GB)
-        result = run_mdf(mdf, cluster, live=True)
+        result = run_mdf(mdf, cluster, observers=[LiveMonitor()])
         progress = result.live.progress
         assert 0.0 < progress.calibration
         # observed clean-run walls land at or under the pessimistic model

@@ -28,15 +28,19 @@ class TestByteIdentity:
         byte-prefix of the final JSONL.  A checker subscriber registered
         *after* the StreamWriter observes the buffer post-write."""
         buffer = io.StringIO()
-        writer = StreamWriter(buffer)
         prefixes = []
+
+        class Checker:
+            def begin(self, mdf, cluster, config):
+                cluster.trace.subscribe(lambda e: prefixes.append(buffer.getvalue()))
+
+            def end(self, result):
+                pass
+
         cluster = Cluster(num_workers=4, mem_per_worker=1 * GB)
-        mdf = build_nested_mdf()
-        mdf.validate()
-        cluster.reset()
-        writer.attach(cluster.trace)
-        cluster.trace.subscribe(lambda e: prefixes.append(buffer.getvalue()))
-        result = run_mdf(mdf, cluster, reset=False, live=False)
+        result = run_mdf(
+            build_nested_mdf(), cluster, observers=[StreamWriter(buffer), Checker()]
+        )
         final = result.events.to_jsonl()
         assert len(prefixes) == len(result.events.events)
         for prefix in prefixes:
@@ -53,10 +57,16 @@ class TestByteIdentity:
     def test_file_target_round_trips(self, tmp_path):
         path = tmp_path / "run.ndjson"
         cluster = Cluster(num_workers=4, mem_per_worker=1 * GB)
-        result = run_mdf(build_filter_mdf(), cluster, live=str(path))
+        writer = StreamWriter(path)
+        assert not path.exists()  # opened by begin, not by the constructor
+        result = run_mdf(build_filter_mdf(), cluster, observers=[writer])
         assert path.read_text() == result.events.to_jsonl()
-        # the monitor owned the handle and closed it on detach
-        assert result.live.stream.closed
+        # the writer owned the handle and closed it at end
+        assert writer.closed
+        assert result.live is None  # a stream, not a monitor
+        # and the keyword spelling of the same thing
+        again = run_mdf(build_filter_mdf(), cluster, live=str(path))
+        assert path.read_text() == again.events.to_jsonl()
 
     def test_bridge_parity_over_streamed_file(self):
         """registry_from_trace over the *streamed* NDJSON reconciles with
@@ -102,17 +112,16 @@ class TestStreamWriter:
             writer(self.make_event_trace(1).events[0])
 
     def test_attach_detach(self):
-        class FakeClock:
-            now = 0.0
-
-        trace = Trace(clock=FakeClock())
-        buffer = io.StringIO()
-        writer = StreamWriter(buffer).attach(trace)
-        trace.emit("dataset_discarded", dataset="a")
-        assert writer.detach(trace) is True
-        trace.emit("dataset_discarded", dataset="b")
-        assert writer.events_written == 1
-        assert writer.detach(trace) is False
+        """``begin`` subscribes (after catching up), ``end`` unsubscribes."""
+        cluster = Cluster(num_workers=1, mem_per_worker=1 * GB)
+        cluster.trace.emit("dataset_discarded", dataset="before")
+        writer = StreamWriter(io.StringIO())
+        writer.begin(None, cluster, None)
+        cluster.trace.emit("dataset_discarded", dataset="during")
+        writer.end(None)
+        cluster.trace.emit("dataset_discarded", dataset="after")
+        assert writer.events_written == 2
+        assert cluster.trace.subscribers == [] and writer.closed
 
 
 class TestReaders:

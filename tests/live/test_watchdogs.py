@@ -49,7 +49,7 @@ class TestInjectedStraggler:
         )
         cluster = Cluster(num_workers=4, mem_per_worker=1 * GB)
         result = run_mdf(
-            build_filter_mdf(), cluster, config=config, live=True
+            build_filter_mdf(), cluster, config=config, observers=[LiveMonitor()]
         )
         monitor = result.live
         assert monitor.alert_kinds() == {"straggler": 1}
@@ -61,12 +61,12 @@ class TestInjectedStraggler:
 
     def test_clean_run_raises_nothing(self):
         cluster = Cluster(num_workers=4, mem_per_worker=1 * GB)
-        result = run_mdf(build_filter_mdf(), cluster, live=True)
+        result = run_mdf(build_filter_mdf(), cluster, observers=[LiveMonitor()])
         assert result.live.alerts == []
 
     def test_clean_nested_run_raises_nothing(self):
         cluster = Cluster(num_workers=4, mem_per_worker=1 * GB)
-        result = run_mdf(build_nested_mdf(), cluster, live=True)
+        result = run_mdf(build_nested_mdf(), cluster, observers=[LiveMonitor()])
         assert result.live.alerts == []
 
     def test_skew_alone_stays_under_the_serialized_bound(self):
@@ -101,7 +101,7 @@ class TestInjectedRetryStorm:
         )
         cluster = Cluster(num_workers=4, mem_per_worker=1 * GB)
         result = run_mdf(
-            build_filter_mdf(), cluster, config=config, live=True
+            build_filter_mdf(), cluster, config=config, observers=[LiveMonitor()]
         )
         monitor = result.live
         assert set(monitor.alert_kinds()) == {"retry_storm"}
@@ -209,6 +209,6 @@ class TestDetachedMonitorWatchdogs:
         dog = RetryStormWatchdog(threshold=1)
         monitor = LiveMonitor(watchdogs=[dog])
         cluster = Cluster(num_workers=4, mem_per_worker=1 * GB)
-        run_mdf(build_filter_mdf(), cluster, live=monitor)
+        run_mdf(build_filter_mdf(), cluster, observers=[monitor])
         assert monitor.watchdogs == [dog]
         assert dog.registry is cluster.obs  # wired at attach time

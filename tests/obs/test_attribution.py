@@ -9,7 +9,7 @@ both, so these are identities, not approximations.
 
 import pytest
 
-from repro import Cluster, GB, MB, run_mdf
+from repro import Cluster, GB, MB, TimelineSampler, run_mdf
 from ..conftest import build_filter_mdf, build_nested_mdf
 
 
@@ -21,7 +21,7 @@ def _total(registry, name, dims):
 def pressured_run(request):
     mdf = build_nested_mdf()
     cluster = Cluster(num_workers=4, mem_per_worker=64 * MB)
-    result = run_mdf(mdf, cluster, memory=request.param, telemetry=True)
+    result = run_mdf(mdf, cluster, memory=request.param, observers=[TimelineSampler()])
     return result
 
 
@@ -68,7 +68,7 @@ class TestBreakdownTables:
     def test_branch_breakdown_renders_totals(self):
         result = run_mdf(
             build_filter_mdf(), Cluster(num_workers=4, mem_per_worker=1 * GB),
-            telemetry=True,
+            observers=[TimelineSampler()],
         )
         table = result.telemetry.branch_breakdown()
         assert "telemetry breakdown by branch" in table
@@ -83,7 +83,7 @@ class TestBreakdownTables:
     def test_node_breakdown_lists_workers(self):
         result = run_mdf(
             build_filter_mdf(), Cluster(num_workers=2, mem_per_worker=1 * GB),
-            telemetry=True,
+            observers=[TimelineSampler()],
         )
         table = result.telemetry.node_breakdown()
         assert "worker-0" in table and "worker-1" in table

@@ -8,7 +8,7 @@ runs and on the golden recordings under ``tests/golden/``.
 
 import pytest
 
-from repro import Cluster, GB, MB, run_mdf
+from repro import Cluster, GB, MB, TimelineSampler, run_mdf
 from repro.obs import CONSISTENCY_VIEWS, diff_registries, registry_from_trace
 from repro.trace import Trace
 from ..conftest import build_filter_mdf, build_nested_mdf
@@ -22,20 +22,20 @@ class TestLiveConsistency:
         cluster = Cluster(num_workers=4, mem_per_worker=64 * MB)
         result = run_mdf(
             build_nested_mdf(), cluster, scheduler=scheduler, memory=policy,
-            telemetry=True,
+            observers=[TimelineSampler()],
         )
         rebuilt = registry_from_trace(result.events)
         assert diff_registries(result.telemetry.registry, rebuilt) == []
 
     def test_roomy_filter_run(self):
         cluster = Cluster(num_workers=4, mem_per_worker=1 * GB)
-        result = run_mdf(build_filter_mdf(), cluster, telemetry=True)
+        result = run_mdf(build_filter_mdf(), cluster, observers=[TimelineSampler()])
         rebuilt = registry_from_trace(result.events)
         assert diff_registries(result.telemetry.registry, rebuilt) == []
 
     def test_jsonl_round_trip_preserves_consistency(self):
         cluster = Cluster(num_workers=4, mem_per_worker=64 * MB)
-        result = run_mdf(build_nested_mdf(), cluster, memory="amm", telemetry=True)
+        result = run_mdf(build_nested_mdf(), cluster, memory="amm", observers=[TimelineSampler()])
         replayed = Trace.from_jsonl(result.events.to_jsonl())
         rebuilt = registry_from_trace(replayed)
         assert diff_registries(result.telemetry.registry, rebuilt) == []
@@ -62,7 +62,7 @@ class TestGoldenConsistency:
 class TestDiffRegistries:
     def test_detects_injected_drift(self):
         cluster = Cluster(num_workers=2, mem_per_worker=1 * GB)
-        result = run_mdf(build_filter_mdf(), cluster, telemetry=True)
+        result = run_mdf(build_filter_mdf(), cluster, observers=[TimelineSampler()])
         rebuilt = registry_from_trace(result.events)
         rebuilt.counter("tasks_executed", branch="ghost", stage="s99").inc(7)
         problems = diff_registries(result.telemetry.registry, rebuilt)

@@ -3,18 +3,23 @@
 import pytest
 
 from repro import Cluster, MB, run_mdf
-from repro.obs import TelemetryConfig, TimelineSampler
+from repro.obs import TimelineSampler
 from ..conftest import build_nested_mdf
 
 
-def _run(policy, **kwargs):
+def _run(policy, **sampler_kwargs):
     cluster = Cluster(num_workers=4, mem_per_worker=64 * MB)
-    return run_mdf(build_nested_mdf(), cluster, memory=policy, **kwargs)
+    return run_mdf(
+        build_nested_mdf(),
+        cluster,
+        memory=policy,
+        observers=[TimelineSampler(**sampler_kwargs)],
+    )
 
 
 class TestSampler:
     def test_series_shape(self):
-        result = _run("amm", telemetry=True)
+        result = _run("amm")
         samples = result.telemetry.samples
         assert len(samples) >= 2
         # t=0 baseline then strictly increasing timestamps up to job end
@@ -26,7 +31,7 @@ class TestSampler:
         assert samples[-1].t == pytest.approx(result.completion_time)
 
     def test_evictions_monotone_and_memory_bounded(self):
-        result = _run("lru", telemetry=True)
+        result = _run("lru")
         samples = result.telemetry.samples
         evictions = [s.evictions for s in samples]
         assert evictions == sorted(evictions)
@@ -38,20 +43,20 @@ class TestSampler:
     def test_lru_vs_amm_timelines_differ(self):
         """Fig 17: the same starved job leaves different memory footprints
         over time under LRU vs AMM."""
-        lru = _run("lru", telemetry=True).telemetry
-        amm = _run("amm", telemetry=True).telemetry
+        lru = _run("lru").telemetry
+        amm = _run("amm").telemetry
         assert lru.samples and amm.samples
         lru_series = [(s.t, s.memory_in_use, s.evictions) for s in lru.samples]
         amm_series = [(s.t, s.memory_in_use, s.evictions) for s in amm.samples]
         assert lru_series != amm_series
 
     def test_interval_as_float_argument(self):
-        coarse = _run("amm", telemetry=5.0).telemetry
-        fine = _run("amm", telemetry=0.05).telemetry
+        coarse = _run("amm", interval=5.0).telemetry
+        fine = _run("amm", interval=0.05).telemetry
         assert len(fine.samples) > len(coarse.samples)
 
     def test_telemetry_config_passthrough(self):
-        result = _run("amm", telemetry=TelemetryConfig(interval=0.5, max_samples=8))
+        result = _run("amm", interval=0.5, max_samples=8)
         sampler = result.telemetry.timeline
         assert len(sampler) <= 8 + 1  # thinning keeps the series bounded
         assert sampler.interval >= 0.5  # doubled on every thinning pass
@@ -96,17 +101,18 @@ class TestSampler:
                 return 0
 
         cluster = FakeCluster()
-        sampler = TimelineSampler(cluster, interval=1.0, max_samples=4).attach()
+        sampler = TimelineSampler(interval=1.0, max_samples=4)
+        sampler.begin(None, cluster, None)
         for _ in range(20):
             cluster.clock.advance(1.0)
-        sampler.detach()
+        sampler.end(None)
         assert len(sampler) <= 5
         assert sampler.interval > 1.0
 
     def test_utilisation_series(self):
         """Per-node busy/idle sampling: utilisation is the fraction of the
         inter-sample window the workers spent busy, always within [0, 1]."""
-        result = _run("amm", telemetry=True)
+        result = _run("amm")
         samples = result.telemetry.samples
         for s in samples:
             assert 0.0 <= s.utilisation <= 1.0
@@ -123,7 +129,7 @@ class TestSampler:
     def test_utilisation_survives_thinning(self):
         """Thinning recomputes utilisation over the widened windows — the
         surviving samples stay consistent with their own busy deltas."""
-        result = _run("amm", telemetry=TelemetryConfig(interval=0.01, max_samples=8))
+        result = _run("amm", interval=0.01, max_samples=8)
         samples = result.telemetry.samples
         for prev, s in zip(samples, samples[1:]):
             window = (s.t - prev.t) * len(s.per_node_busy)
@@ -132,14 +138,13 @@ class TestSampler:
             assert s.utilisation == pytest.approx(expected, abs=1e-12)
 
     def test_as_dict_exposes_utilisation(self):
-        result = _run("amm", telemetry=True)
+        result = _run("amm")
         payload = result.telemetry.samples[-1].as_dict()
         assert "utilisation" in payload
         assert "per_node_busy" in payload
 
     def test_invalid_interval_rejected(self):
-        cluster = Cluster(num_workers=1, mem_per_worker=64 * MB)
         with pytest.raises(ValueError):
-            TimelineSampler(cluster, interval=0.0)
+            TimelineSampler(interval=0.0)
         with pytest.raises(ValueError):
-            TimelineSampler(cluster, max_samples=1)
+            TimelineSampler(max_samples=1)

@@ -97,9 +97,46 @@ class TestJobService:
             assert service.record(good).status == DONE
 
     def test_unknown_spec_override_rejected(self, tmp_path):
+        """A ticket sets what the submit CLI can write plus ``validate``;
+        a typo, a ``JobSpec`` method name, or a field the service decides
+        (where the worker writes, which id it answers to) is refused
+        before anything exists that a later ``pump`` would trip over."""
+        refused = {
+            "not_a_field": 1, "as_dict": 1, "from_dict": 1, "job_id": "job-0001",
+            "stream_path": str(tmp_path / "elsewhere.ndjson"),
+            "cache_dir": str(tmp_path),
+        }
         with JobService(workers=1, spool=str(tmp_path)) as service:
-            with pytest.raises(TypeError):
-                service.submit("t", "filter_min", not_a_field=1)
+            for key, value in refused.items():
+                with pytest.raises(TypeError, match=key):
+                    service.submit("t", "filter_min", **{key: value})
+            with pytest.raises(ValueError, match="cost"):
+                service.submit("t", "filter_min", cost=0)
+            assert service.records == {} and service.queue.backlog == 0
+            with open(service.obs.events_path) as log:
+                assert [json.loads(line)["event"] for line in log] == ["config"]
+            job = service.submit("t", "filter_min", scheduler="bfs", validate=False)
+            (record,) = service.drain(timeout=120)
+            assert record.status == DONE and record.job_id == job == "job-0002"
+            assert record.spec.scheduler == "bfs" and not record.spec.validate
+
+    def test_pool_workers_inherit_no_ambient_observer(self, tmp_path):
+        """The pool forks with whatever the dispatcher's process was
+        observing with; a job is watched by its own stream alone."""
+        from repro import observing
+
+        class Refuses:
+            def begin(self, mdf, cluster, config):
+                raise AssertionError("an ambient observer leaked into a worker")
+
+            def end(self, result):
+                pass
+
+        with observing(Refuses()):
+            with JobService(workers=1, spool=str(tmp_path)) as service:
+                service.submit("t", "filter_min")
+                (record,) = service.drain(timeout=120)
+        assert record.status == DONE, record.error
 
     def test_mp_backend_rejected_at_submission(self, tmp_path):
         """A daemonic pool worker cannot fork the mp backend's own pool:
@@ -342,6 +379,9 @@ class TestCLI:
             "bad.json": "{not json",
             # hand-written tickets: an unknown key, a value that is not an object
             "key.json": '{"tenant":"a","workload":"synthetic_grid","priority":3}',
+            # ... a JobSpec method name, and a field that is the service's to set
+            "method.json": '{"workload":"filter_min","as_dict":1}',
+            "path.json": '{"workload":"filter_min","stream_path":"/tmp/elsewhere"}',
             "list.json": "[1,2]",
         }
         for name, body in bad.items():

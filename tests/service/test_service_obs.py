@@ -314,7 +314,10 @@ class TestServiceObsEndToEnd:
         payload = run_job(dict(spec, obs=False, singleflight_wait=0.5))
         assert payload["ok"]
         assert payload["obs"]["families"]  # non-empty snapshot
-        assert "profile" in payload and "store" in payload
+        assert "store" in payload
+        # the profile seconds cross the pipe once, inside the snapshot
+        assert "profile" not in payload
+        assert "profile_compute_seconds" in payload["obs"]["families"]
 
     def test_snapshot_kept_out_of_state_json(self, tmp_path):
         _, spool = self.run_service(

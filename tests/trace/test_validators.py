@@ -16,9 +16,10 @@ from repro import (
     MB,
     MDFBuilder,
     Min,
+    Validator,
     assert_valid,
+    observing,
     run_mdf,
-    set_auto_validate,
     validate_trace,
 )
 from repro.engine.scheduler import BranchAwareScheduler
@@ -452,23 +453,19 @@ class TestAssertAndAutoValidate:
 
     def test_run_mdf_validate_flag_passes_honest_run(self):
         cluster = Cluster(num_workers=4, mem_per_worker=1 * GB)
-        result = run_mdf(build_filter_mdf(), cluster, validate=True)
+        result = run_mdf(build_filter_mdf(), cluster, observers=[Validator()])
         assert result.output == list(range(10))
 
     def test_run_mdf_validate_flag_catches_broken_scheduler(self):
         mdf = build_nested_mdf(outer=(2, 3, 5), inner=(7, 11))
         cluster = Cluster(num_workers=4, mem_per_worker=1 * GB)
         with pytest.raises(InvariantViolation):
-            run_mdf(mdf, cluster, scheduler=BrokenBAS(), validate=True)
+            run_mdf(mdf, cluster, scheduler=BrokenBAS(), observers=[Validator()])
 
     def test_auto_validate_flag_routes_through_run_mdf(self):
         mdf = build_nested_mdf(outer=(2, 3, 5), inner=(7, 11))
         cluster = Cluster(num_workers=4, mem_per_worker=1 * GB)
-        set_auto_validate(True)
-        try:
+        with observing(Validator()):
             with pytest.raises(InvariantViolation):
                 run_mdf(mdf, cluster, scheduler=BrokenBAS())
-            # explicit validate=False overrides the global flag
-            run_mdf(mdf, cluster, scheduler=BrokenBAS(), validate=False)
-        finally:
-            set_auto_validate(False)
+        run_mdf(mdf, cluster, scheduler=BrokenBAS())  # off again outside
