@@ -7,6 +7,7 @@ asserts the lab's differential contract at bench scale: all policies
 produce the same outputs and kept branches as ``bfs``.
 """
 
+from repro import Validator, observing
 from repro.engine.policies import available_schedulers
 
 
@@ -15,9 +16,10 @@ def test_lab_policy_sweep(benchmark, lab_workload):
 
     def run():
         out = {}
-        for scheduler in schedulers:
-            result, _ = lab_workload.run(scheduler=scheduler, validate=True)
-            out[scheduler] = result
+        with observing(Validator()):
+            for scheduler in schedulers:
+                result, _ = lab_workload.run(scheduler=scheduler)
+                out[scheduler] = result
         return out
 
     results = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)

@@ -3,12 +3,13 @@
 ``run_mdf(..., observers=[LiveMonitor(...)])`` subscribes the monitor to
 the cluster's trace for the duration of the run and leaves it on
 ``result.live``.  The monitor is one plain event callable: each
-committed event goes to the optional
-:class:`~repro.live.stream.StreamWriter` first (the file always reflects
-at least what the estimator has seen), then to the
+committed event goes to the
 :class:`~repro.live.progress.ProgressEstimator`, then to the watchdogs —
 which is also how ``python -m repro.live`` feeds it from a file, without
-a run.
+a run.  The optional :class:`~repro.live.stream.StreamWriter` is begun
+and ended with the monitor but subscribed on its own, ahead of it: the
+file always reflects at least what the estimator has seen, and a
+consumer that raises (the bus drops the monitor) does not truncate it.
 
 Renderers live here too: :func:`progress_line` is the one-line summary
 (quickstart, bench), :func:`render_dashboard` the multi-line terminal
@@ -53,8 +54,6 @@ class LiveMonitor:
         self._trace: Optional[Trace] = None
 
     def __call__(self, event: TraceEvent) -> None:
-        if self.stream is not None:
-            self.stream.on_event(event)
         self.progress.on_event(event)
         for dog in self.watchdogs:
             dog.on_event(event)
@@ -82,7 +81,7 @@ class LiveMonitor:
                 if dog.registry is None:
                     dog.registry = cluster.obs
         if self.stream is not None:
-            self.stream.open()
+            self.stream.begin(mdf, cluster, config)
         self._trace = cluster.trace
         catch_up(self._trace, self)
 
@@ -91,7 +90,7 @@ class LiveMonitor:
         trace.unsubscribe(self)
         self.progress.mark_finished()
         if self.stream is not None:
-            self.stream.close()
+            self.stream.end(result)
         if result is not None:
             result.live = self
 

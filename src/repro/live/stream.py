@@ -36,8 +36,9 @@ class StreamWriter:
     so a follower process observes committed events promptly.
 
     A run observer (``run_mdf(live=sink)`` is ``observers=[StreamWriter
-    (sink)]``) and a plain event callable.  A path is opened by
-    :meth:`open` — ``begin`` calls it — not by the constructor, so a
+    (sink)]``) and a plain event callable (``trace.subscribe(writer)``).
+    A path is created, truncated, by ``begin`` or by the first event the
+    writer takes, whichever comes first — not by the constructor, so a
     writer whose run never started leaves no handle behind.
     """
 
@@ -59,7 +60,7 @@ class StreamWriter:
             self.path = getattr(target, "name", None)
         self.events_written = 0
         self.bytes_written = 0
-        self.closed = self._owns  # a path takes events once opened
+        self.closed = False
         self._trace: Optional[Trace] = None
 
     # The bus calls subscribers as plain callables.
@@ -69,20 +70,21 @@ class StreamWriter:
     def on_event(self, event: TraceEvent) -> None:
         if self.closed:
             raise ValueError("StreamWriter is closed")
+        fh = self._file()
         line = event.to_json() + "\n"
-        self._fh.write(line)
-        self._fh.flush()
+        fh.write(line)
+        fh.flush()
         self.events_written += 1
         self.bytes_written += len(line.encode("utf-8"))
 
-    def open(self) -> None:
-        """Start taking events; an owned path is (re)created, truncated."""
-        if self._owns:
+    def _file(self):
+        if self._fh is None:  # an owned path, not yet (re)created
             self._fh = open(self.path, "w")
-        self.closed = False
+        return self._fh
 
     def begin(self, mdf, cluster, config) -> None:
-        self.open()
+        self.closed = False  # reusable: each run starts the file afresh
+        self._file()
         self._trace = cluster.trace
         catch_up(self._trace, self)
 
@@ -93,9 +95,11 @@ class StreamWriter:
     def close(self) -> None:
         if self.closed:
             return
-        self._fh.flush()
-        if self._owns:
-            self._fh.close()
+        if self._fh is not None:
+            self._fh.flush()
+            if self._owns:
+                self._fh.close()
+                self._fh = None
         self.closed = True
 
     def __repr__(self) -> str:  # pragma: no cover

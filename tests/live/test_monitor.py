@@ -88,18 +88,20 @@ class TestLifecycle:
 
     def test_detach_is_idempotent(self):
         """A monitor the bus already dropped (one of its consumers raised)
-        still ends cleanly: stream closed, estimator finished."""
+        still ends cleanly: estimator finished, stream closed — and
+        complete, because the stream is subscribed on its own."""
 
         class Broken(RetryStormWatchdog):
             def on_event(self, event):
                 raise RuntimeError("watchdog fell over")
 
-        cluster = fresh_cluster()
-        monitor = LiveMonitor(stream=io.StringIO(), watchdogs=[Broken()])
+        cluster, buffer = fresh_cluster(), io.StringIO()
+        monitor = LiveMonitor(stream=buffer, watchdogs=[Broken()])
         result = run_mdf(build_filter_mdf(), cluster, observers=[monitor])
         assert cluster.obs.value("live_subscriber_errors") == 1.0
         assert result.live is monitor
         assert monitor.stream.closed and monitor.progress.finished
+        assert buffer.getvalue() == result.events.to_jsonl()
 
     def test_snapshot_without_a_run_is_trace_only(self):
         """Fed by hand (``python -m repro.live``) there is no plan: counts

@@ -58,7 +58,7 @@ class TestByteIdentity:
         path = tmp_path / "run.ndjson"
         cluster = Cluster(num_workers=4, mem_per_worker=1 * GB)
         writer = StreamWriter(path)
-        assert not path.exists()  # opened by begin, not by the constructor
+        assert not path.exists()  # created by begin, not by the constructor
         result = run_mdf(build_filter_mdf(), cluster, observers=[writer])
         assert path.read_text() == result.events.to_jsonl()
         # the writer owned the handle and closed it at end
@@ -110,6 +110,18 @@ class TestStreamWriter:
         writer.close()
         with pytest.raises(ValueError):
             writer(self.make_event_trace(1).events[0])
+
+    def test_path_writer_subscribed_by_hand(self, tmp_path):
+        """No run, no ``begin``: the first event creates the file."""
+        path = tmp_path / "by_hand.ndjson"
+        trace = self.make_event_trace(0)
+        writer = trace.subscribe(StreamWriter(path))
+        assert not path.exists()
+        trace.emit("dataset_discarded", dataset="d0")
+        trace.emit("dataset_discarded", dataset="d1")
+        writer.close()
+        assert path.read_text() == trace.to_jsonl()
+        assert trace.subscribers == [writer]  # never raised, never dropped
 
     def test_attach_detach(self):
         """``begin`` subscribes (after catching up), ``end`` unsubscribes."""
