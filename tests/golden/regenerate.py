@@ -5,7 +5,12 @@ The two recorded workloads:
 * ``quickstart`` — ``examples/quickstart.py`` on a roomy 4-worker cluster
   (the exact job every new user runs first);
 * ``explore_choose`` — a monotone-pruning explore/choose job on a starved
-  cluster, so the golden trace also pins evictions, spills and pruning.
+  cluster, so the golden trace also pins evictions, spills and pruning;
+  its three ``explore_choose_*`` variants pin the choose modes the default
+  never takes: every branch result stored and scored only when the choose
+  stage is ready (``incremental_choose=False``), the same without pruning
+  (the ``dl_grid`` / Fig. 5 pattern), and with the evaluator run at the
+  master (the ablation pairing).
 
 Traces are byte-stable: timestamps are simulated seconds, stage ids are
 per-graph, and the JSONL encoding is canonical (sorted keys, compact
@@ -62,6 +67,9 @@ REPO_ROOT = GOLDEN_DIR.parents[1]
 GOLDEN_FILES = {
     "quickstart": GOLDEN_DIR / "quickstart.trace.jsonl",
     "explore_choose": GOLDEN_DIR / "explore_choose.trace.jsonl",
+    "explore_choose_materialised": GOLDEN_DIR / "explore_choose_materialised.trace.jsonl",
+    "explore_choose_noprune": GOLDEN_DIR / "explore_choose_noprune.trace.jsonl",
+    "explore_choose_on_master": GOLDEN_DIR / "explore_choose_on_master.trace.jsonl",
     # one representative run per lab scheduler, each over the zoo
     # workload that exercises it hardest (wide reordering for HEFT,
     # sibling speculation for speculative, eviction pressure for work
@@ -113,13 +121,26 @@ def record_quickstart():
     return result, cluster
 
 
-def record_explore_choose():
+def record_explore_choose(**config):
     mdf = build_explore_choose_mdf()
     cluster = Cluster(num_workers=2, mem_per_worker=48 * MB)
     result = run_mdf(
-        mdf, cluster, scheduler="bas", memory="amm", observers=[Validator()]
+        mdf, cluster, scheduler="bas", memory="amm",
+        config=EngineConfig(**config), observers=[Validator()],
     )
     return result, cluster
+
+
+def record_explore_choose_materialised():
+    return record_explore_choose(incremental_choose=False)
+
+
+def record_explore_choose_noprune():
+    return record_explore_choose(incremental_choose=False, pruning=False)
+
+
+def record_explore_choose_on_master():
+    return record_explore_choose(incremental_choose=False, evaluator_on_master=True)
 
 
 def _record_lab_policy(workload_name: str, scheduler: str):
@@ -192,6 +213,9 @@ def record_shared_store_cache():
 SCENARIOS = {
     "quickstart": record_quickstart,
     "explore_choose": record_explore_choose,
+    "explore_choose_materialised": record_explore_choose_materialised,
+    "explore_choose_noprune": record_explore_choose_noprune,
+    "explore_choose_on_master": record_explore_choose_on_master,
     "policy_heft": record_policy_heft,
     "policy_speculative": record_policy_speculative,
     "policy_wsteal": record_policy_wsteal,
