@@ -176,6 +176,21 @@ class MDF(DataflowGraph):
             visit(op)
         return result
 
+    def effective_consumers(self, op: Operator) -> Set[str]:
+        """Names of the operators that actually read ``op``'s output.
+
+        Explore operators forward their input zero-copy (Definition 3.2),
+        so the real readers of a dataset feeding an explore are the branch
+        heads.
+        """
+        out: Set[str] = set()
+        for succ in self.post(op):
+            if isinstance(succ, ExploreOperator):
+                out |= self.effective_consumers(succ)
+            else:
+                out.add(succ.name)
+        return out
+
     def nesting_depth(self, op: Operator) -> int:
         """Number of enclosing scopes around ``op`` (0 outside all scopes)."""
         depth = 0

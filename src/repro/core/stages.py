@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Set
 
 from .choose import ChooseOperator
 from .dataflow import DataflowGraph
-from .explore import ExploreOperator
+from .explore import Branch, ExploreOperator
 from .mdf import MDF
 from .operators import Join, Operator, Source
 
@@ -90,6 +90,13 @@ class StageGraph:
         self.stages: List[Stage] = []
         self._stage_of: Dict[str, Stage] = {}
         self._build()
+        scopes = graph.scopes.values() if isinstance(graph, MDF) else ()
+        #: tail stage id -> the branch whose result that stage produces
+        self._branch_ending_at: Dict[str, Branch] = {
+            self.stage_of(branch.ops[-1]).id: branch
+            for scope in scopes
+            for branch in scope.branches
+        }
 
     # ------------------------------------------------------------- building
     def _starts_new_stage(self, op: Operator) -> bool:
@@ -130,6 +137,15 @@ class StageGraph:
     # -------------------------------------------------------------- queries
     def stage_of(self, op: Operator) -> Stage:
         return self._stage_of[op.name]
+
+    def branch_stage_ids(self, branch: Branch) -> Set[str]:
+        """Ids of the stages a branch owns, nested scopes included."""
+        return {self.stage_of(op).id for op in self.graph.branch_operators(branch)}
+
+    def branch_ending_at(self, stage: Stage) -> Optional[Branch]:
+        """The branch ``stage`` is the tail of (it produces the branch's
+        result, which the matching choose scores), or ``None``."""
+        return self._branch_ending_at.get(stage.id)
 
     def pre(self, stage: Stage) -> Set[Stage]:
         """``•T``: stages that must execute before ``stage``."""

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..cluster.costmodel import CostModel
-from ..core.explore import ExploreOperator
 from ..core.mdf import MDF
 from ..core.stages import StageGraph
 
@@ -91,19 +90,12 @@ def estimate_mdf(
     optimistic = 0.0
     pessimistic = 0.0
 
-    # reference counts for the peak-live estimate
+    # reference counts for the peak-live estimate: tail op name -> readers
+    # still to run, and reader op name -> the tails whose output it reads
     remaining_readers: Dict[str, int] = {}
+    reads_from: Dict[str, List[str]] = {}
     live_bytes = 0
     peak_live = 0
-
-    def effective_readers(op) -> int:
-        count = 0
-        for succ in mdf.post(op):
-            if isinstance(succ, ExploreOperator):
-                count += effective_readers(succ)
-            else:
-                count += 1
-        return count
 
     tasks_per_stage = workers * partitions_per_worker
 
@@ -185,19 +177,16 @@ def estimate_mdf(
 
         # live-set tracking (eager-release lower bound)
         live_bytes += out_bytes
-        remaining_readers[stage.tail.name] = effective_readers(stage.tail)
+        readers = mdf.effective_consumers(stage.tail)
+        remaining_readers[stage.tail.name] = len(readers)
+        for reader in readers:
+            reads_from.setdefault(reader, []).append(stage.tail.name)
         peak_live = max(peak_live, live_bytes)
         # consuming the input decrements its producer's reader count
-        for pred in mdf.pre(head):
-            name = pred.name
-            # walk through explore forwarders to the real producer
-            while isinstance(mdf.operator(name), ExploreOperator):
-                (upstream,) = mdf.pre(mdf.operator(name))
-                name = upstream.name
-            if name in remaining_readers:
-                remaining_readers[name] -= 1
-                if remaining_readers[name] <= 0:
-                    live_bytes -= output_bytes.get(name, 0)
+        for name in reads_from.get(head.name, ()):
+            remaining_readers[name] -= 1
+            if remaining_readers[name] <= 0:
+                live_bytes -= output_bytes.get(name, 0)
 
     num_branches = sum(len(s.branches) for s in mdf.scopes.values())
     return CostEstimate(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import pickle
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..cluster.cluster import Cluster
 from ..cluster.metrics import Metrics
@@ -653,66 +653,56 @@ class StageExecutor:
         )
 
     # ------------------------------------------------------------ evaluate
-    def evaluate_pipelined(self, evaluator, dataset: Dataset) -> Tuple[float, StageTimes]:
-        """Evaluate a branch result as part of the stage that produced it.
+    def evaluate(
+        self, evaluator, dataset: Union[Dataset, str]
+    ) -> Tuple[float, StageTimes]:
+        """Run a choose evaluator over a branch result (worker side).
 
         §4.2: "the evaluator function is executed by worker nodes and
-        applied directly to the result datasets of each branch" — when the
-        choose runs incrementally, the evaluator pipelines with the tail
-        stage, so the freshly produced partitions are scored without being
-        re-read (they may not even be stored yet).  Only the evaluator's
-        compute cost is charged.
+        applied directly to the result datasets of each branch".  A pending
+        :class:`Dataset` is scored in flight, pipelined with the tail stage
+        that produced it: nothing is re-read (it may never be stored) and
+        no task is launched.  A registered dataset id is read back first
+        like by any consumer (normal hit/miss accounting, one task per
+        partition).  Either way the evaluator's compute cost is charged on
+        the node holding each partition — or, with the
+        ``evaluator_on_master`` ablation, the branch result crosses the
+        network to the master and the evaluation runs serially there.
         """
         tally = _Tally()
-        for partition in dataset.partitions:
-            node = self.cluster.node_for_partition(partition.index)
+        pipelined = isinstance(dataset, Dataset)
+        if pipelined:
+            nodes = [
+                self.cluster.node_for_partition(p.index).id for p in dataset.partitions
+            ]
+        else:
+            dataset_id = dataset
+            with self._gather([dataset_id], tally) as (parts,):
+                nodes = [node_id for _, _, node_id in parts]
+                dataset = Dataset(
+                    [
+                        Partition(dataset_id, index, payload, nbytes)
+                        for index, (payload, nbytes, _) in enumerate(parts)
+                    ],
+                    dataset_id=dataset_id,
+                    producer=self.cluster.record(dataset_id).producer,
+                )
+        for partition, node_id in zip(dataset.partitions, nodes):
             cost = evaluator.cost_factor * partition.nominal_bytes
-            tally.add_compute(node.id, self.cluster.cost_model.compute_time(cost))
+            tally.add_compute(node_id, self.cluster.cost_model.compute_time(cost))
         score = evaluator.score(dataset)
+        if self.config.evaluator_on_master:
+            tally.network = self.cluster.cost_model.network_time(dataset.nominal_bytes)
+            tally.compute = {"master": sum(tally.compute.values())}
+            tally.tasks = {"master": tally.num_tasks}
         self.cluster.trace.emit(
             "choose_evaluation",
             evaluator=evaluator.name,
             dataset=dataset.id,
-            pipelined=True,
+            pipelined=pipelined,
         )
         times = self._wall(tally)
         self.cluster.obs.histogram(
             "choose_evaluation_seconds", dataset=dataset.id
-        ).observe(times.total)
-        return score, times
-
-    def evaluate_branch(self, evaluator, dataset_id: str) -> Tuple[float, StageTimes]:
-        """Run a choose evaluator over a branch result (worker side).
-
-        Reads the branch dataset (normal hit/miss accounting) and charges
-        the evaluator's compute cost on each node.  With the
-        ``evaluator_on_master`` ablation, the branch result additionally
-        crosses the network to the master and the evaluation runs serially
-        there.
-        """
-        record = self.cluster.record(dataset_id)
-        tally = _Tally()
-        parts: List[Partition] = []
-        with self._gather([dataset_id], tally) as (loaded,):
-            for index, (payload, nbytes, node_id) in enumerate(loaded):
-                parts.append(Partition(dataset_id, index, payload, nbytes))
-                cost = evaluator.cost_factor * nbytes
-                tally.add_compute(node_id, self.cluster.cost_model.compute_time(cost))
-        dataset = Dataset(parts, dataset_id=dataset_id, producer=record.producer)
-        score = evaluator.score(dataset)
-        if self.config.evaluator_on_master:
-            # ship the branch result to the master and evaluate serially
-            tally.network = self.cluster.cost_model.network_time(record.nbytes)
-            tally.compute = {"master": sum(tally.compute.values())}
-            tally.tasks = {"master": record.num_partitions}
-        self.cluster.trace.emit(
-            "choose_evaluation",
-            evaluator=evaluator.name,
-            dataset=dataset_id,
-            pipelined=False,
-        )
-        times = self._wall(tally)
-        self.cluster.obs.histogram(
-            "choose_evaluation_seconds", dataset=dataset_id
         ).observe(times.total)
         return score, times

@@ -35,7 +35,8 @@ class EngineConfig:
     #: serial master overhead per task (drives sublinear worker scaling)
     task_overhead: float = 0.0005
     #: run the evaluator at the master instead of the workers (ablation of
-    #: the §4.2 choose split; charges a network transfer of branch results)
+    #: the §4.2 choose split; charges a network transfer of branch results,
+    #: whether they are scored in flight or read back)
     evaluator_on_master: bool = False
     stragglers: Optional[StragglerProfile] = None
     speculation: SpeculationConfig = field(default_factory=SpeculationConfig)

@@ -29,7 +29,7 @@ from ..cluster.fault import ChooseScoreStore
 from ..core.choose import ChooseOperator
 from ..core.datasets import Dataset, Partition
 from ..core.errors import FaultError, SchedulingError
-from ..core.explore import Branch, ExploreOperator
+from ..core.explore import Branch
 from ..core.mdf import MDF, Scope
 from ..core.operators import Operator, Sink
 from ..core.optimizations import make_pruner, plan_optimizations
@@ -153,8 +153,6 @@ class Master:
 
         # --- scope state
         self._scopes: Dict[str, _ScopeRuntime] = {}
-        self._branch_stage_ids: Dict[str, Set[str]] = {}
-        self._tail_stage_to_branch: Dict[str, Tuple[str, Branch]] = {}
         self._context = SchedulerContext()
         self._context.stage_graph = self.stage_graph
         self._context.num_workers = cluster.num_workers
@@ -191,12 +189,6 @@ class Master:
             self._scopes[explore_name] = runtime
             depth = self.mdf.nesting_depth(scope.explore) + 1
             self._context.scope_depth[explore_name] = depth
-            for branch in scope.branches:
-                ops = self.mdf.branch_operators(branch)
-                stage_ids = {self.stage_graph.stage_of(op).id for op in ops}
-                self._branch_stage_ids[branch.id] = stage_ids
-                tail_stage = self.stage_graph.stage_of(branch.ops[-1])
-                self._tail_stage_to_branch[tail_stage.id] = (explore_name, branch)
         # hints reason over the *innermost* branch of every stage
         for stage in self.stage_graph.stages:
             if stage.branch_id is None:
@@ -255,20 +247,6 @@ class Master:
                 self._push_ready(succ)
 
     # ------------------------------------------------------------- lifecycle
-    def _effective_consumers(self, op: Operator) -> Set[str]:
-        """Operators that will actually read ``op``'s output dataset.
-
-        Explore operators forward their input zero-copy, so the real
-        readers of a dataset feeding an explore are the branch heads.
-        """
-        out: Set[str] = set()
-        for succ in self.mdf.post(op):
-            if isinstance(succ, ExploreOperator):
-                out |= self._effective_consumers(succ)
-            else:
-                out.add(succ.name)
-        return out
-
     def _register_output(
         self, tail: Operator, dataset_id: str, fingerprint: Optional[str]
     ) -> None:
@@ -277,7 +255,7 @@ class Master:
         self._producer_op[dataset_id] = tail.name
         self._fp_of[dataset_id] = fingerprint
         existing = self._consumers.get(dataset_id, set())
-        self._consumers[dataset_id] = existing | self._effective_consumers(tail)
+        self._consumers[dataset_id] = existing | self.mdf.effective_consumers(tail)
         if tail.name in self.config.pin_producers:
             self.cluster.pin_dataset(dataset_id)  # Spark cache() emulation
 
@@ -559,8 +537,9 @@ class Master:
         # A branch-tail stage under incremental choose defers its store:
         # the evaluator pipelines with the stage (§4.2) and losing results
         # are never materialised at all (R3).
+        branch = self.stage_graph.branch_ending_at(stage)
         defer = (
-            stage.id in self._tail_stage_to_branch
+            branch is not None
             and self.config.incremental_choose
             and bool(input_ids)
         )
@@ -569,7 +548,7 @@ class Master:
         # partitions as acc = 0 data.
         self._consumers.setdefault(
             f"d:{stage.tail.name}", set()
-        ).update(self._effective_consumers(stage.tail))
+        ).update(self.mdf.effective_consumers(stage.tail))
         fingerprint = self._stage_fingerprint(stage, input_ids)
         outcome = self.executor.execute(
             stage, input_ids, defer_store=defer, fingerprint=fingerprint
@@ -582,7 +561,9 @@ class Master:
             self._consume(input_id, head)
         self._mark_done(stage)
         if defer:
-            self._settle_deferred_tail(stage, outcome, fingerprint)
+            self._score_branch(
+                self._scopes[branch.explore_name], branch, outcome.pending, fingerprint
+            )
             return
         self._register_output(stage.tail, outcome.output_dataset_id, fingerprint)
         self._maybe_checkpoint(outcome.output_dataset_id)
@@ -623,22 +604,64 @@ class Master:
                 dataset = self.cluster.materialize(output_dataset_id)
                 self.result.outputs[op.name] = op.finalize(dataset)
 
-    def _settle_deferred_tail(
-        self, stage: Stage, outcome, fingerprint: Optional[str]
-    ) -> None:
-        """Score a just-produced branch result and store it only if kept.
+    def _after_stage(self, stage: Stage, output_dataset_id: str) -> None:
+        """Event hook: a stored dataset may be a branch's result.
 
-        The evaluator runs in-flight on the pending dataset; the master's
-        selection then decides immediately: knocked-out earlier branches
-        are freed *before* the new result is stored (so the store never
-        spills data that is about to be discarded), and a losing new
-        result is dropped without ever being materialised.
+        Branch tails whose dataset already exists on the cluster — a nested
+        choose's aliased output, or any tail when the store was not
+        deferred — are scored from the stored copy, now under incremental
+        choose, else when the choose stage becomes ready.
         """
-        explore_name, branch = self._tail_stage_to_branch[stage.id]
-        runtime = self._scopes[explore_name]
+        branch = self.stage_graph.branch_ending_at(stage)
+        if branch is None:
+            return
+        runtime = self._scopes[branch.explore_name]
+        runtime.tail_dataset[branch.id] = output_dataset_id
+        if self.config.incremental_choose:
+            self._score_branch(runtime, branch)
+
+    # -------------------------------------------------------------- choose
+    def _execute_choose_stage(self, stage: Stage) -> None:
+        """A choose stage became ready: every branch is executed or pruned."""
+        (choose,) = stage.ops
+        assert isinstance(choose, ChooseOperator)
+        runtime = self._scopes[self.mdf.scope_of_choose(choose).explore.name]
+        if runtime.finalized:
+            self._mark_done(stage)
+            return
+        # Non-incremental path: score all branches now, in branch order
+        # (each scoring may prune later ones, and the last one finalizes).
+        for branch in runtime.branches:
+            if branch.id not in runtime.scores and branch.id not in runtime.pruned:
+                self._score_branch(runtime, branch)
+        if not runtime.finalized:  # pragma: no cover - defensive
+            raise SchedulingError(f"choose {choose.name!r} could not finalize")
+
+    def _score_branch(
+        self,
+        runtime: _ScopeRuntime,
+        branch: Branch,
+        pending: Optional[Dataset] = None,
+        fingerprint: Optional[str] = None,
+    ) -> None:
+        """The choose protocol for one branch result (§3.1, §4.2, Table 1).
+
+        Worker-side evaluator, master-side incremental selection, discard
+        of what the selection knocked out, pruning of what it made
+        superfluous, and finalization once every branch is settled.  A
+        ``pending`` result is scored in flight and stored (under
+        ``fingerprint``) only if it survives — earlier losers are freed
+        first, so the store never spills data about to be discarded, and a
+        losing new result is never materialised at all (R3); without it
+        the evaluator reads the branch's stored tail dataset.
+        """
         choose = runtime.choose
         started = self.cluster.clock.now
-        score, times = self.executor.evaluate_pipelined(choose.evaluator, outcome.pending)
+        score, times = self.executor.evaluate(
+            choose.evaluator,
+            pending if pending is not None else runtime.tail_dataset[branch.id],
+        )
+        # master runs the selection function (§5): tiny but accounted
         times.overhead += MASTER_SELECTION_COST
         self._advance(
             times, None, started, activity="choose_evaluation", branch=branch.id
@@ -650,44 +673,34 @@ class Master:
             choose=choose.name,
             branch=branch.id,
             score=score,
-            pipelined=True,
+            pipelined=pending is not None,
         )
         self._context.observed_scores.setdefault(branch.explore_name, []).append(
             (branch.params, score)
         )
         decision = runtime.selector.offer(branch.id, score)
         for discarded_id in decision.discarded:
-            if discarded_id != branch.id:
-                self._discard_branch_dataset(runtime, discarded_id)
-        if branch.id in decision.discarded:
-            runtime.discarded.add(branch.id)  # never stored: nothing to free
+            self._discard_branch_dataset(runtime, discarded_id)
+        if branch.id not in decision.discarded:
+            runtime.alive.add(branch.id)
+            if pending is not None:
+                store_started = self.cluster.clock.now
+                store_times = self.executor.commit_store(pending, fingerprint)
+                self._advance(
+                    store_times,
+                    None,
+                    store_started,
+                    activity="store_commit",
+                    branch=branch.id,
+                )
+                runtime.tail_dataset[branch.id] = pending.id
+                self._register_output(branch.ops[-1], pending.id, fingerprint)
+                self._maybe_checkpoint(pending.id)
+        elif pending is not None:
             # the consumer entry seeded for AMM before the stage ran would
             # otherwise leak and inflate acc(d) for any later dataset
             # reusing this id
-            self._consumers.pop(outcome.pending.id, None)
-            self.cluster.trace.emit(
-                "branch_discarded",
-                choose=choose.name,
-                branch=branch.id,
-                dataset=None,
-                materialized=False,
-            )
-        else:
-            runtime.alive.add(branch.id)
-            store_started = self.cluster.clock.now
-            store_times = self.executor.commit_store(
-                outcome.pending, fingerprint=fingerprint
-            )
-            self._advance(
-                store_times,
-                None,
-                store_started,
-                activity="store_commit",
-                branch=branch.id,
-            )
-            runtime.tail_dataset[branch.id] = outcome.pending.id
-            self._register_output(stage.tail, outcome.pending.id, fingerprint)
-            self._maybe_checkpoint(outcome.pending.id)
+            self._consumers.pop(pending.id, None)
         ordered = runtime.note_evaluation_order(branch.index)
         can_prune = self.config.pruning and runtime.plan.prune_superfluous
         if decision.done and can_prune:
@@ -700,83 +713,6 @@ class Master:
         ):
             self._prune_remaining(runtime, reason=self._pruner_reason(runtime))
         self._maybe_finalize(runtime)
-        self._update_live_branches()
-
-    def _after_stage(self, stage: Stage, output_dataset_id: str) -> None:
-        """Event hook: incremental choose evaluation at branch completion.
-
-        Used for branch tails whose dataset already exists on the cluster —
-        a nested choose's aliased output, or any tail when the deferred
-        path is off — so the evaluator reads it like any consumer.
-        """
-        entry = self._tail_stage_to_branch.get(stage.id)
-        if entry is None:
-            return
-        explore_name, branch = entry
-        runtime = self._scopes[explore_name]
-        runtime.tail_dataset[branch.id] = output_dataset_id
-        if self.config.incremental_choose:
-            self._evaluate_branch(runtime, branch)
-            self._maybe_finalize(runtime)
-        self._update_live_branches()
-
-    # -------------------------------------------------------------- choose
-    def _execute_choose_stage(self, stage: Stage) -> None:
-        """A choose stage became ready: every branch is executed or pruned."""
-        (choose,) = stage.ops
-        assert isinstance(choose, ChooseOperator)
-        runtime = self._scopes[self.mdf.scope_of_choose(choose).explore.name]
-        if runtime.finalized:
-            self._mark_done(stage)
-            return
-        # Non-incremental path: evaluate all branches now, in branch order.
-        for branch in runtime.branches:
-            if branch.id not in runtime.scores and branch.id not in runtime.pruned:
-                self._evaluate_branch(runtime, branch)
-                if runtime.finalized:
-                    break
-        self._maybe_finalize(runtime)
-        if not runtime.finalized:  # pragma: no cover - defensive
-            raise SchedulingError(f"choose {choose.name!r} could not finalize")
-
-    def _evaluate_branch(self, runtime: _ScopeRuntime, branch: Branch) -> None:
-        """Worker-side evaluator + master-side incremental selection."""
-        if branch.id in runtime.scores or branch.id in runtime.pruned:
-            return
-        dataset_id = runtime.tail_dataset.get(branch.id)
-        if dataset_id is None:
-            return  # branch tail not executed yet
-        choose = runtime.choose
-        started = self.cluster.clock.now
-        score, times = self.executor.evaluate_branch(choose.evaluator, dataset_id)
-        # master runs the selection function (§5): tiny but accounted
-        times.overhead += MASTER_SELECTION_COST
-        self._advance(
-            times, None, started, activity="choose_evaluation", branch=branch.id
-        )
-        runtime.scores[branch.id] = score
-        runtime.alive.add(branch.id)
-        self.score_store.put(choose.name, branch.id, score)
-        self.cluster.trace.emit(
-            "branch_evaluated",
-            choose=choose.name,
-            branch=branch.id,
-            score=score,
-            pipelined=False,
-        )
-        self._context.observed_scores.setdefault(branch.explore_name, []).append(
-            (branch.params, score)
-        )
-        decision = runtime.selector.offer(branch.id, score)
-        for discarded_id in decision.discarded:
-            self._discard_branch_dataset(runtime, discarded_id)
-        ordered = runtime.note_evaluation_order(branch.index)
-        can_prune = self.config.pruning and runtime.plan.prune_superfluous
-        if decision.done and can_prune:
-            self._prune_remaining(runtime, reason="selection-done")
-        elif runtime.pruner is not None and can_prune and ordered:
-            if runtime.pruner.observe(score):
-                self._prune_remaining(runtime, reason=self._pruner_reason(runtime))
         self._update_live_branches()
 
     def _update_live_branches(self) -> None:
@@ -837,7 +773,7 @@ class Master:
         runtime.pruned.add(branch.id)
         pruned_ops: Set[str] = set()
         pruned_stage_ids: List[str] = []
-        for stage_id in self._branch_stage_ids[branch.id]:
+        for stage_id in self.stage_graph.branch_stage_ids(branch):
             if stage_id in self._executed or stage_id in self._pruned_stages:
                 continue
             stage = self._stage_by_id[stage_id]
@@ -846,10 +782,9 @@ class Master:
             self.executor.backend.drop_prefetched(stage_id)
             self._mark_done(stage, pruned=True)
             # nested scopes inside the pruned branch will never finalize
-            inner = self._tail_stage_to_branch.get(stage_id)
+            inner = self.stage_graph.branch_ending_at(stage)
             if inner is not None:
-                inner_scope, inner_branch = inner
-                self._scopes[inner_scope].pruned.add(inner_branch.id)
+                self._scopes[inner.explore_name].pruned.add(inner.id)
         plan, properties = self._prune_justification(runtime)
         self.cluster.trace.emit(
             "branch_pruned",
@@ -921,7 +856,7 @@ class Master:
     def _build_choose_output(self, runtime: _ScopeRuntime, kept_ids: List[str]) -> str:
         """Concatenate the kept branch datasets (Definition 3.3's ``⊕``)."""
         choose = runtime.choose
-        downstream = self._effective_consumers(choose)
+        downstream = self.mdf.effective_consumers(choose)
         fingerprint = self._choose_fingerprint(kept_ids, runtime)
         if len(kept_ids) == 1:
             # single winner: alias the dataset, no copy — only its lineage

@@ -212,11 +212,10 @@ class RecoveryManager:
 
     def _score_survives(self, stage: Stage) -> bool:
         """Whether the stage is a branch tail whose choose score is banked."""
-        entry = self.master._tail_stage_to_branch.get(stage.id)
-        if entry is None:
+        branch = self.master.stage_graph.branch_ending_at(stage)
+        if branch is None:
             return False
-        explore_name, branch = entry
-        choose = self.master._scopes[explore_name].choose
+        choose = self.master._scopes[branch.explore_name].choose
         return self.master.score_store.has(choose.name, branch.id)
 
     def _recompute_choose_output(self, live_id: str, runtime, cause: str) -> None:
@@ -240,14 +239,14 @@ class RecoveryManager:
                     f"cannot rebuild choose output {live_id!r}: no lineage "
                     f"for member {member_id!r}"
                 )
-            entry = master._tail_stage_to_branch.get(stage.id)
-            if entry is not None:
-                _, branch = entry
-                if not master.score_store.has(choose.name, branch.id):
-                    raise FaultError(
-                        f"choose {choose.name!r} kept branch {branch.id!r} "
-                        f"but its score is missing from the master's store"
-                    )
+            branch = master.stage_graph.branch_ending_at(stage)
+            if branch is not None and not master.score_store.has(
+                choose.name, branch.id
+            ):
+                raise FaultError(
+                    f"choose {choose.name!r} kept branch {branch.id!r} "
+                    f"but its score is missing from the master's store"
+                )
             self._reexecute_stage(stage, live_id, cause, score_reused=True)
 
     def _reexecute_stage(

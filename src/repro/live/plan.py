@@ -94,10 +94,7 @@ class LivePlan:
         for explore_name, scope in mdf.scopes.items():
             scope_branches[explore_name] = [b.id for b in scope.branches]
             for branch in scope.branches:
-                ops = mdf.branch_operators(branch)
-                branch_stages[branch.id] = {
-                    stage_graph.stage_of(op).id for op in ops
-                }
+                branch_stages[branch.id] = stage_graph.branch_stage_ids(branch)
 
         order = stage_graph.topological_stages()
         context = SchedulerContext()

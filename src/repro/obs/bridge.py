@@ -239,7 +239,7 @@ class TraceFold:
             self._inc("choose_evaluations", dataset=data["dataset"])
             if self.replay and not data["pipelined"]:
                 # a non-pipelined evaluation re-reads every partition of the
-                # branch dataset as one task each (executor.evaluate_branch)
+                # branch dataset as one task each (StageExecutor.evaluate)
                 self._inc("tasks_executed", self.partitions.get(data["dataset"], 0))
         elif kind == "branch_evaluated":
             self._inc("branches_executed", branch=data["branch"])

@@ -249,26 +249,31 @@ def cmd_submit(args: argparse.Namespace, out: TextIO) -> int:
 
 
 # ---------------------------------------------------------------- status
-def _load_state(spool: str) -> Optional[Dict[str, Any]]:
+def _load_state(spool: str) -> Tuple[Optional[Dict[str, Any]], str]:
     """Re-read ``state.json`` freshly on every call (never cached).
 
-    The server publishes with an atomic ``os.replace``, so an open file
-    is always one complete snapshot; a decode error can still happen if
-    the file is replaced by a non-atomic writer, so one retry absorbs
-    the race instead of reporting a dead service.
+    Returns the snapshot, or ``None`` and the one line that says why
+    there is none.  The server publishes with an atomic ``os.replace``,
+    so an open file is always one complete snapshot; a decode error can
+    still happen if the file is replaced by a non-atomic writer, so one
+    retry absorbs the race instead of reporting a dead service.
     """
     path = os.path.join(spool, "state.json")
+    problem = ""
     for attempt in range(2):
         try:
             with open(path) as fh:
-                return json.load(fh)
+                state = json.load(fh)
+            if not isinstance(state, dict):
+                raise ValueError("not a JSON object")
+            return state, ""
         except FileNotFoundError:
-            return None
-        except ValueError:
-            if attempt:
-                raise
-            time.sleep(0.05)
-    return None  # pragma: no cover - loop always returns/raises
+            return None, f"no state.json under {spool} (service not started?)"
+        except ValueError as exc:
+            problem = f"unreadable state.json under {spool}: {exc}"
+            if not attempt:
+                time.sleep(0.05)
+    return None, problem
 
 
 def _snapshot_age(state: Dict[str, Any]) -> Optional[float]:
@@ -300,9 +305,9 @@ def cmd_status(args: argparse.Namespace, out: TextIO) -> int:
             )
             return 2
         return 0
-    state = _load_state(spool)
+    state, problem = _load_state(spool)
     if state is None:
-        out.write(f"no state.json under {spool} (service not started?)\n")
+        out.write(problem + "\n")
         return 2
     if as_json:
         payload = dict(state, snapshot_age_s=_snapshot_age(state))
@@ -423,9 +428,9 @@ def cmd_top(args: argparse.Namespace, out: TextIO) -> int:
     iterations = 1 if args.once else args.iterations
     rendered = 0
     while True:
-        state = _load_state(spool)
+        state, problem = _load_state(spool)
         if state is None:
-            out.write(f"no state.json under {spool} (service not started?)\n")
+            out.write(problem + "\n")
             return 2
         frame = _render_top(state, _load_metrics(spool), stale_after)
         if rendered and getattr(out, "isatty", lambda: False)():
@@ -445,7 +450,7 @@ def cmd_top(args: argparse.Namespace, out: TextIO) -> int:
 # ---------------------------------------------------------------- follow
 def cmd_follow(args: argparse.Namespace, out: TextIO) -> int:
     spool, job_id, argv = args.spool, args.job, args.passthrough
-    state = _load_state(spool)
+    state, _ = _load_state(spool)
     stream = None
     if state is not None:
         jobs = state.get("jobs", [])

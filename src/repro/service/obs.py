@@ -583,17 +583,31 @@ def replay_service_registry(
     the job's NDJSON stream through the PR2 trace→metrics bridge.  The
     returned plane's registry must satisfy
     ``service_registry_diff(live, replayed) == []``.
+
+    An undecodable *final* line is skipped — a killed dispatcher leaves a
+    torn tail, and the event it was writing never took effect; one
+    anywhere else is corruption and raises with its line number.
     """
     from ..trace.events import Trace
 
     path = events_path or os.path.join(spool, "service_events.ndjson")
     replayed: Optional[ServiceObs] = None
+    torn: Optional[Tuple[int, ValueError]] = None
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            event = json.loads(line)
+            if torn is not None:
+                raise ValueError(
+                    f"{path}:{torn[0]}: undecodable event before the end of "
+                    f"the log: {torn[1]}"
+                ) from torn[1]
+            try:
+                event = json.loads(line)
+            except ValueError as exc:
+                torn = (number, exc)
+                continue
             if event["event"] == "config":
                 replayed = ServiceObs(
                     events_path=None,

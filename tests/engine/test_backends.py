@@ -199,7 +199,7 @@ class TestFaultDrainScope:
         first = executor.execute(sg.stages[0], [])
         executor.inject_task_faults({"worker-0": 2})
         evaluator = CallableEvaluator(lambda xs: float(len(xs)), name="count")
-        executor.evaluate_branch(evaluator, first.output_dataset_id)
+        executor.evaluate(evaluator, first.output_dataset_id)
         assert executor._pending_task_faults == {"worker-0": 2}
         second = executor.execute(sg.stages[1], [first.output_dataset_id])
         assert executor._pending_task_faults == {}
@@ -220,7 +220,7 @@ class TestFaultDrainScope:
         first = executor.execute(sg.stages[0], [])
         executor.inject_task_faults({"worker-0": 2})
         evaluator = CallableEvaluator(lambda xs: float(len(xs)), name="count")
-        executor.evaluate_branch(evaluator, first.output_dataset_id)
+        executor.evaluate(evaluator, first.output_dataset_id)
         second = executor.execute(sg.stages[1], [first.output_dataset_id])
         # the retried attempts + backoff land on the stage, not the choose
         assert second.times.compute > clean_second.times.compute

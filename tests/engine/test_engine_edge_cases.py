@@ -12,9 +12,12 @@ from repro import (
     MDFBuilder,
     Min,
     TopK,
+    validate_trace,
 )
 from repro.core.errors import ExecutionError
 from repro.engine import EngineConfig, RandomHint, run_mdf
+from repro.lab.workloads import get_workload
+from repro.obs.bridge import diff_registries, registry_from_trace
 
 from ..conftest import build_filter_mdf
 
@@ -91,6 +94,32 @@ class TestConfigVariants:
         )
         assert at_master.wall_network > split.wall_network
         assert at_master.completion_time >= split.completion_time
+
+    def test_evaluator_on_master_applies_to_pipelined_evaluation(self):
+        """The flag means the same under the default incremental choose:
+        the in-flight branch result is shipped to the master too (it was
+        honoured only when the evaluator read a stored dataset)."""
+        workload = get_workload("filter_min")  # names its explore: ids compare
+        runs = {}
+        for on_master in (False, True):
+            cluster = workload.make_cluster()
+            result = run_mdf(
+                workload.make_mdf(),
+                cluster,
+                memory="amm",
+                config=EngineConfig(evaluator_on_master=on_master),
+            )
+            assert validate_trace(result.events) == []
+            # shipping launches no task, so the trace still replays to the
+            # live registry
+            assert diff_registries(cluster.obs, registry_from_trace(result.events)) == []
+            runs[on_master] = result
+        split, at_master = runs[False], runs[True]
+        assert split.wall_network == 0.0
+        assert at_master.wall_network > 0.0
+        assert at_master.completion_time > split.completion_time
+        assert at_master.outputs == split.outputs
+        assert at_master.decisions == split.decisions
 
     def test_single_worker_cluster(self):
         result = run_mdf(build_filter_mdf(), Cluster(1, 1 * GB))

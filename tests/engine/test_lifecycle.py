@@ -21,20 +21,20 @@ class TestEffectiveConsumers:
         mdf = build_filter_mdf(thresholds=(10, 100, 500))
         master = Master(mdf, small_cluster, scheduler=BranchAwareScheduler())
         src = mdf.operator("src")
-        consumers = master._effective_consumers(src)
+        consumers = master.mdf.effective_consumers(src)
         assert consumers == {"filter-10", "filter-100", "filter-500"}
 
     def test_branch_tail_feeds_choose(self, small_cluster):
         mdf = build_filter_mdf()
         master = Master(mdf, small_cluster, scheduler=BranchAwareScheduler())
         tail = mdf.operator("filter-10")
-        assert master._effective_consumers(tail) == {"choose-min"}
+        assert master.mdf.effective_consumers(tail) == {"choose-min"}
 
     def test_sink_has_no_consumers(self, small_cluster):
         mdf = build_filter_mdf()
         master = Master(mdf, small_cluster, scheduler=BranchAwareScheduler())
         sink = mdf.operator("out")
-        assert master._effective_consumers(sink) == set()
+        assert master.mdf.effective_consumers(sink) == set()
 
 
 class TestEagerRelease:

@@ -36,6 +36,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import tempfile
+from functools import partial
 from pathlib import Path
 
 from repro import (
@@ -131,18 +132,6 @@ def record_explore_choose(**config):
     return result, cluster
 
 
-def record_explore_choose_materialised():
-    return record_explore_choose(incremental_choose=False)
-
-
-def record_explore_choose_noprune():
-    return record_explore_choose(incremental_choose=False, pruning=False)
-
-
-def record_explore_choose_on_master():
-    return record_explore_choose(incremental_choose=False, evaluator_on_master=True)
-
-
 def _record_lab_policy(workload_name: str, scheduler: str):
     """One lab-zoo workload under one contender scheduler (validated)."""
     from repro.lab.workloads import get_workload
@@ -213,9 +202,15 @@ def record_shared_store_cache():
 SCENARIOS = {
     "quickstart": record_quickstart,
     "explore_choose": record_explore_choose,
-    "explore_choose_materialised": record_explore_choose_materialised,
-    "explore_choose_noprune": record_explore_choose_noprune,
-    "explore_choose_on_master": record_explore_choose_on_master,
+    "explore_choose_materialised": partial(
+        record_explore_choose, incremental_choose=False
+    ),
+    "explore_choose_noprune": partial(
+        record_explore_choose, incremental_choose=False, pruning=False
+    ),
+    "explore_choose_on_master": partial(
+        record_explore_choose, incremental_choose=False, evaluator_on_master=True
+    ),
     "policy_heft": record_policy_heft,
     "policy_speculative": record_policy_speculative,
     "policy_wsteal": record_policy_wsteal,

@@ -42,3 +42,13 @@ def test_malformed_value_is_a_usage_error(case, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert [line.startswith("usage: ") for line in err] == [True, False], err
     assert "error: " in err[1]
+
+
+@pytest.mark.parametrize("command", [("status",), ("top", "--once")], ids=" ".join)
+def test_undecodable_state_is_reported_not_raised(command, tmp_path):
+    (tmp_path / "state.json").write_text("{not json")
+    out = io.StringIO()
+    code = service_main([command[0], "--spool", str(tmp_path), *command[1:]], out=out)
+    assert code == 2
+    assert out.getvalue().startswith(f"unreadable state.json under {tmp_path}: ")
+    assert len(out.getvalue().splitlines()) == 1

@@ -9,6 +9,7 @@ twice.
 """
 
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from repro import Cluster, MB, run_mdf
 from repro.obs import CONSISTENCY_VIEWS, MetricsRegistry, registry_from_trace
 from repro.obs.bridge import DIRECT_FAMILIES, TraceFold
 from repro.service.obs import JOB_VIEW_FAMILIES
-from repro.trace import Trace
+from repro.trace import EVENT_SCHEMA, Trace
 
 from ..conftest import build_nested_mdf
 
@@ -115,3 +116,18 @@ def test_folded_family_has_no_direct_call_site(family):
         assert sites, f"{family} is documented as direct but nothing writes it"
     else:
         assert sites == [], f"{family} is folded from the trace; remove {sites}"
+
+
+def test_master_and_executor_emit_each_event_kind_at_one_site():
+    """One rule, one emit: a second ``trace.emit("kind", ...)`` in the
+    master or the executor is a second copy of the rule that emits it
+    (the choose protocol had two of each of its three kinds)."""
+    source = "".join(
+        (SRC / "engine" / name).read_text() for name in ("master.py", "executor.py")
+    )
+    sites = Counter(re.findall(r"trace\.emit\(\s*\"(\w+)\"", source))
+    assert sum(sites.values()) == source.count("trace.emit("), "an emit with a computed kind"
+    assert set(sites) <= set(EVENT_SCHEMA)
+    assert {"choose_evaluation", "branch_evaluated", "branch_discarded"} <= set(sites)
+    assert {kind: n for kind, n in sites.items() if n != 1} == {}
+

@@ -327,6 +327,22 @@ class TestServiceObsEndToEnd:
         (job,) = state["jobs"]
         assert "obs" not in job["result"]
 
+    def test_replay_tolerates_torn_final_line_only(self, tmp_path):
+        """A killed dispatcher leaves a cut-off last line: replay skips it;
+        a torn line with more log after it is corruption, with its number."""
+        service, spool = self.run_service(
+            tmp_path, submissions=(("alice", "filter_min"),), workers=1
+        )
+        events_path = os.path.join(spool, "service_events.ndjson")
+        lines = open(events_path).read().splitlines()
+        with open(events_path, "a") as fh:
+            fh.write(lines[-1][: len(lines[-1]) // 2])
+        assert service_registry_diff(service.obs, replay_service_registry(spool)) == []
+        with open(events_path, "a") as fh:
+            fh.write("\n" + lines[-1] + "\n")
+        with pytest.raises(ValueError, match=rf":{len(lines) + 1}: undecodable"):
+            replay_service_registry(spool)
+
     def test_replay_requires_config_first(self, tmp_path):
         path = str(tmp_path / "events.ndjson")
         with open(path, "w") as fh:
