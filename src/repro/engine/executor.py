@@ -66,6 +66,11 @@ class StageTimes:
     #: profiler can attribute busy vs idle time per node
     per_node_io: Dict[str, float] = field(default_factory=dict)
     per_node_compute: Dict[str, float] = field(default_factory=dict)
+    #: tasks launched per node and straggler backups among the stage's
+    #: shares; recorded on the trace, which is where ``tasks_executed`` and
+    #: ``speculative_tasks`` are counted from
+    per_node_tasks: Dict[str, int] = field(default_factory=dict)
+    speculative_tasks: int = 0
 
     @property
     def total(self) -> float:
@@ -168,6 +173,7 @@ class StageExecutor:
         per_node_io, per_node_compute = tally.io, tally.compute
         obs = self.cluster.obs
         profile = self.config.stragglers
+        speculative_tasks = 0
         if profile is not None:
             backups = Metrics()
             per_node_io = apply_stragglers(
@@ -176,8 +182,9 @@ class StageExecutor:
             per_node_compute = apply_stragglers(
                 per_node_compute, profile, self.config.speculation, backups
             )
-            if backups.speculative_tasks:
-                obs.counter("speculative_tasks").inc(backups.speculative_tasks)
+            speculative_tasks = backups.speculative_tasks
+            if speculative_tasks:
+                obs.counter("speculative_tasks").inc(speculative_tasks)
         if consume_faults and self._pending_task_faults:
             faults, self._pending_task_faults = self._pending_task_faults, {}
             per_node_io = dict(per_node_io)
@@ -228,6 +235,8 @@ class StageExecutor:
             overhead=overhead,
             per_node_io=dict(per_node_io),
             per_node_compute=dict(per_node_compute),
+            per_node_tasks=dict(tally.tasks),
+            speculative_tasks=speculative_tasks,
         )
 
     def _charge_chain(

@@ -947,6 +947,8 @@ class Master:
                 overhead=times.overhead,
                 per_node_io=dict(times.per_node_io),
                 per_node_compute=dict(times.per_node_compute),
+                per_node_tasks=dict(times.per_node_tasks),
+                speculative_tasks=times.speculative_tasks,
             )
         elif activity is not None:
             self.cluster.trace.emit(
@@ -961,4 +963,6 @@ class Master:
                 overhead=times.overhead,
                 per_node_io=dict(times.per_node_io),
                 per_node_compute=dict(times.per_node_compute),
+                per_node_tasks=dict(times.per_node_tasks),
+                speculative_tasks=times.speculative_tasks,
             )

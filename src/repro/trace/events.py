@@ -39,7 +39,9 @@ EVENT_SCHEMA: Dict[str, frozenset] = {
     # network, overhead sum to finished - started) and the per-node io and
     # compute walls the stage's slowest node was chosen from — everything
     # the profiler (repro.prof) needs to attribute the stage's simulated
-    # seconds without re-running the cost model.
+    # seconds without re-running the cost model.  per_node_tasks (tasks
+    # launched on each node) and speculative_tasks (straggler backups among
+    # the stage's shares) are what the per-node time/task counters fold from.
     "stage_completed": frozenset(
         {
             "stage",
@@ -53,6 +55,8 @@ EVENT_SCHEMA: Dict[str, frozenset] = {
             "overhead",
             "per_node_io",
             "per_node_compute",
+            "per_node_tasks",
+            "speculative_tasks",
         }
     ),
     # a clock advance outside any stage: choose evaluation + selection
@@ -72,6 +76,8 @@ EVENT_SCHEMA: Dict[str, frozenset] = {
             "overhead",
             "per_node_io",
             "per_node_compute",
+            "per_node_tasks",
+            "speculative_tasks",
         }
     ),
     "task_dispatched": frozenset({"stage", "num_tasks"}),

@@ -170,7 +170,8 @@ class TestCalibration:
         estimator = ProgressEstimator()
         event = Trace.from_jsonl(
             '{"data":{"branch":null,"ops":[],"overhead":0.0,'
-            '"per_node_compute":{},"per_node_io":{},"stage":"stage-1",'
+            '"per_node_compute":{},"per_node_io":{},"per_node_tasks":{},'
+            '"speculative_tasks":0,"stage":"stage-1",'
             '"started":0.0,"finished":1.0},"kind":"stage_completed",'
             '"seq":0,"t":0.0}\n'
         ).events[0]

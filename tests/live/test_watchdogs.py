@@ -89,6 +89,8 @@ class TestInjectedStraggler:
                 network=0.0,
                 per_node_io={},
                 per_node_compute={},
+                per_node_tasks={},
+                speculative_tasks=0,
             )
         )
         assert dog.alerts == []
