@@ -622,6 +622,61 @@ class ResultCache:
             self.stats.corrupt_entries += delta
             cluster.obs.counter("cache_corrupt_entries").inc(delta)
 
+    # ------------------------------------------------------------ hit / miss
+    def note_miss(
+        self, fingerprint: Optional[str], cluster, stage_id: str, reason: str
+    ) -> None:
+        """Account one consulted stage that executes for real.
+
+        ``reason``: ``"cold"`` (no entry), ``"not-profitable"`` (the
+        executor's cost gate declined the hit) or ``"unfingerprintable"``
+        (no lineage identity, ``fingerprint`` is ``None``).
+        """
+        self.stats.misses += 1
+        if self.tenant:
+            cluster.obs.counter("cache_tenant_misses", policy=self.tenant).inc()
+        cluster.trace.emit(
+            "cache_miss", stage=stage_id, fingerprint=fingerprint, reason=reason
+        )
+
+    def note_hit(
+        self,
+        hit: CacheHit,
+        cluster,
+        stage_id: str,
+        dataset_id: str,
+        saved_seconds: float,
+    ) -> None:
+        """Account one stage served from ``hit`` as ``dataset_id``.
+
+        The tenant-labelled counters (shared cross-tenant stores only) are
+        written here because the trace does not know tenants.
+        """
+        stats = self.stats
+        stats.hits += 1
+        stats.bytes_saved += hit.total_bytes
+        stats.compute_seconds_saved += saved_seconds
+        if hit.tier == "store":
+            stats.store_hits += 1
+        tenant = self.tenant
+        if tenant:
+            cluster.obs.counter("cache_tenant_hits", policy=tenant).inc()
+            owner = hit.owner_tenant
+            if owner and owner != tenant:
+                stats.cross_tenant_hits += 1
+                cluster.obs.counter(
+                    "cache_cross_tenant_hits", policy=f"{owner}->{tenant}"
+                ).inc()
+        cluster.trace.emit(
+            "cache_hit",
+            stage=stage_id,
+            dataset=dataset_id,
+            fingerprint=hit.fingerprint,
+            tier=hit.tier,
+            nbytes=hit.total_bytes,
+            saved_seconds=saved_seconds,
+        )
+
     # --------------------------------------------------------- single flight
     def _singleflight_capable(self) -> bool:
         return hasattr(self.store, "try_begin_flight")

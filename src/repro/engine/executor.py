@@ -161,17 +161,12 @@ class StageExecutor:
     def _wall(self, tally: _Tally, consume_faults: bool = False) -> StageTimes:
         """Combine per-node times into stage walls, honouring stragglers.
 
-        Also attributes the (straggler-adjusted) per-node times, the task
-        counts, and a per-task latency estimate to the labeled registry;
-        the ambient label context supplies stage/branch.
-
         ``consume_faults`` is True only for real stage-execution walls:
         injected transient task failures are scheduled "for the next
         executed stage" and must not be drained by choose evaluations or
         cache-hit serving walls in between.
         """
         per_node_io, per_node_compute = tally.io, tally.compute
-        obs = self.cluster.obs
         profile = self.config.stragglers
         speculative_tasks = 0
         if profile is not None:
@@ -183,8 +178,6 @@ class StageExecutor:
                 per_node_compute, profile, self.config.speculation, backups
             )
             speculative_tasks = backups.speculative_tasks
-            if speculative_tasks:
-                obs.counter("speculative_tasks").inc(speculative_tasks)
         if consume_faults and self._pending_task_faults:
             faults, self._pending_task_faults = self._pending_task_faults, {}
             per_node_io = dict(per_node_io)
@@ -211,23 +204,9 @@ class StageExecutor:
         compute = max(per_node_compute.values(), default=0.0)
         overhead = tally.num_tasks * self.config.task_overhead
         for node_id, seconds in per_node_io.items():
-            obs.counter("time_io", node=node_id).inc(seconds)
             self.cluster.note_busy(node_id, seconds)
         for node_id, seconds in per_node_compute.items():
-            obs.counter("time_compute", node=node_id).inc(seconds)
             self.cluster.note_busy(node_id, seconds)
-        if tally.network:
-            obs.counter("time_network").inc(tally.network)
-        for node_id, count in tally.tasks.items():
-            if count <= 0:
-                continue
-            obs.counter("tasks_executed", node=node_id).inc(count)
-            per_task = (
-                per_node_io.get(node_id, 0.0) + per_node_compute.get(node_id, 0.0)
-            ) / count
-            histogram = obs.histogram("task_seconds", node=node_id)
-            for _ in range(count):
-                histogram.observe(per_task)
         return StageTimes(
             io=io,
             compute=compute,
@@ -235,7 +214,7 @@ class StageExecutor:
             overhead=overhead,
             per_node_io=dict(per_node_io),
             per_node_compute=dict(per_node_compute),
-            per_node_tasks=dict(tally.tasks),
+            per_node_tasks=tally.tasks,
             speculative_tasks=speculative_tasks,
         )
 
@@ -260,17 +239,6 @@ class StageExecutor:
         return cur_bytes
 
     # ------------------------------------------------------ result cache
-    def _note_miss(self, stage: Stage, fingerprint: Optional[str], reason: str) -> None:
-        """Account one consulted-but-executed stage (cache off stays silent)."""
-        cache = self.config.cache
-        cache.stats.misses += 1
-        tenant = getattr(cache, "tenant", None)
-        if tenant:
-            self.cluster.obs.counter("cache_tenant_misses", policy=tenant).inc()
-        self.cluster.trace.emit(
-            "cache_miss", stage=stage.id, fingerprint=fingerprint, reason=reason
-        )
-
     def _chain_cost_estimate(self, ops: List[Operator], nbytes: int) -> float:
         """Modelled compute seconds of one partition through a narrow chain."""
         cost_model = self.cluster.cost_model
@@ -362,14 +330,14 @@ class StageExecutor:
             return None
         hit = cache.lookup(fingerprint, self.cluster)
         if hit is None:
-            self._note_miss(stage, fingerprint, "cold")
+            cache.note_miss(fingerprint, self.cluster, stage.id, "cold")
             return None
         recompute = self._recompute_estimate(stage, input_ids)
         saved_seconds = 0.0
         if recompute is not None:
             read_cost = self._hit_read_estimate(hit)
             if cache.cost_based and read_cost >= recompute:
-                self._note_miss(stage, fingerprint, "not-profitable")
+                cache.note_miss(fingerprint, self.cluster, stage.id, "not-profitable")
                 return None
             saved_seconds = max(0.0, recompute - read_cost)
         return self._serve_hit(stage, hit, defer_store, saved_seconds)
@@ -398,7 +366,6 @@ class StageExecutor:
                     tally.read(node_id, seconds)
                     payloads.append(payload)
             else:
-                self.config.cache.stats.store_hits += 1
                 for index, payload in enumerate(hit.payloads):
                     tally.read(
                         cluster.node_for_partition(index).id,
@@ -412,37 +379,12 @@ class StageExecutor:
                             pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
                         )
                     )
-            self._emit_hit(stage, f"d:{stage.tail.name}", hit, saved_seconds)
+            self.config.cache.note_hit(
+                hit, cluster, stage.id, f"d:{stage.tail.name}", saved_seconds
+            )
             return self._land(
                 stage, payloads, hit.partition_bytes, tally, defer_store, hit.fingerprint
             )
-
-    def _emit_hit(self, stage: Stage, dataset_id: str, hit, saved_seconds: float) -> None:
-        cache = self.config.cache
-        cache.stats.hits += 1
-        cache.stats.bytes_saved += hit.total_bytes
-        cache.stats.compute_seconds_saved += saved_seconds
-        obs = self.cluster.obs
-        # tenant-labelled accounting (shared cross-tenant stores only): the
-        # trace does not know tenants, so these stay direct
-        tenant = getattr(cache, "tenant", None)
-        if tenant:
-            obs.counter("cache_tenant_hits", policy=tenant).inc()
-            owner = getattr(hit, "owner_tenant", None)
-            if owner and owner != tenant:
-                cache.stats.cross_tenant_hits += 1
-                obs.counter(
-                    "cache_cross_tenant_hits", policy=f"{owner}->{tenant}"
-                ).inc()
-        self.cluster.trace.emit(
-            "cache_hit",
-            stage=stage.id,
-            dataset=dataset_id,
-            fingerprint=hit.fingerprint,
-            tier=hit.tier,
-            nbytes=hit.total_bytes,
-            saved_seconds=saved_seconds,
-        )
 
     def _maybe_admit(self, fingerprint: Optional[str], output: Dataset) -> None:
         """Remember a freshly registered stage output in the result cache."""
@@ -629,7 +571,6 @@ class StageExecutor:
     def _store_times(self, store_seconds: Dict[str, float]) -> StageTimes:
         """Charge a store made outside any stage wall (commit / restore)."""
         for node_id, seconds in store_seconds.items():
-            self.cluster.obs.counter("time_io", node=node_id).inc(seconds)
             self.cluster.note_busy(node_id, seconds)
         return StageTimes(
             io=max(store_seconds.values(), default=0.0),
@@ -710,8 +651,4 @@ class StageExecutor:
             dataset=dataset.id,
             pipelined=pipelined,
         )
-        times = self._wall(tally)
-        self.cluster.obs.histogram(
-            "choose_evaluation_seconds", dataset=dataset.id
-        ).observe(times.total)
-        return score, times
+        return score, self._wall(tally)

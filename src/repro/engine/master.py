@@ -43,10 +43,6 @@ from .scheduler import BFSScheduler, Scheduler, SchedulerContext
 #: master sustaining 2M invocations/s on low-end hardware)
 MASTER_SELECTION_COST = 5e-7
 
-#: ready-queue depths are small integers; the default log-scale latency
-#: buckets would lump them all together
-_QUEUE_DEPTH_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
-
 
 class _ScopeRuntime:
     """Execution-time state of one explore/choose scope."""
@@ -317,7 +313,9 @@ class Master:
             map(self._fp_of.get, input_ids), map(self._operator_fp, stage.ops)
         ):
             if fp is None:
-                self.executor._note_miss(stage, None, "unfingerprintable")
+                self.config.cache.note_miss(
+                    None, self.cluster, stage.id, "unfingerprintable"
+                )
                 return None
             fps.append(fp)
         input_fps, op_fps = fps[: len(input_ids)], fps[len(input_ids) :]
@@ -358,14 +356,9 @@ class Master:
 
     def _run(self) -> JobResult:
         stage_index = 0
-        obs = self.cluster.obs
         while self._ready:
             self._maybe_fail(stage_index)
             ready = list(self._ready)
-            obs.gauge("ready_queue_depth").set(len(ready))
-            obs.histogram(
-                "ready_queue_depth_samples", buckets=_QUEUE_DEPTH_BUCKETS
-            ).observe(len(ready))
             successors = (
                 sorted(
                     self.stage_graph.post(self._last_executed),
@@ -390,17 +383,13 @@ class Master:
             self._prefetch_siblings(stage, ready)
             # Everything the stage causes — loads, stores, evictions, the
             # deferred choose evaluation — is attributed to it: the trace
-            # fold files events after a stage_scheduled under that stage,
-            # and the ambient label context does the same for the direct
-            # instruments (histograms, per-node times and task counts).
-            with obs.label_context(stage=stage.id, branch=stage.branch_id):
-                if stage.is_choose:
-                    self._execute_choose_stage(stage)
-                else:
-                    self._execute_stage(stage)
+            # fold files events after a stage_scheduled under that stage.
+            if stage.is_choose:
+                self._execute_choose_stage(stage)
+            else:
+                self._execute_stage(stage)
             self._last_executed = stage
             stage_index += 1
-        obs.gauge("ready_queue_depth").set(0)
         if any(
             s.id not in self._executed and s.id not in self._pruned_stages
             for s in self.stage_graph.stages
@@ -922,9 +911,6 @@ class Master:
         self.result.wall_network += times.network
         finished = self.cluster.clock.now
         if stage is not None:
-            self.cluster.obs.histogram(
-                "stage_seconds", stage=stage.id, branch=stage.branch_id
-            ).observe(times.total)
             self.result.trace.append(
                 StageTrace(
                     stage_id=stage.id,

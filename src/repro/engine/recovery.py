@@ -21,10 +21,10 @@ only for its bytes, never for its score — the recovery path records
 no extra ``choose_evaluations`` happen.
 
 Every re-executed stage emits ``stage_reexecuted`` before any of its work,
-so the trace→metrics bridge attributes the recovery loads/stores to the
-re-executed stage the same way the live registry's ambient label context
-does.  The total charge of one failure lands in the ``recovery_seconds``
-histogram (per failed node), making the §5 exactness claim checkable:
+so the trace fold attributes the recovery loads/stores, seconds and tasks
+to the re-executed stage.  The total charge of one failure lands in the
+``recovery_seconds`` histogram (per failed node), making the §5 exactness
+claim checkable:
 ``completion_time(failed) - completion_time(clean) == Σ recovery_seconds``.
 """
 
@@ -291,34 +291,33 @@ class RecoveryManager:
                 if k[0] == produced_id
             ]
         )
-        with cluster.obs.label_context(stage=stage.id, branch=stage.branch_id):
-            started = cluster.clock.now
-            if stage.kind == "source":
-                # sources re-read the job input and re-register wholesale
-                # (the partition count may have changed after a decommission);
-                # drop the holed record first so no surviving slot leaks
-                if cluster.has_dataset(into_id):
-                    cluster.discard_dataset(into_id)
-                outcome = self.executor.execute(stage, input_ids)
-                produced_id = outcome.output_dataset_id
+        started = cluster.clock.now
+        if stage.kind == "source":
+            # sources re-read the job input and re-register wholesale
+            # (the partition count may have changed after a decommission);
+            # drop the holed record first so no surviving slot leaks
+            if cluster.has_dataset(into_id):
+                cluster.discard_dataset(into_id)
+            outcome = self.executor.execute(stage, input_ids)
+            produced_id = outcome.output_dataset_id
+        else:
+            outcome = self.executor.execute(stage, input_ids, defer_store=True)
+            if transient:
+                store_times = self.executor.commit_store(outcome.pending)
+                self._transients.append(outcome.pending.id)
             else:
-                outcome = self.executor.execute(stage, input_ids, defer_store=True)
-                if transient:
-                    store_times = self.executor.commit_store(outcome.pending)
-                    self._transients.append(outcome.pending.id)
-                else:
-                    store_times = self._restore(outcome.pending, into_id, missing)
-                outcome.times.io += store_times.io
-                for node_id, io_seconds in store_times.per_node_io.items():
-                    outcome.times.per_node_io[node_id] = (
-                        outcome.times.per_node_io.get(node_id, 0.0) + io_seconds
-                    )
-            cluster.trace.emit(
-                "task_dispatched", stage=stage.id, num_tasks=outcome.num_tasks
-            )
-            master._advance(outcome.times, stage, started)
-            if missing:
-                self._note_recovered(into_id, missing)
+                store_times = self._restore(outcome.pending, into_id, missing)
+            outcome.times.io += store_times.io
+            for node_id, io_seconds in store_times.per_node_io.items():
+                outcome.times.per_node_io[node_id] = (
+                    outcome.times.per_node_io.get(node_id, 0.0) + io_seconds
+                )
+        cluster.trace.emit(
+            "task_dispatched", stage=stage.id, num_tasks=outcome.num_tasks
+        )
+        master._advance(outcome.times, stage, started)
+        if missing:
+            self._note_recovered(into_id, missing)
         return produced_id
 
     def _restore(self, pending, into_id: str, missing: List[PartitionKey]) -> StageTimes:

@@ -14,10 +14,12 @@ stream.  Live == replay holds by construction; the pinned
 To add a counter, add an event field and a fold arm — not a call site.
 
 Attribution follows the master's stage loop: every event belongs to the
-most recent ``stage_scheduled`` (or ``stage_reexecuted``) event.
-Quantities the trace does not record (per-node time breakdowns, latency
-histograms, gauges) stay direct instrumentation; :data:`CONSISTENCY_VIEWS`
-lists the instrument/granularity pairs a replay guarantees.
+most recent ``stage_scheduled`` (or ``stage_reexecuted``) event.  That rule
+is written here and nowhere else: the engine emits and never counts.
+Quantities the trace does not record (tenants, one latency histogram,
+instantaneous gauges) are written with explicit labels where they arise;
+:data:`CONSISTENCY_VIEWS` lists the instrument/granularity pairs pinned by
+the golden registry files.
 """
 
 from __future__ import annotations
@@ -66,13 +68,6 @@ CONSISTENCY_VIEWS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
 )
 
 
-#: families the live engine still writes at a call site, because the trace
-#: cannot express their finer grain (``tasks_executed`` carries the node
-#: each task ran on; ``task_dispatched`` only a per-stage count).  The fold
-#: produces them on replay only — live, they would be counted twice.
-DIRECT_FAMILIES: Tuple[str, ...] = ("tasks_executed",)
-
-
 def registry_categories(
     io: float,
     compute: float,
@@ -113,27 +108,22 @@ class TraceFold:
     ``apply(event)`` is the one description of which event moves which
     counter.  A cluster's :class:`~repro.trace.events.Trace` calls it on
     every committed event (the live write path); :func:`registry_from_trace`
-    loops it over a recorded trace (``replay=True`` adds the
-    :data:`DIRECT_FAMILIES` the live engine writes itself).
+    loops it over a recorded trace — the same arms either way.
 
     Attribution: every event belongs to the most recent ``stage_scheduled``
     / ``stage_reexecuted`` event — the master's stage loop in event form.
-    The fold writes exact label tuples; the registry's ambient label
-    context is for the instruments that stay direct.
+    The fold writes exact label tuples.
     """
 
-    def __init__(self, registry: MetricsRegistry, replay: bool = False):
+    def __init__(self, registry: MetricsRegistry):
         if registry.label_names != LABEL_NAMES:
             raise ValueError(
                 f"the trace fold writes the engine dimensions {LABEL_NAMES}, "
                 f"not {registry.label_names}"
             )
         self.registry = registry
-        self.replay = replay
         self.stage: Optional[str] = None
         self.branch: Optional[str] = None
-        #: dataset id -> partition count (a composite's is its members' sum)
-        self.partitions: Dict[str, int] = {}
         self.live: set = set()
         #: stage id -> outstanding stage_reexecuted announcements: the next
         #: stage_completed of that stage is recovery work (same pairing the
@@ -160,10 +150,11 @@ class TraceFold:
         )
         self.registry.counter_child(name, labels).inc(amount)
 
-    def _profile(
+    def _span(
         self, data: Dict, activity: Optional[str] = None, recovery: bool = False
     ) -> None:
-        """One span's category split into the profile counters."""
+        """One clock advance: its category split into the profile counters,
+        and the per-node seconds and tasks that paid for it."""
         for category, seconds in registry_categories(
             data["io"],
             data["compute"],
@@ -173,6 +164,19 @@ class TraceFold:
             recovery=recovery,
         ).items():
             self._inc(f"profile_{category}_seconds", seconds)
+        if "per_node_tasks" not in data:
+            return  # recorded before the trace carried the task counts
+        for node, seconds in data["per_node_io"].items():
+            self._inc("time_io", seconds, node=node)
+        for node, seconds in data["per_node_compute"].items():
+            self._inc("time_compute", seconds, node=node)
+        if data["network"]:
+            self._inc("time_network", data["network"])
+        for node, count in data["per_node_tasks"].items():
+            if count:
+                self._inc("tasks_executed", count, node=node)
+        if data["speculative_tasks"]:
+            self._inc("speculative_tasks", data["speculative_tasks"])
 
     def apply(self, event) -> None:
         data = event.data
@@ -197,17 +201,15 @@ class TraceFold:
             self.branch = data.get("branch")
             self._inc("scheduler_selections", policy=data.get("rationale"))
         elif kind == "task_dispatched":
-            if self.replay:
-                self._inc("tasks_executed", data["num_tasks"], stage=data["stage"])
             self._inc("stages_executed", stage=data["stage"])
         elif kind == "stage_completed":
             if "io" in data and "per_node_io" in data:
                 recovery = self.reexec_pending.get(data["stage"], 0) > 0
                 if recovery:
                     self.reexec_pending[data["stage"]] -= 1
-                self._profile(data, recovery=recovery)
+                self._span(data, recovery=recovery)
         elif kind == "span":
-            self._profile(data, activity=data["activity"])
+            self._span(data, activity=data["activity"])
         elif kind == "source_read":
             self._inc(
                 "bytes_read_disk", data["nbytes"], node=data["node"], dataset=data["dataset"]
@@ -222,25 +224,15 @@ class TraceFold:
         elif kind == "checkpoint_written":
             self._inc("bytes_written_disk", data["nbytes"], dataset=data["dataset"])
         elif kind == "dataset_registered" or kind == "composite_registered":
-            dataset = data["dataset"]
-            self.live.add(dataset)
+            self.live.add(data["dataset"])
             if kind == "composite_registered":
                 self.live.difference_update(data["members"])
-                self.partitions[dataset] = sum(
-                    self.partitions.get(member, 0) for member in data["members"]
-                )
-            else:
-                self.partitions[dataset] = data["partitions"]
             self.registry.gauge("peak_datasets_stored").set_max(len(self.live))
         elif kind == "dataset_discarded":
             self.live.discard(data["dataset"])
             self._inc("datasets_discarded", dataset=data["dataset"])
         elif kind == "choose_evaluation":
             self._inc("choose_evaluations", dataset=data["dataset"])
-            if self.replay and not data["pipelined"]:
-                # a non-pipelined evaluation re-reads every partition of the
-                # branch dataset as one task each (StageExecutor.evaluate)
-                self._inc("tasks_executed", self.partitions.get(data["dataset"], 0))
         elif kind == "branch_evaluated":
             self._inc("branches_executed", branch=data["branch"])
         elif kind == "branch_pruned":
@@ -294,7 +286,7 @@ def registry_from_trace(trace) -> MetricsRegistry:
     Accepts a live trace or one rebuilt from JSONL
     (:meth:`~repro.trace.events.Trace.load_jsonl`).
     """
-    fold = TraceFold(MetricsRegistry(), replay=True)
+    fold = TraceFold(MetricsRegistry())
     for event in trace:
         fold.apply(event)
     return fold.registry
@@ -326,7 +318,6 @@ def diff_registries(
 
 __all__ = [
     "CONSISTENCY_VIEWS",
-    "DIRECT_FAMILIES",
     "TraceFold",
     "diff_registries",
     "registry_categories",

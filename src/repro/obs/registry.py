@@ -15,15 +15,10 @@ Every instrument child carries the registry's label dimensions — by
 default the five engine dimensions ``{node, branch, stage, dataset,
 policy}`` (unset labels are ``""``); a registry built for a different
 altitude (the service plane uses ``{tenant, workload, status, policy}``)
-passes its own ``label_names``.  The engine attributes low-level
-observations to the currently executing stage and branch through an
-ambient *label context* (:meth:`MetricsRegistry.label_context`) pushed by
-the master around each scheduled stage, so the cluster substrate never
-needs to know about branches.
-
-Counters and histograms merge the ambient context into their labels;
-gauges carry exactly the labels they are given (a per-node memory gauge
-must not fragment across branches).
+passes its own ``label_names``.  A child carries exactly the labels it is
+given: attributing low-level observations to the executing stage and
+branch is the trace fold's job (:mod:`repro.obs.bridge`), so neither the
+cluster substrate nor the registry needs to know about branches.
 
 Registries cross process boundaries as plain-dict snapshots
 (:meth:`MetricsRegistry.snapshot` / :meth:`MetricsRegistry.from_snapshot`)
@@ -38,7 +33,6 @@ registry (:mod:`repro.service.obs`).
 from __future__ import annotations
 
 import bisect
-import contextlib
 import math
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -251,11 +245,11 @@ class Family:
 
 
 class MetricsRegistry:
-    """Per-job store of labeled instruments plus the ambient label context.
+    """Per-job store of labeled instruments.
 
     The cluster owns one registry per run (reset with the cluster, like the
-    decision trace); the master, executor, scheduler and memory manager all
-    record into it.  Aggregation helpers power the derived
+    decision trace); the trace fold writes its counters, a few direct
+    instruments the rest.  Aggregation helpers power the derived
     :class:`~repro.cluster.metrics.Metrics` view and the exporters.
 
     ``label_names`` defaults to the engine dimensions; pass a different
@@ -266,42 +260,15 @@ class MetricsRegistry:
     def __init__(self, label_names: Tuple[str, ...] = LABEL_NAMES):
         self.label_names: Tuple[str, ...] = tuple(label_names)
         self._families: Dict[str, Family] = {}
-        self._context: List[Dict[str, str]] = []
 
-    # ------------------------------------------------------------ label context
-    @contextlib.contextmanager
-    def label_context(self, **labels: Optional[str]):
-        """Ambient labels merged into counter/histogram observations.
-
-        The master pushes ``{stage, branch}`` around each scheduled stage so
-        cluster-level hooks (which only know node/dataset) still attribute
-        their observations to the right branch.
-        """
-        frame = {k: str(v) for k, v in labels.items() if v}
-        for name in frame:
+    def _resolve(self, labels: Dict[str, Optional[str]]) -> LabelValues:
+        """Keyword labels as a full tuple in ``label_names`` order."""
+        for name in labels:
             if name not in self.label_names:
                 raise ValueError(
                     f"unknown label {name!r} (allowed: {self.label_names})"
                 )
-        self._context.append(frame)
-        try:
-            yield self
-        finally:
-            self._context.pop()
-
-    def _resolve(self, explicit: Dict[str, Optional[str]], ambient: bool) -> LabelValues:
-        merged: Dict[str, str] = {}
-        if ambient:
-            for frame in self._context:
-                merged.update(frame)
-        for name, value in explicit.items():
-            if name not in self.label_names:
-                raise ValueError(
-                    f"unknown label {name!r} (allowed: {self.label_names})"
-                )
-            if value:
-                merged[name] = str(value)
-        return tuple(merged.get(name, "") for name in self.label_names)
+        return tuple(str(labels.get(name) or "") for name in self.label_names)
 
     def _family(self, name: str, kind: str, factory: Callable[[], Any]) -> Family:
         family = self._families.get(name)
@@ -317,19 +284,20 @@ class MetricsRegistry:
 
     # -------------------------------------------------------------- instruments
     def counter(self, name: str, **labels: Optional[str]) -> Counter:
-        """The counter child for the given labels (ambient context merged)."""
+        """The counter child for exactly the given labels."""
         family = self._family(name, "counter", Counter)
-        return family.child(self._resolve(labels, ambient=True))
+        return family.child(self._resolve(labels))
 
     def counter_child(self, name: str, labels: LabelValues) -> Counter:
-        """The counter child at exactly ``labels`` — a full tuple in
-        ``label_names`` order, no ambient merge (the trace fold's write path)."""
+        """The counter child at ``labels``, a full tuple in ``label_names``
+        order: :meth:`counter` without the keyword resolution (the trace
+        fold's write path)."""
         return self._family(name, "counter", Counter).child(labels)
 
     def gauge(self, name: str, **labels: Optional[str]) -> Gauge:
-        """The gauge child for exactly the given labels (no ambient merge)."""
+        """The gauge child for exactly the given labels."""
         family = self._family(name, "gauge", Gauge)
-        return family.child(self._resolve(labels, ambient=False))
+        return family.child(self._resolve(labels))
 
     def histogram(
         self,
@@ -338,7 +306,7 @@ class MetricsRegistry:
         exact: bool = False,
         **labels: Optional[str],
     ) -> Histogram:
-        """The histogram child for the given labels (ambient context merged).
+        """The histogram child for exactly the given labels.
 
         ``exact=True`` makes children :class:`ExactHistogram`\\ s, which
         retain every observation for exact nearest-rank quantiles (the
@@ -348,7 +316,7 @@ class MetricsRegistry:
         bounds = tuple(buckets) if buckets is not None else None
         cls = ExactHistogram if exact else Histogram
         family = self._family(name, "histogram", lambda: cls(bounds))
-        return family.child(self._resolve(labels, ambient=True))
+        return family.child(self._resolve(labels))
 
     # --------------------------------------------------------------- queries
     def names(self) -> List[str]:
@@ -491,7 +459,7 @@ class MetricsRegistry:
             )
         target_labels: Optional[LabelValues] = None
         if labels is not None:
-            target_labels = self._resolve(dict(labels), ambient=False)
+            target_labels = self._resolve(labels)
         wanted = set(names) if names is not None else None
         for name in other.names():
             if wanted is not None and name not in wanted:

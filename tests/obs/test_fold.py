@@ -4,8 +4,8 @@
 to each committed event, so live == replay holds by construction (the
 ``diff_registries`` tests) and the fold itself is pinned by
 ``tests/golden/*.registry.json``.  What is asserted here is the wiring:
-when the counters move, who can stop them, and that no family is written
-twice.
+when the counters move, who can stop them, that no family is written
+twice, and that the engine emits and never counts.
 """
 
 import re
@@ -15,14 +15,49 @@ from pathlib import Path
 import pytest
 
 from repro import Cluster, MB, run_mdf
-from repro.obs import CONSISTENCY_VIEWS, MetricsRegistry, registry_from_trace
-from repro.obs.bridge import DIRECT_FAMILIES, TraceFold
+from repro.cluster.fault import (
+    CheckpointConfig,
+    FailureEvent,
+    FailureInjector,
+    TaskFailureEvent,
+)
+from repro.cluster.stragglers import SpeculationConfig, StragglerProfile
+from repro.engine import EngineConfig
+from repro.obs import MetricsRegistry, registry_from_trace
+from repro.obs.bridge import TraceFold
 from repro.service.obs import JOB_VIEW_FAMILIES
 from repro.trace import EVENT_SCHEMA, Trace
 
 from ..conftest import build_nested_mdf
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+#: counter families written where they arise, with explicit labels: what a
+#: trace does not say (tenants, waits on other processes, corrupt files, the
+#: bus about itself).  Every other counter family is a fold of the trace.
+DIRECT = {
+    "cache_tenant_hits",
+    "cache_tenant_misses",
+    "cache_cross_tenant_hits",
+    "cache_singleflight_waits",
+    "cache_corrupt_entries",
+    "live_subscriber_errors",
+}
+
+#: name -> EngineConfig of the runs replay == live is checked on
+REPLAY_RUNS = {
+    "memory_pressure": EngineConfig,
+    "failure_recovery": lambda: EngineConfig(
+        checkpointing=CheckpointConfig(2, overhead_fraction=0.1),
+        failures=FailureInjector(
+            [FailureEvent(4, "worker-0")], [TaskFailureEvent(2, "worker-1", 2)]
+        ),
+    ),
+    "stragglers": lambda: EngineConfig(
+        stragglers=StragglerProfile({"worker-1": 3.0}),
+        speculation=SpeculationConfig(enabled=True),
+    ),
+}
 
 
 def counter_totals(registry):
@@ -48,8 +83,7 @@ class TestLiveWritePath:
             replayed = counter_totals(registry_from_trace(prefix))
             live = counter_totals(cluster.obs)
             for name, value in replayed.items():
-                if name not in DIRECT_FAMILIES:
-                    assert live.get(name, 0.0) == value, (event.seq, name)
+                assert live.get(name, 0.0) == value, (event.seq, name)
             checked.append(event.seq)
 
         cluster.trace.subscribe(check)
@@ -84,15 +118,27 @@ class TestLiveWritePath:
         cluster.trace.enabled = False
         run_mdf(build_nested_mdf(), cluster, reset=False)
         assert cluster.metrics.stages_executed == 0
-        assert cluster.metrics.tasks_executed > 0  # direct: the trace cannot say
+        assert cluster.metrics.tasks_executed == 0
 
-    def test_round_trip_replay_equals_live_at_full_granularity(self):
+    @pytest.mark.parametrize("run", sorted(REPLAY_RUNS))
+    def test_round_trip_replay_equals_live_at_full_granularity(self, run):
+        """Every counter family of the live registry but the direct ones,
+        child by child — including the per-node seconds and task counts."""
         cluster = Cluster(num_workers=4, mem_per_worker=64 * MB)
-        result = run_mdf(build_nested_mdf(), cluster, memory="amm")
+        result = run_mdf(
+            build_nested_mdf(), cluster, memory="amm", config=REPLAY_RUNS[run]()
+        )
         replayed = registry_from_trace(Trace.from_jsonl(result.events.to_jsonl()))
-        for name, _ in CONSISTENCY_VIEWS:
-            if name in DIRECT_FAMILIES:
-                continue
+        families = {
+            name for name in cluster.obs.names() if cluster.obs.kind_of(name) == "counter"
+        } - DIRECT
+        assert {"time_io", "time_compute", "tasks_executed"} <= families
+        expected = {
+            "failure_recovery": {"stages_reexecuted", "task_retries"},
+            "stragglers": {"speculative_tasks"},
+        }.get(run, {"evictions"})
+        assert expected <= families
+        for name in sorted(families):
             live = {k: c.value for k, c in cluster.obs.series(name).items()}
             again = {k: c.value for k, c in replayed.series(name).items()}
             assert live == again, name
@@ -112,10 +158,21 @@ def test_folded_family_has_no_direct_call_site(family):
         for path in sorted((SRC / package).rglob("*.py"))
         if pattern.search(path.read_text())
     ]
-    if family in DIRECT_FAMILIES:
-        assert sites, f"{family} is documented as direct but nothing writes it"
-    else:
-        assert sites == [], f"{family} is folded from the trace; remove {sites}"
+    assert sites == [], f"{family} is folded from the trace; remove {sites}"
+
+
+def test_engine_emits_and_never_counts():
+    """Under ``repro.engine`` nothing touches a counter or pushes ambient
+    labels; the registry is reached for one gauge and one histogram, both
+    with explicit labels and both read (timeline sampler; recovery tests)."""
+    source = "".join(
+        path.read_text() for path in sorted((SRC / "engine").rglob("*.py"))
+    )
+    assert ".counter(" not in source
+    assert "label_context(" not in source
+    assert re.findall(r"\.gauge\(\s*\"(\w+)\"", source) == ["live_branches"]
+    assert re.findall(r"\.histogram\(\s*\"(\w+)\"", source) == ["recovery_seconds"]
+    assert source.count(".gauge(") == source.count(".histogram(") == 1
 
 
 def test_master_and_executor_emit_each_event_kind_at_one_site():

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.obs import DEFAULT_BUCKETS, LABEL_NAMES, MetricsRegistry, labels_dict
+from repro.obs import DEFAULT_BUCKETS, LABEL_NAMES, MetricsRegistry
 from repro.obs.registry import Counter, Gauge, Histogram
 
 
@@ -70,35 +70,6 @@ class TestRegistry:
         reg.counter("x").inc()
         with pytest.raises(ValueError):
             reg.gauge("x")
-
-    def test_label_context_merges_into_counters(self):
-        reg = MetricsRegistry()
-        with reg.label_context(stage="s1", branch="b1"):
-            reg.counter("evictions", node="w0").inc()
-        (labels,) = reg.series("evictions")
-        assert labels_dict(labels) == {"node": "w0", "branch": "b1", "stage": "s1"}
-
-    def test_label_context_nesting_inner_wins(self):
-        reg = MetricsRegistry()
-        with reg.label_context(branch="outer"):
-            with reg.label_context(branch="inner"):
-                reg.counter("c").inc()
-        (labels,) = reg.series("c")
-        assert labels_dict(labels) == {"branch": "inner"}
-
-    def test_explicit_labels_override_ambient(self):
-        reg = MetricsRegistry()
-        with reg.label_context(stage="ambient"):
-            reg.counter("c", stage="explicit").inc()
-        (labels,) = reg.series("c")
-        assert labels_dict(labels) == {"stage": "explicit"}
-
-    def test_gauges_ignore_ambient_context(self):
-        reg = MetricsRegistry()
-        with reg.label_context(branch="b1"):
-            reg.gauge("mem", node="w0").set(10)
-        (labels,) = reg.series("mem")
-        assert labels_dict(labels) == {"node": "w0"}
 
     def test_aggregate_groups_and_sums(self):
         reg = MetricsRegistry()
