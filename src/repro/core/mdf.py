@@ -231,9 +231,14 @@ class MDF(DataflowGraph):
                     f"(has {self.out_degree(choose)})"
                 )
             for branch in scope.branches:
-                if not self.has_path(explore, choose):
+                head, tail = branch.ops[0], branch.ops[-1]
+                if (
+                    head.name not in self._succ[explore.name]
+                    or choose.name not in self._succ[tail.name]
+                ):
                     raise ValidationError(
-                        f"no path from {explore.name!r} to {choose.name!r}"
+                        f"branch {branch.id!r} is not a path from "
+                        f"{explore.name!r} to {choose.name!r}"
                     )
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -100,6 +100,16 @@ class TestValidation:
         with pytest.raises(ValidationError, match="exactly one output"):
             mdf.validate()
 
+    def test_branch_not_wired_into_the_choose(self):
+        """Every branch is checked itself, not the scope once per branch:
+        the choose keeps two inputs, so only the third branch is broken."""
+        mdf, _, _, branch_ops, choose, _ = make_simple_mdf(num_branches=3)
+        tail = branch_ops[2]
+        mdf._succ[tail.name].discard(choose.name)
+        mdf._pred[choose.name].discard(tail.name)
+        with pytest.raises(ValidationError, match="exp#2"):
+            mdf.validate()
+
     def test_explore_needs_multiple_outputs(self):
         # single-branch explores violate |v•| > 1
         mdf = MDF()
