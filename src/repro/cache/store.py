@@ -108,6 +108,8 @@ class CacheStats:
     compute_seconds_saved: float = 0.0
     store_hits: int = 0
     store_writes: int = 0
+    #: admissions the store tier did not keep (``save()`` returned False:
+    #: unpicklable payload, or an entry larger than its tenant's whole quota)
     unpicklable_skipped: int = 0
     #: corrupt/truncated store entries detected (unlinked, served as miss)
     corrupt_entries: int = 0
@@ -206,8 +208,8 @@ class DiskCacheStore:
         payloads: List[Any],
         partition_bytes: List[int],
         producer: Optional[str],
-        tenant: Optional[str] = None,
     ) -> bool:
+        """Persist one entry; True when it is on disk afterwards."""
         blob = {
             "payloads": payloads,
             "partition_bytes": list(partition_bytes),
@@ -219,9 +221,9 @@ class DiskCacheStore:
         try:
             with open(tmp, "wb") as fh:
                 pickle.dump(blob, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            self._publish(fingerprint, tmp, tenant)
+            published = self._publish(fingerprint, tmp)
             self._loaded.pop(fingerprint, None)  # refreshed on next load
-            return True
+            return published
         except Exception:  # noqa: BLE001 - unpicklable payloads skip the tier
             try:
                 os.unlink(tmp)
@@ -229,9 +231,11 @@ class DiskCacheStore:
                 pass
             return False
 
-    def _publish(self, fingerprint: str, tmp: str, tenant: Optional[str]) -> None:
-        """Atomically move a fully written tmp into place."""
+    def _publish(self, fingerprint: str, tmp: str) -> bool:
+        """Atomically move a fully written tmp into place; whether the
+        entry is still there when the publish is over."""
         os.replace(tmp, self._file(fingerprint))
+        return True
 
     def _decode_blob(
         self, blob: Any
@@ -382,8 +386,8 @@ class SharedCacheStore(DiskCacheStore):
         self._owners[fingerprint] = owner
         return owner
 
-    def _publish(self, fingerprint: str, tmp: str, tenant: Optional[str]) -> None:
-        owner = tenant or self.tenant
+    def _publish(self, fingerprint: str, tmp: str) -> bool:
+        owner = self.tenant
         with self._lock:
             os.replace(tmp, self._file(fingerprint))
             sidecar_tmp = f"{self._owner_file(fingerprint)}.{os.getpid()}.tmp"
@@ -392,6 +396,8 @@ class SharedCacheStore(DiskCacheStore):
             os.replace(sidecar_tmp, self._owner_file(fingerprint))
             self._owners[fingerprint] = owner
             self._enforce_quota(owner, keep=fingerprint)
+            # an entry that alone exceeds the quota was evicted again
+            return self.contains(fingerprint)
 
     # -------------------------------------------------------------- quotas
     def tenant_usage(self, tenant: str) -> int:

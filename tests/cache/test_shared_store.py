@@ -19,8 +19,12 @@ def fresh_cluster(workers=2):
 
 
 def save_entry(store, fingerprint, nbytes=200, tenant=None):
+    """Publish one entry; as another ``tenant`` through a handle of its
+    own on the same directory, the way the service opens one per job."""
+    if tenant is not None:
+        store = SharedCacheStore(store.path, tenant=tenant)
     payload = [list(range(nbytes // 8))]
-    assert store.save(fingerprint, payload, [nbytes], "producer", tenant=tenant)
+    assert store.save(fingerprint, payload, [nbytes], "producer")
 
 
 def backdate(path, seconds):
@@ -84,8 +88,9 @@ class TestQuotas:
 
     def test_just_published_entry_kept_unless_it_alone_exceeds(self, tmp_path):
         store = SharedCacheStore(str(tmp_path), tenant="alice", quota_bytes=8)
-        save_entry(store, "fp-huge", nbytes=4000)
+        kept = store.save("fp-huge", [list(range(500))], [4000], "producer")
         assert not store.contains("fp-huge")  # alone over quota: evicted
+        assert not kept and store.quota_evictions == 1
 
     def test_quota_is_per_tenant(self, tmp_path):
         alice = SharedCacheStore(str(tmp_path), tenant="alice", quota_bytes=None)
@@ -169,6 +174,23 @@ class TestResultCacheIntegration:
         assert cache.lookup("fp-1", cluster) is None  # reclaims cleanly
         cache.finish_run()
 
+    def test_admission_the_quota_evicted_is_not_a_store_write(self, tmp_path):
+        """An entry that alone exceeds its tenant's quota is evicted by its
+        own publish: the admission stays cluster-tier, nothing was written."""
+        store = SharedCacheStore(str(tmp_path), tenant="alice", quota_bytes=100)
+        cache = ResultCache(store=store)
+        workload = get_workload("filter_min")
+        cluster = workload.make_cluster()
+        run_mdf(
+            workload.make_mdf(), cluster, config=EngineConfig(cache=cache),
+            observers=[Validator()],
+        )
+        admits = cluster.trace.filter("cache_admit")
+        assert admits and {e.data["tier"] for e in admits} == {"cluster"}
+        assert cache.stats.store_writes == 0
+        assert store.quota_evictions == len(admits)
+        assert [n for n in os.listdir(tmp_path) if n.endswith((".pkl", ".owner"))] == []
+
     def test_waiter_serves_other_jobs_publish_as_store_hit(self, tmp_path):
         writer = SharedCacheStore(str(tmp_path), tenant="alice")
         assert writer.try_begin_flight("fp-1")
@@ -233,6 +255,8 @@ class TestResultCacheIntegration:
         assert warm_cache.stats.cross_tenant_hits == warm_cache.stats.hits
         obs = cluster.obs
         assert obs.value("cache_tenant_hits", policy="bob") > 0
+        # exactly the documented label: the tenant, not the stage it hit in
+        assert set(obs.series("cache_tenant_hits")) == {("", "", "", "", "bob")}
         assert (
             obs.value("cache_cross_tenant_hits", policy="alice->bob")
             == warm_cache.stats.cross_tenant_hits
