@@ -27,41 +27,16 @@ from .node import Node, Slot
 AccessCounter = Callable[[str], int]  # dataset_id -> remaining future accesses
 
 
-class _GenericEvictionRound:
-    """Per-eviction re-ranking, exactly as the historical eviction loop.
-
-    Used for policies that override ``select_victim``/``ranking_snapshot``
-    (including the deliberately-broken ones the validator tests ship): each
-    :meth:`pop` re-runs both over the remaining candidates, so any custom
-    behaviour — sound or not — is preserved observably unchanged.
-    """
-
-    def __init__(self, policy: "MemoryPolicy", node: Node, candidates: List[Slot]):
-        self._policy = policy
-        self._node = node
-        self._candidates = list(candidates)
-
-    def pop(self) -> Tuple[Optional[Slot], Optional[List[Dict[str, Any]]]]:
-        if not self._candidates:
-            return None, None
-        victim = self._policy.select_victim(self._node, self._candidates)
-        ranking = self._policy.ranking_snapshot(self._candidates)
-        self._candidates.remove(victim)
-        return victim, ranking
-
-
-class _RankedEvictionRound:
-    """Heap-ordered victims over one precomputed ranking pass.
+class _EvictionRound:
+    """Heap-ordered victims over one ranking pass.
 
     Within one ``_ensure_space`` call nothing that feeds the ranking can
     change — ``acc`` (the master mutates consumers only between stages),
     ``last_access`` (no loads happen mid-store) and sizes are all frozen —
-    so the historical per-eviction re-sort recomputed identical values
-    ``k`` times for ``k`` evictions.  This round ranks once: victims pop
-    off a heap in ``O(log n)`` and each event's ranking snapshot is the
-    surviving candidates in their original (node-store) order, exactly
-    what a fresh ``ranking_snapshot`` over fresh ``eviction_candidates``
-    would have produced.
+    so the round ranks once: victims pop off a heap in ``O(log n)`` and
+    each event's ranking snapshot is the surviving candidates in their
+    original (node-store) order, exactly what a fresh ``ranking_snapshot``
+    over fresh ``eviction_candidates`` would produce.
     """
 
     def __init__(
@@ -92,12 +67,21 @@ class _RankedEvictionRound:
 
 
 class MemoryPolicy:
-    """Strategy deciding which in-memory partition a node evicts."""
+    """Strategy deciding which in-memory partition a node evicts.
+
+    A policy *is* its :meth:`eviction_key` (plus what it records and
+    whether it spills): the victim, the eviction round and any shipped
+    preference list are all orderings by that one key.
+    """
 
     name = "base"
 
-    def select_victim(self, node: Node, candidates: List[Slot]) -> Slot:
+    def eviction_key(self, slot: Slot) -> Any:
+        """Sort key of one candidate: the smallest key is evicted first."""
         raise NotImplementedError
+
+    def select_victim(self, node: Node, candidates: List[Slot]) -> Slot:
+        return min(candidates, key=self.eviction_key)
 
     def bind(self, access_counter: Optional[AccessCounter], alpha: float) -> None:
         """Called by the engine before execution with workflow context.
@@ -137,12 +121,13 @@ class MemoryPolicy:
         """Victim iterator for one ``_ensure_space`` call.
 
         Returns an object whose ``pop()`` yields ``(victim, ranking)``
-        pairs until the candidates run dry (``(None, None)``).  The base
-        implementation re-ranks per eviction — byte-identical to the
-        historical loop for any subclass; LRU/AMM override it with a
-        single-pass ranked round when their stock ranking is in effect.
+        pairs until the candidates run dry (``(None, None)``).
         """
-        return _GenericEvictionRound(self, node, candidates)
+        return _EvictionRound(
+            candidates,
+            self.ranking_snapshot(candidates),
+            [self.eviction_key(slot) for slot in candidates],
+        )
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}()"
@@ -153,18 +138,8 @@ class LRUPolicy(MemoryPolicy):
 
     name = "lru"
 
-    def select_victim(self, node: Node, candidates: List[Slot]) -> Slot:
-        return min(candidates, key=lambda s: (s.last_access, s.key))
-
-    def eviction_round(self, node: Node, candidates: List[Slot]):
-        if (
-            type(self).select_victim is not LRUPolicy.select_victim
-            or type(self).ranking_snapshot is not MemoryPolicy.ranking_snapshot
-        ):
-            return super().eviction_round(node, candidates)
-        entries = self.ranking_snapshot(candidates)
-        keys = [(s.last_access, s.key) for s in candidates]
-        return _RankedEvictionRound(candidates, entries, keys)
+    def eviction_key(self, slot: Slot) -> Any:
+        return (slot.last_access, slot.key)
 
 
 class AMMPolicy(MemoryPolicy):
@@ -193,8 +168,8 @@ class AMMPolicy(MemoryPolicy):
             acc = self._access_counter(slot.dataset_id)
         return acc * slot.nbytes * self._alpha
 
-    def select_victim(self, node: Node, candidates: List[Slot]) -> Slot:
-        return min(candidates, key=lambda s: (self.preference(s), s.last_access, s.key))
+    def eviction_key(self, slot: Slot) -> Any:
+        return (self.preference(slot), slot.last_access, slot.key)
 
     def should_spill(self, slot: Slot) -> bool:
         if self._access_counter is None:
@@ -222,36 +197,13 @@ class AMMPolicy(MemoryPolicy):
             )
         return out
 
-    def eviction_round(self, node: Node, candidates: List[Slot]):
-        if (
-            type(self).select_victim is not AMMPolicy.select_victim
-            or type(self).ranking_snapshot is not AMMPolicy.ranking_snapshot
-        ):
-            return super().eviction_round(node, candidates)
-        # one ranking pass feeds both the heap order and every event's
-        # snapshot: the per-eviction full re-sort (and its acc(d) lookups,
-        # O(n·k) on large nodes) collapses to heapify + O(log n) pops
-        entries = self.ranking_snapshot(candidates)
-        keys = [
-            (entry["pre"], slot.last_access, slot.key)
-            for slot, entry in zip(candidates, entries)
-        ]
-        return _RankedEvictionRound(candidates, entries, keys)
-
     def preference_order(self, node: Node) -> List[Slot]:
         """All in-memory slots ordered by rising preference (eviction order).
 
         This is the list the master ships to workers with each scheduling
-        decision in the paper's implementation (§5).  The decorate-sort
-        computes ``pre(d)`` once per slot (``acc`` lookups are the costly
-        part on large nodes) instead of once per comparison.
+        decision in the paper's implementation (§5).
         """
-        decorated = [
-            (self.preference(s), s.last_access, s.key, s)
-            for s in node.in_memory_slots()
-        ]
-        decorated.sort(key=lambda d: d[:3])
-        return [d[3] for d in decorated]
+        return sorted(node.in_memory_slots(), key=self.eviction_key)
 
 
 class AccessOnlyPolicy(AMMPolicy):
@@ -276,7 +228,7 @@ class SizeOnlyPolicy(AMMPolicy):
 
 
 #: Public alias for the eviction seam: a memory policy *is* the eviction
-#: policy (``select_victim`` + ``should_spill`` + ``ranking_snapshot``).
+#: policy (``eviction_key`` + ``should_spill`` + ``ranking_snapshot``).
 EvictionPolicy = MemoryPolicy
 
 # ------------------------------------------------------------------ registry

@@ -89,8 +89,8 @@ class BrokenBAS(BranchAwareScheduler):
 class BrokenAMM(AMMPolicy):
     """Claims AMM but evicts the *highest*-preference partition."""
 
-    def select_victim(self, node, candidates):
-        return max(candidates, key=lambda s: (self.preference(s), s.last_access, s.key))
+    def eviction_key(self, slot):
+        return (-self.preference(slot), slot.last_access, slot.key)
 
 
 class TestBrokenDoublesAreCaught:
