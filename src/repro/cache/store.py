@@ -163,10 +163,6 @@ class DiskCacheStore:
     def __init__(self, path: str, tmp_sweep_age: float = 0.0):
         self.path = str(path)
         os.makedirs(self.path, exist_ok=True)
-        #: fingerprint -> loaded blob; repeated hits on the same entry
-        #: skip the unpickle.  Consumers must treat served payloads as
-        #: immutable cache property (the executor copies on serve).
-        self._loaded: Dict[str, Tuple[List[Any], List[int], Optional[str]]] = {}
         #: corrupt entry files detected (and unlinked) by :meth:`load`
         self.corrupt_entries = 0
         #: stale tmp files swept at open (crashed writers' leftovers)
@@ -221,9 +217,7 @@ class DiskCacheStore:
         try:
             with open(tmp, "wb") as fh:
                 pickle.dump(blob, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            published = self._publish(fingerprint, tmp)
-            self._loaded.pop(fingerprint, None)  # refreshed on next load
-            return published
+            return self._publish(fingerprint, tmp)
         except Exception:  # noqa: BLE001 - unpicklable payloads skip the tier
             try:
                 os.unlink(tmp)
@@ -252,14 +246,12 @@ class DiskCacheStore:
     def load(
         self, fingerprint: str
     ) -> Optional[Tuple[List[Any], List[int], Optional[str]]]:
-        memo = self._loaded.get(fingerprint)
-        if memo is not None:
-            return memo
+        """Unpickle one entry afresh: the payloads are the caller's own."""
         path = self._file(fingerprint)
         try:
             with open(path, "rb") as fh:
                 blob = pickle.load(fh)
-            loaded = self._decode_blob(blob)
+            return self._decode_blob(blob)
         except FileNotFoundError:
             return None
         except Exception:  # noqa: BLE001 - truncated/corrupt entry: quarantine
@@ -269,11 +261,8 @@ class DiskCacheStore:
             except OSError:
                 pass
             return None
-        self._loaded[fingerprint] = loaded
-        return loaded
 
     def clear(self) -> None:
-        self._loaded.clear()
         for name in os.listdir(self.path):
             if name.endswith((".pkl", ".tmp")):
                 try:
@@ -448,7 +437,6 @@ class SharedCacheStore(DiskCacheStore):
                 os.unlink(path)
             except OSError:
                 pass
-        self._loaded.pop(fingerprint, None)
         self._owners.pop(fingerprint, None)
         self.quota_evictions += 1
 

@@ -21,7 +21,6 @@ gates the stage), after straggler stretching and speculative mitigation.
 
 from __future__ import annotations
 
-import pickle
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
@@ -366,18 +365,12 @@ class StageExecutor:
                     tally.read(node_id, seconds)
                     payloads.append(payload)
             else:
-                for index, payload in enumerate(hit.payloads):
+                # a store hit is a fresh load: its payloads are this run's own
+                payloads = hit.payloads
+                for index, nbytes in enumerate(hit.partition_bytes):
                     tally.read(
                         cluster.node_for_partition(index).id,
-                        cluster.cost_model.disk_read_time(hit.partition_bytes[index]),
-                    )
-                    # copy on serve: the hit's payloads belong to the cache
-                    # blob — aliasing them into a live dataset would let any
-                    # downstream in-place mutation corrupt every later hit
-                    payloads.append(
-                        pickle.loads(
-                            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-                        )
+                        cluster.cost_model.disk_read_time(nbytes),
                     )
             self.config.cache.note_hit(
                 hit, cluster, stage.id, f"d:{stage.tail.name}", saved_seconds

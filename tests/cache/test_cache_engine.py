@@ -19,6 +19,7 @@ from repro import (
     run_mdf,
     validate_trace,
 )
+from repro.cache import DiskCacheStore
 from repro.engine import EngineConfig
 from repro.obs.bridge import diff_registries, registry_from_trace
 
@@ -81,6 +82,27 @@ class TestWarmReuse:
         cold, warm, _ = self.run_twice()
         warm_time = warm.completion_time - cold.completion_time
         assert warm_time <= 0.75 * cold.completion_time
+
+    def test_two_store_hits_hand_out_independent_payloads(self, tmp_path):
+        """A store hit is a fresh load owned by the run it was served to:
+        scribbling over what the first warm run got, in place, does not
+        change what the second one gets."""
+        cache = ResultCache(store=DiskCacheStore(str(tmp_path)), cost_based=False)
+        config = EngineConfig(pruning=False, cache=cache)
+        cold = run_mdf(build_filter_mdf(), fresh_cluster(), config=config)
+        scribbled = 0
+        for _ in range(2):
+            cache.clear()  # forget the cluster tier: the store serves
+            cluster = fresh_cluster()
+            warm = run_mdf(build_filter_mdf(), cluster, config=config)
+            assert repr(warm.outputs) == repr(cold.outputs)
+            for event in warm.events.filter("cache_hit"):
+                assert event.data["tier"] == "store"
+                if cluster.has_dataset(event.data["dataset"]):
+                    for payload in cluster.peek_payloads(event.data["dataset"]):
+                        payload.clear()
+                        scribbled += 1
+        assert scribbled
 
     def test_cross_branch_reuse_of_identical_branches(self):
         """Two branches with identical parameters fingerprint identically;

@@ -32,7 +32,6 @@ class TestCorruptEntries:
         blob = open(path, "rb").read()
         with open(path, "wb") as fh:
             fh.write(blob[: len(blob) // 2])  # torn write
-        store._loaded.clear()  # drop the memo; force the disk read
         assert store.load("fp-1") is None
         assert store.corrupt_entries == 1
         assert not os.path.exists(path)  # quarantined
@@ -67,7 +66,6 @@ class TestCorruptEntries:
         save_entry(store)
         with open(store._file("fp-1"), "wb") as fh:
             fh.write(b"xx")
-        store._loaded.clear()
         assert store.load("fp-1") is None
         payloads = save_entry(store)
         loaded = store.load("fp-1")
@@ -134,7 +132,6 @@ class TestCorruptionRegression:
                 blob = open(full, "rb").read()
                 with open(full, "wb") as fh:
                     fh.write(blob[: max(1, len(blob) // 3)])
-        store._loaded.clear()
         cache.clear()
         rerun, cluster = run()
         assert repr(rerun.outputs) == repr(cold.outputs)

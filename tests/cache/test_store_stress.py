@@ -36,7 +36,6 @@ def _hammer(args):
                 payload = [[seed, i] * 40]
                 store.save(fp, payload, [len(payload[0]) * 8], f"p{seed}")
             elif op < 6:  # load: a miss or a well-formed blob, never torn
-                store._loaded.clear()  # force the disk read path
                 loaded = store.load(fp)
                 if loaded is not None:
                     payloads, partition_bytes, producer = loaded
