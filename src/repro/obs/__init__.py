@@ -3,13 +3,12 @@
 The observability layer on top of the PR-1 decision trace:
 
 * :mod:`repro.obs.registry` — Counter/Gauge/Histogram instruments labeled
-  with ``{node, branch, stage, dataset, policy}`` plus the ambient label
-  context the master uses for per-branch attribution;
+  with ``{node, branch, stage, dataset, policy}``;
 * :mod:`repro.obs.timeline` — the simulated-clock sampler behind the
   Fig 17 memory-over-time series;
 * :mod:`repro.obs.export` — deterministic Prometheus-text and JSON exports;
-* :mod:`repro.obs.bridge` — rebuilds a registry from a JSONL decision
-  trace so both observability layers can be checked against each other;
+* :mod:`repro.obs.bridge` — the counters as a fold of the decision trace
+  (where per-stage, per-branch attribution is written), live and on replay;
 * :mod:`repro.obs.telemetry` — the bundle a ``TimelineSampler`` observer
   attaches to :class:`~repro.engine.job.JobResult`.
 """

@@ -7,9 +7,9 @@ eviction hotspot, *which stage* paid the spill.  This registry records the
 same quantities as labeled time series, Prometheus-style:
 
 * :class:`Counter` — monotone accumulation (bytes, tasks, evictions),
-* :class:`Gauge` — instantaneous values (queue depth, memory in use),
+* :class:`Gauge` — instantaneous values (memory in use, live branches),
 * :class:`Histogram` — fixed log-scale buckets with p50/p95/p99 estimates
-  (task latency, choose-evaluation latency).
+  (recovery charge per failure, the service's latency series).
 
 Every instrument child carries the registry's label dimensions — by
 default the five engine dimensions ``{node, branch, stage, dataset,
