@@ -202,10 +202,9 @@ class StageExecutor:
         io = max(per_node_io.values(), default=0.0)
         compute = max(per_node_compute.values(), default=0.0)
         overhead = tally.num_tasks * self.config.task_overhead
-        for node_id, seconds in per_node_io.items():
-            self.cluster.note_busy(node_id, seconds)
-        for node_id, seconds in per_node_compute.items():
-            self.cluster.note_busy(node_id, seconds)
+        for per_node in (per_node_io, per_node_compute):
+            for node_id, seconds in per_node.items():
+                self.cluster.note_busy(node_id, seconds)
         return StageTimes(
             io=io,
             compute=compute,

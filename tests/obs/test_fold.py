@@ -15,12 +15,6 @@ from pathlib import Path
 import pytest
 
 from repro import Cluster, MB, run_mdf
-from repro.cluster.fault import (
-    CheckpointConfig,
-    FailureEvent,
-    FailureInjector,
-    TaskFailureEvent,
-)
 from repro.cluster.stragglers import SpeculationConfig, StragglerProfile
 from repro.engine import EngineConfig
 from repro.obs import MetricsRegistry, registry_from_trace
@@ -29,6 +23,7 @@ from repro.service.obs import JOB_VIEW_FAMILIES
 from repro.trace import EVENT_SCHEMA, Trace
 
 from ..conftest import build_nested_mdf
+from ..golden.regenerate import record_failure_recovery
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -44,18 +39,26 @@ DIRECT = {
     "live_subscriber_errors",
 }
 
-#: name -> EngineConfig of the runs replay == live is checked on
+
+def run_nested(config=None):
+    cluster = Cluster(num_workers=4, mem_per_worker=64 * MB)
+    return run_mdf(build_nested_mdf(), cluster, memory="amm", config=config), cluster
+
+
+#: name -> (() -> (result, cluster), families only that kind of run moves):
+#: the runs replay == live is checked on
 REPLAY_RUNS = {
-    "memory_pressure": EngineConfig,
-    "failure_recovery": lambda: EngineConfig(
-        checkpointing=CheckpointConfig(2, overhead_fraction=0.1),
-        failures=FailureInjector(
-            [FailureEvent(4, "worker-0")], [TaskFailureEvent(2, "worker-1", 2)]
+    "memory_pressure": (run_nested, {"evictions"}),
+    # a task retry, then a node crash, every second stage checkpointed
+    "failure_recovery": (record_failure_recovery, {"stages_reexecuted", "task_retries"}),
+    "stragglers": (
+        lambda: run_nested(
+            EngineConfig(
+                stragglers=StragglerProfile({"worker-1": 3.0}),
+                speculation=SpeculationConfig(enabled=True),
+            )
         ),
-    ),
-    "stragglers": lambda: EngineConfig(
-        stragglers=StragglerProfile({"worker-1": 3.0}),
-        speculation=SpeculationConfig(enabled=True),
+        {"speculative_tasks"},
     ),
 }
 
@@ -120,28 +123,22 @@ class TestLiveWritePath:
         assert cluster.metrics.stages_executed == 0
         assert cluster.metrics.tasks_executed == 0
 
-    @pytest.mark.parametrize("run", sorted(REPLAY_RUNS))
-    def test_round_trip_replay_equals_live_at_full_granularity(self, run):
+    def test_round_trip_replay_equals_live_at_full_granularity(self):
         """Every counter family of the live registry but the direct ones,
         child by child — including the per-node seconds and task counts."""
-        cluster = Cluster(num_workers=4, mem_per_worker=64 * MB)
-        result = run_mdf(
-            build_nested_mdf(), cluster, memory="amm", config=REPLAY_RUNS[run]()
-        )
-        replayed = registry_from_trace(Trace.from_jsonl(result.events.to_jsonl()))
-        families = {
-            name for name in cluster.obs.names() if cluster.obs.kind_of(name) == "counter"
-        } - DIRECT
-        assert {"time_io", "time_compute", "tasks_executed"} <= families
-        expected = {
-            "failure_recovery": {"stages_reexecuted", "task_retries"},
-            "stragglers": {"speculative_tasks"},
-        }.get(run, {"evictions"})
-        assert expected <= families
-        for name in sorted(families):
-            live = {k: c.value for k, c in cluster.obs.series(name).items()}
-            again = {k: c.value for k, c in replayed.series(name).items()}
-            assert live == again, name
+        for run, (record, exercised) in REPLAY_RUNS.items():
+            result, cluster = record()
+            replayed = registry_from_trace(Trace.from_jsonl(result.events.to_jsonl()))
+            families = {
+                name
+                for name in cluster.obs.names()
+                if cluster.obs.kind_of(name) == "counter"
+            } - DIRECT
+            assert {"time_io", "time_compute", "tasks_executed"} | exercised <= families, run
+            for name in sorted(families):
+                live = {k: c.value for k, c in cluster.obs.series(name).items()}
+                again = {k: c.value for k, c in replayed.series(name).items()}
+                assert live == again, (run, name)
 
     def test_fold_refuses_a_registry_of_other_dimensions(self):
         with pytest.raises(ValueError, match="engine dimensions"):
