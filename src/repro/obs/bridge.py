@@ -105,14 +105,19 @@ def registry_categories(
 class TraceFold:
     """The counters as a streaming fold of the decision trace.
 
-    ``apply(event)`` is the one description of which event moves which
-    counter.  A cluster's :class:`~repro.trace.events.Trace` calls it on
-    every committed event (the live write path); :func:`registry_from_trace`
-    loops it over a recorded trace — the same arms either way.
+    ``apply(event)`` dispatches on the event kind to its arm, the method
+    ``_on_<kind>``: the one description of which counter cells that kind
+    moves.  A cluster's :class:`~repro.trace.events.Trace` calls it on
+    every committed event (the live write path);
+    :func:`registry_from_trace` loops it over a recorded trace — the same
+    arms either way.
 
     Attribution: every event belongs to the most recent ``stage_scheduled``
     / ``stage_reexecuted`` event — the master's stage loop in event form.
-    The fold writes exact label tuples.
+    An arm builds its exact label tuple ``(node, branch, stage, dataset,
+    policy)`` once and adds to the family's cell table in place
+    (:meth:`MetricsRegistry.cells`); an amount read from the event is
+    checked ``>= 0``, as ``Counter.inc`` checks it.
     """
 
     def __init__(self, registry: MetricsRegistry):
@@ -122,162 +127,177 @@ class TraceFold:
                 f"not {registry.label_names}"
             )
         self.registry = registry
-        self.stage: Optional[str] = None
-        self.branch: Optional[str] = None
+        self.stage = ""
+        self.branch = ""
         self.live: set = set()
         #: stage id -> outstanding stage_reexecuted announcements: the next
         #: stage_completed of that stage is recovery work (same pairing the
         #: profiler uses — inputs are secured before the announcement)
         self.reexec_pending: Dict[str, int] = {}
 
-    def _inc(
-        self,
-        name: str,
-        amount: float = 1.0,
-        node: str = "",
-        dataset: str = "",
-        policy: Optional[str] = None,
-        stage: Optional[str] = None,
-        branch: Optional[str] = None,
-    ) -> None:
-        """Add to one counter child; stage/branch default to the fold's."""
-        labels = (
-            node,
-            branch or self.branch or "",
-            stage or self.stage or "",
-            dataset,
-            policy or "",
-        )
-        self.registry.counter_child(name, labels).inc(amount)
+    def apply(self, event) -> None:
+        arm = _ARMS.get(event.kind)
+        if arm is not None:
+            arm(self, event.data)
 
-    def _span(
-        self, data: Dict, activity: Optional[str] = None, recovery: bool = False
-    ) -> None:
+    def _add(self, name: str, node: str, dataset: str, policy: str, amount: float = 1.0) -> None:
+        """Add to the cell of ``name`` at the fold's stage and branch."""
+        if amount < 0:
+            raise ValueError(f"counter increments must be >= 0, got {amount}")
+        cells = self.registry.cells(name)
+        labels = (node, self.branch, self.stage, dataset, policy)
+        cells[labels] = cells.get(labels, 0.0) + amount
+
+    # ------------------------------------------------------------ data plane
+    def _on_dataset_access(self, data: Dict) -> None:
+        nbytes = data["nbytes"]
+        if nbytes < 0:
+            raise ValueError(f"counter increments must be >= 0, got {nbytes}")
+        cells = self.registry.cells
+        if data["hit"]:
+            count, read = cells("partition_hits"), cells("bytes_read_memory")
+        else:
+            count, read = cells("partition_misses"), cells("bytes_read_disk")
+        labels = (data["node"], self.branch, self.stage, data["dataset"], "")
+        count[labels] = count.get(labels, 0.0) + 1.0
+        read[labels] = read.get(labels, 0.0) + nbytes
+
+    def _on_partition_stored(self, data: Dict) -> None:
+        name = f"bytes_written_{data['tier']}"
+        self._add(name, data["node"], data["dataset"], "", data["nbytes"])
+
+    def _on_source_read(self, data: Dict) -> None:
+        self._add("bytes_read_disk", data["node"], data["dataset"], "", data["nbytes"])
+
+    def _on_partition_evicted(self, data: Dict) -> None:
+        node, dataset, policy = data["node"], data["dataset"], data["policy"]
+        self._add("evictions", node, dataset, policy)
+        if data["spilled"]:
+            self._add("bytes_written_disk", node, dataset, "", data["nbytes"])
+        else:
+            self._add("evictions_free", node, dataset, policy)
+
+    def _on_checkpoint_written(self, data: Dict) -> None:
+        self._add("bytes_written_disk", "", data["dataset"], "", data["nbytes"])
+
+    def _on_dataset_registered(self, data: Dict) -> None:
+        self.live.add(data["dataset"])
+        self.live.difference_update(data.get("members", ()))  # of a composite
+        self.registry.gauge("peak_datasets_stored").set_max(len(self.live))
+
+    _on_composite_registered = _on_dataset_registered
+
+    def _on_dataset_discarded(self, data: Dict) -> None:
+        self.live.discard(data["dataset"])
+        self._add("datasets_discarded", "", data["dataset"], "")
+
+    # ----------------------------------------------------------- stage loop
+    def _on_stage_scheduled(self, data: Dict) -> None:
+        self.stage = data["stage"]
+        self.branch = data["branch"] or ""
+        self._add("scheduler_selections", "", "", data["rationale"] or "")
+
+    def _on_task_dispatched(self, data: Dict) -> None:
+        cells = self.registry.cells("stages_executed")
+        labels = ("", self.branch, data["stage"], "", "")
+        cells[labels] = cells.get(labels, 0.0) + 1.0
+
+    def _on_stage_completed(self, data: Dict) -> None:
+        recovery = self.reexec_pending.get(data["stage"], 0) > 0
+        if recovery:
+            self.reexec_pending[data["stage"]] -= 1
+        self._on_span(data, recovery)
+
+    def _on_span(self, data: Dict, recovery: bool = False) -> None:
         """One clock advance: its category split into the profile counters,
         and the per-node seconds and tasks that paid for it."""
+        add = self._add
         for category, seconds in registry_categories(
             data["io"],
             data["compute"],
             data["network"],
             data["overhead"],
-            activity=activity,
+            activity=data.get("activity"),
             recovery=recovery,
         ).items():
-            self._inc(f"profile_{category}_seconds", seconds)
-        if "per_node_tasks" not in data:
-            return  # recorded before the trace carried the task counts
-        for node, seconds in data["per_node_io"].items():
-            self._inc("time_io", seconds, node=node)
-        for node, seconds in data["per_node_compute"].items():
-            self._inc("time_compute", seconds, node=node)
+            add(f"profile_{category}_seconds", "", "", "", seconds)
+        self._per_node("time_io", data["per_node_io"])
+        self._per_node("time_compute", data["per_node_compute"])
         if data["network"]:
-            self._inc("time_network", data["network"])
+            add("time_network", "", "", "", data["network"])
         for node, count in data["per_node_tasks"].items():
             if count:
-                self._inc("tasks_executed", count, node=node)
+                add("tasks_executed", node, "", "", count)
         if data["speculative_tasks"]:
-            self._inc("speculative_tasks", data["speculative_tasks"])
+            add("speculative_tasks", "", "", "", data["speculative_tasks"])
 
-    def apply(self, event) -> None:
-        data = event.data
-        kind = event.kind
-        if kind == "dataset_access":
-            node, dataset, nbytes = data["node"], data["dataset"], data["nbytes"]
-            if data["hit"]:
-                self._inc("partition_hits", node=node, dataset=dataset)
-                self._inc("bytes_read_memory", nbytes, node=node, dataset=dataset)
-            else:
-                self._inc("partition_misses", node=node, dataset=dataset)
-                self._inc("bytes_read_disk", nbytes, node=node, dataset=dataset)
-        elif kind == "partition_stored":
-            self._inc(
-                f"bytes_written_{data['tier']}",
-                data["nbytes"],
-                node=data["node"],
-                dataset=data["dataset"],
-            )
-        elif kind == "stage_scheduled":
-            self.stage = data["stage"]
-            self.branch = data.get("branch")
-            self._inc("scheduler_selections", policy=data.get("rationale"))
-        elif kind == "task_dispatched":
-            self._inc("stages_executed", stage=data["stage"])
-        elif kind == "stage_completed":
-            if "io" in data and "per_node_io" in data:
-                recovery = self.reexec_pending.get(data["stage"], 0) > 0
-                if recovery:
-                    self.reexec_pending[data["stage"]] -= 1
-                self._span(data, recovery=recovery)
-        elif kind == "span":
-            self._span(data, activity=data["activity"])
-        elif kind == "source_read":
-            self._inc(
-                "bytes_read_disk", data["nbytes"], node=data["node"], dataset=data["dataset"]
-            )
-        elif kind == "partition_evicted":
-            node, dataset, policy = data["node"], data["dataset"], data["policy"]
-            self._inc("evictions", node=node, dataset=dataset, policy=policy)
-            if data["spilled"]:
-                self._inc("bytes_written_disk", data["nbytes"], node=node, dataset=dataset)
-            else:
-                self._inc("evictions_free", node=node, dataset=dataset, policy=policy)
-        elif kind == "checkpoint_written":
-            self._inc("bytes_written_disk", data["nbytes"], dataset=data["dataset"])
-        elif kind == "dataset_registered" or kind == "composite_registered":
-            self.live.add(data["dataset"])
-            if kind == "composite_registered":
-                self.live.difference_update(data["members"])
-            self.registry.gauge("peak_datasets_stored").set_max(len(self.live))
-        elif kind == "dataset_discarded":
-            self.live.discard(data["dataset"])
-            self._inc("datasets_discarded", dataset=data["dataset"])
-        elif kind == "choose_evaluation":
-            self._inc("choose_evaluations", dataset=data["dataset"])
-        elif kind == "branch_evaluated":
-            self._inc("branches_executed", branch=data["branch"])
-        elif kind == "branch_pruned":
-            self._inc("branches_pruned", branch=data["branch"])
-        elif kind in ("node_failed", "recovery_started"):
-            # recovery work before the first re-executed stage (reloads,
-            # free drops) belongs to no stage
-            self.stage = None
-            self.branch = None
-        elif kind == "stage_reexecuted":
-            stage = self.stage = data["stage"]
-            self.branch = data["branch"]
-            self.reexec_pending[stage] = self.reexec_pending.get(stage, 0) + 1
-            self._inc("stages_reexecuted")
-        elif kind == "recovery":
-            action = data["action"]
-            if action in ("reload", "recompute"):
-                self._inc("recoveries", node=data["node"])
-            if action == "recompute":
-                self._inc("recovery_reexecutions", node=data["node"])
-            elif action == "reload":
-                self._inc(
-                    "bytes_read_disk",
-                    data["nbytes"],
-                    node=data["node"],
-                    dataset=data["dataset"],
-                )
-        elif kind == "task_retried":
-            self._inc("task_retries", data["attempts"], node=data["node"])
-        elif kind == "cache_hit":
-            dataset, tier = data["dataset"], data["tier"]
-            self._inc("cache_hits", dataset=dataset, policy=tier)
-            self._inc("cache_bytes_saved", data["nbytes"], dataset=dataset, policy=tier)
-            self._inc(
-                "cache_compute_seconds_saved",
-                data["saved_seconds"],
-                dataset=dataset,
-                policy=tier,
-            )
-        elif kind == "cache_miss":
-            self._inc("cache_misses")
-        elif kind == "cache_admit":
-            self._inc("cache_admissions", dataset=data["dataset"], policy=data["tier"])
-        elif kind == "cache_invalidate":
-            self._inc("cache_invalidations", dataset=data["dataset"])
+    def _per_node(self, name: str, seconds: Dict[str, float]) -> None:
+        """``seconds[node]`` onto each node's cell of ``name``."""
+        if not seconds:
+            return
+        cells, branch, stage = self.registry.cells(name), self.branch, self.stage
+        for node, amount in seconds.items():
+            if amount < 0:
+                raise ValueError(f"counter increments must be >= 0, got {amount}")
+            labels = (node, branch, stage, "", "")
+            cells[labels] = cells.get(labels, 0.0) + amount
+
+    def _on_choose_evaluation(self, data: Dict) -> None:
+        self._add("choose_evaluations", "", data["dataset"], "")
+
+    def _on_branch_evaluated(self, data: Dict, name: str = "branches_executed") -> None:
+        cells = self.registry.cells(name)
+        labels = ("", data["branch"] or self.branch, self.stage, "", "")
+        cells[labels] = cells.get(labels, 0.0) + 1.0
+
+    def _on_branch_pruned(self, data: Dict) -> None:
+        self._on_branch_evaluated(data, "branches_pruned")
+
+    # ------------------------------------------------------------- recovery
+    def _on_node_failed(self, data: Dict) -> None:
+        # recovery work before the first re-executed stage (reloads, free
+        # drops) belongs to no stage
+        self.stage = self.branch = ""
+
+    _on_recovery_started = _on_node_failed
+
+    def _on_stage_reexecuted(self, data: Dict) -> None:
+        stage = self.stage = data["stage"]
+        self.branch = data["branch"] or ""
+        self.reexec_pending[stage] = self.reexec_pending.get(stage, 0) + 1
+        self._add("stages_reexecuted", "", "", "")
+
+    def _on_recovery(self, data: Dict) -> None:
+        action = data["action"]
+        if action in ("reload", "recompute"):
+            self._add("recoveries", data["node"], "", "")
+        if action == "recompute":
+            self._add("recovery_reexecutions", data["node"], "", "")
+        elif action == "reload":
+            self._on_source_read(data)
+
+    def _on_task_retried(self, data: Dict) -> None:
+        self._add("task_retries", data["node"], "", "", data["attempts"])
+
+    # ---------------------------------------------------------------- cache
+    def _on_cache_hit(self, data: Dict) -> None:
+        dataset, tier = data["dataset"], data["tier"]
+        self._add("cache_hits", "", dataset, tier)
+        self._add("cache_bytes_saved", "", dataset, tier, data["nbytes"])
+        self._add("cache_compute_seconds_saved", "", dataset, tier, data["saved_seconds"])
+
+    def _on_cache_miss(self, data: Dict) -> None:
+        self._add("cache_misses", "", "", "")
+
+    def _on_cache_admit(self, data: Dict) -> None:
+        self._add("cache_admissions", "", data["dataset"], data["tier"])
+
+    def _on_cache_invalidate(self, data: Dict) -> None:
+        self._add("cache_invalidations", "", data["dataset"], "")
+
+
+#: event kind -> its arm, the :class:`TraceFold` method ``_on_<kind>``
+_ARMS = {name[4:]: arm for name, arm in vars(TraceFold).items() if name.startswith("_on_")}
 
 
 def registry_from_trace(trace) -> MetricsRegistry:

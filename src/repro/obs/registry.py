@@ -6,7 +6,9 @@ questions: *which branch* burned the memory budget, *which node* was the
 eviction hotspot, *which stage* paid the spill.  This registry records the
 same quantities as labeled time series, Prometheus-style:
 
-* :class:`Counter` — monotone accumulation (bytes, tasks, evictions),
+* :class:`Counter` — monotone accumulation (bytes, tasks, evictions): a
+  counter family is one ``{label tuple: float}`` table and a ``Counter`` is
+  a handle on one of its cells,
 * :class:`Gauge` — instantaneous values (memory in use, live branches),
 * :class:`Histogram` — fixed log-scale buckets with p50/p95/p99 estimates
   (recovery charge per failure, the service's latency series).
@@ -50,22 +52,26 @@ def labels_dict(
 
 
 class Counter:
-    """A monotonically increasing accumulator for one label set."""
+    """A monotonically increasing accumulator for one label set: a handle
+    on one cell of its family's ``{label tuple: float}`` table
+    (:meth:`MetricsRegistry.cells`), so two handles on the same labels see
+    each other's writes.  A bare ``Counter()`` owns a one-cell table."""
 
-    __slots__ = ("value",)
+    __slots__ = ("_cells", "_labels")
     kind = "counter"
 
-    def __init__(self):
-        self.value = 0.0
+    def __init__(self, cells: Optional[Dict[LabelValues, float]] = None, labels: LabelValues = ()):
+        self._cells = {labels: 0.0} if cells is None else cells
+        self._labels = labels
+
+    @property
+    def value(self) -> float:
+        return self._cells[self._labels]
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError(f"counter increments must be >= 0, got {amount}")
-        self.value += amount
-
-    def merge(self, other: "Counter") -> None:
-        """Fold another process's counter in (monotone sums add)."""
-        self.value += other.value
+        self._cells[self._labels] += amount
 
 
 class Gauge:
@@ -226,17 +232,20 @@ class ExactHistogram(Histogram):
 
 
 class Family:
-    """All children (label sets) of one named instrument."""
+    """All children (label sets) of one named instrument: :class:`Gauge` /
+    :class:`Histogram` objects or, in a counter family, the cells' floats."""
 
-    __slots__ = ("name", "kind", "children", "_factory")
+    __slots__ = ("kind", "children", "_factory")
 
-    def __init__(self, name: str, kind: str, factory: Callable[[], Any]):
-        self.name = name
+    def __init__(self, kind: str, factory: Optional[Callable[[], Any]]):
         self.kind = kind
         self.children: Dict[LabelValues, Any] = {}
-        self._factory = factory
+        self._factory = factory  # None for counters: a cell is born 0.0
 
     def child(self, labels: LabelValues):
+        if self.kind == "counter":
+            self.children.setdefault(labels, 0.0)
+            return Counter(self.children, labels)
         instrument = self.children.get(labels)
         if instrument is None:
             instrument = self._factory()
@@ -270,10 +279,10 @@ class MetricsRegistry:
                 )
         return tuple(str(labels.get(name) or "") for name in self.label_names)
 
-    def _family(self, name: str, kind: str, factory: Callable[[], Any]) -> Family:
+    def _family(self, name: str, kind: str, factory: Optional[Callable[[], Any]] = None) -> Family:
         family = self._families.get(name)
         if family is None:
-            family = Family(name, kind, factory)
+            family = Family(kind, factory)
             self._families[name] = family
         elif family.kind != kind:
             raise ValueError(
@@ -284,15 +293,18 @@ class MetricsRegistry:
 
     # -------------------------------------------------------------- instruments
     def counter(self, name: str, **labels: Optional[str]) -> Counter:
-        """The counter child for exactly the given labels."""
-        family = self._family(name, "counter", Counter)
-        return family.child(self._resolve(labels))
+        """A handle on the counter cell for exactly the given labels (the
+        cell exists, at 0.0, from this call on)."""
+        return self._family(name, "counter").child(self._resolve(labels))
 
-    def counter_child(self, name: str, labels: LabelValues) -> Counter:
-        """The counter child at ``labels``, a full tuple in ``label_names``
-        order: :meth:`counter` without the keyword resolution (the trace
-        fold's write path)."""
-        return self._family(name, "counter", Counter).child(labels)
+    def cells(self, name: str) -> Dict[LabelValues, float]:
+        """Counter family ``name`` as its live ``{label tuple: float}``
+        table, keyed by full tuples in ``label_names`` order.  The trace
+        fold adds to it in place; a writer keeps amounts >= 0 itself."""
+        family = self._families.get(name)
+        if family is None or family.kind != "counter":
+            family = self._family(name, "counter")
+        return family.children
 
     def gauge(self, name: str, **labels: Optional[str]) -> Gauge:
         """The gauge child for exactly the given labels."""
@@ -327,9 +339,23 @@ class MetricsRegistry:
         return family.kind if family is not None else None
 
     def series(self, name: str) -> Dict[LabelValues, Any]:
-        """All children of one instrument, keyed by their label tuples."""
+        """All children of one instrument, keyed by their label tuples
+        (counter cells as :class:`Counter` handles)."""
         family = self._families.get(name)
-        return dict(family.children) if family is not None else {}
+        if family is None:
+            return {}
+        return {labels: family.child(labels) for labels in family.children}
+
+    def _amounts(self, name: str) -> Iterable[Tuple[LabelValues, float]]:
+        """``(labels, amount)`` per child: counter cells, gauge values,
+        histogram sums."""
+        family = self._families.get(name)
+        children = family.children.items() if family is not None else ()
+        if family is None or family.kind == "counter":
+            return children
+        if family.kind == "histogram":
+            return ((labels, h.sum) for labels, h in children)
+        return ((labels, g.value) for labels, g in children)
 
     def _matches(self, labels: LabelValues, where: Dict[str, str]) -> bool:
         return all(
@@ -340,17 +366,16 @@ class MetricsRegistry:
     def value(self, name: str, **where: str) -> float:
         """Sum of matching children (counter values / histogram sums)."""
         total = 0.0
-        for labels, instrument in self.series(name).items():
-            if not self._matches(labels, where):
-                continue
-            total += instrument.sum if instrument.kind == "histogram" else instrument.value
+        for labels, amount in self._amounts(name):
+            if self._matches(labels, where):
+                total += amount
         return total
 
     def max_value(self, name: str, **where: str) -> float:
         """Maximum over matching children (peak gauges); 0.0 when empty."""
         values = [
-            instrument.value
-            for labels, instrument in self.series(name).items()
+            amount
+            for labels, amount in self._amounts(name)
             if self._matches(labels, where)
         ]
         return max(values, default=0.0)
@@ -364,9 +389,8 @@ class MetricsRegistry:
         """
         indices = [self.label_names.index(dim) for dim in by]
         out: Dict[Tuple[str, ...], float] = {}
-        for labels, instrument in self.series(name).items():
+        for labels, amount in self._amounts(name):
             key = tuple(labels[i] for i in indices)
-            amount = instrument.sum if instrument.kind == "histogram" else instrument.value
             out[key] = out.get(key, 0.0) + amount
         return out
 
@@ -399,7 +423,7 @@ class MetricsRegistry:
                     if isinstance(instrument, ExactHistogram):
                         entry["values"] = list(instrument.values)
                 else:
-                    entry["value"] = instrument.value
+                    entry["value"] = instrument if family.kind == "counter" else instrument.value
                 series.append(entry)
             families[name] = {"kind": family.kind, "series": series}
         return {"label_names": list(self.label_names), "families": families}
@@ -426,10 +450,9 @@ class MetricsRegistry:
                     instrument = Gauge()
                     instrument.value = float(entry["value"])
                 else:
-                    instrument = Counter()
-                    instrument.value = float(entry["value"])
+                    instrument = float(entry["value"])
                 family = registry._family(
-                    name, kind, {"counter": Counter, "gauge": Gauge}.get(kind, Histogram)
+                    name, kind, {"counter": None, "gauge": Gauge}.get(kind, Histogram)
                 )
                 family.children[labels] = instrument
         return registry
@@ -469,6 +492,9 @@ class MetricsRegistry:
             for child_labels in sorted(source.children):
                 instrument = source.children[child_labels]
                 key = target_labels if target_labels is not None else child_labels
+                if source.kind == "counter":
+                    family.children[key] = family.children.get(key, 0.0) + instrument
+                    continue
                 mine = family.children.get(key)
                 if mine is None:
                     if source.kind == "histogram":

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional
 
 logger = logging.getLogger("repro.trace")
 
@@ -155,14 +154,13 @@ EVENT_SCHEMA: Dict[str, frozenset] = {
 }
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One recorded decision: sequence number, simulated time, kind, payload."""
 
     seq: int
     t: float
     kind: str
-    data: Dict[str, Any] = field(default_factory=dict)
+    data: Dict[str, Any]
 
     def as_dict(self) -> Dict[str, Any]:
         return {"seq": self.seq, "t": self.t, "kind": self.kind, "data": self.data}
@@ -290,12 +288,10 @@ class Trace:
             schema = EVENT_SCHEMA.get(kind)
             if schema is None:
                 raise ValueError(f"unknown trace event kind {kind!r}")
-            missing = schema - data.keys()
-            extra = data.keys() - schema
-            if missing or extra:
+            if data.keys() != schema:
                 raise ValueError(
-                    f"malformed {kind!r} event: missing={sorted(missing)} "
-                    f"unexpected={sorted(extra)}"
+                    f"malformed {kind!r} event: missing={sorted(schema - data.keys())} "
+                    f"unexpected={sorted(data.keys() - schema)}"
                 )
         t = float(self._clock.now) if self._clock is not None else 0.0
         event = TraceEvent(len(self.events), t, kind, data)
@@ -395,24 +391,12 @@ class Trace:
         out: List[Dict[str, Any]] = []
         for event in self.events:
             data = event.data
-            if event.kind == "stage_completed":
+            if event.kind in ("stage_completed", "span"):
+                staged = event.kind == "stage_completed"
                 out.append(
                     {
-                        "name": data["stage"],
-                        "cat": "stage",
-                        "ph": "X",
-                        "ts": data["started"] * 1e6,
-                        "dur": max(data["finished"] - data["started"], 0.0) * 1e6,
-                        "pid": 0,
-                        "tid": tid_of(data.get("branch")),
-                        "args": data,
-                    }
-                )
-            elif event.kind == "span":
-                out.append(
-                    {
-                        "name": data["activity"],
-                        "cat": "span",
+                        "name": data["stage"] if staged else data["activity"],
+                        "cat": "stage" if staged else "span",
                         "ph": "X",
                         "ts": data["started"] * 1e6,
                         "dur": max(data["finished"] - data["started"], 0.0) * 1e6,

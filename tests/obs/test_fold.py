@@ -13,12 +13,14 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Cluster, MB, run_mdf
 from repro.cluster.stragglers import SpeculationConfig, StragglerProfile
 from repro.engine import EngineConfig
-from repro.obs import MetricsRegistry, registry_from_trace
-from repro.obs.bridge import TraceFold
+from repro.obs import MetricsRegistry, bridge, registry_from_trace
+from repro.obs.bridge import TraceFold, registry_categories
 from repro.service.obs import JOB_VIEW_FAMILIES
 from repro.trace import EVENT_SCHEMA, Trace
 
@@ -185,3 +187,192 @@ def test_master_and_executor_emit_each_event_kind_at_one_site():
     assert {"choose_evaluation", "branch_evaluated", "branch_discarded"} <= set(sites)
     assert {kind: n for kind, n in sites.items() if n != 1} == {}
 
+
+
+class TestFoldWritesCells:
+    def test_negative_amount_from_an_event_is_refused(self):
+        """The check ``Counter.inc`` makes, on every amount read from an
+        event — through the inlined arms and the shared one alike."""
+        span = dict(
+            activity="checkpoint", branch=None, started=0.0, finished=1.0,
+            io=1.0, compute=0.0, network=0.0, overhead=0.0,
+            per_node_io={"worker-0": -1.0}, per_node_compute={},
+            per_node_tasks={}, speculative_tasks=0,
+        )
+        for kind, data in (
+            ("dataset_access", dict(dataset="d", index=0, node="worker-0", hit=True,
+                                    nbytes=-1, seconds=0.0, reload=False)),
+            ("partition_stored", dict(dataset="d", index=0, node="worker-0", nbytes=-1,
+                                      tier="memory")),
+            ("task_retried", dict(node="worker-0", attempts=-1, seconds=0.0)),
+            ("span", span),
+            ("span", {**span, "per_node_io": {}, "io": -1.0, "finished": -1.0}),
+        ):
+            cluster = Cluster(num_workers=2)
+            with pytest.raises(ValueError, match="counter increments must be >= 0"):
+                cluster.trace.emit(kind, **data)
+
+    def test_apply_is_a_dispatch_table_over_schema_kinds(self):
+        assert set(bridge._ARMS) <= set(EVENT_SCHEMA)
+        assert {"dataset_access", "span", "composite_registered", "cache_hit"} <= set(bridge._ARMS)
+        source = (SRC / "obs" / "bridge.py").read_text()
+        assert "elif kind ==" not in source and "def _inc" not in source
+
+
+# ---- the fold against the call-by-call reference (hypothesis) -----------
+NODES = st.sampled_from(["worker-0", "worker-1", "worker-2"])
+SECONDS = st.floats(min_value=0.0, max_value=1e4, allow_nan=False)
+PER_NODE_SECONDS = st.dictionaries(NODES, SECONDS, max_size=3)
+FIELDS = {
+    "node": NODES,
+    "dataset": st.sampled_from(["d:a", "d:b", "d:c"]),
+    "stage": st.sampled_from(["s0", "s1", "s2"]),
+    "branch": st.sampled_from([None, "b0", "b1"]),
+    "rationale": st.sampled_from([None, "hint", "successor"]),
+    "policy": st.sampled_from(["amm", "lru"]),
+    "tier": st.sampled_from(["memory", "disk"]),
+    "activity": st.sampled_from(
+        ["choose_evaluation", "store_commit", "checkpoint", "recovery_reload"]
+    ),
+    "action": st.sampled_from(["reload", "recompute", "dropped"]),
+    "members": st.lists(st.sampled_from(["d:a", "d:b", "d:c"]), max_size=2),
+    "nbytes": st.integers(min_value=0, max_value=1 << 40),
+    "attempts": st.integers(min_value=0, max_value=3),
+    "speculative_tasks": st.integers(min_value=0, max_value=2),
+    "per_node_tasks": st.dictionaries(NODES, st.integers(min_value=0, max_value=3)),
+    "per_node_io": PER_NODE_SECONDS,
+    "per_node_compute": PER_NODE_SECONDS,
+    **{name: SECONDS for name in ("io", "compute", "network", "overhead",
+                                  "seconds", "saved_seconds")},
+    **{name: st.booleans() for name in ("hit", "spilled", "reload", "pipelined")},
+}
+
+
+@st.composite
+def events(draw):
+    kind = draw(st.sampled_from(sorted(EVENT_SCHEMA)))
+    return kind, {
+        field: draw(FIELDS.get(field, st.none())) for field in sorted(EVENT_SCHEMA[kind])
+    }
+
+
+class ReferenceFold:
+    """The event -> counter rules written the slow way: one
+    ``registry.counter(name, **labels).inc(amount)`` per increment, labels
+    by keyword, stage and branch defaulting to the last scheduled stage."""
+
+    def __init__(self):
+        self.registry = MetricsRegistry()
+        self.stage = self.branch = None
+        self.live = set()
+        self.reexec_pending = {}
+
+    def inc(self, name, amount=1.0, stage=None, branch=None, **labels):
+        self.registry.counter(
+            name, stage=stage or self.stage, branch=branch or self.branch, **labels
+        ).inc(amount)
+
+    def span(self, data, activity=None, recovery=False):
+        categories = registry_categories(
+            data["io"], data["compute"], data["network"], data["overhead"],
+            activity=activity, recovery=recovery,
+        )
+        for category, seconds in categories.items():
+            self.inc(f"profile_{category}_seconds", seconds)
+        for node, seconds in data["per_node_io"].items():
+            self.inc("time_io", seconds, node=node)
+        for node, seconds in data["per_node_compute"].items():
+            self.inc("time_compute", seconds, node=node)
+        if data["network"]:
+            self.inc("time_network", data["network"])
+        for node, count in data["per_node_tasks"].items():
+            if count:
+                self.inc("tasks_executed", count, node=node)
+        if data["speculative_tasks"]:
+            self.inc("speculative_tasks", data["speculative_tasks"])
+
+    def apply(self, kind, data):
+        at = {"node": data.get("node"), "dataset": data.get("dataset")}
+        if kind == "dataset_access":
+            self.inc("partition_hits" if data["hit"] else "partition_misses", **at)
+            self.inc("bytes_read_memory" if data["hit"] else "bytes_read_disk",
+                     data["nbytes"], **at)
+        elif kind == "partition_stored":
+            self.inc(f"bytes_written_{data['tier']}", data["nbytes"], **at)
+        elif kind == "stage_scheduled":
+            self.stage, self.branch = data["stage"], data["branch"]
+            self.inc("scheduler_selections", policy=data["rationale"])
+        elif kind == "task_dispatched":
+            self.inc("stages_executed", stage=data["stage"])
+        elif kind == "stage_completed":
+            recovery = self.reexec_pending.get(data["stage"], 0) > 0
+            if recovery:
+                self.reexec_pending[data["stage"]] -= 1
+            self.span(data, recovery=recovery)
+        elif kind == "span":
+            self.span(data, activity=data["activity"])
+        elif kind == "source_read":
+            self.inc("bytes_read_disk", data["nbytes"], **at)
+        elif kind == "partition_evicted":
+            self.inc("evictions", policy=data["policy"], **at)
+            if data["spilled"]:
+                self.inc("bytes_written_disk", data["nbytes"], **at)
+            else:
+                self.inc("evictions_free", policy=data["policy"], **at)
+        elif kind == "checkpoint_written":
+            self.inc("bytes_written_disk", data["nbytes"], dataset=data["dataset"])
+        elif kind in ("dataset_registered", "composite_registered"):
+            self.live.add(data["dataset"])
+            self.live.difference_update(data.get("members", ()))
+            self.registry.gauge("peak_datasets_stored").set_max(len(self.live))
+        elif kind == "dataset_discarded":
+            self.live.discard(data["dataset"])
+            self.inc("datasets_discarded", dataset=data["dataset"])
+        elif kind == "choose_evaluation":
+            self.inc("choose_evaluations", dataset=data["dataset"])
+        elif kind == "branch_evaluated":
+            self.inc("branches_executed", branch=data["branch"])
+        elif kind == "branch_pruned":
+            self.inc("branches_pruned", branch=data["branch"])
+        elif kind in ("node_failed", "recovery_started"):
+            self.stage = self.branch = None
+        elif kind == "stage_reexecuted":
+            self.stage, self.branch = data["stage"], data["branch"]
+            self.reexec_pending[self.stage] = self.reexec_pending.get(self.stage, 0) + 1
+            self.inc("stages_reexecuted")
+        elif kind == "recovery":
+            if data["action"] in ("reload", "recompute"):
+                self.inc("recoveries", node=data["node"])
+            if data["action"] == "recompute":
+                self.inc("recovery_reexecutions", node=data["node"])
+            elif data["action"] == "reload":
+                self.inc("bytes_read_disk", data["nbytes"], **at)
+        elif kind == "task_retried":
+            self.inc("task_retries", data["attempts"], node=data["node"])
+        elif kind == "cache_hit":
+            at = {"dataset": data["dataset"], "policy": data["tier"]}
+            self.inc("cache_hits", **at)
+            self.inc("cache_bytes_saved", data["nbytes"], **at)
+            self.inc("cache_compute_seconds_saved", data["saved_seconds"], **at)
+        elif kind == "cache_miss":
+            self.inc("cache_misses")
+        elif kind == "cache_admit":
+            self.inc("cache_admissions", dataset=data["dataset"], policy=data["tier"])
+        elif kind == "cache_invalidate":
+            self.inc("cache_invalidations", dataset=data["dataset"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(events(), max_size=40))
+def test_fold_equals_counter_inc_call_by_call(sequence):
+    """Any schema-valid event sequence folds into exactly the cells that
+    incrementing through ``registry.counter(...).inc()`` gives — equal
+    floats, not close ones: the same additions in the same order."""
+    trace = Trace()
+    fold = TraceFold(MetricsRegistry())
+    trace.fold = fold.apply
+    reference = ReferenceFold()
+    for kind, data in sequence:
+        trace.emit(kind, **data)
+        reference.apply(kind, data)
+    assert fold.registry.snapshot() == reference.registry.snapshot()

@@ -1,11 +1,15 @@
 """Unit tests for the labeled metrics registry (instruments + aggregation)."""
 
+import json
 import math
 
 import pytest
 
-from repro.obs import DEFAULT_BUCKETS, LABEL_NAMES, MetricsRegistry
+from repro.obs import DEFAULT_BUCKETS, LABEL_NAMES, MetricsRegistry, prometheus_text
 from repro.obs.registry import Counter, Gauge, Histogram
+from repro.service.obs import JOB_VIEW_FAMILIES, SERVICE_LABEL_NAMES
+
+from ..golden.regenerate import record_failure_recovery, record_shared_store_cache
 
 
 class TestInstruments:
@@ -96,3 +100,104 @@ class TestRegistry:
 
     def test_label_names_fixed(self):
         assert LABEL_NAMES == ("node", "branch", "stage", "dataset", "policy")
+
+
+class TestCounterCells:
+    """A counter family is one ``{label tuple: float}`` table; a ``Counter``
+    is a handle on one cell of it."""
+
+    def test_two_handles_on_one_cell_see_each_others_writes(self):
+        reg = MetricsRegistry()
+        first = reg.counter("tasks", node="w0")
+        second = reg.counter("tasks", node="w0")
+        first.inc(2)
+        second.inc()
+        assert first.value == second.value == 3.0
+        (through_series,) = reg.series("tasks").values()
+        through_series.inc(0.5)
+        assert first.value == reg.value("tasks") == 3.5
+        assert reg.cells("tasks") == {("w0", "", "", "", ""): 3.5}
+
+    def test_the_cell_table_is_live(self):
+        reg = MetricsRegistry()
+        cells = reg.cells("bytes")
+        assert reg.names() == ["bytes"] and reg.series("bytes") == {}
+        cells[("w0", "", "", "", "")] = 4.0
+        assert reg.counter("bytes", node="w0").value == 4.0
+        assert reg.cells("bytes") is cells
+        reg.gauge("mem")
+        with pytest.raises(ValueError, match="already registered as a gauge"):
+            reg.cells("mem")
+
+    def test_counter_without_increment_is_in_the_snapshot_at_zero(self):
+        reg = MetricsRegistry()
+        reg.counter("errors", policy="t0")
+        assert reg.snapshot()["families"]["errors"] == {
+            "kind": "counter",
+            "series": [{"labels": ["", "", "", "", "t0"], "value": 0.0}],
+        }
+        assert MetricsRegistry.from_snapshot(reg.snapshot()).value("errors") == 0.0
+
+    def test_handle_rejects_negative_and_leaves_the_cell(self):
+        reg = MetricsRegistry()
+        counter = reg.counter("x")
+        counter.inc(1)
+        with pytest.raises(ValueError, match=">= 0"):
+            counter.inc(-0.5)
+        assert counter.value == 1.0
+
+
+def add_counters(expected, source, collapse=None):
+    """What ``merge`` did when every child was an object of its own:
+    families by name, children in sorted label order, each value added
+    onto its (possibly collapsed) target, which starts at 0.0."""
+    for name in source.names():
+        if source.kind_of(name) == "counter":
+            for labels, handle in sorted(source.series(name).items()):
+                key = (name, collapse or labels)
+                expected[key] = expected.get(key, 0.0) + handle.value
+
+
+def counter_cells(registry):
+    return {
+        (name, labels): value
+        for name in registry.names()
+        if registry.kind_of(name) == "counter"
+        for labels, value in registry.cells(name).items()
+    }
+
+
+@pytest.mark.parametrize(
+    "record", [record_failure_recovery, record_shared_store_cache], ids=lambda r: r.__name__
+)
+class TestGoldenScenarioTransport:
+    """merge and the snapshot round trip on two golden scenarios (a node
+    failure; a cold + warm cache session, itself a merge), bit for bit
+    against the object-per-child reference."""
+
+    def test_merge_label_set_by_label_set(self, record):
+        _, cluster = record()
+        merged, expected = MetricsRegistry(), {}
+        for _ in range(2):  # the second merge adds onto existing cells
+            merged.merge(cluster.obs)
+            add_counters(expected, cluster.obs)
+        assert counter_cells(merged) == expected
+        assert merged.names() == cluster.obs.names()
+
+    def test_merge_collapsed_onto_one_service_label_set(self, record):
+        _, cluster = record()
+        service = MetricsRegistry(label_names=SERVICE_LABEL_NAMES)
+        labels = {"tenant": "t0", "workload": "golden"}
+        service.merge(cluster.obs, labels=labels, names=JOB_VIEW_FAMILIES)
+        expected = {}
+        add_counters(expected, cluster.obs, collapse=service._resolve(labels))
+        expected = {k: v for k, v in expected.items() if k[0] in JOB_VIEW_FAMILIES}
+        assert counter_cells(service) == expected and expected
+
+    def test_snapshot_round_trip(self, record):
+        _, cluster = record()
+        snapshot = cluster.obs.snapshot()
+        rebuilt = MetricsRegistry.from_snapshot(json.loads(json.dumps(snapshot)))
+        assert rebuilt.snapshot() == snapshot
+        assert prometheus_text(rebuilt) == prometheus_text(cluster.obs)
+        assert counter_cells(rebuilt) == counter_cells(cluster.obs)
