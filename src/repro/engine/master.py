@@ -15,7 +15,6 @@ master exactly as in the SEEP implementation.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..cache import (
@@ -124,8 +123,7 @@ class Master:
         self._executed: Set[str] = set()
         self._pruned_stages: Set[str] = set()
         self._remaining_preds: Dict[str, int] = {}
-        self._ready: deque = deque()
-        self._ready_ids: Set[str] = set()
+        self._ready: Dict[str, Stage] = {}  # stage id -> stage, in arrival order
         self._stage_by_id: Dict[str, Stage] = {s.id: s for s in self.stage_graph.stages}
         self._last_executed: Optional[Stage] = None
         self._stages_since_checkpoint = 0
@@ -149,6 +147,7 @@ class Master:
 
         # --- scope state
         self._scopes: Dict[str, _ScopeRuntime] = {}
+        self._live_branches = 0  # sum of len(rt.alive) over the scopes
         self._context = SchedulerContext()
         self._context.stage_graph = self.stage_graph
         self._context.num_workers = cluster.num_workers
@@ -202,7 +201,7 @@ class Master:
             preds = self.stage_graph.pre(stage)
             self._remaining_preds[stage.id] = len(preds)
             if not preds:
-                self._push_ready(stage)
+                self._ready[stage.id] = stage
 
     def _bind_policy(self) -> None:
         policy = self.cluster.policy
@@ -217,15 +216,6 @@ class Master:
         return len(self._consumers.get(dataset_id, ()))
 
     # -------------------------------------------------------- ready queue
-    def _push_ready(self, stage: Stage) -> None:
-        if stage.id not in self._ready_ids:
-            self._ready.append(stage)
-            self._ready_ids.add(stage.id)
-
-    def _pop_ready(self, stage: Stage) -> None:
-        self._ready_ids.discard(stage.id)
-        self._ready = deque(s for s in self._ready if s.id != stage.id)
-
     def _mark_done(self, stage: Stage, pruned: bool = False) -> None:
         """Record a stage as executed (or pruned) and update readiness."""
         if stage.id in self._executed or stage.id in self._pruned_stages:
@@ -234,13 +224,13 @@ class Master:
             self._pruned_stages.add(stage.id)
         else:
             self._executed.add(stage.id)
-        self._pop_ready(stage)
+        self._ready.pop(stage.id, None)
         for succ in sorted(self.stage_graph.post(stage), key=lambda s: s.index):
             if succ.id in self._executed or succ.id in self._pruned_stages:
                 continue
             self._remaining_preds[succ.id] -= 1
             if self._remaining_preds[succ.id] == 0:
-                self._push_ready(succ)
+                self._ready.setdefault(succ.id, succ)
 
     # ------------------------------------------------------------- lifecycle
     def _register_output(
@@ -358,7 +348,7 @@ class Master:
         stage_index = 0
         while self._ready:
             self._maybe_fail(stage_index)
-            ready = list(self._ready)
+            ready = list(self._ready.values())
             successors = (
                 sorted(
                     self.stage_graph.post(self._last_executed),
@@ -368,7 +358,7 @@ class Master:
                 else []
             )
             stage = self.scheduler.select(ready, self._last_executed, successors, self._context)
-            if stage.id not in self._ready_ids:  # pragma: no cover - guard
+            if stage.id not in self._ready:  # pragma: no cover - guard
                 raise SchedulingError(f"scheduler picked non-ready stage {stage.id}")
             self.cluster.trace.emit(
                 "stage_scheduled",
@@ -378,7 +368,7 @@ class Master:
                 rationale=getattr(self.scheduler, "last_rationale", None),
                 ready=[s.id for s in ready],
                 ready_choose=[s.id for s in ready if s.is_choose],
-                successors_ready=[s.id for s in successors if s.id in self._ready_ids],
+                successors_ready=[s.id for s in successors if s.id in self._ready],
             )
             self._prefetch_siblings(stage, ready)
             # Everything the stage causes — loads, stores, evictions, the
@@ -671,6 +661,7 @@ class Master:
         for discarded_id in decision.discarded:
             self._discard_branch_dataset(runtime, discarded_id)
         if branch.id not in decision.discarded:
+            self._live_branches += branch.id not in runtime.alive
             runtime.alive.add(branch.id)
             if pending is not None:
                 store_started = self.cluster.clock.now
@@ -710,13 +701,13 @@ class Master:
         A branch is *live* while its evaluated result is still materialised
         on the cluster (not yet discarded by its choose's selection).
         """
-        total = sum(len(rt.alive) for rt in self._scopes.values())
-        self.cluster.obs.gauge("live_branches").set(total)
+        self.cluster.obs.gauge("live_branches").set(self._live_branches)
 
     def _discard_branch_dataset(self, runtime: _ScopeRuntime, branch_id: str) -> None:
         if branch_id in runtime.discarded:
             return
         runtime.discarded.add(branch_id)
+        self._live_branches -= branch_id in runtime.alive
         runtime.alive.discard(branch_id)
         self._update_live_branches()
         dataset_id = runtime.tail_dataset.get(branch_id)
