@@ -11,9 +11,9 @@ with no gaps and no overlaps — the property ``check_profile_conserved``
 (:mod:`repro.trace.validate`) enforces — so every simulated second of the
 makespan is attributable to exactly one span.
 
-Traces recorded before the profile fields existed reconstruct to an empty
+A trace without a completed stage or span reconstructs to an empty
 profile (``has_spans`` is False) and every downstream consumer passes
-vacuously.
+vacuously; the strict schema guarantees every such event carries the fields.
 """
 
 from __future__ import annotations
@@ -110,10 +110,6 @@ class SpanProfile:
         return self.completion_time - self.start
 
 
-def _profile_fields(data: Dict) -> bool:
-    return "io" in data and "per_node_io" in data
-
-
 def build_profile(trace: Trace) -> SpanProfile:
     """Reconstruct the span timeline from a trace (live or from JSONL)."""
     spans: List[Span] = []
@@ -138,16 +134,17 @@ def build_profile(trace: Trace) -> SpanProfile:
                 )
         elif kind == "stage_reexecuted":
             reexec_pending[data["stage"]] = reexec_pending.get(data["stage"], 0) + 1
-        elif kind == "stage_completed" and _profile_fields(data):
-            stage_id = data["stage"]
-            recovery = reexec_pending.get(stage_id, 0) > 0
-            if recovery:
-                reexec_pending[stage_id] -= 1
+        elif kind in ("stage_completed", "span"):
+            staged = kind == "stage_completed"
+            recovery = not staged and data["activity"] == "recovery_reload"
+            if staged and reexec_pending.get(data["stage"], 0) > 0:
+                reexec_pending[data["stage"]] -= 1
+                recovery = True
             spans.append(
                 Span(
                     seq=event.seq,
-                    kind="stage",
-                    name=stage_id,
+                    kind="stage" if staged else "activity",
+                    name=data["stage"] if staged else data["activity"],
                     branch=data.get("branch"),
                     started=data["started"],
                     finished=data["finished"],
@@ -160,26 +157,6 @@ def build_profile(trace: Trace) -> SpanProfile:
                     reload_io=pending_reload,
                     recovery=recovery,
                     ops=list(data.get("ops", [])),
-                )
-            )
-            pending_reload = {}
-        elif kind == "span":
-            spans.append(
-                Span(
-                    seq=event.seq,
-                    kind="activity",
-                    name=data["activity"],
-                    branch=data.get("branch"),
-                    started=data["started"],
-                    finished=data["finished"],
-                    io=data["io"],
-                    compute=data["compute"],
-                    network=data["network"],
-                    overhead=data["overhead"],
-                    per_node_io=dict(data["per_node_io"]),
-                    per_node_compute=dict(data["per_node_compute"]),
-                    reload_io=pending_reload,
-                    recovery=data["activity"] == "recovery_reload",
                 )
             )
             pending_reload = {}

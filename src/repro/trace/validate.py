@@ -497,9 +497,6 @@ def check_profile_conserved(trace: Trace) -> List[Violation]:
       span's wall (a node cannot be busier than the span it is busy in);
     * no event is timestamped after the last span's ``finished`` — time
       past the final span would be unattributable.
-
-    Traces recorded before the profile fields existed contain no such
-    spans and pass vacuously.
     """
     violations: List[Violation] = []
     spans: List[tuple] = []  # (seq, started, finished)
@@ -509,12 +506,7 @@ def check_profile_conserved(trace: Trace) -> List[Violation]:
         data = event.data
         if event.t is not None and (last_t is None or event.t > last_t):
             last_t, last_seq = event.t, event.seq
-        is_span = event.kind == "span" or (
-            event.kind == "stage_completed"
-            and "io" in data
-            and "per_node_io" in data
-        )
-        if not is_span:
+        if event.kind not in ("span", "stage_completed"):
             continue
         started, finished = data["started"], data["finished"]
         wall = finished - started
