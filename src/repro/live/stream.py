@@ -27,13 +27,19 @@ from typing import Callable, Iterator, Optional, Union
 from ..trace.events import Trace, TraceEvent
 
 
+#: the clock advances: a StreamWriter flushes when it has written one
+_FLUSH_KINDS = frozenset({"stage_completed", "span"})
+
+
 class StreamWriter:
     """Append each committed trace event as one canonical NDJSON line.
 
     Accepts a path (the writer opens and owns the file) or any writable
     text file object (the caller keeps ownership; ``close()`` only closes
-    handles the writer opened).  Lines are flushed per event
-    so a follower process observes committed events promptly.
+    handles the writer opened).  Lines are flushed at every clock advance
+    (``stage_completed`` / ``span``) and on ``close``, so a follower is at
+    most one stage behind and the file is a byte-prefix of ``to_jsonl()``
+    at every flush (between flushes it may end mid-line).
 
     A run observer (``run_mdf(live=sink)`` is ``observers=[StreamWriter
     (sink)]``) and a plain event callable (``trace.subscribe(writer)``).
@@ -70,12 +76,13 @@ class StreamWriter:
     def on_event(self, event: TraceEvent) -> None:
         if self.closed:
             raise ValueError("StreamWriter is closed")
-        fh = self._file()
-        line = event.to_json() + "\n"
+        fh = self._fh or self._file()
+        line = event.to_json() + "\n"  # ASCII (json.dumps escapes the rest)
         fh.write(line)
-        fh.flush()
+        if event.kind in _FLUSH_KINDS:
+            fh.flush()
         self.events_written += 1
-        self.bytes_written += len(line.encode("utf-8"))
+        self.bytes_written += len(line)
 
     def _file(self):
         if self._fh is None:  # an owned path, not yet (re)created
