@@ -24,6 +24,7 @@ from .fingerprint import (
     choose_fingerprint,
     digest,
     operator_fingerprint,
+    operator_fingerprints,
     stage_fingerprint,
     value_token,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "choose_fingerprint",
     "digest",
     "operator_fingerprint",
+    "operator_fingerprints",
     "stage_fingerprint",
     "value_token",
 ]

@@ -28,7 +28,7 @@ import functools
 import hashlib
 import json
 import types
-from typing import Any, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
     "choose_fingerprint",
     "digest",
     "operator_fingerprint",
+    "operator_fingerprints",
     "stage_fingerprint",
     "value_token",
 ]
@@ -53,21 +54,40 @@ def digest(token: Any) -> str:
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()[:40]
 
 
+class _Walk:
+    """State of one tokenising pass: the objects on the current path (the
+    cycle guard) and the ndarray leaves already hashed, by identity.  The
+    memo holds each array so its id cannot be reused, and dies with the
+    pass — nothing runs between two tokens of one pass, so a leaf met
+    twice has the same bytes twice."""
+
+    __slots__ = ("seen", "arrays")
+
+    def __init__(self) -> None:
+        self.seen: Set[int] = set()
+        self.arrays: Dict[int, Tuple[np.ndarray, Any]] = {}
+
+
 # --------------------------------------------------------------------- values
-def value_token(value: Any, _seen: Optional[set] = None) -> Any:
+def value_token(value: Any, _walk: Optional[_Walk] = None) -> Any:
     """Canonical token of a parameter/closure value (JSON-serialisable)."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return ["v", repr(value)]
     if isinstance(value, bytes):
         return ["bytes", hashlib.sha256(value).hexdigest()]
     if isinstance(value, np.ndarray):
-        arr = np.ascontiguousarray(value)
-        return [
-            "ndarray",
-            str(arr.dtype),
-            list(arr.shape),
-            hashlib.sha256(arr.tobytes()).hexdigest(),
-        ]
+        walk = _walk if _walk is not None else _Walk()
+        hashed = walk.arrays.get(id(value))
+        if hashed is None:
+            arr = np.ascontiguousarray(value)
+            token = [
+                "ndarray",
+                str(arr.dtype),
+                list(arr.shape),
+                hashlib.sha256(arr.tobytes()).hexdigest(),
+            ]
+            hashed = walk.arrays[id(value)] = (value, token)
+        return hashed[1]
     if isinstance(value, np.generic):
         return ["npscalar", str(value.dtype), repr(value.item())]
     if isinstance(value, (list, tuple)):
@@ -79,34 +99,35 @@ def value_token(value: Any, _seen: Optional[set] = None) -> Any:
             # their repr instead of building one token per element
             body = repr(list(value)).encode("utf-8")
             return [kind, len(value), hashlib.sha256(body).hexdigest()]
-        return [kind, [value_token(x, _seen) for x in value]]
+        return [kind, [value_token(x, _walk) for x in value]]
     if isinstance(value, dict):
         entries = [
-            [value_token(k, _seen), value_token(v, _seen)]
+            [value_token(k, _walk), value_token(v, _walk)]
             for k, v in value.items()
         ]
         entries.sort(key=lambda e: json.dumps(e[0], sort_keys=True))
         return ["dict", entries]
     if isinstance(value, (set, frozenset)):
         tokens = sorted(
-            (value_token(x, _seen) for x in value),
+            (value_token(x, _walk) for x in value),
             key=lambda t: json.dumps(t, sort_keys=True),
         )
         return ["set", tokens]
     if callable(value):
-        return ["fn", callable_token(value, _seen)]
+        return ["fn", callable_token(value, _walk)]
     token_fn = getattr(value, "fingerprint_token", None)
     if callable(token_fn):
         # objects that define their own canonical identity
-        return ["self-described", value_token(token_fn(), _seen)]
-    seen = _seen if _seen is not None else set()
+        return ["self-described", value_token(token_fn(), _walk)]
+    walk = _walk if _walk is not None else _Walk()
+    seen = walk.seen
     if id(value) in seen:
         return ["recursive"]
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         seen.add(id(value))
         try:
             fields = [
-                [f.name, value_token(getattr(value, f.name), seen)]
+                [f.name, value_token(getattr(value, f.name), walk)]
                 for f in dataclasses.fields(value)
             ]
         finally:
@@ -127,19 +148,19 @@ def value_token(value: Any, _seen: Optional[set] = None) -> Any:
     # included — for a parameter value, hidden state is still state)
     seen.add(id(value))
     try:
-        attrs = [[k, value_token(v, seen)] for k, v in sorted(state.items())]
+        attrs = [[k, value_token(v, walk)] for k, v in sorted(state.items())]
     finally:
         seen.discard(id(value))
     return ["object", type(value).__module__ or "", type(value).__qualname__, attrs]
 
 
-def _code_token(code: types.CodeType, seen: Optional[set]) -> Any:
+def _code_token(code: types.CodeType, walk: _Walk) -> Any:
     consts: List[Any] = []
     for const in code.co_consts:
         if isinstance(const, types.CodeType):
-            consts.append(_code_token(const, seen))
+            consts.append(_code_token(const, walk))
         else:
-            consts.append(value_token(const, seen))
+            consts.append(value_token(const, walk))
     return [
         "code",
         hashlib.sha256(code.co_code).hexdigest(),
@@ -148,7 +169,7 @@ def _code_token(code: types.CodeType, seen: Optional[set]) -> Any:
     ]
 
 
-def callable_token(fn: Any, _seen: Optional[set] = None) -> Any:
+def callable_token(fn: Any, _walk: Optional[_Walk] = None) -> Any:
     """Canonical token of an operator function.
 
     Captures everything that determines the function's behaviour: module +
@@ -157,7 +178,8 @@ def callable_token(fn: Any, _seen: Optional[set] = None) -> Any:
     (so ``lambda xs, t=p["threshold"]: ...`` branches differ per
     parameter).
     """
-    seen = _seen if _seen is not None else set()
+    walk = _walk if _walk is not None else _Walk()
+    seen = walk.seen
     if id(fn) in seen:
         return ["recursive"]
     seen.add(id(fn))
@@ -165,22 +187,22 @@ def callable_token(fn: Any, _seen: Optional[set] = None) -> Any:
         if isinstance(fn, functools.partial):
             return [
                 "partial",
-                callable_token(fn.func, seen),
-                [value_token(a, seen) for a in fn.args],
+                callable_token(fn.func, walk),
+                [value_token(a, walk) for a in fn.args],
                 sorted(
-                    ([k, value_token(v, seen)] for k, v in fn.keywords.items()),
+                    ([k, value_token(v, walk)] for k, v in fn.keywords.items()),
                     key=lambda e: e[0],
                 ),
             ]
         split_token = getattr(fn, "fingerprint_token", None)
         if split_token is not None:
             # objects (e.g. PayloadSplitter) that define their own identity
-            return ["self-described", value_token(split_token(), seen)]
+            return ["self-described", value_token(split_token(), walk)]
         if isinstance(fn, types.MethodType):
             return [
                 "method",
-                callable_token(fn.__func__, seen),
-                value_token(fn.__self__, seen),
+                callable_token(fn.__func__, walk),
+                value_token(fn.__self__, walk),
             ]
         if isinstance(fn, (types.BuiltinFunctionType, types.BuiltinMethodType)):
             return ["builtin", getattr(fn, "__module__", "") or "", fn.__qualname__]
@@ -193,17 +215,17 @@ def callable_token(fn: Any, _seen: Optional[set] = None) -> Any:
                     raise FingerprintError(
                         f"function {fn.__qualname__!r} has an unset closure cell"
                     ) from exc
-                closure.append(value_token(contents, seen))
+                closure.append(value_token(contents, walk))
             return [
                 "function",
                 fn.__module__ or "",
                 fn.__qualname__,
                 fn.__name__,
-                _code_token(fn.__code__, seen),
-                [value_token(v, seen) for v in (fn.__defaults__ or ())],
+                _code_token(fn.__code__, walk),
+                [value_token(v, walk) for v in (fn.__defaults__ or ())],
                 sorted(
                     (
-                        [k, value_token(v, seen)]
+                        [k, value_token(v, walk)]
                         for k, v in (fn.__kwdefaults__ or {}).items()
                     ),
                     key=lambda e: e[0],
@@ -215,7 +237,7 @@ def callable_token(fn: Any, _seen: Optional[set] = None) -> Any:
         if callable(fn):
             # a callable object: its class plus its stable attributes
             attrs = [
-                [k, value_token(v, seen)]
+                [k, value_token(v, walk)]
                 for k, v in sorted(vars(fn).items())
                 if not k.startswith("_")
             ]
@@ -235,19 +257,37 @@ def callable_token(fn: Any, _seen: Optional[set] = None) -> Any:
 _SKIP_ATTRS = frozenset({"name", "input_names"})
 
 
-def operator_token(op: Any) -> Any:
+def operator_token(op: Any, _walk: Optional[_Walk] = None) -> Any:
     """Canonical token of one operator: type + every public attribute."""
     attrs: List[Any] = []
     for key in sorted(vars(op)):
         if key in _SKIP_ATTRS or key.startswith("_"):
             continue
-        attrs.append([key, value_token(getattr(op, key))])
+        attrs.append([key, value_token(getattr(op, key), _walk)])
     return ["op", type(op).__name__, bool(op.narrow), attrs]
 
 
 def operator_fingerprint(op: Any) -> str:
     """Fingerprint of one operator (raises :class:`FingerprintError`)."""
     return digest(operator_token(op))
+
+
+def operator_fingerprints(ops: Iterable[Any]) -> Dict[str, Optional[str]]:
+    """``{op.name: operator_fingerprint(op)}``, ``None`` where that raises.
+
+    One pass over a whole job's operators, taken before any of them runs:
+    an array reachable from several operators (the validation set every
+    sibling ``train`` closes over) is hashed once, and no operator's
+    run-time side effects can reach a sibling's identity.
+    """
+    walk = _Walk()
+    table: Dict[str, Optional[str]] = {}
+    for op in ops:
+        try:
+            table[op.name] = digest(operator_token(op, walk))
+        except FingerprintError:
+            table[op.name] = None
+    return table
 
 
 # --------------------------------------------------------------------- stages

@@ -17,12 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..cache import (
-    FingerprintError,
-    choose_fingerprint,
-    operator_fingerprint,
-    stage_fingerprint,
-)
+from ..cache import choose_fingerprint, operator_fingerprints, stage_fingerprint
 from ..cluster.cluster import Cluster
 from ..cluster.fault import ChooseScoreStore
 from ..core.choose import ChooseOperator
@@ -141,9 +136,18 @@ class Master:
         #: entries in the shared :class:`~repro.cache.ResultCache` are what
         #: survives across runs.
         self._fp_of: Dict[str, Optional[str]] = {}
-        #: operator name -> its fingerprint (None = unfingerprintable), so
-        #: each operator's attributes/bytecode are hashed once per run
+        #: operator name -> its fingerprint (None = unfingerprintable), taken
+        #: here in one pass: before any operator has run, so none of them
+        #: can write into a sibling's identity, and with every shared array
+        #: hashed once.  Explore and choose stages are never fingerprinted.
         self._op_fps: Dict[str, Optional[str]] = {}
+        if self.config.cache is not None:
+            self._op_fps = operator_fingerprints(
+                op
+                for stage in self.stage_graph.stages
+                if stage.kind not in ("explore", "choose")
+                for op in stage.ops
+            )
 
         # --- scope state
         self._scopes: Dict[str, _ScopeRuntime] = {}
@@ -271,18 +275,6 @@ class Master:
         self.cluster.discard_dataset(dataset_id)
 
     # --------------------------------------------------------- result cache
-    def _operator_fp(self, op: Operator) -> Optional[str]:
-        """Fingerprint one operator, memoized per run (None = no identity)."""
-        sentinel = object()
-        fp = self._op_fps.get(op.name, sentinel)
-        if fp is sentinel:
-            try:
-                fp = operator_fingerprint(op)
-            except FingerprintError:
-                fp = None
-            self._op_fps[op.name] = fp
-        return fp
-
     def _stage_fingerprint(self, stage: Stage, input_ids: List[str]) -> Optional[str]:
         """Lineage fingerprint of a stage's output, or ``None`` (uncacheable).
 
@@ -296,11 +288,11 @@ class Master:
         """
         if self.config.cache is None:
             return None
-        # inputs first, then the chain, stopping at the first hole (lazily:
-        # nothing behind an unfingerprintable input is ever hashed)
+        # inputs first, then the chain, stopping at the first hole
         fps: List[str] = []
         for fp in itertools.chain(
-            map(self._fp_of.get, input_ids), map(self._operator_fp, stage.ops)
+            map(self._fp_of.get, input_ids),
+            (self._op_fps[op.name] for op in stage.ops),
         ):
             if fp is None:
                 self.config.cache.note_miss(

@@ -18,6 +18,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..cache.fingerprint import FingerprintError
 from ..core.builder import MDFBuilder, Pipe
 from ..core.evaluators import CallableEvaluator, RatioEvaluator
 from ..core.mdf import MDF
@@ -349,6 +350,24 @@ def _train_cost(nominal_bytes: int, epochs: int) -> float:
     return float(nominal_bytes) * epochs * 3.0
 
 
+class _HostShared:
+    """A value operators hand each other on the host, outside the dataflow.
+
+    ``early_choose``'s first-stage ``train`` operators leave the preprocessed
+    images here and its second stage, whose dataflow input is only the
+    winning model, retrains on them.  What such an operator returns depends
+    on what ran before it, so it has no lineage identity: the token raises,
+    every operator that captures the cell is unfingerprintable, and the
+    result cache never serves or stores one.
+    """
+
+    def __init__(self, value: Any):
+        self.value = value
+
+    def fingerprint_token(self):
+        raise FingerprintError("reads or writes a run-time side channel")
+
+
 def deep_learning_mdf(
     data: LabelledImages,
     mode: str = "exhaustive",
@@ -390,32 +409,34 @@ def deep_learning_mdf(
         rate = p.get("rate", default_rate)
         momentum = p.get("momentum", default_momentum)
         return pipe.aggregate(
-            _training_fn(trainer, val_set, init, rate, momentum),
+            _training_fn(init, rate, momentum),
             name=f"train-{init}-r{rate}-m{momentum}",
             fixed_cost=cost,
             cost_factor=0.0,
             selectivity=0.0005,
         )
 
-    def _training_fn(trainer, val_set, init, rate, momentum):
+    def _training_fn(init, rate, momentum):
+        if mode != "early_choose":
+            return lambda payload: [trainer.train(payload, val_set, init, rate, momentum)]
+
         def train(payload):
             if isinstance(payload, LabelledImages):
-                _shared_prepped[0] = payload
+                shared_prepped.value = payload
                 model = trainer.train(payload, val_set, init, rate, momentum)
             else:
-                # early-choose second stage: the input is the winning model;
-                # reuse its init and retrain on the (host-shared) data
+                # second stage: the input is the winning model; reuse its
+                # init and retrain on the (host-shared) data
                 models = [m for m in payload if isinstance(m, dl.TrainedModel)]
                 chosen_init = models[0].init
                 model = trainer.train(
-                    _shared_prepped[0], val_set, chosen_init, rate, momentum
+                    shared_prepped.value, val_set, chosen_init, rate, momentum
                 )
             return [model]
 
-        train.__name__ = f"train_{init}_{rate}_{momentum}"
         return train
 
-    _shared_prepped: List[Any] = [train_set]
+    shared_prepped = _HostShared(train_set)
 
     if mode == "weights_only":
         chosen = prepped.explore(

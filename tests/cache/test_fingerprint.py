@@ -7,19 +7,28 @@ changes the fingerprint).  Anything without a deterministic canonical form
 must refuse with :class:`FingerprintError` rather than guess.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro import GB, MB, Cluster, MDFBuilder
 from repro.cache import (
     FingerprintError,
+    ResultCache,
+    SharedCacheStore,
     callable_token,
     choose_fingerprint,
     digest,
     operator_fingerprint,
+    operator_fingerprints,
     stage_fingerprint,
     value_token,
 )
 from repro.core.operators import Source, Transform
+from repro.engine import EngineConfig, run_mdf
+from repro.lab.workloads import available_workloads, get_workload
+from repro.workloads import cifar_like, deep_learning_mdf
 
 
 def make_transform(factor, name="t"):
@@ -125,3 +134,96 @@ class TestStageAndChooseFingerprints:
     def test_digest_is_stable_and_short(self):
         assert digest(["x", 1]) == digest(["x", 1])
         assert len(digest(["x", 1])) == 40
+
+
+_RAN = []
+
+
+def _fingerprint_or_none(op):
+    try:
+        return operator_fingerprint(op)
+    except FingerprintError:
+        return None
+
+
+class TestOnePass:
+    """``operator_fingerprints`` — what the master takes before a job runs."""
+
+    @pytest.mark.parametrize("name", available_workloads())
+    def test_equals_operator_fingerprint_on_every_zoo_operator(self, name):
+        ops = get_workload(name).make_mdf().operators
+        table = operator_fingerprints(ops)
+        assert table == {op.name: _fingerprint_or_none(op) for op in ops}
+
+    @pytest.mark.parametrize(
+        "mode", ["weights_only", "hyper_only", "exhaustive", "early_choose"]
+    )
+    def test_equals_operator_fingerprint_on_the_deep_learning_modes(self, mode):
+        data = cifar_like(n_samples=60, features=16, seed=2)
+        ops = deep_learning_mdf(data, mode=mode).operators
+        table = operator_fingerprints(ops)
+        assert table == {op.name: _fingerprint_or_none(op) for op in ops}
+        trains = [op.name for op in ops if op.name.startswith("train-")]
+        # only early_choose hands data over outside the dataflow
+        assert all((table[t] is None) == (mode == "early_choose") for t in trains)
+
+    def test_shared_array_is_hashed_once(self, monkeypatch):
+        shared = np.arange(4096.0)
+        ops = [
+            Transform(lambda xs, a=shared, k=k: [x + a[k] for x in xs], name=f"t{k}")
+            for k in range(5)
+        ]
+        hashed = []
+        real = hashlib.sha256
+
+        def counting(data=b""):
+            hashed.append(len(data))
+            return real(data)
+
+        monkeypatch.setattr(hashlib, "sha256", counting)
+        table = operator_fingerprints(ops)
+        assert hashed.count(shared.nbytes) == 1
+        hashed.clear()
+        assert table == {op.name: operator_fingerprint(op) for op in ops}
+        assert hashed.count(shared.nbytes) == len(ops)
+
+    def test_unfingerprintable_operator_is_none_and_the_rest_stand(self):
+        good = make_transform(3, "good")
+        bad = Transform(lambda xs, g=(x for x in ()): xs, name="bad")
+        assert operator_fingerprints([bad, good]) == {
+            "bad": None,
+            "good": operator_fingerprint(good),
+        }
+
+    def test_running_an_operator_cannot_change_a_siblings_fingerprint(self, tmp_path):
+        """The regression: ``a`` writes into a list ``b`` also closes over.
+        Fingerprinted lazily, ``b`` was identified after ``a`` had run on a
+        cold store and before on a warm one (a hit runs nothing): a miss on
+        every re-run.  Identified before anything runs, it is served."""
+        _RAN.clear()
+
+        def build():
+            cell = [0]
+
+            def bump(xs):
+                _RAN.append("a")  # a global: not part of the identity
+                cell[0] += 1  # an undeclared side effect on a shared cell
+                return [x + 1 for x in xs]
+
+            b = MDFBuilder("leaky")
+            src = b.read_data(list(range(40)), name="src", nominal_bytes=64 * MB)
+            first = src.aggregate(bump, name="a")
+            first.aggregate(
+                lambda xs: (_RAN.append("b"), [x * len(cell) for x in xs])[1], name="b"
+            ).write(name="out")
+            return b.build()
+
+        outputs = []
+        for _ in range(2):
+            cache = ResultCache(store=SharedCacheStore(str(tmp_path)), cost_based=False)
+            result = run_mdf(
+                build(), Cluster(2, 1 * GB), config=EngineConfig(cache=cache)
+            )
+            outputs.append(result.outputs)
+        assert _RAN == ["a", "b"]  # the warm run executed neither
+        assert outputs[0] == outputs[1]
