@@ -42,6 +42,7 @@ import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
+from urllib.parse import quote, unquote
 
 __all__ = [
     "CacheEntry",
@@ -255,16 +256,22 @@ class DiskCacheStore:
         except FileNotFoundError:
             return None
         except Exception:  # noqa: BLE001 - truncated/corrupt entry: quarantine
-            self.corrupt_entries += 1
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+            self._quarantine(fingerprint)
             return None
+
+    def _quarantine(self, fingerprint: str) -> None:
+        self.corrupt_entries += 1
+        try:
+            os.unlink(self._file(fingerprint))
+        except OSError:
+            pass
+
+    #: what :meth:`clear` removes, by file-name suffix
+    _CLEARED: Tuple[str, ...] = (".pkl", ".tmp")
 
     def clear(self) -> None:
         for name in os.listdir(self.path):
-            if name.endswith((".pkl", ".tmp")):
+            if name.endswith(self._CLEARED):
                 try:
                     os.unlink(os.path.join(self.path, name))
                 except OSError:
@@ -272,6 +279,17 @@ class DiskCacheStore:
 
     def __len__(self) -> int:
         return sum(1 for n in os.listdir(self.path) if n.endswith(".pkl"))
+
+
+#: the shared store's append-only quota ledger (see ``_usage``)
+USAGE_LOG = "usage.log"
+#: dead log lines tolerated beyond one per live line before a rewrite
+LOG_SLACK = 64
+
+
+def _log_line(fingerprint: str, entry: Tuple[str, int, float]) -> str:
+    tenant, nbytes, mtime = entry
+    return f"+ {fingerprint} {quote(tenant, safe='')} {nbytes} {mtime!r}\n"
 
 
 class _StoreLock:
@@ -378,6 +396,13 @@ class SharedCacheStore(DiskCacheStore):
     def _publish(self, fingerprint: str, tmp: str) -> bool:
         owner = self.tenant
         with self._lock:
+            # logged before the replace makes it true: a writer killed in
+            # between leaves a line without a file, which eviction reaches
+            # and drops; the other order would leave a file nobody counts
+            stat = os.stat(tmp)  # the rename keeps size and mtime
+            self._log_append(
+                _log_line(fingerprint, (owner, stat.st_size, stat.st_mtime))
+            )
             os.replace(tmp, self._file(fingerprint))
             sidecar_tmp = f"{self._owner_file(fingerprint)}.{os.getpid()}.tmp"
             with open(sidecar_tmp, "w") as fh:
@@ -388,27 +413,86 @@ class SharedCacheStore(DiskCacheStore):
             # an entry that alone exceeds the quota was evicted again
             return self.contains(fingerprint)
 
-    # -------------------------------------------------------------- quotas
-    def tenant_usage(self, tenant: str) -> int:
-        """Bytes of entry files currently owned by ``tenant`` (on disk)."""
-        return sum(nbytes for _, nbytes, _ in self._owned_entries(tenant))
+    def _quarantine(self, fingerprint: str) -> None:
+        with self._lock:
+            super()._quarantine(fingerprint)
+            self._log_append(f"- {fingerprint}\n")
 
-    def _owned_entries(self, tenant: str) -> List[Tuple[str, int, float]]:
-        """``(fingerprint, file bytes, publish mtime)`` per owned entry."""
-        owned = []
+    # ----------------------------------------------------------- usage log
+    def _log_file(self) -> str:
+        return os.path.join(self.path, USAGE_LOG)
+
+    def _log_append(self, text: str) -> None:
+        """Append to the log, lock held.  A missing log stays missing: the
+        next :meth:`_usage` rebuilds it from the files, which by then show
+        what ``text`` records."""
+        try:
+            fd = os.open(self._log_file(), os.O_WRONLY | os.O_APPEND)
+        except FileNotFoundError:
+            return
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+
+    def _usage(self) -> Dict[str, Tuple[str, int, float]]:
+        """``{fingerprint: (tenant, file bytes, publish mtime)}`` of every
+        owned entry, folded from the log; lock held.
+
+        A later ``+`` of a fingerprint supersedes the earlier one (another
+        tenant overwrote the entry), a ``-`` drops it.  A missing, torn or
+        malformed log is rebuilt from the directory, and one whose dead
+        lines outnumber its live ones is rewritten without them.
+        """
+        usage: Dict[str, Tuple[str, int, float]] = {}
+        try:
+            with open(self._log_file()) as fh:
+                lines = fh.read().split("\n")
+            if lines.pop():
+                raise ValueError("torn last line")
+            for line in lines:
+                fields = line.split(" ")
+                if fields[0] == "+" and len(fields) == 5:
+                    _, fingerprint, tenant, nbytes, mtime = fields
+                    usage[fingerprint] = (unquote(tenant), int(nbytes), float(mtime))
+                elif fields[0] == "-" and len(fields) == 2:
+                    usage.pop(fields[1], None)
+                else:
+                    raise ValueError(f"malformed line {line!r}")
+            if len(lines) - len(usage) <= max(len(usage), LOG_SLACK):
+                return usage
+        except (OSError, ValueError):
+            usage = self._scan()
+        tmp = f"{self._log_file()}.{os.getpid()}.tmp"
+        with open(tmp, "w") as fh:
+            fh.writelines(map(_log_line, usage, usage.values()))
+        os.replace(tmp, self._log_file())
+        return usage
+
+    def _scan(self) -> Dict[str, Tuple[str, int, float]]:
+        """What :meth:`_usage` answers, read from the files themselves: one
+        ``listdir``, a sidecar read and a ``stat`` per entry.  The recovery
+        path of the log, and the oracle the tests hold it to."""
+        self._owners.clear()  # the sidecars, not what this handle remembers
+        usage = {}
         for name in os.listdir(self.path):
             if not name.endswith(".pkl"):
                 continue
             fingerprint = name[: -len(".pkl")]
-            if self.owner_of(fingerprint) != tenant:
+            owner = self.owner_of(fingerprint)
+            if owner is None:
                 continue
-            full = os.path.join(self.path, name)
             try:
-                stat = os.stat(full)
+                stat = os.stat(os.path.join(self.path, name))
             except OSError:
                 continue
-            owned.append((fingerprint, stat.st_size, stat.st_mtime))
-        return owned
+            usage[fingerprint] = (owner, stat.st_size, stat.st_mtime)
+        return usage
+
+    # -------------------------------------------------------------- quotas
+    def tenant_usage(self, tenant: str) -> int:
+        """Bytes of entry files currently owned by ``tenant``."""
+        with self._lock:
+            usage = self._usage()
+        return sum(nbytes for owner, nbytes, _ in usage.values() if owner == tenant)
 
     def _enforce_quota(self, tenant: str, keep: Optional[str] = None) -> None:
         """Evict the tenant's oldest entries until its quota holds.
@@ -419,16 +503,20 @@ class SharedCacheStore(DiskCacheStore):
         """
         if self.quota_bytes is None:
             return
-        owned = sorted(self._owned_entries(tenant), key=lambda e: (e[2], e[0]))
-        usage = sum(nbytes for _, nbytes, _ in owned)
-        for fingerprint, nbytes, _ in owned:
-            if usage <= self.quota_bytes:
+        owned = sorted(
+            (mtime, fingerprint, nbytes)
+            for fingerprint, (owner, nbytes, mtime) in self._usage().items()
+            if owner == tenant
+        )
+        total = sum(nbytes for _, _, nbytes in owned)
+        for _, fingerprint, nbytes in owned:
+            if total <= self.quota_bytes:
                 return
-            if fingerprint == keep and usage - nbytes <= self.quota_bytes:
+            if fingerprint == keep and total - nbytes <= self.quota_bytes:
                 continue  # evicting an older sibling suffices
             self._evict(fingerprint)
-            usage -= nbytes
-        if usage > self.quota_bytes and keep is not None:
+            total -= nbytes
+        if total > self.quota_bytes and keep is not None:
             self._evict(keep)
 
     def _evict(self, fingerprint: str) -> None:
@@ -437,6 +525,7 @@ class SharedCacheStore(DiskCacheStore):
                 os.unlink(path)
             except OSError:
                 pass
+        self._log_append(f"- {fingerprint}\n")
         self._owners.pop(fingerprint, None)
         self.quota_evictions += 1
 
@@ -511,15 +600,12 @@ class SharedCacheStore(DiskCacheStore):
                 return None
             time.sleep(self.flight_poll)
 
+    _CLEARED = (".pkl", ".tmp", ".owner", ".flight", USAGE_LOG)
+
     def clear(self) -> None:
-        super().clear()
+        with self._lock:
+            super().clear()
         self._owners.clear()
-        for name in os.listdir(self.path):
-            if name.endswith((".owner", ".flight")):
-                try:
-                    os.unlink(os.path.join(self.path, name))
-                except OSError:
-                    pass
 
 
 class ResultCache:

@@ -12,11 +12,26 @@ name (tests are an importable package).
 
 import multiprocessing
 import os
+import signal
 import time
 
 from repro.cache import SharedCacheStore
 
 FINGERPRINTS = [f"fp-{i}" for i in range(6)]
+TENANTS = [f"t{i}" for i in range(3)]
+#: room for two or three of the hammer's entries per tenant: evictions race too
+QUOTA = 600
+
+
+def assert_ledger_is_the_directory(path):
+    """The usage log, read by a fresh handle, says what the files say, and
+    nobody is over quota."""
+    store = SharedCacheStore(path)
+    with store._lock:
+        from_log, from_files = store._usage(), store._scan()
+    assert from_log == from_files
+    for tenant in TENANTS:
+        assert store.tenant_usage(tenant) <= QUOTA
 
 
 def _hammer(args):
@@ -26,7 +41,9 @@ def _hammer(args):
     error — the store's contract is that races never raise.
     """
     path, seed, iterations = args
-    store = SharedCacheStore(path, tenant=f"t{seed % 3}", tmp_sweep_age=60.0)
+    store = SharedCacheStore(
+        path, tenant=TENANTS[seed % 3], quota_bytes=QUOTA, tmp_sweep_age=60.0
+    )
     loads_ok = errors = 0
     for i in range(iterations):
         fp = FINGERPRINTS[(seed + i) % len(FINGERPRINTS)]
@@ -74,6 +91,19 @@ def _flight_worker(args):
     return (0, 1 if loaded is not None else 0)
 
 
+def _killed_mid_append(path):
+    """A publisher SIGKILLed holding the flock, half a log line written."""
+    store = SharedCacheStore(path, tenant=TENANTS[0], quota_bytes=QUOTA)
+
+    def torn_append(text):
+        with open(store._log_file(), "a") as fh:
+            fh.write(text[: len(text) // 2])
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    store._log_append = torn_append
+    store.save("fp-torn", [[0] * 40], [320], "p-killed")
+
+
 class TestConcurrentStress:
     def test_parallel_save_load_clear_races(self, tmp_path):
         path = str(tmp_path)
@@ -95,6 +125,33 @@ class TestConcurrentStress:
         assert total_loads > 0  # the race actually exercised loads
         leftovers = [n for n in os.listdir(path) if n.endswith(".tmp")]
         assert leftovers == []  # every publish or failure cleaned up
+        assert_ledger_is_the_directory(path)
+
+    def test_publisher_killed_mid_append_holding_the_lock(self, tmp_path):
+        path = str(tmp_path)
+        first = SharedCacheStore(path, tenant=TENANTS[0], quota_bytes=QUOTA)
+        assert first.save("fp-before", [[1] * 40], [320], "p0")
+        ctx = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn"
+        )
+        victim = ctx.Process(target=_killed_mid_append, args=(path,))
+        victim.start()
+        victim.join(30)
+        assert victim.exitcode == -signal.SIGKILL
+        with open(first._log_file()) as fh:
+            assert not fh.read().endswith("\n")  # the torn line is there
+        # the kernel dropped the dead holder's flock; the next handle sweeps
+        # its tmp, finds the log torn and rebuilds it from the files
+        survivor = SharedCacheStore(
+            path, tenant=TENANTS[1], quota_bytes=QUOTA, tmp_sweep_age=0.0
+        )
+        assert survivor.tmps_swept == 1
+        assert survivor.save("fp-after", [[2] * 40], [320], "p1")
+        assert not survivor.contains("fp-torn")
+        assert_ledger_is_the_directory(path)
+        with survivor._lock:
+            assert sorted(survivor._usage()) == ["fp-after", "fp-before"]
 
     def test_inflight_fingerprint_computed_exactly_once(self, tmp_path):
         store_dir = tmp_path / "store"

@@ -1,0 +1,260 @@
+"""The shared store's quota ledger: ``usage.log`` against the directory scan.
+
+The ``.pkl`` + ``.owner`` files are the truth and ``SharedCacheStore._scan``
+reads it the way every publish used to; the log has to give the same
+answer after anything that can happen to a store, and a store whose every
+answer comes from the scan (``ScanStore`` below — the implementation the
+log replaced) has to evict the same entries in the same order.
+"""
+
+import os
+import pickle
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cache import SharedCacheStore
+from repro.cache.store import LOG_SLACK, USAGE_LOG
+
+TENANTS = ("alice", "bob")
+FINGERPRINTS = [f"fp-{i}" for i in range(6)]
+QUOTA = 2600
+ROOMY = 1 << 20
+
+
+class Scripted:
+    """A publish carries the mtime the script dictates — set on the tmp
+    before the store stats it, so nothing happens behind its back — and
+    evictions are recorded in order.  Two directories driven by one script
+    then hold identical ``(fingerprint, bytes, mtime)`` and mtime ties,
+    which fall back to fingerprint order, happen on purpose."""
+
+    mtime = 0.0
+    evicted = None
+
+    def _publish(self, fingerprint, tmp):
+        os.utime(tmp, (self.mtime, self.mtime))
+        return super()._publish(fingerprint, tmp)
+
+    def _evict(self, fingerprint):
+        self.evicted.append(fingerprint)
+        super()._evict(fingerprint)
+
+
+class LogStore(Scripted, SharedCacheStore):
+    pass
+
+
+class ScanStore(Scripted, SharedCacheStore):
+    def _usage(self):
+        return self._scan()
+
+
+def payload(size):
+    return [list(range(size))]
+
+
+def file_bytes(size):
+    blob = {"payloads": payload(size), "partition_bytes": [size], "producer": "p"}
+    return len(pickle.dumps(blob, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def views(path):
+    """(log-derived, scanned) ``{fp: (tenant, bytes, mtime)}`` through a
+    fresh handle, the way the next job would open the store."""
+    store = SharedCacheStore(path)
+    with store._lock:
+        return store._usage(), store._scan()
+
+
+steps = st.one_of(
+    st.tuples(
+        st.just("save"),
+        st.sampled_from(TENANTS),
+        st.sampled_from(FINGERPRINTS),
+        st.integers(20, 300),  # payload length: 100-odd to 900-odd file bytes
+        st.integers(0, 3),  # mtime: ties on purpose
+    ),
+    st.tuples(st.just("corrupt"), st.sampled_from(FINGERPRINTS)),
+    st.tuples(st.just("shrink"), st.sampled_from(TENANTS), st.integers(0, QUOTA)),
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("log-deleted")),
+    st.tuples(st.just("log-torn")),
+    st.tuples(st.just("log-garbage")),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(script=st.lists(steps, min_size=1, max_size=30))
+def test_log_agrees_with_scan_and_with_the_scanning_store(script, tmp_path_factory):
+    log_dir = str(tmp_path_factory.mktemp("log"))
+    scan_dir = str(tmp_path_factory.mktemp("scan"))
+    evicted = {log_dir: [], scan_dir: []}
+
+    def both(tenant="alice", quota=QUOTA):
+        for cls, path in ((LogStore, log_dir), (ScanStore, scan_dir)):
+            store = cls(path, tenant=tenant, quota_bytes=quota)  # one handle per job
+            store.evicted = evicted[path]
+            yield store
+
+    for step in script:
+        kind = step[0]
+        if kind == "save":
+            _, tenant, fingerprint, size, mtime = step
+            kept = []
+            for store in both(tenant):
+                store.mtime = 1_000_000.0 + mtime
+                kept.append(store.save(fingerprint, payload(size), [size], "p"))
+                assert store.tenant_usage(tenant) <= QUOTA
+            assert kept[0] == kept[1] == (file_bytes(size) <= QUOTA)
+        elif kind == "corrupt":
+            for store in both():
+                if store.contains(step[1]):
+                    with open(store._file(step[1]), "wb") as fh:
+                        fh.write(b"not a pickle")
+                    assert store.load(step[1]) is None
+                    assert store.corrupt_entries == 1
+        elif kind == "shrink":
+            for store in both(step[1], quota=step[2]):
+                with store._lock:
+                    store._enforce_quota(step[1])
+                assert store.tenant_usage(step[1]) <= step[2]
+        elif kind == "clear":
+            for store in both():
+                store.clear()
+            assert USAGE_LOG not in os.listdir(log_dir)
+        else:
+            log = os.path.join(log_dir, USAGE_LOG)
+            if not os.path.exists(log):
+                continue
+            if kind == "log-deleted":
+                os.unlink(log)
+            elif kind == "log-torn" and os.path.getsize(log):
+                os.truncate(log, os.path.getsize(log) - 3)  # every line is longer
+            elif kind == "log-garbage":
+                with open(log, "ab") as fh:
+                    fh.write(b"+ fp-0 alice many bytes\n\xff\xfe\n")
+        from_log, from_files = views(log_dir)
+        assert from_log == from_files
+        assert from_log == views(scan_dir)[1]
+        assert evicted[log_dir] == evicted[scan_dir]
+
+
+def save(store, fingerprint, size=100):
+    assert store.save(fingerprint, payload(size), [size], "p")
+
+
+def log_lines(store):
+    with open(store._log_file()) as fh:
+        return fh.read().splitlines()
+
+
+class TestTheLog:
+    def test_nobody_asking_means_no_log(self, tmp_path):
+        """A store no quota-bound handle has opened keeps no ledger; the
+        first one that asks builds it from the files."""
+        store = SharedCacheStore(str(tmp_path), tenant="alice")
+        save(store, "fp-1")
+        assert USAGE_LOG not in os.listdir(tmp_path)
+        assert store.tenant_usage("alice") == os.path.getsize(store._file("fp-1"))
+        save(store, "fp-2")
+        assert [line.split()[1] for line in log_lines(store)] == ["fp-1", "fp-2"]
+
+    def test_a_publish_records_what_stat_would_say(self, tmp_path):
+        store = SharedCacheStore(str(tmp_path), tenant="alice", quota_bytes=ROOMY)
+        save(store, "fp-1")
+        stat = os.stat(store._file("fp-1"))
+        assert log_lines(store) == [f"+ fp-1 alice {stat.st_size} {stat.st_mtime!r}"]
+
+    def test_overwrite_by_another_tenant_moves_the_bytes(self, tmp_path):
+        alice = SharedCacheStore(str(tmp_path), tenant="alice", quota_bytes=ROOMY)
+        save(alice, "fp-1")
+        bob = SharedCacheStore(str(tmp_path), tenant="bob", quota_bytes=ROOMY)
+        save(bob, "fp-1", size=200)
+        assert [line.split()[2] for line in log_lines(bob)] == ["alice", "bob"]
+        assert alice.tenant_usage("alice") == 0
+        assert bob.tenant_usage("bob") == os.path.getsize(bob._file("fp-1"))
+
+    def test_eviction_and_quarantine_leave_tombstones(self, tmp_path):
+        store = SharedCacheStore(str(tmp_path), tenant="alice", quota_bytes=None)
+        save(store, "fp-old")
+        save(store, "fp-new")
+        store.quota_bytes = os.path.getsize(store._file("fp-new"))
+        with store._lock:
+            store._enforce_quota("alice")
+        assert log_lines(store)[-1] == "- fp-old"
+        with open(store._file("fp-new"), "wb") as fh:
+            fh.write(b"\x80garbage")
+        assert store.load("fp-new") is None
+        assert log_lines(store)[-1] == "- fp-new"
+        # no phantom bytes left to count against the quota
+        assert store.tenant_usage("alice") == 0
+
+    def test_clear_deletes_the_log(self, tmp_path):
+        store = SharedCacheStore(str(tmp_path), tenant="alice")
+        save(store, "fp-1")
+        store.clear()
+        assert os.listdir(tmp_path) == [".lock"]
+        assert store.tenant_usage("alice") == 0
+
+    def test_a_tenant_name_never_names_a_file(self, tmp_path):
+        tenant = "../eve mallory\n- fp-1\n%41"
+        store = SharedCacheStore(str(tmp_path), tenant=tenant, quota_bytes=ROOMY)
+        save(store, "fp-1")
+        save(store, "fp-2")
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            [".lock", USAGE_LOG, "fp-1.pkl", "fp-1.owner", "fp-2.pkl", "fp-2.owner"]
+        )
+        assert len(log_lines(store)) == 2  # one line per publish, whatever the name
+        with store._lock:
+            assert {owner for owner, _, _ in store._usage().values()} == {tenant}
+
+    def test_dead_lines_are_compacted_away(self, tmp_path):
+        store = SharedCacheStore(str(tmp_path), tenant="alice", quota_bytes=None)
+        save(store, "fp-keep")
+        store.quota_bytes = 2 * os.path.getsize(store._file("fp-keep")) + 8
+        longest = 0
+        for i in range(3 * LOG_SLACK):
+            save(store, f"fp-{i}")  # evicts the one before: a + and a - each
+            longest = max(longest, len(log_lines(store)))
+        assert longest <= 2 + LOG_SLACK + 2
+        assert len(log_lines(store)) < longest
+        assert views(str(tmp_path))[0] == views(str(tmp_path))[1]
+
+    def test_a_file_deleted_behind_the_store_is_healed_by_a_rebuild(self, tmp_path):
+        store = SharedCacheStore(str(tmp_path), tenant="alice", quota_bytes=ROOMY)
+        save(store, "fp-gone")
+        save(store, "fp-here")
+        os.unlink(store._file("fp-gone"))
+        here = os.path.getsize(store._file("fp-here"))
+        assert store.tenant_usage("alice") > here  # still on the books
+        store.quota_bytes = here
+        with store._lock:
+            store._enforce_quota("alice")  # evicting the phantom finds no file
+        assert store.contains("fp-here") and store.tenant_usage("alice") == here
+        store.quota_bytes = ROOMY
+        save(store, "fp-gone")
+        os.unlink(store._file("fp-gone"))
+        os.unlink(store._log_file())  # ... or the next rebuild drops it
+        assert store.tenant_usage("alice") == here
+
+    def test_a_writer_lost_between_log_and_replace_leaks_nothing(self, tmp_path, monkeypatch):
+        store = SharedCacheStore(str(tmp_path), tenant="alice", quota_bytes=ROOMY)
+        save(store, "fp-0")
+        real = os.replace
+
+        def dies(src, dst):
+            if dst.endswith("fp-lost.pkl"):
+                raise OSError("killed here")
+            return real(src, dst)
+
+        monkeypatch.setattr(os, "replace", dies)
+        assert not store.save("fp-lost", payload(100), [100], "p")
+        monkeypatch.undo()
+        assert not store.contains("fp-lost")
+        assert [n for n in os.listdir(tmp_path) if n.endswith(".tmp")] == []
+        # the line without a file is reached by eviction like any other
+        store.quota_bytes = os.path.getsize(store._file("fp-0"))
+        save(store, "fp-1")
+        assert store.quota_evictions == 2 and store.contains("fp-1")
+        assert views(str(tmp_path))[0] == views(str(tmp_path))[1]
