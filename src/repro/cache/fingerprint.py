@@ -54,18 +54,15 @@ def digest(token: Any) -> str:
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()[:40]
 
 
+@dataclasses.dataclass
 class _Walk:
-    """State of one tokenising pass: the objects on the current path (the
-    cycle guard) and the ndarray leaves already hashed, by identity.  The
-    memo holds each array so its id cannot be reused, and dies with the
-    pass — nothing runs between two tokens of one pass, so a leaf met
-    twice has the same bytes twice."""
+    """State of one tokenising pass: the ids on the current path (the cycle
+    guard) and the ndarray leaves already hashed, by id — each held, so its
+    id cannot be reused.  Nothing runs between two tokens of one pass, so a
+    leaf met twice has the same bytes twice."""
 
-    __slots__ = ("seen", "arrays")
-
-    def __init__(self) -> None:
-        self.seen: Set[int] = set()
-        self.arrays: Dict[int, Tuple[np.ndarray, Any]] = {}
+    seen: Set[int] = dataclasses.field(default_factory=set)
+    arrays: Dict[int, Tuple[np.ndarray, Any]] = dataclasses.field(default_factory=dict)
 
 
 # --------------------------------------------------------------------- values
@@ -80,12 +77,8 @@ def value_token(value: Any, _walk: Optional[_Walk] = None) -> Any:
         hashed = walk.arrays.get(id(value))
         if hashed is None:
             arr = np.ascontiguousarray(value)
-            token = [
-                "ndarray",
-                str(arr.dtype),
-                list(arr.shape),
-                hashlib.sha256(arr.tobytes()).hexdigest(),
-            ]
+            content = hashlib.sha256(arr.tobytes()).hexdigest()
+            token = ["ndarray", str(arr.dtype), list(arr.shape), content]
             hashed = walk.arrays[id(value)] = (value, token)
         return hashed[1]
     if isinstance(value, np.generic):
@@ -275,10 +268,9 @@ def operator_fingerprint(op: Any) -> str:
 def operator_fingerprints(ops: Iterable[Any]) -> Dict[str, Optional[str]]:
     """``{op.name: operator_fingerprint(op)}``, ``None`` where that raises.
 
-    One pass over a whole job's operators, taken before any of them runs:
-    an array reachable from several operators (the validation set every
-    sibling ``train`` closes over) is hashed once, and no operator's
-    run-time side effects can reach a sibling's identity.
+    One pass over a job's operators, before any of them runs: no run-time
+    side effect reaches a sibling's identity, and an array several of them
+    capture (the validation set of every ``train``) is hashed once.
     """
     walk = _Walk()
     table: Dict[str, Optional[str]] = {}

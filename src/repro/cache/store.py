@@ -283,12 +283,11 @@ class DiskCacheStore:
 
 #: the shared store's append-only quota ledger (see ``_usage``)
 USAGE_LOG = "usage.log"
-#: dead log lines tolerated beyond one per live line before a rewrite
+#: the log is rewritten when its dead lines outnumber the live ones and this
 LOG_SLACK = 64
 
 
-def _log_line(fingerprint: str, entry: Tuple[str, int, float]) -> str:
-    tenant, nbytes, mtime = entry
+def _log_line(fingerprint: str, tenant: str, nbytes: int, mtime: float) -> str:
     return f"+ {fingerprint} {quote(tenant, safe='')} {nbytes} {mtime!r}\n"
 
 
@@ -345,9 +344,9 @@ class SharedCacheStore(DiskCacheStore):
       waiter simply recomputes (correct either way; operators are pure).
     * **Per-tenant byte quotas** — every entry carries a ``<fp>.owner``
       sidecar naming the tenant whose run wrote it.  After each save the
-      writing tenant's footprint is re-measured and its *oldest* entries
-      (publish mtime) are evicted until the quota holds again.  Quotas
-      bound footprint, not sharing: any tenant may *read* any entry.
+      writing tenant's footprint is folded from ``usage.log`` and its
+      *oldest* entries (publish mtime) are evicted until the quota holds.
+      Quotas bound footprint, not sharing: any tenant may *read* any entry.
     """
 
     def __init__(
@@ -369,7 +368,7 @@ class SharedCacheStore(DiskCacheStore):
         self.quota_evictions = 0
         super().__init__(path, tmp_sweep_age=tmp_sweep_age)
         self._lock = _StoreLock(self.path)
-        self._owners: Dict[str, Optional[str]] = {}
+        self._log_file = os.path.join(self.path, USAGE_LOG)
 
     def obs_counters(self) -> Dict[str, int]:
         counters = super().obs_counters()
@@ -382,16 +381,11 @@ class SharedCacheStore(DiskCacheStore):
 
     def owner_of(self, fingerprint: str) -> Optional[str]:
         """Tenant that published an entry (None when unlabelled/missing)."""
-        memo = self._owners.get(fingerprint)
-        if memo is not None:
-            return memo
         try:
             with open(self._owner_file(fingerprint)) as fh:
-                owner = fh.read().strip() or None
+                return fh.read().strip() or None
         except OSError:
             return None
-        self._owners[fingerprint] = owner
-        return owner
 
     def _publish(self, fingerprint: str, tmp: str) -> bool:
         owner = self.tenant
@@ -400,15 +394,12 @@ class SharedCacheStore(DiskCacheStore):
             # between leaves a line without a file, which eviction reaches
             # and drops; the other order would leave a file nobody counts
             stat = os.stat(tmp)  # the rename keeps size and mtime
-            self._log_append(
-                _log_line(fingerprint, (owner, stat.st_size, stat.st_mtime))
-            )
+            self._log_append(_log_line(fingerprint, owner, stat.st_size, stat.st_mtime))
             os.replace(tmp, self._file(fingerprint))
             sidecar_tmp = f"{self._owner_file(fingerprint)}.{os.getpid()}.tmp"
             with open(sidecar_tmp, "w") as fh:
                 fh.write(owner)
             os.replace(sidecar_tmp, self._owner_file(fingerprint))
-            self._owners[fingerprint] = owner
             self._enforce_quota(owner, keep=fingerprint)
             # an entry that alone exceeds the quota was evicted again
             return self.contains(fingerprint)
@@ -419,15 +410,12 @@ class SharedCacheStore(DiskCacheStore):
             self._log_append(f"- {fingerprint}\n")
 
     # ----------------------------------------------------------- usage log
-    def _log_file(self) -> str:
-        return os.path.join(self.path, USAGE_LOG)
-
     def _log_append(self, text: str) -> None:
         """Append to the log, lock held.  A missing log stays missing: the
         next :meth:`_usage` rebuilds it from the files, which by then show
         what ``text`` records."""
         try:
-            fd = os.open(self._log_file(), os.O_WRONLY | os.O_APPEND)
+            fd = os.open(self._log_file, os.O_WRONLY | os.O_APPEND)
         except FileNotFoundError:
             return
         with os.fdopen(fd, "w") as fh:
@@ -444,7 +432,7 @@ class SharedCacheStore(DiskCacheStore):
         """
         usage: Dict[str, Tuple[str, int, float]] = {}
         try:
-            with open(self._log_file()) as fh:
+            with open(self._log_file) as fh:
                 lines = fh.read().split("\n")
             if lines.pop():
                 raise ValueError("torn last line")
@@ -461,17 +449,16 @@ class SharedCacheStore(DiskCacheStore):
                 return usage
         except (OSError, ValueError):
             usage = self._scan()
-        tmp = f"{self._log_file()}.{os.getpid()}.tmp"
+        tmp = f"{self._log_file}.{os.getpid()}.tmp"
         with open(tmp, "w") as fh:
-            fh.writelines(map(_log_line, usage, usage.values()))
-        os.replace(tmp, self._log_file())
+            fh.writelines(_log_line(fp, *entry) for fp, entry in usage.items())
+        os.replace(tmp, self._log_file)
         return usage
 
     def _scan(self) -> Dict[str, Tuple[str, int, float]]:
         """What :meth:`_usage` answers, read from the files themselves: one
         ``listdir``, a sidecar read and a ``stat`` per entry.  The recovery
         path of the log, and the oracle the tests hold it to."""
-        self._owners.clear()  # the sidecars, not what this handle remembers
         usage = {}
         for name in os.listdir(self.path):
             if not name.endswith(".pkl"):
@@ -491,8 +478,7 @@ class SharedCacheStore(DiskCacheStore):
     def tenant_usage(self, tenant: str) -> int:
         """Bytes of entry files currently owned by ``tenant``."""
         with self._lock:
-            usage = self._usage()
-        return sum(nbytes for owner, nbytes, _ in usage.values() if owner == tenant)
+            return sum(n for owner, n, _ in self._usage().values() if owner == tenant)
 
     def _enforce_quota(self, tenant: str, keep: Optional[str] = None) -> None:
         """Evict the tenant's oldest entries until its quota holds.
@@ -526,7 +512,6 @@ class SharedCacheStore(DiskCacheStore):
             except OSError:
                 pass
         self._log_append(f"- {fingerprint}\n")
-        self._owners.pop(fingerprint, None)
         self.quota_evictions += 1
 
     # ------------------------------------------------------- single flight
@@ -605,7 +590,6 @@ class SharedCacheStore(DiskCacheStore):
     def clear(self) -> None:
         with self._lock:
             super().clear()
-        self._owners.clear()
 
 
 class ResultCache:

@@ -14,7 +14,6 @@ master exactly as in the SEEP implementation.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..cache import choose_fingerprint, operator_fingerprints, stage_fingerprint
@@ -140,14 +139,13 @@ class Master:
         #: here in one pass: before any operator has run, so none of them
         #: can write into a sibling's identity, and with every shared array
         #: hashed once.  Explore and choose stages are never fingerprinted.
-        self._op_fps: Dict[str, Optional[str]] = {}
-        if self.config.cache is not None:
-            self._op_fps = operator_fingerprints(
-                op
-                for stage in self.stage_graph.stages
-                if stage.kind not in ("explore", "choose")
-                for op in stage.ops
-            )
+        self._op_fps: Dict[str, Optional[str]] = operator_fingerprints(
+            op
+            for stage in self.stage_graph.stages
+            if self.config.cache is not None
+            and stage.kind not in ("explore", "choose")
+            for op in stage.ops
+        )
 
         # --- scope state
         self._scopes: Dict[str, _ScopeRuntime] = {}
@@ -288,19 +286,13 @@ class Master:
         """
         if self.config.cache is None:
             return None
-        # inputs first, then the chain, stopping at the first hole
-        fps: List[str] = []
-        for fp in itertools.chain(
-            map(self._fp_of.get, input_ids),
-            (self._op_fps[op.name] for op in stage.ops),
-        ):
-            if fp is None:
-                self.config.cache.note_miss(
-                    None, self.cluster, stage.id, "unfingerprintable"
-                )
-                return None
-            fps.append(fp)
-        input_fps, op_fps = fps[: len(input_ids)], fps[len(input_ids) :]
+        input_fps = [self._fp_of.get(input_id) for input_id in input_ids]
+        op_fps = [self._op_fps[op.name] for op in stage.ops]
+        if None in input_fps or None in op_fps:
+            self.config.cache.note_miss(
+                None, self.cluster, stage.id, "unfingerprintable"
+            )
+            return None
         if stage.kind == "source":
             layout = self.cluster.num_workers * self.config.partitions_per_worker
         elif stage.kind == "narrow":

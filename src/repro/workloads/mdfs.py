@@ -351,15 +351,11 @@ def _train_cost(nominal_bytes: int, epochs: int) -> float:
 
 
 class _HostShared:
-    """A value operators hand each other on the host, outside the dataflow.
-
-    ``early_choose``'s first-stage ``train`` operators leave the preprocessed
-    images here and its second stage, whose dataflow input is only the
-    winning model, retrains on them.  What such an operator returns depends
-    on what ran before it, so it has no lineage identity: the token raises,
-    every operator that captures the cell is unfingerprintable, and the
-    result cache never serves or stores one.
-    """
+    """A value operators hand each other on the host, outside the dataflow
+    (``early_choose``: the first stage leaves the preprocessed images, the
+    second retrains on them).  What such an operator returns depends on what
+    ran before it, so whoever captures the cell is unfingerprintable and the
+    result cache never serves or stores it."""
 
     def __init__(self, value: Any):
         self.value = value
@@ -422,17 +418,12 @@ def deep_learning_mdf(
 
         def train(payload):
             if isinstance(payload, LabelledImages):
-                shared_prepped.value = payload
-                model = trainer.train(payload, val_set, init, rate, momentum)
+                shared_prepped.value, chosen = payload, init
             else:
                 # second stage: the input is the winning model; reuse its
                 # init and retrain on the (host-shared) data
-                models = [m for m in payload if isinstance(m, dl.TrainedModel)]
-                chosen_init = models[0].init
-                model = trainer.train(
-                    shared_prepped.value, val_set, chosen_init, rate, momentum
-                )
-            return [model]
+                chosen = [m for m in payload if isinstance(m, dl.TrainedModel)][0].init
+            return [trainer.train(shared_prepped.value, val_set, chosen, rate, momentum)]
 
         return train
 

@@ -50,7 +50,6 @@ class TestOwnership:
         store = SharedCacheStore(str(tmp_path), tenant="alice")
         save_entry(store, "fp-1")
         os.unlink(store._owner_file("fp-1"))
-        store._owners.clear()
         assert store.owner_of("fp-1") is None
 
     def test_clear_removes_sidecars_and_flights(self, tmp_path):

@@ -96,7 +96,7 @@ def _killed_mid_append(path):
     store = SharedCacheStore(path, tenant=TENANTS[0], quota_bytes=QUOTA)
 
     def torn_append(text):
-        with open(store._log_file(), "a") as fh:
+        with open(store._log_file, "a") as fh:
             fh.write(text[: len(text) // 2])
         os.kill(os.getpid(), signal.SIGKILL)
 
@@ -139,7 +139,7 @@ class TestConcurrentStress:
         victim.start()
         victim.join(30)
         assert victim.exitcode == -signal.SIGKILL
-        with open(first._log_file()) as fh:
+        with open(first._log_file) as fh:
             assert not fh.read().endswith("\n")  # the torn line is there
         # the kernel dropped the dead holder's flock; the next handle sweeps
         # its tmp, finds the log torn and rebuilds it from the files

@@ -145,7 +145,7 @@ def save(store, fingerprint, size=100):
 
 
 def log_lines(store):
-    with open(store._log_file()) as fh:
+    with open(store._log_file) as fh:
         return fh.read().splitlines()
 
 
@@ -235,7 +235,7 @@ class TestTheLog:
         store.quota_bytes = ROOMY
         save(store, "fp-gone")
         os.unlink(store._file("fp-gone"))
-        os.unlink(store._log_file())  # ... or the next rebuild drops it
+        os.unlink(store._log_file)  # ... or the next rebuild drops it
         assert store.tenant_usage("alice") == here
 
     def test_a_writer_lost_between_log_and_replace_leaks_nothing(self, tmp_path, monkeypatch):
