@@ -54,15 +54,15 @@ def digest(token: Any) -> str:
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()[:40]
 
 
-@dataclasses.dataclass
 class _Walk:
     """State of one tokenising pass: the ids on the current path (the cycle
     guard) and the ndarray leaves already hashed, by id — each held, so its
     id cannot be reused.  Nothing runs between two tokens of one pass, so a
     leaf met twice has the same bytes twice."""
 
-    seen: Set[int] = dataclasses.field(default_factory=set)
-    arrays: Dict[int, Tuple[np.ndarray, Any]] = dataclasses.field(default_factory=dict)
+    def __init__(self) -> None:
+        self.seen: Set[int] = set()
+        self.arrays: Dict[int, Tuple[np.ndarray, Any]] = {}
 
 
 # --------------------------------------------------------------------- values
@@ -250,19 +250,19 @@ def callable_token(fn: Any, _walk: Optional[_Walk] = None) -> Any:
 _SKIP_ATTRS = frozenset({"name", "input_names"})
 
 
-def operator_token(op: Any, _walk: Optional[_Walk] = None) -> Any:
+def operator_token(op: Any, walk: _Walk) -> Any:
     """Canonical token of one operator: type + every public attribute."""
     attrs: List[Any] = []
     for key in sorted(vars(op)):
         if key in _SKIP_ATTRS or key.startswith("_"):
             continue
-        attrs.append([key, value_token(getattr(op, key), _walk)])
+        attrs.append([key, value_token(getattr(op, key), walk)])
     return ["op", type(op).__name__, bool(op.narrow), attrs]
 
 
 def operator_fingerprint(op: Any) -> str:
     """Fingerprint of one operator (raises :class:`FingerprintError`)."""
-    return digest(operator_token(op))
+    return digest(operator_token(op, _Walk()))
 
 
 def operator_fingerprints(ops: Iterable[Any]) -> Dict[str, Optional[str]]:

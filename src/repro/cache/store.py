@@ -267,7 +267,7 @@ class DiskCacheStore:
             pass
 
     #: what :meth:`clear` removes, by file-name suffix
-    _CLEARED: Tuple[str, ...] = (".pkl", ".tmp")
+    _CLEARED = (".pkl", ".tmp")
 
     def clear(self) -> None:
         for name in os.listdir(self.path):
@@ -411,15 +411,16 @@ class SharedCacheStore(DiskCacheStore):
 
     # ----------------------------------------------------------- usage log
     def _log_append(self, text: str) -> None:
-        """Append to the log, lock held.  A missing log stays missing: the
-        next :meth:`_usage` rebuilds it from the files, which by then show
-        what ``text`` records."""
+        """Append, lock held.  A missing log stays missing: the next ``_usage``
+        rebuilds it from the files, which by then show what ``text`` records."""
         try:
             fd = os.open(self._log_file, os.O_WRONLY | os.O_APPEND)
         except FileNotFoundError:
             return
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        try:
+            os.write(fd, text.encode())  # one write: a kill tears no line
+        finally:
+            os.close(fd)
 
     def _usage(self) -> Dict[str, Tuple[str, int, float]]:
         """``{fingerprint: (tenant, file bytes, publish mtime)}`` of every

@@ -139,11 +139,11 @@ class Master:
         #: here in one pass: before any operator has run, so none of them
         #: can write into a sibling's identity, and with every shared array
         #: hashed once.  Explore and choose stages are never fingerprinted.
+        stages = self.stage_graph.stages if self.config.cache is not None else ()
         self._op_fps: Dict[str, Optional[str]] = operator_fingerprints(
             op
-            for stage in self.stage_graph.stages
-            if self.config.cache is not None
-            and stage.kind not in ("explore", "choose")
+            for stage in stages
+            if stage.kind not in ("explore", "choose")
             for op in stage.ops
         )
 
