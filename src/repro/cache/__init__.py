@@ -8,10 +8,10 @@ lineage, partitioning)* so identical sub-computations are executed once:
 
 * :mod:`repro.cache.fingerprint` — canonical, conservative fingerprints;
 * :mod:`repro.cache.store` — the :class:`ResultCache` (cluster tier +
-  optional persistent :class:`DiskCacheStore`), entry lifecycle and stats;
-  :class:`SharedCacheStore` promotes the disk tier to a concurrency-safe
-  shared cross-tenant tier (write locking, single-flight deduplication,
-  per-tenant quotas) for the :mod:`repro.service` job service.
+  optional persistent :class:`SharedCacheStore`), entry lifecycle and
+  stats; the store is a concurrency-safe shared cross-tenant tier (write
+  locking, single-flight deduplication, per-tenant quotas) that the
+  :mod:`repro.service` job service opens once per job.
 
 Enable it via ``EngineConfig(cache=ResultCache())``; it is **off by
 default** and a disabled run is byte-identical to one built before this
@@ -32,7 +32,6 @@ from .store import (
     CacheEntry,
     CacheHit,
     CacheStats,
-    DiskCacheStore,
     ResultCache,
     SharedCacheStore,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "CacheEntry",
     "CacheHit",
     "CacheStats",
-    "DiskCacheStore",
     "FingerprintError",
     "ResultCache",
     "SharedCacheStore",

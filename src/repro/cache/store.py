@@ -12,7 +12,7 @@ to the *location* of bytes that stage already produced.  It has two tiers:
   everything else (§4).  The cache holds **no payload references** in this
   tier — if the backing dataset is discarded the entry dies, it cannot pin
   memory.
-* **store tier** (optional) — a :class:`DiskCacheStore` directory of
+* **store tier** (optional) — a :class:`SharedCacheStore` directory of
   pickled payloads that survives ``cluster.reset()`` and process restarts,
   for warm exploratory re-runs.  Hits are charged disk-read cost.
 
@@ -25,14 +25,13 @@ entry unbacked and it is invalidated — eagerly by
 :meth:`ResultCache.invalidate_dataset`/:meth:`ResultCache.revalidate`,
 lazily at the next lookup.
 
-:class:`SharedCacheStore` promotes the store tier to a **shared
-cross-tenant tier** for the multi-tenant job service (:mod:`repro.
-service`): many concurrent jobs — different processes, different tenants
-— read and write one directory safely (cross-process write locking on
-top of the per-writer-unique-tmp + ``os.replace`` atomicity),
-single-flight leases deduplicate concurrent computation of the same
-fingerprint, and per-tenant byte quotas bound each tenant's footprint
-with oldest-first eviction.  See ``docs/service.md``.
+The store tier is also the **shared cross-tenant tier** of the
+multi-tenant job service (:mod:`repro.service`): many concurrent jobs —
+different processes, different tenants — read and write one directory
+safely (cross-process write locking on top of the per-writer-unique-tmp +
+``os.replace`` atomicity), single-flight leases deduplicate concurrent
+computation of the same fingerprint, and per-tenant byte quotas bound each
+tenant's footprint with oldest-first eviction.  See ``docs/service.md``.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ __all__ = [
     "CacheEntry",
     "CacheHit",
     "CacheStats",
-    "DiskCacheStore",
     "SharedCacheStore",
     "ResultCache",
 ]
@@ -82,8 +80,8 @@ class CacheHit:
     locations: Optional[List[Tuple[str, int]]] = None
     #: store tier: the unpickled payloads per index
     payloads: Optional[List[Any]] = None
-    #: store tier under a :class:`SharedCacheStore`: the tenant whose run
-    #: wrote the entry (None on the cluster tier / unlabelled stores).
+    #: store tier: the tenant whose run wrote the entry, read from the
+    #: entry itself (None on the cluster tier).
     #: A hit whose owner differs from the reading cache's tenant is a
     #: *cross-tenant* hit — one user's explore warmed another's.
     owner_tenant: Optional[str] = None
@@ -142,149 +140,26 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
 
-class DiskCacheStore:
-    """On-disk tier: one pickle file per fingerprint under ``path``.
-
-    Writes are best-effort (an unpicklable payload skips persistence and
-    the entry stays cluster-tier only) and are *not* charged to the
-    simulated clock — the store stands in for the shared artifact storage
-    an exploratory platform writes behind the scenes, and charging it
-    would perturb the cost-model comparisons the benchmarks assert on.
-
-    Robustness contract: a truncated or otherwise corrupt entry file is
-    never served and never raises — :meth:`load` unlinks it, counts it in
-    :attr:`corrupt_entries` and reports a miss, so the run recomputes the
-    stage through the normal path.  Writers dump into a per-pid temporary
-    file and publish with an atomic ``os.replace``; stale ``*.tmp`` files
-    left behind by a killed writer are swept when the store is opened
-    (``tmp_sweep_age`` bounds how young a tmp may be and still be swept —
-    keep it above zero when concurrent writers may be mid-publish).
-    """
-
-    def __init__(self, path: str, tmp_sweep_age: float = 0.0):
-        self.path = str(path)
-        os.makedirs(self.path, exist_ok=True)
-        #: corrupt entry files detected (and unlinked) by :meth:`load`
-        self.corrupt_entries = 0
-        #: stale tmp files swept at open (crashed writers' leftovers)
-        self.tmps_swept = self._sweep_tmps(tmp_sweep_age)
-
-    def obs_counters(self) -> Dict[str, int]:
-        """Store-level counters the service observability plane exports
-        (``service_store_*`` series; see :mod:`repro.service.obs`)."""
-        return {
-            "corrupt_entries": self.corrupt_entries,
-            "tmps_swept": self.tmps_swept,
-        }
-
-    def _file(self, fingerprint: str) -> str:
-        return os.path.join(self.path, f"{fingerprint}.pkl")
-
-    def _sweep_tmps(self, min_age: float) -> int:
-        """Remove ``*.tmp`` leftovers of killed writers (open-time sweep)."""
-        swept = 0
-        now = time.time()
-        for name in os.listdir(self.path):
-            if not name.endswith(".tmp"):
-                continue
-            full = os.path.join(self.path, name)
-            try:
-                if now - os.path.getmtime(full) >= min_age:
-                    os.unlink(full)
-                    swept += 1
-            except OSError:
-                pass
-        return swept
-
-    def contains(self, fingerprint: str) -> bool:
-        return os.path.exists(self._file(fingerprint))
-
-    def save(
-        self,
-        fingerprint: str,
-        payloads: List[Any],
-        partition_bytes: List[int],
-        producer: Optional[str],
-    ) -> bool:
-        """Persist one entry; True when it is on disk afterwards."""
-        blob = {
-            "payloads": payloads,
-            "partition_bytes": list(partition_bytes),
-            "producer": producer,
-        }
-        # per-pid tmp name: two processes publishing the same fingerprint
-        # never interleave writes into one file (each replace is atomic)
-        tmp = f"{self._file(fingerprint)}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "wb") as fh:
-                pickle.dump(blob, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            return self._publish(fingerprint, tmp)
-        except Exception:  # noqa: BLE001 - unpicklable payloads skip the tier
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return False
-
-    def _publish(self, fingerprint: str, tmp: str) -> bool:
-        """Atomically move a fully written tmp into place; whether the
-        entry is still there when the publish is over."""
-        os.replace(tmp, self._file(fingerprint))
-        return True
-
-    def _decode_blob(
-        self, blob: Any
-    ) -> Tuple[List[Any], List[int], Optional[str]]:
-        """Validate a loaded blob's shape (anything else is corrupt)."""
-        payloads = blob["payloads"]
-        partition_bytes = blob["partition_bytes"]
-        if not isinstance(payloads, list) or not isinstance(partition_bytes, list):
-            raise ValueError("malformed cache blob")
-        if len(payloads) != len(partition_bytes):
-            raise ValueError("cache blob payload/bytes length mismatch")
-        return payloads, partition_bytes, blob["producer"]
-
-    def load(
-        self, fingerprint: str
-    ) -> Optional[Tuple[List[Any], List[int], Optional[str]]]:
-        """Unpickle one entry afresh: the payloads are the caller's own."""
-        path = self._file(fingerprint)
-        try:
-            with open(path, "rb") as fh:
-                blob = pickle.load(fh)
-            return self._decode_blob(blob)
-        except FileNotFoundError:
-            return None
-        except Exception:  # noqa: BLE001 - truncated/corrupt entry: quarantine
-            self._quarantine(fingerprint)
-            return None
-
-    def _quarantine(self, fingerprint: str) -> None:
-        self.corrupt_entries += 1
-        try:
-            os.unlink(self._file(fingerprint))
-        except OSError:
-            pass
-
-    #: what :meth:`clear` removes, by file-name suffix
-    _CLEARED = (".pkl", ".tmp")
-
-    def clear(self) -> None:
-        for name in os.listdir(self.path):
-            if name.endswith(self._CLEARED):
-                try:
-                    os.unlink(os.path.join(self.path, name))
-                except OSError:
-                    pass
-
-    def __len__(self) -> int:
-        return sum(1 for n in os.listdir(self.path) if n.endswith(".pkl"))
-
-
-#: the shared store's append-only quota ledger (see ``_usage``)
+#: the store's append-only quota ledger (see ``_usage``)
 USAGE_LOG = "usage.log"
 #: the log is rewritten when its dead lines outnumber the live ones and this
 LOG_SLACK = 64
+#: a lease older than this is a crashed writer's: no stage here computes that long
+FLIGHT_TIMEOUT = 30.0
+#: a waiter recomputes after this; operators are pure, so giving up costs only time
+FLIGHT_WAIT = 5.0
+#: a waiter's poll interval, well under the cheapest stage worth waiting for
+FLIGHT_POLL = 0.005
+#: a tmp younger than this may be a live writer's mid-publish and is not swept
+TMP_SWEEP_AGE = 60.0
+
+
+def _unlink(path: str) -> None:
+    """Remove a file that may already be gone."""
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
 
 
 def _log_line(fingerprint: str, tenant: str, nbytes: int, mtime: float) -> str:
@@ -295,7 +170,7 @@ class _StoreLock:
     """Cross-process exclusive lock over one store directory.
 
     ``fcntl.flock`` on a dedicated ``.lock`` file: advisory, held only
-    around metadata mutations (publish, sidecar writes, quota eviction),
+    around metadata mutations (publish, quarantine, quota eviction),
     released automatically by the kernel if the holder dies.  Falls back
     to no-op locking on platforms without :mod:`fcntl` — single-process
     use stays correct there.
@@ -324,29 +199,44 @@ class _StoreLock:
             self._fh = None
 
 
-class SharedCacheStore(DiskCacheStore):
-    """The shared cross-tenant store tier of the multi-tenant job service.
+#: what :meth:`SharedCacheStore.load` returns: payloads, partition bytes,
+#: producer, and the tenant that published the entry
+Loaded = Tuple[List[Any], List[int], Optional[str], str]
 
-    One directory, many concurrent writer/reader processes, three
-    additions over :class:`DiskCacheStore`:
 
-    * **Cross-process write locking** — publishes (the atomic
-      ``os.replace``), owner-sidecar writes and quota evictions happen
-      under an exclusive ``flock``, so directory metadata never tears.
-      Payload pickling stays *outside* the lock (each writer dumps into
-      its own per-pid tmp file first).
+class SharedCacheStore:
+    """The store tier: one directory many processes and tenants share.
+
+    ``<fp>.pkl`` is two consecutive pickles — the owning tenant (a
+    ``str``), then the blob — so an entry and its owner are one file and
+    one atomic ``os.replace`` publishes both.  Writes are best-effort (an
+    unpicklable payload skips persistence and the entry stays cluster-tier
+    only) and are *not* charged to the simulated clock — the store stands
+    in for the shared artifact storage an exploratory platform writes
+    behind the scenes, and charging it would perturb the cost-model
+    comparisons the benchmarks assert on.
+
+    * **Corrupt entries are misses** — a truncated file, garbage, a blob of
+      the wrong shape or a first pickle that is not a ``str`` (a store
+      written before the owner moved inside the entry) is never served and
+      never raises: it is unlinked under the lock, counted in
+      :attr:`corrupt_entries`, and the run recomputes the stage.
+    * **Cross-process write locking** — publishes, quarantines and quota
+      evictions happen under an exclusive ``flock``, so directory metadata
+      never tears.  Pickling stays *outside* the lock: each writer dumps
+      into its own per-pid tmp file first, and tmps a killed writer left
+      behind are swept at open once older than ``TMP_SWEEP_AGE``.
     * **Single-flight leases** — the first job to miss a fingerprint
       creates ``<fp>.flight`` (``O_CREAT | O_EXCL``); concurrent jobs
       missing the same fingerprint wait (bounded) for the computing job
       to publish instead of recomputing.  Leases are crash-safe: a lease
-      older than ``flight_timeout`` real seconds is broken and taken
-      over.  Waits are bounded by ``flight_wait`` — on timeout the
+      older than ``FLIGHT_TIMEOUT`` real seconds is broken and taken
+      over.  Waits are bounded by ``FLIGHT_WAIT`` — on timeout the
       waiter simply recomputes (correct either way; operators are pure).
-    * **Per-tenant byte quotas** — every entry carries a ``<fp>.owner``
-      sidecar naming the tenant whose run wrote it.  After each save the
-      writing tenant's footprint is folded from ``usage.log`` and its
-      *oldest* entries (publish mtime) are evicted until the quota holds.
-      Quotas bound footprint, not sharing: any tenant may *read* any entry.
+    * **Per-tenant byte quotas** — after each save the writing tenant's
+      footprint is folded from ``usage.log`` and its *oldest* entries
+      (publish mtime) are evicted until the quota holds.  Quotas bound
+      footprint, not sharing: any tenant may *read* any entry.
     """
 
     def __init__(
@@ -354,40 +244,80 @@ class SharedCacheStore(DiskCacheStore):
         path: str,
         tenant: str = "default",
         quota_bytes: Optional[int] = None,
-        flight_timeout: float = 30.0,
-        flight_wait: float = 5.0,
-        flight_poll: float = 0.005,
-        tmp_sweep_age: float = 60.0,
     ):
+        self.path = str(path)
+        os.makedirs(self.path, exist_ok=True)
         self.tenant = str(tenant)
         self.quota_bytes = quota_bytes
-        self.flight_timeout = float(flight_timeout)
-        self.flight_wait = float(flight_wait)
-        self.flight_poll = float(flight_poll)
+        #: corrupt entry files detected (and unlinked)
+        self.corrupt_entries = 0
         #: entries this store evicted to keep its tenant under quota
         self.quota_evictions = 0
-        super().__init__(path, tmp_sweep_age=tmp_sweep_age)
+        #: stale tmp files swept at open (crashed writers' leftovers)
+        self.tmps_swept = self._sweep_tmps()
         self._lock = _StoreLock(self.path)
         self._log_file = os.path.join(self.path, USAGE_LOG)
 
     def obs_counters(self) -> Dict[str, int]:
-        counters = super().obs_counters()
-        counters["quota_evictions"] = self.quota_evictions
-        return counters
+        """Store-level counters the service observability plane exports
+        (``service_store_*`` series; see :mod:`repro.service.obs`)."""
+        return {
+            "corrupt_entries": self.corrupt_entries,
+            "tmps_swept": self.tmps_swept,
+            "quota_evictions": self.quota_evictions,
+        }
 
-    # ------------------------------------------------------------ sidecars
-    def _owner_file(self, fingerprint: str) -> str:
-        return os.path.join(self.path, f"{fingerprint}.owner")
+    def _file(self, fingerprint: str) -> str:
+        return os.path.join(self.path, f"{fingerprint}.pkl")
 
-    def owner_of(self, fingerprint: str) -> Optional[str]:
-        """Tenant that published an entry (None when unlabelled/missing)."""
+    def _sweep_tmps(self) -> int:
+        """Remove ``*.tmp`` leftovers of killed writers (open-time sweep)."""
+        swept = 0
+        now = time.time()
+        for name in os.listdir(self.path):
+            if not name.endswith(".tmp"):
+                continue
+            full = os.path.join(self.path, name)
+            try:
+                if now - os.path.getmtime(full) >= TMP_SWEEP_AGE:
+                    os.unlink(full)
+                    swept += 1
+            except OSError:
+                pass
+        return swept
+
+    def contains(self, fingerprint: str) -> bool:
+        return os.path.exists(self._file(fingerprint))
+
+    # ------------------------------------------------------------- entries
+    def save(
+        self,
+        fingerprint: str,
+        payloads: List[Any],
+        partition_bytes: List[int],
+        producer: Optional[str],
+    ) -> bool:
+        """Persist one entry; True when it is on disk afterwards."""
+        blob = {
+            "payloads": payloads,
+            "partition_bytes": list(partition_bytes),
+            "producer": producer,
+        }
+        # per-pid tmp name: two processes publishing the same fingerprint
+        # never interleave writes into one file (each replace is atomic)
+        tmp = f"{self._file(fingerprint)}.{os.getpid()}.tmp"
         try:
-            with open(self._owner_file(fingerprint)) as fh:
-                return fh.read().strip() or None
-        except OSError:
-            return None
+            with open(tmp, "wb") as fh:
+                pickle.dump(self.tenant, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump(blob, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            return self._publish(fingerprint, tmp)
+        except Exception:  # noqa: BLE001 - unpicklable payloads skip the tier
+            _unlink(tmp)
+            return False
 
     def _publish(self, fingerprint: str, tmp: str) -> bool:
+        """Atomically move a fully written tmp into place; whether the
+        entry is still there when the publish is over."""
         owner = self.tenant
         with self._lock:
             # logged before the replace makes it true: a writer killed in
@@ -396,18 +326,56 @@ class SharedCacheStore(DiskCacheStore):
             stat = os.stat(tmp)  # the rename keeps size and mtime
             self._log_append(_log_line(fingerprint, owner, stat.st_size, stat.st_mtime))
             os.replace(tmp, self._file(fingerprint))
-            sidecar_tmp = f"{self._owner_file(fingerprint)}.{os.getpid()}.tmp"
-            with open(sidecar_tmp, "w") as fh:
-                fh.write(owner)
-            os.replace(sidecar_tmp, self._owner_file(fingerprint))
             self._enforce_quota(owner, keep=fingerprint)
             # an entry that alone exceeds the quota was evicted again
             return self.contains(fingerprint)
 
+    def load(self, fingerprint: str) -> Optional[Loaded]:
+        """Unpickle one entry afresh: the payloads are the caller's own."""
+        try:
+            with open(self._file(fingerprint), "rb") as fh:
+                owner = pickle.load(fh)
+                if not isinstance(owner, str):
+                    raise ValueError("entry does not start with its owner")
+                blob = pickle.load(fh)
+            payloads = blob["payloads"]
+            partition_bytes = blob["partition_bytes"]
+            if not isinstance(payloads, list) or not isinstance(partition_bytes, list):
+                raise ValueError("malformed cache blob")
+            if len(payloads) != len(partition_bytes):
+                raise ValueError("cache blob payload/bytes length mismatch")
+            return payloads, partition_bytes, blob["producer"], owner
+        except FileNotFoundError:
+            return None
+        except Exception:  # noqa: BLE001 - truncated/corrupt entry: quarantine
+            with self._lock:
+                self._quarantine(fingerprint)
+            return None
+
+    def owner_of(self, fingerprint: str) -> Optional[str]:
+        """Tenant that published an entry, read from the entry's first
+        pickle alone (None when the file is missing or does not say)."""
+        try:
+            with open(self._file(fingerprint), "rb") as fh:
+                owner = pickle.load(fh)
+        except Exception:  # noqa: BLE001 - missing or torn: nobody's
+            return None
+        return owner if isinstance(owner, str) else None
+
     def _quarantine(self, fingerprint: str) -> None:
+        """Unlink and count a corrupt entry; lock held."""
+        self.corrupt_entries += 1
+        _unlink(self._file(fingerprint))
+        self._log_append(f"- {fingerprint}\n")
+
+    def clear(self) -> None:
         with self._lock:
-            super()._quarantine(fingerprint)
-            self._log_append(f"- {fingerprint}\n")
+            for name in os.listdir(self.path):
+                if name.endswith((".pkl", ".tmp", ".flight", USAGE_LOG)):
+                    _unlink(os.path.join(self.path, name))
+
+    def __len__(self) -> int:
+        return sum(1 for n in os.listdir(self.path) if n.endswith(".pkl"))
 
     # ----------------------------------------------------------- usage log
     def _log_append(self, text: str) -> None:
@@ -458,8 +426,10 @@ class SharedCacheStore(DiskCacheStore):
 
     def _scan(self) -> Dict[str, Tuple[str, int, float]]:
         """What :meth:`_usage` answers, read from the files themselves: one
-        ``listdir``, a sidecar read and a ``stat`` per entry.  The recovery
-        path of the log, and the oracle the tests hold it to."""
+        ``listdir``, then the first pickle and a ``stat`` of each entry; lock
+        held.  The recovery path of the log, and the oracle the tests hold it
+        to.  An entry that does not say whose it is is quarantined, so every
+        file left is one some tenant's quota counts."""
         usage = {}
         for name in os.listdir(self.path):
             if not name.endswith(".pkl"):
@@ -467,6 +437,7 @@ class SharedCacheStore(DiskCacheStore):
             fingerprint = name[: -len(".pkl")]
             owner = self.owner_of(fingerprint)
             if owner is None:
+                self._quarantine(fingerprint)
                 continue
             try:
                 stat = os.stat(os.path.join(self.path, name))
@@ -507,11 +478,7 @@ class SharedCacheStore(DiskCacheStore):
             self._evict(keep)
 
     def _evict(self, fingerprint: str) -> None:
-        for path in (self._file(fingerprint), self._owner_file(fingerprint)):
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+        _unlink(self._file(fingerprint))
         self._log_append(f"- {fingerprint}\n")
         self.quota_evictions += 1
 
@@ -524,7 +491,7 @@ class SharedCacheStore(DiskCacheStore):
 
         The lease is a file created with ``O_CREAT | O_EXCL`` — exactly
         one concurrent claimant wins.  A lease older than
-        ``flight_timeout`` belongs to a crashed/stuck writer and is
+        ``FLIGHT_TIMEOUT`` belongs to a crashed/stuck writer and is
         broken before retrying once.
         """
         path = self._flight_file(fingerprint)
@@ -536,12 +503,9 @@ class SharedCacheStore(DiskCacheStore):
                     age = time.time() - os.path.getmtime(path)
                 except OSError:
                     continue  # holder just released; retry the claim
-                if age < self.flight_timeout:
+                if age < FLIGHT_TIMEOUT:
                     return False
-                try:  # stale lease: break it and retry the claim once
-                    os.unlink(path)
-                except OSError:
-                    pass
+                _unlink(path)  # stale lease: break it and retry the claim once
                 continue
             with os.fdopen(fd, "w") as fh:
                 fh.write(f"{os.getpid()} {time.time():.3f}")
@@ -550,29 +514,24 @@ class SharedCacheStore(DiskCacheStore):
 
     def end_flight(self, fingerprint: str) -> None:
         """Release a lease taken with :meth:`try_begin_flight`."""
-        try:
-            os.unlink(self._flight_file(fingerprint))
-        except OSError:
-            pass
+        _unlink(self._flight_file(fingerprint))
 
     def flight_active(self, fingerprint: str) -> bool:
         try:
             age = time.time() - os.path.getmtime(self._flight_file(fingerprint))
         except OSError:
             return False
-        return age < self.flight_timeout
+        return age < FLIGHT_TIMEOUT
 
-    def wait_for_flight(
-        self, fingerprint: str
-    ) -> Optional[Tuple[List[Any], List[int], Optional[str]]]:
+    def wait_for_flight(self, fingerprint: str) -> Optional[Loaded]:
         """Wait (bounded) for another job's in-flight computation.
 
         Polls until the entry is published, the lease disappears without
         a publish (the computing job failed or skipped persistence), or
-        ``flight_wait`` real seconds elapse.  Returns the loaded blob on
+        ``FLIGHT_WAIT`` real seconds elapse.  Returns the loaded entry on
         publish, else ``None`` (the caller recomputes).
         """
-        deadline = time.monotonic() + self.flight_wait
+        deadline = time.monotonic() + FLIGHT_WAIT
         while True:
             if self.contains(fingerprint):
                 loaded = self.load(fingerprint)
@@ -584,13 +543,7 @@ class SharedCacheStore(DiskCacheStore):
                 return self.load(fingerprint) if self.contains(fingerprint) else None
             if time.monotonic() >= deadline:
                 return None
-            time.sleep(self.flight_poll)
-
-    _CLEARED = (".pkl", ".tmp", ".owner", ".flight", USAGE_LOG)
-
-    def clear(self) -> None:
-        with self._lock:
-            super().clear()
+            time.sleep(FLIGHT_POLL)
 
 
 class ResultCache:
@@ -610,7 +563,7 @@ class ResultCache:
 
     def __init__(
         self,
-        store: Optional[DiskCacheStore] = None,
+        store: Optional[SharedCacheStore] = None,
         cost_based: bool = True,
     ):
         self.store = store
@@ -622,12 +575,12 @@ class ResultCache:
         #: on a miss and must release at admission or run end)
         self._owned_flights: Set[str] = set()
         #: store-level corrupt-entry count already surfaced into stats
-        self._seen_corrupt = getattr(store, "corrupt_entries", 0)
+        self._seen_corrupt = store.corrupt_entries if store is not None else 0
 
     @property
     def tenant(self) -> Optional[str]:
-        """The tenant this cache reads/writes as (shared stores only)."""
-        return getattr(self.store, "tenant", None)
+        """The tenant this cache reads/writes as (None without a store)."""
+        return self.store.tenant if self.store is not None else None
 
     # -------------------------------------------------------------- queries
     def __len__(self) -> int:
@@ -656,31 +609,25 @@ class ResultCache:
                 )
             self._drop(fingerprint, cluster, reason="backing-lost")
         if self.store is not None:
-            loaded = None
-            if self.store.contains(fingerprint):
-                loaded = self.store.load(fingerprint)
-                self._surface_corruption(cluster)
-            if loaded is None and self._singleflight_capable():
+            loaded = self.store.load(fingerprint)
+            if loaded is None:
                 loaded = self._singleflight(fingerprint, cluster)
+            self._surface_corruption(cluster)
             if loaded is not None:
-                payloads, partition_bytes, producer = loaded
+                payloads, partition_bytes, producer, owner = loaded
                 return CacheHit(
                     tier="store",
                     fingerprint=fingerprint,
                     partition_bytes=list(partition_bytes),
                     producer=producer,
                     payloads=payloads,
-                    owner_tenant=self._owner_of(fingerprint),
+                    owner_tenant=owner,
                 )
         return None
 
-    def _owner_of(self, fingerprint: str) -> Optional[str]:
-        owner_of = getattr(self.store, "owner_of", None)
-        return owner_of(fingerprint) if owner_of is not None else None
-
     def _surface_corruption(self, cluster) -> None:
         """Mirror store-detected corrupt entries into stats + obs."""
-        seen = getattr(self.store, "corrupt_entries", 0)
+        seen = self.store.corrupt_entries
         if seen > self._seen_corrupt:
             delta = seen - self._seen_corrupt
             self._seen_corrupt = seen
@@ -714,8 +661,8 @@ class ResultCache:
     ) -> None:
         """Account one stage served from ``hit`` as ``dataset_id``.
 
-        The tenant-labelled counters (shared cross-tenant stores only) are
-        written here because the trace does not know tenants.
+        The tenant-labelled counters (runs with a store only) are written
+        here because the trace does not know tenants.
         """
         stats = self.stats
         stats.hits += 1
@@ -743,9 +690,6 @@ class ResultCache:
         )
 
     # --------------------------------------------------------- single flight
-    def _singleflight_capable(self) -> bool:
-        return hasattr(self.store, "try_begin_flight")
-
     def _singleflight(self, fingerprint: str, cluster):
         """Resolve a store miss through the single-flight protocol.
 
@@ -760,13 +704,9 @@ class ResultCache:
             self._owned_flights.add(fingerprint)
             return None
         loaded = self.store.wait_for_flight(fingerprint)
-        self._surface_corruption(cluster)
         if loaded is not None:
             self.stats.singleflight_waits += 1
-            tenant = self.tenant
-            cluster.obs.counter(
-                "cache_singleflight_waits", policy=tenant or ""
-            ).inc()
+            cluster.obs.counter("cache_singleflight_waits", policy=self.tenant).inc()
         return loaded
 
     def _release_flight(self, fingerprint: str) -> None:

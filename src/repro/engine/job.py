@@ -63,7 +63,7 @@ class EngineConfig:
     #: ``None`` (the default) disables caching entirely — a disabled run is
     #: byte-identical to one without the cache subsystem.  Pass the *same*
     #: instance across ``run_mdf`` calls (with ``reset=False`` for the
-    #: cluster tier, or a ``DiskCacheStore`` for cross-reset persistence)
+    #: cluster tier, or a ``SharedCacheStore`` for cross-reset persistence)
     #: to reuse results in warm exploratory re-runs.
     cache: Optional[Any] = None
     #: execution backend for the real operator work (the data plane): a

@@ -77,8 +77,8 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, raw: Dict[str, Any]) -> "JobSpec":
-        """Unknown keys are ignored, so tickets written for an older spec
-        (``"obs"``, ``"singleflight_wait"``) still load."""
+        """Unknown keys are ignored, so a ticket written for an older spec
+        (one that still had fields this one retired) loads."""
         known = {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
         return cls(**{k: v for k, v in raw.items() if k in known})
 

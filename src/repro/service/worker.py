@@ -117,9 +117,8 @@ def _run(spec: JobSpec, started: float) -> Dict[str, Any]:
     if cache is not None:
         # a fresh cache per job makes totals == this run's deltas
         summary["cache"] = cache.stats.as_dict()
-        store = getattr(cache, "store", None)
-        if store is not None and hasattr(store, "obs_counters"):
-            summary["store"] = store.obs_counters()
+        if cache.store is not None:
+            summary["store"] = cache.store.obs_counters()
     registry = cluster.obs
     # only the trace-reconstructible counter families cross the pipe: that
     # is what the service merges, and what replaying the job's NDJSON

@@ -19,7 +19,7 @@ from repro import (
     run_mdf,
     validate_trace,
 )
-from repro.cache import DiskCacheStore
+from repro.cache import SharedCacheStore
 from repro.engine import EngineConfig
 from repro.obs.bridge import diff_registries, registry_from_trace
 
@@ -87,7 +87,7 @@ class TestWarmReuse:
         """A store hit is a fresh load owned by the run it was served to:
         scribbling over what the first warm run got, in place, does not
         change what the second one gets."""
-        cache = ResultCache(store=DiskCacheStore(str(tmp_path)), cost_based=False)
+        cache = ResultCache(store=SharedCacheStore(str(tmp_path)), cost_based=False)
         config = EngineConfig(pruning=False, cache=cache)
         cold = run_mdf(build_filter_mdf(), fresh_cluster(), config=config)
         scribbled = 0

@@ -9,7 +9,7 @@ store survives ``cluster.reset()`` and feeds the store tier.
 import pytest
 
 from repro import Cluster, GB
-from repro.cache import DiskCacheStore, ResultCache
+from repro.cache import ResultCache, SharedCacheStore
 from repro.core.datasets import Dataset
 
 
@@ -108,7 +108,7 @@ class TestClusterTier:
 class TestStoreTier:
     def test_store_survives_cluster_reset(self, tmp_path):
         cluster = fresh_cluster()
-        cache = ResultCache(store=DiskCacheStore(str(tmp_path)))
+        cache = ResultCache(store=SharedCacheStore(str(tmp_path)))
         dataset = register(cluster, list(range(10)))
         cache.admit("fp-1", dataset, cluster)
         assert cache.stats.store_writes == 1
@@ -120,15 +120,15 @@ class TestStoreTier:
 
     def test_store_survives_new_cache_instance(self, tmp_path):
         cluster = fresh_cluster()
-        store = DiskCacheStore(str(tmp_path))
+        store = SharedCacheStore(str(tmp_path))
         cache = ResultCache(store=store)
         cache.admit("fp-1", register(cluster, list(range(10))), cluster)
-        fresh = ResultCache(store=DiskCacheStore(str(tmp_path)))
+        fresh = ResultCache(store=SharedCacheStore(str(tmp_path)))
         assert fresh.lookup("fp-1", fresh_cluster()) is not None
 
     def test_unpicklable_payload_skips_store(self, tmp_path):
         cluster = fresh_cluster()
-        cache = ResultCache(store=DiskCacheStore(str(tmp_path)))
+        cache = ResultCache(store=SharedCacheStore(str(tmp_path)))
         dataset = register(cluster, [lambda x: x for _ in range(4)])
         cache.admit("fp-1", dataset, cluster)
         assert cache.stats.unpicklable_skipped == 1
@@ -137,7 +137,7 @@ class TestStoreTier:
         assert cache.lookup("fp-1", cluster).tier == "cluster"
 
     def test_store_clear_and_len(self, tmp_path):
-        store = DiskCacheStore(str(tmp_path))
+        store = SharedCacheStore(str(tmp_path))
         store.save("fp-1", [[1]], [8], None)
         store.save("fp-2", [[2]], [8], None)
         assert len(store) == 2

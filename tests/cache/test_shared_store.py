@@ -1,15 +1,16 @@
 """Tests for the shared cross-tenant store tier (PR9 tentpole).
 
-Ownership sidecars, per-tenant byte quotas with oldest-first eviction,
+The owner inside each entry, per-tenant byte quotas with oldest-first eviction,
 single-flight leases (claim / stale-break / bounded wait / release), and
 the tenant-labelled hit/miss accounting the executor layers on top.
 """
 
 import os
+import pickle
 import time
 
 from repro import Cluster, GB, Validator
-from repro.cache import ResultCache, SharedCacheStore
+from repro.cache import ResultCache, SharedCacheStore, store as store_module
 from repro.engine import EngineConfig, run_mdf
 from repro.lab.workloads import get_workload
 
@@ -33,13 +34,15 @@ def backdate(path, seconds):
 
 
 class TestOwnership:
-    def test_owner_sidecar_written_and_read(self, tmp_path):
+    def test_owner_travels_inside_the_entry(self, tmp_path):
         store = SharedCacheStore(str(tmp_path), tenant="alice")
         save_entry(store, "fp-1")
         assert store.owner_of("fp-1") == "alice"
-        # a second handle (fresh process in real life) reads the sidecar
+        # a second handle (fresh process in real life) reads the same bytes,
+        # and a load hands the owner over with the blob it just read
         other = SharedCacheStore(str(tmp_path), tenant="bob")
-        assert other.owner_of("fp-1") == "alice"
+        assert other.owner_of("fp-1") == other.load("fp-1")[3] == "alice"
+        assert sorted(os.listdir(tmp_path)) == [".lock", "fp-1.pkl"]  # one file
 
     def test_explicit_tenant_overrides_store_default(self, tmp_path):
         store = SharedCacheStore(str(tmp_path), tenant="alice")
@@ -47,12 +50,17 @@ class TestOwnership:
         assert store.owner_of("fp-1") == "carol"
 
     def test_unlabelled_entry_has_no_owner(self, tmp_path):
+        """An entry from before the owner moved inside it — one pickle, the
+        blob — is nobody's: a counted corrupt entry, never a hit."""
         store = SharedCacheStore(str(tmp_path), tenant="alice")
-        save_entry(store, "fp-1")
-        os.unlink(store._owner_file("fp-1"))
+        blob = {"payloads": [[1]], "partition_bytes": [8], "producer": None}
+        with open(store._file("fp-1"), "wb") as fh:
+            pickle.dump(blob, fh)
         assert store.owner_of("fp-1") is None
+        assert store.load("fp-1") is None and store.corrupt_entries == 1
+        assert not store.contains("fp-1")
 
-    def test_clear_removes_sidecars_and_flights(self, tmp_path):
+    def test_clear_removes_entries_and_flights(self, tmp_path):
         store = SharedCacheStore(str(tmp_path), tenant="alice")
         save_entry(store, "fp-1")
         assert store.try_begin_flight("fp-2")
@@ -74,7 +82,6 @@ class TestQuotas:
         assert not store.contains("fp-old")
         assert store.contains("fp-mid") and store.contains("fp-new")
         assert store.quota_evictions == 1
-        assert store.owner_of("fp-old") is None  # sidecar gone too
 
     def test_publish_triggers_enforcement(self, tmp_path):
         store = SharedCacheStore(str(tmp_path), tenant="alice", quota_bytes=None)
@@ -125,26 +132,25 @@ class TestSingleFlight:
         assert b.try_begin_flight("fp-1")
 
     def test_stale_lease_is_broken(self, tmp_path):
-        a = SharedCacheStore(str(tmp_path), tenant="a", flight_timeout=0.5)
-        b = SharedCacheStore(str(tmp_path), tenant="b", flight_timeout=0.5)
+        a = SharedCacheStore(str(tmp_path), tenant="a")
+        b = SharedCacheStore(str(tmp_path), tenant="b")
         assert a.try_begin_flight("fp-1")
-        backdate(a._flight_file("fp-1"), 10)  # holder looks crashed
+        backdate(a._flight_file("fp-1"), store_module.FLIGHT_TIMEOUT + 1)  # crashed
         assert not a.flight_active("fp-1")
         assert b.try_begin_flight("fp-1")  # broke the stale lease
 
     def test_wait_returns_published_blob(self, tmp_path):
         a = SharedCacheStore(str(tmp_path), tenant="a")
-        b = SharedCacheStore(str(tmp_path), tenant="b", flight_wait=5.0)
+        b = SharedCacheStore(str(tmp_path), tenant="b")
         assert a.try_begin_flight("fp-1")
         save_entry(a, "fp-1")  # publish while the lease is held
         loaded = b.wait_for_flight("fp-1")
         assert loaded is not None and loaded[2] == "producer"
 
-    def test_wait_times_out_to_recompute(self, tmp_path):
+    def test_wait_times_out_to_recompute(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "FLIGHT_WAIT", 0.05)
         a = SharedCacheStore(str(tmp_path), tenant="a")
-        b = SharedCacheStore(
-            str(tmp_path), tenant="b", flight_wait=0.05, flight_poll=0.005
-        )
+        b = SharedCacheStore(str(tmp_path), tenant="b")
         assert a.try_begin_flight("fp-1")  # ...and never publishes
         started = time.monotonic()
         assert b.wait_for_flight("fp-1") is None
@@ -152,7 +158,7 @@ class TestSingleFlight:
 
     def test_wait_stops_when_lease_released_without_publish(self, tmp_path):
         a = SharedCacheStore(str(tmp_path), tenant="a")
-        b = SharedCacheStore(str(tmp_path), tenant="b", flight_wait=5.0)
+        b = SharedCacheStore(str(tmp_path), tenant="b")
         assert a.try_begin_flight("fp-1")
         a.end_flight("fp-1")  # failed run / persistence skipped
         started = time.monotonic()
@@ -188,15 +194,13 @@ class TestResultCacheIntegration:
         assert admits and {e.data["tier"] for e in admits} == {"cluster"}
         assert cache.stats.store_writes == 0
         assert store.quota_evictions == len(admits)
-        assert [n for n in os.listdir(tmp_path) if n.endswith((".pkl", ".owner"))] == []
+        assert sorted(os.listdir(tmp_path)) == [".lock", "usage.log"]
 
     def test_waiter_serves_other_jobs_publish_as_store_hit(self, tmp_path):
         writer = SharedCacheStore(str(tmp_path), tenant="alice")
         assert writer.try_begin_flight("fp-1")
         save_entry(writer, "fp-1")
-        reader = ResultCache(
-            store=SharedCacheStore(str(tmp_path), tenant="bob", flight_wait=5.0)
-        )
+        reader = ResultCache(store=SharedCacheStore(str(tmp_path), tenant="bob"))
         hit = reader.lookup("fp-1", fresh_cluster())
         assert hit is not None and hit.tier == "store"
         assert hit.owner_tenant == "alice"
@@ -208,9 +212,7 @@ class TestResultCacheIntegration:
         import threading
 
         writer = SharedCacheStore(str(tmp_path), tenant="alice")
-        reader = ResultCache(
-            store=SharedCacheStore(str(tmp_path), tenant="bob", flight_wait=5.0)
-        )
+        reader = ResultCache(store=SharedCacheStore(str(tmp_path), tenant="bob"))
         cluster = fresh_cluster()
         assert writer.try_begin_flight("fp-1")
 

@@ -1,15 +1,15 @@
-"""Tests for DiskCacheStore hardening (PR9 satellites a + b).
+"""Tests for store hardening (PR9 satellites a + b).
 
 Corrupt/truncated entries are quarantined — unlinked, counted, served as
-a miss — and never crash a run; stale ``*.tmp`` leftovers from killed
-writers are swept at store open and never served.
+a miss — and never crash a run; ``*.tmp`` leftovers of killed writers are
+swept at store open once older than ``TMP_SWEEP_AGE`` and never served.
 """
 
 import os
 import pickle
 
 from repro import Cluster, GB, Validator
-from repro.cache import DiskCacheStore, ResultCache
+from repro.cache import ResultCache, SharedCacheStore
 from repro.engine import EngineConfig, run_mdf
 from repro.lab.workloads import get_workload
 
@@ -26,7 +26,7 @@ def save_entry(store, fingerprint="fp-1", payloads=None):
 
 class TestCorruptEntries:
     def test_truncated_entry_is_a_miss_and_unlinked(self, tmp_path):
-        store = DiskCacheStore(str(tmp_path))
+        store = SharedCacheStore(str(tmp_path))
         save_entry(store)
         path = store._file("fp-1")
         blob = open(path, "rb").read()
@@ -39,7 +39,7 @@ class TestCorruptEntries:
         assert store.corrupt_entries == 1  # not double counted
 
     def test_garbage_bytes_are_a_miss(self, tmp_path):
-        store = DiskCacheStore(str(tmp_path))
+        store = SharedCacheStore(str(tmp_path))
         with open(store._file("fp-junk"), "wb") as fh:
             fh.write(b"not a pickle at all")
         assert store.contains("fp-junk")
@@ -49,20 +49,21 @@ class TestCorruptEntries:
 
     def test_wrong_shape_blob_is_corrupt(self, tmp_path):
         """A well-formed pickle that isn't a cache blob is still corrupt."""
-        store = DiskCacheStore(str(tmp_path))
+        store = SharedCacheStore(str(tmp_path))
         with open(store._file("fp-shape"), "wb") as fh:
+            pickle.dump("alice", fh)
             pickle.dump({"payloads": [1], "partition_bytes": [1, 2],
                          "producer": None}, fh)
         assert store.load("fp-shape") is None
         assert store.corrupt_entries == 1
 
     def test_missing_file_is_a_plain_miss_not_corruption(self, tmp_path):
-        store = DiskCacheStore(str(tmp_path))
+        store = SharedCacheStore(str(tmp_path))
         assert store.load("never-saved") is None
         assert store.corrupt_entries == 0
 
     def test_resave_after_corruption_serves_again(self, tmp_path):
-        store = DiskCacheStore(str(tmp_path))
+        store = SharedCacheStore(str(tmp_path))
         save_entry(store)
         with open(store._file("fp-1"), "wb") as fh:
             fh.write(b"xx")
@@ -78,7 +79,7 @@ class TestTmpSweep:
         planted.write_bytes(b"partial write from a killed process")
         old = os.path.getmtime(planted) - 3600
         os.utime(planted, (old, old))
-        store = DiskCacheStore(str(tmp_path), tmp_sweep_age=60.0)
+        store = SharedCacheStore(str(tmp_path))
         assert store.tmps_swept == 1
         assert not planted.exists()
         assert not store.contains("deadbeef")  # tmp was never an entry
@@ -89,22 +90,16 @@ class TestTmpSweep:
         mid-publish — it must not be yanked out from under it."""
         planted = tmp_path / "cafe.pkl.999.tmp"
         planted.write_bytes(b"in-flight write")
-        store = DiskCacheStore(str(tmp_path), tmp_sweep_age=60.0)
+        store = SharedCacheStore(str(tmp_path))
         assert store.tmps_swept == 0
         assert planted.exists()
 
-    def test_default_sweep_removes_any_age(self, tmp_path):
-        (tmp_path / "f00d.pkl.1.tmp").write_bytes(b"x")
-        store = DiskCacheStore(str(tmp_path))  # tmp_sweep_age=0.0
-        assert store.tmps_swept == 1
-
     def test_clear_removes_tmps_too(self, tmp_path):
-        store = DiskCacheStore(str(tmp_path))
+        store = SharedCacheStore(str(tmp_path))
         save_entry(store)
         (tmp_path / "aaaa.pkl.7.tmp").write_bytes(b"x")
         store.clear()
-        leftover = [n for n in os.listdir(tmp_path) if n.endswith((".pkl", ".tmp"))]
-        assert leftover == []
+        assert os.listdir(tmp_path) == [".lock"]
 
 
 class TestCorruptionRegression:
@@ -112,7 +107,7 @@ class TestCorruptionRegression:
         """End to end: corrupt every store entry between runs; the rerun
         must recompute cleanly and produce identical outputs."""
         workload = get_workload("filter_min")
-        store = DiskCacheStore(str(tmp_path))
+        store = SharedCacheStore(str(tmp_path))
         cache = ResultCache(store=store)
 
         def run():

@@ -16,20 +16,27 @@ import signal
 import time
 
 from repro.cache import SharedCacheStore
+from repro.cache.store import TMP_SWEEP_AGE, USAGE_LOG
 
 FINGERPRINTS = [f"fp-{i}" for i in range(6)]
 TENANTS = [f"t{i}" for i in range(3)]
 #: room for two or three of the hammer's entries per tenant: evictions race too
 QUOTA = 600
+CTX = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+)
 
 
 def assert_ledger_is_the_directory(path):
-    """The usage log, read by a fresh handle, says what the files say, and
+    """The usage log, read by a fresh handle, says what the files say — each
+    entry one file that names its owner, nothing else beside them — and
     nobody is over quota."""
     store = SharedCacheStore(path)
     with store._lock:
         from_log, from_files = store._usage(), store._scan()
     assert from_log == from_files
+    names = [n for n in os.listdir(path) if n not in (".lock", USAGE_LOG)]
+    assert sorted(names) == sorted(f"{fp}.pkl" for fp in from_files)
     for tenant in TENANTS:
         assert store.tenant_usage(tenant) <= QUOTA
 
@@ -41,9 +48,7 @@ def _hammer(args):
     error — the store's contract is that races never raise.
     """
     path, seed, iterations = args
-    store = SharedCacheStore(
-        path, tenant=TENANTS[seed % 3], quota_bytes=QUOTA, tmp_sweep_age=60.0
-    )
+    store = SharedCacheStore(path, tenant=TENANTS[seed % 3], quota_bytes=QUOTA)
     loads_ok = errors = 0
     for i in range(iterations):
         fp = FINGERPRINTS[(seed + i) % len(FINGERPRINTS)]
@@ -55,10 +60,12 @@ def _hammer(args):
             elif op < 6:  # load: a miss or a well-formed blob, never torn
                 loaded = store.load(fp)
                 if loaded is not None:
-                    payloads, partition_bytes, producer = loaded
+                    payloads, partition_bytes, producer, owner = loaded
                     assert isinstance(payloads, list)
                     assert len(payloads) == len(partition_bytes)
-                    assert producer is None or producer.startswith("p")
+                    # the owner is the tenant of the writer whose payload it is
+                    writer = payloads[0][0]
+                    assert (producer, owner) == (f"p{writer}", TENANTS[writer % 3])
                     loads_ok += 1
             else:  # the rarest op: wipe everything mid-race
                 store.clear()
@@ -75,7 +82,7 @@ def _flight_worker(args):
     (computed, served) flags.
     """
     path, log_path, seed = args
-    store = SharedCacheStore(path, tenant=f"t{seed}", flight_wait=20.0)
+    store = SharedCacheStore(path, tenant=f"t{seed}")
     fp = "fp-expensive"
     if store.contains(fp):
         return (0, 1)
@@ -104,15 +111,37 @@ def _killed_mid_append(path):
     store.save("fp-torn", [[0] * 40], [320], "p-killed")
 
 
+def _killed_after_the_replace(path):
+    """A publisher SIGKILLed holding the flock, its entry just moved into
+    place over another tenant's."""
+    store = SharedCacheStore(path, tenant=TENANTS[1], quota_bytes=QUOTA)
+    real = os.replace
+
+    def replace_then_die(src, dst):
+        real(src, dst)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    os.replace = replace_then_die
+    store.save("fp-before", [[2] * 40], [320], "p1")
+
+
+def survivor_of(victim, path):
+    """A handle on a store whose ``fp-before`` is TENANTS[0]'s, after
+    ``victim`` was SIGKILLed publishing to it from a process of its own."""
+    first = SharedCacheStore(path, tenant=TENANTS[0], quota_bytes=QUOTA)
+    assert first.save("fp-before", [[1] * 40], [320], "p0")
+    process = CTX.Process(target=victim, args=(path,))
+    process.start()
+    process.join(30)
+    assert process.exitcode == -signal.SIGKILL
+    return first
+
+
 class TestConcurrentStress:
     def test_parallel_save_load_clear_races(self, tmp_path):
         path = str(tmp_path)
         procs, iterations = 4, 120
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
-        with ctx.Pool(procs) as pool:
+        with CTX.Pool(procs) as pool:
             results = pool.map(
                 _hammer, [(path, seed, iterations) for seed in range(procs)]
             )
@@ -123,29 +152,20 @@ class TestConcurrentStress:
         # atomic publishes mean a reader never sees a torn entry
         assert total_corrupt == 0, f"torn reads detected: {results}"
         assert total_loads > 0  # the race actually exercised loads
-        leftovers = [n for n in os.listdir(path) if n.endswith(".tmp")]
-        assert leftovers == []  # every publish or failure cleaned up
+        # no tmp either: every publish or failure cleaned up
         assert_ledger_is_the_directory(path)
 
     def test_publisher_killed_mid_append_holding_the_lock(self, tmp_path):
         path = str(tmp_path)
-        first = SharedCacheStore(path, tenant=TENANTS[0], quota_bytes=QUOTA)
-        assert first.save("fp-before", [[1] * 40], [320], "p0")
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
-        victim = ctx.Process(target=_killed_mid_append, args=(path,))
-        victim.start()
-        victim.join(30)
-        assert victim.exitcode == -signal.SIGKILL
+        first = survivor_of(_killed_mid_append, path)
         with open(first._log_file) as fh:
             assert not fh.read().endswith("\n")  # the torn line is there
         # the kernel dropped the dead holder's flock; the next handle sweeps
-        # its tmp, finds the log torn and rebuilds it from the files
-        survivor = SharedCacheStore(
-            path, tenant=TENANTS[1], quota_bytes=QUOTA, tmp_sweep_age=0.0
-        )
+        # its tmp (once old enough that no live writer can own it), finds the
+        # log torn and rebuilds it from the files
+        (tmp,) = [n for n in os.listdir(path) if n.endswith(".tmp")]
+        os.utime(os.path.join(path, tmp), (0, time.time() - TMP_SWEEP_AGE - 1))
+        survivor = SharedCacheStore(path, tenant=TENANTS[1], quota_bytes=QUOTA)
         assert survivor.tmps_swept == 1
         assert survivor.save("fp-after", [[2] * 40], [320], "p1")
         assert not survivor.contains("fp-torn")
@@ -153,15 +173,21 @@ class TestConcurrentStress:
         with survivor._lock:
             assert sorted(survivor._usage()) == ["fp-after", "fp-before"]
 
+    def test_publisher_killed_after_the_replace_owns_what_it_published(self, tmp_path):
+        path = str(tmp_path)
+        first = survivor_of(_killed_after_the_replace, path)
+        payloads, _, producer, owner = first.load("fp-before")
+        assert (payloads, producer, owner) == ([[2] * 40], "p1", TENANTS[1])
+        assert_ledger_is_the_directory(path)
+        os.unlink(first._log_file)  # ... and the files alone say the same
+        assert_ledger_is_the_directory(path)
+        assert first.tenant_usage(TENANTS[0]) == 0
+
     def test_inflight_fingerprint_computed_exactly_once(self, tmp_path):
         store_dir = tmp_path / "store"
         store_dir.mkdir()
         log_path = str(tmp_path / "compute.log")
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
-        with ctx.Pool(2) as pool:
+        with CTX.Pool(2) as pool:
             results = pool.map(
                 _flight_worker,
                 [(str(store_dir), log_path, seed) for seed in range(2)],

@@ -1,15 +1,17 @@
 """The shared store's quota ledger: ``usage.log`` against the directory scan.
 
-The ``.pkl`` + ``.owner`` files are the truth and ``SharedCacheStore._scan``
-reads it the way every publish used to; the log has to give the same
-answer after anything that can happen to a store, and a store whose every
-answer comes from the scan (``ScanStore`` below — the implementation the
-log replaced) has to evict the same entries in the same order.
+The entry files are the truth — each starts with its owner — and
+``SharedCacheStore._scan`` reads it the way every publish used to; the log
+has to give the same answer after anything that can happen to a store, and
+a store whose every answer comes from the scan (``ScanStore`` below — the
+implementation the log replaced) has to evict the same entries in the same
+order.
 """
 
 import os
 import pickle
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -54,9 +56,24 @@ def payload(size):
     return [list(range(size))]
 
 
-def file_bytes(size):
+def file_bytes(tenant, size):
     blob = {"payloads": payload(size), "partition_bytes": [size], "producer": "p"}
-    return len(pickle.dumps(blob, protocol=pickle.HIGHEST_PROTOCOL))
+    parts = (tenant, blob)  # the owner, then the blob: two pickles, one file
+    return sum(len(pickle.dumps(p, protocol=pickle.HIGHEST_PROTOCOL)) for p in parts)
+
+
+def damage(path, how):
+    """Garbage; a write torn just after the entry's first pickle; or a
+    well-formed entry of the format before this one — the blob, no owner."""
+    with open(path, "rb") as fh:
+        pickle.load(fh)
+        owner_ends = fh.tell()
+        entry = fh.read() if how == "ownerless" else b"not a pickle"
+    if how == "torn":
+        os.truncate(path, owner_ends)
+    else:
+        with open(path, "wb") as fh:
+            fh.write(entry)
 
 
 def views(path):
@@ -75,7 +92,11 @@ steps = st.one_of(
         st.integers(20, 300),  # payload length: 100-odd to 900-odd file bytes
         st.integers(0, 3),  # mtime: ties on purpose
     ),
-    st.tuples(st.just("corrupt"), st.sampled_from(FINGERPRINTS)),
+    st.tuples(
+        st.just("corrupt"),
+        st.sampled_from(FINGERPRINTS),
+        st.sampled_from(("garbage", "torn", "ownerless")),
+    ),
     st.tuples(st.just("shrink"), st.sampled_from(TENANTS), st.integers(0, QUOTA)),
     st.tuples(st.just("clear")),
     st.tuples(st.just("log-deleted")),
@@ -106,13 +127,12 @@ def test_log_agrees_with_scan_and_with_the_scanning_store(script, tmp_path_facto
                 store.mtime = 1_000_000.0 + mtime
                 kept.append(store.save(fingerprint, payload(size), [size], "p"))
                 assert store.tenant_usage(tenant) <= QUOTA
-            assert kept[0] == kept[1] == (file_bytes(size) <= QUOTA)
+            assert kept[0] == kept[1] == (file_bytes(tenant, size) <= QUOTA)
         elif kind == "corrupt":
             for store in both():
                 if store.contains(step[1]):
-                    with open(store._file(step[1]), "wb") as fh:
-                        fh.write(b"not a pickle")
-                    assert store.load(step[1]) is None
+                    damage(store._file(step[1]), step[2])
+                    assert store.load(step[1]) is None  # never a served hit
                     assert store.corrupt_entries == 1
         elif kind == "shrink":
             for store in both(step[1], quota=step[2]):
@@ -172,6 +192,7 @@ class TestTheLog:
         bob = SharedCacheStore(str(tmp_path), tenant="bob", quota_bytes=ROOMY)
         save(bob, "fp-1", size=200)
         assert [line.split()[2] for line in log_lines(bob)] == ["alice", "bob"]
+        assert alice.load("fp-1")[3] == alice.owner_of("fp-1") == "bob"
         assert alice.tenant_usage("alice") == 0
         assert bob.tenant_usage("bob") == os.path.getsize(bob._file("fp-1"))
 
@@ -202,9 +223,9 @@ class TestTheLog:
         store = SharedCacheStore(str(tmp_path), tenant=tenant, quota_bytes=ROOMY)
         save(store, "fp-1")
         save(store, "fp-2")
-        assert sorted(os.listdir(tmp_path)) == sorted(
-            [".lock", USAGE_LOG, "fp-1.pkl", "fp-1.owner", "fp-2.pkl", "fp-2.owner"]
-        )
+        names = [".lock", "fp-1.pkl", "fp-2.pkl", USAGE_LOG]
+        assert sorted(os.listdir(tmp_path)) == names
+        assert store.load("fp-1")[3] == tenant
         assert len(log_lines(store)) == 2  # one line per publish, whatever the name
         with store._lock:
             assert {owner for owner, _, _ in store._usage().values()} == {tenant}
@@ -258,3 +279,59 @@ class TestTheLog:
         save(store, "fp-1")
         assert store.quota_evictions == 2 and store.contains("fp-1")
         assert views(str(tmp_path))[0] == views(str(tmp_path))[1]
+
+
+class Lost(BaseException):
+    """The writer is gone: nothing of ``save`` runs after this, not even
+    its ``except Exception`` clean-up."""
+
+
+@pytest.mark.parametrize("overwrite", [True, False], ids=["overwrite", "new"])
+@pytest.mark.parametrize("survives", range(4))
+def test_a_publish_cut_short_never_parts_an_entry_from_its_owner(
+    tmp_path, monkeypatch, overwrite, survives
+):
+    """Bob's publish is lost after ``survives`` of its file-system steps (the
+    log's ``os.write``, each ``os.replace``) — over alice's entry of the same
+    fingerprint, or on a fingerprint nobody has published."""
+    path = str(tmp_path)
+    alice = SharedCacheStore(path, tenant="alice", quota_bytes=ROOMY)
+    save(alice, "fp-0")
+    if overwrite:
+        save(alice, "fp-1", size=10)
+    steps = []
+
+    def step(real):
+        def counted(*args):
+            if len(steps) == survives:
+                raise Lost
+            steps.append(real.__name__)
+            return real(*args)
+
+        return counted
+
+    monkeypatch.setattr(os, "write", step(os.write))
+    monkeypatch.setattr(os, "replace", step(os.replace))
+    bob = SharedCacheStore(path, tenant="bob", quota_bytes=ROOMY)
+    try:
+        bob.save("fp-1", payload(20), [20], "p")
+    except Lost:
+        pass
+    monkeypatch.undo()
+    assert steps[:2] == ["write", "replace"][:survives]
+
+    fresh = SharedCacheStore(path)
+    loaded = fresh.load("fp-1")
+    found = loaded and (loaded[0], fresh.owner_of("fp-1"))
+    old = (payload(10), "alice") if overwrite else None
+    assert found in (old, (payload(20), "bob"))  # never one's bytes, the other's name
+    os.unlink(fresh._log_file)
+    from_log, from_files = views(path)
+    assert from_log == from_files
+    entries = {n[: -len(".pkl")] for n in os.listdir(path) if n.endswith(".pkl")}
+    assert entries == set(from_files)  # every file is somebody's ...
+    for tenant in TENANTS:  # ... so that tenant's quota can reach it
+        store = SharedCacheStore(path, tenant=tenant, quota_bytes=0)
+        with store._lock:
+            store._enforce_quota(tenant)
+    assert [n for n in os.listdir(path) if n.endswith(".pkl")] == []

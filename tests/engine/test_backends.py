@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro import CallableEvaluator, Cluster, GB, MB, MDFBuilder
-from repro.cache import DiskCacheStore, ResultCache
+from repro.cache import ResultCache, SharedCacheStore
 from repro.core.errors import ExecutionError
 from repro.core.operators import Aggregate, Filter, Map, Transform
 from repro.core.stages import StageGraph
@@ -261,7 +261,7 @@ class TestStoreHitIsolation:
         stage here mutates its input in place, and before the fix that
         mutation landed in the cached blob every later hit was served
         from."""
-        store = DiskCacheStore(str(tmp_path))
+        store = SharedCacheStore(str(tmp_path))
         cold, _ = _run_with_mutator(store, 0)
         warm1, cache1 = _run_with_mutator(store, 1)
         warm2, cache2 = _run_with_mutator(store, 2)

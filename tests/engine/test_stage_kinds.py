@@ -24,7 +24,7 @@ from repro import (
     run_mdf,
     validate_trace,
 )
-from repro.cache import DiskCacheStore
+from repro.cache import SharedCacheStore
 from repro.core.builder import Pipe
 from repro.core.stages import StageGraph
 from repro.engine import EngineConfig
@@ -85,7 +85,7 @@ def run_scenario(kind, scenario, tmp_path):
         # a fresh cluster and a fresh ResultCache over the same directory:
         # only the store tier can serve the second run
         def store_config():
-            store = DiskCacheStore(str(tmp_path))
+            store = SharedCacheStore(str(tmp_path))
             return EngineConfig(
                 pruning=False, cache=ResultCache(store=store, cost_based=False)
             )

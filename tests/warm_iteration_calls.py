@@ -8,8 +8,9 @@ quota-bound ``SharedCacheStore`` with 150 steps of the sliding-window
 step), then counts the ``os.stat`` / ``os.listdir`` / ``open`` /
 ``hashlib.sha256`` calls of step 151.  Exact and repeatable — 814 / 5 / 216
 / 107 with a directory scan per publish and operators fingerprinted one by
-one, 36 / 1 / 34 / 49 with the usage log and the one fingerprinting pass —
-so CI's tier-1 summary tracks it.  Not collected by pytest.
+one, 36 / 1 / 34 / 49 with the usage log and the one fingerprinting pass,
+22 / 1 / 23 / 49 with the owner inside the entry and no ``contains`` before
+``load`` — so CI's tier-1 summary tracks it.  Not collected by pytest.
 """
 
 import builtins
