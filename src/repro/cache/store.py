@@ -144,7 +144,7 @@ class CacheStats:
 USAGE_LOG = "usage.log"
 #: the log is rewritten when its dead lines outnumber the live ones and this
 LOG_SLACK = 64
-#: a lease older than this is a crashed writer's: no stage here computes that long
+#: a lease older than this is a stuck writer's (a dead pid's is broken at once)
 FLIGHT_TIMEOUT = 30.0
 #: a waiter recomputes after this; operators are pure, so giving up costs only time
 FLIGHT_WAIT = 5.0
@@ -160,6 +160,25 @@ def _unlink(path: str) -> None:
         os.unlink(path)
     except OSError:
         pass
+
+
+def _lease_held(path: str) -> Optional[bool]:
+    """Whether a live writer holds the lease (``None``: there is none).  A
+    lease whose ``"<pid> <time>"`` names a pid gone from this host is stale
+    at once, any lease (one still empty, too) after ``FLIGHT_TIMEOUT``."""
+    try:
+        with open(path) as fh:
+            pid = fh.read().split(" ", 1)[0]
+            age = time.time() - os.fstat(fh.fileno()).st_mtime
+    except OSError:
+        return None
+    try:
+        os.kill(int(pid), 0)
+    except ProcessLookupError:
+        return False
+    except (ValueError, PermissionError):  # no pid yet; another user's
+        pass
+    return age < FLIGHT_TIMEOUT
 
 
 def _log_line(fingerprint: str, tenant: str, nbytes: int, mtime: float) -> str:
@@ -230,9 +249,10 @@ class SharedCacheStore:
       creates ``<fp>.flight`` (``O_CREAT | O_EXCL``); concurrent jobs
       missing the same fingerprint wait (bounded) for the computing job
       to publish instead of recomputing.  Leases are crash-safe: a lease
-      older than ``FLIGHT_TIMEOUT`` real seconds is broken and taken
-      over.  Waits are bounded by ``FLIGHT_WAIT`` — on timeout the
-      waiter simply recomputes (correct either way; operators are pure).
+      whose holder's pid is gone, or older than ``FLIGHT_TIMEOUT`` real
+      seconds, is broken and taken over.  Waits are bounded by
+      ``FLIGHT_WAIT`` — on timeout the waiter simply recomputes (correct
+      either way; operators are pure).
     * **Per-tenant byte quotas** — after each save the writing tenant's
       footprint is folded from ``usage.log`` and its *oldest* entries
       (publish mtime) are evicted until the quota holds.  Quotas bound
@@ -490,23 +510,20 @@ class SharedCacheStore:
         """Claim the right to compute a fingerprint (True = we compute).
 
         The lease is a file created with ``O_CREAT | O_EXCL`` — exactly
-        one concurrent claimant wins.  A lease older than
-        ``FLIGHT_TIMEOUT`` belongs to a crashed/stuck writer and is
-        broken before retrying once.
+        one concurrent claimant wins.  A stale lease (:func:`_lease_held`
+        says no) is broken before retrying once.
         """
         path = self._flight_file(fingerprint)
         for _ in range(2):
             try:
                 fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
             except FileExistsError:
-                try:
-                    age = time.time() - os.path.getmtime(path)
-                except OSError:
-                    continue  # holder just released; retry the claim
-                if age < FLIGHT_TIMEOUT:
+                held = _lease_held(path)
+                if held:
                     return False
-                _unlink(path)  # stale lease: break it and retry the claim once
-                continue
+                if held is False:  # stale lease: break it and retry the claim once
+                    _unlink(path)
+                continue  # None: the holder just released; retry the claim
             with os.fdopen(fd, "w") as fh:
                 fh.write(f"{os.getpid()} {time.time():.3f}")
             return True
@@ -517,11 +534,7 @@ class SharedCacheStore:
         _unlink(self._flight_file(fingerprint))
 
     def flight_active(self, fingerprint: str) -> bool:
-        try:
-            age = time.time() - os.path.getmtime(self._flight_file(fingerprint))
-        except OSError:
-            return False
-        return age < FLIGHT_TIMEOUT
+        return bool(_lease_held(self._flight_file(fingerprint)))
 
     def wait_for_flight(self, fingerprint: str) -> Optional[Loaded]:
         """Wait (bounded) for another job's in-flight computation.

@@ -5,7 +5,7 @@ is what serving **many** of them looks like: a long-lived service that
 accepts MDF submissions from many tenants, admits them through a
 weighted fair-share queue (start-time fair queuing — the k-parallel
 co-scheduler's waves generalised to a sliding window,
-:mod:`repro.service.queue`), runs them concurrently on a pool of worker
+:mod:`repro.service.queue`), runs them concurrently in supervised worker
 processes (:mod:`repro.service.service`), and shares one cross-tenant
 :class:`~repro.cache.SharedCacheStore` so any tenant's exploration warms
 every other tenant's cache — with single-flight deduplication, per-tenant

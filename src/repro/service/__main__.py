@@ -48,7 +48,7 @@ import sys
 import time
 from typing import Any, Dict, List, Optional, TextIO, Tuple
 
-from .jobs import DONE, FAILED, check_backend
+from .jobs import DONE, FAILED
 from .obs import _atomic_text
 from .service import JobService
 
@@ -90,8 +90,6 @@ def make_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentP
     serve = command("serve", cmd_serve, "run the service over the spool directory")
     serve.add_argument("--workers", type=int, default=2, metavar="N",
                        help="concurrent worker processes (default 2)")
-    serve.add_argument("--slots", type=int, metavar="N",
-                       help="admission window (default: workers)")
     serve.add_argument("--tenant", type=_tenant_weight, action="append", default=[],
                        metavar="NAME:WEIGHT", dest="tenants",
                        help="pre-register a tenant weight (repeatable)")
@@ -114,8 +112,7 @@ def make_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentP
     submit.add_argument("--memory", metavar="NAME",
                         help="eviction policy (default amm)")
     submit.add_argument("--backend", metavar="NAME",
-                        help="execution backend (default serial; mp is "
-                        "rejected: pool workers cannot fork a pool)")
+                        help="execution backend (default serial)")
     submit.add_argument("--cost", type=float, metavar="X",
                         help="fair-share cost hint (default 1.0)")
 
@@ -198,16 +195,12 @@ def cmd_serve(args: argparse.Namespace, out: TextIO) -> int:
     spool = args.spool
     service = JobService(
         workers=args.workers,
-        slots=args.slots or None,
         tenants=dict(args.tenants),
         spool=spool,
         quota_bytes=args.quota_bytes or None,
         validate=not args.no_validate,
     )
-    out.write(
-        f"serving spool={spool} workers={service.workers} "
-        f"slots={service.queue.slots}\n"
-    )
+    out.write(f"serving spool={spool} workers={service.workers}\n")
     last_activity = time.monotonic()
     with service:
         while True:
@@ -238,11 +231,6 @@ def cmd_submit(args: argparse.Namespace, out: TextIO) -> int:
         value = getattr(args, key)
         if value is not None:
             ticket[key] = value
-    try:
-        check_backend(ticket.get("backend", "serial"))
-    except ValueError as exc:
-        out.write(f"{exc}\n")
-        return 2
     path = _write_ticket(args.spool, ticket)
     out.write(f"queued ticket {os.path.basename(path)}\n")
     return 0
@@ -319,7 +307,7 @@ def cmd_status(args: argparse.Namespace, out: TextIO) -> int:
     out.write(
         "jobs: "
         + "  ".join(f"{k}={counts.get(k, 0)}" for k in sorted(counts))
-        + f"  (slots {state.get('busy', 0)}/{state.get('slots', '?')})\n"
+        + f"  (slots {state.get('busy', 0)}/{state.get('workers', '?')})\n"
     )
     shares = state.get("admission_shares", {})
     for t in state.get("tenants", []):
@@ -370,7 +358,7 @@ def _render_top(
     lines.append(
         "jobs: "
         + "  ".join(f"{k}={counts.get(k, 0)}" for k in sorted(counts))
-        + f"    slots {state.get('busy', 0)}/{state.get('slots', '?')}"
+        + f"    slots {state.get('busy', 0)}/{state.get('workers', '?')}"
     )
     lines.append(_age_line(state, stale_after).rstrip("\n"))
     obs = state.get("obs") or {}

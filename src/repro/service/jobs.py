@@ -2,7 +2,7 @@
 
 A :class:`JobSpec` is everything a worker process needs to execute one
 MDF job — it must stay **picklable and JSON-serialisable** (specs cross
-the process boundary to the worker pool and land in the spool's
+the process boundary to a worker process and land in the spool's
 ``state.json`` for the CLI), so jobs reference workloads by *zoo name*
 (:data:`repro.lab.workloads.WORKLOADS`) rather than carrying MDF objects
 (whose operators are closures).
@@ -21,7 +21,6 @@ from typing import Any, Dict, Optional
 __all__ = [
     "JobRecord",
     "JobSpec",
-    "check_backend",
     "QUEUED",
     "RUNNING",
     "DONE",
@@ -32,21 +31,6 @@ QUEUED = "queued"
 RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
-
-
-def check_backend(backend: str) -> None:
-    """Reject an execution backend no service job can run under.
-
-    Jobs run in daemonic pool workers, and a daemonic process may not
-    fork the ``mp`` backend's process pool ("daemonic processes are not
-    allowed to have children") — refuse at submission rather than fail
-    the job with that traceback.
-    """
-    if backend == "mp":
-        raise ValueError(
-            "backend 'mp' cannot run inside a service job: pool workers are "
-            "daemonic and may not start a process pool of their own"
-        )
 
 
 @dataclass

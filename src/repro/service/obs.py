@@ -9,7 +9,7 @@ to the dispatcher, which folds them into one long-lived
 :class:`~repro.obs.registry.MetricsRegistry` labeled with the service
 dimensions ``{tenant, workload, status, policy}`` — plus service-native
 series: exact (nearest-rank, as the benchmarks report) queue-wait
-and end-to-end latency histograms, pool-slot gauges, per-state job
+and end-to-end latency histograms, worker-slot gauges, per-state job
 gauges and tenant-labeled shared-cache counters.
 
 On top of the registry sit two auditors reusing the
@@ -43,6 +43,7 @@ import contextlib
 import dataclasses
 import json
 import os
+import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
@@ -64,7 +65,7 @@ __all__ = [
 ]
 
 #: the service-plane label dimensions, in canonical order
-SERVICE_LABEL_NAMES: Tuple[str, ...] = ("tenant", "workload", "status", "policy")
+SERVICE_LABEL_NAMES: Tuple[str, ...] = ("tenant", "workload", "status", "policy", "kind")
 
 #: job-registry counter families the dispatcher folds into the service
 #: registry (collapsed onto ``{tenant, workload}``) — exactly the
@@ -97,6 +98,7 @@ SERVICE_CONSISTENCY_VIEWS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
         ("service_queue_wait_seconds", ("tenant", "workload")),
         ("service_latency_seconds", ("tenant", "workload")),
         ("service_alerts", ("tenant", "policy")),
+        ("service_recoveries", ("kind",)),
     )
     + tuple(
         (f"service_cache_{key}", ("tenant", "workload"))
@@ -113,7 +115,7 @@ def _atomic_text(path: str):
     cleanly, so a concurrent reader sees the old or the new file, never a
     torn one (per-pid tmp + ``os.replace``) — the package's one text
     publish: tickets, ``state.json``, metric exports.  Callers stream into
-    it: the buffer's flushes release the GIL to the pool's pipe threads."""
+    it, one buffer-sized write at a time."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
@@ -367,18 +369,11 @@ class ServiceObs:
         slots: Optional[int] = None,
         weights: Optional[Dict[str, float]] = None,
         slos: Optional[Dict[str, Dict[str, Any]]] = None,
-        slo_window: int = 20,
-        burn_threshold: float = 2.0,
     ):
         self.events_path = events_path
         self.registry = MetricsRegistry(label_names=SERVICE_LABEL_NAMES)
         self.fairness = FairnessAuditor(registry=self.registry)
-        self.slo = SLOTracker(
-            registry=self.registry,
-            slos=slos,
-            window=slo_window,
-            burn_threshold=burn_threshold,
-        )
+        self.slo = SLOTracker(registry=self.registry, slos=slos)
         # one log, one handle per service lifetime; line-buffered (1), so an
         # event is on disk before ``apply`` folds it and replay works mid-run
         self._log = None if events_path is None else open(events_path, "w", 1)
@@ -387,8 +382,6 @@ class ServiceObs:
             "slots": slots,
             "weights": dict(sorted((weights or {}).items())),
             "slos": {k: dict(v) for k, v in sorted((slos or {}).items())},
-            "slo_window": slo_window,
-            "burn_threshold": burn_threshold,
         }
         self.record(config)
 
@@ -443,6 +436,11 @@ class ServiceObs:
                 workload=workload,
             ).observe(float(event["queue_wait"]))
             self.fairness.on_admission(event)
+        elif kind == "retried":  # its worker died; it is queued again
+            reg.gauge("service_jobs_state", status="running").dec()
+            reg.gauge("service_jobs_state", status="queued").inc()
+            reg.gauge("service_slots_busy").dec()
+            reg.counter("service_recoveries", kind="worker_died").inc()
         elif kind in ("done", "failed"):
             reg.counter(
                 "service_jobs", tenant=tenant, workload=workload, status=kind
@@ -514,6 +512,11 @@ class ServiceObs:
             "heads": {k: list(v) for k, v in sorted(heads.items())},
             "weights": dict(sorted(weights.items())),
         })
+
+    def job_retried(self, record, attempt: int, exitcode: Optional[int]) -> None:
+        self.record({"event": "retried", "t": time.time(), "job": record.job_id,
+                     "tenant": record.tenant, "workload": record.spec.workload,
+                     "attempt": attempt, "exitcode": exitcode})
 
     def job_finished(self, record, snapshot: Optional[Dict[str, Any]]) -> None:
         result = record.result or {}
@@ -614,8 +617,6 @@ def replay_service_registry(
                     slots=event.get("slots"),
                     weights=event.get("weights"),
                     slos=event.get("slos"),
-                    slo_window=event.get("slo_window", 20),
-                    burn_threshold=event.get("burn_threshold", 2.0),
                 )
                 continue
             if replayed is None:

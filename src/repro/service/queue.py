@@ -165,6 +165,14 @@ class FairShareQueue:
         if state is not None:
             state.completed += 1
 
+    def requeue(self, job: QueuedJob) -> None:
+        """Undo :meth:`next_job` for a job whose run was lost: its slot is
+        free, and it heads its tenant's queue again with its original tags."""
+        self.busy -= 1
+        state = self._tenants[job.tenant]
+        state.queued.appendleft(job)
+        state.admitted -= 1
+
     # ------------------------------------------------------------- audit
     @property
     def vtime(self) -> float:

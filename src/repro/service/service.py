@@ -3,11 +3,10 @@
 :class:`JobService` accepts MDF submissions from many tenants, admits
 them through the weighted fair-share queue
 (:class:`~repro.service.queue.FairShareQueue`), and runs up to
-``workers`` jobs **concurrently in real processes** (a fork-context
-pool; each job is one ``run_mdf`` call in a worker, on the ``serial``
-backend — the ``mp`` backend is rejected at :meth:`JobService.submit`,
-because a daemonic pool worker may not fork a pool of its own).  All
-jobs share
+``workers`` jobs **concurrently in real processes** (``daemon=False``
+workers started on demand, one pipe each, one ``run_mdf`` call per job
+on any backend; a job whose worker dies is re-queued, up to
+:data:`ATTEMPTS` runs).  All jobs share
 one :class:`~repro.cache.SharedCacheStore` directory, so one tenant's
 exploration warms every other tenant's cache, deduplicated in flight
 and bounded per tenant by byte quotas.
@@ -29,21 +28,25 @@ solo run (asserted by ``benchmarks/wall`` and ``tests/service``).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import os
 import tempfile
-import threading
 import time
-from collections import deque
-from typing import Any, Dict, List, Optional, Tuple
+from multiprocessing.connection import wait
+from multiprocessing.util import Finalize
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from .jobs import DONE, FAILED, QUEUED, RUNNING, JobRecord, JobSpec, check_backend
+from .jobs import DONE, FAILED, QUEUED, RUNNING, JobRecord, JobSpec
 from .obs import ServiceObs, _atomic_text
 from .queue import FairShareQueue, QueuedJob
-from .worker import run_job
+from .worker import serve
 
 __all__ = ["JobService"]
+
+#: runs a job gets before a worker death fails it (fm-app's repair loop)
+ATTEMPTS = 3
 
 #: the next publish of the views comes no sooner than max(PUBLISH_MIN_S,
 #: PUBLISH_COST_X × the last one's duration) after it: ~1/10 of the time
@@ -64,7 +67,6 @@ class JobService:
     def __init__(
         self,
         workers: int = 2,
-        slots: Optional[int] = None,
         tenants: Optional[Dict[str, float]] = None,
         cache_dir: Optional[str] = None,
         spool: Optional[str] = None,
@@ -74,7 +76,7 @@ class JobService:
         slos: Optional[Dict[str, Dict[str, Any]]] = None,
     ):
         self.workers = max(1, int(workers))
-        self.queue = FairShareQueue(slots=slots or self.workers)
+        self.queue = FairShareQueue(slots=self.workers)
         for name, weight in sorted((tenants or {}).items()):
             self.queue.register(name, weight)
         self.spool = spool or tempfile.mkdtemp(prefix="repro-service-")
@@ -87,10 +89,13 @@ class JobService:
         self.quota_bytes = quota_bytes
         self.validate = bool(validate)
         self.records: Dict[str, JobRecord] = {}
+        #: job id -> (record, queue entry, the dispatcher's end of its worker's pipe)
         self._running: Dict[str, Tuple[JobRecord, QueuedJob, Any]] = {}
-        self._landed: deque = deque()  # ids whose result is in (pool thread)
-        self._wake = threading.Event()
-        self._pool = None
+        self._workers: Dict[Any, Any] = {}  # pipe end -> live worker Process
+        self._idle: List[Any] = []  # pipe ends of the workers without a job
+        self._attempts: Dict[str, int] = {}  # job id -> runs its workers died in
+        # interpreter exit joins every child with daemon=False: hang up first
+        Finalize(self, _hang_up, (self._workers,), exitpriority=0)
         self._next_id = 0
         self._closed = False
         self._dirty = False  # the views lag the live state
@@ -104,24 +109,40 @@ class JobService:
         )
 
     # ----------------------------------------------------------- lifecycle
-    def _ensure_pool(self):
-        if self._pool is None:
-            methods = multiprocessing.get_all_start_methods()
-            ctx = multiprocessing.get_context(
-                "fork" if "fork" in methods else "spawn"
-            )
-            self._pool = ctx.Pool(self.workers)
-        return self._pool
+    def _worker(self):
+        """An idle live worker's pipe end (dead ones are reaped), else a new one's."""
+        while self._idle:
+            conn = self._idle.pop()
+            if self._workers[conn].is_alive():
+                return conn
+            self._reap(conn)
+        methods = multiprocessing.get_all_start_methods()
+        ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+        conn, child = ctx.Pipe()
+        inherited = [*self._workers, conn]  # the dispatcher's ends the fork copies
+        process = ctx.Process(target=serve, args=(child, inherited), daemon=False)
+        process.start()
+        child.close()
+        self._workers[conn] = process
+        return conn
+
+    def _reap(self, conn) -> Optional[int]:  # a worker gone or going: its exit code
+        process = self._workers.pop(conn)
+        conn.close()
+        process.join()
+        return process.exitcode
 
     def close(self) -> None:
-        """Stop the service (running jobs are abandoned, state persisted)."""
+        """Stop: running jobs fail as cancelled, workers are reaped, views persist."""
         if self._closed:
             return
         self._closed = True
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
+        for record, queued, conn in self._running.values():
+            self._workers[conn].terminate()
+            self._finish(record, queued, None, "cancelled: service closed")
+        self._running.clear()
+        for conn in list(self._workers):
+            self._reap(conn)
         self.write_state()
         self.obs.close()
 
@@ -140,16 +161,14 @@ class JobService:
         **overrides: Any,
     ) -> str:
         """Queue one job; returns its id.  ``overrides`` patch the spec
-        (:data:`TICKET_FIELDS`; anything else is a :class:`TypeError`);
-        ``backend="mp"`` raises :class:`ValueError` (see
-        :func:`~.jobs.check_backend`).  A refused submission leaves no
-        record, queue entry or event behind."""
+        (:data:`TICKET_FIELDS`; anything else is a :class:`TypeError`).
+        A refused submission leaves no record, queue entry or event
+        behind."""
         if self._closed:
             raise RuntimeError("service is closed")
         for key in overrides:
             if key not in TICKET_FIELDS:
                 raise TypeError(f"unknown JobSpec field {key!r}")
-        check_backend(overrides.get("backend", "serial"))
         self._next_id += 1
         job_id = f"job-{self._next_id:04d}"
         spec = JobSpec(
@@ -185,62 +204,68 @@ class JobService:
         return transitions
 
     def wait(self, timeout: float) -> bool:
-        """Sleep ``timeout`` seconds, or less if a result lands (``True``)."""
-        return self._wake.wait(timeout)
+        """Sleep ``timeout`` seconds, or less if a running job's worker is ready."""
+        return bool(self._ready(timeout))
+
+    def _ready(self, timeout: float) -> Set[str]:
+        """The running jobs whose worker's pipe or process is ready."""
+        owner = {}
+        for job_id, (_, _, conn) in self._running.items():
+            owner[conn] = owner[self._workers[conn].sentinel] = job_id
+        return {owner[handle] for handle in wait(list(owner), timeout)}
 
     def _collect(self) -> int:
-        transitions = 0
-        self._wake.clear()  # before the scan: a result landing now re-sets it
-        while self._landed:
-            # landed, not yet ``ready()``: ``get`` waits out the instant between
-            record, queued, async_result = self._running.pop(self._landed.popleft())
-            self.queue.release(queued)
-            record.finished_at = time.time()
-            snapshot = None
-            try:
-                result = async_result.get()
-            except Exception as exc:  # noqa: BLE001 - pool-level failure
-                record.status = FAILED
-                record.error = f"{type(exc).__name__}: {exc}"
+        ready = self._ready(0)
+        for job_id in sorted(ready):
+            record, queued, conn = self._running.pop(job_id)
+            try:  # nothing to read, EOF or a torn message: the worker died
+                result = conn.recv() if conn.poll() else None
+            except (EOFError, OSError):
+                result = None
+            if result is not None:
+                self._idle.append(conn)
+                self._finish(record, queued, result, None)
+                continue
+            exitcode = self._reap(conn)
+            attempts = self._attempts[job_id] = self._attempts.get(job_id, 0) + 1
+            if attempts < ATTEMPTS:
+                self.queue.requeue(queued)
+                record.status, record.started_at = QUEUED, None
+                self.obs.job_retried(record, attempts, exitcode)
             else:
-                # the registry snapshot feeds the service obs plane; it
-                # never lands in the record (state.json stays lean)
-                snapshot = result.pop("obs", None)
-                record.result = result
-                if result.get("ok"):
-                    record.status = DONE
-                else:
-                    record.status = FAILED
-                    record.error = result.get("error")
-            self.obs.job_finished(record, snapshot)
-            transitions += 1
-        return transitions
+                error = f"worker died (exit code {exitcode}) on {attempts} attempts"
+                self._finish(record, queued, None, error)
+        return len(ready)
+
+    def _finish(self, record, queued, result, error) -> None:
+        """Settle a job that left its worker: ``result`` is what the worker
+        sent, else ``None`` and ``error`` says why there is none."""
+        self.queue.release(queued)
+        record.finished_at = time.time()
+        # the registry snapshot feeds the obs plane, not state.json
+        snapshot = None if result is None else result.pop("obs", None)
+        record.result = result
+        record.status = DONE if result and result.get("ok") else FAILED
+        record.error = error if result is None else result.get("error")
+        self.obs.job_finished(record, snapshot)
 
     def _admit(self) -> int:
         transitions = 0
-        pool = None
         while self.queue.free_slots and self.queue.backlog:
             # snapshot the SFQ candidates *before* the pop: the fairness
             # auditor re-checks the min-finish-tag discipline against them
             heads = self.queue.pending_heads()
             queued = self.queue.next_job()
-            if queued is None:  # pragma: no cover - guarded by the while
-                break
-            pool = pool or self._ensure_pool()
+            conn = self._worker()
             record: JobRecord = queued.payload
             record.status = RUNNING
             record.started_at = time.time()
             self.obs.job_admitted(
                 record, queued, heads, self.queue.weights(), self.queue.vtime
             )
-
-            def land(_, job_id=record.job_id):  # in the pool's result thread
-                self._landed.append(job_id)
-                self._wake.set()
-
-            args = (record.spec.as_dict(),)
-            result = pool.apply_async(run_job, args, callback=land, error_callback=land)
-            self._running[record.job_id] = (record, queued, result)
+            with contextlib.suppress(OSError):  # died since it was idle: a death
+                conn.send(record.spec.as_dict())
+            self._running[record.job_id] = (record, queued, conn)
             transitions += 1
         return transitions
 
@@ -273,7 +298,6 @@ class JobService:
             counts[record.status] = counts.get(record.status, 0) + 1
         return {
             "workers": self.workers,
-            "slots": self.queue.slots,
             "busy": self.queue.busy,
             "counts": counts,
             "admission_shares": self.queue.admission_shares(),
@@ -309,3 +333,9 @@ class JobService:
             json.dump(payload, fh, indent=2, sort_keys=True)
         self.obs.export(self.spool)
         self._dirty = False
+
+
+def _hang_up(workers: Dict[Any, Any]) -> None:
+    """Close every worker's pipe: an idle worker reads EOF and exits."""
+    for conn in workers:
+        conn.close()

@@ -1,8 +1,8 @@
-"""Worker-side job execution (runs inside a pool process).
+"""Worker-side job execution (runs inside a service worker process).
 
-:func:`run_job` is the single function the service dispatches to its
-fork-context process pool.  It rebuilds the workload from the lab zoo by
-name (closures never cross the pipe), attaches a per-job
+:func:`serve` is a worker process's whole life: a spec in, :func:`run_job`'s
+summary out, until the dispatcher hangs up.  :func:`run_job` rebuilds the
+workload from the lab zoo by name (closures never cross the pipe), attaches a per-job
 :class:`~repro.cache.ResultCache` over the **shared**
 :class:`~repro.cache.SharedCacheStore` directory, streams the live trace
 to the job's NDJSON file through the PR7
@@ -33,7 +33,7 @@ from ..trace.validate import validate_trace
 from .jobs import JobSpec
 from .obs import JOB_VIEW_FAMILIES
 
-__all__ = ["outputs_digest", "run_job"]
+__all__ = ["outputs_digest", "run_job", "serve"]
 
 
 def outputs_digest(outputs: Dict[str, Any]) -> str:
@@ -60,23 +60,42 @@ def _build_cache(spec: JobSpec) -> ResultCache:
 def run_job(raw_spec: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one submission; never raises (errors are reported).
 
-    The uncaught-exception path returns ``ok=False`` with the traceback —
-    a worker process must survive a failing job (the pool is long-lived
-    and a dead worker would strand its slot).
+    The uncaught-exception path returns ``ok=False`` with the traceback:
+    a failing job is not retried, only one whose worker died.
     """
     spec = JobSpec.from_dict(raw_spec)
     started = time.perf_counter()
     try:
         return _run(spec, started)
     except Exception:  # noqa: BLE001 - ferried to the service as a failure
-        return {
-            "job_id": spec.job_id,
-            "tenant": spec.tenant,
-            "workload": spec.workload,
-            "ok": False,
-            "error": traceback.format_exc(limit=20),
-            "wall_s": time.perf_counter() - started,
-        }
+        wall_s = time.perf_counter() - started
+        return _failure(raw_spec, traceback.format_exc(limit=20), wall_s)
+
+
+def _failure(raw_spec: Dict[str, Any], error: str, wall_s: float) -> Dict[str, Any]:
+    spec = {k: raw_spec.get(k) for k in ("job_id", "tenant", "workload")}
+    return dict(spec, ok=False, error=error, wall_s=wall_s)
+
+
+def serve(conn, inherited) -> None:
+    """A worker process: ``recv spec -> send run_job(spec)`` until EOF.
+    ``inherited`` are the dispatcher's pipe ends a fork copied in: closed
+    first, so when the dispatcher dies no pipe keeps a writer and every
+    idle worker exits.  A result that does not pickle fails its job."""
+    for end in inherited:
+        end.close()
+    try:
+        while True:
+            raw_spec = conn.recv()
+            result = run_job(raw_spec)
+            try:
+                blob = pickle.dumps(result)
+            except Exception as exc:  # noqa: BLE001 - the job's result, not the worker
+                error = f"result not picklable: {type(exc).__name__}: {exc}"
+                blob = pickle.dumps(_failure(raw_spec, error, result.get("wall_s")))
+            conn.send_bytes(blob)
+    except (EOFError, ConnectionError):  # BrokenPipeError, ConnectionResetError
+        pass  # the dispatcher hung up
 
 
 def _run(spec: JobSpec, started: float) -> Dict[str, Any]:

@@ -5,8 +5,10 @@ single-flight leases (claim / stale-break / bounded wait / release), and
 the tenant-labelled hit/miss accounting the executor layers on top.
 """
 
+import multiprocessing
 import os
 import pickle
+import signal
 import time
 
 from repro import Cluster, GB, Validator
@@ -138,6 +140,39 @@ class TestSingleFlight:
         backdate(a._flight_file("fp-1"), store_module.FLIGHT_TIMEOUT + 1)  # crashed
         assert not a.flight_active("fp-1")
         assert b.try_begin_flight("fp-1")  # broke the stale lease
+
+    def test_lease_of_a_killed_holder_is_broken_at_once(self, tmp_path):
+        """A worker SIGKILLed holding a lease costs its siblings no
+        ``FLIGHT_WAIT``: the lease names a pid that no longer exists."""
+        ctx = multiprocessing.get_context("fork")
+        claimed = ctx.Event()
+
+        def hold():
+            SharedCacheStore(str(tmp_path), tenant="dead").try_begin_flight("fp-1")
+            claimed.set()
+            time.sleep(60)
+
+        holder = ctx.Process(target=hold)
+        holder.start()
+        assert claimed.wait(30)
+        os.kill(holder.pid, signal.SIGKILL)
+        holder.join()
+        cache = ResultCache(store=SharedCacheStore(str(tmp_path), tenant="sibling"))
+        started = time.monotonic()
+        assert cache.lookup("fp-1", fresh_cluster()) is None
+        assert time.monotonic() - started < store_module.FLIGHT_WAIT / 10
+        assert cache.stats.singleflight_waits == 0
+        assert cache.store.flight_active("fp-1")  # the sibling now holds it
+        cache.finish_run()
+
+    def test_empty_lease_counts_by_age(self, tmp_path):
+        """A lease caught between create and write names no pid yet."""
+        store = SharedCacheStore(str(tmp_path), tenant="a")
+        open(store._flight_file("fp-1"), "w").close()
+        assert store.flight_active("fp-1")
+        assert not store.try_begin_flight("fp-1")
+        backdate(store._flight_file("fp-1"), store_module.FLIGHT_TIMEOUT + 1)
+        assert store.try_begin_flight("fp-1")
 
     def test_wait_returns_published_blob(self, tmp_path):
         a = SharedCacheStore(str(tmp_path), tenant="a")

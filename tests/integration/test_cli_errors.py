@@ -21,7 +21,6 @@ def service(*argv):
 MALFORMED = {
     "service submit --cost": service("submit", "--workload", "filter_min", "--cost", "abc"),
     "service serve --workers": service("serve", "--once", "--workers", "two"),
-    "service serve --slots": service("serve", "--once", "--slots", "x"),
     "service serve --max-idle": service("serve", "--once", "--max-idle", "soon"),
     "service serve --quota-bytes": service("serve", "--once", "--quota-bytes", "1GB"),
     "service serve --tenant": service("serve", "--once", "--tenant", "alice:heavy"),

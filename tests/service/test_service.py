@@ -7,7 +7,9 @@ parseable, spool state queryable, failures contained.
 
 import io
 import json
+import multiprocessing
 import os
+import subprocess
 import sys
 import time
 
@@ -138,28 +140,30 @@ class TestJobService:
                 (record,) = service.drain(timeout=120)
         assert record.status == DONE, record.error
 
-    def test_mp_backend_rejected_at_submission(self, tmp_path):
-        """A daemonic pool worker cannot fork the mp backend's own pool:
-        refused up front (API, CLI flag, hand-written ticket) with a
-        one-line reason, not run into a 20-frame traceback."""
+    def test_mp_backend_runs_inside_a_service_job(self, tmp_path):
+        """A service worker is not daemonic, so a job may fork the mp
+        backend's pool: the API, the CLI flag and a hand-written ticket
+        all run ``done`` with the solo digest."""
+        reference = solo_digest("filter_min")
         spool = str(tmp_path)
         with JobService(workers=1, spool=spool) as service:
-            with pytest.raises(ValueError, match="daemonic"):
-                service.submit("t", "filter_min", backend="mp")
-            assert not service.records and not service.queue.backlog
+            service.submit("t", "filter_min", backend="mp")
+            (record,) = service.drain(timeout=120)
+        assert record.status == DONE, record.error
+        assert record.spec.backend == "mp"
+        assert record.result["outputs_digest"] == reference
         out = io.StringIO()
         argv = ["--spool", spool, "--workload", "filter_min", "--backend", "mp"]
-        assert service_main(["submit"] + argv, out=out) == 2
-        assert "daemonic" in out.getvalue()
-        inbox = os.path.join(spool, "inbox")
-        assert not os.path.isdir(inbox) or not os.listdir(inbox)
-        os.makedirs(inbox, exist_ok=True)
-        with open(os.path.join(inbox, "t.json"), "w") as fh:
+        assert service_main(["submit"] + argv, out=out) == 0
+        with open(os.path.join(spool, "inbox", "t.json"), "w") as fh:
             json.dump({"workload": "filter_min", "backend": "mp"}, fh)
         out = io.StringIO()
         assert service_main(["serve", "--spool", spool, "--once"], out=out) == 0
-        assert "bad ticket t.json" in out.getvalue()
-        assert "served 0 job(s)" in out.getvalue()
+        assert "served 2 job(s): 2 done, 0 failed" in out.getvalue()
+        with open(os.path.join(spool, "state.json")) as fh:
+            jobs = json.load(fh)["jobs"]
+        assert [job["spec"]["backend"] for job in jobs] == ["mp", "mp"]
+        assert {job["result"]["outputs_digest"] for job in jobs} == {reference}
 
     def test_submit_after_close_rejected(self, tmp_path):
         service = JobService(workers=1, spool=str(tmp_path))
@@ -251,9 +255,48 @@ class TestDerivedViews:
             service.drain(timeout=120)
             assert_views_current(service, spool)
             assert published_state(spool)[0]["counts"]["done"] == 4
-            service.submit("alice", "filter_min")  # abandoned by close()
+            service.submit("alice", "filter_min")  # still queued at close()
         assert_views_current(service, spool)
         assert published_state(spool)[0]["counts"]["done"] == 4
+
+    def test_close_cancels_running_jobs(self, tmp_path):
+        """A job running at ``close()`` ends ``failed`` with a reason, and
+        ``state.json``, the event log and its replay all say so."""
+        from repro.service import replay_service_registry, service_registry_diff
+
+        spool = str(tmp_path)
+        with JobService(workers=1, spool=spool) as service:
+            job = service.submit("t", "dl_grid")
+            service.pump()
+            assert service.record(job).status == "running"
+        record = service.record(job)
+        assert record.status == FAILED and record.error == "cancelled: service closed"
+        assert published_state(spool)[0]["counts"] == {
+            "queued": 0, "running": 0, "done": 0, "failed": 1,
+        }
+        with open(service.obs.events_path) as log:
+            events = [json.loads(line)["event"] for line in log]
+        assert events == ["config", "submitted", "running", "failed"]
+        replayed = replay_service_registry(spool)
+        assert service_registry_diff(service.obs, replayed) == []
+        assert not multiprocessing.active_children()
+
+    def test_unclosed_service_does_not_hang_interpreter_exit(self, tmp_path):
+        """Interpreter exit joins every non-daemonic child; a service that
+        was never closed hangs up on its idle workers first."""
+        script = (
+            "from repro.service import JobService\n"
+            f"service = JobService(workers=2, spool={str(tmp_path)!r})\n"
+            "for _ in range(3):\n"
+            "    service.submit('t', 'filter_min')\n"
+            "assert all(r.status == 'done' for r in service.drain(timeout=60))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, timeout=60,
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        )
+        assert done.returncode == 0, done.stdout.decode()
 
     def test_staleness_bounded_while_busy(self, tmp_path):
         spool = str(tmp_path)
@@ -298,9 +341,9 @@ class TestWake:
             assert time.perf_counter() - start < 3.0
         assert record.status == (DONE if workload == "filter_min" else FAILED)
 
-    def test_no_completion_lost_between_result_thread_and_dispatcher(self, tmp_path):
+    def test_no_completion_lost_with_more_workers_than_cores(self, tmp_path):
         """More workers than cores, threads switching every few bytecodes:
-        a completion the dispatcher lost would cost a whole 5 s poll."""
+        a completion the dispatcher's wait missed would cost a 5 s poll."""
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
