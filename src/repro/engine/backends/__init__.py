@@ -1,38 +1,31 @@
-"""Pluggable execution backends (the engine's data plane).
+"""Execution backends: who may run pure stage transforms ahead of turn.
 
-The registry maps names accepted by ``EngineConfig.backend`` /
-``run_mdf(backend=...)`` to backend classes.  Third parties can add their
-own with :func:`register_backend`.
+``BACKENDS`` maps the names accepted by ``EngineConfig.backend`` /
+``run_mdf(backend=...)`` to backend classes.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Type, Union
 
-from .base import BackendStats, ExecutionBackend
+from .base import ExecutionBackend, run_stage
 from .mp import MPBackend
 from .serial import SerialBackend
 
 __all__ = [
-    "BackendStats",
     "ExecutionBackend",
     "SerialBackend",
     "MPBackend",
     "BACKENDS",
-    "register_backend",
     "available_backends",
     "make_backend",
+    "run_stage",
 ]
 
 BACKENDS: Dict[str, Type[ExecutionBackend]] = {
     "serial": SerialBackend,
     "mp": MPBackend,
 }
-
-
-def register_backend(name: str, cls: Type[ExecutionBackend]) -> None:
-    """Register a backend class under ``name`` (overwrites silently)."""
-    BACKENDS[name] = cls
 
 
 def available_backends() -> List[str]:

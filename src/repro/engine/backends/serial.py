@@ -1,16 +1,7 @@
-"""The serial backend: today's in-process execution, byte-for-byte.
-
-Every partition chain runs in the calling process, in partition order,
-operator by operator — exactly the loop the executor inlined before the
-backend split, so a ``serial`` run is indistinguishable (traces, outputs,
-and real wall clock alike) from the pre-backend engine.
-"""
+"""The serial backend: nothing runs ahead of turn (the reference)."""
 
 from __future__ import annotations
 
-from typing import Any, List
-
-from ...core.operators import Operator
 from .base import ExecutionBackend
 
 __all__ = ["SerialBackend"]
@@ -20,14 +11,3 @@ class SerialBackend(ExecutionBackend):
     """In-process reference backend (the determinism baseline)."""
 
     name = "serial"
-    supports_prefetch = False
-
-    def map_chain(self, ops: List[Operator], payloads: List[Any]) -> List[Any]:
-        out: List[Any] = []
-        for payload in payloads:
-            cur = payload
-            for op in ops:
-                cur = op.apply_partition(cur)
-            out.append(cur)
-            self.stats.chains_run += 1
-        return out

@@ -32,7 +32,7 @@ from ..core.datasets import Dataset, Partition, concat_payloads, split_payload
 from ..core.errors import SchedulingError
 from ..core.operators import Operator
 from ..core.stages import Stage
-from .backends import ExecutionBackend, make_backend
+from .backends import ExecutionBackend, make_backend, run_stage
 from .job import EngineConfig
 
 #: base of the exponential backoff charged between task retry attempts
@@ -136,18 +136,21 @@ class StageExecutor:
         #: node id -> pending transient task-failure attempts, consumed by
         #: the next executed stage (retry-with-backoff, §5)
         self._pending_task_faults: Dict[str, int] = {}
-        #: the data plane: who actually runs operator functions over
-        #: payloads.  Resolved from ``config.backend`` (a registry name or
-        #: a ready instance); instances are caller-owned and survive
-        #: :meth:`close`, named backends are created and closed here.
+        #: who may run a stage's payload transform ahead of its turn.
+        #: Resolved from ``config.backend`` (a registry name or a ready
+        #: instance); instances are caller-owned and survive :meth:`close`
+        #: (minus this run's unclaimed prefetches), named backends are
+        #: created and closed here.
         spec = getattr(config, "backend", "serial")
         self.backend = make_backend(spec)
         self._owns_backend = not isinstance(spec, ExecutionBackend)
 
     def close(self) -> None:
-        """Release backend resources (process pools)."""
+        """Release backend resources (process pools) at the end of a run."""
         if self._owns_backend:
             self.backend.close()
+        else:  # stage ids repeat across runs: never serve a dead run's work
+            self.backend.drop_prefetched(None)
 
     def inject_task_faults(self, faults: Dict[str, int]) -> None:
         """Schedule transient task failures for the next executed stage."""
@@ -225,7 +228,7 @@ class StageExecutor:
         times operator by operator (float accumulation order is part of
         the byte-identity contract) and returns the chain's nominal output
         bytes.  The data-plane half — actually transforming the payloads —
-        runs on the backend (``map_chain``, or a prefetch taken in
+        is :func:`run_stage`, on turn or prefetched (taken in
         :meth:`execute`).
         """
         cur_bytes = nbytes
@@ -427,7 +430,7 @@ class StageExecutor:
             if done is None:
                 done = [payload for payload, _, _ in parts]
                 if chain:
-                    done = self.backend.map_chain(chain, done)
+                    done = run_stage("narrow", chain, done)
             return self._land(
                 stage, done, out_bytes, tally, defer_store, fingerprint, consume_faults=True
             )
@@ -484,12 +487,12 @@ class StageExecutor:
         tally: _Tally,
         prefetched: Optional[List[Any]],
     ) -> List[_Part]:
-        """Wide or join head: shuffle all inputs, run the global computation.
+        """Wide or join head: shuffle all inputs, run the head in-process.
 
         Returns the head's output re-partitioned across the workers, ready
-        for the rest of the chain.  A join is a wide head with two inputs:
-        each operand is concatenated and the join function runs over the
-        pair.  With ``prefetched`` payloads (head and rest already applied
+        for the rest of the chain: ``apply_global`` over the partitions,
+        or, a join being a wide head with two inputs, ``apply_join`` over
+        the two concatenated operands.  With ``prefetched`` payloads (head and rest already applied
         off-turn) only the charges are made and the payload slots stay
         empty.
         """
@@ -513,13 +516,9 @@ class StageExecutor:
                 concat_payloads([payload for payload, _, _ in parts])
                 for parts in operands
             )
-            mid = split_payload(
-                self.backend.run_join(head, left, right), cluster.num_workers
-            )
+            mid = split_payload(head.apply_join(left, right), cluster.num_workers)
         else:
-            mid = self.backend.run_global(
-                head, [payload for payload, _, _ in operands[0]]
-            )
+            mid = head.apply_global([payload for payload, _, _ in operands[0]])
         part_bytes = _split_bytes(head.output_bytes(total_bytes), len(mid))
         return [
             (payload, part_bytes[index], cluster.node_for_partition(index).id)

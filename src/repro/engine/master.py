@@ -118,6 +118,7 @@ class Master:
         self._pruned_stages: Set[str] = set()
         self._remaining_preds: Dict[str, int] = {}
         self._ready: Dict[str, Stage] = {}  # stage id -> stage, in arrival order
+        self._offered: Set[str] = set()  # stage ids offered to the backend
         self._stage_by_id: Dict[str, Stage] = {s.id: s for s in self.stage_graph.stages}
         self._last_executed: Optional[Stage] = None
         self._stages_since_checkpoint = 0
@@ -381,13 +382,15 @@ class Master:
     def _prefetch_siblings(self, chosen: Stage, ready: List[Stage]) -> None:
         """Offer ready sibling stages to the backend ahead of their turn.
 
-        Branch-level real parallelism: while the chosen stage executes,
-        a parallel backend can already run the pure payload transforms of
+        Branch-level real parallelism: while the chosen stage executes
+        in-process, a parallel backend can already run ``run_stage`` for
         the other ready stages (independent explore branches).  Strictly
         invisible to the simulation — no accounting, no trace events, and
-        results are only consumed by the very execution path that would
-        have computed them.  Disabled under failure injection (recovery
-        re-executes stages, so speculative payloads could go stale).
+        results are only taken by the very execution path that would
+        have computed them.  A stage is offered once a run, so a step does
+        not re-peek the inputs of every sibling still waiting.  Disabled
+        under failure injection (recovery re-executes stages, so
+        speculative payloads could go stale).
         """
         backend = self.executor.backend
         if not backend.supports_prefetch or self.config.failures is not None:
@@ -395,11 +398,12 @@ class Master:
         for stage in ready:
             if stage.id == chosen.id or stage.kind not in ("narrow", "wide"):
                 continue
-            if backend.has_prefetched(stage.id):
+            if stage.id in self._offered:
                 continue
             (input_id,) = self._stage_inputs(stage)
             if not self.cluster.has_dataset(input_id):
                 continue
+            self._offered.add(stage.id)
             payloads = self.cluster.peek_payloads(input_id)
             backend.prefetch_stage(stage.id, stage.kind, stage.ops, payloads)
 

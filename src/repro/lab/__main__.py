@@ -70,7 +70,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default="serial",
         help="comma list of execution backends crossed in (default: "
         "serial; add mp to prove backend choice never moves a simulated "
-        "number)",
+        "number: exit 1 when a cell differs from its serial twin)",
     )
     parser.add_argument(
         "--reference",
@@ -130,7 +130,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(report.render_table())
 
     artifact = {"experiment": report.to_json()}
-    ok = True
+    mismatched = report.backend_mismatches()
+    for cell in mismatched:
+        print(f"differs from serial: {cell}", file=sys.stderr)
+    ok = not mismatched
     if not args.no_differential:
         print()
         cells = differential_matrix(
@@ -139,7 +142,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             reference=args.reference,
         )
         print(render_matrix(cells))
-        ok = all(c.passed for c in cells)
+        ok = ok and all(c.passed for c in cells)
         artifact["differential"] = [
             {
                 "workload": c.workload,
@@ -158,7 +161,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"\nartifact written to {args.artifact}")
 
     if not ok:
-        print("\ndifferential matrix FAILED", file=sys.stderr)
+        print("\nbackend identity or differential matrix FAILED", file=sys.stderr)
         return 1
     return 0
 

@@ -16,7 +16,7 @@ reproducible — two runs of the same cell are byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..prof.spans import CATEGORIES
@@ -96,6 +96,18 @@ class LabReport:
         with open(path, "w") as fh:
             json.dump(self.to_json(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+    def backend_mismatches(self) -> List[str]:
+        """Cells whose measurements differ from the same cell on ``serial``."""
+        def twin(c):
+            return c.workload, c.scheduler, c.memory, c.workers
+
+        serial = {twin(c): c for c in self.cells if c.backend == "serial"}
+        return [
+            f"{c.workload} × {c.scheduler} × {c.memory} on {c.backend}"
+            for c in self.cells
+            if twin(c) in serial and replace(c, backend="serial") != serial[twin(c)]
+        ]
 
     # ------------------------------------------------------- gate baselines
     def baseline_scenarios(self) -> Dict[str, float]:

@@ -17,6 +17,7 @@ from repro.cache import SharedCacheStore
 
 SRC = Path(repro.__file__).resolve().parent
 ENGINE_FILES = ("executor", "master", "recovery")
+SEAM_FILES = ("master", "executor", "runner", "job")
 TOUCH_POINTS = ("obs.counter(", "obs.histogram(", "obs.gauge(", "label_context(")
 HOOK_SETTERS = r"def set_(auto_validate|profile_collector|live_hook)"
 CHOOSE_EVENTS = ("choose_evaluation", "branch_evaluated", "branch_discarded")
@@ -62,6 +63,14 @@ def rows():
     yield "`src/` lines", sum(text.count("\n") for text in sources())
     yield "lines of engine/ " + slashed(ENGINE_FILES), slashed(
         (SRC / "engine" / f"{name}.py").read_text().count("\n") for name in ENGINE_FILES
+    )
+    yield "`engine/backends/` lines", sum(
+        text.count("\n") for text in sources("engine/backends")
+    )
+    yield "`backend` / `prefetch` sites in engine/ " + slashed(SEAM_FILES), sum(
+        bool(re.search("backend|prefetch", line))
+        for name in SEAM_FILES
+        for line in (SRC / "engine" / f"{name}.py").read_text().splitlines()
     )
     yield "settable values under `src/` (defaulted parameters + class fields)", (
         settable_values()

@@ -1,25 +1,27 @@
-"""Execution-backend tests: registry, serial/mp data planes, transport,
-prefetch bookkeeping — plus the PR's executor-layer bugfix regressions
-(fault-drain scope, cache-hit payload aliasing, wide-stage byte splits)."""
+"""Execution-backend tests: registry, the mp prefetcher (transport,
+inline redo, bookkeeping, reuse across runs) — plus executor-layer
+regressions (fault-drain scope, cache-hit payload aliasing, wide-stage
+byte splits)."""
 
 import multiprocessing
+import os
 import pickle
 
 import numpy as np
 import pytest
 
-from repro import CallableEvaluator, Cluster, GB, MB, MDFBuilder
+from repro import CallableEvaluator, Cluster, GB, MB, MDFBuilder, Max
 from repro.cache import ResultCache, SharedCacheStore
 from repro.core.errors import ExecutionError
 from repro.core.operators import Aggregate, Filter, Map, Transform
 from repro.core.stages import StageGraph
 from repro.engine import EngineConfig, run_mdf
 from repro.engine.backends import (
-    ExecutionBackend,
     MPBackend,
     SerialBackend,
     available_backends,
     make_backend,
+    run_stage,
 )
 from repro.engine.executor import StageExecutor, _split_bytes
 
@@ -47,114 +49,129 @@ class TestRegistry:
             make_backend("spark")
 
 
-# -------------------------------------------------------------------- serial
-class TestSerialBackend:
-    def test_map_chain_order_and_stats(self):
-        backend = SerialBackend()
-        ops = [Map(lambda x: x + 1, name="inc"), Filter(lambda x: x % 2 == 0, name="even")]
-        out = backend.map_chain(ops, [[1, 2, 3], [4, 5, 6]])
-        assert out == [[2, 4], [6]]
-        assert backend.stats.chains_run == 2
-
-
 # ------------------------------------------------------------------------ mp
+def _prefetched(backend, kind, ops, payloads):
+    """One stage through ``prefetch_stage`` -> ``take_prefetched``."""
+    backend.prepare(ops)
+    backend.prefetch_stage("s", kind, ops, payloads)
+    return backend.take_prefetched("s")
+
+
+@pytest.fixture
+def mp_backend():
+    backend = MPBackend()
+    yield backend
+    backend.close()
+
+
 @needs_fork
 class TestMPBackend:
-    def test_map_chain_matches_serial(self):
-        backend = MPBackend(processes=2)
-        try:
-            ops = [
-                Map(lambda x: x + 1, name="inc"),
-                Filter(lambda x: x % 2 == 0, name="even"),
-            ]
-            backend.prepare(ops)
-            out = backend.map_chain(ops, [[1, 2, 3], [4, 5, 6]])
-            assert out == [[2, 4], [6]]
-            assert backend.stats.chains_run == 2
-            assert backend.stats.fallbacks == 0
-        finally:
-            backend.close()
+    def test_narrow_chain_matches_serial(self, mp_backend):
+        ops = [
+            Map(lambda x: x + 1, name="inc"),
+            Filter(lambda x: x % 2 == 0, name="even"),
+        ]
+        payloads = [[1, 2, 3], [4, 5, 6]]
+        expected = run_stage("narrow", ops, payloads)
+        assert expected == [[2, 4], [6]]
+        assert _prefetched(mp_backend, "narrow", ops, payloads) == expected
 
-    def test_large_arrays_round_trip(self):
-        backend = MPBackend(processes=2)
-        try:
-            ops = [Transform(lambda a: a * 2, name="dbl")]
-            payload = np.arange(100_000, dtype=np.float64)  # 800 KB
-            (out,) = backend.map_chain(ops, [payload])
-            assert np.array_equal(out, payload * 2)
-            assert backend.stats.pickle_transfers >= 1
-        finally:
-            backend.close()
+    def test_narrow_prefetch_take(self, mp_backend):
+        ops = [Map(lambda x: x * 2, name="dbl")]
+        mp_backend.prepare(ops)
+        mp_backend.prefetch_stage("s1", "narrow", ops, [[1, 2], [3]])
+        # idempotent per key: a second offer keeps the first dispatch
+        mp_backend.prefetch_stage("s1", "narrow", ops, [[7]])
+        assert mp_backend.take_prefetched("s1") == [[2, 4], [6]]
+        assert mp_backend.take_prefetched("s1") is None  # taking consumes
 
-    def test_unpicklable_payload_falls_back_inline(self):
-        backend = MPBackend(processes=2)
-        try:
-            ops = [Transform(lambda xs: ["ok"], name="const")]
-            out = backend.map_chain(ops, [[lambda: 1]])
-            assert out == [["ok"]]
-            assert backend.stats.fallbacks == 1
-        finally:
-            backend.close()
+    def test_wide_prefetch_runs_head_then_rest(self, mp_backend):
+        ops = [
+            Aggregate(lambda xs: sorted(xs), name="agg", selectivity=1.0),
+            Map(lambda x: x * 10, name="x10"),
+        ]
+        payloads = [[3, 1], [2]]
+        expected = run_stage("wide", ops, payloads)
+        assert expected == [[10, 20], [30]]
+        assert _prefetched(mp_backend, "wide", ops, payloads) == expected
 
-    def test_unpicklable_result_recomputed_inline(self):
-        backend = MPBackend(processes=2)
-        try:
-            ops = [Transform(lambda xs: (lambda: xs), name="thunk")]
-            (out,) = backend.map_chain(ops, [[1, 2]])
-            assert callable(out) and out() == [1, 2]
-            assert backend.stats.fallbacks == 1
-        finally:
-            backend.close()
+    def test_large_arrays_round_trip(self, mp_backend):
+        ops = [Transform(lambda a: a * 2, name="dbl")]
+        payload = np.arange(100_000, dtype=np.float64)  # 800 KB
+        (out,) = _prefetched(mp_backend, "narrow", ops, [payload])
+        assert np.array_equal(out, payload * 2)
 
-    def test_operator_error_crosses_process_boundary(self):
-        backend = MPBackend(processes=2)
-        try:
-            ops = [Transform(lambda xs: 1 / 0, name="boom")]
-            with pytest.raises(ExecutionError) as excinfo:
-                backend.map_chain(ops, [[1]])
-            assert excinfo.value.operator_name == "boom"
-        finally:
-            backend.close()
+    def test_unpicklable_payload_falls_back_inline(self, mp_backend):
+        ops = [Transform(lambda xs: ["ok"], name="const")]
+        assert _prefetched(mp_backend, "narrow", ops, [[lambda: 1]]) == [["ok"]]
 
-    def test_narrow_prefetch_take(self):
-        backend = MPBackend(processes=2)
-        try:
-            ops = [Map(lambda x: x * 2, name="dbl")]
-            backend.prepare(ops)
-            assert backend.prefetch_stage("s1", "narrow", ops, [[1, 2], [3]])
-            assert backend.has_prefetched("s1")
-            assert backend.take_prefetched("s1") == [[2, 4], [6]]
-            assert not backend.has_prefetched("s1")
-            assert backend.stats.prefetches == 1
-            assert backend.stats.prefetch_hits == 1
-        finally:
-            backend.close()
+    def test_unpicklable_result_recomputed_inline(self, mp_backend):
+        ops = [Transform(lambda xs: (lambda: xs), name="thunk")]
+        (out,) = _prefetched(mp_backend, "narrow", ops, [[1, 2]])
+        assert callable(out) and out() == [1, 2]
 
-    def test_wide_prefetch_runs_head_then_rest(self):
-        backend = MPBackend(processes=2)
-        try:
-            ops = [
-                Aggregate(lambda xs: sorted(xs), name="agg", selectivity=1.0),
-                Map(lambda x: x * 10, name="x10"),
-            ]
-            backend.prepare(ops)
-            assert backend.prefetch_stage("w1", "wide", ops, [[3, 1], [2]])
-            assert backend.take_prefetched("w1") == [[10, 20], [30]]
-        finally:
-            backend.close()
+    def test_operator_error_crosses_process_boundary(self, mp_backend):
+        ops = [Transform(lambda xs: 1 / 0, name="boom")]
+        with pytest.raises(ExecutionError) as excinfo:
+            _prefetched(mp_backend, "narrow", ops, [[1]])
+        assert excinfo.value.operator_name == "boom"
 
-    def test_dropped_prefetch_is_reaped_not_served(self):
-        backend = MPBackend(processes=2)
-        try:
-            ops = [Map(lambda x: x + 1, name="inc")]
-            backend.prepare(ops)
-            assert backend.prefetch_stage("s2", "narrow", ops, [[5]])
-            backend.drop_prefetched("s2")
-            assert not backend.has_prefetched("s2")
-            assert backend.take_prefetched("s2") is None
-            assert backend.stats.prefetch_drops == 1
-        finally:
-            backend.close()
+    def test_dropped_prefetch_is_reaped_not_served(self, mp_backend):
+        ops = [Map(lambda x: x + 1, name="inc")]
+        mp_backend.prepare(ops)
+        mp_backend.prefetch_stage("s2", "narrow", ops, [[5]])
+        mp_backend.drop_prefetched("s2")
+        assert mp_backend.take_prefetched("s2") is None
+
+
+def _explore_mdf(offset, raise_on=None):
+    """Source -> three-branch explore -> choose; branch ``raise_on`` fails."""
+
+    def body(pipe, params):
+        def step(x, k=params["k"]):
+            if k == raise_on:
+                raise ValueError("branch fails")
+            return x + offset + k
+
+        return pipe.map(step, name=f"step-{offset}-{params['k']}")
+
+    b = MDFBuilder("reuse")
+    (
+        b.read_data(list(range(40)), name="src", nominal_bytes=64 * MB)
+        .explore({"k": [0, 1, 2]}, body, name="grid")
+        .choose(CallableEvaluator(lambda xs: -min(xs), name="neg-min"), Max(), name="pick")
+        .write(name="out")
+    )
+    return b.build()
+
+
+def _digest(result):
+    return (result.output, result.completion_time, result.events.to_jsonl())
+
+
+@needs_fork
+class TestCallerOwnedMPBackend:
+    def test_raising_run_leaves_nothing_for_the_next(self, mp_backend):
+        """Stage ids repeat across MDFs: a sibling prefetched by a run that
+        raised must not be served to the next run's same-id stage."""
+        with pytest.raises(ExecutionError):
+            run_mdf(_explore_mdf(0, raise_on=1), Cluster(2, 1 * GB), backend=mp_backend)
+        reused = run_mdf(_explore_mdf(1000), Cluster(2, 1 * GB), backend=mp_backend)
+        serial = run_mdf(_explore_mdf(1000), Cluster(2, 1 * GB), backend="serial")
+        assert reused.output[:2] == [1000, 1001]
+        assert _digest(reused) == _digest(serial)
+
+    def test_new_operators_refork_the_pool(self, mp_backend):
+        """Two MDFs with different operators back to back: the second run's
+        operators are unknown to the first pool's workers."""
+        for offset in (0, 1000):
+            ran = run_mdf(_explore_mdf(offset), Cluster(2, 1 * GB), backend=mp_backend)
+            serial = run_mdf(_explore_mdf(offset), Cluster(2, 1 * GB), backend="serial")
+            assert _digest(ran) == _digest(serial)
+        # an inline redo would hide a pool that never learnt the new
+        # operators: this one reports where it ran
+        where = [Transform(lambda xs: os.getpid(), name="where")]
+        assert _prefetched(mp_backend, "narrow", where, [[0]]) != [os.getpid()]
 
 
 def test_execution_error_pickle_roundtrip():

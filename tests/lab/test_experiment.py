@@ -1,5 +1,6 @@
 """The experiment harness: cells, reports, artifacts, gate baselines."""
 
+import dataclasses
 import json
 
 from repro import observing
@@ -132,6 +133,15 @@ class TestLabReport:
         ]:
             cell = exp.run_cell(workload, scheduler)
             assert SCENARIOS[scenario]() == cell.completion_time
+
+    def test_backend_mismatches_name_cells_that_differ_from_serial(self):
+        report = self._report()
+        twins = [dataclasses.replace(c, backend="mp") for c in report.cells]
+        assert LabReport(cells=twins).backend_mismatches() == []  # no twin
+        report.cells += twins
+        assert report.backend_mismatches() == []
+        twins[1].evictions += 1
+        assert report.backend_mismatches() == ["filter_min × bas × amm on mp"]
 
     def test_empty_report_best_policy(self):
         assert LabReport().best_policy("filter_min") is None
