@@ -59,9 +59,8 @@ class Watchdog:
 
     ``counter_name`` is the registry family alerts are counted under —
     ``live_alerts`` for the per-job watchdogs here, ``service_alerts``
-    for the service-plane auditors (:mod:`repro.service.obs`), which
-    subclass this for the alert/counting machinery while being fed
-    service events rather than trace events.
+    for the service-plane auditors (:mod:`repro.service.obs`), which are
+    called the same way with the service log's events.
     """
 
     kind = "base"

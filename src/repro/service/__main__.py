@@ -193,13 +193,17 @@ def _ingest(service: JobService, spool: str, out: TextIO) -> int:
 # ----------------------------------------------------------------- serve
 def cmd_serve(args: argparse.Namespace, out: TextIO) -> int:
     spool = args.spool
-    service = JobService(
-        workers=args.workers,
-        tenants=dict(args.tenants),
-        spool=spool,
-        quota_bytes=args.quota_bytes or None,
-        validate=not args.no_validate,
-    )
+    try:
+        service = JobService(
+            workers=args.workers,
+            tenants=dict(args.tenants),
+            spool=spool,
+            quota_bytes=args.quota_bytes or None,
+            validate=not args.no_validate,
+        )
+    except FileExistsError:
+        out.write(f"spool {spool} already has a service log: serve a fresh spool\n")
+        return 2
     out.write(f"serving spool={spool} workers={service.workers}\n")
     last_activity = time.monotonic()
     with service:

@@ -13,9 +13,9 @@ series: exact (nearest-rank, as the benchmarks report) queue-wait
 and end-to-end latency histograms, worker-slot gauges, per-state job
 gauges and tenant-labeled shared-cache counters.
 
-On top of the registry sit two auditors reusing the
-:mod:`repro.live.watchdogs` alert machinery (counted under
-``service_alerts{policy=...}``):
+On top of the registry sit two auditors, ordinary
+:mod:`repro.live.watchdogs` watchdogs fed every logged event (alerts
+counted under ``service_alerts{policy=...}``):
 
 * :class:`FairnessAuditor` — checks every admission against the fair
   queue's own virtual-clock tags (SFQ admits the minimum finish tag, so
@@ -27,14 +27,17 @@ On top of the registry sit two auditors reusing the
 
 **Replay parity** is the keystone invariant, mirroring the PR2
 trace→metrics bridge: every job transition is appended to
-``<spool>/service_events.ndjson`` (compact canonical JSON, one line each)
-with all derived scalars (queue wait, latency, cache counters) *logged
-once*, and
-:func:`replay_service_registry` rebuilds the whole service registry
-from that log plus the per-job NDJSON streams (bridged through
+``<spool>/service_events.ndjson`` as one
+:class:`~repro.trace.events.TraceEvent` line (wall-clock ``t``; kinds and
+fields in :data:`SERVICE_EVENT_SCHEMA`, checked by ``check_event`` before
+anything is written) with all derived scalars (queue wait, latency, cache
+counters) *logged once*, and :func:`replay_service_registry` rebuilds the
+whole service registry from that log (read with ``read_events``) plus the
+per-job NDJSON streams (bridged through
 :func:`~repro.obs.bridge.registry_from_trace`) such that
 ``diff_registries(live, replayed, SERVICE_CONSISTENCY_VIEWS) == []``.
-Live and replay share one code path (:meth:`ServiceObs.apply`) and one
+Live and replay share one code path (:meth:`ServiceObs.apply`, a
+``{kind: arm}`` table like :class:`~repro.obs.bridge.TraceFold`) and one
 reduction of a job's registry (:func:`job_view_totals`), so the
 invariant holds by construction for the log-derived series and by the
 PR2 bridge guarantee for the job-view families.
@@ -44,22 +47,22 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import json
 import os
 import time
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..cache.store import CacheStats
 from ..live.watchdogs import Watchdog
 from ..obs.bridge import CONSISTENCY_VIEWS, diff_registries, registry_from_trace
 from ..obs.export import prometheus_text, registry_json
 from ..obs.registry import MetricsRegistry
-from ..trace.events import Trace, canonical_json
+from ..trace.events import Trace, TraceEvent, check_event, read_events
 
 __all__ = [
     "JOB_VIEW_FAMILIES",
     "SERVICE_CONSISTENCY_VIEWS",
+    "SERVICE_EVENT_SCHEMA",
     "SERVICE_LABEL_NAMES",
     "FairnessAuditor",
     "SLOTracker",
@@ -81,14 +84,27 @@ JOB_VIEW_FAMILIES: Tuple[str, ...] = tuple(
 )
 
 #: cache counters a finished job reports (CacheStats field names)
-CACHE_COUNTER_KEYS: Tuple[str, ...] = tuple(
-    f.name for f in dataclasses.fields(CacheStats)
-)
+CACHE_COUNTER_KEYS: Tuple[str, ...] = tuple(f.name for f in dataclasses.fields(CacheStats))
 
 #: store-level counters the shared store exports (obs_counters hook)
-STORE_COUNTER_KEYS: Tuple[str, ...] = (
-    "quota_evictions", "corrupt_entries", "tmps_swept",
-)
+STORE_COUNTER_KEYS: Tuple[str, ...] = ("quota_evictions", "corrupt_entries", "tmps_swept")
+
+_JOB = ("job", "tenant", "workload")
+
+#: kind -> exact field set of a service log event's ``data``, checked by
+#: :func:`~repro.trace.events.check_event` on emit and on replay.  A
+#: finished job's ``cache`` / ``store`` hold only its nonzero counters;
+#: its stream is always ``<spool>/streams/<job>.ndjson``.
+SERVICE_EVENT_SCHEMA: Dict[str, frozenset] = {
+    "config": frozenset({"slots", "weights", "slos"}),
+    "submitted": frozenset({*_JOB, "cost", "start_tag", "finish_tag", "vtime"}),
+    "running": frozenset(
+        {*_JOB, "queue_wait", "cost", "finish_tag", "vtime", "heads", "weights"}
+    ),
+    "retried": frozenset({*_JOB, "attempt", "exitcode"}),
+    "done": frozenset({*_JOB, "latency", "busy_seconds", "violations", "cache", "store"}),
+}
+SERVICE_EVENT_SCHEMA["failed"] = SERVICE_EVENT_SCHEMA["done"]
 
 #: (instrument, label dims) pairs on which a replayed service registry
 #: must equal the live one (the service-plane CONSISTENCY_VIEWS)
@@ -157,8 +173,8 @@ def _atomic_text(path: str):
 class FairnessAuditor(Watchdog):
     """Achieved vs entitled weighted service share, from the SFQ tags.
 
-    Fed one record per admission (:meth:`on_admission`), carrying the
-    queue's state *at the moment of admission*: the admitted job's
+    Fed every service event; it audits the ``running`` ones, each carrying
+    the queue's state *at the moment of admission*: the admitted job's
     virtual finish tag, every backlogged tenant's head tag and cost, and
     the tenant weights.  Two checks:
 
@@ -199,21 +215,16 @@ class FairnessAuditor(Watchdog):
         self.max_granule: float = 0.0
         self._latched: set = set()
 
-    def on_event(self, event) -> None:  # pragma: no cover - not trace-fed
-        raise NotImplementedError("FairnessAuditor is fed admissions, not traces")
-
-    def on_admission(self, event: Dict[str, Any]) -> None:
-        """Audit one admission record (a ``running`` service event)."""
-        tenant = event["tenant"]
-        cost = float(event["cost"])
-        finish_tag = float(event["finish_tag"])
-        weights = {k: float(v) for k, v in event.get("weights", {}).items()}
-        heads: Dict[str, Any] = event.get("heads") or {}
-        if not heads:
+    def on_event(self, event: TraceEvent) -> None:
+        """Audit one admission (a ``running`` event); other kinds pass."""
+        if event.kind != "running" or not event.data["heads"]:
             return
-        total_weight = sum(weights.get(u, 1.0) for u in heads)
+        data = event.data
+        tenant, cost, finish_tag = data["tenant"], data["cost"], data["finish_tag"]
+        weights, heads = data["weights"], data["heads"]
+        total_weight = sum(weights[u] for u in heads)
         for name in sorted(heads):
-            weight = weights.get(name, 1.0)
+            weight = weights[name]
             self.window_cost[name] = self.window_cost.get(name, 0.0) + cost
             self.entitled[name] = (
                 self.entitled.get(name, 0.0) + cost * weight / total_weight
@@ -226,12 +237,12 @@ class FairnessAuditor(Watchdog):
         for name in sorted(heads):
             if name == tenant or name in self._latched:
                 continue
-            head_tag, head_cost = float(heads[name][0]), float(heads[name][1])
-            head_granule = head_cost / max(weights.get(name, 1.0), 1e-12)
+            head_tag, head_cost = heads[name]
+            head_granule = head_cost / max(weights[name], 1e-12)
             if finish_tag > head_tag + head_granule + 1e-9:
                 self._latched.add(name)
                 self._raise(
-                    float(event.get("t", 0.0)),
+                    event.t,
                     name,
                     f"bypassed: admitted tag {finish_tag:.6f} exceeds "
                     f"{name}'s head tag {head_tag:.6f} by more than one "
@@ -250,7 +261,7 @@ class FairnessAuditor(Watchdog):
             if bound and gap > bound + 1e-9:
                 self._latched.add(name)
                 self._raise(
-                    float(event.get("t", 0.0)),
+                    event.t,
                     name,
                     f"share drift: achieved {self.achieved.get(name, 0.0):.3f} "
                     f"vs entitled {self.entitled.get(name, 0.0):.3f} cost "
@@ -279,6 +290,12 @@ class FairnessAuditor(Watchdog):
         return out
 
 
+#: finished jobs per tenant the SLO burn rate is measured over
+SLO_WINDOW = 20
+#: burn rate (bad fraction / error budget) at which an SLO alert fires
+SLO_BURN_THRESHOLD = 2.0
+
+
 class SLOTracker(Watchdog):
     """Per-tenant latency/error-rate objectives with burn-rate alerts.
 
@@ -286,10 +303,10 @@ class SLOTracker(Watchdog):
     finished job is *good* when it succeeded and (if a latency objective
     is set) finished within ``latency_s`` wall seconds; the tenant's SLO
     is met when the good fraction stays >= ``target``.  Burn rate is the
-    classic ratio: the bad fraction over the last ``window`` finished
-    jobs divided by the error budget ``1 - target``; crossing
-    ``burn_threshold`` raises one alert per excursion (re-armed when the
-    window recovers).  Objectives come from the service config — exact
+    classic ratio: the bad fraction over the last :data:`SLO_WINDOW`
+    finished jobs divided by the error budget ``1 - target``; crossing
+    :data:`SLO_BURN_THRESHOLD` raises one alert per excursion (re-armed
+    when the window recovers).  Objectives come from the service config — exact
     tenant name first, the ``"*"`` wildcard as fallback; tenants with no
     objective are not tracked.
     """
@@ -297,40 +314,30 @@ class SLOTracker(Watchdog):
     kind = "slo"
     counter_name = "service_alerts"
 
-    def __init__(
-        self,
-        registry=None,
-        slos: Optional[Dict[str, Dict[str, Any]]] = None,
-        window: int = 20,
-        burn_threshold: float = 2.0,
-    ):
+    def __init__(self, registry=None, slos: Optional[Dict[str, Dict[str, Any]]] = None):
         super().__init__(registry)
         self.slos = {k: dict(v) for k, v in (slos or {}).items()}
-        self.window = max(1, int(window))
-        self.burn_threshold = float(burn_threshold)
         self._recent: Dict[str, Deque[bool]] = {}
         self._good: Dict[str, int] = {}
         self._total: Dict[str, int] = {}
         self._armed: Dict[str, bool] = {}
 
-    def on_event(self, event) -> None:  # pragma: no cover - not trace-fed
-        raise NotImplementedError("SLOTracker is fed finished jobs, not traces")
-
     def slo_for(self, tenant: str) -> Optional[Dict[str, Any]]:
         return self.slos.get(tenant) or self.slos.get("*")
 
-    def on_finished(self, event: Dict[str, Any]) -> None:
-        """Score one finished job (a ``done``/``failed`` service event)."""
-        tenant = event["tenant"]
+    def on_event(self, event: TraceEvent) -> None:
+        """Score one finished job (a ``done``/``failed`` event); other kinds pass."""
+        if event.kind not in ("done", "failed"):
+            return
+        tenant = event.data["tenant"]
         slo = self.slo_for(tenant)
         if slo is None:
             return
         latency_obj = slo.get("latency_s")
-        good = bool(event.get("ok"))
-        latency = event.get("latency")
-        if good and latency_obj is not None and latency is not None:
-            good = float(latency) <= float(latency_obj)
-        recent = self._recent.setdefault(tenant, deque(maxlen=self.window))
+        good = event.kind == "done"
+        if good and latency_obj is not None:
+            good = event.data["latency"] <= latency_obj
+        recent = self._recent.setdefault(tenant, deque(maxlen=SLO_WINDOW))
         recent.append(good)
         self._total[tenant] = self._total.get(tenant, 0) + 1
         self._good[tenant] = self._good.get(tenant, 0) + (1 if good else 0)
@@ -338,11 +345,11 @@ class SLOTracker(Watchdog):
         budget = max(1e-9, 1.0 - target)
         bad_rate = (len(recent) - sum(recent)) / len(recent)
         burn = bad_rate / budget
-        if burn >= self.burn_threshold:
+        if burn >= SLO_BURN_THRESHOLD:
             if self._armed.get(tenant, True):
                 self._armed[tenant] = False
                 self._raise(
-                    float(event.get("t", 0.0)),
+                    event.t,
                     tenant,
                     f"error budget burning {burn:.1f}x sustainable "
                     f"({bad_rate:.2f} bad over last {len(recent)} jobs, "
@@ -382,11 +389,12 @@ class ServiceObs:
     """The dispatcher-side observability plane of one :class:`JobService`.
 
     Owns the service registry, the fairness/SLO auditors and the
-    ``service_events.ndjson`` append log.  The service calls the
-    ``job_*`` recorders (which build an event dict, append it to the
-    log, then :meth:`apply` it); :func:`replay_service_registry` calls
-    :meth:`apply` on the logged dicts directly — one code path, so live
-    and replayed registries agree by construction.
+    ``service_events.ndjson`` append log.  The service calls :meth:`emit`
+    (check the event, append it to the log, then :meth:`apply` it);
+    :func:`replay_service_registry` calls :meth:`apply` on the logged
+    events directly — one code path, so live and replayed registries
+    agree by construction.  The log is created, never reopened: a spool
+    holds one service's log.
     """
 
     def __init__(
@@ -400,16 +408,17 @@ class ServiceObs:
         self.registry = MetricsRegistry(label_names=SERVICE_LABEL_NAMES)
         self.fairness = FairnessAuditor(registry=self.registry)
         self.slo = SLOTracker(registry=self.registry, slos=slos)
+        self._seq = 0
         # one log, one handle per service lifetime; line-buffered (1), so an
         # event is on disk before ``apply`` folds it and replay works mid-run
-        self._log = None if events_path is None else open(events_path, "w", 1)
-        config = {
-            "event": "config",
-            "slots": slots,
-            "weights": dict(sorted((weights or {}).items())),
-            "slos": {k: dict(v) for k, v in sorted((slos or {}).items())},
-        }
-        self.record(config)
+        self._log = None if events_path is None else open(events_path, "x", 1)
+        self.emit(
+            "config",
+            time.time(),
+            slots=slots,
+            weights=dict(sorted((weights or {}).items())),
+            slos={k: dict(v) for k, v in sorted((slos or {}).items())},
+        )
 
     # ------------------------------------------------------------ alerts
     @property
@@ -417,161 +426,96 @@ class ServiceObs:
         return list(self.fairness.alerts) + list(self.slo.alerts)
 
     # ------------------------------------------------------- event intake
-    def record(
-        self, event: Dict[str, Any], job_totals: Optional[Dict[str, float]] = None
-    ) -> None:
-        """Append one event to the log, then fold it into the registry."""
+    def emit(self, kind: str, t: float, **data: Any) -> TraceEvent:
+        """Check one event against :data:`SERVICE_EVENT_SCHEMA`, append it
+        to the log, then fold it into the registry; a malformed event
+        raises before either."""
+        check_event(SERVICE_EVENT_SCHEMA, kind, data)
+        event = TraceEvent(self._seq, t, kind, data)
+        self._seq += 1
         if self._log is not None:
-            self._log.write(canonical_json(event) + "\n")
-        self.apply(event, job_totals=job_totals)
+            self._log.write(event.to_json() + "\n")
+        self.apply(event)
+        return event
 
     def close(self) -> None:
-        """Close the event log; nothing may be recorded afterwards."""
+        """Close the event log; nothing may be emitted afterwards."""
         if self._log is not None:
             self._log.close()
 
-    def apply(
-        self, event: Dict[str, Any], job_totals: Optional[Dict[str, float]] = None
-    ) -> None:
-        """Fold one service event into the registry (live *and* replay);
-        a finished job's ``job_totals`` (:func:`job_view_totals`) add
-        onto its ``{tenant, workload}`` cells."""
-        kind = event["event"]
+    def apply(self, event: TraceEvent) -> None:
+        """Fold one service event into the registry and the auditors (live
+        *and* replay): its kind's arm, ``_on_<kind>``, then each auditor."""
+        _ARMS[event.kind](self, event)
+        self.fairness(event)
+        self.slo(event)
+
+    def add_job_totals(self, event: TraceEvent, totals: Dict[str, float]) -> None:
+        """Add a ``done`` job's :func:`job_view_totals` onto its
+        ``{tenant, workload}`` cells."""
+        tenant, workload = event.data["tenant"], event.data["workload"]
+        for name, total in totals.items():
+            self.registry.counter(name, tenant=tenant, workload=workload).inc(total)
+
+    def _on_config(self, event: TraceEvent) -> None:
+        # auditors are configured at construction (live and replay both
+        # build their trackers from the same config values); the event
+        # only carries registry-visible state
+        if event.data["slots"]:
+            self.registry.gauge("service_slots_total").set(event.data["slots"])
+
+    def _on_submitted(self, event: TraceEvent) -> None:
+        data, reg = event.data, self.registry
+        reg.counter(
+            "service_jobs", tenant=data["tenant"], workload=data["workload"],
+            status="queued",
+        ).inc()
+        reg.gauge("service_jobs_state", status="queued").inc()
+
+    def _on_running(self, event: TraceEvent) -> None:
+        data, reg = event.data, self.registry
+        tenant, workload = data["tenant"], data["workload"]
+        reg.counter(
+            "service_jobs", tenant=tenant, workload=workload, status="running"
+        ).inc()
+        reg.gauge("service_jobs_state", status="queued").dec()
+        reg.gauge("service_jobs_state", status="running").inc()
+        busy = reg.gauge("service_slots_busy")
+        busy.inc()
+        reg.gauge("service_slots_busy_peak").set_max(busy.value)
+        reg.histogram(
+            "service_queue_wait_seconds", exact=True, tenant=tenant, workload=workload
+        ).observe(data["queue_wait"])
+
+    def _on_retried(self, event: TraceEvent) -> None:
+        # its worker died; it is queued again
         reg = self.registry
-        if kind == "config":
-            # auditors are configured at construction (live and replay both
-            # build their trackers from the same config values); the event
-            # only carries registry-visible state
-            if event.get("slots"):
-                reg.gauge("service_slots_total").set(event["slots"])
-            return
-        tenant = event["tenant"]
-        workload = event["workload"]
-        if kind == "submitted":
-            reg.counter(
-                "service_jobs", tenant=tenant, workload=workload, status="queued"
-            ).inc()
-            reg.gauge("service_jobs_state", status="queued").inc()
-        elif kind == "running":
-            reg.counter(
-                "service_jobs", tenant=tenant, workload=workload, status="running"
-            ).inc()
-            reg.gauge("service_jobs_state", status="queued").dec()
-            reg.gauge("service_jobs_state", status="running").inc()
-            busy = reg.gauge("service_slots_busy")
-            busy.inc()
-            reg.gauge("service_slots_busy_peak").set_max(busy.value)
-            reg.histogram(
-                "service_queue_wait_seconds",
-                exact=True,
-                tenant=tenant,
-                workload=workload,
-            ).observe(float(event["queue_wait"]))
-            self.fairness.on_admission(event)
-        elif kind == "retried":  # its worker died; it is queued again
-            reg.gauge("service_jobs_state", status="running").dec()
-            reg.gauge("service_jobs_state", status="queued").inc()
-            reg.gauge("service_slots_busy").dec()
-            reg.counter("service_recoveries", kind="worker_died").inc()
-        elif kind in ("done", "failed"):
-            reg.counter(
-                "service_jobs", tenant=tenant, workload=workload, status=kind
-            ).inc()
-            reg.gauge("service_jobs_state", status="running").dec()
-            reg.gauge("service_jobs_state", status=kind).inc()
-            reg.gauge("service_slots_busy").dec()
-            reg.histogram(
-                "service_latency_seconds",
-                exact=True,
-                tenant=tenant,
-                workload=workload,
-            ).observe(float(event["latency"]))
-            reg.counter(
-                "service_busy_slot_seconds", tenant=tenant, workload=workload
-            ).inc(float(event.get("busy_seconds", 0.0)))
-            for key in CACHE_COUNTER_KEYS:
-                value = (event.get("cache") or {}).get(key, 0)
-                if value:
-                    reg.counter(
-                        f"service_cache_{key}", tenant=tenant, workload=workload
-                    ).inc(value)
-            for key in STORE_COUNTER_KEYS:
-                value = (event.get("store") or {}).get(key, 0)
-                if value:
-                    reg.counter(f"service_store_{key}", tenant=tenant).inc(value)
-            self.slo.on_finished(event)
-            for name, total in (job_totals or {}).items():
-                reg.counter(name, tenant=tenant, workload=workload).inc(total)
-        else:
-            raise ValueError(f"unknown service event kind {kind!r}")
+        reg.gauge("service_jobs_state", status="running").dec()
+        reg.gauge("service_jobs_state", status="queued").inc()
+        reg.gauge("service_slots_busy").dec()
+        reg.counter("service_recoveries", kind="worker_died").inc()
 
-    # ---------------------------------------------------- live recorders
-    def job_submitted(self, record, queued, vtime: float) -> None:
-        self.record({
-            "event": "submitted",
-            "t": record.submitted_at,
-            "job": record.job_id,
-            "tenant": record.tenant,
-            "workload": record.spec.workload,
-            "cost": queued.cost,
-            "start_tag": queued.start_tag,
-            "finish_tag": queued.finish_tag,
-            "vtime": vtime,
-        })
+    def _on_done(self, event: TraceEvent) -> None:
+        data, reg, status = event.data, self.registry, event.kind
+        tenant, workload = data["tenant"], data["workload"]
+        reg.counter(
+            "service_jobs", tenant=tenant, workload=workload, status=status
+        ).inc()
+        reg.gauge("service_jobs_state", status="running").dec()
+        reg.gauge("service_jobs_state", status=status).inc()
+        reg.gauge("service_slots_busy").dec()
+        reg.histogram(
+            "service_latency_seconds", exact=True, tenant=tenant, workload=workload
+        ).observe(data["latency"])
+        reg.counter(
+            "service_busy_slot_seconds", tenant=tenant, workload=workload
+        ).inc(data["busy_seconds"])
+        for key, value in sorted(data["cache"].items()):
+            reg.counter(f"service_cache_{key}", tenant=tenant, workload=workload).inc(value)
+        for key, value in sorted(data["store"].items()):
+            reg.counter(f"service_store_{key}", tenant=tenant).inc(value)
 
-    def job_admitted(
-        self,
-        record,
-        queued,
-        heads: Dict[str, Tuple[float, float]],
-        weights: Dict[str, float],
-        vtime: float,
-    ) -> None:
-        self.record({
-            "event": "running",
-            "t": record.started_at,
-            "job": record.job_id,
-            "tenant": record.tenant,
-            "workload": record.spec.workload,
-            "queue_wait": record.started_at - record.submitted_at,
-            "cost": queued.cost,
-            "finish_tag": queued.finish_tag,
-            "vtime": vtime,
-            "heads": {k: list(v) for k, v in sorted(heads.items())},
-            "weights": dict(sorted(weights.items())),
-        })
-
-    def job_retried(self, record, attempt: int, exitcode: Optional[int]) -> None:
-        self.record({"event": "retried", "t": time.time(), "job": record.job_id,
-                     "tenant": record.tenant, "workload": record.spec.workload,
-                     "attempt": attempt, "exitcode": exitcode})
-
-    def job_finished(self, record, totals: Optional[Dict[str, float]]) -> None:
-        """Log a job's end; ``totals`` are what its worker shipped (``None``
-        when it shipped nothing, as a failed job does)."""
-        result = record.result or {}
-        self.record(
-            {
-                "event": record.status,  # "done" | "failed"
-                "t": record.finished_at,
-                "job": record.job_id,
-                "tenant": record.tenant,
-                "workload": record.spec.workload,
-                "ok": record.status == "done",
-                "latency": record.finished_at - record.submitted_at,
-                "busy_seconds": (
-                    record.finished_at - record.started_at
-                    if record.started_at is not None
-                    else 0.0
-                ),
-                "violations": result.get("violations", 0),
-                "cache": result.get("cache") or {},
-                "store": result.get("store") or {},
-                "stream": record.spec.stream_path,
-                "merged": totals is not None,
-            },
-            job_totals=totals,
-        )
+    _on_failed = _on_done
 
     # ------------------------------------------------------------ export
     def export(self, directory: str) -> None:
@@ -600,62 +544,46 @@ class ServiceObs:
         }
 
 
+#: kind -> its arm in :meth:`ServiceObs.apply`, the ``TraceFold`` pattern
+_ARMS: Dict[str, Callable[[ServiceObs, TraceEvent], None]] = {
+    kind: getattr(ServiceObs, f"_on_{kind}") for kind in SERVICE_EVENT_SCHEMA
+}
+
+
 # ------------------------------------------------------------- replay
-def replay_service_registry(
-    spool: str, events_path: Optional[str] = None
-) -> ServiceObs:
+def replay_service_registry(spool: str) -> ServiceObs:
     """Rebuild the service registry from the event log + job streams.
 
-    Reads ``<spool>/service_events.ndjson`` (or ``events_path``) and
-    applies every event through the same :meth:`ServiceObs.apply` path
-    the live service used; finished events whose worker's totals were
-    merged live (``merged: true``) re-derive them from the job's NDJSON
-    stream, through the PR2 trace→metrics bridge and
-    :func:`job_view_totals` — a cross-check of the worker's fold against
-    its stream.  The returned plane's registry must satisfy
-    ``service_registry_diff(live, replayed) == []``.
+    Reads ``<spool>/service_events.ndjson`` with
+    :func:`~repro.trace.events.read_events`, checks every event against
+    :data:`SERVICE_EVENT_SCHEMA` and applies it through the same
+    :meth:`ServiceObs.apply` path the live service used; a ``done`` job's
+    totals are re-derived from its stream, ``<spool>/streams/<job>.ndjson``,
+    through the PR2 trace→metrics bridge and :func:`job_view_totals` — a
+    cross-check of the worker's fold against its stream.  The returned
+    plane's registry must satisfy ``service_registry_diff(live, replayed)
+    == []``.
 
-    An undecodable *final* line is skipped — a killed dispatcher leaves a
-    torn tail, and the event it was writing never took effect; one
-    anywhere else is corruption and raises with its line number.
+    Text after the last newline never took effect — a killed dispatcher
+    leaves a torn tail — and is skipped; an undecodable line before it is
+    corruption and raises with its line number.
     """
-    path = events_path or os.path.join(spool, "service_events.ndjson")
-    replayed: Optional[ServiceObs] = None
-    torn: Optional[Tuple[int, ValueError]] = None
+    path = os.path.join(spool, "service_events.ndjson")
     with open(path) as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if torn is not None:
-                raise ValueError(
-                    f"{path}:{torn[0]}: undecodable event before the end of "
-                    f"the log: {torn[1]}"
-                ) from torn[1]
-            try:
-                event = json.loads(line)
-            except ValueError as exc:
-                torn = (number, exc)
-                continue
-            if event["event"] == "config":
-                replayed = ServiceObs(
-                    events_path=None,
-                    slots=event.get("slots"),
-                    weights=event.get("weights"),
-                    slos=event.get("slos"),
-                )
-                continue
-            if replayed is None:
-                raise ValueError(f"{path}: first event must be the config")
-            job_totals = None
-            if event.get("merged"):
-                stream = event.get("stream") or os.path.join(
-                    spool, "streams", f"{event['job']}.ndjson"
-                )
-                job_totals = job_view_totals(
-                    registry_from_trace(Trace.load_jsonl(stream))
-                )
-            replayed.apply(event, job_totals=job_totals)
+        complete, _, _ = fh.read().rpartition("\n")
+    replayed: Optional[ServiceObs] = None
+    for event in read_events(complete):
+        check_event(SERVICE_EVENT_SCHEMA, event.kind, event.data)
+        if event.kind == "config":
+            replayed = ServiceObs(None, **event.data)
+        elif replayed is None:
+            raise ValueError(f"{path}: first event must be the config")
+        else:
+            replayed.apply(event)
+            if event.kind == "done":
+                stream = os.path.join(spool, "streams", f"{event.data['job']}.ndjson")
+                totals = job_view_totals(registry_from_trace(Trace.load_jsonl(stream)))
+                replayed.add_job_totals(event, totals)
     if replayed is None:
         raise ValueError(f"{path}: empty service event log")
     return replayed

@@ -81,6 +81,14 @@ class JobService:
             self.queue.register(name, weight)
         self.spool = spool or tempfile.mkdtemp(prefix="repro-service-")
         os.makedirs(os.path.join(self.spool, "streams"), exist_ok=True)
+        #: the service observability plane; its event log is always written,
+        #: and a spool that has one already raises FileExistsError
+        self.obs = ServiceObs(
+            events_path=os.path.join(self.spool, "service_events.ndjson"),
+            slots=self.queue.slots,
+            weights=self.queue.weights(),
+            slos=slos,
+        )
         if cache:
             self.cache_dir = cache_dir or os.path.join(self.spool, "cache")
             os.makedirs(self.cache_dir, exist_ok=True)
@@ -100,13 +108,6 @@ class JobService:
         self._closed = False
         self._dirty = False  # the views lag the live state
         self._publish_due = 0.0  # time.monotonic() of the next due publish
-        #: the service observability plane; its event log is always written
-        self.obs = ServiceObs(
-            events_path=os.path.join(self.spool, "service_events.ndjson"),
-            slots=self.queue.slots,
-            weights=self.queue.weights(),
-            slos=slos,
-        )
 
     # ----------------------------------------------------------- lifecycle
     def _worker(self):
@@ -186,7 +187,11 @@ class JobService:
         record = JobRecord(spec=spec)
         queued = self.queue.put(tenant, record, cost=spec.cost)  # checks cost
         self.records[job_id] = record
-        self.obs.job_submitted(record, queued, self.queue.vtime)
+        self.obs.emit(
+            "submitted", record.submitted_at, **_job(record), cost=queued.cost,
+            start_tag=queued.start_tag, finish_tag=queued.finish_tag,
+            vtime=self.queue.vtime,
+        )
         self._dirty = True
         self._publish()
         return job_id
@@ -231,7 +236,10 @@ class JobService:
             if attempts < ATTEMPTS:
                 self.queue.requeue(queued)
                 record.status, record.started_at = QUEUED, None
-                self.obs.job_retried(record, attempts, exitcode)
+                self.obs.emit(
+                    "retried", time.time(), **_job(record), attempt=attempts,
+                    exitcode=exitcode,
+                )
             else:
                 error = f"worker died (exit code {exitcode}) on {attempts} attempts"
                 self._finish(record, queued, None, error)
@@ -247,7 +255,17 @@ class JobService:
         record.result = result
         record.status = DONE if result and result.get("ok") else FAILED
         record.error = error if result is None else result.get("error")
-        self.obs.job_finished(record, totals)
+        result = result or {}
+        event = self.obs.emit(
+            record.status, record.finished_at, **_job(record),
+            latency=record.finished_at - record.submitted_at,
+            busy_seconds=record.finished_at - record.started_at,
+            violations=result.get("violations", 0),
+            cache={k: v for k, v in result.get("cache", {}).items() if v},
+            store={k: v for k, v in result.get("store", {}).items() if v},
+        )
+        if totals is not None:  # what a done job's worker shipped
+            self.obs.add_job_totals(event, totals)
 
     def _admit(self) -> int:
         transitions = 0
@@ -260,8 +278,13 @@ class JobService:
             record: JobRecord = queued.payload
             record.status = RUNNING
             record.started_at = time.time()
-            self.obs.job_admitted(
-                record, queued, heads, self.queue.weights(), self.queue.vtime
+            self.obs.emit(
+                "running", record.started_at, **_job(record),
+                queue_wait=record.started_at - record.submitted_at,
+                cost=queued.cost, finish_tag=queued.finish_tag,
+                vtime=self.queue.vtime,
+                heads={k: list(v) for k, v in heads.items()},
+                weights=self.queue.weights(),
             )
             with contextlib.suppress(OSError):  # died since it was idle: a death
                 conn.send(record.spec.as_dict())
@@ -333,6 +356,11 @@ class JobService:
             json.dump(payload, fh, indent=2, sort_keys=True)
         self.obs.export(self.spool)
         self._dirty = False
+
+
+def _job(record: JobRecord) -> Dict[str, str]:
+    """The fields every job event of the service log starts with."""
+    return {"job": record.job_id, "tenant": record.tenant, "workload": record.spec.workload}
 
 
 def _hang_up(workers: Dict[Any, Any]) -> None:

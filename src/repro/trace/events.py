@@ -195,7 +195,8 @@ EVENT_SCHEMA: Dict[str, frozenset] = {
 
 
 class TraceEvent(NamedTuple):
-    """One recorded decision: sequence number, simulated time, kind, payload."""
+    """One recorded decision: sequence number, time (simulated in a job's
+    trace, wall-clock in the service log), kind, payload."""
 
     seq: int
     t: float
@@ -217,12 +218,30 @@ def events_jsonl(events: Iterable[TraceEvent]) -> str:
     return "".join([canonical_json(event.as_dict()) + "\n" for event in events])
 
 
+def check_event(schema: Dict[str, frozenset], kind: str, data: Dict[str, Any]) -> None:
+    """Raise ``ValueError`` unless ``kind`` is in ``schema`` and ``data``
+    has exactly its fields: the one payload check, for the engine trace
+    (:data:`EVENT_SCHEMA`) and the service log (its own schema) alike."""
+    fields = schema.get(kind)
+    if fields is None:
+        raise ValueError(f"unknown trace event kind {kind!r}")
+    if data.keys() != fields:
+        raise ValueError(
+            f"malformed {kind!r} event: missing={sorted(fields - data.keys())} "
+            f"unexpected={sorted(data.keys() - fields)}"
+        )
+
+
 def read_events(text: str) -> Iterator[TraceEvent]:
     """The events of complete JSONL lines (blank lines skipped): the one
-    line -> :class:`TraceEvent` parser of every trace reader."""
-    for line in text.splitlines():
+    line -> :class:`TraceEvent` parser of every trace reader.  An
+    undecodable line raises ``ValueError`` naming its 1-based number."""
+    for number, line in enumerate(text.splitlines(), 1):
         if line.strip():
-            raw = json.loads(line)
+            try:
+                raw = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"line {number}: undecodable event: {exc}") from None
             yield TraceEvent(raw["seq"], raw["t"], raw["kind"], raw.get("data", {}))
 
 
@@ -341,14 +360,7 @@ class Trace:
         if not self.enabled:
             return None
         if self.strict:
-            schema = EVENT_SCHEMA.get(kind)
-            if schema is None:
-                raise ValueError(f"unknown trace event kind {kind!r}")
-            if data.keys() != schema:
-                raise ValueError(
-                    f"malformed {kind!r} event: missing={sorted(schema - data.keys())} "
-                    f"unexpected={sorted(data.keys() - schema)}"
-                )
+            check_event(EVENT_SCHEMA, kind, data)
         t = float(self._clock.now) if self._clock is not None else 0.0
         event = TraceEvent(len(self.events), t, kind, data)
         self.events.append(event)

@@ -67,6 +67,7 @@ def rows():
     yield "`engine/backends/` lines", sum(
         text.count("\n") for text in sources("engine/backends")
     )
+    yield "`service/obs.py` lines", (SRC / "service" / "obs.py").read_text().count("\n")
     yield "`backend` / `prefetch` sites in engine/ " + slashed(SEAM_FILES), sum(
         bool(re.search("backend|prefetch", line))
         for name in SEAM_FILES

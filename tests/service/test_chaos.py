@@ -44,6 +44,7 @@ from repro.service import worker
 from repro.service.obs import job_view_totals
 from repro.service.service import ATTEMPTS
 from repro.trace import Trace
+from repro.trace.events import read_events
 
 pytestmark = pytest.mark.service_chaos
 
@@ -75,10 +76,10 @@ def audit(service):
     """The oracles every case ends with.  Returns each job's event kinds
     (in log order) and the ``service_recoveries`` count."""
     with open(service.obs.events_path) as log:
-        events = [json.loads(line) for line in log][1:]  # after the config
+        events = list(read_events(log.read()))[1:]  # after the config
     kinds = {}
     for event in events:
-        kinds.setdefault(event["job"], []).append(event["event"])
+        kinds.setdefault(event.data["job"], []).append(event.kind)
     assert sorted(kinds) == sorted(service.records)
     for job_id, seen in kinds.items():
         assert sum(kind in (DONE, FAILED) for kind in seen) == 1, (job_id, seen)

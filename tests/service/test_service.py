@@ -9,6 +9,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -19,6 +20,7 @@ from repro.obs.export import registry_json
 from repro.service import DONE, FAILED, JobService, JobSpec, outputs_digest
 from repro.service.__main__ import main as service_main
 from repro.service.obs import _atomic_text
+from repro.trace.events import read_events
 
 
 def solo_digest(workload_name):
@@ -116,7 +118,7 @@ class TestJobService:
                 service.submit("t", "filter_min", cost=0)
             assert service.records == {} and service.queue.backlog == 0
             with open(service.obs.events_path) as log:
-                assert [json.loads(line)["event"] for line in log] == ["config"]
+                assert [e.kind for e in read_events(log.read())] == ["config"]
             job = service.submit("t", "filter_min", scheduler="bfs", validate=False)
             (record,) = service.drain(timeout=120)
             assert record.status == DONE and record.job_id == job == "job-0002"
@@ -152,6 +154,7 @@ class TestJobService:
         assert record.status == DONE, record.error
         assert record.spec.backend == "mp"
         assert record.result["outputs_digest"] == reference
+        spool = str(tmp_path / "cli")  # a spool holds one service's log
         out = io.StringIO()
         argv = ["--spool", spool, "--workload", "filter_min", "--backend", "mp"]
         assert service_main(["submit"] + argv, out=out) == 0
@@ -275,7 +278,7 @@ class TestDerivedViews:
             "queued": 0, "running": 0, "done": 0, "failed": 1,
         }
         with open(service.obs.events_path) as log:
-            events = [json.loads(line)["event"] for line in log]
+            events = [e.kind for e in read_events(log.read())]
         assert events == ["config", "submitted", "running", "failed"]
         replayed = replay_service_registry(spool)
         assert service_registry_diff(service.obs, replayed) == []
@@ -405,6 +408,28 @@ class TestCLI:
         )
         assert code == 0
         assert "stages" in text  # the live dashboard rendered
+
+    def test_second_serve_on_a_used_spool_exits_2(self, tmp_path):
+        """A spool holds one service's log: a second ``serve`` refuses it
+        with one line instead of truncating the log and re-issuing
+        ``job-0001`` over the first run's stream."""
+        spool = str(tmp_path)
+        self.run_cli("submit", "--spool", spool, "--workload", "filter_min")
+        code, text = self.run_cli("serve", "--spool", spool, "--once")
+        assert code == 0, text
+        written = {}
+        for name in ("service_events.ndjson", os.path.join("streams", "job-0001.ndjson")):
+            with open(os.path.join(spool, name), "rb") as fh:
+                written[name] = fh.read()
+        self.run_cli("submit", "--spool", spool, "--workload", "nested_topk")
+        code, text = self.run_cli("serve", "--spool", spool, "--once")
+        assert code == 2
+        assert text == f"spool {spool} already has a service log: serve a fresh spool\n"
+        for name, data in written.items():
+            with open(os.path.join(spool, name), "rb") as fh:
+                assert fh.read() == data, name
+        with pytest.raises(FileExistsError, match=re.escape(spool)):
+            JobService(workers=1, spool=spool)
 
     def test_status_json_mode(self, tmp_path):
         spool = str(tmp_path)

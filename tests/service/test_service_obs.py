@@ -25,22 +25,23 @@ from repro.service import (
 )
 from repro.obs.bridge import registry_from_trace
 from repro.service.__main__ import main as service_main
+from repro.service import obs as service_obs
 from repro.service.obs import JOB_VIEW_FAMILIES, ServiceObs, job_view_totals
 from repro.service.queue import FairShareQueue
-from repro.trace import Trace
+from repro.trace import Trace, TraceEvent
+from repro.trace.events import read_events
 
 
-def admission_event(queue, job, t=0.0, heads=None):
-    """The ``running`` event the service would log for this admission."""
-    return {
-        "event": "running",
-        "t": t,
+def admission_event(queue, job, heads):
+    """The auditor's fields of the ``running`` event the service would log
+    for this admission."""
+    return TraceEvent(0, 0.0, "running", {
         "tenant": job.tenant,
         "cost": job.cost,
         "finish_tag": job.finish_tag,
         "weights": queue.weights(),
-        "heads": {k: list(v) for k, v in (heads or {}).items()},
-    }
+        "heads": {k: list(v) for k, v in heads.items()},
+    })
 
 
 class TestFairnessAuditor:
@@ -57,7 +58,7 @@ class TestFairnessAuditor:
         while queue.backlog:
             heads = queue.pending_heads()
             job = queue.next_job()
-            auditor.on_admission(admission_event(queue, job, heads=heads))
+            auditor(admission_event(queue, job, heads))
             queue.release(job)
         return auditor
 
@@ -102,17 +103,15 @@ class TestFairnessAuditor:
         """A rigged admission whose finish tag jumps past a backlogged
         head by more than one granule: one latched alert, not a storm."""
         auditor = FairnessAuditor()
-        rigged = {
-            "event": "running",
-            "t": 1.0,
+        rigged = TraceEvent(0, 1.0, "running", {
             "tenant": "greedy",
             "cost": 1.0,
             "finish_tag": 10.0,  # the starved head's tag is 1.0 + granule 1.0
             "weights": {"greedy": 1.0, "starved": 1.0},
             "heads": {"starved": [1.0, 1.0], "greedy": [10.0, 1.0]},
-        }
-        auditor.on_admission(rigged)
-        auditor.on_admission(rigged)  # repeat offence: still latched
+        })
+        auditor(rigged)
+        auditor(rigged)  # repeat offence: still latched
         assert len(auditor.alerts) == 1
         (alert,) = auditor.alerts
         assert alert.kind == "fairness"
@@ -139,20 +138,17 @@ class TestFairnessAuditor:
 
 
 class TestSLOTracker:
-    def finished(self, tenant, ok=True, latency=0.1, t=0.0):
-        return {
-            "event": "done" if ok else "failed",
-            "t": t,
-            "tenant": tenant,
-            "ok": ok,
-            "latency": latency,
-        }
+    def finished(self, tenant, ok=True, latency=0.1):
+        """The tracker's fields of a finished job's event."""
+        return TraceEvent(
+            0, 0.0, "done" if ok else "failed", {"tenant": tenant, "latency": latency}
+        )
 
     def test_attainment_counts_latency_and_errors(self):
         slo = SLOTracker(slos={"*": {"latency_s": 1.0, "target": 0.5}})
-        slo.on_finished(self.finished("t", ok=True, latency=0.5))
-        slo.on_finished(self.finished("t", ok=True, latency=5.0))  # too slow
-        slo.on_finished(self.finished("t", ok=False))
+        slo(self.finished("t", ok=True, latency=0.5))
+        slo(self.finished("t", ok=True, latency=5.0))  # too slow
+        slo(self.finished("t", ok=False))
         att = slo.attainment()["t"]
         assert att["jobs"] == 3
         assert att["attained"] == pytest.approx(1 / 3)
@@ -160,27 +156,27 @@ class TestSLOTracker:
 
     def test_untracked_tenant_ignored(self):
         slo = SLOTracker(slos={"vip": {"target": 0.9}})
-        slo.on_finished(self.finished("anon", ok=False))
+        slo(self.finished("anon", ok=False))
         assert slo.attainment() == {}
         assert slo.alerts == []
 
-    def test_burn_alert_raised_once_then_rearmed(self):
+    def test_burn_alert_raised_once_then_rearmed(self, monkeypatch):
         """One alert per excursion: the window must recover (burn drops
         below the threshold) before a second alert can fire."""
-        slo = SLOTracker(
-            slos={"t": {"target": 0.5}}, window=4, burn_threshold=1.0
-        )
+        monkeypatch.setattr(service_obs, "SLO_WINDOW", 4)
+        monkeypatch.setattr(service_obs, "SLO_BURN_THRESHOLD", 1.0)
+        slo = SLOTracker(slos={"t": {"target": 0.5}})
         for _ in range(4):
-            slo.on_finished(self.finished("t", ok=False))
+            slo(self.finished("t", ok=False))
         assert len(slo.alerts) == 1
         assert slo.alerts[0].kind == "slo"
         # recovery: good jobs push the window's bad fraction under budget
         for _ in range(4):
-            slo.on_finished(self.finished("t", ok=True))
+            slo(self.finished("t", ok=True))
         assert len(slo.alerts) == 1
         # second excursion re-raises
         for _ in range(4):
-            slo.on_finished(self.finished("t", ok=False))
+            slo(self.finished("t", ok=False))
         assert len(slo.alerts) == 2
 
     def test_exact_tenant_objective_beats_wildcard(self):
@@ -214,8 +210,10 @@ class TestServiceObsEndToEnd:
         service, spool = self.run_service(tmp_path)
         events_path = os.path.join(spool, "service_events.ndjson")
         assert os.path.exists(events_path)
-        first = json.loads(open(events_path).readline())
-        assert first["event"] == "config"
+        with open(events_path) as fh:
+            events = list(read_events(fh.read()))
+        assert events[0].kind == "config"
+        assert [e.seq for e in events] == list(range(len(events)))
         # the keystone: log + streams rebuild the registry exactly
         replayed = replay_service_registry(spool)
         assert service_registry_diff(service.obs, replayed) == []
@@ -348,21 +346,57 @@ class TestServiceObsEndToEnd:
         assert service_registry_diff(service.obs, replay_service_registry(spool)) == []
         with open(events_path, "a") as fh:
             fh.write("\n" + lines[-1] + "\n")
-        with pytest.raises(ValueError, match=rf":{len(lines) + 1}: undecodable"):
+        with pytest.raises(ValueError, match=rf"line {len(lines) + 1}: undecodable"):
             replay_service_registry(spool)
 
-    def test_replay_requires_config_first(self, tmp_path):
-        path = str(tmp_path / "events.ndjson")
-        with open(path, "w") as fh:
-            fh.write(json.dumps({"event": "submitted", "tenant": "t",
-                                 "workload": "w"}) + "\n")
-        with pytest.raises(ValueError, match="config"):
-            replay_service_registry(str(tmp_path), events_path=path)
+    def log_lines(self, tmp_path, *events):
+        with open(tmp_path / "service_events.ndjson", "w") as fh:
+            fh.write("".join(event.to_json() + "\n" for event in events))
 
-    def test_unknown_event_kind_rejected(self):
-        obs = ServiceObs()
-        with pytest.raises(ValueError, match="unknown service event"):
-            obs.apply({"event": "mystery", "tenant": "t", "workload": "w"})
+    def test_replay_requires_config_first(self, tmp_path):
+        submitted = dict(job="job-0001", tenant="t", workload="w", cost=1.0,
+                         start_tag=0.0, finish_tag=1.0, vtime=0.0)
+        self.log_lines(tmp_path, TraceEvent(0, 0.0, "submitted", submitted))
+        with pytest.raises(ValueError, match="config"):
+            replay_service_registry(str(tmp_path))
+
+    def test_unknown_event_kind_rejected(self, tmp_path):
+        """A logged line whose kind is not in ``SERVICE_EVENT_SCHEMA`` is
+        refused by replay, as ``Trace.emit`` refuses an unknown kind."""
+        config = TraceEvent(0, 0.0, "config", {"slots": 1, "weights": {}, "slos": {}})
+        mystery = TraceEvent(1, 0.0, "mystery", {"tenant": "t", "workload": "w"})
+        self.log_lines(tmp_path, config)
+        assert replay_service_registry(str(tmp_path)).registry.value(
+            "service_slots_total"
+        ) == 1
+        self.log_lines(tmp_path, config, mystery)
+        with pytest.raises(ValueError, match="unknown trace event kind 'mystery'"):
+            replay_service_registry(str(tmp_path))
+
+    def test_malformed_emit_writes_nothing(self, tmp_path):
+        """A malformed event raises before it reaches the log, the
+        registry or the auditors; the next good one gets the next seq."""
+        path = str(tmp_path / "service_events.ndjson")
+        obs = ServiceObs(events_path=path, slots=1)
+        fields = dict(job="job-0001", tenant="t", workload="w", cost=1.0,
+                      start_tag=0.0, finish_tag=1.0, vtime=0.0)
+        with open(path) as fh:
+            before = fh.read()
+        snapshot = obs.registry.snapshot()
+        for kind, data in (
+            ("submitted", dict(fields, ok=True)),  # a field the schema lacks
+            ("submitted", {k: v for k, v in fields.items() if k != "cost"}),
+            ("mystery", fields),
+        ):
+            with pytest.raises(ValueError, match="malformed|unknown"):
+                obs.emit(kind, 1.0, **data)
+            with open(path) as fh:
+                assert fh.read() == before
+            assert obs.registry.snapshot() == snapshot
+        assert obs.emit("submitted", 1.0, **fields).seq == 1
+        obs.close()
+        with open(path) as fh:
+            assert [e.kind for e in read_events(fh.read())] == ["config", "submitted"]
 
 
 class TestObsCLI:
