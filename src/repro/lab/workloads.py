@@ -14,6 +14,13 @@ satisfy this; non-exhaustive first-k selections (``KThreshold``,
 that) and are therefore excluded from the zoo.  Every builder below
 keeps branch scores distinct on purpose.
 
+Zoo admission rule — a registered workload's MDF can be run again; its
+operators write nothing a later run reads.  A service worker builds each
+workload's MDF once and runs it for every job of that name
+(``repro.service.worker``), so a re-run must give the trace, outputs and
+operator fingerprints of a fresh build.  The lab still builds per cell,
+because its cells are meant to be independent.
+
 Workloads tagged ``"smoke"`` finish in well under a second each and form
 the CI tier; ``"full"`` adds the paper-shaped jobs (time series,
 synthetic nested grid) for local studies.

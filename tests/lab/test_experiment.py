@@ -3,10 +3,15 @@
 import dataclasses
 import json
 
-from repro import observing
+import pytest
+
+from repro import observing, run_mdf
+from repro.cache import ResultCache
+from repro.engine import master
 from repro.lab import Experimentation, LabReport, get_workload
 from repro.live import LiveHook
 from repro.lab.workloads import available_workloads
+from repro.service import outputs_digest
 
 
 class TestWorkloadZoo:
@@ -27,6 +32,33 @@ class TestWorkloadZoo:
         result, cluster = get_workload("filter_min").run(scheduler="bfs")
         assert result.completion_time > 0
         assert cluster.obs is not None
+
+    @pytest.mark.parametrize("name", available_workloads())
+    def test_a_kept_mdf_runs_again_like_a_fresh_build(self, name, monkeypatch):
+        """The admission rule a service worker relies on: three runs of one
+        MDF, each on a fresh cluster and config, give the trace bytes,
+        outputs and operator fingerprint table of a fresh build."""
+        tables = []
+
+        def recording(ops):
+            tables.append(real(ops))
+            return tables[-1]
+
+        real = master.operator_fingerprints
+        monkeypatch.setattr(master, "operator_fingerprints", recording)
+        workload = get_workload(name)
+
+        def run(mdf):
+            config = workload.make_config()
+            config.cache = ResultCache()  # so the master takes the table
+            result = run_mdf(mdf, workload.make_cluster(), config=config)
+            return result.events.to_jsonl(), outputs_digest(result.outputs), tables[-1]
+
+        fresh = run(workload.make_mdf())
+        assert fresh[2]  # the table is not vacuous
+        kept = workload.make_mdf()
+        for _ in range(3):
+            assert run(kept) == fresh
 
 
 class TestExperimentation:

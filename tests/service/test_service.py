@@ -16,8 +16,9 @@ import time
 
 import pytest
 
+from repro.lab import get_workload
 from repro.obs.export import registry_json
-from repro.service import DONE, FAILED, JobService, JobSpec, outputs_digest
+from repro.service import DONE, FAILED, JobService, JobSpec, outputs_digest, worker
 from repro.service.__main__ import main as service_main
 from repro.service.obs import _atomic_text
 from repro.trace.events import read_events
@@ -363,6 +364,112 @@ class TestWake:
     def test_wait_with_nothing_running_times_out(self, tmp_path):
         with JobService(workers=1, spool=str(tmp_path)) as service:
             assert service.wait(0.01) is False
+
+
+class TestWorkerPlans:
+    """A worker builds a workload's MDF at its first job of that name and
+    runs it again, with fresh run state, for every later one."""
+
+    WORKLOADS = ("dl_grid", "svc_private_t0")
+    solo = {}
+
+    @pytest.fixture(autouse=True)
+    def fresh_plans(self, monkeypatch):
+        for name in self.WORKLOADS:  # the lab's own build, not counted
+            if name not in self.solo:
+                result, _ = get_workload(name).run()
+                self.solo[name] = outputs_digest(result.outputs)
+        monkeypatch.setattr(worker, "_plans", {})
+        self.builds = []
+        for name in self.WORKLOADS:
+            workload = get_workload(name)
+            monkeypatch.setattr(workload, "make_mdf", self.counting(workload))
+        self.monkeypatch = monkeypatch
+
+    def counting(self, workload):
+        build = workload.make_mdf
+
+        def make_mdf():
+            self.builds.append(workload.name)
+            return build()
+
+        return make_mdf
+
+    def job(self, tmp_path, name, **overrides):
+        spec = JobSpec(
+            job_id="j",
+            tenant="t0",
+            workload=name,
+            cache_dir=str(tmp_path / "cache"),
+            stream_path=str(tmp_path / "j.ndjson"),
+            **overrides,
+        )
+        return worker.run_job(spec.as_dict())
+
+    def test_a_mix_builds_each_workload_once(self, tmp_path):
+        results = [
+            self.job(tmp_path, name)
+            for name in ("dl_grid", "svc_private_t0", "dl_grid")
+        ]
+        assert sorted(self.builds) == ["dl_grid", "svc_private_t0"]
+        for result in results:
+            assert result["ok"], result["error"]
+            assert result["outputs_digest"] == self.solo[result["workload"]]
+            assert result["violations"] == 0
+
+    def test_a_kept_plan_runs_under_other_policies(self, tmp_path):
+        assert self.job(tmp_path, "dl_grid")["ok"]
+        result = self.job(
+            tmp_path, "dl_grid", scheduler="bfs", memory="lru", backend="mp", validate=False
+        )
+        assert result["ok"], result["error"]
+        assert result["outputs_digest"] == self.solo["dl_grid"]
+        assert self.builds == ["dl_grid"]
+
+    def test_a_failed_run_does_not_poison_the_plan(self, tmp_path):
+        real = worker.run_mdf
+        calls = []
+
+        def run_mdf(*args, **kwargs):
+            calls.append(real(*args, **kwargs))  # runs the plan, then fails
+            if len(calls) == 1:
+                raise RuntimeError("injected")
+            return calls[-1]
+
+        self.monkeypatch.setattr(worker, "run_mdf", run_mdf)
+        failed = self.job(tmp_path, "dl_grid")
+        assert not failed["ok"] and "injected" in failed["error"]
+        result = self.job(tmp_path, "dl_grid")
+        assert result["ok"], result["error"]
+        assert result["outputs_digest"] == self.solo["dl_grid"]
+        assert self.builds == ["dl_grid"]
+
+    def test_a_factory_that_raises_keeps_nothing(self, tmp_path):
+        workload = get_workload("svc_private_t0")
+        build = workload.make_mdf
+
+        def make_mdf():
+            self.monkeypatch.setattr(workload, "make_mdf", build)
+            raise RuntimeError("injected")
+
+        self.monkeypatch.setattr(workload, "make_mdf", make_mdf)
+        failed = self.job(tmp_path, "svc_private_t0")
+        assert not failed["ok"] and "injected" in failed["error"]
+        assert worker._plans == {}
+        assert self.job(tmp_path, "svc_private_t0")["ok"]
+        assert self.builds == ["svc_private_t0"]
+
+    def test_wall_s_covers_the_digest(self, tmp_path):
+        digest = worker.outputs_digest
+
+        def slow_digest(outputs):
+            time.sleep(0.05)
+            return digest(outputs)
+
+        self.monkeypatch.setattr(worker, "outputs_digest", slow_digest)
+        result = self.job(tmp_path, "svc_private_t0")
+        assert result["ok"], result["error"]
+        assert result["wall_s"] >= 0.05
 
 
 class TestOutputsDigest:
