@@ -36,11 +36,12 @@ tenant's footprint with oldest-first eviction.  See ``docs/service.md``.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List, Optional, Set, TextIO, Tuple
 from urllib.parse import quote, unquote
 
 __all__ = [
@@ -97,7 +98,11 @@ class CacheHit:
 
 @dataclass
 class CacheStats:
-    """Process-level counters (survive ``cluster.reset()``, feed BENCH)."""
+    """What one :class:`ResultCache` saw, counted once (survives
+    ``cluster.reset()``).  The run's trace carries the same hits, misses,
+    admissions and invalidations per stage, so its folded ``cache_*``
+    counters agree with these; a store's corrupt entries are counted by the
+    store (:attr:`SharedCacheStore.corrupt_entries`)."""
 
     hits: int = 0
     misses: int = 0
@@ -110,8 +115,6 @@ class CacheStats:
     #: admissions the store tier did not keep (``save()`` returned False:
     #: unpicklable payload, or an entry larger than its tenant's whole quota)
     unpicklable_skipped: int = 0
-    #: corrupt/truncated store entries detected (unlinked, served as miss)
-    corrupt_entries: int = 0
     #: store hits whose entry was written by a *different* tenant
     cross_tenant_hits: int = 0
     #: store misses that were resolved by waiting out another job's
@@ -119,20 +122,7 @@ class CacheStats:
     singleflight_waits: int = 0
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "admissions": self.admissions,
-            "invalidations": self.invalidations,
-            "bytes_saved": self.bytes_saved,
-            "compute_seconds_saved": self.compute_seconds_saved,
-            "store_hits": self.store_hits,
-            "store_writes": self.store_writes,
-            "unpicklable_skipped": self.unpicklable_skipped,
-            "corrupt_entries": self.corrupt_entries,
-            "cross_tenant_hits": self.cross_tenant_hits,
-            "singleflight_waits": self.singleflight_waits,
-        }
+        return dict(vars(self))
 
     @property
     def hit_rate(self) -> float:
@@ -160,6 +150,25 @@ def _unlink(path: str) -> None:
         os.unlink(path)
     except OSError:
         pass
+
+
+@contextlib.contextmanager
+def atomic_text(path: str) -> Iterator[TextIO]:
+    """Open a text file that appears at ``path`` only when the block ends
+    cleanly, so a concurrent reader sees the old or the new file, never a
+    torn one (per-pid tmp + ``os.replace``), and a failed write (a full
+    disk) leaves no tmp behind — the package's one text publish: the
+    store's ``usage.log`` rewrite, the service's tickets, ``state.json``
+    and metric exports.  Callers stream into it, one buffer-sized write at
+    a time."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        _unlink(tmp)
+        raise
 
 
 def _lease_held(path: str) -> Optional[bool]:
@@ -438,10 +447,8 @@ class SharedCacheStore:
                 return usage
         except (OSError, ValueError):
             usage = self._scan()
-        tmp = f"{self._log_file}.{os.getpid()}.tmp"
-        with open(tmp, "w") as fh:
+        with atomic_text(self._log_file) as fh:
             fh.writelines(_log_line(fp, *entry) for fp, entry in usage.items())
-        os.replace(tmp, self._log_file)
         return usage
 
     def _scan(self) -> Dict[str, Tuple[str, int, float]]:
@@ -587,8 +594,6 @@ class ResultCache:
         #: single-flight leases this cache holds (fingerprints it claimed
         #: on a miss and must release at admission or run end)
         self._owned_flights: Set[str] = set()
-        #: store-level corrupt-entry count already surfaced into stats
-        self._seen_corrupt = store.corrupt_entries if store is not None else 0
 
     @property
     def tenant(self) -> Optional[str]:
@@ -624,8 +629,7 @@ class ResultCache:
         if self.store is not None:
             loaded = self.store.load(fingerprint)
             if loaded is None:
-                loaded = self._singleflight(fingerprint, cluster)
-            self._surface_corruption(cluster)
+                loaded = self._singleflight(fingerprint)
             if loaded is not None:
                 payloads, partition_bytes, producer, owner = loaded
                 return CacheHit(
@@ -638,15 +642,6 @@ class ResultCache:
                 )
         return None
 
-    def _surface_corruption(self, cluster) -> None:
-        """Mirror store-detected corrupt entries into stats + obs."""
-        seen = self.store.corrupt_entries
-        if seen > self._seen_corrupt:
-            delta = seen - self._seen_corrupt
-            self._seen_corrupt = seen
-            self.stats.corrupt_entries += delta
-            cluster.obs.counter("cache_corrupt_entries").inc(delta)
-
     # ------------------------------------------------------------ hit / miss
     def note_miss(
         self, fingerprint: Optional[str], cluster, stage_id: str, reason: str
@@ -658,8 +653,6 @@ class ResultCache:
         (no lineage identity, ``fingerprint`` is ``None``).
         """
         self.stats.misses += 1
-        if self.tenant:
-            cluster.obs.counter("cache_tenant_misses", policy=self.tenant).inc()
         cluster.trace.emit(
             "cache_miss", stage=stage_id, fingerprint=fingerprint, reason=reason
         )
@@ -672,26 +665,15 @@ class ResultCache:
         dataset_id: str,
         saved_seconds: float,
     ) -> None:
-        """Account one stage served from ``hit`` as ``dataset_id``.
-
-        The tenant-labelled counters (runs with a store only) are written
-        here because the trace does not know tenants.
-        """
+        """Account one stage served from ``hit`` as ``dataset_id``."""
         stats = self.stats
         stats.hits += 1
         stats.bytes_saved += hit.total_bytes
         stats.compute_seconds_saved += saved_seconds
         if hit.tier == "store":
             stats.store_hits += 1
-        tenant = self.tenant
-        if tenant:
-            cluster.obs.counter("cache_tenant_hits", policy=tenant).inc()
-            owner = hit.owner_tenant
-            if owner and owner != tenant:
-                stats.cross_tenant_hits += 1
-                cluster.obs.counter(
-                    "cache_cross_tenant_hits", policy=f"{owner}->{tenant}"
-                ).inc()
+        if hit.owner_tenant and hit.owner_tenant != self.tenant:
+            stats.cross_tenant_hits += 1
         cluster.trace.emit(
             "cache_hit",
             stage=stage_id,
@@ -703,7 +685,7 @@ class ResultCache:
         )
 
     # --------------------------------------------------------- single flight
-    def _singleflight(self, fingerprint: str, cluster):
+    def _singleflight(self, fingerprint: str):
         """Resolve a store miss through the single-flight protocol.
 
         Either we claim the lease (remembering to release it at admission
@@ -719,7 +701,6 @@ class ResultCache:
         loaded = self.store.wait_for_flight(fingerprint)
         if loaded is not None:
             self.stats.singleflight_waits += 1
-            cluster.obs.counter("cache_singleflight_waits", policy=self.tenant).inc()
         return loaded
 
     def _release_flight(self, fingerprint: str) -> None:

@@ -9,7 +9,7 @@ from .hints import (
     SchedulingHint,
     SortedHint,
 )
-from .job import ChooseDecision, EngineConfig, JobResult, StageTrace
+from .job import ChooseDecision, EngineConfig, JobResult
 from .master import Master
 from .policies import (
     ListScheduler,
@@ -53,7 +53,6 @@ __all__ = [
     "StageOutcome",
     "StageTimes",
     "StageEstimate",
-    "StageTrace",
     "Task",
     "WorkStealingScheduler",
     "available_schedulers",

@@ -3,7 +3,8 @@
 A :class:`JobResult` captures everything the benchmarks report: simulated
 completion time (split into compute / IO / network walls), the cluster
 metrics (hit ratios, evictions, pruning counts), choose decisions, and the
-final sink outputs.
+final sink outputs.  The walls and the decisions are read from the run's
+trace events.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Any, Dict, List, Optional
 from ..cluster.fault import CheckpointConfig, FailureInjector
 from ..cluster.metrics import Metrics
 from ..cluster.stragglers import SpeculationConfig, StragglerProfile
-from ..trace import Trace
+from ..trace import Trace, TraceEvent
 from .hints import SchedulingHint, SortedHint
 
 
@@ -88,31 +89,24 @@ class ChooseDecision:
 
 
 @dataclass
-class StageTrace:
-    """Per-stage timing entry of the executed schedule."""
-
-    stage_id: str
-    ops: List[str]
-    branch_id: Optional[str]
-    started: float
-    finished: float
-
-
-@dataclass
 class JobResult:
-    """Everything observable about one executed job."""
+    """Everything observable about one executed job.
 
+    The compute / IO / network walls and the choose decisions are views of
+    the run's own events, not copies: ``events`` is the cluster's trace and
+    ``seqs`` the sequence numbers this run emitted into it.  A warm
+    continuation (``run_mdf(..., reset=False)``) emits into the trace of the
+    run before it, so a view never reads past its own run's events.
+    """
+
+    #: the cluster's decision trace (``repro.trace``) the run emitted into;
+    #: empty when tracing was disabled
+    events: Trace
+    #: ``seq`` of every event this run emitted into ``events``
+    seqs: range
     completion_time: float = 0.0
-    wall_compute: float = 0.0
-    wall_io: float = 0.0
-    wall_network: float = 0.0
     metrics: Metrics = field(default_factory=Metrics)
     outputs: Dict[str, Any] = field(default_factory=dict)
-    decisions: Dict[str, ChooseDecision] = field(default_factory=dict)
-    trace: List[StageTrace] = field(default_factory=list)
-    #: full decision trace of the run (``repro.trace``); None when the
-    #: cluster recorded no events (tracing disabled)
-    events: Optional[Trace] = None
     #: :class:`~repro.obs.telemetry.Telemetry` bundle (labeled registry +
     #: timeline samples + exporters); None unless a
     #: :class:`~repro.obs.timeline.TimelineSampler` observed the run
@@ -121,6 +115,46 @@ class JobResult:
     #: (final progress snapshot, alerts, stream); None unless one was
     #: among the run's observers
     live: Optional[Any] = None
+
+    def _own(self, *kinds: str) -> List[TraceEvent]:
+        """This run's events of the given kinds, in emission order."""
+        events = self.events.events[self.seqs.start : self.seqs.stop]
+        return [event for event in events if event.kind in kinds]
+
+    def _wall(self, part: str) -> float:
+        """``part`` seconds of every clock advance (``stage_completed`` and
+        ``span``), added one by one in order: not ``sum()``, which CPython
+        3.12+ compensates, so the total is the same float on every version."""
+        total = 0.0
+        for event in self._own("stage_completed", "span"):
+            total += event.data[part]
+        return total
+
+    @property
+    def wall_compute(self) -> float:
+        return self._wall("compute")
+
+    @property
+    def wall_io(self) -> float:
+        return self._wall("io")
+
+    @property
+    def wall_network(self) -> float:
+        return self._wall("network")
+
+    @property
+    def decisions(self) -> Dict[str, ChooseDecision]:
+        """Choose name -> its decision, from the ``choose_finalized`` events."""
+        return {
+            data["choose"]: ChooseDecision(
+                choose_name=data["choose"],
+                scores=dict(data["scores"]),
+                kept=list(data["kept"]),
+                discarded=list(data["discarded"]),
+                pruned=list(data["pruned"]),
+            )
+            for data in (event.data for event in self._own("choose_finalized"))
+        }
 
     @property
     def output(self) -> Any:

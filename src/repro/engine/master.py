@@ -14,7 +14,7 @@ master exactly as in the SEEP implementation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..cache import choose_fingerprint, operator_fingerprints, stage_fingerprint
 from ..cluster.cluster import Cluster
@@ -28,7 +28,7 @@ from ..core.operators import Operator, Sink
 from ..core.optimizations import make_pruner, plan_optimizations
 from ..core.stages import Stage, StageGraph
 from .executor import StageExecutor, StageTimes
-from .job import ChooseDecision, EngineConfig, JobResult, StageTrace
+from .job import EngineConfig, JobResult
 from .recovery import RecoveryManager
 from .scheduler import BFSScheduler, Scheduler, SchedulerContext
 
@@ -111,7 +111,10 @@ class Master:
         self.executor = StageExecutor(cluster, self.config)
         self.stage_graph = StageGraph(mdf)
         self.score_store = ChooseScoreStore()
-        self.result = JobResult(metrics=cluster.metrics, events=cluster.trace)
+        #: ``seq`` of this run's first event: a warm continuation emits
+        #: into the trace the run before it left
+        self._first_seq = len(cluster.trace)
+        self._outputs: Dict[str, Any] = {}  # sink name -> finalized output
 
         # --- schedule state
         self._executed: Set[str] = set()
@@ -376,8 +379,14 @@ class Master:
             ]
             raise SchedulingError(f"schedule stalled with pending stages: {unfinished}")
         self._surface_unfired_failures()
-        self.result.completion_time = self.cluster.clock.now
-        return self.result
+        trace = self.cluster.trace
+        return JobResult(
+            completion_time=self.cluster.clock.now,
+            metrics=self.cluster.metrics,
+            outputs=self._outputs,
+            events=trace,
+            seqs=range(self._first_seq, len(trace)),
+        )
 
     def _prefetch_siblings(self, chosen: Stage, ready: List[Stage]) -> None:
         """Offer ready sibling stages to the backend ahead of their turn.
@@ -569,7 +578,7 @@ class Master:
         for op in stage.ops:
             if isinstance(op, Sink) and output_dataset_id is not None:
                 dataset = self.cluster.materialize(output_dataset_id)
-                self.result.outputs[op.name] = op.finalize(dataset)
+                self._outputs[op.name] = op.finalize(dataset)
 
     def _after_stage(self, stage: Stage, output_dataset_id: str) -> None:
         """Event hook: a stored dataset may be a branch's result.
@@ -798,14 +807,6 @@ class Master:
         output_id = self._build_choose_output(runtime, kept_ids)
         self._output_of[choose.name] = output_id
         runtime.finalized = True
-        decision = ChooseDecision(
-            choose_name=choose.name,
-            scores=dict(runtime.scores),
-            kept=list(kept_ids),
-            discarded=sorted(runtime.discarded),
-            pruned=sorted(runtime.pruned),
-        )
-        self.result.decisions[choose.name] = decision
         self.cluster.trace.emit(
             "choose_finalized",
             choose=choose.name,
@@ -882,23 +883,12 @@ class Master:
         choose evaluation, deferred-tail stores, checkpoints, recovery
         reloads) — which is what lets ``repro.prof`` reconstruct a span
         timeline that tiles ``[0, completion_time]`` exactly
-        (``check_profile_conserved``).
+        (``check_profile_conserved``) and what the result's compute / IO /
+        network walls add up.
         """
         self.cluster.clock.advance(times.total)
-        self.result.wall_compute += times.compute
-        self.result.wall_io += times.io
-        self.result.wall_network += times.network
         finished = self.cluster.clock.now
         if stage is not None:
-            self.result.trace.append(
-                StageTrace(
-                    stage_id=stage.id,
-                    ops=[op.name for op in stage.ops],
-                    branch_id=stage.branch_id,
-                    started=started,
-                    finished=finished,
-                )
-            )
             self.cluster.trace.emit(
                 "stage_completed",
                 stage=stage.id,
@@ -915,7 +905,7 @@ class Master:
                 per_node_tasks=dict(times.per_node_tasks),
                 speculative_tasks=times.speculative_tasks,
             )
-        elif activity is not None:
+        else:
             self.cluster.trace.emit(
                 "span",
                 activity=activity,

@@ -201,11 +201,7 @@ class Experimentation:
             category: registry.value(f"profile_{category}_seconds")
             for category in CATEGORIES
         }
-        violations = (
-            len(validate_trace(result.events))
-            if self.validate and result.events is not None
-            else 0
-        )
+        violations = len(validate_trace(result.events)) if self.validate else 0
         m = result.metrics
         return CellResult(
             workload=workload,

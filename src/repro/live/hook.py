@@ -42,7 +42,7 @@ class LiveHook:
         monitor = self._monitor
         monitor.end(result)
         if result is not None:
-            batch = result.events.to_jsonl() if result.events is not None else ""
+            batch = result.events.to_jsonl()
             streamed = self._buffer.getvalue()
             self.runs.append(LiveRunRecord(monitor, streamed, streamed == batch))
 

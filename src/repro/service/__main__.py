@@ -49,7 +49,7 @@ import time
 from typing import Any, Dict, List, Optional, TextIO, Tuple
 
 from .jobs import DONE, FAILED
-from .obs import _atomic_text
+from ..cache.store import atomic_text
 from .service import JobService
 
 
@@ -151,7 +151,7 @@ def _inbox(spool: str) -> str:
 def _write_ticket(spool: str, payload: Dict[str, Any]) -> str:
     """Atomically drop one submission ticket into the inbox."""
     final = os.path.join(_inbox(spool), f"{time.time():.6f}-{os.getpid()}.json")
-    with _atomic_text(final) as fh:
+    with atomic_text(final) as fh:
         json.dump(payload, fh, sort_keys=True)
     return final
 

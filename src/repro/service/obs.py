@@ -45,14 +45,13 @@ PR2 bridge guarantee for the job-view families.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import os
 import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from ..cache.store import CacheStats
+from ..cache.store import CacheStats, atomic_text
 from ..live.watchdogs import Watchdog
 from ..obs.bridge import CONSISTENCY_VIEWS, diff_registries, registry_from_trace
 from ..obs.export import prometheus_text, registry_json
@@ -83,8 +82,14 @@ JOB_VIEW_FAMILIES: Tuple[str, ...] = tuple(
     sorted({name for name, _ in CONSISTENCY_VIEWS})
 )
 
-#: cache counters a finished job reports (CacheStats field names)
-CACHE_COUNTER_KEYS: Tuple[str, ...] = tuple(f.name for f in dataclasses.fields(CacheStats))
+#: the CacheStats fields a ``done`` event carries: those with no
+#: ``cache_<field>`` twin among the job-view families, which already count
+#: the job's hits, misses, admissions, invalidations and savings once
+CACHE_COUNTER_KEYS: Tuple[str, ...] = tuple(
+    f.name
+    for f in dataclasses.fields(CacheStats)
+    if f"cache_{f.name}" not in JOB_VIEW_FAMILIES
+)
 
 #: store-level counters the shared store exports (obs_counters hook)
 STORE_COUNTER_KEYS: Tuple[str, ...] = ("quota_evictions", "corrupt_entries", "tmps_swept")
@@ -93,7 +98,8 @@ _JOB = ("job", "tenant", "workload")
 
 #: kind -> exact field set of a service log event's ``data``, checked by
 #: :func:`~repro.trace.events.check_event` on emit and on replay.  A
-#: finished job's ``cache`` / ``store`` hold only its nonzero counters;
+#: finished job's ``cache`` / ``store`` hold only its nonzero
+#: :data:`CACHE_COUNTER_KEYS` / store counters;
 #: its stream is always ``<spool>/streams/<job>.ndjson``.
 SERVICE_EVENT_SCHEMA: Dict[str, frozenset] = {
     "config": frozenset({"slots", "weights", "slos"}),
@@ -149,24 +155,6 @@ def job_view_totals(registry: MetricsRegistry) -> Dict[str, float]:
                 total += cells[labels]
             totals[name] = total
     return totals
-
-
-@contextlib.contextmanager
-def _atomic_text(path: str):
-    """Open a text file that appears at ``path`` only when the block ends
-    cleanly, so a concurrent reader sees the old or the new file, never a
-    torn one (per-pid tmp + ``os.replace``) — the package's one text
-    publish: tickets, ``state.json``, metric exports.  Callers stream into
-    it, one buffer-sized write at a time."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
 
 
 # ------------------------------------------------------------- auditors
@@ -524,7 +512,7 @@ class ServiceObs:
             ("metrics.prom", prometheus_text(self.registry)),
             ("metrics.json", registry_json(self.registry)),
         ):
-            with _atomic_text(os.path.join(directory, name)) as fh:
+            with atomic_text(os.path.join(directory, name)) as fh:
                 fh.write(text if text.endswith("\n") else text + "\n")
 
     def summary(self) -> Dict[str, Any]:

@@ -39,7 +39,8 @@ from multiprocessing.util import Finalize
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .jobs import DONE, FAILED, QUEUED, RUNNING, JobRecord, JobSpec
-from .obs import ServiceObs, _atomic_text
+from ..cache.store import atomic_text
+from .obs import CACHE_COUNTER_KEYS, ServiceObs
 from .queue import FairShareQueue, QueuedJob
 from .worker import serve
 
@@ -256,12 +257,13 @@ class JobService:
         record.status = DONE if result and result.get("ok") else FAILED
         record.error = error if result is None else result.get("error")
         result = result or {}
+        cache = result.get("cache", {})
         event = self.obs.emit(
             record.status, record.finished_at, **_job(record),
             latency=record.finished_at - record.submitted_at,
             busy_seconds=record.finished_at - record.started_at,
             violations=result.get("violations", 0),
-            cache={k: v for k, v in result.get("cache", {}).items() if v},
+            cache={k: cache[k] for k in CACHE_COUNTER_KEYS if cache.get(k)},
             store={k: v for k, v in result.get("store", {}).items() if v},
         )
         if totals is not None:  # what a done job's worker shipped
@@ -352,7 +354,7 @@ class JobService:
     def write_state(self) -> None:
         """Mirror the snapshot to ``<spool>/state.json`` (atomic)."""
         payload = dict(self.status(), updated_unix=time.time())
-        with _atomic_text(os.path.join(self.spool, "state.json")) as fh:
+        with atomic_text(os.path.join(self.spool, "state.json")) as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
         self.obs.export(self.spool)
         self._dirty = False

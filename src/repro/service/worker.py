@@ -143,7 +143,7 @@ def _run(spec: JobSpec, started: float) -> Dict[str, Any]:
         "violations": len(violations),
         "violation_messages": [str(v) for v in violations[:5]],
         "stream_path": spec.stream_path,
-        "events": len(result.events) if result.events is not None else 0,
+        "events": len(result.events),
     }
     if cache is not None:
         # a fresh cache per job makes totals == this run's deltas

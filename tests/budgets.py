@@ -21,6 +21,8 @@ SEAM_FILES = ("master", "executor", "runner", "job")
 TOUCH_POINTS = ("obs.counter(", "obs.histogram(", "obs.gauge(", "label_context(")
 HOOK_SETTERS = r"def set_(auto_validate|profile_collector|live_hook)"
 CHOOSE_EVENTS = ("choose_evaluation", "branch_evaluated", "branch_discarded")
+#: an assignment, augmented assignment or append into a ``JobResult`` field
+RESULT_WRITE = r"\bresult\.\w+(\[[^]]*\])? *(\+?=(?!=)|\.append\()"
 
 
 def sources(*packages):
@@ -82,6 +84,7 @@ def rows():
     yield "registry touch points under engine/: " + slashed(TOUCH_POINTS), slashed(
         lines_matching(re.escape(touch), "engine") for touch in TOUCH_POINTS
     )
+    yield "writes into `JobResult` under engine/", lines_matching(RESULT_WRITE, "engine")
     yield "`run_mdf` parameters", arity(repro.run_mdf)
     yield "`SharedCacheStore` parameters", arity(SharedCacheStore)
     yield "process-wide hook setters under `src/`", lines_matching(HOOK_SETTERS)

@@ -243,7 +243,7 @@ class TestResultCacheIntegration:
 
     def test_singleflight_wait_counted(self, tmp_path):
         """A lookup that resolves by waiting out another job's flight
-        counts in ``singleflight_waits`` and the tenant-labelled obs."""
+        counts in ``singleflight_waits``."""
         import threading
 
         writer = SharedCacheStore(str(tmp_path), tenant="alice")
@@ -264,11 +264,11 @@ class TestResultCacheIntegration:
             thread.join()
         assert hit is not None and hit.tier == "store"
         assert reader.stats.singleflight_waits == 1
-        assert cluster.obs.value("cache_singleflight_waits", policy="bob") == 1
 
     def test_cross_tenant_run_hits_and_labels(self, tmp_path):
         """Tenant alice's run populates the shared store; tenant bob's
-        run hits it — stats and tenant-labelled obs counters move."""
+        run hits it.  Every hit is bob's (a cache has its store's one
+        tenant), so his run's folded ``cache_hits`` is his tenant's."""
         workload = get_workload("filter_min")
 
         def run(tenant):
@@ -289,19 +289,12 @@ class TestResultCacheIntegration:
         assert repr(warm.outputs) == repr(cold.outputs)
         assert warm_cache.stats.hits > 0
         assert warm_cache.stats.cross_tenant_hits == warm_cache.stats.hits
-        obs = cluster.obs
-        assert obs.value("cache_tenant_hits", policy="bob") > 0
-        # exactly the documented label: the tenant, not the stage it hit in
-        assert set(obs.series("cache_tenant_hits")) == {("", "", "", "", "bob")}
-        assert (
-            obs.value("cache_cross_tenant_hits", policy="alice->bob")
-            == warm_cache.stats.cross_tenant_hits
-        )
+        assert cluster.obs.value("cache_hits") == warm_cache.stats.hits
 
     def test_unfingerprintable_miss_counts_for_the_tenant(self, tmp_path):
-        """Every miss moves the tenant series — including the stage that
-        cannot be fingerprinted at all — so per-tenant hits + misses sum
-        to the job's."""
+        """Every miss is counted — including the stage that cannot be
+        fingerprinted at all — so the tenant's hits + misses are the
+        job's consulted stages."""
         from repro import MB, MDFBuilder
 
         handle = (x for x in range(3))  # no canonical content: uncacheable
@@ -322,9 +315,5 @@ class TestResultCacheIntegration:
                 observers=[Validator()])
         events = cluster.trace.filter("cache_miss")
         assert "unfingerprintable" in {e.data["reason"] for e in events}
-        obs = cluster.obs
-        tenant_total = obs.value("cache_tenant_hits", policy="alice") + obs.value(
-            "cache_tenant_misses", policy="alice"
-        )
-        assert tenant_total == cache.stats.hits + cache.stats.misses
-        assert obs.value("cache_tenant_misses", policy="alice") == cache.stats.misses
+        assert cache.stats.misses == len(events)
+        assert cluster.obs.value("cache_misses") == cache.stats.misses

@@ -8,6 +8,8 @@ implementation the log replaced) has to evict the same entries in the same
 order.
 """
 
+import builtins
+import errno
 import os
 import pickle
 
@@ -279,6 +281,38 @@ class TestTheLog:
         save(store, "fp-1")
         assert store.quota_evictions == 2 and store.contains("fp-1")
         assert views(str(tmp_path))[0] == views(str(tmp_path))[1]
+
+    def test_a_rewrite_cut_short_by_a_full_disk_leaves_no_tmp(self, tmp_path, monkeypatch):
+        store = SharedCacheStore(str(tmp_path), tenant="alice", quota_bytes=ROOMY)
+        save(store, "fp-1")
+        os.unlink(store._log_file)
+        real = builtins.open
+
+        class FullDisk:
+            def __init__(self, fh):
+                self._fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            writelines = write
+
+        def opens(path, *args, **kwargs):
+            fh = real(path, *args, **kwargs)
+            return FullDisk(fh) if str(path).endswith(".tmp") else fh
+
+        monkeypatch.setattr(builtins, "open", opens)
+        with pytest.raises(OSError):
+            store.tenant_usage("alice")
+        monkeypatch.undo()
+        assert [n for n in os.listdir(tmp_path) if n.endswith(".tmp")] == []
+        assert store.tenant_usage("alice") == os.path.getsize(store._file("fp-1"))
 
 
 class Lost(BaseException):

@@ -6,7 +6,8 @@ many Python-level calls cProfile counts for one ``synthetic_mdf(b1=10,
 b2=10)`` job on ``Cluster(4, 256 MB)`` under ``bas`` + ``amm`` — the job
 ``benchmarks/wall``'s ``wide_explore`` times.  The count is exact and
 repeatable on one interpreter version (CPython 3.11: 178,158 with object
-counters and the ``_inc`` call chain, 153,903 with counter cells), so CI's
+counters and the ``_inc`` call chain, 153,903 with counter cells, 155,133
+with the job result read from the run's events), so CI's
 tier-1 summary tracks it: a control-plane regression shows up here on any
 machine, however noisy its clock.  Not collected by pytest.
 """

@@ -95,8 +95,9 @@ class TestRunMdf:
 
     def test_trace_recorded(self, small_cluster, filter_mdf):
         result = run_mdf(filter_mdf, small_cluster)
-        assert result.trace
-        assert result.trace[0].started <= result.trace[0].finished
+        stages = result.events.filter("stage_completed")
+        assert stages
+        assert stages[0].data["started"] <= stages[0].data["finished"]
 
     def test_invalid_mdf_rejected(self, small_cluster):
         from repro.core.mdf import MDF

@@ -11,7 +11,8 @@ from ..conftest import build_filter_mdf, build_nested_mdf
 
 def branch_sequence(result):
     """The branch ids of executed stages, in execution order."""
-    return [t.branch_id for t in result.trace if t.branch_id is not None]
+    stages = result.events.filter("stage_completed")
+    return [e.data["branch"] for e in stages if e.data["branch"] is not None]
 
 
 class TestBASOrder:

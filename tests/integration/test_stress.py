@@ -96,4 +96,5 @@ class TestLargeMdfs:
         assert np.array_equal(np.asarray(a.output), np.asarray(b.output))
         # stage ids are per-run counters; the executed op sequence is what
         # must repeat exactly
-        assert [t.ops for t in a.trace] == [t.ops for t in b.trace]
+        ops = [[e.data["ops"] for e in r.events.filter("stage_completed")] for r in (a, b)]
+        assert ops[0] == ops[1]

@@ -30,16 +30,9 @@ from ..golden.regenerate import record_failure_recovery
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 #: counter families written where they arise, with explicit labels: what a
-#: trace does not say (tenants, waits on other processes, corrupt files, the
-#: bus about itself).  Every other counter family is a fold of the trace.
-DIRECT = {
-    "cache_tenant_hits",
-    "cache_tenant_misses",
-    "cache_cross_tenant_hits",
-    "cache_singleflight_waits",
-    "cache_corrupt_entries",
-    "live_subscriber_errors",
-}
+#: trace does not say (the bus about itself).  Every other counter family is
+#: a fold of the trace.
+DIRECT = {"live_subscriber_errors"}
 
 
 def run_nested(config=None):

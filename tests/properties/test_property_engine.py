@@ -84,9 +84,10 @@ def test_all_branches_scored_or_pruned(mults, n):
 @settings(max_examples=15, deadline=None)
 def test_clock_monotone_in_trace(mults, n):
     result = run_mdf(build_mdf(mults, n), Cluster(3, 1 * GB))
-    finishes = [t.finished for t in result.trace]
+    stages = [e.data for e in result.events.filter("stage_completed")]
+    finishes = [s["finished"] for s in stages]
     assert finishes == sorted(finishes)
-    assert all(t.started <= t.finished for t in result.trace)
+    assert all(s["started"] <= s["finished"] for s in stages)
 
 
 @given(multipliers, data_sizes)

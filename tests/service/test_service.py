@@ -16,11 +16,11 @@ import time
 
 import pytest
 
+from repro.cache.store import atomic_text
 from repro.lab import get_workload
 from repro.obs.export import registry_json
 from repro.service import DONE, FAILED, JobService, JobSpec, outputs_digest, worker
 from repro.service.__main__ import main as service_main
-from repro.service.obs import _atomic_text
 from repro.trace.events import read_events
 
 
@@ -327,7 +327,7 @@ class TestDerivedViews:
         path = tmp_path / "state.json"
         path.write_text("old")
         with pytest.raises(TypeError):
-            with _atomic_text(str(path)) as fh:
+            with atomic_text(str(path)) as fh:
                 json.dump({"result": object()}, fh)
         assert path.read_text() == "old"
         assert os.listdir(tmp_path) == ["state.json"]

@@ -325,6 +325,45 @@ class TestServiceObsEndToEnd:
         stream = Trace.load_jsonl(spec["stream_path"])
         assert totals == job_view_totals(registry_from_trace(stream))
 
+    def test_each_cache_fact_is_kept_once(self, tmp_path):
+        """A job's hits, misses, admissions, invalidations and savings reach
+        the service once, as its folded ``cache_*`` job-view families; the
+        ``done`` event carries only the cache counters no stream folds.
+        The worker's summary still reports every ``CacheStats`` field."""
+        service, spool = self.run_service(
+            tmp_path,
+            submissions=(
+                ("alice", "dl_grid"),
+                ("bob", "dl_grid"),
+                ("alice", "svc_private_t0"),
+                ("alice", "svc_private_t0"),
+            ),
+            workers=1,
+        )
+        records = list(service.records.values())
+        assert [r.status for r in records] == [DONE] * 4
+        reg = service.obs.registry
+        twins = ("hits", "misses", "admissions", "invalidations", "bytes_saved",
+                 "compute_seconds_saved")
+        assert set(service_obs.CACHE_COUNTER_KEYS).isdisjoint(twins)
+        for key in twins:
+            assert reg.kind_of(f"service_cache_{key}") is None, key
+            shipped = {}
+            for record in records:
+                cell = (record.tenant, record.spec.workload)
+                shipped[cell] = shipped.get(cell, 0) + record.result["cache"][key]
+            folded = reg.aggregate(f"cache_{key}", ("tenant", "workload"))
+            for cell, value in shipped.items():
+                assert folded.get(cell, 0.0) == pytest.approx(value, rel=1e-12, abs=0), key
+        assert reg.value("cache_hits") > 0
+        assert reg.kind_of("service_cache_corrupt_entries") is None
+        with open(os.path.join(spool, "service_events.ndjson")) as fh:
+            done = [e for e in read_events(fh.read()) if e.kind == "done"]
+        assert set().union(*(e.data["cache"] for e in done)) <= set(
+            service_obs.CACHE_COUNTER_KEYS
+        )
+        assert service_registry_diff(service.obs, replay_service_registry(spool)) == []
+
     def test_snapshot_kept_out_of_state_json(self, tmp_path):
         _, spool = self.run_service(
             tmp_path, submissions=(("alice", "filter_min"),), workers=1
