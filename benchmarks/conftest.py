@@ -11,7 +11,7 @@ duplicate per test lives here as fixtures: ``ablation_mdf`` /
 ``ablation_cluster`` pin the DESIGN.md §5 ablation rig, and the
 ``lab_workload`` fixture parametrises a benchmark over the policy lab's
 smoke zoo (``repro.lab.workloads``) — one source of truth shared with
-``python -m repro.lab`` and the differential tests.
+``python -m repro lab`` and the differential tests.
 """
 
 from __future__ import annotations

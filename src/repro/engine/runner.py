@@ -71,7 +71,7 @@ if hasattr(os, "register_at_fork"):  # no fork, no inheritance
 def observing(*observers: RunObserver) -> Iterator[None]:
     """Observe every ``run_mdf`` call made inside the block.
 
-    For callers that cannot reach the call site: ``python -m repro.bench
+    For callers that cannot reach the call site: ``python -m repro bench
     --validate/--profile/--live`` wraps a figure that calls ``run_mdf``
     internally.  Blocks nest — an inner block adds to the outer one's
     observers and leaving it, exception or not, restores them.

@@ -15,7 +15,7 @@ Three pieces (see ``docs/scheduling.md`` for the walkthrough):
 
 Run the whole lab from the command line::
 
-    python -m repro.lab --policies all --workloads smoke
+    python -m repro lab --policies all --workloads smoke
 """
 
 from .differential import (

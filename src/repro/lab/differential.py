@@ -17,8 +17,8 @@ policy, run over every workload in the zoo, must produce
 
 A policy that violates any of these is *changing the job's semantics*,
 not its schedule, and must not ship.  The matrix is exercised by
-``tests/lab/test_policy_differential.py`` and by ``python -m repro.lab
---differential`` (the CI ``lab-smoke`` job).
+``tests/lab/test_policy_differential.py`` and by ``python -m repro lab``
+(the CI ``lab-smoke`` job).
 """
 
 from __future__ import annotations

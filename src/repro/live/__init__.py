@@ -15,7 +15,7 @@ each committed event as it is emitted:
   structured :class:`Alert` records;
 * :class:`LiveMonitor` — all of the above as one run observer
   (``run_mdf(..., observers=[LiveMonitor()])``);
-* ``python -m repro.live <trace.ndjson>`` — the follow-mode dashboard.
+* ``python -m repro live <trace.ndjson>`` — the follow-mode dashboard.
 
 See ``docs/live_monitoring.md`` for the bus contract, the estimator
 math and a CLI walkthrough.

@@ -1,7 +1,7 @@
 """The harness's live observer: a fresh monitor per run, with a verdict.
 
 Benchmark figures call :func:`repro.engine.runner.run_mdf` internally,
-so ``python -m repro.bench --live`` wraps them in ``with
+so ``python -m repro bench --live`` wraps them in ``with
 observing(LiveHook()):``.  Every run inside gets its own buffered
 :class:`~repro.live.monitor.LiveMonitor` and is recorded — together with
 a per-run stream/batch byte-identity verdict — on the hook.

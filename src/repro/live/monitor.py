@@ -5,7 +5,7 @@ the cluster's trace for the duration of the run and leaves it on
 ``result.live``.  The monitor is one plain event callable: each
 committed event goes to the
 :class:`~repro.live.progress.ProgressEstimator`, then to the watchdogs —
-which is also how ``python -m repro.live`` feeds it from a file, without
+which is also how ``python -m repro live`` feeds it from a file, without
 a run.  The optional :class:`~repro.live.stream.StreamWriter` is begun
 and ended with the monitor but subscribed on its own, ahead of it: the
 file always reflects at least what the estimator has seen, and a
@@ -13,7 +13,7 @@ consumer that raises (the bus drops the monitor) does not truncate it.
 
 Renderers live here too: :func:`progress_line` is the one-line summary
 (quickstart, bench), :func:`render_dashboard` the multi-line terminal
-view (``python -m repro.live``).  Both are pure functions of a
+view (``python -m repro live``).  Both are pure functions of a
 :class:`~repro.live.progress.ProgressSnapshot` + alerts, shared by the
 in-process and follow-mode paths.
 """

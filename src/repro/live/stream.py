@@ -12,9 +12,9 @@ are equal (property-tested in ``tests/live/test_stream.py``).
 
 :func:`follow_events` is the reading half: it tails an NDJSON file
 (complete lines only — a partially-written line is left for the next
-poll), yielding :class:`TraceEvent` objects for the CLI dashboard
-(``python -m repro.live --follow``).  :func:`read_events` is the trace
-package's one line parser, re-exported here.
+poll), yielding :class:`TraceEvent` objects; the CLI dashboard
+(``python -m repro live --follow``) reads one poll at a time the same
+way.  :func:`read_events` is the trace package's one line parser.
 """
 
 from __future__ import annotations

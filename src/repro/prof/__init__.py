@@ -10,9 +10,9 @@ speedscope / Chrome-trace / plain-text views (:mod:`~repro.prof.export`).
 
 CLI::
 
-    python -m repro.prof trace.jsonl --critical-path --by-branch
-    python -m repro.prof trace.jsonl --what-if compute=0.5x,alpha=2x
-    python -m repro.prof --gate benchmarks/baselines.json
+    python -m repro prof trace.jsonl --critical-path --by-branch
+    python -m repro prof trace.jsonl --what-if compute=0.5x,alpha=2x
+    python -m repro gate benchmarks/baselines.json
 
 The CI perf-regression gate lives in :mod:`repro.prof.gate`; it imports
 the engine, so it is intentionally not re-exported here (the rest of the

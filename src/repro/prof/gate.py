@@ -6,7 +6,7 @@ committed baseline plus an exact comparison replaces the usual
 statistical benchmarking machinery.  Any engine change that slows a
 scenario's simulated makespan by more than the tolerance (default 5%)
 fails the gate; intended cost-model changes re-baseline with
-``python -m repro.prof --gate benchmarks/baselines.json --update``.
+``python -m repro gate benchmarks/baselines.json --update``.
 
 This module imports the engine, so it is deliberately NOT imported from
 ``repro.prof.__init__`` (the master imports ``repro.prof.spans``, and a
@@ -196,7 +196,7 @@ def run_gate(
         payload = {
             "_comment": (
                 "Simulated completion times (seconds) of the repro.prof gate "
-                "scenarios. Regenerate with: python -m repro.prof --gate "
+                "scenarios. Regenerate with: python -m repro gate "
                 "benchmarks/baselines.json --update"
             ),
             "tolerance": tolerance,

@@ -16,7 +16,7 @@ sharing change *real time only*; every job's sink outputs stay
 byte-identical to a solo run and its trace passes all seven paper
 validators.  ``python benchmarks/wall/run.py`` (``service_paced``,
 ``service_burst``) measures throughput, latency and cross-tenant hits;
-``python -m repro.service`` is the spool-directory CLI
+``python -m repro service`` is the spool-directory CLI
 (serve/submit/status/follow).  See ``docs/service.md``.
 """
 

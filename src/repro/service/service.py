@@ -13,7 +13,7 @@ and bounded per tenant by byte quotas.
 
 Every running job streams its trace to ``<spool>/streams/<job>.ndjson``
 through the PR7 :class:`~repro.live.stream.StreamWriter`, so clients can
-follow per-submission progress/ETA live (``python -m repro.service
+follow per-submission progress/ETA live (``python -m repro service
 follow``).  ``<spool>/state.json`` and the metric exports are derived
 views of the event log for out-of-process ``status`` queries: current
 once :meth:`drain` has returned or the service is closed, otherwise at
@@ -55,7 +55,7 @@ PUBLISH_MIN_S = 0.25
 PUBLISH_COST_X = 10.0
 
 #: what a submission may set beside tenant, workload and cost: the fields
-#: ``python -m repro.service submit`` writes into a ticket, plus
+#: ``python -m repro service submit`` writes into a ticket, plus
 #: ``validate``.  Tickets are outside input — every other ``JobSpec``
 #: attribute (its id, its stream and cache paths, its methods) is the
 #: service's to decide.

@@ -38,7 +38,7 @@ list of :class:`Violation` records it found (empty = invariant holds):
 
 ``validate_trace`` runs all seven; ``assert_valid`` raises
 :class:`InvariantViolation` listing every violation.  The module-level
-auto-validate flag lets the benchmark harness (``python -m repro.bench
+auto-validate flag lets the benchmark harness (``python -m repro bench
 --validate``) check every figure-reproduction run for free.
 """
 
@@ -620,7 +620,7 @@ class Validator:
 
     ``run_mdf(..., observers=[Validator()])`` — or ``with
     observing(Validator()):`` around code that calls ``run_mdf``
-    internally (``python -m repro.bench --validate``) — raises
+    internally (``python -m repro bench --validate``) — raises
     :class:`InvariantViolation` out of ``run_mdf`` once the job finished.
     """
 

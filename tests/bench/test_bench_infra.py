@@ -88,25 +88,27 @@ class TestFigureResult:
 
 class TestCliModule:
     def test_unknown_figure_exits_2(self):
-        from repro.bench.__main__ import main
+        from repro.__main__ import main
 
-        assert main(["not-a-figure"]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "not-a-figure"])
+        assert exit_info.value.code == 2
 
     def test_single_figure_runs(self, capsys):
-        from repro.bench.__main__ import main
+        from repro.__main__ import main
 
-        assert main(["table1"]) == 0
+        assert main(["bench", "table1"]) == 0
         out = capsys.readouterr().out
         assert "Table 1" in out
 
     def test_profile_flag_reports_attribution_and_artifact(
         self, capsys, tmp_path, monkeypatch
     ):
-        from repro.bench.__main__ import main
+        from repro.__main__ import main
         from repro.engine import runner
 
         monkeypatch.chdir(tmp_path)  # artifact lands in the scratch dir
-        assert main(["--profile", "failure_recovery"]) == 0
+        assert main(["bench", "--profile", "failure_recovery"]) == 0
         out = capsys.readouterr().out
         assert "profiling: on" in out
         assert "[profile] failure_recovery:" in out

@@ -76,11 +76,11 @@ class TestTableBuilders:
 class TestCliFlag:
     def test_telemetry_flag_prints_report(self, capsys, monkeypatch):
         import repro.bench.telemetry as bench_telemetry
-        from repro.bench.__main__ import main
+        from repro.__main__ import main
 
         monkeypatch.setattr(
             bench_telemetry, "telemetry_report", lambda: "FAKE TELEMETRY REPORT"
         )
-        assert main(["--telemetry"]) == 0
+        assert main(["bench", "--telemetry"]) == 0
         out = capsys.readouterr().out
         assert "FAKE TELEMETRY REPORT" in out

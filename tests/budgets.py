@@ -21,6 +21,8 @@ SEAM_FILES = ("master", "executor", "runner", "job")
 TOUCH_POINTS = ("obs.counter(", "obs.histogram(", "obs.gauge(", "label_context(")
 HOOK_SETTERS = r"def set_(auto_validate|profile_collector|live_hook)"
 CHOOSE_EVENTS = ("choose_evaluation", "branch_evaluated", "branch_discarded")
+#: the command line: the ``__main__`` entry modules and the handlers beside them
+CLI_FILES = ("__main__.py", "cli.py")
 #: an assignment, augmented assignment or append into a ``JobResult`` field
 RESULT_WRITE = r"\bresult\.\w+(\[[^]]*\])? *(\+?=(?!=)|\.append\()"
 
@@ -75,6 +77,12 @@ def rows():
         for name in SEAM_FILES
         for line in (SRC / "engine" / f"{name}.py").read_text().splitlines()
     )
+    cli = [path.read_text() for name in CLI_FILES for path in sorted(SRC.rglob(name))]
+    yield "CLI entry modules / lines / `add_argument(` sites", slashed((
+        len(list(SRC.rglob(CLI_FILES[0]))),
+        sum(text.count("\n") for text in cli),
+        sum(text.count("add_argument(") for text in cli),
+    ))
     yield "settable values under `src/` (defaulted parameters + class fields)", (
         settable_values()
     )

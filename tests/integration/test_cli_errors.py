@@ -1,35 +1,43 @@
 """Malformed CLI input: exit 2 and one usage line — never a traceback.
 
-``bench``, ``live`` and ``service`` parse with ``argparse`` like ``prof``
-and ``lab``: a value that does not convert is a usage error reported on
-stderr, not an unchecked ``float()`` blowing up mid-command.
+Every command of ``python -m repro`` parses with ``argparse``: a value
+that does not convert, a zero where a count must be positive or a name
+nobody registered is a usage error reported on stderr, not a
+``ValueError`` blowing up mid-command or a value silently replaced.
 """
 
 import io
 
 import pytest
 
-from repro.bench.__main__ import main as bench_main
-from repro.live.__main__ import main as live_main
-from repro.service.__main__ import main as service_main
+from repro.__main__ import main
 
 
-def service(*argv):
-    return lambda spool: service_main([argv[0], "--spool", spool, *argv[1:]], out=io.StringIO())
+def command(*argv):
+    return lambda spool: main([part.replace("SPOOL", spool) for part in argv], out=io.StringIO())
+
+
+def service(name, *argv):
+    return command("service", name, "--spool", "SPOOL", *argv)
 
 
 MALFORMED = {
     "service submit --cost": service("submit", "--workload", "filter_min", "--cost", "abc"),
     "service serve --workers": service("serve", "--once", "--workers", "two"),
+    "service serve --workers 0": service("serve", "--once", "--workers", "0"),
     "service serve --max-idle": service("serve", "--once", "--max-idle", "soon"),
     "service serve --quota-bytes": service("serve", "--once", "--quota-bytes", "1GB"),
     "service serve --tenant": service("serve", "--once", "--tenant", "alice:heavy"),
-    "service status --stale-after": service("status", "--stale-after", "x"),
-    "service top --interval": service("top", "--once", "--interval", "x"),
-    "service top --iterations": service("top", "--iterations", "1.5"),
-    "live --interval": lambda spool: live_main(["--interval", "fast", "t.ndjson"], out=io.StringIO()),
-    "live --refresh": lambda spool: live_main(["--refresh", "often", "t.ndjson"], out=io.StringIO()),
-    "bench unknown flag": lambda spool: bench_main(["--no-such-flag"]),
+    "service serve --tenant weight 0": service("serve", "--once", "--tenant", "alice:0"),
+    "service status --follow --interval": service("status", "--follow", "--interval", "x"),
+    "live --interval": command("live", "--interval", "fast", "t.ndjson"),
+    "live --interval -1": command("live", "--follow", "--interval", "-1", "t.ndjson"),
+    "bench unknown flag": command("bench", "--no-such-flag"),
+    "lab --sizes 2,x": command("lab", "--sizes", "2,x"),
+    "lab --sizes 0": command("lab", "--sizes", "0"),
+    "lab unknown policy": command("lab", "--policies", "no-such-policy"),
+    "prof --what-if": command("prof", "t.jsonl", "--what-if", "bogus"),
+    "gate --inject-slowdown": command("gate", "b.json", "--inject-slowdown", "lots"),
 }
 
 
@@ -43,11 +51,31 @@ def test_malformed_value_is_a_usage_error(case, tmp_path, capsys):
     assert "error: " in err[1]
 
 
-@pytest.mark.parametrize("command", [("status",), ("top", "--once")], ids=" ".join)
+def test_every_command_has_a_malformed_row():
+    commands = {case.split()[0] for case in MALFORMED}
+    assert commands == {"bench", "lab", "prof", "gate", "live", "service"}
+
+
+@pytest.mark.parametrize("command", [("status",), ("status", "--follow")], ids=" ".join)
 def test_undecodable_state_is_reported_not_raised(command, tmp_path):
     (tmp_path / "state.json").write_text("{not json")
     out = io.StringIO()
-    code = service_main([command[0], "--spool", str(tmp_path), *command[1:]], out=out)
+    code = main(["service", command[0], "--spool", str(tmp_path), *command[1:]], out=out)
     assert code == 2
     assert out.getvalue().startswith(f"unreadable state.json under {tmp_path}: ")
     assert len(out.getvalue().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("status",), ("status", "--follow"), ("follow",), ("follow", "--job", "job-0001")],
+    ids=" ".join,
+)
+def test_read_only_commands_do_not_create_the_spool(command, tmp_path):
+    """Only ``serve`` and ``submit`` create a spool: asked to read a
+    path that is not there, the others say so and leave it absent."""
+    spool = tmp_path / "typo"
+    out = io.StringIO()
+    code = main(["service", command[0], "--spool", str(spool), *command[1:]], out=out)
+    assert code == 2, out.getvalue()
+    assert not spool.exists()

@@ -1,18 +1,22 @@
-"""The ``python -m repro.live`` follow-mode dashboard CLI."""
+"""The ``python -m repro live`` follow-mode dashboard CLI."""
 
 from __future__ import annotations
 
 import io
 import json
+import time
 
-from repro.live.__main__ import main
+import pytest
+
+from repro.__main__ import main
+from repro.live.cli import follow
 
 from ..golden.regenerate import GOLDEN_FILES
 
 
 def run_cli(argv):
     out = io.StringIO()
-    code = main(argv, out=out)
+    code = main(["live", *argv], out=out)
     return code, out.getvalue()
 
 
@@ -39,20 +43,21 @@ class TestBatchMode:
         assert code == 2
         assert "no such trace file" in output
 
-    def test_no_args_prints_usage(self):
-        code, output = run_cli([])
-        assert code == 2
-        assert output.startswith("usage: python -m repro.live <trace.ndjson>")
+    def test_no_args_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli([])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: python -m repro live TRACE")
 
-    def test_help(self):
-        code, output = run_cli(["--help"])
-        assert code == 0
-        assert output.startswith("usage: python -m repro.live <trace.ndjson>")
+    def test_help(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(["--help"])
+        assert exit_info.value.code == 0
+        output = capsys.readouterr().out
+        assert output.startswith("usage: python -m repro live TRACE")
         assert "--idle-timeout" in output
 
     def test_bad_numeric_flag(self):
-        import pytest
-
         with pytest.raises(SystemExit):
             run_cli(["--interval", "fast", golden_path()])
 
@@ -68,15 +73,42 @@ class TestFollowMode:
                 "0.01",
                 "--idle-timeout",
                 "0.03",
-                "--plain",
                 str(path),
             ]
         )
         assert code == 0
-        # plain mode appended at least one intermediate progress line
-        # before the final dashboard
+        # at least one intermediate frame comes before the final dashboard
         assert output.count("stages") >= 2
         assert "repro.live " in output
+
+
+class TestRedrawLoop:
+    """``follow``, the loop ``live --follow``, ``service follow`` and
+    ``service status --follow`` share."""
+
+    def run_loop(self, news, out):
+        polls = iter(news)
+        frames = iter(range(len(news)))
+        follow(lambda: next(polls, False), lambda: f"frame {next(frames)}\n", out,
+               interval=0.0, idle_timeout=0.05)
+        return out.getvalue()
+
+    def test_off_a_terminal_a_rule_separates_frames(self):
+        output = self.run_loop([True, False, True], io.StringIO())
+        assert output == "frame 0\n" + "-" * 64 + "\nframe 1\n"
+
+    def test_on_a_terminal_each_frame_replaces_the_last(self):
+        class Terminal(io.StringIO):
+            def isatty(self):
+                return True
+
+        output = self.run_loop([True, True], Terminal())
+        assert output == "frame 0\n\x1b[2J\x1b[Hframe 1\n"
+
+    def test_stops_after_idle_timeout_without_news(self):
+        started = time.monotonic()
+        assert self.run_loop([False], io.StringIO()) == ""
+        assert time.monotonic() - started < 5.0
 
 
 class TestFailOnAlert:

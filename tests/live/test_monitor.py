@@ -104,7 +104,7 @@ class TestLifecycle:
         assert buffer.getvalue() == result.events.to_jsonl()
 
     def test_snapshot_without_a_run_is_trace_only(self):
-        """Fed by hand (``python -m repro.live``) there is no plan: counts
+        """Fed by hand (``python -m repro live``) there is no plan: counts
         and branch states, no total and no ETA."""
         result = run_mdf(build_filter_mdf(), fresh_cluster())
         monitor = LiveMonitor()

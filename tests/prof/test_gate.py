@@ -1,4 +1,4 @@
-"""CI perf-regression gate (``python -m repro.prof --gate``).
+"""CI perf-regression gate (``python -m repro gate``).
 
 The simulator is deterministic, so the gate compares exact simulated
 completion times against the committed baselines.  These tests prove the
@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.prof.__main__ import main
+from repro.__main__ import main
 from repro.prof.gate import (
     DEFAULT_TOLERANCE,
     SCENARIOS,
@@ -101,8 +101,8 @@ class TestCommittedBaselines:
 class TestCli:
     def test_gate_mode_exit_codes(self, tmp_path, capsys):
         path = str(tmp_path / "baselines.json")
-        assert main(["--gate", path, "--update"]) == 0
-        assert main(["--gate", path]) == 0
+        assert main(["gate", path, "--update"]) == 0
+        assert main(["gate", path]) == 0
         assert "gate PASSED" in capsys.readouterr().out
-        assert main(["--gate", path, "--inject-slowdown", "1.1"]) == 1
+        assert main(["gate", path, "--inject-slowdown", "1.1"]) == 1
         assert "gate FAILED" in capsys.readouterr().out

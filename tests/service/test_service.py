@@ -20,7 +20,7 @@ from repro.cache.store import atomic_text
 from repro.lab import get_workload
 from repro.obs.export import registry_json
 from repro.service import DONE, FAILED, JobService, JobSpec, outputs_digest, worker
-from repro.service.__main__ import main as service_main
+from repro.__main__ import main
 from repro.trace.events import read_events
 
 
@@ -158,11 +158,11 @@ class TestJobService:
         spool = str(tmp_path / "cli")  # a spool holds one service's log
         out = io.StringIO()
         argv = ["--spool", spool, "--workload", "filter_min", "--backend", "mp"]
-        assert service_main(["submit"] + argv, out=out) == 0
+        assert main(["service", "submit"] + argv, out=out) == 0
         with open(os.path.join(spool, "inbox", "t.json"), "w") as fh:
             json.dump({"workload": "filter_min", "backend": "mp"}, fh)
         out = io.StringIO()
-        assert service_main(["serve", "--spool", spool, "--once"], out=out) == 0
+        assert main(["service", "serve", "--spool", spool, "--once"], out=out) == 0
         assert "served 2 job(s): 2 done, 0 failed" in out.getvalue()
         with open(os.path.join(spool, "state.json")) as fh:
             jobs = json.load(fh)["jobs"]
@@ -485,7 +485,7 @@ class TestOutputsDigest:
 class TestCLI:
     def run_cli(self, *argv):
         out = io.StringIO()
-        code = service_main(list(argv), out=out)
+        code = main(["service", *argv], out=out)
         return code, out.getvalue()
 
     def test_submit_serve_status_follow(self, tmp_path):
@@ -508,7 +508,13 @@ class TestCLI:
         assert "served 2 job(s): 2 done, 0 failed" in text
         code, text = self.run_cli("status", "--spool", spool)
         assert code == 0
-        assert "done=2" in text and "tenant alice" in text
+        assert "done=2" in text
+        table = text.split("share(achieved/entitled)  slo-attained\n")[1]
+        rows = [line.split() for line in table.split("\n\n")[0].splitlines()]
+        # tenant, weight, backlog, done, then the timing-dependent shares
+        assert [row[:4] for row in rows] == [
+            ["alice", "2", "0", "1"], ["bob", "1", "0", "1"]
+        ], text
         code, text = self.run_cli(
             "follow", "--spool", spool, "--job", "job-0001",
             "--idle-timeout", "0.2",
@@ -569,15 +575,19 @@ class TestCLI:
             assert f"bad ticket {name}: " in text
         assert "served 1 job(s)" in text
 
-    def test_usage_and_errors(self, tmp_path):
-        code, text = self.run_cli("--help")
-        assert code == 0 and "usage" in text
-        code, _ = self.run_cli("serve")  # no --spool
-        assert code == 2
-        code, _ = self.run_cli("not-a-command", "--spool", str(tmp_path))
-        assert code == 2
-        code, text = self.run_cli("submit", "--spool", str(tmp_path))
-        assert code == 2 and "--workload" in text
+    def test_usage_and_errors(self, tmp_path, capsys):
+        for argv, code in (
+            (["--help"], 0),
+            (["serve"], 2),  # no --spool
+            (["not-a-command", "--spool", str(tmp_path)], 2),
+            (["submit", "--spool", str(tmp_path)], 2),  # no --workload
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                self.run_cli(*argv)
+            assert exit_info.value.code == code, argv
+        captured = capsys.readouterr()
+        assert "usage" in captured.out
+        assert "--workload" in captured.err.splitlines()[-1]
 
     def test_status_without_state(self, tmp_path):
         code, text = self.run_cli("status", "--spool", str(tmp_path))

@@ -24,7 +24,7 @@ from repro.service import (
     service_registry_diff,
 )
 from repro.obs.bridge import registry_from_trace
-from repro.service.__main__ import main as service_main
+from repro.__main__ import main
 from repro.service import obs as service_obs
 from repro.service.obs import JOB_VIEW_FAMILIES, ServiceObs, job_view_totals
 from repro.service.queue import FairShareQueue
@@ -441,7 +441,7 @@ class TestServiceObsEndToEnd:
 class TestObsCLI:
     def run_cli(self, *argv):
         out = io.StringIO()
-        code = service_main(list(argv), out=out)
+        code = main(["service", *argv], out=out)
         return code, out.getvalue()
 
     def serve_one(self, spool):
@@ -486,17 +486,34 @@ class TestObsCLI:
         code, text = self.run_cli("status", "--spool", spool, "--json")
         assert json.loads(text)["snapshot_age_s"] > 900
 
-    def test_top_once_renders_dashboard(self, tmp_path):
+    def test_status_renders_dashboard(self, tmp_path):
         spool = str(tmp_path)
         self.serve_one(spool)
-        code, text = self.run_cli("top", "--spool", spool, "--once")
+        code, text = self.run_cli("status", "--spool", spool)
         assert code == 0
-        assert "repro service top" in text
+        assert "repro service status" in text
         assert "share(achieved/entitled)" in text
         assert "alice" in text
         assert "p50" in text and "p99" in text
         assert "alerts: 0" in text
+        # the per-job lines follow the frame
+        assert text.index("alerts: 0") < text.index("job-0001  done     alice")
 
-    def test_top_without_state(self, tmp_path):
-        code, text = self.run_cli("top", "--spool", str(tmp_path), "--once")
+    def test_status_follow_redraws_until_idle(self, tmp_path):
+        spool = str(tmp_path)
+        self.serve_one(spool)
+        _, frame = self.run_cli("status", "--spool", spool)
+        code, text = self.run_cli("status", "--spool", spool, "--follow",
+                                  "--interval", "0.01", "--idle-timeout", "0.05")
+        assert code == 0
+        # a finished service publishes no new snapshot: one frame, then idle
+        assert text.count("repro service status") == 1
+
+        def without_age(frame):
+            return [line for line in frame.splitlines() if "snapshot age" not in line]
+
+        assert without_age(text) == without_age(frame)
+
+    def test_status_follow_without_state(self, tmp_path):
+        code, text = self.run_cli("status", "--spool", str(tmp_path), "--follow")
         assert code == 2 and "no state.json" in text
