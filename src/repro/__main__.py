@@ -120,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     schedulers, workloads = available_schedulers(), available_workloads()
     lab.add_argument("--policies", default="all",
                      type=comma_list(one_of(schedulers, "scheduler"), {"all": schedulers}),
-                     help="comma list of scheduler names, or 'all' (default)")
+                     help="comma list of scheduler names, or 'all' (default); bfs, "
+                     "the reference, is always crossed in")
     tags = {tag: available_workloads(tag) for tag in ("smoke", "full")}
     lab.add_argument("--workloads", default="smoke",
                      type=comma_list(one_of(workloads, "workload"), dict(tags, all=workloads)),
@@ -134,11 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
                      "workload's own shape)")
     lab.add_argument("--backends", default="serial",
                      type=comma_list(one_of(available_backends(), "backend")),
-                     help="comma list of execution backends crossed in (default: "
-                     "serial; add mp to prove backend choice never moves a simulated "
-                     "number: exit 1 when a cell differs from its serial twin)")
+                     help="comma list of execution backends; serial, the reference, "
+                     "is always crossed in (add mp to prove backend choice never "
+                     "moves a simulated byte)")
     lab.add_argument("--artifact", metavar="PATH",
-                     help="write the comparative report + differential matrix as JSON")
+                     help="write the report, its cells and mismatches, as JSON")
 
     prof = command(commands, "prof", cmd_prof, "TRACE [options]",
                    "critical-path profiler over a canonical decision trace")

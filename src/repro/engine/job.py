@@ -4,11 +4,15 @@ A :class:`JobResult` captures everything the benchmarks report: simulated
 completion time (split into compute / IO / network walls), the cluster
 metrics (hit ratios, evictions, pruning counts), choose decisions, and the
 final sink outputs.  The walls and the decisions are read from the run's
-trace events.
+trace events.  :func:`outputs_digest` is what "the same outputs" means
+wherever two runs are compared (the lab's twins, a service job against
+its solo run).
 """
 
 from __future__ import annotations
 
+import hashlib
+import pickle
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -86,6 +90,19 @@ class ChooseDecision:
     kept: List[str] = field(default_factory=list)
     discarded: List[str] = field(default_factory=list)
     pruned: List[str] = field(default_factory=list)
+
+
+def outputs_digest(outputs: Dict[str, Any]) -> str:
+    """Canonical sha256 of a job's sink outputs (byte-identity checks).
+
+    Pickled in sorted-sink order with a fixed protocol, so the digest is
+    stable across processes for the deterministic payload types the
+    workloads produce (lists, scalars, numpy arrays).  Not ``repr``, which
+    abbreviates a large array and rounds its floats.
+    """
+    names = sorted(outputs)
+    blob = pickle.dumps((names, [outputs[name] for name in names]), protocol=4)
+    return hashlib.sha256(blob).hexdigest()
 
 
 @dataclass

@@ -24,7 +24,7 @@ the :class:`~repro.engine.scheduler.BFSScheduler` baseline:
 Every policy records its pick's rationale in ``last_rationale`` (flowing
 into the ``stage_scheduled`` trace event) and must honour the lab's
 differential contract: a policy changes **when** stages run, never
-**what** the job computes (``repro.lab.differential``).
+**what** the job computes (``repro.lab.LabReport.mismatches``).
 
 Register a custom policy with :func:`register_scheduler`; resolve names
 through :func:`make_scheduler` (used by ``run_mdf``, the bench harness,

@@ -96,7 +96,7 @@ class Scheduler:
 
     The contract every policy must honour (documented in
     ``docs/scheduling.md`` and enforced by the master, the trace
-    validators and ``repro.lab``'s differential matrix):
+    validators and ``repro.lab``'s twin check, ``LabReport.mismatches``):
 
     * ``select`` returns a member of ``ready`` — nothing else is
       executable, and the master raises on any other pick;

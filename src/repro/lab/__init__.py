@@ -1,31 +1,24 @@
 """The policy lab: comparative scheduler/eviction experiments.
 
-Three pieces (see ``docs/scheduling.md`` for the walkthrough):
+Two pieces (see ``docs/scheduling.md`` for the walkthrough):
 
 * :mod:`repro.lab.workloads` — the workload zoo: named, reproducible
   MDF + cluster pairs with tags (``smoke`` = CI tier);
 * :mod:`repro.lab.experiment` — the accasim-style
-  :class:`~repro.lab.experiment.Experimentation` harness running every
-  policy × workload × cluster-size cell and emitting comparative tables
-  (text + JSON artifact) and perf-gate baselines;
-* :mod:`repro.lab.differential` — differential policy testing: every
-  registered scheduler must produce byte-identical outputs and
-  validator-clean traces on every zoo workload ("policies may change
-  *when*, never *what*").
+  :class:`~repro.lab.experiment.Experimentation` grid, running every
+  policy × workload × memory × cluster-size × backend cell once into a
+  :class:`~repro.lab.experiment.LabReport`, whose one reducer
+  :meth:`~repro.lab.experiment.LabReport.mismatches` checks the lab's
+  contract: against its ``bfs`` and ``serial`` twins, a cell has the
+  same output digest and choose decisions, and a validator-clean,
+  replay-consistent trace ("policies may change *when*, never *what*").
 
 Run the whole lab from the command line::
 
     python -m repro lab --policies all --workloads smoke
 """
 
-from .differential import (
-    DifferentialCell,
-    assert_differential,
-    compare_cell,
-    differential_matrix,
-    render_matrix,
-)
-from .experiment import CellResult, Experimentation, LabReport
+from .experiment import CellResult, Experimentation, LabReport, run_cell
 from .workloads import (
     WORKLOADS,
     LabWorkload,
@@ -36,16 +29,12 @@ from .workloads import (
 
 __all__ = [
     "CellResult",
-    "DifferentialCell",
     "Experimentation",
     "LabReport",
     "LabWorkload",
     "WORKLOADS",
-    "assert_differential",
     "available_workloads",
-    "compare_cell",
-    "differential_matrix",
     "get_workload",
     "register_workload",
-    "render_matrix",
+    "run_cell",
 ]

@@ -1,66 +1,46 @@
 """``python -m repro lab``: the policy lab.
 
-Runs the comparative experimentation sweep and the differential
-when-not-what matrix against ``bfs``, prints both tables and optionally
-writes a JSON artifact the CI ``lab-smoke`` job uploads.  See
+Runs the experimentation grid once, prints its comparative table and the
+cells that break the when-not-what contract against their ``bfs`` and
+``serial`` twins, optionally writes the report as a JSON artifact (the CI
+``lab-smoke`` job uploads it), and exits 1 on any mismatch.  See
 ``docs/scheduling.md``.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from typing import TextIO
 
-from .differential import differential_matrix, render_matrix
 from .experiment import Experimentation
 
 
 def cmd_lab(args, out: TextIO) -> int:
-    sizes = args.sizes or [None]
     experiment = Experimentation(
         schedulers=args.policies,
         memories=args.memories,
         workloads=args.workloads,
-        cluster_sizes=sizes,
+        cluster_sizes=args.sizes or [None],
         backends=args.backends,
     )
     print(
-        f"policy lab: {len(args.policies)} schedulers × {len(args.workloads)} "
-        f"workloads × {len(args.memories)} memory policies × "
-        f"{len(sizes)} cluster sizes × {len(args.backends)} backends",
+        f"policy lab: {len(experiment.schedulers)} schedulers × "
+        f"{len(experiment.workloads)} workloads × {len(experiment.memories)} "
+        f"memory policies × {len(experiment.cluster_sizes)} cluster sizes × "
+        f"{len(experiment.backends)} backends",
         file=out,
     )
     report = experiment.run(progress=lambda line: print(f"  {line}", file=out))
     print(file=out)
     print(report.render_table(), file=out)
-
-    artifact = {"experiment": report.to_json()}
-    mismatched = report.backend_mismatches()
-    for cell in mismatched:
-        print(f"differs from serial: {cell}", file=sys.stderr)
-    print(file=out)
-    cells = differential_matrix(schedulers=args.policies, workloads=args.workloads)
-    print(render_matrix(cells), file=out)
-    ok = not mismatched and all(c.passed for c in cells)
-    artifact["differential"] = [
-        {
-            "workload": c.workload,
-            "scheduler": c.scheduler,
-            "reference": c.reference,
-            "passed": c.passed,
-            "detail": c.describe(),
-        }
-        for c in cells
-    ]
-
     if args.artifact:
-        with open(args.artifact, "w") as fh:
-            json.dump(artifact, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        report.save(args.artifact)
         print(f"\nartifact written to {args.artifact}", file=out)
-
-    if not ok:
-        print("\nbackend identity or differential matrix FAILED", file=sys.stderr)
+    mismatched = report.mismatches()
+    for line in mismatched:
+        print(f"mismatch: {line}", file=sys.stderr)
+    if mismatched:
+        print(f"\n{len(mismatched)}/{len(report.cells)} cells FAILED", file=sys.stderr)
         return 1
+    print(f"\n{len(report.cells)} cells match their bfs and serial twins", file=out)
     return 0

@@ -4,8 +4,8 @@ Each :class:`LabWorkload` bundles an MDF factory with the cluster shape
 it should run on, so every experiment cell (policy × workload ×
 cluster size) is reproducible from its name alone.
 
-Zoo admission rule — the differential contract (``repro.lab.
-differential``) demands that every workload's final outputs be
+Zoo admission rule — the lab's contract (``LabReport.mismatches`` in
+``repro.lab.experiment``) demands that every workload's final outputs be
 *order-insensitive*: whatever order a scheduler evaluates branches in,
 the choose must keep the same set.  Exhaustive selections (``Min``,
 ``Max``, ``TopK``, ``Threshold``) with **distinct branch scores**
@@ -71,11 +71,11 @@ class LabWorkload:
         """Execute one cell and return the result with its cluster.
 
         The cluster is returned alongside so callers can read the live
-        metrics registry (``cluster.obs``) — the differential matrix
-        replays the trace against it.  ``backend`` picks the execution
-        backend (``"serial"``/``"mp"`` or an instance); the simulated
-        result is byte-identical either way.  To watch the run, wrap the
-        call in :func:`~repro.engine.runner.observing`.
+        metrics registry (``cluster.obs``) — a lab cell replays the trace
+        against it.  ``backend`` picks the execution backend
+        (``"serial"``/``"mp"`` or an instance); the simulated result is
+        byte-identical either way.  To watch the run, wrap the call in
+        :func:`~repro.engine.runner.observing`.
         """
         cluster = self.make_cluster(workers)
         result = run_mdf(

@@ -19,12 +19,14 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
+from ..cache.store import atomic_text
 from ..cluster.cluster import Cluster
 from ..cluster.costmodel import GB, MB
 from ..core.builder import MDFBuilder
 from ..core.evaluators import CallableEvaluator
 from ..core.selection import Min
 from ..engine.runner import run_mdf
+from ..lab.experiment import run_cell
 
 #: relative slowdown beyond which the gate fails
 DEFAULT_TOLERANCE = 0.05
@@ -96,19 +98,8 @@ def _scenario_chain() -> float:
 
 
 def _scenario_lab(workload: str, scheduler: str) -> Callable[[], float]:
-    """One policy-lab cell as a gate scenario (same recipe as the lab's
-    golden traces, so a drift fails both gates consistently)."""
-
-    def scenario() -> float:
-        from ..lab.workloads import get_workload
-
-        result, _ = get_workload(workload).run(
-            scheduler=scheduler, memory="amm", backend="serial"
-        )
-        return result.completion_time
-
-    scenario.__name__ = f"_scenario_lab_{scheduler}"
-    return scenario
+    """One policy-lab cell as a gate scenario."""
+    return lambda: run_cell(workload, scheduler, backend="serial").completion_time
 
 
 #: the gated scenario set: small, fast, and covering the three engine
@@ -202,7 +193,7 @@ def run_gate(
             "tolerance": tolerance,
             "scenarios": {k: measured[k] for k in sorted(measured)},
         }
-        with open(baseline_path, "w") as fh:
+        with atomic_text(baseline_path) as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
         rows = [GateRow(name, measured[name], measured[name]) for name in sorted(measured)]

@@ -25,7 +25,6 @@ Two invariants the service asserts on top:
 
 from __future__ import annotations
 
-import hashlib
 import pickle
 import time
 import traceback
@@ -33,6 +32,7 @@ from typing import Any, Dict
 
 from ..cache import ResultCache, SharedCacheStore
 from ..core.mdf import MDF
+from ..engine.job import outputs_digest
 from ..engine.runner import run_mdf
 from ..trace.validate import validate_trace
 from .jobs import JobSpec
@@ -42,20 +42,6 @@ __all__ = ["outputs_digest", "run_job", "serve"]
 
 #: zoo name -> the MDF this process built at its first job of that name
 _plans: Dict[str, MDF] = {}
-
-
-def outputs_digest(outputs: Dict[str, Any]) -> str:
-    """Canonical sha256 of a job's sink outputs (byte-identity checks).
-
-    Pickled in sorted-sink order with a fixed protocol, so the digest is
-    stable across processes for the deterministic payload types the
-    workloads produce (lists, scalars, numpy arrays).
-    """
-    names = sorted(outputs)
-    blob = pickle.dumps(
-        (names, [outputs[name] for name in names]), protocol=4
-    )
-    return hashlib.sha256(blob).hexdigest()
 
 
 def _build_cache(spec: JobSpec) -> ResultCache:

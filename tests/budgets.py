@@ -71,6 +71,9 @@ def rows():
     yield "`engine/backends/` lines", sum(
         text.count("\n") for text in sources("engine/backends")
     )
+    lab = sum(text.count("\n") for text in sources("lab"))
+    gate = (SRC / "prof" / "gate.py").read_text().count("\n")
+    yield "`lab/` + `prof/gate.py` lines", f"{lab} + {gate} = {lab + gate}"
     yield "`service/obs.py` lines", (SRC / "service" / "obs.py").read_text().count("\n")
     yield "`backend` / `prefetch` sites in engine/ " + slashed(SEAM_FILES), sum(
         bool(re.search("backend|prefetch", line))

@@ -8,7 +8,7 @@ import pytest
 from repro import observing, run_mdf
 from repro.cache import ResultCache
 from repro.engine import master
-from repro.lab import Experimentation, LabReport, get_workload
+from repro.lab import Experimentation, LabReport, get_workload, run_cell
 from repro.live import LiveHook
 from repro.lab.workloads import available_workloads
 from repro.service import outputs_digest
@@ -72,31 +72,31 @@ class TestExperimentation:
         assert len(exp.cells()) == 2 * 2 * 1 * 2
 
     def test_run_cell_collects_all_dimensions(self):
-        exp = Experimentation()
-        cell = exp.run_cell("starved_explore", "heft", memory="amm")
+        cell = run_cell("starved_explore", "heft", memory="amm")
         assert cell.completion_time > 0
         assert cell.exploration_cost > 0
         assert 0.0 <= cell.memory_hit_ratio <= 1.0
         assert cell.branches_executed == 3
         assert cell.evictions > 0  # the starved workload must evict
-        assert cell.violations == 0
+        assert cell.violations == [] and cell.replay_diffs == []
+        assert len(cell.outputs_digest) == len(cell.trace_digest) == 64
+        assert cell.decisions["choose-fewest"]["kept"] == ["explore-threshold#0"]
         assert set(cell.profile) >= {"compute", "io", "overhead"}
         assert cell.profile["compute"] > 0
 
     def test_cluster_size_override(self):
-        exp = Experimentation()
-        small = exp.run_cell("filter_min", "bfs", workers=2)
-        default = exp.run_cell("filter_min", "bfs")
+        small = run_cell("filter_min", "bfs", workers=2)
+        default = run_cell("filter_min", "bfs")
         assert small.workers == 2
         assert default.workers == 4
         assert small.completion_time != default.completion_time
 
     def test_memory_policy_dimension_changes_behaviour_not_outputs(self):
-        exp = Experimentation(memories=["amm", "lru"])
-        amm = exp.run_cell("starved_explore", "bas", memory="amm")
-        lru = exp.run_cell("starved_explore", "bas", memory="lru")
+        amm = run_cell("starved_explore", "bas", memory="amm")
+        lru = run_cell("starved_explore", "bas", memory="lru")
         # both validator-clean; AMM must not be worse on the starved run
-        assert amm.violations == 0 and lru.violations == 0
+        assert amm.violations == [] and lru.violations == []
+        assert amm.outputs_digest == lru.outputs_digest
         assert amm.completion_time <= lru.completion_time
 
     def test_run_produces_deterministic_report(self):
@@ -109,12 +109,13 @@ class TestExperimentation:
 
     def test_live_mode_monitors_every_cell(self):
         """The lab has no live mode of its own: it is observed from
-        outside like any other code that calls ``run_mdf``."""
+        outside like any other code that calls ``run_mdf``.  ``bfs``, the
+        reference, is crossed in."""
         exp = Experimentation(schedulers=["bas", "heft"], workloads=["filter_min"])
         hook = LiveHook()
         with observing(hook):
             report = exp.run(progress=None)
-        assert len(hook.runs) == len(report.cells) == 2
+        assert len(hook.runs) == len(report.cells) == 3
         assert hook.all_byte_identical and hook.alert_kinds() == {}
         for cell, run in zip(report.cells, hook.runs):
             assert run.monitor.snapshot().eta == cell.completion_time
@@ -147,33 +148,25 @@ class TestLabReport:
         data = json.loads(path.read_text())
         assert len(data["cells"]) == 3
         assert data["cells"][0]["workload"] == "filter_min"
+        assert data["mismatches"] == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lab.json"]
 
-    def test_baseline_scenarios_keyed_for_gate(self):
-        report = self._report()
-        scenarios = report.baseline_scenarios()
-        assert "lab_filter_min_heft" in scenarios
-        assert all(v > 0 for v in scenarios.values())
-
-    def test_gate_scenarios_match_lab_measurements(self):
-        """The prof gate's pinned lab scenarios equal a fresh lab run."""
-        from repro.prof.gate import SCENARIOS
-
-        exp = Experimentation()
-        for scenario, workload, scheduler in [
-            ("lab_random", "filter_min", "random"),
-            ("lab_wsteal", "starved_explore", "wsteal"),
-        ]:
-            cell = exp.run_cell(workload, scheduler)
-            assert SCENARIOS[scenario]() == cell.completion_time
-
-    def test_backend_mismatches_name_cells_that_differ_from_serial(self):
+    def test_mismatches_name_cells_that_differ_from_serial(self):
         report = self._report()
         twins = [dataclasses.replace(c, backend="mp") for c in report.cells]
-        assert LabReport(cells=twins).backend_mismatches() == []  # no twin
+        orphans = LabReport(cells=twins).mismatches()
+        assert len(orphans) == 3 and all("serial twin" in m for m in orphans)
         report.cells += twins
-        assert report.backend_mismatches() == []
+        assert report.mismatches() == []
         twins[1].evictions += 1
-        assert report.backend_mismatches() == ["filter_min × bas × amm on mp"]
+        assert report.mismatches() == [
+            "filter_min × bas × amm on mp, 4 workers: differs from its serial twin"
+        ]
+        twins[1].evictions -= 1
+        twins[2].trace_digest = "0" * 64
+        assert report.mismatches() == [
+            "filter_min × heft × amm on mp, 4 workers: differs from its serial twin"
+        ]
 
     def test_empty_report_best_policy(self):
         assert LabReport().best_policy("filter_min") is None

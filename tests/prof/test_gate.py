@@ -7,11 +7,13 @@ demonstrably fails on an injected slowdown, and ``--update`` writes a
 baseline file the next run accepts.
 """
 
+import errno
 import json
 
 import pytest
 
 from repro.__main__ import main
+from repro.prof import gate
 from repro.prof.gate import (
     DEFAULT_TOLERANCE,
     SCENARIOS,
@@ -78,6 +80,24 @@ class TestRunGate:
         path = tmp_path / "baselines.json"
         run_gate(path, update=True)
         assert run_gate(path, tolerance=0.5, slowdown=1.1).ok
+
+    def test_failed_update_leaves_the_baselines_whole(self, tmp_path, monkeypatch):
+        """A write that dies half way (a full disk) must not tear the
+        committed file: the old bytes stay and no tmp is left behind."""
+        path = tmp_path / "baselines.json"
+        run_gate(path, update=True)
+        before = path.read_bytes()
+
+        def full_disk(payload, fh, **kwargs):
+            fh.write('{\n  "_comment": "half')
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(gate, "measure", lambda slowdown=1.0: {"chain": 1.0})
+        monkeypatch.setattr(gate.json, "dump", full_disk)
+        with pytest.raises(OSError):
+            main(["gate", str(path), "--update"])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["baselines.json"]
 
     def test_missing_scenario_is_an_error(self, tmp_path):
         path = tmp_path / "baselines.json"
