@@ -12,15 +12,50 @@ duplicate per test lives here as fixtures: ``ablation_mdf`` /
 ``lab_workload`` fixture parametrises a benchmark over the policy lab's
 smoke zoo (``repro.lab.workloads``) — one source of truth shared with
 ``python -m repro lab`` and the differential tests.
+
+Every ``run_mdf`` a benchmark in this directory makes runs under an
+ambient ``observing(Validator(), ReplayParity())``: each trace must
+satisfy the paper invariants and each live registry must equal a replay
+of its own trace (the ``paper-figures`` CI job).  The wall-clock harness
+under ``wall/`` times unobserved runs and is left alone.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+from repro import Validator, observing
 from repro.cluster import GB, Cluster
 from repro.lab.workloads import available_workloads, get_workload
+from repro.obs import diff_registries, registry_from_trace
 from repro.workloads import string_int_pairs, synthetic_mdf
+
+HERE = Path(__file__).resolve().parent
+
+
+class ReplayParity:
+    """Run observer: the run's live registry equals a replay of its trace
+    over every ``CONSISTENCY_VIEWS`` row, or ``run_mdf`` raises."""
+
+    def begin(self, mdf, cluster, config) -> None:
+        self.cluster = cluster
+
+    def end(self, result) -> None:
+        if result is not None:
+            diffs = diff_registries(self.cluster.obs, registry_from_trace(result.events))
+            assert diffs == [], diffs[:5]
+
+
+@pytest.fixture(autouse=True)
+def validated_runs(request):
+    """Validate every run of a benchmark in this directory (not ``wall/``)."""
+    if Path(request.node.path).resolve().parent != HERE:
+        yield
+        return
+    with observing(Validator(), ReplayParity()):
+        yield
 
 
 @pytest.fixture(scope="module")

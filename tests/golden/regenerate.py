@@ -24,6 +24,13 @@ cache session, whose events the six traces never emit).  The counters are
 a fold of the trace, so these files pin the fold itself — comparing the
 live registry with a replay of its own trace would be a tautology.
 
+``figures.digests.json`` pins the paper's evaluation: per figure of
+:data:`~repro.bench.figures.ALL_FIGURES`, the sha256 of the canonical JSON
+of its ``FigureResult.as_dict()`` (rows, floats by ``repr``, and shape
+checks).  ``choose_throughput`` measures wall-clock throughput, so it keeps
+its shape check and gets no digest.  The figures read ``result.metrics``,
+so a drift in any simulated row or counter shows up here.
+
 Regenerate after an *intended* decision change with::
 
     PYTHONPATH=src python -m tests.golden.regenerate
@@ -33,6 +40,7 @@ then review the diff like any other golden update.
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
 import tempfile
@@ -58,7 +66,9 @@ from repro.cluster.fault import (
     TaskFailureEvent,
 )
 from repro.engine import EngineConfig
+from repro.bench.figures import ALL_FIGURES
 from repro.obs import CONSISTENCY_VIEWS
+from repro.trace.events import canonical_json
 
 from ..conftest import build_nested_mdf
 
@@ -245,6 +255,21 @@ def registry_views_json(registry) -> str:
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
+FIGURE_DIGESTS = GOLDEN_DIR / "figures.digests.json"
+
+#: figures whose rows are wall-clock measurements: checked, never pinned
+WALL_CLOCK_FIGURES = frozenset({"choose_throughput"})
+
+
+def figure_digests() -> dict:
+    """``{figure: sha256 of its canonical as_dict()}`` for every pinned figure."""
+    return {
+        name: hashlib.sha256(canonical_json(figure().as_dict()).encode()).hexdigest()
+        for name, figure in ALL_FIGURES.items()
+        if name not in WALL_CLOCK_FIGURES
+    }
+
+
 def main() -> None:
     for name, scenario in SCENARIOS.items():
         result, cluster = scenario()
@@ -253,6 +278,9 @@ def main() -> None:
             print(f"{name}: {len(result.events)} events -> {GOLDEN_FILES[name]}")
         REGISTRY_FILES[name].write_text(registry_views_json(cluster.obs))
         print(f"{name}: registry views -> {REGISTRY_FILES[name]}")
+    digests = figure_digests()
+    FIGURE_DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    print(f"{len(digests)} figures: digests -> {FIGURE_DIGESTS}")
 
 
 if __name__ == "__main__":
