@@ -129,21 +129,22 @@ class Cluster:
     def _watch_nodes(self) -> None:
         """Wire each node's memory changes into its per-node gauge."""
         for node in self.nodes:
-            gauge = self.obs.gauge("node_memory_in_use", node=node.id)
-            node.observer = (lambda n=node, g=gauge: g.set(n.mem_used))
-            node.observer()
+            node.memory_gauge = self.obs.gauge("node_memory_in_use", node=node.id)
+            node.memory_gauge.set(node.mem_used)
 
     def _wire_trace(self) -> None:
         """Derive the registry's counters from the trace.
 
         Every replayable counter is a fold of the committed events
-        (:class:`~repro.obs.bridge.TraceFold`), applied by the trace itself.
-        The one thing the trace cannot say about itself is counted here: a
-        raising subscriber is detached by the bus (never fatal to the job)
-        and shows up as ``live_subscriber_errors`` so dashboards and CI can
-        spot a broken monitor.
+        (:class:`~repro.obs.bridge.TraceFold`), run by the registry over
+        the events appended since it was last read — so a run whose
+        counters nobody reads pays no fold.  The one thing the trace cannot
+        say about itself is counted here: a raising subscriber is detached
+        by the bus (never fatal to the job) and shows up as
+        ``live_subscriber_errors`` so dashboards and CI can spot a broken
+        monitor.
         """
-        self.trace.fold = TraceFold(self.obs).apply
+        self.obs.fold_from(self.trace.events, TraceFold(self.obs))
         counter = self.obs.counter("live_subscriber_errors")
         self.trace.on_subscriber_error = (
             lambda callback, exc, c=counter: c.inc()

@@ -9,7 +9,7 @@ for the LRU policy and can be pinned (Spark ``cache()`` emulation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 PartitionKey = Tuple[str, int]  # (dataset_id, partition_index)
 
@@ -50,13 +50,13 @@ class Node:
         #: keys that must not be evicted right now (inputs/outputs of the
         #: currently executing stage)
         self.protected: set = set()
-        #: zero-arg callback invoked after every ``mem_used`` change (the
-        #: cluster wires this to its per-node memory gauge)
-        self.observer: Optional[Callable[[], None]] = None
+        #: set to ``mem_used`` after every change: the cluster's per-node
+        #: memory gauge (anything with ``set(value)``)
+        self.memory_gauge: Optional[Any] = None
 
     def _notify(self) -> None:
-        if self.observer is not None:
-            self.observer()
+        if self.memory_gauge is not None:
+            self.memory_gauge.set(self.mem_used)
 
     # -------------------------------------------------------------- queries
     def has(self, key: PartitionKey) -> bool:

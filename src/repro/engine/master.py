@@ -154,6 +154,9 @@ class Master:
         # --- scope state
         self._scopes: Dict[str, _ScopeRuntime] = {}
         self._live_branches = 0  # sum of len(rt.alive) over the scopes
+        #: a handle, fetched once: every registry access folds the trace
+        #: events appended since the last one (fold on read)
+        self._live_branches_gauge = cluster.obs.gauge("live_branches")
         self._context = SchedulerContext()
         self._context.stage_graph = self.stage_graph
         self._context.num_workers = cluster.num_workers
@@ -175,7 +178,6 @@ class Master:
         self._prepare_scopes()
         self._prepare_schedule()
         self._bind_policy()
-        self.recovery = RecoveryManager(self)
         # hand every operator of the run to the data-plane backend up
         # front: process-pool backends make them reachable from workers
         # via fork inheritance (operators are closures, not picklables)
@@ -326,11 +328,17 @@ class Master:
 
     # ------------------------------------------------------------ main loop
     def run(self) -> JobResult:
-        """Execute the MDF to completion and return the job result."""
+        """Execute the MDF to completion and return the job result.
+
+        The policy is unbound when the run ends, so a finished run leaves
+        no reference cycle (cluster -> policy -> master -> cluster): its
+        cluster, trace and payloads die with their last reference.
+        """
         try:
             return self._run()
         finally:
             self.executor.close()
+            self.cluster.policy.bind(None, self.cluster.cost_model.alpha)
 
     def _run(self) -> JobResult:
         stage_index = 0
@@ -441,13 +449,13 @@ class Master:
                 report = self.cluster.fail_node(
                     task_event.node_id, permanent=True, reason="retries-exhausted"
                 )
-                self.recovery.handle_failure(report, stage_index)
+                RecoveryManager(self).handle_failure(report, stage_index)
             else:
                 self.executor.inject_task_faults(
                     {task_event.node_id: task_event.attempts}
                 )
         for report in injector.maybe_fail(self.cluster, stage_index):
-            self.recovery.handle_failure(report, stage_index)
+            RecoveryManager(self).handle_failure(report, stage_index)
 
     def _surface_unfired_failures(self) -> None:
         """An injected failure scheduled past the schedule's end is a rotten
@@ -698,7 +706,7 @@ class Master:
         A branch is *live* while its evaluated result is still materialised
         on the cluster (not yet discarded by its choose's selection).
         """
-        self.cluster.obs.gauge("live_branches").set(self._live_branches)
+        self._live_branches_gauge.set(self._live_branches)
 
     def _discard_branch_dataset(self, runtime: _ScopeRuntime, branch_id: str) -> None:
         if branch_id in runtime.discarded:

@@ -43,7 +43,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class RecoveryManager:
-    """Rebuilds lost partitions for one :class:`~repro.engine.master.Master`."""
+    """Rebuilds the partitions one node failure lost, for one
+    :class:`~repro.engine.master.Master`.  The master makes one per
+    failure, so none outlives the recovery it ran."""
 
     def __init__(self, master: "Master"):
         self.master = master

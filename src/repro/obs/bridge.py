@@ -4,12 +4,13 @@ The decision trace (:mod:`repro.trace`) and the metrics registry
 (:mod:`repro.obs.registry`) observe the same execution at different
 altitudes — one event per decision vs labeled aggregates.  Every counter
 family the trace can express is *derived* from it by :class:`TraceFold`:
-the cluster's trace applies the fold to each committed event (so the live
-registry moves exactly when the trace does), and
-:func:`registry_from_trace` replays a recorded trace through the same
-fold — which is how the service rebuilds a job's registry from its NDJSON
-stream.  Live == replay holds by construction; the pinned
-``tests/golden/*.registry.json`` files keep the fold itself honest.
+the cluster's registry folds its trace's events when it is read
+(:meth:`~repro.obs.registry.MetricsRegistry.fold_from`: every event up to
+the read, in order, each once), and :func:`registry_from_trace` replays a
+recorded trace through the same fold — which is how the service rebuilds
+a job's registry from its NDJSON stream.  Live == replay holds by
+construction; the pinned ``tests/golden/*.registry.json`` files keep the
+fold itself honest.
 
 To add a counter, add an event field and a fold arm — not a call site.
 
@@ -24,7 +25,7 @@ the golden registry files.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .registry import LABEL_NAMES, MetricsRegistry
 
@@ -103,21 +104,25 @@ def registry_categories(
 
 
 class TraceFold:
-    """The counters as a streaming fold of the decision trace.
+    """The counters as a resumable fold of the decision trace.
 
-    ``apply(event)`` dispatches on the event kind to its arm, the method
-    ``_on_<kind>``: the one description of which counter cells that kind
-    moves.  A cluster's :class:`~repro.trace.events.Trace` calls it on
-    every committed event (the live write path);
-    :func:`registry_from_trace` loops it over a recorded trace — the same
-    arms either way.
+    ``fold(events, registry)`` dispatches each event, in order, on its kind
+    to its arm, the method ``_on_<kind>``: the one description of which
+    counter cells that kind moves.  A cluster's registry calls it with the
+    events appended since it was last read (the live write path);
+    :func:`registry_from_trace` calls it once over a recorded trace — the
+    same arms either way.  Between calls the fold keeps only its own state
+    (the current stage and branch, the live datasets, pending
+    re-executions), never the registry: ``TraceFold(registry)`` checks the
+    registry's dimensions and keeps no reference to it.
 
     Attribution: every event belongs to the most recent ``stage_scheduled``
     / ``stage_reexecuted`` event — the master's stage loop in event form.
     An arm builds its exact label tuple ``(node, branch, stage, dataset,
     policy)`` once and adds to the family's cell table in place
     (:meth:`MetricsRegistry.cells`); an amount read from the event is
-    checked ``>= 0``, as ``Counter.inc`` checks it.
+    checked ``>= 0``, as ``Counter.inc`` checks it (a strict trace already
+    refused it at emit; a loaded one did not).
     """
 
     def __init__(self, registry: MetricsRegistry):
@@ -126,7 +131,6 @@ class TraceFold:
                 f"the trace fold writes the engine dimensions {LABEL_NAMES}, "
                 f"not {registry.label_names}"
             )
-        self.registry = registry
         self.stage = ""
         self.branch = ""
         self.live: set = set()
@@ -135,25 +139,31 @@ class TraceFold:
         #: profiler uses — inputs are secured before the announcement)
         self.reexec_pending: Dict[str, int] = {}
 
-    def apply(self, event) -> None:
-        arm = _ARMS.get(event.kind)
-        if arm is not None:
-            arm(self, event.data)
+    def fold(self, events: Iterable, registry: MetricsRegistry) -> None:
+        """Fold ``events`` into ``registry``'s cells, in order."""
+        arms = _ARMS
+        for event in events:
+            kind = event.kind
+            if kind in arms:
+                arms[kind](self, event.data, registry)
 
-    def _add(self, name: str, node: str, dataset: str, policy: str, amount: float = 1.0) -> None:
+    def _add(
+        self, registry: MetricsRegistry, name: str, node: str, dataset: str, policy: str,
+        amount: float = 1.0,
+    ) -> None:
         """Add to the cell of ``name`` at the fold's stage and branch."""
         if amount < 0:
             raise ValueError(f"counter increments must be >= 0, got {amount}")
-        cells = self.registry.cells(name)
+        cells = registry.cells(name)
         labels = (node, self.branch, self.stage, dataset, policy)
         cells[labels] = cells.get(labels, 0.0) + amount
 
     # ------------------------------------------------------------ data plane
-    def _on_dataset_access(self, data: Dict) -> None:
+    def _on_dataset_access(self, data: Dict, registry: MetricsRegistry) -> None:
         nbytes = data["nbytes"]
         if nbytes < 0:
             raise ValueError(f"counter increments must be >= 0, got {nbytes}")
-        cells = self.registry.cells
+        cells = registry.cells
         if data["hit"]:
             count, read = cells("partition_hits"), cells("bytes_read_memory")
         else:
@@ -162,53 +172,53 @@ class TraceFold:
         count[labels] = count.get(labels, 0.0) + 1.0
         read[labels] = read.get(labels, 0.0) + nbytes
 
-    def _on_partition_stored(self, data: Dict) -> None:
+    def _on_partition_stored(self, data: Dict, registry: MetricsRegistry) -> None:
         name = f"bytes_written_{data['tier']}"
-        self._add(name, data["node"], data["dataset"], "", data["nbytes"])
+        self._add(registry, name, data["node"], data["dataset"], "", data["nbytes"])
 
-    def _on_source_read(self, data: Dict) -> None:
-        self._add("bytes_read_disk", data["node"], data["dataset"], "", data["nbytes"])
+    def _on_source_read(self, data: Dict, registry: MetricsRegistry) -> None:
+        self._add(registry, "bytes_read_disk", data["node"], data["dataset"], "", data["nbytes"])
 
-    def _on_partition_evicted(self, data: Dict) -> None:
+    def _on_partition_evicted(self, data: Dict, registry: MetricsRegistry) -> None:
         node, dataset, policy = data["node"], data["dataset"], data["policy"]
-        self._add("evictions", node, dataset, policy)
+        self._add(registry, "evictions", node, dataset, policy)
         if data["spilled"]:
-            self._add("bytes_written_disk", node, dataset, "", data["nbytes"])
+            self._add(registry, "bytes_written_disk", node, dataset, "", data["nbytes"])
         else:
-            self._add("evictions_free", node, dataset, policy)
+            self._add(registry, "evictions_free", node, dataset, policy)
 
-    def _on_checkpoint_written(self, data: Dict) -> None:
-        self._add("bytes_written_disk", "", data["dataset"], "", data["nbytes"])
+    def _on_checkpoint_written(self, data: Dict, registry: MetricsRegistry) -> None:
+        self._add(registry, "bytes_written_disk", "", data["dataset"], "", data["nbytes"])
 
-    def _on_dataset_registered(self, data: Dict) -> None:
+    def _on_dataset_registered(self, data: Dict, registry: MetricsRegistry) -> None:
         self.live.add(data["dataset"])
         self.live.difference_update(data.get("members", ()))  # of a composite
-        self.registry.gauge("peak_datasets_stored").set_max(len(self.live))
+        registry.gauge("peak_datasets_stored").set_max(len(self.live))
 
     _on_composite_registered = _on_dataset_registered
 
-    def _on_dataset_discarded(self, data: Dict) -> None:
+    def _on_dataset_discarded(self, data: Dict, registry: MetricsRegistry) -> None:
         self.live.discard(data["dataset"])
-        self._add("datasets_discarded", "", data["dataset"], "")
+        self._add(registry, "datasets_discarded", "", data["dataset"], "")
 
     # ----------------------------------------------------------- stage loop
-    def _on_stage_scheduled(self, data: Dict) -> None:
+    def _on_stage_scheduled(self, data: Dict, registry: MetricsRegistry) -> None:
         self.stage = data["stage"]
         self.branch = data["branch"] or ""
-        self._add("scheduler_selections", "", "", data["rationale"] or "")
+        self._add(registry, "scheduler_selections", "", "", data["rationale"] or "")
 
-    def _on_task_dispatched(self, data: Dict) -> None:
-        cells = self.registry.cells("stages_executed")
+    def _on_task_dispatched(self, data: Dict, registry: MetricsRegistry) -> None:
+        cells = registry.cells("stages_executed")
         labels = ("", self.branch, data["stage"], "", "")
         cells[labels] = cells.get(labels, 0.0) + 1.0
 
-    def _on_stage_completed(self, data: Dict) -> None:
+    def _on_stage_completed(self, data: Dict, registry: MetricsRegistry) -> None:
         recovery = self.reexec_pending.get(data["stage"], 0) > 0
         if recovery:
             self.reexec_pending[data["stage"]] -= 1
-        self._on_span(data, recovery)
+        self._on_span(data, registry, recovery)
 
-    def _on_span(self, data: Dict, recovery: bool = False) -> None:
+    def _on_span(self, data: Dict, registry: MetricsRegistry, recovery: bool = False) -> None:
         """One clock advance: its category split into the profile counters,
         and the per-node seconds and tasks that paid for it."""
         add = self._add
@@ -220,80 +230,84 @@ class TraceFold:
             activity=data.get("activity"),
             recovery=recovery,
         ).items():
-            add(f"profile_{category}_seconds", "", "", "", seconds)
-        self._per_node("time_io", data["per_node_io"])
-        self._per_node("time_compute", data["per_node_compute"])
+            add(registry, f"profile_{category}_seconds", "", "", "", seconds)
+        self._per_node(registry, "time_io", data["per_node_io"])
+        self._per_node(registry, "time_compute", data["per_node_compute"])
         if data["network"]:
-            add("time_network", "", "", "", data["network"])
+            add(registry, "time_network", "", "", "", data["network"])
         for node, count in data["per_node_tasks"].items():
             if count:
-                add("tasks_executed", node, "", "", count)
+                add(registry, "tasks_executed", node, "", "", count)
         if data["speculative_tasks"]:
-            add("speculative_tasks", "", "", "", data["speculative_tasks"])
+            add(registry, "speculative_tasks", "", "", "", data["speculative_tasks"])
 
-    def _per_node(self, name: str, seconds: Dict[str, float]) -> None:
+    def _per_node(self, registry: MetricsRegistry, name: str, seconds: Dict[str, float]) -> None:
         """``seconds[node]`` onto each node's cell of ``name``."""
         if not seconds:
             return
-        cells, branch, stage = self.registry.cells(name), self.branch, self.stage
+        cells, branch, stage = registry.cells(name), self.branch, self.stage
         for node, amount in seconds.items():
             if amount < 0:
                 raise ValueError(f"counter increments must be >= 0, got {amount}")
             labels = (node, branch, stage, "", "")
             cells[labels] = cells.get(labels, 0.0) + amount
 
-    def _on_choose_evaluation(self, data: Dict) -> None:
-        self._add("choose_evaluations", "", data["dataset"], "")
+    def _on_choose_evaluation(self, data: Dict, registry: MetricsRegistry) -> None:
+        self._add(registry, "choose_evaluations", "", data["dataset"], "")
 
-    def _on_branch_evaluated(self, data: Dict, name: str = "branches_executed") -> None:
-        cells = self.registry.cells(name)
+    def _on_branch_evaluated(
+        self, data: Dict, registry: MetricsRegistry, name: str = "branches_executed"
+    ) -> None:
+        cells = registry.cells(name)
         labels = ("", data["branch"] or self.branch, self.stage, "", "")
         cells[labels] = cells.get(labels, 0.0) + 1.0
 
-    def _on_branch_pruned(self, data: Dict) -> None:
-        self._on_branch_evaluated(data, "branches_pruned")
+    def _on_branch_pruned(self, data: Dict, registry: MetricsRegistry) -> None:
+        self._on_branch_evaluated(data, registry, "branches_pruned")
 
     # ------------------------------------------------------------- recovery
-    def _on_node_failed(self, data: Dict) -> None:
+    def _on_node_failed(self, data: Dict, registry: MetricsRegistry) -> None:
         # recovery work before the first re-executed stage (reloads, free
         # drops) belongs to no stage
         self.stage = self.branch = ""
 
     _on_recovery_started = _on_node_failed
 
-    def _on_stage_reexecuted(self, data: Dict) -> None:
+    def _on_stage_reexecuted(self, data: Dict, registry: MetricsRegistry) -> None:
         stage = self.stage = data["stage"]
         self.branch = data["branch"] or ""
         self.reexec_pending[stage] = self.reexec_pending.get(stage, 0) + 1
-        self._add("stages_reexecuted", "", "", "")
+        self._add(registry, "stages_reexecuted", "", "", "")
 
-    def _on_recovery(self, data: Dict) -> None:
+    def _on_recovery(self, data: Dict, registry: MetricsRegistry) -> None:
         action = data["action"]
         if action in ("reload", "recompute"):
-            self._add("recoveries", data["node"], "", "")
+            self._add(registry, "recoveries", data["node"], "", "")
         if action == "recompute":
-            self._add("recovery_reexecutions", data["node"], "", "")
+            self._add(registry, "recovery_reexecutions", data["node"], "", "")
         elif action == "reload":
-            self._on_source_read(data)
+            self._on_source_read(data, registry)
 
-    def _on_task_retried(self, data: Dict) -> None:
-        self._add("task_retries", data["node"], "", "", data["attempts"])
+    def _on_task_retried(self, data: Dict, registry: MetricsRegistry) -> None:
+        self._add(registry, "task_retries", data["node"], "", "", data["attempts"])
 
     # ---------------------------------------------------------------- cache
-    def _on_cache_hit(self, data: Dict) -> None:
+    def _on_cache_hit(self, data: Dict, registry: MetricsRegistry) -> None:
         dataset, tier = data["dataset"], data["tier"]
-        self._add("cache_hits", "", dataset, tier)
-        self._add("cache_bytes_saved", "", dataset, tier, data["nbytes"])
-        self._add("cache_compute_seconds_saved", "", dataset, tier, data["saved_seconds"])
+        self._add(registry, "cache_hits", "", dataset, tier)
+        self._add(registry, "cache_bytes_saved", "", dataset, tier, data["nbytes"])
+        self._add(
+            registry, "cache_compute_seconds_saved", "", dataset, tier, data["saved_seconds"]
+        )
 
-    def _on_cache_miss(self, data: Dict) -> None:
-        self._add("cache_misses", "", "", "")
+    def _on_cache_miss(self, data: Dict, registry: MetricsRegistry) -> None:
+        self._add(registry, "cache_misses", "", "", "")
 
-    def _on_cache_admit(self, data: Dict) -> None:
-        self._add("cache_admissions", "", data["dataset"], data["tier"])
+    def _on_cache_admit(self, data: Dict, registry: MetricsRegistry) -> None:
+        self._add(registry, "cache_admissions", "", data["dataset"], data["tier"])
 
-    def _on_cache_invalidate(self, data: Dict) -> None:
-        self._add("cache_invalidations", "", data["dataset"], "")
+    def _on_cache_invalidate(self, data: Dict, registry: MetricsRegistry) -> None:
+        self._add(registry, "cache_invalidations", "", data["dataset"], "")
 
 
 #: event kind -> its arm, the :class:`TraceFold` method ``_on_<kind>``
@@ -306,10 +320,9 @@ def registry_from_trace(trace) -> MetricsRegistry:
     Accepts a live trace or one rebuilt from JSONL
     (:meth:`~repro.trace.events.Trace.load_jsonl`).
     """
-    fold = TraceFold(MetricsRegistry())
-    for event in trace:
-        fold.apply(event)
-    return fold.registry
+    registry = MetricsRegistry()
+    TraceFold(registry).fold(trace, registry)
+    return registry
 
 
 def diff_registries(

@@ -261,6 +261,14 @@ class MetricsRegistry:
     instruments the rest.  Aggregation helpers power the derived
     :class:`~repro.cluster.metrics.Metrics` view and the exporters.
 
+    **Fold on read.**  A cluster's registry is a lazy view of its trace
+    (:meth:`fold_from`): every access — a handle, a query, a snapshot, a
+    merge — first folds the events appended since the last access, in
+    emission order, with one cursor.  A run nobody reads pays no fold; a
+    run that is read pays it once, in one batch.  A handle is a view of
+    its cell as of the access that made it: after later events, fetch it
+    again from the registry.
+
     ``label_names`` defaults to the engine dimensions; pass a different
     tuple to build a registry for another altitude (the service plane
     uses ``repro.service.obs.SERVICE_LABEL_NAMES``).
@@ -269,6 +277,31 @@ class MetricsRegistry:
     def __init__(self, label_names: Tuple[str, ...] = LABEL_NAMES):
         self.label_names: Tuple[str, ...] = tuple(label_names)
         self._families: Dict[str, Family] = {}
+        #: what this registry is a lazy fold of (:meth:`fold_from`): an
+        #: append-only event list, the fold over it, and how many of its
+        #: events are folded.  Each access checks ``_events[_folded:]``
+        #: inline, so an access with nothing to fold makes no extra call.
+        self._events: Sequence[Any] = ()
+        self._fold: Any = None
+        self._folded = 0
+
+    def fold_from(self, events: List[Any], fold: Any) -> None:
+        """Make this registry a lazy fold of ``events`` from now on.
+
+        ``events`` is a list that only grows (a cluster's ``trace.events``)
+        and ``fold`` has ``fold(events, registry)``
+        (:class:`~repro.obs.bridge.TraceFold`).  Before any access the
+        registry hands the fold the events it has not folded yet; the fold
+        holds no reference back, so the registry and its trace die with
+        their cluster, without waiting for the cyclic GC.
+        """
+        self._events, self._fold, self._folded = events, fold, 0
+
+    def _fold_in(self, pending: List[Any]) -> None:
+        """Fold ``pending``, the events past the cursor.  The cursor moves
+        first, so the fold's own accesses find nothing pending."""
+        self._folded += len(pending)
+        self._fold.fold(pending, self)
 
     def _resolve(self, labels: Dict[str, Optional[str]]) -> LabelValues:
         """Keyword labels as a full tuple in ``label_names`` order."""
@@ -280,6 +313,9 @@ class MetricsRegistry:
         return tuple(str(labels.get(name) or "") for name in self.label_names)
 
     def _family(self, name: str, kind: str, factory: Optional[Callable[[], Any]] = None) -> Family:
+        pending = self._events[self._folded:]
+        if pending:
+            self._fold_in(pending)
         family = self._families.get(name)
         if family is None:
             family = Family(kind, factory)
@@ -301,6 +337,9 @@ class MetricsRegistry:
         """Counter family ``name`` as its live ``{label tuple: float}``
         table, keyed by full tuples in ``label_names`` order.  The trace
         fold adds to it in place; a writer keeps amounts >= 0 itself."""
+        pending = self._events[self._folded:]
+        if pending:
+            self._fold_in(pending)
         family = self._families.get(name)
         if family is None or family.kind != "counter":
             family = self._family(name, "counter")
@@ -332,15 +371,24 @@ class MetricsRegistry:
 
     # --------------------------------------------------------------- queries
     def names(self) -> List[str]:
+        pending = self._events[self._folded:]
+        if pending:
+            self._fold_in(pending)
         return sorted(self._families)
 
     def kind_of(self, name: str) -> Optional[str]:
+        pending = self._events[self._folded:]
+        if pending:
+            self._fold_in(pending)
         family = self._families.get(name)
         return family.kind if family is not None else None
 
     def series(self, name: str) -> Dict[LabelValues, Any]:
         """All children of one instrument, keyed by their label tuples
         (counter cells as :class:`Counter` handles)."""
+        pending = self._events[self._folded:]
+        if pending:
+            self._fold_in(pending)
         family = self._families.get(name)
         if family is None:
             return {}
@@ -349,6 +397,9 @@ class MetricsRegistry:
     def _amounts(self, name: str) -> Iterable[Tuple[LabelValues, float]]:
         """``(labels, amount)`` per child: counter cells, gauge values,
         histogram sums."""
+        pending = self._events[self._folded:]
+        if pending:
+            self._fold_in(pending)
         family = self._families.get(name)
         children = family.children.items() if family is not None else ()
         if family is None or family.kind == "counter":

@@ -25,7 +25,7 @@ import functools
 import json
 import json.encoder
 import logging
-from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 logger = logging.getLogger("repro.trace")
 
@@ -193,6 +193,31 @@ EVENT_SCHEMA: Dict[str, frozenset] = {
     "cache_invalidate": frozenset({"fingerprint", "dataset", "reason"}),
 }
 
+#: the {node: amount} fields of the two clock-advance kinds
+_PER_NODE = ("per_node_io", "per_node_compute", "per_node_tasks")
+
+#: kind -> (scalar fields, {node: amount} fields) the counters add up
+#: (:mod:`repro.obs.bridge`).  A strict trace refuses a negative one before
+#: it appends the event, as ``Counter.inc`` refuses a negative increment.
+AMOUNT_FIELDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
+    **{kind: ((), ()) for kind in EVENT_SCHEMA},
+    **{
+        kind: (("nbytes",), ())
+        for kind in (
+            "dataset_access",
+            "partition_stored",
+            "source_read",
+            "partition_evicted",
+            "checkpoint_written",
+            "recovery",
+        )
+    },
+    "task_retried": (("attempts",), ()),
+    "cache_hit": (("nbytes", "saved_seconds"), ()),
+    "stage_completed": (("io", "compute", "network", "overhead", "speculative_tasks"), _PER_NODE),
+    "span": (("io", "compute", "network", "overhead", "speculative_tasks"), _PER_NODE),
+}
+
 
 class TraceEvent(NamedTuple):
     """One recorded decision: sequence number, time (simulated in a job's
@@ -252,11 +277,13 @@ class Trace:
     executor and memory manager all emit into it through the cluster.  A
     disabled trace (``enabled = False``) turns every emit into a no-op.
 
-    **Fold** (``repro.obs.bridge``): the owning cluster sets ``fold`` to its
-    metrics fold, which is applied to each event right after the append and
-    before any subscriber — so a subscriber handling event *N* reads
-    counters through *N*.  It is an internal step, not a subscriber: nothing
-    can detach it, and an exception in it is an engine bug that propagates.
+    **Fold** (``repro.obs.bridge``): the trace does not count.  The owning
+    cluster's registry is a lazy fold of ``events``: before any read it
+    folds the events appended since its last read, in order, so a
+    subscriber handling event *N* reads counters through *N*, and a run
+    nobody reads pays no fold.  What the fold would refuse, a strict trace
+    refuses at emit: a negative amount (:data:`AMOUNT_FIELDS`) raises
+    before the event is appended.
 
     **Subscriber bus** (``repro.live``): callbacks registered with
     :meth:`subscribe` are invoked *after* each event is committed to
@@ -278,9 +305,6 @@ class Trace:
         self.strict = strict
         self.enabled = True
         self._subscribers: List[Callable[[TraceEvent], None]] = []
-        #: applied to every committed event before the subscribers; set by
-        #: the owning cluster to its counters' ``TraceFold.apply``
-        self.fold: Optional[Callable[[TraceEvent], None]] = None
         #: called as ``hook(subscriber, exception)`` when a subscriber
         #: raises (after the subscriber has been detached); set by the
         #: owning cluster to count ``live_subscriber_errors``
@@ -355,17 +379,30 @@ class Trace:
         Subscribers are therefore never called with ``None``: every
         notification carries a real, already-appended event.  On a strict
         trace a malformed emission raises *before* anything is appended,
-        so subscribers never observe an event the trace rejected.
+        so subscribers never observe an event the trace rejected.  That
+        includes a negative amount (:data:`AMOUNT_FIELDS`; ``None`` is no
+        amount), checked here inline: it costs no call per event.
         """
         if not self.enabled:
             return None
         if self.strict:
             check_event(EVENT_SCHEMA, kind, data)
+            scalars, per_node = AMOUNT_FIELDS[kind]
+            for name in scalars:
+                amount = data[name]
+                if amount is not None and amount < 0:
+                    raise ValueError(f"counter increments must be >= 0, got {amount}")
+            for name in per_node:
+                amounts = data[name]
+                if amounts:
+                    for node in amounts:
+                        if amounts[node] < 0:
+                            raise ValueError(
+                                f"counter increments must be >= 0, got {amounts[node]}"
+                            )
         t = float(self._clock.now) if self._clock is not None else 0.0
         event = TraceEvent(len(self.events), t, kind, data)
         self.events.append(event)
-        if self.fold is not None:
-            self.fold(event)
         if self._subscribers:
             self._notify(event)
         return event

@@ -7,9 +7,10 @@ b2=10)`` job on ``Cluster(4, 256 MB)`` under ``bas`` + ``amm`` — the job
 ``benchmarks/wall``'s ``wide_explore`` times.  The count is exact and
 repeatable on one interpreter version (CPython 3.11: 178,158 with object
 counters and the ``_inc`` call chain, 153,903 with counter cells, 155,133
-with the job result read from the run's events), so CI's
-tier-1 summary tracks it: a control-plane regression shows up here on any
-machine, however noisy its clock.  Not collected by pytest.
+with the job result read from the run's events, 131,129 with counters
+folded when read — nothing reads this job's, so it folds nothing), so
+CI's tier-1 summary tracks it: a control-plane regression shows up here
+on any machine, however noisy its clock.  Not collected by pytest.
 """
 
 import cProfile

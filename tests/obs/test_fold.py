@@ -1,14 +1,18 @@
 """The registry's replayable counters are a fold of the trace.
 
-``Trace.emit`` applies the cluster's :class:`~repro.obs.bridge.TraceFold`
-to each committed event, so live == replay holds by construction (the
-``diff_registries`` tests) and the fold itself is pinned by
+A cluster's registry folds its trace's events with
+:class:`~repro.obs.bridge.TraceFold` when it is read — every event up to
+the read, in order, each once — so live == replay holds by construction
+(the ``diff_registries`` tests) and the fold itself is pinned by
 ``tests/golden/*.registry.json``.  What is asserted here is the wiring:
-when the counters move, who can stop them, that no family is written
-twice, and that the engine emits and never counts.
+when the counters move, who can stop them, that a run nobody reads pays
+no fold, that no family is written twice, and that the engine emits and
+never counts.
 """
 
+import gc
 import re
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -19,7 +23,7 @@ from hypothesis import strategies as st
 from repro import Cluster, MB, run_mdf
 from repro.cluster.stragglers import SpeculationConfig, StragglerProfile
 from repro.engine import EngineConfig
-from repro.obs import MetricsRegistry, bridge, registry_from_trace
+from repro.obs import MetricsRegistry, bridge, diff_registries, registry_from_trace
 from repro.obs.bridge import TraceFold, registry_categories
 from repro.service.obs import JOB_VIEW_FAMILIES
 from repro.trace import EVENT_SCHEMA, Trace
@@ -105,11 +109,16 @@ class TestLiveWritePath:
         assert result.metrics.evictions > 0
 
     def test_fold_is_not_a_subscriber(self):
+        """The counters follow the trace with no subscriber attached, so
+        nothing can detach them, and a reset wires the new registry to the
+        new trace."""
         cluster = Cluster(num_workers=2)
-        assert cluster.trace.subscribers == []
-        assert cluster.trace.fold is not None
-        cluster.reset()
-        assert cluster.trace.fold is not None
+        for _ in range(2):
+            assert cluster.trace.subscribers == []
+            assert cluster.obs.value("datasets_discarded") == 0
+            cluster.trace.emit("dataset_discarded", dataset="d:a")
+            assert cluster.obs.value("datasets_discarded") == 1
+            cluster.reset()
 
     def test_disabled_trace_stops_the_folded_counters(self):
         cluster = Cluster(num_workers=2)
@@ -356,16 +365,112 @@ class ReferenceFold:
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(events(), max_size=40))
+@given(st.lists(st.tuples(events(), st.booleans()), max_size=40))
 def test_fold_equals_counter_inc_call_by_call(sequence):
     """Any schema-valid event sequence folds into exactly the cells that
     incrementing through ``registry.counter(...).inc()`` gives — equal
-    floats, not close ones: the same additions in the same order."""
+    floats, not close ones: the same additions in the same order, however
+    the reads that trigger the fold fall between the events."""
     trace = Trace()
-    fold = TraceFold(MetricsRegistry())
-    trace.fold = fold.apply
+    registry = MetricsRegistry()
+    registry.fold_from(trace.events, TraceFold(registry))
     reference = ReferenceFold()
-    for kind, data in sequence:
+    for (kind, data), read in sequence:
         trace.emit(kind, **data)
         reference.apply(kind, data)
-    assert fold.registry.snapshot() == reference.registry.snapshot()
+        if read:
+            registry.names()
+    assert registry.snapshot() == reference.registry.snapshot()
+
+
+# ---- fold on read ----------------------------------------------------------
+@pytest.fixture
+def folded(monkeypatch):
+    """Spy on the fold: the seqs of each batch it is handed, and the
+    number of arms it applies."""
+    batches, arms = [], Counter()
+    fold = TraceFold.fold
+
+    def spy_fold(self, events, registry):
+        batches.append([event.seq for event in events])
+        fold(self, events, registry)
+
+    def spy(kind, arm):
+        def counted(self, data, registry):
+            arms[kind] += 1
+            arm(self, data, registry)
+
+        return counted
+
+    monkeypatch.setattr(TraceFold, "fold", spy_fold)
+    for kind, arm in list(bridge._ARMS.items()):
+        monkeypatch.setitem(bridge._ARMS, kind, spy(kind, arm))
+    return batches, arms
+
+
+class TestFoldOnRead:
+    def test_an_unread_run_applies_no_arm(self, folded):
+        batches, arms = folded
+        cluster = Cluster(num_workers=4, mem_per_worker=64 * MB)
+        result = run_mdf(build_nested_mdf(), cluster, memory="amm")
+        assert len(result.events) > 100
+        assert batches == [] and sum(arms.values()) == 0
+
+    def test_first_access_folds_each_event_once_and_a_second_folds_none(self, folded):
+        batches, arms = folded
+        cluster = Cluster(num_workers=4, mem_per_worker=64 * MB)
+        result = run_mdf(build_nested_mdf(), cluster, memory="amm")
+        evictions = result.metrics.evictions
+        assert evictions > 0
+        assert batches == [list(range(len(result.events)))]
+        applied = sum(arms.values())
+        assert applied == sum(event.kind in bridge._ARMS for event in result.events)
+        assert cluster.obs.snapshot() and result.metrics.evictions == evictions
+        assert len(batches) == 1 and sum(arms.values()) == applied
+
+    def test_reset_starts_a_new_cursor_and_a_continuation_resumes_it(self, folded):
+        batches, _ = folded
+        cluster = Cluster(num_workers=4, mem_per_worker=64 * MB)
+        first = run_mdf(build_nested_mdf(), cluster, memory="amm")
+        first.metrics.tasks_executed
+        second = run_mdf(build_nested_mdf(), cluster, memory="amm", reset=False)
+        second.metrics.tasks_executed
+        assert [batch[0] for batch in batches] == [0, second.seqs.start]
+        assert sum(batches, []) == list(range(len(cluster.trace)))
+        assert diff_registries(cluster.obs, registry_from_trace(cluster.trace)) == []
+        batches.clear()
+        cluster.reset()
+        third = run_mdf(build_nested_mdf(), cluster, memory="amm", reset=False)
+        third.metrics.tasks_executed
+        assert batches == [list(range(len(third.events)))]
+
+    def test_a_negative_amount_is_refused_before_the_append(self):
+        cluster = Cluster(num_workers=2)
+        with pytest.raises(ValueError, match="counter increments must be >= 0"):
+            cluster.trace.emit("source_read", dataset="d", index=0, node="worker-0", nbytes=-1)
+        assert len(cluster.trace) == 0 and cluster.obs.value("bytes_read_disk") == 0
+
+    def test_a_handle_reads_its_cell_as_of_the_access_that_made_it(self):
+        cluster = Cluster(num_workers=2)
+        cluster.trace.emit("dataset_discarded", dataset="d:a")
+        handle = cluster.obs.counter("datasets_discarded", dataset="d:a")
+        cluster.trace.emit("dataset_discarded", dataset="d:a")
+        assert handle.value == 1
+        assert cluster.obs.counter("datasets_discarded", dataset="d:a").value == 2
+        assert handle.value == 2
+
+
+def test_a_finished_run_leaves_no_reference_cycle():
+    """With the cyclic GC off, dropping a cluster after a run frees its
+    registry and trace: nothing the run built points back at them."""
+    gc.collect()
+    gc.disable()
+    try:
+        cluster = Cluster(num_workers=4, mem_per_worker=64 * MB)
+        result = run_mdf(build_nested_mdf(), cluster, memory="amm")
+        assert result.metrics.evictions > 0
+        registry, trace = weakref.ref(cluster.obs), weakref.ref(cluster.trace)
+        del cluster, result
+        assert registry() is None and trace() is None
+    finally:
+        gc.enable()

@@ -14,8 +14,9 @@ CPython 3.11: 10,303 / 8,172 with ``json.dumps`` per line, a write per
 event and the registry snapshot in the result; 9,618 / 7,727 with the one
 canonical encoder, a write per clock advance and per-family totals, and
 an MDF built per job; 9,200 / 7,424 with the MDF built once per worker;
-9,059 / 7,299 with each cache fact counted once.
-Not collected by pytest.
+9,059 / 7,299 with each cache fact counted once; 8,698 / 7,061 with
+counters folded when read (the worker reads its totals, so the fold runs
+once, in one batch).  Not collected by pytest.
 """
 
 import cProfile
