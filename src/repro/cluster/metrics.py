@@ -13,9 +13,9 @@ max for peaks) and the fields are read-only — the registry is written by
 the trace fold (:mod:`repro.obs.bridge`) and a few direct counters, never
 through the view.  A field read is a registry access, so it first folds
 the trace events appended since the last one: the view is always current,
-and a run whose metrics nobody reads pays no fold.  ``as_dict()`` consumers, ``merge()`` over baseline runs
-and plain ``Metrics()`` literals keep working: an unbound instance is an
-ordinary dataclass.
+and a run whose metrics nobody reads pays no fold.  ``as_dict()``
+consumers, ``merge()`` over baseline runs and plain ``Metrics()`` literals
+keep working: an unbound instance is an ordinary dataclass.
 """
 
 from __future__ import annotations

@@ -193,8 +193,11 @@ EVENT_SCHEMA: Dict[str, frozenset] = {
     "cache_invalidate": frozenset({"fingerprint", "dataset", "reason"}),
 }
 
-#: the {node: amount} fields of the two clock-advance kinds
-_PER_NODE = ("per_node_io", "per_node_compute", "per_node_tasks")
+#: the amounts of the two clock-advance kinds (stage_completed, span)
+_CLOCK_ADVANCE = (
+    ("io", "compute", "network", "overhead", "speculative_tasks"),
+    ("per_node_io", "per_node_compute", "per_node_tasks"),
+)
 
 #: kind -> (scalar fields, {node: amount} fields) the counters add up
 #: (:mod:`repro.obs.bridge`).  A strict trace refuses a negative one before
@@ -214,8 +217,8 @@ AMOUNT_FIELDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
     },
     "task_retried": (("attempts",), ()),
     "cache_hit": (("nbytes", "saved_seconds"), ()),
-    "stage_completed": (("io", "compute", "network", "overhead", "speculative_tasks"), _PER_NODE),
-    "span": (("io", "compute", "network", "overhead", "speculative_tasks"), _PER_NODE),
+    "stage_completed": _CLOCK_ADVANCE,
+    "span": _CLOCK_ADVANCE,
 }
 
 
