@@ -16,24 +16,24 @@ from typing import Callable, List
 
 
 class SimClock:
-    """Monotonically advancing simulated time in seconds."""
+    """Monotonically advancing simulated time in seconds.
+
+    ``now`` is a plain attribute, read several times per event: only
+    :meth:`advance` and :meth:`reset` write it.
+    """
 
     def __init__(self):
-        self._now = 0.0
+        self.now = 0.0
         self._subscribers: List[Callable[[float], None]] = []
-
-    @property
-    def now(self) -> float:
-        return self._now
 
     def advance(self, seconds: float) -> float:
         """Advance the clock; negative advances are rejected."""
         if seconds < 0:
             raise ValueError(f"cannot advance clock by {seconds}")
-        self._now += seconds
+        self.now += seconds
         for subscriber in tuple(self._subscribers):
-            subscriber(self._now)
-        return self._now
+            subscriber(self.now)
+        return self.now
 
     def subscribe(self, callback: Callable[[float], None]) -> None:
         """Call ``callback(now)`` after every advance."""
@@ -46,7 +46,7 @@ class SimClock:
 
     def reset(self) -> None:
         """Rewind to t=0.  Subscribers survive (they track runs, not time)."""
-        self._now = 0.0
+        self.now = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"SimClock(t={self._now:.3f}s)"
+        return f"SimClock(t={self.now:.3f}s)"

@@ -101,7 +101,8 @@ class Branch:
     ``ops`` is the chain strictly between the explore and the choose (it may
     contain nested explore/choose structures).  ``order_key`` is the position
     in the grid's deterministic order, which sorted scheduling hints and the
-    monotone/convex pruners rely on.
+    monotone/convex pruners rely on.  ``id`` (``<explore>#<index>``) is set
+    once: nothing renames a branch.
     """
 
     def __init__(self, explore_name: str, index: int, params: Dict[str, Any], ops: List[Operator]):
@@ -109,10 +110,7 @@ class Branch:
         self.index = index
         self.params = params
         self.ops = ops
-
-    @property
-    def id(self) -> str:
-        return f"{self.explore_name}#{self.index}"
+        self.id = f"{explore_name}#{index}"
 
     @property
     def order_key(self) -> int:

@@ -13,7 +13,7 @@ and ``T•``), which is exactly the structure Algorithm 1 operates on.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Set
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 from .choose import ChooseOperator
 from .dataflow import DataflowGraph
@@ -52,6 +52,9 @@ class Stage:
         ``explore`` and ``choose`` are the paper's two special stages;
         ``source`` reads the job input, ``narrow`` pipelines its one
         input partition-wise, ``wide`` and ``join`` shuffle theirs first.
+    head, is_choose, is_explore:
+        Set once, with ``kind``: the head never changes.  ``tail`` stays a
+        property, because building a stage appends behind the head.
     """
 
     def __init__(self, ops: List[Operator], branch_id: Optional[str] = None):
@@ -59,23 +62,14 @@ class Stage:
         self.id = f"stage-{self.index}"
         self.ops = ops
         self.branch_id = branch_id
-        self.kind = _kind_of(ops[0])
-
-    @property
-    def head(self) -> Operator:
-        return self.ops[0]
+        self.head = ops[0]
+        self.kind = _kind_of(self.head)
+        self.is_choose = self.kind == "choose"
+        self.is_explore = self.kind == "explore"
 
     @property
     def tail(self) -> Operator:
         return self.ops[-1]
-
-    @property
-    def is_choose(self) -> bool:
-        return self.kind == "choose"
-
-    @property
-    def is_explore(self) -> bool:
-        return self.kind == "explore"
 
     def __repr__(self) -> str:  # pragma: no cover
         names = "+".join(op.name for op in self.ops)
@@ -90,6 +84,15 @@ class StageGraph:
         self.stages: List[Stage] = []
         self._stage_of: Dict[str, Stage] = {}
         self._build()
+        #: ``•T`` and ``T•`` per stage, computed once: the graph is fixed
+        self._pre: Dict[Stage, FrozenSet[Stage]] = {
+            stage: self._neighbours(stage, self.graph.pre(stage.head))
+            for stage in self.stages
+        }
+        self._post: Dict[Stage, FrozenSet[Stage]] = {
+            stage: self._neighbours(stage, self.graph.post(stage.tail))
+            for stage in self.stages
+        }
         scopes = graph.scopes.values() if isinstance(graph, MDF) else ()
         #: tail stage id -> the branch whose result that stage produces
         self._branch_ending_at: Dict[str, Branch] = {
@@ -147,23 +150,17 @@ class StageGraph:
         result, which the matching choose scores), or ``None``."""
         return self._branch_ending_at.get(stage.id)
 
-    def pre(self, stage: Stage) -> Set[Stage]:
-        """``•T``: stages that must execute before ``stage``."""
-        preds: Set[Stage] = set()
-        for op in self.graph.pre(stage.head):
-            pred_stage = self._stage_of[op.name]
-            if pred_stage is not stage:
-                preds.add(pred_stage)
-        return preds
+    def _neighbours(self, stage: Stage, ops: Iterable[Operator]) -> FrozenSet[Stage]:
+        """The stages of ``ops``, ``stage`` itself left out."""
+        return frozenset(self._stage_of[op.name] for op in ops) - {stage}
 
-    def post(self, stage: Stage) -> Set[Stage]:
+    def pre(self, stage: Stage) -> FrozenSet[Stage]:
+        """``•T``: stages that must execute before ``stage``."""
+        return self._pre[stage]
+
+    def post(self, stage: Stage) -> FrozenSet[Stage]:
         """``T•``: stages that read this stage's output."""
-        succs: Set[Stage] = set()
-        for op in self.graph.post(stage.tail):
-            succ_stage = self._stage_of[op.name]
-            if succ_stage is not stage:
-                succs.add(succ_stage)
-        return succs
+        return self._post[stage]
 
     def initial_stages(self) -> List[Stage]:
         return [s for s in self.stages if not self.pre(s)]

@@ -17,6 +17,7 @@ operators are pure.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 from typing import Any, Dict, Iterable, List, Optional
@@ -63,7 +64,11 @@ class MPBackend(ExecutionBackend):
             self._shutdown_pool()
             global _WORKER_OPS
             _WORKER_OPS = dict(self._ops)
-            self._pool = multiprocessing.get_context("fork").Pool(PROCESSES)
+            # the first prefetch falls inside a run, which keeps the cyclic
+            # collector off; a worker outlives the run, so it turns it on
+            self._pool = multiprocessing.get_context("fork").Pool(
+                PROCESSES, initializer=gc.enable
+            )
             self._stale = False
         return self._pool
 

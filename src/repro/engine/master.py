@@ -14,7 +14,10 @@ master exactly as in the SEEP implementation.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+import gc
+import threading
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..cache import choose_fingerprint, operator_fingerprints, stage_fingerprint
 from ..cluster.cluster import Cluster
@@ -35,6 +38,39 @@ from .scheduler import BFSScheduler, Scheduler, SchedulerContext
 #: master-side cost per selection-function invocation (§5 reports the
 #: master sustaining 2M invocations/s on low-end hardware)
 MASTER_SELECTION_COST = 5e-7
+
+#: runs in progress in this process (nested or on other threads), and
+#: whether the collector was on when the first of them began
+_paused_runs = 0
+_collector_was_enabled = False
+_pause_lock = threading.Lock()
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Keep the cyclic garbage collector off while any run is in progress.
+
+    What a run keeps, it keeps until it returns (the trace holds its
+    events, the cluster its payloads); what it drops, reference counting
+    frees, because a run makes no reference cycle.  So a collection inside
+    a run frees nothing, and only walks what the run keeps.  The first
+    run to begin records whether the collector was on, the last to end
+    puts that back: nested runs, overlapping runs on threads and a run
+    that raises all leave the state they found.
+    """
+    global _paused_runs, _collector_was_enabled
+    with _pause_lock:
+        if _paused_runs == 0:
+            _collector_was_enabled = gc.isenabled()
+            gc.disable()
+        _paused_runs += 1
+    try:
+        yield
+    finally:
+        with _pause_lock:
+            _paused_runs -= 1
+            if _paused_runs == 0 and _collector_was_enabled:
+                gc.enable()
 
 
 class _ScopeRuntime:
@@ -80,10 +116,9 @@ class _ScopeRuntime:
         return self.scope.branches
 
     def settled(self) -> bool:
-        """True when every branch is evaluated or pruned."""
-        return all(
-            b.id in self.scores or b.id in self.pruned for b in self.branches
-        )
+        """True when every branch is evaluated or pruned (both hold only
+        ids of this scope's branches)."""
+        return len(self.pruned.union(self.scores)) == len(self.scope.branches)
 
     def unexecuted_branches(self) -> List[Branch]:
         return [
@@ -332,13 +367,17 @@ class Master:
 
         The policy is unbound when the run ends, so a finished run leaves
         no reference cycle (cluster -> policy -> master -> cluster): its
-        cluster, trace and payloads die with their last reference.
+        cluster, trace and payloads die with their last reference.  A run
+        makes no cycle either, so the cyclic collector sits it out
+        (:func:`_collector_paused`): its passes over the run's live trace
+        events would free nothing.
         """
-        try:
-            return self._run()
-        finally:
-            self.executor.close()
-            self.cluster.policy.bind(None, self.cluster.cost_model.alpha)
+        with _collector_paused():
+            try:
+                return self._run()
+            finally:
+                self.executor.close()
+                self.cluster.policy.bind(None, self.cluster.cost_model.alpha)
 
     def _run(self) -> JobResult:
         stage_index = 0

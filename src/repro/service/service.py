@@ -29,7 +29,6 @@ solo run (asserted by ``benchmarks/wall`` and ``tests/service``).
 from __future__ import annotations
 
 import contextlib
-import json
 import multiprocessing
 import os
 import tempfile
@@ -40,6 +39,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .jobs import DONE, FAILED, QUEUED, RUNNING, JobRecord, JobSpec
 from ..cache.store import atomic_text
+from ..trace.events import canonical_json
 from .obs import CACHE_COUNTER_KEYS, ServiceObs
 from .queue import FairShareQueue, QueuedJob
 from .worker import serve
@@ -352,10 +352,26 @@ class JobService:
             self._publish_due = now + max(PUBLISH_MIN_S, PUBLISH_COST_X * (now - start))
 
     def write_state(self) -> None:
-        """Mirror the snapshot to ``<spool>/state.json`` (atomic)."""
+        """Mirror the snapshot to ``<spool>/state.json`` (atomic), as the
+        package's canonical JSON, written one job record at a time.
+
+        ``json.dump`` takes json's pure-Python encoder and writes token by
+        token; one ``canonical_json`` of the whole snapshot holds its text
+        at once, over-allocated (2.7 MB at 334 records), which raises the
+        dispatcher's peak memory.
+        """
         payload = dict(self.status(), updated_unix=time.time())
         with atomic_text(os.path.join(self.spool, "state.json")) as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            for i, key in enumerate(sorted(payload)):
+                fh.write(("," if i else "{") + canonical_json(key) + ":")
+                if key != "jobs":
+                    fh.write(canonical_json(payload[key]))
+                    continue
+                fh.write("[")
+                for j, job in enumerate(payload[key]):
+                    fh.write(("," if j else "") + canonical_json(job))
+                fh.write("]")
+            fh.write("}")
         self.obs.export(self.spool)
         self._dirty = False
 

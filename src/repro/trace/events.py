@@ -239,6 +239,11 @@ class TraceEvent(NamedTuple):
         return canonical_json(self.as_dict())
 
 
+#: ``TraceEvent(seq, t, kind, data)`` without the namedtuple's Python-level
+#: ``__new__``: :meth:`Trace.emit` builds one per event
+_new_event = tuple.__new__
+
+
 def events_jsonl(events: Iterable[TraceEvent]) -> str:
     """Canonical JSONL of ``events``: each one's :meth:`TraceEvent.to_json`
     line, newline-terminated — what :meth:`Trace.to_jsonl` joins and what
@@ -404,7 +409,7 @@ class Trace:
                                 f"counter increments must be >= 0, got {amounts[node]}"
                             )
         t = float(self._clock.now) if self._clock is not None else 0.0
-        event = TraceEvent(len(self.events), t, kind, data)
+        event = _new_event(TraceEvent, (len(self.events), t, kind, data))
         self.events.append(event)
         if self._subscribers:
             self._notify(event)

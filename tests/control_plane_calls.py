@@ -8,7 +8,10 @@ b2=10)`` job on ``Cluster(4, 256 MB)`` under ``bas`` + ``amm`` — the job
 repeatable on one interpreter version (CPython 3.11: 178,158 with object
 counters and the ``_inc`` call chain, 153,903 with counter cells, 155,133
 with the job result read from the run's events, 131,129 with counters
-folded when read — nothing reads this job's, so it folds nothing), so
+folded when read — nothing reads this job's, so it folds nothing —
+121,243 with the cyclic collector paused for the run and the hot loop's
+fixed facts (``SimClock.now``, ``Branch.id``, ``Stage.head``, stage
+pre/post-sets) set once), so
 CI's tier-1 summary tracks it: a control-plane regression shows up here
 on any machine, however noisy its clock.  Not collected by pytest.
 """

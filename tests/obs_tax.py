@@ -23,13 +23,21 @@ The rows:
   (``result.metrics.as_dict()``; a service worker reads its totals);
 * *stream encode* and *stream write* — ``events_jsonl`` inside
   ``StreamWriter._write``, and the rest of ``_write`` (write + flush);
-* *validators* — ``validate_trace`` over the job's events.
+* *validators* — ``validate_trace`` over the job's events;
+* *cyclic GC, in the run* and *cyclic GC, rest of the job* — wall time
+  inside the cyclic garbage collector's passes (``gc.callbacks``) that
+  began inside ``Master._run``, and the other passes of the job
+  (``Master.run`` keeps the collector off, so the first pass after it
+  walks what the run kept).
 
-Each figure is the median over interleaved repetitions; ``cpu_count`` is
-printed with them.  A wall-clock measurement on a shared machine, so it
-is tracked, not gated.  Not collected by pytest.
+Each figure is the median over interleaved repetitions, except the two
+collector rows: passes are bursty (a rare full pass outweighs many young
+ones), so they are means.  ``cpu_count`` is printed with them.  A
+wall-clock measurement on a shared machine, so it is tracked, not gated.
+Not collected by pytest.
 """
 
+import gc
 import os
 import statistics
 import sys
@@ -37,6 +45,7 @@ import tempfile
 import time
 
 import repro.cluster.cluster as cluster_module
+import repro.engine.master as master_module
 import repro.live.stream as stream_module
 import repro.service.worker as worker_module
 from repro import Cluster, run_mdf
@@ -72,10 +81,43 @@ class Timer:
         return seconds
 
 
+class CollectorTimer:
+    """Wall seconds inside cyclic garbage collections since the last take:
+    ``take(True)`` of the passes that began inside ``Master._run``,
+    ``take(False)`` of the others."""
+
+    def __init__(self):
+        self.seconds = {True: 0.0, False: 0.0}
+        self._started = 0.0
+        self._in_run = False
+        gc.callbacks.append(self._phase)
+        run = master_module.Master._run
+
+        def flagged(master):
+            self._in_run = True
+            try:
+                return run(master)
+            finally:
+                self._in_run = False
+
+        master_module.Master._run = flagged
+
+    def _phase(self, phase, info):
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.seconds[self._in_run] += time.perf_counter() - self._started
+
+    def take(self, in_run: bool) -> float:
+        seconds, self.seconds[in_run] = self.seconds[in_run], 0.0
+        return seconds
+
+
 FOLD = Timer(TraceFold, "fold")
 ENCODE = Timer(stream_module, "events_jsonl")
 WRITE = Timer(StreamWriter, "_write")
 VALIDATE = Timer(worker_module, "validate_trace")
+COLLECT = CollectorTimer()
 
 
 def traces(enabled=True, strict=True):
@@ -119,6 +161,8 @@ def sample(job, modes):
             traces(enabled, strict)
             for timer in (FOLD, ENCODE, WRITE, VALIDATE):
                 timer.take()
+            COLLECT.take(True)
+            COLLECT.take(False)
             wall = job(mode)
             if rep == 0:
                 continue  # warm-up: imports, plans, the store's first writes
@@ -130,11 +174,16 @@ def sample(job, modes):
                 ("encode", encode),
                 ("write", write - encode),
                 ("validate", VALIDATE.take()),
+                ("gc in run", COLLECT.take(True)),
+                ("gc rest", COLLECT.take(False)),
             ):
                 rows.setdefault(row, []).append(seconds)
     traces()
     return {
-        mode: {row: statistics.median(values) for row, values in rows.items()}
+        mode: {
+            row: (statistics.fmean if row.startswith("gc") else statistics.median)(values)
+            for row, values in rows.items()
+        }
         for mode, rows in out.items()
     }
 
@@ -150,6 +199,8 @@ def tax_rows(name, on, off, lax, read):
     yield name, "stream encode", read["encode"]
     yield name, "stream write", read["write"]
     yield name, "validators", read["validate"]
+    yield name, "cyclic GC, in the run", on["gc in run"]
+    yield name, "cyclic GC, rest of the job", on["gc rest"]
 
 
 def measure():
@@ -179,7 +230,7 @@ def measure():
 def main():
     print(
         f"cpu_count {os.cpu_count()}, python {sys.version.split()[0]}, "
-        f"median of {REPS} interleaved repetitions"
+        f"median of {REPS} interleaved repetitions (cyclic GC: mean)"
     )
     print()
     print("| job | row | ms | share |")

@@ -21,7 +21,7 @@ from repro.lab import get_workload
 from repro.obs.export import registry_json
 from repro.service import DONE, FAILED, JobService, JobSpec, outputs_digest, worker
 from repro.__main__ import main
-from repro.trace.events import read_events
+from repro.trace.events import canonical_json, read_events
 
 
 def solo_digest(workload_name):
@@ -89,6 +89,21 @@ class TestJobService:
         assert state["counts"]["done"] == 1
         assert state["jobs"][0]["spec"]["workload"] == "filter_min"
         assert state["jobs"][0]["latency"] > 0
+
+    def test_state_json_is_canonical(self, tmp_path):
+        """Written a job record at a time, the file is still the canonical
+        JSON of what it holds, with no job and with two."""
+        path = os.path.join(str(tmp_path), "state.json")
+        with JobService(workers=1, spool=str(tmp_path)) as service:
+            service.write_state()
+            texts = [open(path).read()]
+            service.submit("t", "filter_min")
+            service.submit("t", "filter_min")
+            service.drain(timeout=120)
+            texts.append(open(path).read())
+        assert [len(json.loads(text)["jobs"]) for text in texts] == [0, 2]
+        for text in texts:
+            assert canonical_json(json.loads(text)) == text
 
     def test_failed_job_contained(self, tmp_path):
         """A bad submission fails its own record; the pool survives and
