@@ -39,7 +39,9 @@ from __future__ import annotations
 import contextlib
 import os
 import pickle
+import threading
 import time
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Set, TextIO, Tuple
 from urllib.parse import quote, unquote
@@ -194,6 +196,90 @@ def _log_line(fingerprint: str, tenant: str, nbytes: int, mtime: float) -> str:
     return f"+ {fingerprint} {quote(tenant, safe='')} {nbytes} {mtime!r}\n"
 
 
+class _Ledger(dict):
+    """This process's fold of one ``usage.log``: ``{fingerprint: (tenant,
+    file bytes, publish mtime)}``, plus what a quota decision reads — each
+    tenant's byte total and its entries oldest first as ``(mtime,
+    fingerprint, bytes)``, the order the directory scan's sort gives.
+
+    It holds the log open, so the inode it folded cannot be reused while it
+    lives: the path's ``(st_dev, st_ino)`` equal to :attr:`file` then means
+    the path still names the file folded up to :attr:`offset`.
+    """
+
+    def __init__(self, path: str):
+        super().__init__()
+        self.fd = os.open(path, os.O_RDONLY)
+        stat = os.fstat(self.fd)
+        self.file = (stat.st_dev, stat.st_ino)
+        #: bytes folded so far, and the lines in them
+        self.offset = 0
+        self.lines = 0
+        self.totals: Dict[str, int] = {}
+        self.order: Dict[str, List[Tuple[float, str, int]]] = {}
+
+    def fold(self, size: int) -> None:
+        """Apply the lines between :attr:`offset` and ``size``; a torn or
+        malformed one raises ``ValueError``."""
+        data = os.pread(self.fd, size - self.offset, self.offset)
+        lines = data.decode().split("\n")
+        if lines.pop():
+            raise ValueError("torn last line")
+        for line in lines:
+            fields = line.split(" ")
+            if fields[0] == "+" and len(fields) == 5:
+                _, fingerprint, tenant, nbytes, mtime = fields
+                self.add(fingerprint, unquote(tenant), int(nbytes), float(mtime))
+            elif fields[0] == "-" and len(fields) == 2:
+                self.drop(fields[1])
+            else:
+                raise ValueError(f"malformed line {line!r}")
+        self.offset += len(data)
+        self.lines += len(lines)
+
+    def add(self, fingerprint: str, tenant: str, nbytes: int, mtime: float) -> None:
+        self.drop(fingerprint)  # a later + supersedes the earlier one
+        self[fingerprint] = (tenant, nbytes, mtime)
+        self.totals[tenant] = self.totals.get(tenant, 0) + nbytes
+        insort(self.order.setdefault(tenant, []), (mtime, fingerprint, nbytes))
+
+    def drop(self, fingerprint: str) -> None:
+        entry = self.pop(fingerprint, None)
+        if entry is not None:
+            tenant, nbytes, mtime = entry
+            self.totals[tenant] -= nbytes
+            owned = self.order[tenant]
+            del owned[bisect_left(owned, (mtime, fingerprint, nbytes))]
+
+
+#: the one ledger of this process, over whichever store it folded last: a
+#: job opens a fresh store handle, so a per-handle ledger would re-read the
+#: whole log at every job's first publish
+_ledger: Optional[_Ledger] = None
+#: serialises this process's threads folding different directories into the
+#: one ledger (the store's ``flock`` already serialises one directory's)
+_ledger_lock = threading.Lock()
+
+
+def _forget_ledger() -> None:
+    global _ledger
+    if _ledger is not None:
+        os.close(_ledger.fd)
+        _ledger = None
+
+
+def _forget_ledger_in_child() -> None:
+    """A forked child folds for itself: the parent's ledger, and a lock some
+    other parent thread may have held at the fork, are not its own."""
+    global _ledger_lock
+    _ledger_lock = threading.Lock()
+    _forget_ledger()
+
+
+if hasattr(os, "register_at_fork"):  # no fork, no inheritance
+    os.register_at_fork(after_in_child=_forget_ledger_in_child)
+
+
 class _StoreLock:
     """Cross-process exclusive lock over one store directory.
 
@@ -263,9 +349,11 @@ class SharedCacheStore:
       ``FLIGHT_WAIT`` — on timeout the waiter simply recomputes (correct
       either way; operators are pure).
     * **Per-tenant byte quotas** — after each save the writing tenant's
-      footprint is folded from ``usage.log`` and its *oldest* entries
-      (publish mtime) are evicted until the quota holds.  Quotas bound
-      footprint, not sharing: any tenant may *read* any entry.
+      footprint is read from the process's ledger of ``usage.log``, which
+      folds only the bytes appended since its last fold (:meth:`_usage`),
+      and while it exceeds the quota its *oldest* entries (publish mtime)
+      are evicted.  Quotas bound footprint, not sharing: any tenant may
+      *read* any entry.
     """
 
     def __init__(
@@ -419,37 +507,44 @@ class SharedCacheStore:
         finally:
             os.close(fd)
 
-    def _usage(self) -> Dict[str, Tuple[str, int, float]]:
+    def _usage(self) -> _Ledger:
         """``{fingerprint: (tenant, file bytes, publish mtime)}`` of every
-        owned entry, folded from the log; lock held.
+        owned entry: this process's ledger, brought up to date with the log;
+        lock held.
 
         A later ``+`` of a fingerprint supersedes the earlier one (another
-        tenant overwrote the entry), a ``-`` drops it.  A missing, torn or
-        malformed log is rebuilt from the directory, and one whose dead
-        lines outnumber its live ones is rewritten without them.
+        tenant overwrote the entry), a ``-`` drops it.  Only the bytes
+        appended since the last fold are read, while the path names the
+        file the ledger holds open and that file has not shrunk below what
+        was folded; otherwise the fold starts over from byte 0 of the file
+        the path names now (another handle's rewrite, a truncation, another
+        store directory).  A missing, torn or malformed log is rebuilt from
+        the directory, and one whose dead lines outnumber its live ones is
+        rewritten without them.
         """
-        usage: Dict[str, Tuple[str, int, float]] = {}
-        try:
-            with open(self._log_file) as fh:
-                lines = fh.read().split("\n")
-            if lines.pop():
-                raise ValueError("torn last line")
-            for line in lines:
-                fields = line.split(" ")
-                if fields[0] == "+" and len(fields) == 5:
-                    _, fingerprint, tenant, nbytes, mtime = fields
-                    usage[fingerprint] = (unquote(tenant), int(nbytes), float(mtime))
-                elif fields[0] == "-" and len(fields) == 2:
-                    usage.pop(fields[1], None)
-                else:
-                    raise ValueError(f"malformed line {line!r}")
-            if len(lines) - len(usage) <= max(len(usage), LOG_SLACK):
-                return usage
-        except (OSError, ValueError):
-            usage = self._scan()
-        with atomic_text(self._log_file) as fh:
-            fh.writelines(_log_line(fp, *entry) for fp, entry in usage.items())
-        return usage
+        global _ledger
+        with _ledger_lock:
+            try:
+                stat = os.stat(self._log_file)
+                if (
+                    _ledger is None
+                    or _ledger.file != (stat.st_dev, stat.st_ino)
+                    or stat.st_size < _ledger.offset
+                ):
+                    _forget_ledger()
+                    _ledger = _Ledger(self._log_file)
+                _ledger.fold(stat.st_size)
+                if _ledger.lines - len(_ledger) <= max(len(_ledger), LOG_SLACK):
+                    return _ledger
+                usage: Dict[str, Tuple[str, int, float]] = _ledger
+            except (OSError, ValueError):
+                usage = self._scan()
+            _forget_ledger()
+            with atomic_text(self._log_file) as fh:
+                fh.writelines(_log_line(fp, *entry) for fp, entry in usage.items())
+            _ledger = _Ledger(self._log_file)
+            _ledger.fold(os.fstat(_ledger.fd).st_size)
+            return _ledger
 
     def _scan(self) -> Dict[str, Tuple[str, int, float]]:
         """What :meth:`_usage` answers, read from the files themselves: one
@@ -477,7 +572,13 @@ class SharedCacheStore:
     def tenant_usage(self, tenant: str) -> int:
         """Bytes of entry files currently owned by ``tenant``."""
         with self._lock:
-            return sum(n for owner, n, _ in self._usage().values() if owner == tenant)
+            return self._owned(tenant)[0]
+
+    def _owned(self, tenant: str) -> Tuple[int, List[Tuple[float, str, int]]]:
+        """What a quota decision reads: ``tenant``'s bytes and its entries
+        oldest first, ``(mtime, fingerprint, bytes)``; lock held."""
+        ledger = self._usage()
+        return ledger.totals.get(tenant, 0), ledger.order.get(tenant, [])
 
     def _enforce_quota(self, tenant: str, keep: Optional[str] = None) -> None:
         """Evict the tenant's oldest entries until its quota holds.
@@ -488,12 +589,10 @@ class SharedCacheStore:
         """
         if self.quota_bytes is None:
             return
-        owned = sorted(
-            (mtime, fingerprint, nbytes)
-            for fingerprint, (owner, nbytes, mtime) in self._usage().items()
-            if owner == tenant
-        )
-        total = sum(nbytes for _, _, nbytes in owned)
+        # within quota this returns at the first entry; ``owned`` is the
+        # ledger's own list, which an eviction (an append) leaves as it is
+        # until the next fold
+        total, owned = self._owned(tenant)
         for _, fingerprint, nbytes in owned:
             if total <= self.quota_bytes:
                 return

@@ -21,6 +21,7 @@ from repro import (
 )
 from repro.cache import SharedCacheStore
 from repro.engine import EngineConfig
+from repro.engine.job import outputs_digest
 from repro.obs.bridge import diff_registries, registry_from_trace
 
 from ..conftest import build_filter_mdf
@@ -53,7 +54,7 @@ class TestDisabledIsIdentity:
             config=EngineConfig(cache=ResultCache()),
         )
         assert cached.completion_time == pytest.approx(plain.completion_time)
-        assert repr(cached.outputs) == repr(plain.outputs)
+        assert outputs_digest(cached.outputs) == outputs_digest(plain.outputs)
 
 
 class TestWarmReuse:
@@ -70,7 +71,7 @@ class TestWarmReuse:
         assert cache.stats.hits > 0
         warm_time = warm.completion_time - cold.completion_time
         assert warm_time < cold.completion_time
-        assert repr(warm.outputs) == repr(cold.outputs)
+        assert outputs_digest(warm.outputs) == outputs_digest(cold.outputs)
 
     def test_warm_run_validates(self):
         _, warm, _ = self.run_twice()
@@ -95,7 +96,7 @@ class TestWarmReuse:
             cache.clear()  # forget the cluster tier: the store serves
             cluster = fresh_cluster()
             warm = run_mdf(build_filter_mdf(), cluster, config=config)
-            assert repr(warm.outputs) == repr(cold.outputs)
+            assert outputs_digest(warm.outputs) == outputs_digest(cold.outputs)
             for event in warm.events.filter("cache_hit"):
                 assert event.data["tier"] == "store"
                 if cluster.has_dataset(event.data["dataset"]):

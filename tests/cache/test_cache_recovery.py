@@ -13,6 +13,7 @@ import pytest
 
 from repro import Cluster, FailureInjector, GB, ResultCache, validate_trace
 from repro.engine import EngineConfig, run_mdf
+from repro.engine.job import outputs_digest
 
 from ..conftest import build_filter_mdf
 
@@ -48,7 +49,7 @@ class TestExactnessWithCache:
         mdf = build_filter_mdf()
         clean = run_mdf(mdf, fresh_cluster(), config=config(cache=ResultCache()))
         failed = run_mdf(mdf, fresh_cluster(), config=failure_at(3, cache=ResultCache()))
-        assert repr(failed.outputs) == repr(clean.outputs)
+        assert outputs_digest(failed.outputs) == outputs_digest(clean.outputs)
 
     def test_failure_run_validates_with_cache(self):
         result = run_mdf(
@@ -81,7 +82,7 @@ class TestInvalidationAndRefresh:
         hits_before = cache.stats.hits
         warm = run_mdf(mdf, cluster, config=config(cache=cache), reset=False)
         assert cache.stats.hits > hits_before
-        assert repr(warm.outputs) == repr(cold.outputs)
+        assert outputs_digest(warm.outputs) == outputs_digest(cold.outputs)
         assert validate_trace(warm.events) == []
 
     def test_invalidate_events_traced_on_failure(self):
@@ -112,5 +113,5 @@ class TestInvalidationAndRefresh:
         warm = run_mdf(
             mdf, cluster, config=failure_at(2, cache=cache), reset=False
         )
-        assert repr(warm.outputs) == repr(cold.outputs)
+        assert outputs_digest(warm.outputs) == outputs_digest(cold.outputs)
         assert validate_trace(warm.events) == []

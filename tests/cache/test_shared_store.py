@@ -14,6 +14,7 @@ import time
 from repro import Cluster, GB, Validator
 from repro.cache import ResultCache, SharedCacheStore, store as store_module
 from repro.engine import EngineConfig, run_mdf
+from repro.engine.job import outputs_digest
 from repro.lab.workloads import get_workload
 
 
@@ -286,7 +287,7 @@ class TestResultCacheIntegration:
         cold, cold_cache, _ = run("alice")
         assert cold_cache.stats.store_writes > 0
         warm, warm_cache, cluster = run("bob")
-        assert repr(warm.outputs) == repr(cold.outputs)
+        assert outputs_digest(warm.outputs) == outputs_digest(cold.outputs)
         assert warm_cache.stats.hits > 0
         assert warm_cache.stats.cross_tenant_hits == warm_cache.stats.hits
         assert cluster.obs.value("cache_hits") == warm_cache.stats.hits

@@ -11,6 +11,7 @@ import pickle
 from repro import Cluster, GB, Validator
 from repro.cache import ResultCache, SharedCacheStore
 from repro.engine import EngineConfig, run_mdf
+from repro.engine.job import outputs_digest
 from repro.lab.workloads import get_workload
 
 
@@ -129,6 +130,6 @@ class TestCorruptionRegression:
                     fh.write(blob[: max(1, len(blob) // 3)])
         cache.clear()
         rerun, _ = run()
-        assert repr(rerun.outputs) == repr(cold.outputs)
+        assert outputs_digest(rerun.outputs) == outputs_digest(cold.outputs)
         # the quarantined files were unlinked, then re-written by the rerun
         assert store.corrupt_entries > 0

@@ -1,23 +1,28 @@
 """The shared store's quota ledger: ``usage.log`` against the directory scan.
 
 The entry files are the truth — each starts with its owner — and
-``SharedCacheStore._scan`` reads it the way every publish used to; the log
-has to give the same answer after anything that can happen to a store, and
-a store whose every answer comes from the scan (``ScanStore`` below — the
-implementation the log replaced) has to evict the same entries in the same
-order.
+``SharedCacheStore._scan`` reads it the way every publish used to; the
+process's ledger, folded from the log, has to give the same answer after
+anything that can happen to a store, and a store whose every quota decision
+comes from the scan (``ScanStore`` below — the implementation the log
+replaced) has to evict the same entries in the same order.
 """
 
 import builtins
+import contextlib
 import errno
+import multiprocessing
 import os
 import pickle
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import SharedCacheStore
+from repro.cache import store as store_module
 from repro.cache.store import LOG_SLACK, USAGE_LOG
 
 TENANTS = ("alice", "bob")
@@ -50,8 +55,13 @@ class LogStore(Scripted, SharedCacheStore):
 
 
 class ScanStore(Scripted, SharedCacheStore):
-    def _usage(self):
-        return self._scan()
+    def _owned(self, tenant):
+        owned = sorted(
+            (mtime, fingerprint, nbytes)
+            for fingerprint, (owner, nbytes, mtime) in self._scan().items()
+            if owner == tenant
+        )
+        return sum(nbytes for _, _, nbytes in owned), owned
 
 
 def payload(size):
@@ -83,7 +93,18 @@ def views(path):
     fresh handle, the way the next job would open the store."""
     store = SharedCacheStore(path)
     with store._lock:
-        return store._usage(), store._scan()
+        return dict(store._usage()), store._scan()
+
+
+def scanned(path):
+    """The scan alone: it leaves the process's ledger where it was."""
+    store = SharedCacheStore(path)
+    with store._lock:
+        return store._scan()
+
+
+def owned_bytes(usage, tenant):
+    return sum(nbytes for owner, nbytes, _ in usage.values() if owner == tenant)
 
 
 steps = st.one_of(
@@ -158,8 +179,13 @@ def test_log_agrees_with_scan_and_with_the_scanning_store(script, tmp_path_facto
                     fh.write(b"+ fp-0 alice many bytes\n\xff\xfe\n")
         from_log, from_files = views(log_dir)
         assert from_log == from_files
-        assert from_log == views(scan_dir)[1]
+        assert from_log == scanned(scan_dir)
         assert evicted[log_dir] == evicted[scan_dir]
+        fresh, oracle = SharedCacheStore(log_dir), ScanStore(log_dir)
+        for tenant in TENANTS:
+            with fresh._lock:  # what the next quota decision reads
+                assert fresh._owned(tenant) == oracle._owned(tenant)
+            assert fresh.tenant_usage(tenant) == owned_bytes(from_files, tenant)
 
 
 def save(store, fingerprint, size=100):
@@ -369,3 +395,154 @@ def test_a_publish_cut_short_never_parts_an_entry_from_its_owner(
         with store._lock:
             store._enforce_quota(tenant)
     assert [n for n in os.listdir(path) if n.endswith(".pkl")] == []
+
+
+@contextlib.contextmanager
+def another_process():
+    """Run the block the way a handle in another process would: with a ledger
+    of its own, none of what this process folded."""
+    ours = store_module._ledger
+    store_module._ledger = None
+    try:
+        yield
+    finally:
+        store_module._forget_ledger()
+        store_module._ledger = ours
+
+
+def preads(monkeypatch):
+    """``(offset, bytes)`` of every ``os.pread`` from here on."""
+    reads = []
+    real = os.pread
+
+    def pread(fd, length, offset):
+        data = real(fd, length, offset)
+        reads.append((offset, len(data)))
+        return data
+
+    monkeypatch.setattr(os, "pread", pread)
+    return reads
+
+
+def _publish_in_child(path):
+    assert store_module._ledger is None  # dropped at the fork
+    save(SharedCacheStore(path, tenant="bob", quota_bytes=ROOMY), "fp-child")
+
+
+class TestTheLedger:
+    """One ledger per process, folded from where it left off."""
+
+    def test_a_warm_publish_reads_only_what_was_appended(self, tmp_path, monkeypatch):
+        path = str(tmp_path)
+        save(SharedCacheStore(path, tenant="alice", quota_bytes=ROOMY), "fp-0")
+        log = os.path.join(path, USAGE_LOG)
+        folded = os.path.getsize(log)
+        reads = preads(monkeypatch)
+        save(SharedCacheStore(path, tenant="alice", quota_bytes=ROOMY), "fp-1")  # next job
+        assert reads == [(folded, os.path.getsize(log) - folded)]
+        assert views(path)[0] == views(path)[1]
+
+    @pytest.mark.parametrize("how", ["compaction", "rebuild"])
+    def test_another_handles_new_log_is_read_from_its_start(self, tmp_path, how):
+        """Another process rewrites the log (a new inode) and publishes on:
+        the new file is longer than what this process folded, so its size
+        alone does not tell that it is another file."""
+        path = str(tmp_path)
+        store = LogStore(path, tenant="alice", quota_bytes=ROOMY)
+        store.evicted = []
+        for i in range(3):  # same mtime and size: every line is as long
+            save(store, f"fp-{i}")
+        with store._lock:
+            assert sorted(store._usage()) == ["fp-0", "fp-1", "fp-2"]
+        inode = os.stat(store._log_file).st_ino
+        with another_process():
+            if how == "compaction":
+                with store._lock:
+                    store._evict("fp-0")
+                for _ in range(LOG_SLACK + 1):
+                    save(store, "fp-1")  # each leaves the one before a dead line
+            else:
+                os.unlink(store._file("fp-0"))
+                os.unlink(store._log_file)
+                store.tenant_usage("alice")
+            for i in range(3, 6):
+                save(store, f"fp-{i}")
+        assert os.stat(store._log_file).st_ino != inode
+        from_log, from_files = views(path)
+        assert from_log == from_files
+        assert sorted(from_log) == [f"fp-{i}" for i in range(1, 6)]
+
+    def test_a_truncation_below_the_offset_starts_over(self, tmp_path):
+        """Cut at a line boundary the log is a shorter history: the ledger
+        says what a fresh process's fold of it says, and nothing rebuilds."""
+        path = str(tmp_path)
+        store = SharedCacheStore(path, tenant="alice", quota_bytes=ROOMY)
+        for i in range(3):
+            save(store, f"fp-{i}")
+        first = log_lines(store)[0]
+        os.truncate(store._log_file, len(first) + 1)
+        inode = os.stat(store._log_file).st_ino
+        with another_process():
+            fresh = views(path)[0]
+        assert list(fresh) == ["fp-0"]
+        assert views(path)[0] == fresh
+        assert os.stat(store._log_file).st_ino == inode
+        os.unlink(store._log_file)  # the safe repair
+        assert views(path)[0] == views(path)[1]
+
+    def test_a_forked_child_folds_for_itself(self, tmp_path, monkeypatch):
+        path = str(tmp_path)
+        save(SharedCacheStore(path, tenant="alice", quota_bytes=ROOMY), "fp-0")
+        folded = os.path.getsize(os.path.join(path, USAGE_LOG))
+        assert store_module._ledger is not None
+        child = multiprocessing.get_context("fork").Process(
+            target=_publish_in_child, args=(path,)
+        )
+        child.start()
+        child.join(timeout=60)
+        assert child.exitcode == 0
+        reads = preads(monkeypatch)
+        from_log, from_files = views(path)
+        assert from_log == from_files and sorted(from_log) == ["fp-0", "fp-child"]
+        assert reads[0][0] == folded  # the child's append, on the held file
+
+    def test_two_directories_in_turn_stay_exact(self, tmp_path):
+        paths = [str(tmp_path / name) for name in ("a", "b")]
+        quota = 3 * file_bytes("alice", 100)
+        for i in range(2 * LOG_SLACK):
+            path = paths[i % 2]
+            save(SharedCacheStore(path, tenant="alice", quota_bytes=quota), f"fp-{i}")
+            for other in paths:
+                from_log, from_files = views(other)
+                assert from_log == from_files
+                assert SharedCacheStore(other).tenant_usage("alice") <= quota
+
+    def test_threads_on_their_own_directories_stay_exact(self, tmp_path):
+        """Threads share the one ledger, each folding a directory of its own
+        (one directory per thread: a store's tmp names are per process)."""
+        paths = [str(tmp_path / name) for name in "abcd"]
+        quota = 3 * file_bytes("alice", 100)
+        errors = []
+
+        def publish(path):
+            try:
+                for i in range(40):
+                    save(SharedCacheStore(path, tenant="alice", quota_bytes=quota), f"fp-{i}")
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=publish, args=(p,)) for p in paths]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and errors == []
+        for path in paths:
+            from_log, from_files = views(path)
+            assert from_log == from_files
+            assert owned_bytes(from_files, "alice") <= quota
