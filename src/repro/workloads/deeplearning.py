@@ -55,6 +55,57 @@ def _init_matrix(shape: Tuple[int, int], strategy: str, rng: np.random.Generator
     return rng.uniform(-scale, scale, size=shape)
 
 
+def _size(d: int, hidden: int, classes: int) -> int:
+    """Parameter count of a ``d → hidden → classes`` network."""
+    return (d + 1) * hidden + (hidden + 1) * classes
+
+
+def _layer_views(flat: np.ndarray, d: int, hidden: int, classes: int) -> Tuple[np.ndarray, ...]:
+    """``(w1, b1, w2, b2)`` as views of one flat buffer of ``_size`` floats."""
+    a = d * hidden
+    b = a + hidden
+    c = b + hidden * classes
+    return flat[:a].reshape(d, hidden), flat[a:b], flat[b:c].reshape(hidden, classes), flat[c:]
+
+
+def batch_gradients(
+    xb: np.ndarray,
+    yb: np.ndarray,
+    rows: np.ndarray,
+    layers: Tuple[np.ndarray, ...],
+    grads: Tuple[np.ndarray, ...],
+) -> None:
+    """One SGD step's mean cross-entropy gradients, written into ``grads``.
+
+    The forward pass (ReLU hidden layer, softmax) and the backward pass
+    of :meth:`MLPTrainer.train`, in place: ``xb`` is the float64 batch,
+    ``rows`` is ``np.arange(len(yb))``, ``layers`` and ``grads`` are
+    ``(w1, b1, w2, b2)`` and arrays of the same shapes.  Reductions call
+    the ufuncs directly, skipping the ``ndarray.max/sum`` wrappers.
+    """
+    w1, b1, w2, b2 = layers
+    g_w1, g_b1, g_w2, g_b2 = grads
+    # forward
+    hid = xb @ w1
+    hid += b1
+    np.maximum(hid, 0.0, out=hid)
+    probs = hid @ w2
+    probs += b2
+    probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= np.add.reduce(probs, axis=1, keepdims=True)
+    # backward (cross-entropy); probs becomes the logits' gradient
+    probs[rows, yb] -= 1.0
+    probs /= len(yb)
+    np.matmul(hid.T, probs, out=g_w2)
+    np.add.reduce(probs, axis=0, out=g_b2)
+    grad_hid = probs @ w2.T
+    # ReLU's gradient: hid <= 0 exactly where the pre-activation was
+    np.copyto(grad_hid, 0.0, where=hid <= 0.0)
+    np.matmul(xb.T, grad_hid, out=g_w1)
+    np.add.reduce(grad_hid, axis=0, out=g_b1)
+
+
 @dataclass
 class TrainedModel:
     """A trained MLP plus its validation accuracy (the branch payload)."""
@@ -106,48 +157,35 @@ class MLPTrainer:
         """
         rng = np.random.default_rng(self.seed)
         d = train.x.shape[1]
+        shape = (d, self.hidden, self.num_classes)
         x = train.x / 255.0
-        w1 = _init_matrix((d, self.hidden), init, rng)
-        b1 = np.zeros(self.hidden)
-        w2 = _init_matrix((self.hidden, self.num_classes), init, rng)
-        b2 = np.zeros(self.num_classes)
-        v_w1 = np.zeros_like(w1)
-        v_b1 = np.zeros_like(b1)
-        v_w2 = np.zeros_like(w2)
-        v_b2 = np.zeros_like(b2)
+        # one flat buffer each for the parameters, their velocity and their
+        # gradients, with every layer a view: the momentum step is four
+        # elementwise ops over all parameters, bit for bit the per-array form
+        size = _size(*shape)
+        params, velocity, grads = np.zeros(size), np.zeros(size), np.empty(size)
+        layers = w1, b1, w2, b2 = _layer_views(params, *shape)
+        layer_grads = _layer_views(grads, *shape)
+        w1[...] = _init_matrix((d, self.hidden), init, rng)
+        w2[...] = _init_matrix((self.hidden, self.num_classes), init, rng)
+        y = train.y
+        rows = np.arange(self.batch_size)
         n = len(train)
         for _ in range(self.epochs):
             order = rng.permutation(n)
             for start in range(0, n, self.batch_size):
                 batch = order[start : start + self.batch_size]
-                xb, yb = x[batch], train.y[batch]
-                # forward
-                pre = xb @ w1 + b1
-                hid = np.maximum(pre, 0.0)
-                logits = hid @ w2 + b2
-                logits -= logits.max(axis=1, keepdims=True)
-                exp = np.exp(logits)
-                probs = exp / exp.sum(axis=1, keepdims=True)
-                # backward (cross-entropy)
-                grad_logits = probs
-                grad_logits[np.arange(len(yb)), yb] -= 1.0
-                grad_logits /= len(yb)
-                g_w2 = hid.T @ grad_logits
-                g_b2 = grad_logits.sum(axis=0)
-                grad_hid = grad_logits @ w2.T
-                grad_hid[pre <= 0.0] = 0.0
-                g_w1 = xb.T @ grad_hid
-                g_b1 = grad_hid.sum(axis=0)
-                # SGD with momentum
-                v_w1 = momentum * v_w1 - learning_rate * g_w1
-                v_b1 = momentum * v_b1 - learning_rate * g_b1
-                v_w2 = momentum * v_w2 - learning_rate * g_w2
-                v_b2 = momentum * v_b2 - learning_rate * g_b2
-                w1 += v_w1
-                b1 += v_b1
-                w2 += v_w2
-                b2 += v_b2
-        model = TrainedModel(w1, b1, w2, b2, 0.0, init, learning_rate, momentum)
+                # one cast per batch, not one per matmul that reads it
+                xb = x[batch].astype(np.float64)
+                batch_gradients(xb, y[batch], rows[: len(batch)], layers, layer_grads)
+                # SGD with momentum: v = momentum * v - lr * g; p += v
+                velocity *= momentum
+                grads *= learning_rate
+                velocity -= grads
+                params += velocity
+        model = TrainedModel(
+            w1.copy(), b1.copy(), w2.copy(), b2.copy(), 0.0, init, learning_rate, momentum
+        )
         model.accuracy = float(
             np.mean(model.predict(val.x / 255.0) == val.y)
         )

@@ -1,12 +1,15 @@
 """Numerical validation of the MLP's backpropagation.
 
 The deep-learning workload is only a credible substrate if its gradients
-are right; this test checks the analytic gradients used by the trainer
-against central finite differences on the cross-entropy loss.
+are right; this test checks the gradient kernel ``MLPTrainer.train`` runs
+at every step (``batch_gradients``) against central finite differences
+on the cross-entropy loss.
 """
 
 import numpy as np
 import pytest
+
+from repro.workloads.deeplearning import batch_gradients
 
 
 def forward_loss(x, y, w1, b1, w2, b2):
@@ -16,24 +19,15 @@ def forward_loss(x, y, w1, b1, w2, b2):
     logits = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(logits)
     probs = exp / exp.sum(axis=1, keepdims=True)
-    n = len(y)
-    return -np.mean(np.log(probs[np.arange(n), y] + 1e-300)), (pre, hid, probs)
+    return -np.mean(np.log(probs[np.arange(len(y)), y] + 1e-300))
 
 
 def analytic_grads(x, y, w1, b1, w2, b2):
-    """The exact gradient computation used in MLPTrainer.train."""
-    loss, (pre, hid, probs) = forward_loss(x, y, w1, b1, w2, b2)
-    n = len(y)
-    grad_logits = probs.copy()
-    grad_logits[np.arange(n), y] -= 1.0
-    grad_logits /= n
-    g_w2 = hid.T @ grad_logits
-    g_b2 = grad_logits.sum(axis=0)
-    grad_hid = grad_logits @ w2.T
-    grad_hid[pre <= 0.0] = 0.0
-    g_w1 = x.T @ grad_hid
-    g_b1 = grad_hid.sum(axis=0)
-    return g_w1, g_b1, g_w2, g_b2
+    """The trainer's own gradient kernel, on its own buffers."""
+    layers = (w1, b1, w2, b2)
+    grads = tuple(np.empty_like(p) for p in layers)
+    batch_gradients(x, y, np.arange(len(y)), layers, grads)
+    return grads
 
 
 @pytest.fixture(scope="module")
@@ -51,9 +45,9 @@ def setup():
 def numeric_grad(param, index, eps, x, y, w1, b1, w2, b2):
     params = [w1.copy(), b1.copy(), w2.copy(), b2.copy()]
     params[param].flat[index] += eps
-    plus, _ = forward_loss(x, y, *params)
+    plus = forward_loss(x, y, *params)
     params[param].flat[index] -= 2 * eps
-    minus, _ = forward_loss(x, y, *params)
+    minus = forward_loss(x, y, *params)
     return (plus - minus) / (2 * eps)
 
 
