@@ -154,16 +154,23 @@ def _unlink(path: str) -> None:
         pass
 
 
+def _tmp_name(path: str) -> str:
+    """The writer's own tmp beside ``path``: one per process *and* thread,
+    so two writers of one path — two processes, or two threads of one —
+    never truncate each other's dump."""
+    return f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+
+
 @contextlib.contextmanager
 def atomic_text(path: str) -> Iterator[TextIO]:
     """Open a text file that appears at ``path`` only when the block ends
     cleanly, so a concurrent reader sees the old or the new file, never a
-    torn one (per-pid tmp + ``os.replace``), and a failed write (a full
+    torn one (per-writer tmp + ``os.replace``), and a failed write (a full
     disk) leaves no tmp behind — the package's one text publish: the
     store's ``usage.log`` rewrite, the service's tickets, ``state.json``
     and metric exports.  Callers stream into it, one buffer-sized write at
     a time."""
-    tmp = f"{path}.{os.getpid()}.tmp"
+    tmp = _tmp_name(path)
     try:
         with open(tmp, "w") as fh:
             yield fh
@@ -337,9 +344,10 @@ class SharedCacheStore:
       :attr:`corrupt_entries`, and the run recomputes the stage.
     * **Cross-process write locking** — publishes, quarantines and quota
       evictions happen under an exclusive ``flock``, so directory metadata
-      never tears.  Pickling stays *outside* the lock: each writer dumps
-      into its own per-pid tmp file first, and tmps a killed writer left
-      behind are swept at open once older than ``TMP_SWEEP_AGE``.
+      never tears.  Pickling stays *outside* the lock: each writer (a
+      process, or a thread of one) dumps into its own tmp file first, and
+      tmps a killed writer left behind are swept at open once older than
+      ``TMP_SWEEP_AGE``.
     * **Single-flight leases** — the first job to miss a fingerprint
       creates ``<fp>.flight`` (``O_CREAT | O_EXCL``); concurrent jobs
       missing the same fingerprint wait (bounded) for the computing job
@@ -420,9 +428,10 @@ class SharedCacheStore:
             "partition_bytes": list(partition_bytes),
             "producer": producer,
         }
-        # per-pid tmp name: two processes publishing the same fingerprint
-        # never interleave writes into one file (each replace is atomic)
-        tmp = f"{self._file(fingerprint)}.{os.getpid()}.tmp"
+        # per-writer tmp name: two processes or threads publishing the same
+        # fingerprint never interleave writes into one file (each replace
+        # is atomic)
+        tmp = _tmp_name(self._file(fingerprint))
         try:
             with open(tmp, "wb") as fh:
                 pickle.dump(self.tenant, fh, protocol=pickle.HIGHEST_PROTOCOL)

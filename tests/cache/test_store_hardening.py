@@ -7,9 +7,11 @@ swept at store open once older than ``TMP_SWEEP_AGE`` and never served.
 
 import os
 import pickle
+import threading
 
 from repro import Cluster, GB, Validator
 from repro.cache import ResultCache, SharedCacheStore
+from repro.cache.store import atomic_text
 from repro.engine import EngineConfig, run_mdf
 from repro.engine.job import outputs_digest
 from repro.lab.workloads import get_workload
@@ -101,6 +103,62 @@ class TestTmpSweep:
         (tmp_path / "aaaa.pkl.7.tmp").write_bytes(b"x")
         store.clear()
         assert os.listdir(tmp_path) == [".lock"]
+
+
+class TestThreadsOfOneProcess:
+    """Two threads of one process writing one path each dump into a tmp of
+    their own (``<path>.<pid>.<thread id>.tmp``), so neither truncates the
+    other's dump or finds its tmp gone at the replace."""
+
+    def test_two_threads_save_one_fingerprint(self, tmp_path):
+        payloads = [list(range(20_000))]
+        start = threading.Barrier(2)
+        # a save that returns False is what ResultCache.admit counts as
+        # unpicklable_skipped
+        failed = []
+
+        def writer():
+            store = SharedCacheStore(str(tmp_path))
+            start.wait()
+            for _ in range(50):
+                if not store.save("fp-1", payloads, [64], "producer"):
+                    failed.append(threading.get_ident())
+
+        threads = [threading.Thread(target=writer) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert failed == []
+        reader = SharedCacheStore(str(tmp_path))
+        loaded = reader.load("fp-1")
+        assert loaded is not None and loaded[0] == payloads
+        assert reader.corrupt_entries == 0
+        assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+
+    def test_two_threads_write_one_text(self, tmp_path):
+        path = str(tmp_path / "state.json")
+        opened = threading.Barrier(2)
+        errors = []
+
+        def writer(char):
+            try:
+                with atomic_text(path) as fh:
+                    opened.wait()  # both tmps are open before either writes
+                    for _ in range(200):
+                        fh.write(char * 1000 + "\n")
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(c,)) for c in "ab"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        text = open(path).read()
+        assert text in {(c * 1000 + "\n") * 200 for c in "ab"}
+        assert os.listdir(tmp_path) == ["state.json"]
 
 
 class TestCorruptionRegression:
