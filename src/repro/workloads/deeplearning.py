@@ -55,13 +55,9 @@ def _init_matrix(shape: Tuple[int, int], strategy: str, rng: np.random.Generator
     return rng.uniform(-scale, scale, size=shape)
 
 
-def _size(d: int, hidden: int, classes: int) -> int:
-    """Parameter count of a ``d → hidden → classes`` network."""
-    return (d + 1) * hidden + (hidden + 1) * classes
-
-
 def _layer_views(flat: np.ndarray, d: int, hidden: int, classes: int) -> Tuple[np.ndarray, ...]:
-    """``(w1, b1, w2, b2)`` as views of one flat buffer of ``_size`` floats."""
+    """``(w1, b1, w2, b2)`` as views of one flat buffer of
+    ``(d + 1) * hidden + (hidden + 1) * classes`` floats."""
     a = d * hidden
     b = a + hidden
     c = b + hidden * classes
@@ -162,7 +158,7 @@ class MLPTrainer:
         # one flat buffer each for the parameters, their velocity and their
         # gradients, with every layer a view: the momentum step is four
         # elementwise ops over all parameters, bit for bit the per-array form
-        size = _size(*shape)
+        size = (d + 1) * self.hidden + (self.hidden + 1) * self.num_classes
         params, velocity, grads = np.zeros(size), np.zeros(size), np.empty(size)
         layers = w1, b1, w2, b2 = _layer_views(params, *shape)
         layer_grads = _layer_views(grads, *shape)
@@ -178,11 +174,13 @@ class MLPTrainer:
                 # one cast per batch, not one per matmul that reads it
                 xb = x[batch].astype(np.float64)
                 batch_gradients(xb, y[batch], rows[: len(batch)], layers, layer_grads)
-                # SGD with momentum: v = momentum * v - lr * g; p += v
+                # SGD with momentum: v = momentum * v - lr * g; p += v.  The
+                # next step rewrites every gradient, so g is scaled in place
                 velocity *= momentum
                 grads *= learning_rate
                 velocity -= grads
                 params += velocity
+        # copies, not views of params: each field owns its bytes and pickles alone
         model = TrainedModel(
             w1.copy(), b1.copy(), w2.copy(), b2.copy(), 0.0, init, learning_rate, momentum
         )
