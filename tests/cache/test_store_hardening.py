@@ -112,7 +112,7 @@ class TestThreadsOfOneProcess:
 
     def test_two_threads_save_one_fingerprint(self, tmp_path):
         payloads = [list(range(20_000))]
-        start = threading.Barrier(2)
+        start = threading.Barrier(2, timeout=30)
         # a save that returns False is what ResultCache.admit counts as
         # unpicklable_skipped
         failed = []
@@ -128,7 +128,8 @@ class TestThreadsOfOneProcess:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
         assert failed == []
         reader = SharedCacheStore(str(tmp_path))
         loaded = reader.load("fp-1")
@@ -138,7 +139,7 @@ class TestThreadsOfOneProcess:
 
     def test_two_threads_write_one_text(self, tmp_path):
         path = str(tmp_path / "state.json")
-        opened = threading.Barrier(2)
+        opened = threading.Barrier(2, timeout=30)
         errors = []
 
         def writer(char):
@@ -154,7 +155,8 @@ class TestThreadsOfOneProcess:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
         assert errors == []
         text = open(path).read()
         assert text in {(c * 1000 + "\n") * 200 for c in "ab"}

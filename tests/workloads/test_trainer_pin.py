@@ -22,7 +22,7 @@ import pytest
 from repro.workloads.datagen import LabelledImages, cifar_like
 from repro.workloads.deeplearning import MLPTrainer, TrainedModel
 
-#: recorded on the per-array kernel, before the in-place rewrite
+#: recorded on the per-array kernel; the in-place one must match it bit for bit
 DIGEST = "7a68ee59c2f482eec0f3e8426ba149164eaf208d35d21a1555bd39d0f2a4f282"
 
 INITS = ("gaussian-0.1", "uniform-0.5")
