@@ -3,7 +3,9 @@
 Every function runs the corresponding experiment on the simulated cluster
 at a laptop-friendly scale and returns a :class:`FigureResult` with the
 paper-style rows plus shape checks (who wins, by roughly what factor).
-The ``benchmarks/`` tree wraps these in pytest-benchmark targets and
+The scale is part of each figure and takes no argument: the figures are
+pinned by digest (``tests/golden/figures.digests.json``).  The
+``benchmarks/`` tree wraps these in pytest-benchmark targets and
 EXPERIMENTS.md records paper-vs-measured values.
 """
 
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,9 +26,10 @@ from ..baselines import (
     spark_sequential,
     spark_yarn,
 )
+from ..cache import ResultCache
 from ..cluster import CheckpointConfig, Cluster, FailureInjector, GB, MB
-from ..core import MDFBuilder
-from ..core.evaluators import RatioEvaluator
+from ..core.collapse import CollapsedMDF
+from ..core.evaluators import CallableEvaluator, RatioEvaluator, SizeEvaluator
 from ..core.optimizations import table1_rows
 from ..core.selection import (
     Interval,
@@ -38,9 +41,10 @@ from ..core.selection import (
     Threshold,
     TopK,
 )
-from ..core.evaluators import CallableEvaluator, SizeEvaluator
-from ..core.collapse import CollapsedMDF
 from ..engine import EngineConfig, RandomHint, SortedHint, run_mdf
+from ..engine.job import outputs_digest
+from ..lab.workloads import _filter_min_mdf
+from ..trace import validate_trace
 from ..workloads import (
     MLPTrainer,
     time_series_full_mdf,
@@ -132,142 +136,102 @@ def table1_optimizations() -> FigureResult:
     )
 
 
-# --------------------------------------------------------------------- Fig 5
+# ------------------------------------------------------------- Figs 5-7
 
 
-def fig5_deep_learning(
-    samples: int = 600,
-    features: int = 64,
-    workers: int = 8,
-    mem_per_worker: int = 4 * GB,
-    nominal_bytes: int = 2 * GB,
-) -> FigureResult:
+def _approaches(mdf, jobs, cluster) -> List[float]:
+    """Sequential, 4-parallel, 8-parallel and MDF completion times, run in
+    that order on ``cluster``: ``jobs`` is the MDF's family of concrete jobs."""
+    return [
+        run_sequential(jobs, cluster).completion_time,
+        run_parallel(jobs, cluster, k=4).completion_time,
+        run_parallel(jobs, cluster, k=8).completion_time,
+        seep_mdf(mdf, cluster).completion_time,
+    ]
+
+
+APPROACH_COLUMNS = ["sequential", "4-parallel", "8-parallel", "MDF"]
+
+
+def fig5_deep_learning() -> FigureResult:
     """Fig. 5: deep-learning completion time across exploration modes."""
-    data = cifar_like(n_samples=samples, features=features)
+    data = cifar_like(n_samples=600, features=64)
     trainer = MLPTrainer(hidden=16, epochs=1, seed=3)
-    cluster = Cluster(workers, mem_per_worker)
+    cluster = Cluster(8, 4 * GB)
     rows: List[List[Any]] = []
-    results: Dict[str, Dict[str, float]] = {}
     for mode in ("weights_only", "hyper_only", "exhaustive", "early_choose"):
-        mdf = deep_learning_mdf(data, mode=mode, trainer=trainer, nominal_bytes=nominal_bytes)
+        mdf = deep_learning_mdf(data, mode=mode, trainer=trainer, nominal_bytes=2 * GB)
         combos = deep_learning_combinations(mode)
-        jobs = [
-            deep_learning_job(data, p, trainer=trainer, nominal_bytes=nominal_bytes)
-            for p in combos
-        ]
-        seq = run_sequential(jobs, cluster).completion_time
-        p4 = run_parallel(jobs, cluster, k=4).completion_time
-        p8 = run_parallel(jobs, cluster, k=8).completion_time
-        mdf_t = seep_mdf(mdf, cluster).completion_time
-        results[mode] = {"seq": seq, "p4": p4, "p8": p8, "mdf": mdf_t}
-        rows.append([mode, len(combos), seq, p4, p8, mdf_t])
-    exhaustive = results["exhaustive"]
-    early = results["early_choose"]
+        jobs = [deep_learning_job(data, p, trainer=trainer, nominal_bytes=2 * GB) for p in combos]
+        rows.append([mode, len(combos), *_approaches(mdf, jobs, cluster)])
+    # columns 2-5: sequential, 4-parallel, 8-parallel, MDF
+    weights, _, exhaustive, early = rows
     checks = {
-        "weights-only: approaches close": (
-            results["weights_only"]["seq"] / results["weights_only"]["mdf"] < 4.0
-        ),
-        "exhaustive: mdf beats sequential by >=40%": improvement(
-            exhaustive["seq"], exhaustive["mdf"]
-        )
+        "weights-only: approaches close": weights[2] / weights[5] < 4.0,
+        "exhaustive: mdf beats sequential by >=40%": improvement(exhaustive[2], exhaustive[5])
         >= 40.0,
-        "exhaustive: mdf beats 4-parallel": exhaustive["mdf"] < exhaustive["p4"],
-        "exhaustive: mdf beats 8-parallel": exhaustive["mdf"] < exhaustive["p8"],
-        "early-choose: mdf beats 8-parallel by >=70%": improvement(
-            early["p8"], early["mdf"]
-        )
-        >= 70.0,
+        "exhaustive: mdf beats 4-parallel": exhaustive[5] < exhaustive[3],
+        "exhaustive: mdf beats 8-parallel": exhaustive[5] < exhaustive[4],
+        "early-choose: mdf beats 8-parallel by >=70%": improvement(early[4], early[5]) >= 70.0,
     }
     return FigureResult(
         "Fig. 5",
         "deep learning job completion time (simulated s)",
-        ["mode", "paths", "sequential", "4-parallel", "8-parallel", "MDF"],
+        ["mode", "paths", *APPROACH_COLUMNS],
         rows,
         checks,
         note="paper: MDF -60% vs sequential (exhaustive); early-choose -85% vs 8-parallel",
     )
 
 
-# --------------------------------------------------------------------- Fig 6
-
-
-def fig6_data_profiling(
-    sizes_mb: Sequence[int] = (256, 512, 1024, 2048),
-    values_n: int = 8000,
-    workers: int = 8,
-    mem_per_worker: int = 1 * GB,
-) -> FigureResult:
+def fig6_data_profiling() -> FigureResult:
     """Fig. 6: data-profiling (KDE) completion time vs input size."""
-    values = normal_values(values_n)
-    cluster = Cluster(workers, mem_per_worker)
+    values = normal_values(8000)
+    cluster = Cluster(8, 1 * GB)
     combos = kde_combinations()
     rows: List[List[Any]] = []
-    improvements = []
-    last = {}
-    for size_mb in sizes_mb:
-        nominal = size_mb * MB
-        mdf = kde_mdf(values, nominal_bytes=nominal)
-        jobs = [kde_job(values, p, nominal_bytes=nominal) for p in combos]
-        seq = run_sequential(jobs, cluster).completion_time
-        p4 = run_parallel(jobs, cluster, k=4).completion_time
-        p8 = run_parallel(jobs, cluster, k=8).completion_time
-        mdf_t = seep_mdf(mdf, cluster).completion_time
-        improvements.append(improvement(seq, mdf_t))
-        last = {"seq": seq, "p4": p4, "p8": p8, "mdf": mdf_t}
-        rows.append([size_mb, seq, p4, p8, mdf_t, improvements[-1]])
+    for size_mb in (256, 512, 1024, 2048):
+        mdf = kde_mdf(values, nominal_bytes=size_mb * MB)
+        jobs = [kde_job(values, p, nominal_bytes=size_mb * MB) for p in combos]
+        times = _approaches(mdf, jobs, cluster)
+        rows.append([size_mb, *times, improvement(times[0], times[3])])
+    seq, p4, p8, _ = rows[-1][1:5]
     checks = {
         "mdf always fastest": all(
             row[5] > 0 and row[4] == min(row[1:5]) for row in rows
         ),
-        "average improvement >= 55%": float(np.mean(improvements)) >= 55.0,
-        "8-parallel beats 4-parallel": last["p8"] <= last["p4"],
-        "parallel beats sequential": last["p4"] < last["seq"],
+        "average improvement >= 55%": float(np.mean([row[5] for row in rows])) >= 55.0,
+        "8-parallel beats 4-parallel": p8 <= p4,
+        "parallel beats sequential": p4 < seq,
     }
     return FigureResult(
         "Fig. 6",
         "data profiling (KDE) completion time vs input size",
-        ["size (MB)", "sequential", "4-parallel", "8-parallel", "MDF", "MDF vs seq (%)"],
+        ["size (MB)", *APPROACH_COLUMNS, "MDF vs seq (%)"],
         rows,
         checks,
         note="paper: MDF fastest at every size, ~-70% vs sequential on average",
     )
 
 
-# --------------------------------------------------------------------- Fig 7
-
-
-def fig7_time_series(
-    branch_counts: Sequence[int] = (16, 64, 256),
-    trace_n: int = 20_000,
-    workers: int = 8,
-    mem_per_worker: int = 2 * GB,
-    nominal_bytes: int = 128 * MB,
-) -> FigureResult:
+def fig7_time_series() -> FigureResult:
     """Fig. 7: time-series completion time vs number of branches."""
-    trace = oil_well_trace(trace_n)
-    cluster = Cluster(workers, mem_per_worker)
+    trace = oil_well_trace(20_000)
+    cluster = Cluster(8, 2 * GB)
     rows: List[List[Any]] = []
-    seq_times = []
-    for count in branch_counts:
+    for count in (16, 64, 256):
         grid = granularity_grid(count)
-        mdf = time_series_mdf(trace, grid, nominal_bytes=nominal_bytes)
+        mdf = time_series_mdf(trace, grid, nominal_bytes=128 * MB)
         jobs = [
-            time_series_job(trace, p, grid, nominal_bytes=nominal_bytes)
+            time_series_job(trace, p, grid, nominal_bytes=128 * MB)
             for p in time_series_combinations(grid)
         ]
-        seq = run_sequential(jobs, cluster).completion_time
-        p4 = run_parallel(jobs, cluster, k=4).completion_time
-        p8 = run_parallel(jobs, cluster, k=8).completion_time
-        mdf_t = seep_mdf(mdf, cluster).completion_time
-        seq_times.append(seq)
+        seq, p4, p8, mdf_t = _approaches(mdf, jobs, cluster)
         rows.append([count, seq, p4, p8, mdf_t, improvement(seq, mdf_t), improvement(p8, mdf_t)])
-    growth = [seq_times[i + 1] / seq_times[i] for i in range(len(seq_times) - 1)]
-    branch_growth = [
-        branch_counts[i + 1] / branch_counts[i] for i in range(len(branch_counts) - 1)
-    ]
     checks = {
         "sequential grows ~linearly in branches": all(
-            0.5 * bg <= g <= 1.5 * bg for g, bg in zip(growth, branch_growth)
+            0.5 * (b[0] / a[0]) <= b[1] / a[1] <= 1.5 * (b[0] / a[0])
+            for a, b in zip(rows, rows[1:])
         ),
         "mdf beats sequential by 60-98%": all(60.0 <= row[5] <= 99.0 for row in rows),
         "mdf beats parallel everywhere": all(row[4] < row[3] for row in rows),
@@ -275,15 +239,7 @@ def fig7_time_series(
     return FigureResult(
         "Fig. 7",
         "time series analysis completion time vs #branches",
-        [
-            "branches",
-            "sequential",
-            "4-parallel",
-            "8-parallel",
-            "MDF",
-            "vs seq (%)",
-            "vs 8p (%)",
-        ],
+        ["branches", *APPROACH_COLUMNS, "vs seq (%)", "vs 8p (%)"],
         rows,
         checks,
         note="paper: sequential linear; MDF -60%..-98%",
@@ -293,36 +249,26 @@ def fig7_time_series(
 # --------------------------------------------------------------------- Fig 8
 
 
-def fig8_choose_variants(
-    branch_count: int = 64,
-    trace_n: int = 20_000,
-    workers: int = 8,
-    mem_per_worker: int = 2 * GB,
-    nominal_bytes: int = 128 * MB,
-    random_runs: int = 12,
-) -> FigureResult:
+def fig8_choose_variants() -> FigureResult:
     """Fig. 8: the effect of choose functions and scheduling hints."""
-    trace = oil_well_trace(trace_n)
-    grid = granularity_grid(branch_count)
-    cluster = Cluster(workers, mem_per_worker)
+    trace = oil_well_trace(20_000)
+    grid = granularity_grid(64)
+    cluster = Cluster(8, 2 * GB)
 
-    def run_variant(selection, evaluator=None, hint=None, pruning=True) -> float:
+    def run_variant(selection, evaluator=None, hint=SortedHint()) -> float:
         mdf = time_series_mdf(
-            trace, grid, selection=selection, evaluator=evaluator, nominal_bytes=nominal_bytes
+            trace, grid, selection=selection, evaluator=evaluator, nominal_bytes=128 * MB
         )
-        config = EngineConfig(pruning=pruning)
-        if hint is not None:
-            config.hint = hint
+        config = EngineConfig(hint=hint)
         return run_mdf(mdf, cluster, scheduler="bas", memory="amm", config=config).completion_time
 
     full = run_variant(Threshold(0.8, above=True))
     top4 = run_variant(TopK(4, largest=True))
     first4 = run_variant(KThreshold(4, 0.8, above=True))
     randoms = [
-        run_variant(KThreshold(4, 0.8, above=True), hint=RandomHint(seed))
-        for seed in range(random_runs)
+        run_variant(KThreshold(4, 0.8, above=True), hint=RandomHint(seed)) for seed in range(12)
     ]
-    sorted_eval = RatioEvaluator(trace_n, monotone=True, name="surviving-ratio")
+    sorted_eval = RatioEvaluator(20_000, monotone=True, name="surviving-ratio")
     first4_sorted = run_variant(
         KThreshold(4, 0.8, above=True), evaluator=sorted_eval, hint=SortedHint()
     )
@@ -356,24 +302,17 @@ def fig8_choose_variants(
 # --------------------------------------------------------------------- Fig 9
 
 
-def fig9_spark_comparison(
-    branch_factors: Sequence[int] = (2, 4, 6, 10),
-    pairs_n: int = 3000,
-    workers: int = 8,
-    mem_per_worker: int = 1 * GB,
-    nominal_bytes: int = int(2.5 * GB),
-) -> FigureResult:
+def fig9_spark_comparison() -> FigureResult:
     """Fig. 9: MDF vs Spark-like baselines on the synthetic job."""
-    pairs = string_int_pairs(pairs_n)
-    cluster = Cluster(workers, mem_per_worker)
+    pairs = string_int_pairs(3000)
+    cluster = Cluster(8, 1 * GB)
     config = EngineConfig(partitions_per_worker=2)
+    nominal = int(2.5 * GB)
     rows: List[List[Any]] = []
-    for bf in branch_factors:
-        mdf = synthetic_mdf(pairs, b1=bf, b2=bf, nominal_bytes=nominal_bytes)
-        jobs = [
-            synthetic_job(pairs, p, nominal_bytes=nominal_bytes)
-            for p in synthetic_combinations(bf, bf)
-        ]
+    for bf in (2, 4, 6, 10):
+        mdf = synthetic_mdf(pairs, b1=bf, b2=bf, nominal_bytes=nominal)
+        combos = synthetic_combinations(bf, bf)
+        jobs = [synthetic_job(pairs, p, nominal_bytes=nominal) for p in combos]
         seq = spark_sequential(jobs, cluster).completion_time
         yarn = spark_yarn(jobs, cluster, k=4).completion_time
         cache = spark_cache(mdf, cluster).completion_time
@@ -401,55 +340,49 @@ def fig9_spark_comparison(
 # ------------------------------------------------------------ Figs 10-18
 
 
-def _four_configs(
-    mdf, workers: int, mem_per_worker: int, ppw: int = 2
-) -> Dict[str, Any]:
-    """Run the four §6.2 configurations: {LRU, AMM} × {±incremental}."""
-    out = {}
-    for policy in ("lru", "amm"):
-        for inc in (False, True):
-            cluster = Cluster(workers, mem_per_worker)
-            config = EngineConfig(incremental_choose=inc, partitions_per_worker=ppw)
-            result = run_mdf(mdf, cluster, scheduler="bas", memory=policy, config=config)
-            label = policy + ("+incr" if inc else "")
-            out[label] = result
-    return out
-
-
 CONFIG_LABELS = ["lru", "lru+incr", "amm", "amm+incr"]
 
 
-def fig10_13_scale_workers(
-    worker_counts: Sequence[int] = (2, 4, 8, 12),
-    per_worker_gb: float = 4.0,
-    mem_per_worker: int = 10 * GB,
-    pairs_n: int = 2000,
-) -> FigureResult:
+def _four_configs(mdf, workers: int, mem: int) -> Tuple[List[float], List[float]]:
+    """Run the four §6.2 configurations, {LRU, AMM} × {±incremental}, each on
+    a fresh cluster: completion times and memory-hit ratios in
+    :data:`CONFIG_LABELS` order."""
+    results = [
+        run_mdf(
+            mdf,
+            Cluster(workers, mem),
+            scheduler="bas",
+            memory=policy,
+            config=EngineConfig(incremental_choose=incremental, partitions_per_worker=2),
+        )
+        for policy in ("lru", "amm")
+        for incremental in (False, True)
+    ]
+    return [r.completion_time for r in results], [r.memory_hit_ratio for r in results]
+
+
+def _columns(key: str, measure: str) -> List[str]:
+    """``key``, one ``measure`` column and then one hit column per configuration."""
+    return [
+        key,
+        *(f"{measure}:{label}" for label in CONFIG_LABELS),
+        *(f"hit:{label}" for label in CONFIG_LABELS),
+    ]
+
+
+def fig10_13_scale_workers() -> FigureResult:
     """Figs. 10+13: processing rate and memory-hit ratio vs #workers.
 
-    Input grows with the cluster (constant per-worker data), so the figure
-    reports the processing *rate* (GB/s) like the paper.
+    Input grows with the cluster (4 GB per worker), so the figure reports
+    the processing *rate* (GB/s) like the paper.
     """
-    pairs = string_int_pairs(pairs_n)
+    pairs = string_int_pairs(2000)
     rows: List[List[Any]] = []
-    for workers in worker_counts:
-        nominal = int(workers * per_worker_gb * GB)
+    for workers in (2, 4, 8, 12):
+        nominal = int(workers * 4.0 * GB)
         mdf = synthetic_mdf(pairs, b1=4, b2=4, nominal_bytes=nominal)
-        results = _four_configs(mdf, workers, mem_per_worker)
-        row: List[Any] = [workers]
-        for label in CONFIG_LABELS:
-            rate = (nominal / GB) / results[label].completion_time
-            row.append(rate)
-        for label in CONFIG_LABELS:
-            row.append(results[label].memory_hit_ratio)
-        rows.append(row)
-    best_rates = {label: [] for label in CONFIG_LABELS}
-    for row in rows:
-        for i, label in enumerate(CONFIG_LABELS):
-            best_rates[label].append(row[1 + i])
-    hit_cols = {
-        label: [row[5 + i] for row in rows] for i, label in enumerate(CONFIG_LABELS)
-    }
+        times, hits = _four_configs(mdf, workers, 10 * GB)
+        rows.append([workers, *((nominal / GB) / t for t in times), *hits])
     checks = {
         "amm+incr fastest rate": all(
             row[4] >= max(row[1:5]) - 1e-9 for row in rows
@@ -458,39 +391,27 @@ def fig10_13_scale_workers(
             row[2] >= row[1] and row[4] >= row[3] for row in rows
         ),
         "hit ratio roughly flat vs workers": all(
-            (max(v) - min(v)) <= 0.15 for v in hit_cols.values()
+            (max(v) - min(v)) <= 0.15 for v in zip(*(row[5:] for row in rows))
         ),
     }
     return FigureResult(
         "Figs. 10+13",
         "scalability vs workers: rate (GB/s) and memory-hit ratio",
-        ["workers"]
-        + [f"rate:{label}" for label in CONFIG_LABELS]
-        + [f"hit:{label}" for label in CONFIG_LABELS],
+        _columns("workers", "rate"),
         rows,
         checks,
         note="paper: amm+incr best; hit ratio unaffected by worker count",
     )
 
 
-def fig11_14_scale_data(
-    per_worker_gb: Sequence[float] = (2, 4, 6, 8, 9),
-    workers: int = 8,
-    mem_per_worker: int = 10 * GB,
-    pairs_n: int = 2000,
-) -> FigureResult:
+def fig11_14_scale_data() -> FigureResult:
     """Figs. 11+14: completion time and hit ratio vs dataset size."""
-    pairs = string_int_pairs(pairs_n)
+    pairs = string_int_pairs(2000)
     rows: List[List[Any]] = []
-    for size in per_worker_gb:
-        nominal = int(workers * size * GB)
-        mdf = synthetic_mdf(pairs, b1=4, b2=4, nominal_bytes=nominal)
-        results = _four_configs(mdf, workers, mem_per_worker)
-        row: List[Any] = [size]
-        row.extend(results[label].completion_time for label in CONFIG_LABELS)
-        row.extend(results[label].memory_hit_ratio for label in CONFIG_LABELS)
-        rows.append(row)
-    amm_incr_hits = [row[8] for row in rows]
+    for size in (2, 4, 6, 8, 9):
+        mdf = synthetic_mdf(pairs, b1=4, b2=4, nominal_bytes=int(8 * size * GB))
+        times, hits = _four_configs(mdf, 8, 10 * GB)
+        rows.append([size, *times, *hits])
     checks = {
         "amm+incr fastest at every size (5% tol)": all(
             row[4] <= min(row[1:5]) * 1.05 for row in rows
@@ -498,39 +419,28 @@ def fig11_14_scale_data(
         "completion grows with size": all(
             rows[i + 1][4] > rows[i][4] for i in range(len(rows) - 1)
         ),
-        "hit ratio decreases then flattens": amm_incr_hits[0] > amm_incr_hits[-1],
+        "hit ratio decreases then flattens": rows[0][8] > rows[-1][8],
         "amm+incr hit ratio >= lru hit ratio": all(row[8] >= row[5] - 0.05 for row in rows),
     }
     return FigureResult(
         "Figs. 11+14",
         "completion time and hit ratio vs per-worker dataset size (GB)",
-        ["GB/worker"]
-        + [f"time:{label}" for label in CONFIG_LABELS]
-        + [f"hit:{label}" for label in CONFIG_LABELS],
+        _columns("GB/worker", "time"),
         rows,
         checks,
         note="paper: amm+incr best; hit ratio decreases up to ~6GB then constant",
     )
 
 
-def fig12_15_topology(
-    factor_pairs: Sequence[Tuple[int, int]] = ((2, 60), (4, 30), (6, 20), (10, 12), (12, 10), (20, 6), (30, 4), (60, 2)),
-    workers: int = 8,
-    mem_per_worker: int = 4 * GB,
-    nominal_bytes: int = 8 * GB,
-    pairs_n: int = 1000,
-) -> FigureResult:
+def fig12_15_topology() -> FigureResult:
     """Figs. 12+15: 120 branches split across outer × inner explores."""
-    pairs = string_int_pairs(pairs_n)
+    pairs = string_int_pairs(1000)
     rows: List[List[Any]] = []
-    for b1, b2 in factor_pairs:
-        assert b1 * b2 == 120, "the paper fixes |B1 x B2| = 120"
-        mdf = synthetic_mdf(pairs, b1=b1, b2=b2, nominal_bytes=nominal_bytes)
-        results = _four_configs(mdf, workers, mem_per_worker)
-        row: List[Any] = [f"{b1}x{b2}"]
-        row.extend(results[label].completion_time for label in CONFIG_LABELS)
-        row.extend(results[label].memory_hit_ratio for label in CONFIG_LABELS)
-        rows.append(row)
+    for b1 in (2, 4, 6, 10, 12, 20, 30, 60):
+        b2 = 120 // b1  # the paper fixes |B1 x B2| = 120
+        mdf = synthetic_mdf(pairs, b1=b1, b2=b2, nominal_bytes=8 * GB)
+        times, hits = _four_configs(mdf, 8, 4 * GB)
+        rows.append([f"{b1}x{b2}", *times, *hits])
     low_outer, high_outer = rows[0], rows[-1]
     checks = {
         # incremental strongest when inner branching is high (outer low)
@@ -544,32 +454,21 @@ def fig12_15_topology(
     return FigureResult(
         "Figs. 12+15",
         "120-branch topology: completion time and hit ratio vs B1 x B2",
-        ["B1xB2"]
-        + [f"time:{label}" for label in CONFIG_LABELS]
-        + [f"hit:{label}" for label in CONFIG_LABELS],
+        _columns("B1xB2", "time"),
         rows,
         checks,
         note="paper: incremental shines at low outer factor; AMM at high outer factor",
     )
 
 
-def fig16_cpu_cost(
-    work_levels: Sequence[int] = (1, 2, 4, 8, 16),
-    workers: int = 8,
-    mem_per_worker: int = 10 * GB,
-    per_worker_gb: float = 6.0,
-    pairs_n: int = 1000,
-) -> FigureResult:
+def fig16_cpu_cost() -> FigureResult:
     """Fig. 16: relative completion time vs branch processing cost."""
-    pairs = string_int_pairs(pairs_n)
-    nominal = int(workers * per_worker_gb * GB)
+    pairs = string_int_pairs(1000)
     rows: List[List[Any]] = []
-    for work in work_levels:
-        mdf = synthetic_mdf(pairs, b1=5, b2=5, work=work, nominal_bytes=nominal)
-        results = _four_configs(mdf, workers, mem_per_worker)
-        lru = results["lru"].completion_time
-        row = [work] + [results[label].completion_time / lru for label in CONFIG_LABELS]
-        rows.append(row)
+    for work in (1, 2, 4, 8, 16):
+        mdf = synthetic_mdf(pairs, b1=5, b2=5, work=work, nominal_bytes=int(8 * 6.0 * GB))
+        times, _ = _four_configs(mdf, 8, 10 * GB)
+        rows.append([work, *(t / times[0] for t in times)])
     first, last = rows[0], rows[-1]
     checks = {
         "amm+incr best at low cost (2% tol)": first[4] <= min(first[1:5]) * 1.02,
@@ -586,24 +485,13 @@ def fig16_cpu_cost(
     )
 
 
-def fig17_18_memory(
-    mem_levels_gb: Sequence[float] = (2, 4, 6, 8, 12, 16, 24, 32),
-    workers: int = 8,
-    per_worker_gb: float = 3.0,
-    pairs_n: int = 1000,
-) -> FigureResult:
+def fig17_18_memory() -> FigureResult:
     """Figs. 17+18: normalised completion time and hit ratio vs memory."""
-    pairs = string_int_pairs(pairs_n)
-    nominal = int(workers * per_worker_gb * GB)
-    mdf = synthetic_mdf(pairs, b1=5, b2=5, nominal_bytes=nominal)
+    mdf = synthetic_mdf(string_int_pairs(1000), b1=5, b2=5, nominal_bytes=int(8 * 3.0 * GB))
     rows: List[List[Any]] = []
-    for mem in mem_levels_gb:
-        results = _four_configs(mdf, workers, int(mem * GB))
-        lru = results["lru"].completion_time
-        row: List[Any] = [mem]
-        row.extend(results[label].completion_time / lru for label in CONFIG_LABELS)
-        row.extend(results[label].memory_hit_ratio for label in CONFIG_LABELS)
-        rows.append(row)
+    for mem in (2, 4, 6, 8, 12, 16, 24, 32):
+        times, hits = _four_configs(mdf, 8, int(mem * GB))
+        rows.append([mem, *(t / times[0] for t in times), *hits])
     first, mid, last = rows[0], rows[len(rows) // 2], rows[-1]
     checks = {
         "amm+incr best when memory is scarce": first[4] <= min(first[1:5]) + 1e-9,
@@ -616,9 +504,7 @@ def fig17_18_memory(
     return FigureResult(
         "Figs. 17+18",
         "normalised completion time and hit ratio vs worker memory (GB)",
-        ["mem GB"]
-        + [f"t/lru:{label}" for label in CONFIG_LABELS]
-        + [f"hit:{label}" for label in CONFIG_LABELS],
+        _columns("mem GB", "t/lru"),
         rows,
         checks,
         note="paper: amm+incr strongest at low memory; all converge as hit ratios reach 1",
@@ -628,13 +514,12 @@ def fig17_18_memory(
 # ------------------------------------------------------------- §5 & App. B
 
 
-def choose_throughput(seconds: float = 0.4) -> FigureResult:
+def choose_throughput() -> FigureResult:
     """§5 claim: the master sustains millions of choose invocations/s."""
-    selection = TopK(4)
-    selector = selection.incremental()
+    selector = TopK(4).incremental()
     count = 0
     start = time.perf_counter()
-    while time.perf_counter() - start < seconds:
+    while time.perf_counter() - start < 0.4:
         for _ in range(1000):
             selector.offer(f"b{count}", float(count % 97))
             count += 1
@@ -652,72 +537,40 @@ def choose_throughput(seconds: float = 0.4) -> FigureResult:
     )
 
 
-def failure_recovery(
-    thresholds: Sequence[int] = (10, 50, 100, 500, 900),
-    workers: int = 4,
-    mem_per_worker: int = 1 * GB,
-    nominal_bytes: int = 64 * MB,
-    data_n: int = 1000,
-    failure_stage: int = 4,
-    failed_node: str = "worker-0",
-) -> FigureResult:
+def failure_recovery() -> FigureResult:
     """§5: one mid-explore node failure vs failure-free execution.
 
-    Crosses LRU/AMM with checkpointing on/off.  Each failed run must
-    finish strictly later than its failure-free twin by *exactly* the
-    seconds charged into the ``recovery_seconds`` histogram (reloads and
-    lineage recomputes are paid through the cost model, nothing else
-    moves), and the master's :class:`ChooseScoreStore` must keep every
-    branch score — failures never re-run a choose evaluation.
+    Crosses LRU/AMM with checkpointing on/off on the lab's threshold-filter
+    explore (five branches).  Each failed run must finish strictly later
+    than its failure-free twin by *exactly* the seconds charged into the
+    ``recovery_seconds`` histogram (reloads and lineage recomputes are paid
+    through the cost model, nothing else moves), and the master's
+    :class:`ChooseScoreStore` must keep every branch score — failures never
+    re-run a choose evaluation.
     """
-
-    def make_mdf():
-        builder = MDFBuilder("failure-recovery")
-        src = builder.read_data(
-            list(range(data_n)), name="src", nominal_bytes=nominal_bytes
-        )
-        result = src.explore(
-            {"threshold": list(thresholds)},
-            lambda pipe, p: pipe.transform(
-                lambda xs, t=p["threshold"]: [x for x in xs if x < t],
-                name=f"filter-{p['threshold']}",
-            ),
-            name="explore",
-        ).choose(CallableEvaluator(len, name="count"), Min(), name="choose-min")
-        result.write(name="out")
-        return builder.build()
-
+    thresholds = (10, 50, 100, 500, 900)
     rows: List[List[Any]] = []
-    slower: List[bool] = []
-    exact: List[bool] = []
-    scores_kept: List[bool] = []
-    ckpt_reexecutions: List[int] = []
+    per_run: List[Dict[str, bool]] = []
     for memory in ("lru", "amm"):
         for ckpt_on in (False, True):
-            ckpt = (
-                CheckpointConfig(1, overhead_fraction=0.1) if ckpt_on else None
-            )
-            mdf = make_mdf()
+            ckpt = CheckpointConfig(1, overhead_fraction=0.1) if ckpt_on else None
+            mdf = _filter_min_mdf(thresholds=thresholds)
             clean = run_mdf(
-                mdf,
-                Cluster(workers, mem_per_worker),
-                memory=memory,
-                config=EngineConfig(checkpointing=ckpt),
+                mdf, Cluster(4, 1 * GB), memory=memory, config=EngineConfig(checkpointing=ckpt)
             )
-            cluster = Cluster(workers, mem_per_worker)
+            cluster = Cluster(4, 1 * GB)
             failed = run_mdf(
                 mdf,
                 cluster,
                 memory=memory,
                 config=EngineConfig(
                     checkpointing=ckpt,
-                    failures=FailureInjector.at_stages(
-                        [(failure_stage, failed_node)]
-                    ),
+                    failures=FailureInjector.at_stages([(4, "worker-0")]),
                 ),
             )
             charged = cluster.obs.value("recovery_seconds")
             delta = failed.completion_time - clean.completion_time
+            reexecutions = failed.metrics.recovery_reexecutions
             rows.append(
                 [
                     f"{memory}, ckpt {'on' if ckpt_on else 'off'}",
@@ -725,49 +578,35 @@ def failure_recovery(
                     failed.completion_time,
                     delta,
                     charged,
-                    failed.metrics.recovery_reexecutions,
+                    reexecutions,
                 ]
             )
-            slower.append(delta > 0)
-            exact.append(abs(delta - charged) < 1e-9)
-            scores_kept.append(
-                failed.metrics.choose_evaluations
-                == clean.metrics.choose_evaluations
-                == len(thresholds)
+            per_run.append(
+                {
+                    "every failed run finishes strictly later": delta > 0,
+                    "delta == charged recovery seconds (exactness)": abs(delta - charged) < 1e-9,
+                    "choose scores never recomputed": failed.metrics.choose_evaluations
+                    == clean.metrics.choose_evaluations
+                    == len(thresholds),
+                    "checkpointing recovers by reload, not recompute": not ckpt_on
+                    or reexecutions == 0,
+                }
             )
-            if ckpt_on:
-                ckpt_reexecutions.append(failed.metrics.recovery_reexecutions)
-    checks = {
-        "every failed run finishes strictly later": all(slower),
-        "delta == charged recovery seconds (exactness)": all(exact),
-        "choose scores never recomputed": all(scores_kept),
-        "checkpointing recovers by reload, not recompute": all(
-            n == 0 for n in ckpt_reexecutions
-        ),
-    }
+    checks = {name: all(run[name] for run in per_run) for name in per_run[0]}
     return FigureResult(
         "§5",
         "mid-explore node failure: recovery cost vs failure-free",
-        [
-            "config",
-            "clean (s)",
-            "failed (s)",
-            "delta (s)",
-            "recovery charged (s)",
-            "re-executions",
-        ],
+        ["config", "clean (s)", "failed (s)", "delta (s)", "recovery charged (s)", "re-executions"],
         rows,
         checks,
         note="failures are cheap but not free: the delta is exactly the charged recovery",
     )
 
 
-def appendix_b_counts(
-    configs: Sequence[Tuple[int, int]] = ((2, 2), (2, 4), (3, 3), (4, 2), (10, 3)),
-) -> FigureResult:
+def appendix_b_counts() -> FigureResult:
     """Appendix B / Theorem 4.3: DFS maintains <= datasets than BFS."""
     rows: List[List[Any]] = []
-    for branching, depth in configs:
+    for branching, depth in ((2, 2), (2, 4), (3, 3), (4, 2), (10, 3)):
         mdf = CollapsedMDF(branching, depth)
         dfs = mdf.peak_datasets("dfs")
         bfs = mdf.peak_datasets("bfs")
@@ -786,53 +625,31 @@ def appendix_b_counts(
     )
 
 
-def supplementary_full_time_series(
-    trace_n: int = 20_000,
-    workers: int = 8,
-    mem_per_worker: int = 2 * GB,
-    nominal_bytes: int = 128 * MB,
-) -> FigureResult:
+def supplementary_full_time_series() -> FigureResult:
     """Supplementary: the §6.1 time-series job with *all five* explorables.
 
     The paper's Fig. 22 listing only fans out the masking parameters; its
     prose sweeps five explorables (W, T, L, M, D).  This experiment chains
-    three scopes (mask -> mark -> detect) and compares against submitting
-    one concrete job per full combination — the reuse gap compounds with
-    each chained scope.
+    three scopes (mask -> mark -> detect, with 16, 3 x 3 and 3 branches)
+    and compares against submitting one concrete job per full combination —
+    the reuse gap compounds with each chained scope.
     """
-    trace = oil_well_trace(trace_n)
+    trace = oil_well_trace(20_000)
     grid = granularity_grid(16)
-    mark_windows, mark_magnitudes = (3, 5, 8), (1.0, 2.0, 4.0)
-    durations = (1_000.0, 2_000.0, 5_000.0)
-    cluster = Cluster(workers, mem_per_worker)
-    mdf = time_series_full_mdf(
-        trace,
-        grid,
-        mark_windows=mark_windows,
-        mark_magnitudes=mark_magnitudes,
-        durations=durations,
-        nominal_bytes=nominal_bytes,
-    )
-    result = seep_mdf(mdf, cluster)
+    cluster = Cluster(8, 2 * GB)
+    result = seep_mdf(time_series_full_mdf(trace, grid, nominal_bytes=128 * MB), cluster)
     branches_executed = result.metrics.branches_executed
     # the baseline must run the full cross product of all five explorables
-    full_combinations = (
-        grid.num_branches * len(mark_windows) * len(mark_magnitudes) * len(durations)
-    )
+    full_combinations = grid.num_branches * 3 * 3 * 3
     # estimate the sequential family from one representative job per stage mix
     jobs = [
-        time_series_job(trace, p, grid, nominal_bytes=nominal_bytes)
+        time_series_job(trace, p, grid, nominal_bytes=128 * MB)
         for p in time_series_combinations(grid)
     ]
     per_job = run_sequential(jobs, cluster).completion_time / len(jobs)
     sequential_estimate = per_job * full_combinations
     rows = [
-        [
-            "sequential (estimated)",
-            full_combinations,
-            sequential_estimate,
-            "-",
-        ],
+        ["sequential (estimated)", full_combinations, sequential_estimate, "-"],
         [
             "MDF (chained scopes)",
             branches_executed,
@@ -858,13 +675,7 @@ def supplementary_full_time_series(
     )
 
 
-def cache_reuse(
-    branch_count: int = 16,
-    trace_n: int = 8_000,
-    workers: int = 4,
-    mem_per_worker: int = 2 * GB,
-    nominal_bytes: int = 128 * MB,
-) -> FigureResult:
+def cache_reuse() -> FigureResult:
     """Result-cache reuse: warm re-runs of the time-series exploration.
 
     A cold run populates a :class:`~repro.cache.ResultCache`; an identical
@@ -874,79 +685,44 @@ def cache_reuse(
     re-run legitimately revisits stage ids the pruning validator would
     otherwise flag as reused.
     """
-    from ..cache import ResultCache
-    from ..trace import validate_trace
+    trace = oil_well_trace(8_000)
+    grid = granularity_grid(16)
 
-    trace = oil_well_trace(trace_n)
-    grid = granularity_grid(branch_count)
+    def run(cluster, config, reset):
+        mdf = time_series_mdf(trace, grid, selection=TopK(4, largest=True), nominal_bytes=128 * MB)
+        return run_mdf(mdf, cluster, scheduler="bas", memory="amm", config=config, reset=reset)
+
     rows: List[List[Any]] = []
-    reductions: List[float] = []
-    warm_hit_counts: List[int] = []
-    outputs_match: List[bool] = []
-    violation_counts: List[int] = []
-    disabled_match: List[bool] = []
+    per_mode: List[Dict[str, bool]] = []
     for label, incremental in (("incremental", True), ("materialized", False)):
-
-        def make_mdf():
-            return time_series_mdf(
-                trace, grid, selection=TopK(4, largest=True), nominal_bytes=nominal_bytes
-            )
-
-        def make_config(cache):
-            return EngineConfig(
-                pruning=False, incremental_choose=incremental, cache=cache
-            )
-
         # reference run without any cache: the cold cached run must cost
         # exactly the same simulated time (the cache never slows a job)
-        baseline = run_mdf(
-            make_mdf(),
-            Cluster(workers, mem_per_worker),
-            scheduler="bas",
-            memory="amm",
-            config=make_config(None),
-        ).completion_time
-        cluster = Cluster(workers, mem_per_worker)
+        uncached = EngineConfig(pruning=False, incremental_choose=incremental)
+        baseline = run(Cluster(4, 2 * GB), uncached, reset=True).completion_time
+        cluster = Cluster(4, 2 * GB)
         cache = ResultCache()
-        config = make_config(cache)
-        cold_result = run_mdf(
-            make_mdf(), cluster, scheduler="bas", memory="amm", config=config
-        )
+        config = EngineConfig(pruning=False, incremental_choose=incremental, cache=cache)
+        cold_result = run(cluster, config, reset=True)
         cold = cold_result.completion_time
         hits_before = cache.stats.hits
-        warm_result = run_mdf(
-            make_mdf(),
-            cluster,
-            scheduler="bas",
-            memory="amm",
-            config=config,
-            reset=False,
-        )
+        warm_result = run(cluster, config, reset=False)
         warm = warm_result.completion_time - cold
         warm_hits = cache.stats.hits - hits_before
         reduction = improvement(cold, warm)
-        reductions.append(reduction)
-        warm_hit_counts.append(warm_hits)
-        outputs_match.append(repr(cold_result.outputs) == repr(warm_result.outputs))
-        violation_counts.append(len(validate_trace(warm_result.events)))
-        disabled_match.append(abs(cold - baseline) < 1e-9)
         rows.append(
-            [
-                label,
-                cold,
-                warm,
-                f"{reduction:.1f}%",
-                warm_hits,
-                cache.stats.bytes_saved // MB,
-            ]
+            [label, cold, warm, f"{reduction:.1f}%", warm_hits, cache.stats.bytes_saved // MB]
         )
-    checks = {
-        "warm re-run >=25% faster (both modes)": all(r >= 25.0 for r in reductions),
-        "warm re-runs hit the cache": all(h > 0 for h in warm_hit_counts),
-        "outputs byte-identical cold vs warm": all(outputs_match),
-        "paper invariants + cache_sound hold": all(v == 0 for v in violation_counts),
-        "cold cached run costs the same as cache-off": all(disabled_match),
-    }
+        per_mode.append(
+            {
+                "warm re-run >=25% faster (both modes)": reduction >= 25.0,
+                "warm re-runs hit the cache": warm_hits > 0,
+                "outputs byte-identical cold vs warm": outputs_digest(cold_result.outputs)
+                == outputs_digest(warm_result.outputs),
+                "paper invariants + cache_sound hold": not validate_trace(warm_result.events),
+                "cold cached run costs the same as cache-off": abs(cold - baseline) < 1e-9,
+            }
+        )
+    checks = {name: all(mode[name] for mode in per_mode) for name in per_mode[0]}
     return FigureResult(
         "Cache",
         "lineage-fingerprint result cache: cold vs warm re-run (time series)",

@@ -476,23 +476,13 @@ class Cluster:
                     return record, pos
         return None, -1
 
-    def owner_of(self, key: PartitionKey) -> Optional[Tuple[str, int]]:
-        """The live dataset (id, position) referencing a partition key.
-
-        A key admitted under one dataset id may later be owned by another:
-        a choose absorbing branch tails into a composite pops the member
-        records but keeps their slots.  The result cache resolves reads
-        through this so they are attributed to the live owner (R3).
-        """
-        record, pos = self._locate(key)
-        if record is None:
-            return None
-        return record.dataset_id, pos
-
     def key_available(self, key: PartitionKey) -> Optional[Tuple[str, int]]:
-        """Like :meth:`owner_of`, but only when the bytes are readable now:
-        the home node must be alive and still hold the slot (a failure may
-        have destroyed it while the record awaits recovery)."""
+        """The live dataset (id, position) referencing a partition key, when
+        its bytes are readable now: the home node must be alive and still
+        hold the slot (a failure may have destroyed it while the record
+        awaits recovery).  A key admitted under one dataset id may later be
+        owned by another (a choose absorbing branch tails into a composite),
+        so the result cache resolves its reads through this (R3)."""
         record, pos = self._locate(key)
         if record is None:
             return None

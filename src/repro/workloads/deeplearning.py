@@ -21,7 +21,7 @@ move validation accuracy (so choose selects meaningfully).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -188,33 +188,6 @@ class MLPTrainer:
             np.mean(model.predict(val.x / 255.0) == val.y)
         )
         return model
-
-
-def train_payload(
-    trainer: MLPTrainer,
-    val: LabelledImages,
-    init: str,
-    learning_rate: float,
-    momentum: float,
-    init_override: Optional[Callable[[], str]] = None,
-) -> Callable:
-    """Operator function: train a model on the (full) payload.
-
-    Payload: :class:`LabelledImages` (the pre-processed training set) →
-    a one-element list holding the :class:`TrainedModel`.
-    ``init_override`` defers the init choice to run time, which lets the
-    early-choose MDF feed the winning init of the first explore into the
-    second explore's branches.
-    """
-
-    def train(payload) -> List[TrainedModel]:
-        data = payload[0] if isinstance(payload, list) else payload
-        chosen_init = init_override() if init_override is not None else init
-        model = trainer.train(data, val, chosen_init, learning_rate, momentum)
-        return [model]
-
-    train.__name__ = f"train_{init}_{learning_rate}_{momentum}"
-    return train
 
 
 def accuracy_of_payload(payload) -> float:

@@ -23,6 +23,8 @@ from repro import (
 from repro.cluster.fault import CheckpointConfig
 from repro.core.errors import FaultError
 from repro.engine import EngineConfig, run_mdf
+from repro.engine.job import outputs_digest
+from repro.lab.workloads import _filter_min_mdf
 
 from ..conftest import build_filter_mdf
 
@@ -207,6 +209,39 @@ class TestPermanentFailure:
         for event in result.events.filter("partition_stored"):
             if event.seq > decommissioned.seq:
                 assert event.data["node"] != "worker-0"
+
+    def test_checkpointed_partitions_relocate_to_a_survivor(self):
+        """A permanent failure re-places the dead node's checkpointed
+        partitions on survivors; reads resolve to the new home, and the
+        job finishes by reload, never by recompute, with the clean output."""
+        checkpointed = EngineConfig(checkpointing=CheckpointConfig(1))
+        clean = run_mdf(_filter_min_mdf(), fresh_cluster(), config=checkpointed)
+        cluster = fresh_cluster()
+        fail_node, homes = cluster.fail_node, []
+
+        def fail_and_locate(*args, **kwargs):
+            report = fail_node(*args, **kwargs)
+            for key in report.relocated:
+                dataset_id, pos = cluster.key_available(key)
+                home = cluster.record(dataset_id).partition_nodes[pos]
+                homes.append((home, cluster.node(home).has(key)))
+            return report
+
+        cluster.fail_node = fail_and_locate
+        failed = run_mdf(
+            _filter_min_mdf(),
+            cluster,
+            config=EngineConfig(
+                checkpointing=CheckpointConfig(1),
+                failures=FailureInjector.at_stages([(3, "worker-0")], permanent=True),
+            ),
+        )
+        assert homes, "the failure must relocate a checkpointed partition"
+        for home, holds_key in homes:
+            assert home != "worker-0" and holds_key
+        assert outputs_digest(failed.outputs) == outputs_digest(clean.outputs)
+        assert failed.metrics.recovery_reexecutions == 0
+        assert validate_trace(failed.events) == []
 
 
 class TestDeadDataDropsFree:
