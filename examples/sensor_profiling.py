@@ -26,13 +26,7 @@ def main() -> None:
     cluster = Cluster(num_workers=8, mem_per_worker=2 * GB)
 
     # ---- flat exploration (Fig. 3b style) ---------------------------------
-    mdf = kde_mdf(
-        readings,
-        preprocess_methods=("normalize", "standardize"),
-        kernels=("gaussian", "top-hat", "biweight", "triweight"),
-        bandwidths=(0.1, 0.2, 0.3),
-        nominal_bytes=1 * GB,
-    )
+    mdf = kde_mdf(readings, nominal_bytes=1 * GB)
     job = run_mdf(mdf, cluster, scheduler="bas", memory="amm")
     winner = job.output[0]
     print("== flat profiling MDF (2 x 4 x 3 = 24 configurations) ==")
@@ -43,13 +37,7 @@ def main() -> None:
         print(f"  {name}: kept {decision.kept}")
 
     # ---- scoped exploration (Fig. 3c / Example 3.5) -----------------------
-    scoped = kde_scoped_mdf(
-        readings,
-        outlier_thresholds=(1.5, 2.0, 2.5, 3.0),
-        kernels=("gaussian", "top-hat"),
-        nominal_bytes=1 * GB,
-        min_surviving_ratio=0.8,
-    )
+    scoped = kde_scoped_mdf(readings, nominal_bytes=1 * GB)
     job2 = run_mdf(scoped, cluster, scheduler="bas", memory="amm")
     outlier_decision = job2.decision_for("choose-outlier")
     print("\n== scoped MDF: early choose on the outlier threshold ==")

@@ -21,7 +21,7 @@ from ..cluster.cluster import Cluster
 from ..cluster.memory import MemoryPolicy, make_policy
 from ..cluster.metrics import Metrics
 from ..core.mdf import MDF
-from ..engine.job import EngineConfig, JobResult
+from ..engine.job import JobResult
 from ..engine.runner import run_mdf
 from .results import BaselineResult
 
@@ -49,7 +49,6 @@ def run_parallel(
     k: int = 4,
     scheduler: str = "bfs",
     memory: Union[str, MemoryPolicy] = "lru",
-    config: Optional[EngineConfig] = None,
     name: Optional[str] = None,
     job_overhead: float = 1.0,
 ) -> BaselineResult:
@@ -76,7 +75,7 @@ def run_parallel(
                 cost_model=cluster.cost_model,
                 policy=make_policy(memory) if isinstance(memory, str) else memory,
             )
-            result = run_mdf(mdf, clone, scheduler=scheduler, memory=None, config=config)
+            result = run_mdf(mdf, clone, scheduler=scheduler, memory=None)
             wave_results.append(result)
             merged = result.metrics if merged is None else merged.merge(result.metrics)
         total += _wave_time(wave_results, k) + job_overhead

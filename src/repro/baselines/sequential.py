@@ -7,12 +7,11 @@ behaviour of submitting independent dataflow jobs to Spark."""
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Union
 
 from ..cluster.cluster import Cluster
 from ..cluster.memory import MemoryPolicy
 from ..core.mdf import MDF
-from ..engine.job import EngineConfig
 from ..engine.runner import run_mdf
 from .results import BaselineResult
 
@@ -22,7 +21,6 @@ def run_sequential(
     cluster: Cluster,
     scheduler: str = "bfs",
     memory: Union[str, MemoryPolicy] = "lru",
-    config: Optional[EngineConfig] = None,
     name: str = "sequential",
     job_overhead: float = 1.0,
 ) -> BaselineResult:
@@ -36,7 +34,7 @@ def run_sequential(
     merged = None
     results = []
     for mdf in jobs:
-        result = run_mdf(mdf, cluster, scheduler=scheduler, memory=memory, config=config)
+        result = run_mdf(mdf, cluster, scheduler=scheduler, memory=memory)
         total += result.completion_time + job_overhead
         merged = result.metrics if merged is None else merged.merge(result.metrics)
         results.append(result)

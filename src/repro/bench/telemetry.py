@@ -19,17 +19,11 @@ from ..workloads import string_int_pairs, synthetic_mdf
 from .report import render_table
 
 
-def telemetry_report(
-    pairs_n: int = 600,
-    workers: int = 4,
-    mem_per_worker_gb: float = 2.0,
-    per_worker_data_gb: float = 3.0,
-    sample_interval: float = 0.25,
-) -> str:
+def telemetry_report() -> str:
     """Render the full telemetry demonstration report as text."""
-    pairs = string_int_pairs(pairs_n)
-    nominal = int(workers * per_worker_data_gb * GB)
-    mdf = synthetic_mdf(pairs, b1=4, b2=4, nominal_bytes=nominal)
+    workers, mem_per_worker_gb = 4, 2.0
+    nominal = int(workers * 3.0 * GB)
+    mdf = synthetic_mdf(string_int_pairs(600), b1=4, b2=4, nominal_bytes=nominal)
 
     results: Dict[str, Any] = {}
     for policy in ("lru", "amm"):
@@ -41,7 +35,7 @@ def telemetry_report(
             scheduler="bas",
             memory=policy,
             config=config,
-            observers=[TimelineSampler(interval=sample_interval)],
+            observers=[TimelineSampler(interval=0.25)],
         )
 
     sections: List[str] = []

@@ -682,20 +682,15 @@ class ResultCache:
     reset=False)`` so prior outputs stay registered) is what makes warm
     re-runs hit.
 
-    ``cost_based=True`` (default) makes the executor serve a hit only when
-    the modelled read cost beats the modelled recompute cost — under the
-    paper's cost model a disk-resident entry can be *slower* than
-    recomputing a cheap operator (disk reads 200 MB/s vs 500 MB/s compute),
-    and a cache that slows the job down is worse than no cache.
+    The executor serves a hit only when the modelled read cost beats the
+    modelled recompute cost — under the paper's cost model a disk-resident
+    entry can be *slower* than recomputing a cheap operator (disk reads
+    200 MB/s vs 500 MB/s compute), and a cache that slows the job down is
+    worse than no cache.
     """
 
-    def __init__(
-        self,
-        store: Optional[SharedCacheStore] = None,
-        cost_based: bool = True,
-    ):
+    def __init__(self, store: Optional[SharedCacheStore] = None):
         self.store = store
-        self.cost_based = bool(cost_based)
         self.stats = CacheStats()
         self._entries: Dict[str, CacheEntry] = {}
         self._by_dataset: Dict[str, Set[str]] = {}

@@ -254,8 +254,10 @@ class Aggregate(Operator):
 class GroupBy(Operator):
     """Wide operator: groups elements by a key function.
 
-    Produces one ``(key, [elements])`` pair per group, hash-partitioned over
-    the same number of partitions as the input.
+    Produces one ``(key, [elements])`` pair per group, spread over the same
+    number of partitions as the input: the i-th key seen goes to partition
+    ``i % n``.  Not by ``hash(key)``: string hashes change with the
+    process's hash seed, and the output must not.
     """
 
     narrow = False
@@ -278,8 +280,8 @@ class GroupBy(Operator):
                     groups.setdefault(self.key_fn(x), []).append(x)
             n = max(1, len(payloads))
             out: List[List[Any]] = [[] for _ in range(n)]
-            for key, members in groups.items():
-                out[hash(key) % n].append((key, members))
+            for i, group in enumerate(groups.items()):
+                out[i % n].append(group)
             return out
         except Exception as exc:  # noqa: BLE001
             raise ExecutionError(self.name, str(exc)) from exc

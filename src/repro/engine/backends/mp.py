@@ -7,12 +7,11 @@ While the master's chosen stage executes in-process, the other ready
 Operators are rarely picklable (exploration branches are lambdas and
 closures), so :meth:`MPBackend.prepare` puts every operator of the run in
 a module-global table *before* the pool forks; workers inherit it (cell
-vars and the hash seed included, so ``GroupBy`` partitions identically)
-and tasks name operators by token.  Operators the workers never saw mark
-the pool stale, and it re-forks at the next prefetch.  Payloads and
-results cross through the pool's own pickling; when either cannot cross,
-the stage is recomputed inline at its turn, which is safe because
-operators are pure.
+vars included) and tasks name operators by token.  Operators the workers
+never saw mark the pool stale, and it re-forks at the next prefetch.
+Payloads and results cross through the pool's own pickling; when either
+cannot cross, the stage is recomputed inline at its turn, which is safe
+because operators are pure.
 """
 
 from __future__ import annotations

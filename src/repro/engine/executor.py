@@ -321,10 +321,10 @@ class StageExecutor:
         """Serve the stage from the result cache, or return ``None`` (miss).
 
         A hit is served only when the modelled read cost beats the
-        modelled recompute cost (``cache.cost_based``): under the paper's
-        cost model a disk-resident entry can be slower than recomputing a
-        cheap operator, and a cache that slows the job down is worse than
-        no cache.
+        modelled recompute cost: under the paper's cost model a
+        disk-resident entry can be slower than recomputing a cheap
+        operator, and a cache that slows the job down is worse than no
+        cache.
         """
         cache = self.config.cache
         if cache is None or fingerprint is None:
@@ -337,7 +337,7 @@ class StageExecutor:
         saved_seconds = 0.0
         if recompute is not None:
             read_cost = self._hit_read_estimate(hit)
-            if cache.cost_based and read_cost >= recompute:
+            if read_cost >= recompute:
                 cache.note_miss(fingerprint, self.cluster, stage.id, "not-profitable")
                 return None
             saved_seconds = max(0.0, recompute - read_cost)

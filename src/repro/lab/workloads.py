@@ -113,12 +113,10 @@ def _filter_min_mdf(
     return b.build()
 
 
-def _nested_max_mdf(
-    outer=(2, 3), inner=(5, 7), nominal: int = 64 * MB, data_n: int = 400
-) -> MDF:
+def _nested_max_mdf() -> MDF:
     """Nested explore; products 10/14/15/21 keep every score distinct."""
     b = MDFBuilder("lab-nested-max")
-    src = b.read_data(list(range(data_n)), name="src", nominal_bytes=nominal)
+    src = b.read_data(list(range(400)), name="src", nominal_bytes=64 * MB)
     score = CallableEvaluator(
         lambda xs: float(max(xs)) if xs else 0.0, name="max-value"
     )
@@ -133,52 +131,49 @@ def _nested_max_mdf(
             lambda xs, m=p["o"]: [x * m for x in xs], name=f"mul-{p['o']}"
         )
         return first.explore(
-            {"m": list(inner), "_o": [p["o"]]},
+            {"m": [5, 7], "_o": [p["o"]]},
             inner_branch,
             name=f"explore-inner-{p['o']}",
         ).choose(score, Max(), name=f"choose-inner-{p['o']}")
 
-    result = src.explore({"o": list(outer)}, outer_branch, name="explore-outer").choose(
+    result = src.explore({"o": [2, 3]}, outer_branch, name="explore-outer").choose(
         score, Max(), name="choose-outer"
     )
     result.write(name="out")
     return b.build()
 
 
-def _wide_topk_mdf(
-    scales=(3, 1, 4, 9, 2, 6, 8, 5), k: int = 3, nominal: int = 32 * MB
-) -> MDF:
-    """One wide explore (8 branches), keep the top-``k`` by scaled sum.
+def _wide_topk_mdf() -> MDF:
+    """One wide explore (8 branches), keep the top 3 by scaled sum.
 
     Distinct scale factors give distinct scores; the shuffled domain
     order ensures the winners are *not* a domain prefix, so a scheduler
     that reorders evaluation gets exercised against real reordering."""
     b = MDFBuilder("lab-wide-topk")
-    src = b.read_data(list(range(1, 201)), name="src", nominal_bytes=nominal)
+    src = b.read_data(list(range(1, 201)), name="src", nominal_bytes=32 * MB)
     score = CallableEvaluator(lambda xs: float(sum(xs)), name="sum")
     result = src.explore(
-        {"s": list(scales)},
+        {"s": [3, 1, 4, 9, 2, 6, 8, 5]},
         lambda pipe, p: pipe.transform(
             lambda xs, s=p["s"]: [x * s for x in xs], name=f"scale-{p['s']}"
         ),
         name="explore-scale",
-    ).choose(score, TopK(k), name="choose-top")
+    ).choose(score, TopK(3), name="choose-top")
     result.write(name="out")
     return b.build()
 
 
-def _threshold_keepers_mdf(
-    cutoffs=(50, 150, 400, 800), nominal: int = 32 * MB, data_n: int = 1000
-) -> MDF:
+def _threshold_keepers_mdf() -> MDF:
     """Exhaustive ``Threshold`` selection: every branch judged on its own.
 
     Per-branch independent keep/discard is order-insensitive regardless
     of score spacing — the multi-keeper counterpart to top-k."""
     b = MDFBuilder("lab-threshold")
-    src = b.read_data(list(range(data_n)), name="src", nominal_bytes=nominal)
+    data_n = 1000
+    src = b.read_data(list(range(data_n)), name="src", nominal_bytes=32 * MB)
     ratio = CallableEvaluator(lambda xs: len(xs) / data_n, name="kept-ratio")
     result = src.explore(
-        {"c": list(cutoffs)},
+        {"c": [50, 150, 400, 800]},
         lambda pipe, p: pipe.transform(
             lambda xs, c=p["c"]: [x for x in xs if x < c], name=f"cut-{p['c']}"
         ),

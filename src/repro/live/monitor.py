@@ -118,18 +118,18 @@ class LiveMonitor:
     def progress_line(self) -> str:
         return progress_line(self.snapshot())
 
-    def dashboard(self, width: int = 72) -> str:
-        return render_dashboard(self.snapshot(), self.alerts, width=width)
+    def dashboard(self) -> str:
+        return render_dashboard(self.snapshot(), self.alerts)
 
 
 # ----------------------------------------------------------------- renderers
 
 
-def _bar(fraction: Optional[float], width: int = 20) -> str:
+def _bar(fraction: Optional[float]) -> str:
     if fraction is None:
-        return "·" * width
-    filled = int(round(fraction * width))
-    return "#" * filled + "." * (width - filled)
+        return "·" * 20
+    filled = int(round(fraction * 20))
+    return "#" * filled + "." * (20 - filled)
 
 
 def _fmt_eta(snap: ProgressSnapshot) -> str:
@@ -176,14 +176,10 @@ _STATE_MARK = {
 }
 
 
-def render_dashboard(
-    snap: ProgressSnapshot,
-    alerts: List[Alert],
-    width: int = 72,
-    remaining_by_branch: Optional[Dict[str, float]] = None,
-) -> str:
-    """The multi-line terminal view: header, branch tree, alerts."""
-    lines = ["repro.live " + "─" * max(0, width - 11)]
+def render_dashboard(snap: ProgressSnapshot, alerts: List[Alert]) -> str:
+    """The multi-line terminal view, 72 columns wide: header, branch tree,
+    alerts."""
+    lines = ["repro.live " + "─" * 61]
     lines.append(progress_line(snap))
     if snap.critical_path_seconds is not None and snap.remaining_seconds:
         lines.append(
@@ -205,12 +201,8 @@ def render_dashboard(
         for i, branch_id in enumerate(members):
             state = snap.branch_status[branch_id]
             joint = "└─" if i == len(members) - 1 else "├─"
-            extra = ""
-            if remaining_by_branch and branch_id in remaining_by_branch:
-                extra = f"  (+{remaining_by_branch[branch_id]:.3f}s pending)"
             lines.append(
-                f"  {joint}[{_STATE_MARK.get(state, '?')}] {branch_id}"
-                f"  {state}{extra}"
+                f"  {joint}[{_STATE_MARK.get(state, '?')}] {branch_id}  {state}"
             )
     if alerts:
         lines.append(f"  alerts ({len(alerts)}):")

@@ -118,9 +118,9 @@ def _nan_none(value: float):
     return None if value != value else value
 
 
-def registry_json(registry: MetricsRegistry, indent: int = 2) -> str:
+def registry_json(registry: MetricsRegistry) -> str:
     """JSON text export of :func:`registry_to_dict`."""
-    return json.dumps(registry_to_dict(registry), indent=indent, sort_keys=True)
+    return json.dumps(registry_to_dict(registry), indent=2, sort_keys=True)
 
 
 # --------------------------------------------------------------- format lint

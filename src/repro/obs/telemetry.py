@@ -34,11 +34,11 @@ class Telemetry:
         self.metrics = metrics
 
     # --------------------------------------------------------------- exports
-    def to_prometheus(self, namespace: str = "repro") -> str:
-        return prometheus_text(self.registry, namespace=namespace)
+    def to_prometheus(self) -> str:
+        return prometheus_text(self.registry)
 
-    def to_json(self, indent: int = 2) -> str:
-        return registry_json(self.registry, indent=indent)
+    def to_json(self) -> str:
+        return registry_json(self.registry)
 
     def as_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {"registry": registry_to_dict(self.registry)}
@@ -48,9 +48,9 @@ class Telemetry:
             out["metrics"] = self.metrics.as_dict()
         return out
 
-    def timeline_json(self, indent: int = 2) -> str:
+    def timeline_json(self) -> str:
         samples = self.timeline.as_dicts() if self.timeline is not None else []
-        return json.dumps(samples, indent=indent, sort_keys=True)
+        return json.dumps(samples, indent=2, sort_keys=True)
 
     @property
     def samples(self) -> List:

@@ -6,9 +6,8 @@ The trainer and choose operators execute multiple rounds of validation."
 
 Here the explore's parameter grid is the *fold index*: each branch trains
 on k−1 folds and validates on the held-out fold.  The choose's evaluator
-is the fold's validation score; selection is configurable — ``TopK(1)``
-picks the best fold's model (the paper's "highest quality result"), while
-``Threshold(-inf)``-style selections can keep all folds for ensembling.
+is the fold's validation score, and ``TopK(1)`` picks the best fold's
+model (the paper's "highest quality result").
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from ..core.builder import MDFBuilder, Pipe
 from ..core.evaluators import CallableEvaluator
 from ..core.mdf import MDF
 from ..core.operators import Source
-from ..core.selection import SelectionFunction, TopK
+from ..core.selection import TopK
 
 TrainFn = Callable[[Any, Any], Any]  # (train_payload, val_payload) -> model
 ScoreFn = Callable[[Any], float]  # model -> validation score
@@ -51,22 +50,19 @@ def cross_validation_mdf(
     train_fn: TrainFn,
     score_fn: ScoreFn,
     k: int = 5,
-    selection: Optional[SelectionFunction] = None,
     nominal_bytes: Optional[int] = None,
-    name: str = "cross-validation",
 ) -> MDF:
     """Build a k-fold cross-validation MDF over ``items``.
 
     Each branch trains via ``train_fn(train_items, val_items)`` and is
-    scored by ``score_fn(model)``; the default selection keeps the single
-    best fold's model.  The returned MDF's sink output is a one-element
-    list holding the selected model(s).
+    scored by ``score_fn(model)``; the choose keeps the single best
+    fold's model.  The returned MDF's sink output is a one-element
+    list holding the selected model.
     """
-    selection = selection or TopK(1)
     splits = fold_splits(len(items), k)
     items = list(items)
 
-    builder = MDFBuilder(name)
+    builder = MDFBuilder("cross-validation")
     src = builder.read(
         Source.from_data(items, name="read-folds", nominal_bytes=nominal_bytes)
     )
@@ -91,7 +87,7 @@ def cross_validation_mdf(
             lambda payload: float(score_fn(payload[0])) if payload else float("-inf"),
             name="fold-score",
         ),
-        selection,
+        TopK(1),
         name="choose-fold",
     )
     result.write(name="model")

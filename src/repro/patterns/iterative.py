@@ -54,7 +54,6 @@ def iterative_explore_mdf(
     max_rounds: int = 10,
     selection: Optional[SelectionFunction] = None,
     nominal_bytes: Optional[int] = None,
-    name: str = "iterative-explore",
 ) -> MDF:
     """Explore fixpoint configurations with in-iteration early termination.
 
@@ -72,7 +71,7 @@ def iterative_explore_mdf(
     selection = selection or TopK(1)
     diverged_fn = diverged_fn or (lambda state, config: False)
 
-    builder = MDFBuilder(name)
+    builder = MDFBuilder("iterative-explore")
     src = builder.read(
         Source.from_data([initial], name="read-initial", nominal_bytes=nominal_bytes)
     )

@@ -190,10 +190,8 @@ def render_branches(profile: SpanProfile) -> str:
     return out
 
 
-def render_critical_path(
-    segments: List[Segment], makespan: float, limit: int = 10
-) -> str:
-    """The longest critical-path segments, plus the exact total."""
+def render_critical_path(segments: List[Segment], makespan: float) -> str:
+    """The ten longest critical-path segments, plus the exact total."""
     if not segments:
         return "no profile spans recorded (trace predates repro.prof)"
     total = sum(s.seconds for s in segments)
@@ -204,7 +202,7 @@ def render_critical_path(
             _pct(segment.seconds, makespan),
             segment.description,
         ]
-        for segment in top_segments(segments, limit)
+        for segment in top_segments(segments, 10)
     ]
     out = _table(["t", "seconds", "share", "segment"], rows)
     out += (

@@ -585,18 +585,14 @@ ALL_CHECKS = {
 }
 
 
-def validate_trace(
-    trace: Optional[Trace],
-    alpha: Optional[float] = None,
-    table1: Optional[Mapping[str, Any]] = None,
-) -> List[Violation]:
+def validate_trace(trace: Optional[Trace]) -> List[Violation]:
     """Run all seven invariant checkers; returns every violation found."""
     if trace is None:
         return []
     violations: List[Violation] = []
     violations.extend(check_depth_first(trace))
-    violations.extend(check_amm_ranking(trace, alpha=alpha))
-    violations.extend(check_pruning_sound(trace, table1=table1))
+    violations.extend(check_amm_ranking(trace))
+    violations.extend(check_pruning_sound(trace))
     violations.extend(check_no_use_after_discard(trace))
     violations.extend(check_recovery_sound(trace))
     violations.extend(check_cache_sound(trace))
@@ -604,13 +600,9 @@ def validate_trace(
     return violations
 
 
-def assert_valid(
-    trace: Optional[Trace],
-    alpha: Optional[float] = None,
-    table1: Optional[Mapping[str, Any]] = None,
-) -> None:
+def assert_valid(trace: Optional[Trace]) -> None:
     """Raise :class:`InvariantViolation` if any invariant is violated."""
-    violations = validate_trace(trace, alpha=alpha, table1=table1)
+    violations = validate_trace(trace)
     if violations:
         raise InvariantViolation(violations)
 

@@ -31,12 +31,7 @@ def normal_values(
     return rng.normal(mu, sigma, size=n).astype(np.float64)
 
 
-def oil_well_trace(
-    n: int = 50_000,
-    seed: int = 11,
-    outlier_rate: float = 0.01,
-    event_rate: float = 0.002,
-) -> np.ndarray:
+def oil_well_trace(n: int = 50_000, seed: int = 11) -> np.ndarray:
     """Synthetic oil-well pressure trace: baseline + drift + events + noise.
 
     Events are step changes of random magnitude and duration; outliers are
@@ -49,15 +44,15 @@ def oil_well_trace(
     drift = np.cumsum(rng.normal(0.0, 0.01, size=n))
     noise = rng.normal(0.0, 0.5, size=n)
     series = baseline + drift + noise
-    # step events
-    num_events = max(1, int(n * event_rate))
+    # step events: one per 500 points
+    num_events = max(1, int(n * 0.002))
     starts = rng.integers(0, max(n - 100, 1), size=num_events)
     for start in starts:
         duration = int(rng.integers(20, 200))
         magnitude = float(rng.normal(0.0, 8.0))
         series[start : start + duration] += magnitude
-    # isolated outlier spikes
-    num_outliers = max(1, int(n * outlier_rate))
+    # isolated outlier spikes: 1% of points
+    num_outliers = max(1, int(n * 0.01))
     positions = rng.integers(0, n, size=num_outliers)
     series[positions] += rng.normal(0.0, 40.0, size=num_outliers)
     return series

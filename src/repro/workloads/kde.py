@@ -51,9 +51,10 @@ class DensityEstimate:
         """Interpolate the gridded density at arbitrary points."""
         return np.interp(x, self.grid, self.density, left=0.0, right=0.0)
 
-    def log_likelihood(self, holdout: np.ndarray, floor: float = 1e-12) -> float:
-        """Mean log pdf over a hold-out sample (higher is better)."""
-        values = np.maximum(self.pdf(np.asarray(holdout)), floor)
+    def log_likelihood(self, holdout: np.ndarray) -> float:
+        """Mean log pdf over a hold-out sample (higher is better); a zero
+        density counts as 1e-12, so one stray point does not give -inf."""
+        values = np.maximum(self.pdf(np.asarray(holdout)), 1e-12)
         return float(np.mean(np.log(values)))
 
     def mise(self, true_pdf: Callable[[np.ndarray], np.ndarray]) -> float:

@@ -41,19 +41,24 @@ from .timeseries import TimeSeriesGrid, detect_sequences, mark_events, mask_seri
 
 MB = 1024**2
 
+#: §6.1 job 3's grid: pre-processing methods × kernels × bandwidths
+_KDE_METHODS = ("normalize", "standardize")
+_KDE_KERNELS = ("gaussian", "top-hat", "biweight", "triweight")
+_KDE_BANDWIDTHS = (0.1, 0.2, 0.3)
+#: the marking and detection settings the Fig. 22 job fixes per run
+_MARK_WINDOW, _MARK_MAGNITUDE, _DURATION = 5, 2.0, 2_000.0
+#: the DNN job's validation split, and the rate / momentum a branch that
+#: does not explore them trains with
+_HOLDOUT_FRACTION = 0.2
+_DEFAULT_RATE, _DEFAULT_MOMENTUM = 0.005, 0.5
+#: what share of its input each synthetic operator keeps
+_OP_SELECTIVITY = 0.85
+
 
 # ----------------------------------------------------------------- profiling
 
 
-def kde_mdf(
-    values: np.ndarray,
-    preprocess_methods: Sequence[str] = ("normalize", "standardize"),
-    kernels: Sequence[str] = ("gaussian", "top-hat", "biweight", "triweight"),
-    bandwidths: Sequence[float] = (0.1, 0.2, 0.3),
-    nominal_bytes: int = 512 * MB,
-    holdout_fraction: float = 0.01,
-    seed: int = 5,
-) -> MDF:
+def kde_mdf(values: np.ndarray, nominal_bytes: int = 512 * MB) -> MDF:
     """The data-profiling MDF (§6.1 job 3).
 
     Outer explore over the pre-processing method; inner explore over kernel
@@ -61,8 +66,8 @@ def kde_mdf(
     hold-out log-likelihood (1% of the data, as in the paper); the outer
     choose compares the two pre-processing winners the same way.
     """
-    rng = np.random.default_rng(seed)
-    n_holdout = max(8, int(len(values) * holdout_fraction))
+    rng = np.random.default_rng(5)
+    n_holdout = max(8, int(len(values) * 0.01))
     holdout = rng.choice(values, size=n_holdout, replace=False)
     loglik = CallableEvaluator(loglik_of_payload(holdout), name="holdout-loglik")
 
@@ -83,8 +88,8 @@ def kde_mdf(
         )
         return prepped.explore(
             {
-                "kernel": list(kernels),
-                "bandwidth": list(bandwidths),
+                "kernel": list(_KDE_KERNELS),
+                "bandwidth": list(_KDE_BANDWIDTHS),
                 "_method": [p["method"]],
             },
             kernel_branch,
@@ -92,7 +97,7 @@ def kde_mdf(
         ).choose(loglik, Max(), name=f"choose-kde-{p['method']}")
 
     result = src.explore(
-        {"method": list(preprocess_methods)},
+        {"method": list(_KDE_METHODS)},
         preprocess_branch,
         name="explore-prep",
     ).choose(loglik, Max(), name="choose-prep")
@@ -121,33 +126,21 @@ def kde_job(
     return b.build()
 
 
-def kde_combinations(
-    preprocess_methods: Sequence[str] = ("normalize", "standardize"),
-    kernels: Sequence[str] = ("gaussian", "top-hat", "biweight", "triweight"),
-    bandwidths: Sequence[float] = (0.1, 0.2, 0.3),
-) -> List[Dict[str, Any]]:
+def kde_combinations() -> List[Dict[str, Any]]:
     """All parameter combinations the exploratory workflow covers."""
     return [
         {"method": m, "kernel": k, "bandwidth": h}
-        for m in preprocess_methods
-        for k in kernels
-        for h in bandwidths
+        for m in _KDE_METHODS
+        for k in _KDE_KERNELS
+        for h in _KDE_BANDWIDTHS
     ]
 
 
-def kde_scoped_mdf(
-    values: np.ndarray,
-    outlier_thresholds: Sequence[float] = (1.5, 2.0, 2.5, 3.0),
-    kernels: Sequence[str] = ("gaussian", "top-hat"),
-    bandwidths: Sequence[float] = (0.2,),
-    nominal_bytes: int = 512 * MB,
-    min_surviving_ratio: float = 0.8,
-    seed: int = 5,
-) -> MDF:
+def kde_scoped_mdf(values: np.ndarray, nominal_bytes: int = 512 * MB) -> MDF:
     """The scoped KDE MDF of Fig. 3c (Example 3.5).
 
     An early choose closes the outlier-exploration scope: it keeps the
-    first branch whose filter removed less than ``1 − min_surviving_ratio``
+    first of the 1.5σ / 2σ / 2.5σ / 3σ filters that removed less than 20%
     of the data, pruning the remaining thresholds (the surviving-fraction
     evaluator is monotone in the threshold, and first-k selection is
     non-exhaustive — the strongest Table 1 row).
@@ -159,14 +152,14 @@ def kde_scoped_mdf(
     b = MDFBuilder("kde-scoped")
     src = b.read(Source.from_data(values, name="read-sample", nominal_bytes=nominal_bytes))
     filtered = src.explore(
-        {"t": list(outlier_thresholds)},
+        {"t": [1.5, 2.0, 2.5, 3.0]},
         lambda pipe, p: pipe.transform(
             sigma_filter(p["t"]), name=f"outlier-{p['t']}", selectivity=0.9
         ),
         name="explore-outlier",
-    ).choose(ratio, KThreshold(1, min_surviving_ratio), name="choose-outlier")
+    ).choose(ratio, KThreshold(1, 0.8), name="choose-outlier")
     estimated = filtered.explore(
-        {"kernel": list(kernels), "bandwidth": list(bandwidths)},
+        {"kernel": ["gaussian", "top-hat"], "bandwidth": [0.2]},
         lambda pipe, p: pipe.transform(
             kde_fit_payload(p["kernel"], p["bandwidth"]),
             name=f"kde-{p['kernel']}-{p['bandwidth']}",
@@ -212,13 +205,13 @@ def time_series_mdf(
     ).choose(evaluator, selection, name="choose-mask")
     (
         masked.transform(
-            mark_events(grid.mark_window, grid.mark_magnitude),
+            mark_events(_MARK_WINDOW, _MARK_MAGNITUDE),
             name="mark-events",
             selectivity=0.05,
             cost_factor=2.0,
         )
         .transform(
-            detect_sequences(grid.duration),
+            detect_sequences(_DURATION),
             name="detect-seq",
             selectivity=0.2,
             cost_factor=1.0,
@@ -245,13 +238,13 @@ def time_series_job(
             cost_factor=0.3,
         )
         .transform(
-            mark_events(grid.mark_window, grid.mark_magnitude),
+            mark_events(_MARK_WINDOW, _MARK_MAGNITUDE),
             name="mark-events",
             selectivity=0.05,
             cost_factor=2.0,
         )
         .transform(
-            detect_sequences(grid.duration),
+            detect_sequences(_DURATION),
             name="detect-seq",
             selectivity=0.2,
             cost_factor=1.0,
@@ -273,7 +266,6 @@ def time_series_full_mdf(
     durations: Sequence[float] = (1_000.0, 2_000.0, 5_000.0),
     nominal_bytes: int = 256 * MB,
     mask_selection: Optional[SelectionFunction] = None,
-    top_detections: int = 1,
 ) -> MDF:
     """Time-series job exploring *all five* §6.1 explorables.
 
@@ -285,8 +277,8 @@ def time_series_full_mdf(
        threshold (the Fig. 22 scope);
     2. explore L × M markings over the kept maskings, keep the marking
        with the most events (enough signal to analyse);
-    3. explore D detections, keep the top-``top_detections`` by detected
-       sequence count.
+    3. explore D detections, keep the one with the most detected
+       sequences.
 
     Each later scope reuses the previous scope's surviving dataset once —
     the reuse structure the MDF model exists to exploit (R2).
@@ -329,7 +321,7 @@ def time_series_full_mdf(
             cost_factor=1.0,
         ),
         name="explore-detect",
-    ).choose(count_rows, TopK(top_detections), name="choose-detect")
+    ).choose(count_rows, TopK(1), name="choose-detect")
     detected.write(name="write-results")
     return b.build()
 
@@ -368,13 +360,9 @@ def deep_learning_mdf(
     data: LabelledImages,
     mode: str = "exhaustive",
     trainer: Optional[dl.MLPTrainer] = None,
-    inits: Sequence[str] = tuple(dl.INIT_STRATEGIES),
     rates: Sequence[float] = dl.LEARNING_RATES,
     momenta: Sequence[float] = dl.MOMENTA,
     nominal_bytes: int = 512 * MB,
-    holdout_fraction: float = 0.2,
-    default_rate: float = 0.005,
-    default_momentum: float = 0.5,
 ) -> MDF:
     """The deep-learning MDF (§6.1 job 1, App. C Fig. 21).
 
@@ -388,7 +376,8 @@ def deep_learning_mdf(
       (|W| + |R × M| paths instead of |W × R × M|).
     """
     trainer = trainer or dl.MLPTrainer()
-    train_set, val_set = data.split(holdout_fraction, seed=1)
+    train_set, val_set = data.split(_HOLDOUT_FRACTION, seed=1)
+    inits = list(dl.INIT_STRATEGIES)
     evaluator = _dl_evaluator()
     cost = _train_cost(nominal_bytes, trainer.epochs)
 
@@ -402,8 +391,8 @@ def deep_learning_mdf(
         # "from-winner": early-choose second stage, init comes from the
         # winning model of the first explore at run time
         init = p.get("init", "from-winner")
-        rate = p.get("rate", default_rate)
-        momentum = p.get("momentum", default_momentum)
+        rate = p.get("rate", _DEFAULT_RATE)
+        momentum = p.get("momentum", _DEFAULT_MOMENTUM)
         return pipe.aggregate(
             _training_fn(init, rate, momentum),
             name=f"train-{init}-r{rate}-m{momentum}",
@@ -431,7 +420,7 @@ def deep_learning_mdf(
 
     if mode == "weights_only":
         chosen = prepped.explore(
-            {"init": list(inits)}, train_branch, name="explore-weights"
+            {"init": inits}, train_branch, name="explore-weights"
         ).choose(evaluator, TopK(1), name="choose-weights")
     elif mode == "hyper_only":
         chosen = prepped.explore(
@@ -441,13 +430,13 @@ def deep_learning_mdf(
         ).choose(evaluator, TopK(1), name="choose-hyper")
     elif mode == "exhaustive":
         chosen = prepped.explore(
-            {"init": list(inits), "rate": list(rates), "momentum": list(momenta)},
+            {"init": inits, "rate": list(rates), "momentum": list(momenta)},
             train_branch,
             name="explore-all",
         ).choose(evaluator, TopK(1), name="choose-all")
     elif mode == "early_choose":
         winners = prepped.explore(
-            {"init": list(inits)}, train_branch, name="explore-weights"
+            {"init": inits}, train_branch, name="explore-weights"
         ).choose(evaluator, TopK(1), name="choose-weights")
         chosen = winners.explore(
             {"rate": list(rates), "momentum": list(momenta)},
@@ -465,11 +454,10 @@ def deep_learning_job(
     params: Dict[str, Any],
     trainer: Optional[dl.MLPTrainer] = None,
     nominal_bytes: int = 512 * MB,
-    holdout_fraction: float = 0.2,
 ) -> MDF:
     """One concrete training job: preprocess → train(one config) → sink."""
     trainer = trainer or dl.MLPTrainer()
-    train_set, val_set = data.split(holdout_fraction, seed=1)
+    train_set, val_set = data.split(_HOLDOUT_FRACTION, seed=1)
     cost = _train_cost(nominal_bytes, trainer.epochs)
 
     def train(payload):
@@ -494,22 +482,16 @@ def deep_learning_job(
     return b.build()
 
 
-def deep_learning_combinations(
-    mode: str,
-    inits: Sequence[str] = tuple(dl.INIT_STRATEGIES),
-    rates: Sequence[float] = dl.LEARNING_RATES,
-    momenta: Sequence[float] = dl.MOMENTA,
-    default_rate: float = 0.005,
-    default_momentum: float = 0.5,
-) -> List[Dict[str, Any]]:
+def deep_learning_combinations(mode: str) -> List[Dict[str, Any]]:
     """Parameter combinations a baseline must submit as separate jobs.
 
     For ``early_choose`` the baseline cannot exploit the pattern — it still
     has to explore the full cross product, which is exactly the gap Fig. 5
     shows."""
+    inits, rates, momenta = list(dl.INIT_STRATEGIES), dl.LEARNING_RATES, dl.MOMENTA
     if mode == "weights_only":
         return [
-            {"init": i, "rate": default_rate, "momentum": default_momentum}
+            {"init": i, "rate": _DEFAULT_RATE, "momentum": _DEFAULT_MOMENTUM}
             for i in inits
         ]
     if mode == "hyper_only":
@@ -535,7 +517,6 @@ def synthetic_mdf(
     b2: int = 4,
     work: int = 1,
     nominal_bytes: int = 256 * MB,
-    op_selectivity: float = 0.85,
 ) -> MDF:
     """The synthetic nested-explore MDF (§6.1 job 4, App. C Fig. 23)."""
     outer = syn.multipliers(b1)
@@ -549,14 +530,14 @@ def synthetic_mdf(
         return pipe.transform(
             syn.math_op(p["w2"], work), name=f"op-w2-{p['w2']}-{p['_outer']}",
             cost_factor=float(work),
-            selectivity=op_selectivity,
+            selectivity=_OP_SELECTIVITY,
         )
 
     def outer_branch(pipe: Pipe, p: Dict[str, Any]) -> Pipe:
         first = pipe.transform(
             syn.math_op(p["w1"], work), name=f"op-w1-{p['w1']}",
             cost_factor=float(work),
-            selectivity=op_selectivity,
+            selectivity=_OP_SELECTIVITY,
         )
         return first.explore(
             {"w2": list(inner), "_outer": [p["w1"]]},
@@ -574,25 +555,23 @@ def synthetic_mdf(
 def synthetic_job(
     pairs: List[Tuple[str, int]],
     params: Dict[str, Any],
-    work: int = 1,
     nominal_bytes: int = 256 * MB,
-    op_selectivity: float = 0.85,
 ) -> MDF:
     """One concrete synthetic job: op(w1) → op(w2) → sink."""
     b = MDFBuilder(f"syn-job-{params['w1']}-{params['w2']}")
     src = b.read(Source.from_data(pairs, name="read-pairs", nominal_bytes=nominal_bytes))
     (
         src.transform(
-            syn.math_op(params["w1"], work),
+            syn.math_op(params["w1"], 1),
             name="op-w1",
-            cost_factor=float(work),
-            selectivity=op_selectivity,
+            cost_factor=1.0,
+            selectivity=_OP_SELECTIVITY,
         )
         .transform(
-            syn.math_op(params["w2"], work),
+            syn.math_op(params["w2"], 1),
             name="op-w2",
-            cost_factor=float(work),
-            selectivity=op_selectivity,
+            cost_factor=1.0,
+            selectivity=_OP_SELECTIVITY,
         )
         .write(name="write-results")
     )

@@ -120,14 +120,11 @@ class TimeSeriesGrid:
     thresholds ``T``, marking windows ``L``, magnitudes ``M``, and event
     durations ``D`` — at granularities yielding 16…1024 branches.  Only
     masking parameters fan out in the MDF (App. C Fig. 22); the marking /
-    detection settings are fixed per run.
+    detection settings are fixed (constants of :mod:`repro.workloads.mdfs`).
     """
 
     windows: Tuple[int, ...]
     thresholds: Tuple[float, ...]
-    mark_window: int = 5
-    mark_magnitude: float = 2.0
-    duration: float = 2_000.0
 
     @property
     def num_branches(self) -> int:

@@ -7,15 +7,11 @@ from repro.bench.report import telemetry_breakdown, timeline_table
 from repro.bench.telemetry import telemetry_report
 from ..conftest import build_filter_mdf
 
-#: laptop-scale parameters so the report stays test-suite fast
-SMALL = dict(pairs_n=40, workers=2, mem_per_worker_gb=0.25, per_worker_data_gb=0.5,
-             sample_interval=2.0)
-
 
 class TestTelemetryReport:
     @pytest.fixture(scope="class")
     def report(self):
-        return telemetry_report(**SMALL)
+        return telemetry_report()
 
     def test_contains_every_section(self, report):
         assert "telemetry demo" in report

@@ -88,14 +88,14 @@ class TestWarmReuse:
         """A store hit is a fresh load owned by the run it was served to:
         scribbling over what the first warm run got, in place, does not
         change what the second one gets."""
-        cache = ResultCache(store=SharedCacheStore(str(tmp_path)), cost_based=False)
+        cache = ResultCache(store=SharedCacheStore(str(tmp_path)))
         config = EngineConfig(pruning=False, cache=cache)
-        cold = run_mdf(build_filter_mdf(), fresh_cluster(), config=config)
+        cold = run_mdf(build_filter_mdf(cost_factor=8.0), fresh_cluster(), config=config)
         scribbled = 0
         for _ in range(2):
             cache.clear()  # forget the cluster tier: the store serves
             cluster = fresh_cluster()
-            warm = run_mdf(build_filter_mdf(), cluster, config=config)
+            warm = run_mdf(build_filter_mdf(cost_factor=8.0), cluster, config=config)
             assert outputs_digest(warm.outputs) == outputs_digest(cold.outputs)
             for event in warm.events.filter("cache_hit"):
                 assert event.data["tier"] == "store"

@@ -220,7 +220,7 @@ class TestOnePass:
 
         outputs = []
         for _ in range(2):
-            cache = ResultCache(store=SharedCacheStore(str(tmp_path)), cost_based=False)
+            cache = ResultCache(store=SharedCacheStore(str(tmp_path)))
             result = run_mdf(
                 build(), Cluster(2, 1 * GB), config=EngineConfig(cache=cache)
             )

@@ -17,6 +17,8 @@ from repro.engine import EngineConfig, run_mdf
 from repro.engine.job import outputs_digest
 from repro.lab.workloads import get_workload
 
+from ..conftest import build_filter_mdf
+
 
 def fresh_cluster(workers=2):
     return Cluster(num_workers=workers, mem_per_worker=1 * GB)
@@ -270,16 +272,12 @@ class TestResultCacheIntegration:
         """Tenant alice's run populates the shared store; tenant bob's
         run hits it.  Every hit is bob's (a cache has its store's one
         tenant), so his run's folded ``cache_hits`` is his tenant's."""
-        workload = get_workload("filter_min")
 
         def run(tenant):
-            cache = ResultCache(
-                store=SharedCacheStore(str(tmp_path), tenant=tenant),
-                cost_based=False,  # cheap workload: let store hits serve
-            )
-            cluster = workload.make_cluster()
+            cache = ResultCache(store=SharedCacheStore(str(tmp_path), tenant=tenant))
+            cluster = fresh_cluster()
             result = run_mdf(
-                workload.make_mdf(), cluster, scheduler="bas", memory="amm",
+                build_filter_mdf(cost_factor=8.0), cluster, scheduler="bas", memory="amm",
                 config=EngineConfig(cache=cache), observers=[Validator()],
             )
             return result, cache, cluster

@@ -65,14 +65,13 @@ def test_sliding_window_trains_exactly_the_two_new_branches(data, tmp_path):
 
 def test_warm_early_choose_equals_solo(data, tmp_path):
     """Every ``early_choose`` train reads or writes the host-side cell, so
-    none is cached: a warm run with every gate off retrains all of them on
-    the preprocessed images and lands on the solo digest."""
+    none is cached: a warm run with pruning and incremental choose off
+    retrains all of them on the preprocessed images and lands on the solo
+    digest."""
     trainer = CountingTrainer(hidden=4, epochs=1)
     solo_trained, solo, _ = run_step(data, trainer, "early_choose", None)
     for _ in ("cold", "warm"):
-        cache = ResultCache(
-            store=SharedCacheStore(str(tmp_path), tenant="analyst"), cost_based=False
-        )
+        cache = ResultCache(store=SharedCacheStore(str(tmp_path), tenant="analyst"))
         trained, digest, hits = run_step(data, trainer, "early_choose", cache)
         assert digest == solo and trained == solo_trained
         assert not [e for e in hits if "train-" in e.data["dataset"]]

@@ -27,9 +27,13 @@ def tight_cluster():
     return Cluster(num_workers=4, mem_per_worker=64 * MB)
 
 
-def build_filter_mdf(thresholds=(10, 100, 500), nominal=64 * MB, data_n=1000):
+def build_filter_mdf(
+    thresholds=(10, 100, 500), nominal=64 * MB, data_n=1000, cost_factor=1.0
+):
     """A minimal one-explore MDF: filter values below a threshold, keep the
-    smallest surviving dataset."""
+    smallest surviving dataset.  At ``cost_factor=8.0`` recomputing a
+    filter costs more than a store-tier read of its output, so a warm
+    run's store hits pass the executor's profitability gate."""
     builder = MDFBuilder("filter-mdf")
     src = builder.read_data(list(range(data_n)), name="src", nominal_bytes=nominal)
     result = src.explore(
@@ -37,6 +41,7 @@ def build_filter_mdf(thresholds=(10, 100, 500), nominal=64 * MB, data_n=1000):
         lambda pipe, p: pipe.transform(
             lambda xs, t=p["threshold"]: [x for x in xs if x < t],
             name=f"filter-{p['threshold']}",
+            cost_factor=cost_factor,
         ),
     ).choose(CallableEvaluator(len, name="count"), Min(), name="choose-min")
     result.write(name="out")

@@ -1,5 +1,9 @@
 """Tests for the generic operator classes and their cost/size models."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -129,6 +133,44 @@ class TestGroupBy:
 
     def test_wide(self):
         assert not GroupBy(lambda x: x).narrow
+
+    def test_output_does_not_depend_on_the_hash_seed(self):
+        """Two processes with different string hash seeds give the same
+        grouped output, on both backends: a store entry one process saved
+        is served to another in place of its own output."""
+        def outputs(seed):
+            proc = subprocess.run(
+                [sys.executable, "-c", _GROUP_WORDS],
+                env={**os.environ, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            return proc.stdout
+
+        first = outputs("1")
+        assert "serial" in first and "mp" in first
+        assert outputs("2") == first
+
+
+#: explore two sibling branches (so ``mp`` runs them in its pool), each
+#: splitting lines into words and grouping them; print each backend's outputs
+_GROUP_WORDS = """
+from repro import CallableEvaluator, Cluster, GB, MB, MDFBuilder, TopK, run_mdf
+b = MDFBuilder("words")
+lines = ["w0 w1 w2", "w3 w4", "w5 w6 w0", "w2 w5"]
+b.read_data(lines, name="src", nominal_bytes=MB).explore(
+    {"times": [1, 2]},
+    lambda pipe, p: pipe.flat_map(
+        lambda line, n=p["times"]: line.split() * n, name=f"split-{p['times']}"
+    ).group_by(lambda word: word, name=f"group-{p['times']}"),
+    name="explore",
+).choose(CallableEvaluator(len, name="groups"), TopK(2), name="choose").write(name="out")
+mdf = b.build()
+for backend in ("serial", "mp"):
+    print(backend, run_mdf(mdf, Cluster(2, 1 * GB), backend=backend).outputs)
+"""
 
 
 class TestSource:

@@ -260,7 +260,7 @@ def _make_mutator(tag):
 
 def _run_with_mutator(store, tag):
     cluster = Cluster(1, 1 * GB)  # one partition: concat aliases the payload
-    cache = ResultCache(store=store, cost_based=False)
+    cache = ResultCache(store=store)
     b = MDFBuilder("alias-check")
     (
         b.read_data([5, 3, 7, 1], name="src", nominal_bytes=32 * MB)

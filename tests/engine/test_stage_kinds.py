@@ -37,18 +37,23 @@ SCENARIOS = ("cold", "cluster_hit", "store_hit", "deferred_tail", "recovery")
 
 def kind_mdf(kind):
     """src → explore{m: 3,1,2} → choose(Max of sum) → sink, whose three
-    branch tails are stages of ``kind`` (``source``: the job input itself,
-    read by three narrow branches).  The first branch wins, so under
-    incremental choose the other two tails are never stored."""
+    branch tails are stages of ``kind`` (``source``: the job input, read
+    and copied in one stage, read by three narrow branches).  The first
+    branch wins, so under incremental choose the other two tails are never
+    stored.  The source's copy and the narrow scales cost more to recompute
+    than a store-tier read of what they produce, so a store hit serves."""
     b = MDFBuilder(f"kind-{kind}")
-    src = b.read_data(list(range(60)), name="src", nominal_bytes=32 * MB)
+    raw = b.read_data(list(range(60)), name="raw", nominal_bytes=32 * MB)
+    src = raw.transform(list, name="src", cost_factor=8.0)
     ref = b.read_data([100], name="ref", nominal_bytes=MB) if kind == "join" else None
 
     def body(pipe, p):
         m = p["m"]
         if kind == "wide":
             return pipe.aggregate(lambda xs, m=m: [sum(xs) * m], name=f"agg-{m}")
-        scaled = pipe.transform(lambda xs, m=m: [x * m for x in xs], name=f"scale-{m}")
+        scaled = pipe.transform(
+            lambda xs, m=m: [x * m for x in xs], name=f"scale-{m}", cost_factor=8.0
+        )
         if kind == "join":
             return scaled.join(
                 Pipe(b, ref.op), lambda l, r: [x + r[0] for x in l], name=f"join-{m}"
@@ -78,7 +83,7 @@ def run_scenario(kind, scenario, tmp_path):
         # incremental choose is the default: branch tails defer their store
         config = EngineConfig(pruning=False)
     elif scenario == "cluster_hit":
-        config = EngineConfig(pruning=False, cache=ResultCache(cost_based=False))
+        config = EngineConfig(pruning=False, cache=ResultCache())
         run_mdf(kind_mdf(kind), cluster, config=config)
         return run_mdf(kind_mdf(kind), cluster, config=config, reset=False), cluster
     elif scenario == "store_hit":
@@ -86,9 +91,7 @@ def run_scenario(kind, scenario, tmp_path):
         # only the store tier can serve the second run
         def store_config():
             store = SharedCacheStore(str(tmp_path))
-            return EngineConfig(
-                pruning=False, cache=ResultCache(store=store, cost_based=False)
-            )
+            return EngineConfig(pruning=False, cache=ResultCache(store=store))
 
         run_mdf(kind_mdf(kind), fresh_cluster(), config=store_config())
         config = store_config()

@@ -86,6 +86,22 @@ class TestMonotoneTightening:
                 f"{kind} grew the ETA: {before} -> {after}"
             )
 
+    def test_critical_path_is_positive_and_bounded_before_the_first_prune(self):
+        """Until the first prune some modelled work is pending, so the
+        critical path is positive and no longer than all of that work."""
+        plan = explore_choose_plan()
+        estimator = ProgressEstimator(plan=plan)
+        trace = Trace.load_jsonl(GOLDEN_FILES["explore_choose"])
+        checked = 0
+        for event in trace.events:
+            if event.kind == "branch_pruned":
+                break
+            estimator.on_event(event)
+            critical = estimator.critical_path_seconds
+            assert 0 < critical <= plan.remaining_seconds(estimator.pending_stage_ids())
+            checked += 1
+        assert checked > 1
+
     def test_replayed_eta_matches_engine_completion_time(self):
         """Golden-file replay (events only, no engine state): the final
         ETA equals the completion time the engine itself reports."""
